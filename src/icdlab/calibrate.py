@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LeakageError, UndefinedMetricError, ValidationError
-from .metrics import PredictionRecord, _pred_set
+from .metrics import Predictions
 
 # --------------------------------------------------------------------------
 # isotonic regression
@@ -57,44 +57,27 @@ class IsotonicMap:
     n_labels: int
     maps: dict[int, tuple[np.ndarray, np.ndarray]]
 
-    def calibrate_value(self, label: int, p: float) -> float:
-        m = self.maps.get(int(label))
-        if m is None:
-            return float(p)
-        xs, vs = m
-        idx = int(np.searchsorted(xs, p, side="right")) - 1
-        return float(vs[max(idx, 0)])
-
-    def calibrate_probs(self, probs: np.ndarray) -> np.ndarray:
-        out = np.array(probs, dtype=np.float64, copy=True)
-        for j in range(out.shape[0]):
-            m = self.maps.get(j)
-            if m is not None:
-                xs, vs = m
-                out[j] = vs[max(int(np.searchsorted(xs, out[j], side="right")) - 1, 0)]
-        return out
-
-    def apply(self, records) -> list[PredictionRecord]:
-        return [replace(r, probs=self.calibrate_probs(r.probs)) for r in records]
+    def apply(self, predictions: Predictions) -> Predictions:
+        """The same documents with every fitted label column mapped."""
+        if predictions.probs.shape[1] != self.n_labels:
+            raise ValidationError(f"calibration maps cover {self.n_labels} labels, "
+                                  f"predictions {predictions.probs.shape[1]}")
+        probs = predictions.probs.copy()
+        for j, (xs, vs) in self.maps.items():
+            probs[:, j] = vs[np.maximum(np.searchsorted(xs, probs[:, j], side="right") - 1, 0)]
+        return replace(predictions, probs=probs)
 
 
-def fit_isotonic(records) -> IsotonicMap:
+def fit_isotonic(predictions: Predictions) -> IsotonicMap:
     """Fit one isotonic map per label on (raw probability, in-gt) pairs."""
-    records = list(records)
-    if not records:
+    if not len(predictions):
         raise ValidationError("cannot fit calibration on zero records")
-    n = records[0].probs.shape[0]
-    if any(r.probs.shape != (n,) for r in records):
-        raise ValidationError("records disagree on label-space size")
-    probs = np.stack([r.probs for r in records])
-    hits = np.zeros_like(probs)
-    for row, r in enumerate(records):
-        for i in r.gt_indices:
-            hits[row, i] = 1.0
+    n = predictions.probs.shape[1]
     maps = {}
     for j in range(n):
-        xs, inv, cnt = np.unique(probs[:, j], return_inverse=True, return_counts=True)
-        level_means = np.bincount(inv, weights=hits[:, j]) / cnt
+        xs, inv, cnt = np.unique(predictions.probs[:, j], return_inverse=True,
+                                 return_counts=True)
+        level_means = np.bincount(inv, weights=predictions.gt[:, j]) / cnt
         maps[j] = (xs, _pav(level_means, cnt.astype(np.float64)))
     return IsotonicMap(n_labels=n, maps=maps)
 
@@ -104,26 +87,25 @@ def fit_isotonic(records) -> IsotonicMap:
 # --------------------------------------------------------------------------
 
 
-def ece(records, label: int, n_bins: int = 10) -> float:
-    """Equal-width-bin ECE for one label over the given records.
+def ece(conf: np.ndarray, hits: np.ndarray, n_bins: int = 10) -> float:
+    """Equal-width-bin ECE of one label's column: confidences and 0/1
+    outcomes over the same documents.
 
     Confidences are clipped into [0,1] before binning so that unclamped
     residual scores still land in a bin.
     """
-    records = list(records)
-    if not records:
+    conf = np.clip(np.asarray(conf, dtype=np.float64), 0.0, 1.0)
+    hit = np.asarray(hits, dtype=np.float64)
+    if conf.shape != hit.shape or conf.ndim != 1:
+        raise ValidationError("ECE needs one confidence and one outcome per document")
+    if not conf.size:
         raise UndefinedMetricError("ECE needs at least one observation")
-    n = records[0].probs.shape[0]
-    if not 0 <= label < n:
-        raise ValidationError(f"label {label} outside the space of {n}")
-    conf = np.clip([r.probs[label] for r in records], 0.0, 1.0)
-    hit = np.array([label in r.gt_indices for r in records], dtype=np.float64)
     bins = np.minimum((conf * n_bins).astype(int), n_bins - 1)
     total = 0.0
     for b in range(n_bins):
         mask = bins == b
         if mask.any():
-            total += mask.sum() / len(records) * abs(conf[mask].mean() - hit[mask].mean())
+            total += mask.sum() / conf.size * abs(conf[mask].mean() - hit[mask].mean())
     return float(total)
 
 
@@ -160,29 +142,37 @@ class AutomationResult:
         return self.false_positives / max(1, len(self.selected))
 
 
-def decide_exact_match(record: PredictionRecord, rule: ThresholdRule) -> bool:
+def _extremes(probs: np.ndarray, decision_threshold: float):
+    """Per document: the lowest predicted score, -inf when nothing is
+    predicted (no t_u selects it), and the highest other score, -inf when
+    every label is predicted (every t_l accepts it)."""
+    pred = probs > decision_threshold
+    lowest = np.min(np.where(pred, probs, np.inf), axis=1, initial=np.inf)
+    min_pred = np.where(pred.any(axis=1), lowest, -np.inf)
+    max_rest = np.max(np.where(pred, -np.inf, probs), axis=1, initial=-np.inf)
+    return min_pred, max_rest
+
+
+def decide_exact_match(predictions: Predictions, rule: ThresholdRule) -> np.ndarray:
+    """(m,) whether the rule selects each document."""
     if rule.select_none:
-        return False
-    pred = record.probs > rule.decision_threshold
-    if not pred.any():
-        return False  # an empty prediction can never be an exact match
-    if float(record.probs[pred].min()) < rule.t_u:
-        return False
-    rest = record.probs[~pred]
-    return rest.size == 0 or float(rest.max()) <= rule.t_l
+        return np.zeros(len(predictions), dtype=bool)
+    min_pred, max_rest = _extremes(predictions.probs, rule.decision_threshold)
+    return (min_pred >= rule.t_u) & (max_rest <= rule.t_l)
 
 
-def _is_exact(record: PredictionRecord, decision_threshold: float) -> bool:
-    """iF1 = 1: the thresholded prediction reproduces the gt set exactly."""
-    if record.total_gt == 0 or record.n_unseen:
-        return False
-    return _pred_set(record, decision_threshold) == set(record.gt_indices)
+def _exact(predictions: Predictions, decision_threshold: float) -> np.ndarray:
+    """(m,) iF1 = 1: the thresholded prediction reproduces the gt set exactly."""
+    p = predictions
+    return ((p.n_unseen == 0) & p.gt.any(axis=1)
+            & ((p.probs > decision_threshold) == p.gt).all(axis=1))
 
 
 _GRID = tuple(i / 20 for i in range(21))
 
 
-def search_thresholds(records, max_fp: float, decision_threshold: float = 0.5,
+def search_thresholds(predictions: Predictions, max_fp: float,
+                      decision_threshold: float = 0.5,
                       fitted_on: str = "dev") -> tuple[ThresholdRule, AutomationResult]:
     """Exhaustive 0.05-step grid search maximizing dev true positives.
 
@@ -192,18 +182,8 @@ def search_thresholds(records, max_fp: float, decision_threshold: float = 0.5,
     """
     if not 0.0 < max_fp <= 1.0:
         raise ValidationError("max_fp must lie in (0, 1]")
-    records = list(records)
-    m = len(records)
-    min_pred = np.full(m, -1.0)  # -1 sentinel: empty prediction, never selected
-    max_rest = np.full(m, -1.0)  # -1 sentinel: all labels predicted, always ok
-    exact = np.zeros(m, dtype=bool)
-    for i, r in enumerate(records):
-        pred = r.probs > decision_threshold
-        if pred.any():
-            min_pred[i] = r.probs[pred].min()
-        if not pred.all():
-            max_rest[i] = r.probs[~pred].max()
-        exact[i] = _is_exact(r, decision_threshold)
+    min_pred, max_rest = _extremes(predictions.probs, decision_threshold)
+    exact = _exact(predictions, decision_threshold)
 
     best_key = None
     best = None
@@ -228,50 +208,42 @@ def search_thresholds(records, max_fp: float, decision_threshold: float = 0.5,
         return rule, AutomationResult((), 0, 0)
     t_u, t_l, sel, tp, fp = best
     rule = ThresholdRule(t_u, t_l, decision_threshold, fitted_on)
-    picked = tuple(int(i) for i in np.nonzero(sel)[0])
-    return rule, AutomationResult(picked, tp, fp)
+    return rule, AutomationResult(tuple(np.flatnonzero(sel).tolist()), tp, fp)
 
 
-def evaluate_automation(records, rule: ThresholdRule,
-                        maps: IsotonicMap | None = None) -> tuple[AutomationResult, float]:
-    """Apply the rule (after optional calibration) and report the identified
-    fraction of exact-match records.
+def evaluate_automation(predictions: Predictions,
+                        rule: ThresholdRule) -> tuple[AutomationResult, float]:
+    """Apply the rule and report the identified fraction of exact-match
+    records.
 
-    Exactness and decisions use the same, possibly calibrated, probabilities,
-    so the identified fraction never exceeds 1. No exact match anywhere → 0.
+    Exactness and decisions use the same probabilities, so the identified
+    fraction never exceeds 1. No exact match anywhere → 0.
     """
     if rule.fitted_on == "test":
         raise LeakageError("automation rule was fitted on the test split")
-    records = list(records)
-    if maps is not None:
-        records = maps.apply(records)
-    selected: list[int] = []
-    tp = fp = possible = 0
-    for i, r in enumerate(records):
-        is_exact = _is_exact(r, rule.decision_threshold)
-        possible += is_exact
-        if decide_exact_match(r, rule):
-            selected.append(i)
-            tp += is_exact
-            fp += not is_exact
-    result = AutomationResult(tuple(selected), tp, fp)
+    exact = _exact(predictions, rule.decision_threshold)
+    selected = decide_exact_match(predictions, rule)
+    tp = int(np.count_nonzero(selected & exact))
+    fp = int(np.count_nonzero(selected & ~exact))
+    possible = int(np.count_nonzero(exact))
+    result = AutomationResult(tuple(np.flatnonzero(selected).tolist()), tp, fp)
     return result, (tp / possible if possible else 0.0)
 
 
-def automation_sweep(dev_records, test_records, max_fps,
+def automation_sweep(dev: Predictions, test: Predictions, max_fps,
                      maps: IsotonicMap | None = None,
                      decision_threshold: float = 0.5):
-    """Fit a rule per false-positive budget on dev, evaluate each on test.
+    """Fit a rule per false-positive budget on dev, evaluate each on test,
+    both calibrated once by the optional maps.
 
     Returns (max_fp, calibrated?, percent_identified, achieved_fp_rate) rows.
     """
-    dev = list(dev_records)
     if maps is not None:
-        dev = maps.apply(dev)
+        dev, test = maps.apply(dev), maps.apply(test)
     rows = []
     for max_fp in max_fps:
         rule, _ = search_thresholds(dev, max_fp, decision_threshold)
-        result, pct = evaluate_automation(test_records, rule, maps)
+        result, pct = evaluate_automation(test, rule)
         rows.append((float(max_fp), maps is not None, pct, result.fp_rate))
     return rows
 

@@ -27,11 +27,10 @@ from .config import (RunConfig, config_sha256, parse_config, parse_fractions,
 from .corpus import (CorpusConfig, Encounter, LabelSpace, corpus_stats,
                      generate_corpus, read_encounters, split_by_patient,
                      write_encounters)
-from .errors import NumericError, ValidationError
-from .metrics import (GROUP_KEYS, PredictionRecord, breakdown, breakdown_csv,
+from .errors import NumericError, ParseError, UndefinedMetricError, ValidationError
+from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
                       compute_report, consistency_check, score_histogram,
                       spearman)
-from .errors import UndefinedMetricError
 from .model import (BaseHParams, BaseModel, MetadataReranker, ModalityVocabs,
                     RerankerHParams, load_base_model, load_reranker,
                     save_base_model, save_reranker)
@@ -102,16 +101,17 @@ def _train_config(rc: RunConfig, stage: str, max_epochs: int, patience: int) -> 
 # --------------------------------------------------------------------------
 
 
-def _records_jsonl(records) -> str:
+def _records_jsonl(p: Predictions) -> str:
     lines = []
-    for r in records:
-        e = r.encounter
+    for gt, n_unseen, dept, first, bucket, e in zip(
+            p.gt, p.n_unseen.tolist(), p.dept.tolist(), p.first_visit.tolist(),
+            p.freq_bucket.tolist(), p.encounters):
         row = {
-            "gt": sorted(r.gt_indices),
-            "n_unseen": r.n_unseen,
-            "dept": r.dept,
-            "first_visit": r.first_visit,
-            "freq_bucket": r.freq_bucket,
+            "gt": np.flatnonzero(gt).tolist(),
+            "n_unseen": n_unseen,
+            "dept": dept,
+            "first_visit": first,
+            "freq_bucket": bucket,
             "patient_id": e.patient_id,
             "date": e.date.isoformat(),
             "doctor": e.doctor,
@@ -123,24 +123,53 @@ def _records_jsonl(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_prediction_records(eval_dir) -> list[PredictionRecord]:
+def read_prediction_records(eval_dir) -> Predictions:
+    """probs.npy + records.jsonl as one Predictions value. A malformed
+    probability matrix is a numeric error; an unparseable record, a gt index
+    outside the label space, a negative unseen count or a row-count mismatch
+    is a validation error."""
     eval_dir = Path(eval_dir)
-    probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
-    records = []
+    try:
+        probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
+    except (EOFError, ValueError) as exc:
+        raise ParseError(f"{eval_dir}/probs.npy: {exc!r}") from None
+    if probs.ndim != 2 or probs.dtype.kind not in "fiu":
+        raise NumericError(f"{eval_dir}/probs.npy: expected a 2-D numeric matrix, "
+                           f"got {probs.dtype} of shape {probs.shape}")
+    if not np.isfinite(probs).all():
+        raise NumericError(f"{eval_dir}/probs.npy: non-finite probabilities")
+    m, n = probs.shape
     text = (eval_dir / "records.jsonl").read_text(encoding="utf-8")
-    rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if len(rows) != probs.shape[0]:
-        raise ValidationError(f"{eval_dir}: probs.npy rows ({probs.shape[0]}) and "
-                              f"records.jsonl lines ({len(rows)}) disagree")
-    for i, row in enumerate(rows):
-        enc = Encounter(row["patient_id"], dt.date.fromisoformat(row["date"]),
-                        row["dept"], row["doctor"], "", frozenset(row["codes"]),
-                        meds=tuple(row["meds"]), procs=tuple(row["procs"]))
-        records.append(PredictionRecord(
-            probs[i], frozenset(row["gt"]), row["n_unseen"], dept=row["dept"],
-            first_visit=row["first_visit"], freq_bucket=row["freq_bucket"],
-            encounter=enc))
-    return records
+    cols = {k: [] for k in ("gt", "n_unseen", "dept", "first_visit", "freq_bucket",
+                            "encounters")}
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{eval_dir}/records.jsonl line {number}"
+        try:
+            row = json.loads(line)
+            enc = Encounter(row["patient_id"], dt.date.fromisoformat(row["date"]),
+                            row["dept"], row["doctor"], "", frozenset(row["codes"]),
+                            meds=tuple(row["meds"]), procs=tuple(row["procs"]))
+            gt, n_unseen = row["gt"], row["n_unseen"]
+            for key in ("dept", "first_visit", "freq_bucket"):
+                cols[key].append(row[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: {exc!r}") from None
+        if not (isinstance(gt, list) and all(type(i) is int and 0 <= i < n for i in gt)):
+            raise ValidationError(f"{where}: gt must list label indices in [0, {n})")
+        if type(n_unseen) is not int or n_unseen < 0:
+            raise ValidationError(f"{where}: n_unseen must be a non-negative integer")
+        cols["gt"].append(gt)
+        cols["n_unseen"].append(n_unseen)
+        cols["encounters"].append(enc)
+    if len(cols["gt"]) != m:
+        raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
+                              f"records.jsonl lines ({len(cols['gt'])}) disagree")
+    gt = np.zeros((m, n), dtype=bool)
+    for i, indices in enumerate(cols.pop("gt")):
+        gt[i, indices] = True
+    return Predictions(probs=probs, gt=gt, **cols)
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +303,7 @@ def cmd_evaluate(args) -> int:
     else:
         records = predict_records(base, notes, labels)
     report = compute_report(records, rc.decision_threshold, args.k)
-    np.save(out / "probs.npy", np.stack([r.probs for r in records]))
+    np.save(out / "probs.npy", records.probs)
     _write(out / "records.jsonl", _records_jsonl(records))
     _write(out / "report.csv", report.as_csv())
     _write(out / "report.txt", report.as_text())
@@ -334,8 +363,8 @@ def cmd_calibrate(args) -> int:
     lines = ["label,ece_before,ece_after"]
     improved = 0
     for j in range(maps.n_labels):
-        before = ece(records, j, rc.ece_bins)
-        after = ece(calibrated, j, rc.ece_bins)
+        before = ece(records.probs[:, j], records.gt[:, j], rc.ece_bins)
+        after = ece(calibrated.probs[:, j], records.gt[:, j], rc.ece_bins)
         improved += after <= before + 1e-9
         lines.append(f"{j},{before:.6f},{after:.6f}")
     _write(out / "ece.csv", "\n".join(lines) + "\n")
@@ -418,7 +447,7 @@ def cmd_report(args) -> int:
             lines.append(f"{key},{versus},{r}")
     _write(out / "correlations.csv", "\n".join(lines) + "\n")
     outputs.append(out / "correlations.csv")
-    consistency = consistency_check([r.encounter for r in records])
+    consistency = consistency_check(records.encounters)
     _write(out / "consistency.txt",
            f"matched pairs        {consistency.matched_pairs}\n"
            f"inconsistent pairs   {consistency.inconsistent_pairs}\n"

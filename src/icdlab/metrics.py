@@ -1,12 +1,24 @@
 """Evaluation measures for multi-label code prediction.
 
+A set of m evaluated documents over a label space of N codes is one
+`Predictions` value:
+
+* `probs` (m, N) float64: one score row per document, C-ordered;
+* `gt` (m, N) bool: the document's ground-truth codes that have a label
+  index;
+* `n_unseen` (m,) int: ground-truth codes with no index in the label space;
+* context columns, one entry per document: `dept`, `first_visit`,
+  `freq_bucket` and the source `encounters`.
+
 Conventions that matter:
 
 * Ranking ties break by ascending label index (stable argsort on negated
   scores), so runs are reproducible.
-* Ground-truth codes outside the model's label space stay in denominators:
-  they count against recall, add false negatives to micro-F1, and are
-  excluded from AUC (they have no score to rank).
+* Unseen ground-truth codes stay in denominators: they count against
+  recall, add false negatives to micro-F1, and are excluded from AUC (they
+  have no score to rank).
+* Per-document measures are (m,) vectors; their means reduce that vector
+  in document order.
 * Macro averages cover only labels with at least one positive in the
   evaluated records.
 * All values live in [0,1]; external reports multiply by 100.
@@ -14,47 +26,67 @@ Conventions that matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .corpus import CODE_RE, Encounter, chapter
-from .errors import UndefinedMetricError, ValidationError
+from .errors import ShapeError, UndefinedMetricError, ValidationError
 
 # --------------------------------------------------------------------------
 # prediction substrate
 # --------------------------------------------------------------------------
 
+_DTYPES = {"probs": np.float64, "gt": bool, "n_unseen": np.int64, "dept": str,
+           "first_visit": bool, "freq_bucket": str, "encounters": object}
+
+
+def _column(values, dtype) -> np.ndarray:
+    if dtype is not object:
+        return np.ascontiguousarray(values, dtype=dtype)
+    out = np.empty(len(values), dtype=object)  # never unpacks its items
+    out[:] = list(values)
+    return out
+
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """One evaluated document: scores over the label space plus context."""
+class Predictions:
+    """Scores and ground truth of m documents; see the module docstring."""
 
     probs: np.ndarray
-    gt_indices: frozenset[int]
-    n_unseen: int = 0  # ground-truth codes with no index in the label space
-    dept: str = ""
-    first_visit: bool = True
-    freq_bucket: str = ""
-    encounter: Encounter | None = None
+    gt: np.ndarray
+    n_unseen: np.ndarray
+    dept: np.ndarray
+    first_visit: np.ndarray
+    freq_bucket: np.ndarray
+    encounters: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        object.__setattr__(self, "gt_indices", frozenset(self.gt_indices))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _column(getattr(self, f.name), _DTYPES[f.name]))
+        if self.probs.ndim != 2 or self.gt.shape != self.probs.shape:
+            raise ShapeError(f"probs {self.probs.shape} and gt {self.gt.shape} must be "
+                             f"equal (m, N) matrices")
+        for f in fields(self)[2:]:  # the per-document columns
+            if getattr(self, f.name).shape != (len(self),):
+                raise ShapeError(f"{f.name} column must have one entry per row ({len(self)})")
 
-    @property
-    def total_gt(self) -> int:
-        return len(self.gt_indices) + self.n_unseen
+    def __len__(self) -> int:
+        return self.probs.shape[0]
 
 
-def _require_gt(record: PredictionRecord) -> None:
-    if record.total_gt == 0:
+def _require_gt(p: Predictions) -> np.ndarray:
+    """(m,) ground-truth count of each document, unseen codes included."""
+    total = p.gt.sum(axis=1) + p.n_unseen
+    if not total.all():
         raise UndefinedMetricError("record has no ground-truth labels")
+    return total
 
 
 def ranked_indices(probs: np.ndarray) -> np.ndarray:
-    """Descending score; equal scores ordered by ascending label index."""
-    return np.argsort(-np.asarray(probs), kind="stable")
+    """Descending score along the last axis; equal scores ordered by
+    ascending label index."""
+    return np.argsort(-np.asarray(probs), axis=-1, kind="stable")
 
 
 # --------------------------------------------------------------------------
@@ -62,40 +94,35 @@ def ranked_indices(probs: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def recall_at_k(record: PredictionRecord, k: int = 5) -> float:
-    _require_gt(record)
-    top = ranked_indices(record.probs)[:k]
-    hits = sum(1 for i in top if int(i) in record.gt_indices)
-    return hits / record.total_gt
+def recall_at_k(p: Predictions, k: int = 5) -> np.ndarray:
+    """(m,) share of each document's ground truth found in its top k."""
+    total = _require_gt(p)
+    top = ranked_indices(p.probs)[:, :k]
+    return np.take_along_axis(p.gt, top, axis=1).sum(axis=1) / total
 
 
-def instance_f1(predicted: set[int], record: PredictionRecord) -> float:
-    _require_gt(record)
-    if not predicted:
-        return 0.0
-    tp = len(predicted & record.gt_indices)
-    precision = tp / len(predicted)
-    recall = tp / record.total_gt
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def instance_f1(p: Predictions, decision_threshold: float = 0.5) -> np.ndarray:
+    """(m,) F1 of each document's thresholded prediction against its ground
+    truth; an empty prediction scores 0."""
+    total = _require_gt(p)
+    pred = p.probs > decision_threshold
+    tp = np.count_nonzero(pred & p.gt, axis=1)
+    precision = tp / np.maximum(np.count_nonzero(pred, axis=1), 1)
+    recall = tp / total
+    return np.divide(2.0 * precision * recall, precision + recall,
+                     out=np.zeros(len(p)), where=tp > 0)
 
 
-def mean_recall_at_k(records, k: int = 5) -> float:
-    if not records:
+def mean_recall_at_k(p: Predictions, k: int = 5) -> float:
+    if not len(p):
         raise UndefinedMetricError("no records")
-    return float(np.mean([recall_at_k(r, k) for r in records]))
+    return float(np.mean(recall_at_k(p, k)))
 
 
-def mean_instance_f1(records, decision_threshold: float = 0.5) -> float:
-    if not records:
+def mean_instance_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
+    if not len(p):
         raise UndefinedMetricError("no records")
-    vals = [instance_f1(_pred_set(r, decision_threshold), r) for r in records]
-    return float(np.mean(vals))
-
-
-def _pred_set(record: PredictionRecord, threshold: float) -> set[int]:
-    return {int(i) for i in np.nonzero(record.probs > threshold)[0]}
+    return float(np.mean(instance_f1(p, decision_threshold)))
 
 
 # --------------------------------------------------------------------------
@@ -103,36 +130,23 @@ def _pred_set(record: PredictionRecord, threshold: float) -> set[int]:
 # --------------------------------------------------------------------------
 
 
-def micro_f1(records, decision_threshold: float = 0.5) -> float:
-    tp = fp = fn = 0
-    any_pos = False
-    for r in records:
-        pred = _pred_set(r, decision_threshold)
-        tp += len(pred & r.gt_indices)
-        fp += len(pred - r.gt_indices)
-        fn += len(r.gt_indices - pred) + r.n_unseen
-        any_pos = any_pos or r.total_gt > 0
-    if not any_pos:
+def micro_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
+    if not (p.gt.any() or p.n_unseen.any()):
         raise UndefinedMetricError("micro-F1 undefined without any positive labels")
+    pred = p.probs > decision_threshold
+    tp = int(np.count_nonzero(pred & p.gt))
+    fp = int(np.count_nonzero(pred & ~p.gt))
+    fn = int(np.count_nonzero(~pred & p.gt)) + int(p.n_unseen.sum())
     return 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
 
 
-def macro_f1(records, decision_threshold: float = 0.5) -> float:
-    records = list(records)
-    if not records:
+def macro_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
+    if not len(p):
         raise UndefinedMetricError("no records")
-    n = records[0].probs.shape[0]
-    tp = np.zeros(n)
-    fp = np.zeros(n)
-    fn = np.zeros(n)
-    for r in records:
-        pred = _pred_set(r, decision_threshold)
-        for i in pred & r.gt_indices:
-            tp[i] += 1
-        for i in pred - r.gt_indices:
-            fp[i] += 1
-        for i in r.gt_indices - pred:
-            fn[i] += 1
+    pred = p.probs > decision_threshold
+    tp = np.count_nonzero(pred & p.gt, axis=0)
+    fp = np.count_nonzero(pred & ~p.gt, axis=0)
+    fn = np.count_nonzero(~pred & p.gt, axis=0)
     has_pos = (tp + fn) > 0  # labels with ≥1 eval positive
     if not has_pos.any():
         raise UndefinedMetricError("macro-F1 undefined without any positive labels")
@@ -142,17 +156,28 @@ def macro_f1(records, decision_threshold: float = 0.5) -> float:
 
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank.
+
+    Untied values keep their sorted position as rank and only the runs of
+    equal sorted values are averaged, which keeps the temporaries of a
+    micro-AUC over every cell few.
+    """
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    tied = np.flatnonzero(xs[1:] == xs[:-1])  # sorted position i equals i + 1
+    del xs
+    sorted_ranks = np.arange(1.0, x.size + 1.0)
+    if tied.size:
+        breaks = np.flatnonzero(np.diff(tied) > 1)
+        first = tied[np.r_[0, breaks + 1]]  # each run of equal values spans
+        last = tied[np.r_[breaks, tied.size - 1]] + 1  # sorted first..last
+        size = last - first + 1
+        within = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        sorted_ranks[np.repeat(first, size) + within] = np.repeat(0.5 * (first + last) + 1.0,
+                                                                  size)
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -167,58 +192,20 @@ def _auc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def auc_micro(records) -> float:
-    records = list(records)
-    if not records:
+def auc_micro(p: Predictions) -> float:
+    if not len(p):
         raise UndefinedMetricError("no records")
-    scores = np.concatenate([r.probs for r in records])
-    ys = np.concatenate([
-        np.isin(np.arange(r.probs.shape[0]), sorted(r.gt_indices)) for r in records
-    ])
-    return _auc(scores, ys)
+    return _auc(p.probs.ravel(), p.gt.ravel())
 
 
-def auc_macro(records) -> float:
-    records = list(records)
-    if not records:
+def auc_macro(p: Predictions) -> float:
+    if not len(p):
         raise UndefinedMetricError("no records")
-    n = records[0].probs.shape[0]
-    scores = np.stack([r.probs for r in records])  # (m, n)
-    ys = np.zeros_like(scores, dtype=bool)
-    for row, r in enumerate(records):
-        for i in r.gt_indices:
-            ys[row, i] = True
-    vals = []
-    for j in range(n):
-        pos = ys[:, j]
-        if pos.any() and not pos.all():
-            vals.append(_auc(scores[:, j], pos))
+    n_pos = p.gt.sum(axis=0)
+    vals = [_auc(p.probs[:, j], p.gt[:, j])
+            for j in np.flatnonzero((n_pos > 0) & (n_pos < len(p)))]
     if not vals:
         raise UndefinedMetricError("macro AUC: every label is single-class")
-    return float(np.mean(vals))
-
-
-# --------------------------------------------------------------------------
-# oracle upper bounds
-# --------------------------------------------------------------------------
-
-
-def oracle_scores(records, train_counts: dict[int, int] | None, min_count: int = 100,
-                  k: int = 5) -> float:
-    """Mean Recall@k of a scorer that predicts exactly the ground truth,
-    optionally restricted to labels with at least min_count train documents.
-    Predictions are treated as perfectly ranked."""
-    if not records:
-        raise UndefinedMetricError("no records")
-    vals = []
-    for r in records:
-        _require_gt(r)
-        if min_count <= 0:
-            n_pred = r.total_gt  # unseen labels included: gt ranked perfectly
-        else:
-            counts = train_counts or {}
-            n_pred = sum(1 for i in r.gt_indices if counts.get(int(i), 0) >= min_count)
-        vals.append(min(n_pred, k) / r.total_gt)
     return float(np.mean(vals))
 
 
@@ -238,41 +225,41 @@ class GroupReport:
     distinct_labels_per_period: float
 
 
-def _group_value(record: PredictionRecord, key: str) -> str:
+def _group_values(p: Predictions, key: str) -> np.ndarray:
     if key == "dept":
-        return record.dept
+        return p.dept
     if key == "label_frequency_bucket":
-        return record.freq_bucket
+        return p.freq_bucket
     if key == "first_visit":
-        return "first" if record.first_visit else "recurring"
+        return np.where(p.first_visit, "first", "recurring")
     raise ValidationError(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
 
 
-def _distinct_labels_per_period(records) -> float:
-    """Mean number of distinct gt codes per calendar year within the group."""
-    by_year: dict[int, set[str]] = {}
-    for r in records:
-        if r.encounter is None:
-            continue
-        by_year.setdefault(r.encounter.date.year, set()).update(r.encounter.codes)
-    if not by_year:
+def _distinct_labels_per_period(encounters) -> float:
+    """Mean number of distinct gt codes per calendar year within the group.
+
+    Codes outside the label space count too, so this reads the encounters'
+    code sets rather than the gt matrix."""
+    pairs = {(e.date.year, c) for e in encounters for c in e.codes}
+    if not pairs:
         return 0.0
-    return float(np.mean([len(v) for v in by_year.values()]))
+    _, per_year = np.unique([year for year, _ in pairs], return_counts=True)
+    return float(np.mean(per_year))
 
 
-def breakdown(records, group_key: str, decision_threshold: float = 0.5,
+def breakdown(p: Predictions, group_key: str, decision_threshold: float = 0.5,
               k: int = 5) -> list[GroupReport]:
-    groups: dict[str, list[PredictionRecord]] = {}
-    for r in records:
-        groups.setdefault(_group_value(r, group_key), []).append(r)
+    names, group = np.unique(_group_values(p, group_key), return_inverse=True)
+    r5, if1 = recall_at_k(p, k), instance_f1(p, decision_threshold)
     out = []
-    for name, members in groups.items():
+    for g, name in enumerate(names.tolist()):
+        members = group == g
         out.append(GroupReport(
             group=name,
-            size=len(members),
-            recall_at_5=mean_recall_at_k(members, k),
-            instance_f1=mean_instance_f1(members, decision_threshold),
-            distinct_labels_per_period=_distinct_labels_per_period(members),
+            size=int(members.sum()),
+            recall_at_5=float(np.mean(r5[members])),
+            instance_f1=float(np.mean(if1[members])),
+            distinct_labels_per_period=_distinct_labels_per_period(p.encounters[members]),
         ))
     out.sort(key=lambda g: (-g.size, g.group))
     return out
@@ -303,7 +290,7 @@ def spearman(xs, ys) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
-def score_histogram(records, metric: str = "if1", bins: int = 10,
+def score_histogram(p: Predictions, metric: str = "if1", bins: int = 10,
                     decision_threshold: float = 0.5, k: int = 5):
     """Counts per equal-width bin over [0,1] plus the exactly-1 fraction.
 
@@ -312,17 +299,14 @@ def score_histogram(records, metric: str = "if1", bins: int = 10,
     if bins < 1:
         raise ValidationError("bins must be ≥ 1")
     if metric == "if1":
-        vals = [instance_f1(_pred_set(r, decision_threshold), r) for r in records]
+        vals = instance_f1(p, decision_threshold)
     elif metric in ("recall@5", "recall_at_k"):
-        vals = [recall_at_k(r, k) for r in records]
+        vals = recall_at_k(p, k)
     else:
         raise ValidationError(f"unknown histogram metric {metric!r}")
-    counts = np.zeros(bins, dtype=np.int64)
-    exact_one = 0
-    for v in vals:
-        counts[min(int(v * bins), bins - 1)] += 1
-        exact_one += v == 1.0
-    frac = exact_one / len(vals) if vals else 0.0
+    counts = np.bincount(np.minimum((vals * bins).astype(np.int64), bins - 1),
+                         minlength=bins)
+    frac = int(np.count_nonzero(vals == 1.0)) / vals.size if vals.size else 0.0
     return counts, frac
 
 
@@ -415,8 +399,8 @@ class MetricsReport:
         )
 
 
-def compute_report(records, decision_threshold: float = 0.5, k: int = 5) -> MetricsReport:
-    records = list(records)
+def compute_report(records: Predictions, decision_threshold: float = 0.5,
+                   k: int = 5) -> MetricsReport:
     try:
         a_macro = auc_macro(records)
     except UndefinedMetricError:

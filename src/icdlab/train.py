@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Encounter, LabelSpace
 from .errors import ConfigError, NumericError, ValidationError
-from .metrics import PredictionRecord, mean_instance_f1, mean_recall_at_k
+from .metrics import Predictions, mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker, frozen_base_outputs
 from .preprocess import PAD_ID, UNK_ID, TokenizedNote, Vocabulary, encounter_aux_text, tokenize
 
@@ -134,21 +134,15 @@ def note_for_encounter(enc: Encounter, vocab: Vocabulary, max_len: int = 512) ->
     return note
 
 
-def label_targets(note: TokenizedNote, labels: LabelSpace):
-    """(0/1 target vector, in-space gt indices, out-of-space gt count)."""
+def label_targets(note: TokenizedNote, labels: LabelSpace) -> np.ndarray:
+    """0/1 target vector over the label space; codes outside it get no entry."""
     if note.encounter is None:
         raise ValidationError("note carries no encounter; cannot derive targets")
     y = np.zeros(len(labels))
-    gt = set()
-    unseen = 0
     for code in sorted(note.encounter.codes):
         if code in labels:
-            idx = labels.index(code)
-            y[idx] = 1.0
-            gt.add(idx)
-        else:
-            unseen += 1
-    return y, frozenset(gt), unseen
+            y[labels.index(code)] = 1.0
+    return y
 
 
 def frequency_bucket(codes, labels: LabelSpace) -> str:
@@ -182,29 +176,34 @@ def _first_visit_flags(notes) -> list[bool]:
     return flags
 
 
-def _record(probs: np.ndarray, note: TokenizedNote, labels: LabelSpace,
-            first: bool) -> PredictionRecord:
-    _, gt, unseen = label_targets(note, labels)
-    e = note.encounter
-    return PredictionRecord(probs, gt, unseen, dept=e.dept, first_visit=first,
-                            freq_bucket=frequency_bucket(e.codes, labels), encounter=e)
+def _predictions(probs, notes, labels: LabelSpace) -> Predictions:
+    """One score row per note, with the notes' targets and context columns."""
+    encs = [n.encounter for n in notes]
+    gt = np.array([label_targets(n, labels) for n in notes],
+                  dtype=bool).reshape(len(notes), len(labels))
+    return Predictions(
+        probs=np.array(probs, dtype=np.float64).reshape(gt.shape),
+        gt=gt,
+        n_unseen=np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
+        dept=[e.dept for e in encs],
+        first_visit=_first_visit_flags(notes),
+        freq_bucket=[frequency_bucket(e.codes, labels) for e in encs],
+        encounters=encs)
 
 
-def predict_records(model: BaseModel, notes, labels: LabelSpace) -> list[PredictionRecord]:
+def predict_records(model: BaseModel, notes, labels: LabelSpace) -> Predictions:
     notes = list(notes)
-    return [_record(model.predict_probs(n), n, labels, first)
-            for n, first in zip(notes, _first_visit_flags(notes))]
+    return _predictions([model.predict_probs(n) for n in notes], notes, labels)
 
 
 def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes,
-                             labels: LabelSpace, vocab: Vocabulary) -> list[PredictionRecord]:
-    """Records carrying the reranker's pre-clamp residual scores.
+                             labels: LabelSpace, vocab: Vocabulary) -> Predictions:
+    """Predictions carrying the reranker's pre-clamp residual scores.
 
     Ranking must use unclamped scores (no ties at the bounds); every decision
     threshold strictly inside (0,1) selects the same set either way.
     """
-    items = [_RerankItem.build(base, n, labels, vocab, first)
-             for n, first in zip(notes, _first_visit_flags(list(notes)))]
+    items = [_RerankItem.build(base, n, labels, vocab) for n in notes]
     return _reranked_records(reranker, items, labels)
 
 
@@ -278,7 +277,7 @@ def train(model: BaseModel, train_notes, dev_notes, labels: LabelSpace,
     train_notes, dev_notes = list(train_notes), list(dev_notes)
     if not dev_notes:
         raise ValidationError("dev set is empty; early stopping needs one")
-    pairs = [(n, ad.tensor(label_targets(n, labels)[0])) for n in train_notes]
+    pairs = [(n, ad.tensor(label_targets(n, labels))) for n in train_notes]
 
     def loss_of(pair):
         note, y = pair
@@ -304,17 +303,16 @@ class _RerankItem:
     enc: Encounter
     y: np.ndarray
     note: TokenizedNote
-    first: bool
 
     @classmethod
     def build(cls, base: BaseModel, note: TokenizedNote, labels: LabelSpace,
-              vocab: Vocabulary, first: bool = True) -> "_RerankItem":
+              vocab: Vocabulary) -> "_RerankItem":
         enc = note.encounter
         if enc is None:
             raise ValidationError("note carries no encounter; reranker needs metadata")
         aux = tokenize(encounter_aux_text(enc), vocab, encounter=enc)
         outputs = frozen_base_outputs(base, note, aux)
-        return cls(outputs, enc, label_targets(note, labels)[0], note, first)
+        return cls(outputs, enc, label_targets(note, labels), note)
 
 
 def _rerank_forward(reranker: MetadataReranker, item: _RerankItem):
@@ -322,19 +320,10 @@ def _rerank_forward(reranker: MetadataReranker, item: _RerankItem):
     return reranker.forward(p, h, mask, h_aux, aux_mask, item.enc)
 
 
-def _reranked_records(reranker: MetadataReranker, items, labels: LabelSpace | None = None):
-    out = []
-    for item in items:
-        with ad.no_grad():
-            _, raw = _rerank_forward(reranker, item)
-        e = item.enc
-        gt = frozenset(int(i) for i in np.nonzero(item.y)[0])
-        unseen = len(e.codes) - len(gt)
-        bucket = frequency_bucket(e.codes, labels) if labels is not None else ""
-        out.append(PredictionRecord(raw.data.copy(), gt, unseen, dept=e.dept,
-                                    first_visit=item.first, freq_bucket=bucket,
-                                    encounter=e))
-    return out
+def _reranked_records(reranker: MetadataReranker, items, labels: LabelSpace) -> Predictions:
+    with ad.no_grad():
+        probs = [_rerank_forward(reranker, item)[1].data for item in items]
+    return _predictions(probs, [i.note for i in items], labels)
 
 
 def train_reranker(base: BaseModel, reranker: MetadataReranker, train_notes,
@@ -346,8 +335,7 @@ def train_reranker(base: BaseModel, reranker: MetadataReranker, train_notes,
     if not dev_notes:
         raise ValidationError("dev set is empty; early stopping needs one")
     items = [_RerankItem.build(base, n, labels, vocab) for n in train_notes]
-    dev_items = [_RerankItem.build(base, n, labels, vocab, first)
-                 for n, first in zip(dev_notes, _first_visit_flags(dev_notes))]
+    dev_items = [_RerankItem.build(base, n, labels, vocab) for n in dev_notes]
 
     def loss_of(item):
         clamped, _ = _rerank_forward(reranker, item)
@@ -366,21 +354,19 @@ def train_reranker(base: BaseModel, reranker: MetadataReranker, train_notes,
 # --------------------------------------------------------------------------
 
 
-def uniform_baseline_records(notes, labels: LabelSpace, seed: int = 0):
+def uniform_baseline_records(notes, labels: LabelSpace, seed: int = 0) -> Predictions:
     """Scores every label uniformly at random, fresh per document."""
-    rng = np.random.default_rng(seed)
     notes = list(notes)
-    return [_record(rng.uniform(size=len(labels)), n, labels, first)
-            for n, first in zip(notes, _first_visit_flags(notes))]
+    probs = np.random.default_rng(seed).uniform(size=(len(notes), len(labels)))
+    return _predictions(probs, notes, labels)
 
 
-def marginal_baseline_records(notes, labels: LabelSpace):
+def marginal_baseline_records(notes, labels: LabelSpace) -> Predictions:
     """Scores every document with the train-frequency ranking of the codes."""
     counts = np.asarray([labels.train_count(c) for c in labels.codes], dtype=np.float64)
     probs = counts / max(counts.max(), 1.0)
     notes = list(notes)
-    return [_record(probs.copy(), n, labels, first)
-            for n, first in zip(notes, _first_visit_flags(notes))]
+    return _predictions(np.tile(probs, (len(notes), 1)), notes, labels)
 
 
 # --------------------------------------------------------------------------

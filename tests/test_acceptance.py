@@ -16,7 +16,7 @@ import datetime as dt
 import hashlib
 import json
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +35,11 @@ from icdlab.calibrate import (
 from icdlab.cli import main as cli_main
 from icdlab.corpus import CorpusConfig, Encounter, generate_corpus, split_by_patient
 from icdlab.metrics import (
-    PredictionRecord,
+    Predictions,
     auc_macro,
     auc_micro,
     codes_inconsistent,
     consistency_check,
-    instance_f1,
     macro_f1,
     mean_instance_f1,
     mean_recall_at_k,
@@ -161,12 +160,28 @@ def test_criterion_01_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 
+# one document as the brute-force oracles read it
+_Row = namedtuple("_Row", "probs gt_indices n_unseen")
+_ENC = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t", frozenset(["A00.0"]))
+
+
+def _predictions(rows) -> Predictions:
+    """The Predictions value holding the given oracle rows, in order."""
+    probs = np.array([r.probs for r in rows], dtype=np.float64)
+    gt = np.zeros(probs.shape, dtype=bool)
+    for i, r in enumerate(rows):
+        gt[i, sorted(r.gt_indices)] = True
+    m = len(rows)
+    return Predictions(probs, gt, [r.n_unseen for r in rows], ["D0"] * m, [True] * m,
+                       [""] * m, [_ENC] * m)
+
+
 def _quantized_record(rng, n_labels, max_unseen=2):
     # a coarse score grid forces ties, the part worth testing
     probs = rng.integers(0, 21, size=n_labels) / 20
     n_gt = int(rng.integers(1, min(4, n_labels) + 1))
     gt = frozenset(int(i) for i in rng.choice(n_labels, size=n_gt, replace=False))
-    return PredictionRecord(probs, gt, n_unseen=int(rng.integers(0, max_unseen + 1)))
+    return _Row(probs, gt, n_unseen=int(rng.integers(0, max_unseen + 1)))
 
 
 def _recall_oracle(rec, k):
@@ -253,7 +268,7 @@ def test_criterion_02_metric_oracles():
     for case in range(1000):  # recall@k, exact
         rec = _quantized_record(rng, int(rng.integers(4, 13)))
         k = int(rng.integers(1, rec.probs.size + 1))
-        if recall_at_k(rec, k) != _recall_oracle(rec, k):
+        if recall_at_k(_predictions([rec]), k)[0] != _recall_oracle(rec, k):
             bad.append(f"recall case {case}")
 
     for case in range(1000):  # instance/micro/macro F1, exact
@@ -261,11 +276,12 @@ def test_criterion_02_metric_oracles():
         recs = [_quantized_record(rng, n) for _ in range(int(rng.integers(1, 6)))]
         thr = int(rng.integers(0, 20)) / 20
         want_inst, want_micro, want_macro = _f1_oracles(recs, thr)
-        if mean_instance_f1(recs, thr) != want_inst:
+        preds = _predictions(recs)
+        if mean_instance_f1(preds, thr) != want_inst:
             bad.append(f"iF1 case {case}")
-        if micro_f1(recs, thr) != want_micro:
+        if micro_f1(preds, thr) != want_micro:
             bad.append(f"micro case {case}")
-        if want_macro is not None and macro_f1(recs, thr) != want_macro:
+        if want_macro is not None and macro_f1(preds, thr) != want_macro:
             bad.append(f"macro case {case}")
 
     for case in range(1000):  # micro AUC, exact (ties via the score grid)
@@ -279,7 +295,7 @@ def test_criterion_02_metric_oracles():
                 ys.append(j in r.gt_indices)
         if not (any(ys) and not all(ys)):
             continue
-        if auc_micro(recs) != _pairwise_auc(scores, ys):
+        if auc_micro(_predictions(recs)) != _pairwise_auc(scores, ys):
             bad.append(f"auc-micro case {case}")
 
     for case in range(1000):  # macro AUC: mean over two-class labels
@@ -294,7 +310,7 @@ def test_criterion_02_metric_oracles():
                 vals.append(_pairwise_auc(col, ys))
         if not vals:
             continue
-        if auc_macro(recs) != float(np.mean(np.asarray(vals))):
+        if auc_macro(_predictions(recs)) != float(np.mean(np.asarray(vals))):
             bad.append(f"auc-macro case {case}")
 
     for case in range(1000):  # spearman: brute-force average ranks
@@ -568,8 +584,8 @@ def _confusable_records(rng, n=400, n_labels=8):
             probs[extras[int(rng.integers(0, len(extras)))]] = rng.uniform(0.50, 0.60)
         elif roll < 0.15:  # one true code sinks below threshold
             probs[next(iter(gt))] = rng.uniform(0.32, 0.48)
-        records.append(PredictionRecord(probs, frozenset(gt)))
-    return records
+        records.append(_Row(probs, frozenset(gt), 0))
+    return _predictions(records)
 
 
 def _separable_records(rng, n=200, n_labels=6):
@@ -583,8 +599,8 @@ def _separable_records(rng, n=200, n_labels=6):
             probs[gt[1]] = rng.uniform(0.92, 0.99)
         else:
             probs[gt[1]] = rng.uniform(0.30, 0.45)  # below the decision threshold
-        records.append(PredictionRecord(probs, frozenset(gt)))
-    return records
+        records.append(_Row(probs, frozenset(gt), 0))
+    return _predictions(records)
 
 
 def test_criterion_08_automation_budget():
@@ -602,12 +618,12 @@ def test_criterion_08_automation_budget():
     for _ in range(10_000):
         probs = rng.integers(0, 21, size=6) / 20
         gt = frozenset(int(i) for i in rng.choice(6, size=2, replace=False))
-        record = PredictionRecord(probs, gt)
+        record = _predictions([_Row(probs, gt, 0)])
         u1, u2 = sorted(rng.integers(0, 21, size=2) / 20)
         l2, l1 = sorted(rng.integers(0, 21, size=2) / 20)
         loose = ThresholdRule(float(u1), float(l1))
         tight = ThresholdRule(float(u2), float(l2))  # higher t_u, lower t_l
-        if decide_exact_match(record, tight) and not decide_exact_match(record, loose):
+        if decide_exact_match(record, tight)[0] and not decide_exact_match(record, loose)[0]:
             violations += 1
 
     sep_rule, _ = search_thresholds(_separable_records(np.random.default_rng(881)), 0.05)
@@ -632,8 +648,11 @@ def test_criterion_09_calibration(default_run):
     cal_dev = maps.apply(dev_records)
     cal_test = maps.apply(test_records)
     n = len(default_run["labels"])
-    fit_ok = sum(ece(cal_dev, j) <= ece(dev_records, j) + 1e-9 for j in range(n))
-    test_down = sum(ece(cal_test, j) < ece(test_records, j) for j in range(n))
+    def label_ece(p, j):
+        return ece(p.probs[:, j], p.gt[:, j])
+
+    fit_ok = sum(label_ece(cal_dev, j) <= label_ece(dev_records, j) + 1e-9 for j in range(n))
+    test_down = sum(label_ece(cal_test, j) < label_ece(test_records, j) for j in range(n))
     ok = fit_ok == n and test_down > n / 2
     _verdict(9, ok, f"fit-data ECE non-increasing for {fit_ok}/{n} labels "
                     f"(need {n}/{n}); held-out ECE strictly lower for "

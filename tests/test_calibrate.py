@@ -1,5 +1,8 @@
 """Calibration and automation against brute-force oracles."""
 
+import datetime as dt
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +21,32 @@ from icdlab.calibrate import (
     search_thresholds,
     sweep_csv,
 )
+from icdlab.corpus import Encounter
 from icdlab.errors import LeakageError, UndefinedMetricError, ValidationError
-from icdlab.metrics import PredictionRecord, instance_f1
+from icdlab.metrics import Predictions, instance_f1
+
+_ENC = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t", frozenset(["A00.0"]))
 
 
-def rec(probs, gt=frozenset(), **kw):
-    return PredictionRecord(np.asarray(probs, float), frozenset(gt), **kw)
+def P(probs, gts=None):
+    """Predictions from score rows and ground-truth index sets."""
+    probs = np.asarray(probs, dtype=float)
+    gt = np.zeros(probs.shape, dtype=bool)
+    for i, g in enumerate(gts or ()):
+        gt[i, sorted(g)] = True
+    m = len(probs)
+    return Predictions(probs, gt, [0] * m, ["D0"] * m, [True] * m, [""] * m, [_ENC] * m)
+
+
+def column(ps, hits=None):
+    """One-label Predictions: one score per document, and the documents
+    (by position) whose ground truth holds the label."""
+    return P([[p] for p in ps], [{0} if i in (hits or ()) else set()
+                                 for i in range(len(ps))])
+
+
+def mapped(maps, ps):
+    return maps.apply(column(ps)).probs[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -84,55 +107,53 @@ def test_pav_single_violation_pools_to_average():
 
 
 def test_fit_monotone_data_reproduces_level_means():
-    records = [rec([0.1]), rec([0.1]), rec([0.9], {0}), rec([0.9], {0})]
-    m = fit_isotonic(records)
-    assert m.calibrate_value(0, 0.1) == 0.0
-    assert m.calibrate_value(0, 0.9) == 1.0
-    assert m.calibrate_value(0, 0.05) == 0.0   # clamp below
-    assert m.calibrate_value(0, 0.99) == 1.0   # clamp above
-    assert m.calibrate_value(0, 0.5) == 0.0    # inside the first segment
+    m = fit_isotonic(column([0.1, 0.1, 0.9, 0.9], hits={2, 3}))
+    # level means, clamp below, clamp above, inside the first segment
+    assert mapped(m, [0.1, 0.9, 0.05, 0.99, 0.5]) == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_fit_pools_single_violation():
-    records = [rec([0.2], {0}), rec([0.4])]
-    m = fit_isotonic(records)
-    assert m.calibrate_value(0, 0.2) == 0.5
-    assert m.calibrate_value(0, 0.4) == 0.5
+    m = fit_isotonic(column([0.2, 0.4], hits={0}))
+    assert mapped(m, [0.2, 0.4]) == [0.5, 0.5]
 
 
 def test_fit_constant_for_all_positive():
-    records = [rec([0.3], {0}), rec([0.8], {0})]
-    m = fit_isotonic(records)
-    for p in (0.0, 0.3, 0.55, 1.0):
-        assert m.calibrate_value(0, p) == 1.0
+    m = fit_isotonic(column([0.3, 0.8], hits={0, 1}))
+    assert mapped(m, [0.0, 0.3, 0.55, 1.0]) == [1.0] * 4
 
 
 def test_ties_pool_before_fitting():
-    records = [rec([0.3], {0}), rec([0.3])]
-    m = fit_isotonic(records)
+    m = fit_isotonic(column([0.3, 0.3], hits={0}))
     xs, vs = m.maps[0]
     assert xs.tolist() == [0.3]
     assert vs.tolist() == [0.5]
 
 
 def test_unfitted_label_is_identity():
-    m = fit_isotonic([rec([0.2], {0}), rec([0.7], {0})])
-    assert m.calibrate_value(99, 0.37) == 0.37
+    fitted = fit_isotonic(column([0.2, 0.7], hits={0, 1}))
+    m = IsotonicMap(n_labels=2, maps=fitted.maps)  # label 1 has no map
+    assert m.apply(P([[0.2, 0.37]])).probs.tolist() == [[1.0, 0.37]]
 
 
 def test_apply_rebuilds_records():
-    records = [rec([0.2, 0.9], {1}), rec([0.4, 0.1], {0})]
+    records = P([[0.2, 0.9], [0.4, 0.1]], [{1}, {0}])
     out = fit_isotonic(records).apply(records)
     assert len(out) == 2
-    assert out[0].gt_indices == frozenset({1})
-    assert out[0].probs.shape == (2,)
+    np.testing.assert_array_equal(out.gt, records.gt)
+    assert out.probs.shape == (2, 2)
+
+
+def test_apply_rejects_other_label_space():
+    m = fit_isotonic(column([0.2, 0.7], hits={0}))
+    with pytest.raises(ValidationError):
+        m.apply(P([[0.2, 0.3]]))
 
 
 def test_fit_rejects_empty_and_ragged():
     with pytest.raises(ValidationError):
-        fit_isotonic([])
+        fit_isotonic(P(np.zeros((0, 1))))
     with pytest.raises(ValidationError):
-        fit_isotonic([rec([0.2]), rec([0.2, 0.3])])
+        replace(P([[0.2]]), gt=np.zeros((1, 2), dtype=bool))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -140,11 +161,13 @@ def test_fit_rejects_empty_and_ragged():
 def test_map_is_monotone_and_bounded(seed):
     rng = np.random.default_rng(seed)
     n_rec = int(rng.integers(2, 30))
-    records = [rec([rng.uniform()], {0} if rng.uniform() < 0.5 else set())
-               for _ in range(n_rec)]
-    m = fit_isotonic(records)
-    ps = np.sort(rng.uniform(-0.2, 1.2, size=20))
-    vals = [m.calibrate_value(0, p) for p in ps]
+    ps, hits = [], set()
+    for i in range(n_rec):
+        ps.append(rng.uniform())
+        if rng.uniform() < 0.5:
+            hits.add(i)
+    m = fit_isotonic(column(ps, hits))
+    vals = mapped(m, np.sort(rng.uniform(-0.2, 1.2, size=20)))
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -155,29 +178,26 @@ def test_map_is_monotone_and_bounded(seed):
 
 
 def test_ece_balanced_constant_half_is_zero():
-    records = [rec([0.5], {0}), rec([0.5]), rec([0.5], {0}), rec([0.5])]
-    assert ece(records, 0) == 0.0
+    assert ece([0.5] * 4, [1, 0, 1, 0]) == 0.0
 
 
 def test_ece_confident_and_wrong_is_one():
-    records = [rec([1.0]) for _ in range(3)]
-    assert ece(records, 0) == 1.0
+    assert ece([1.0] * 3, [0] * 3) == 1.0
 
 
 def test_ece_six_point_toy_matches_definition():
     conf = [0.05, 0.15, 0.15, 0.75, 0.85, 0.95]
     hits = [0, 1, 0, 1, 1, 0]
-    records = [rec([c], {0} if h else set()) for c, h in zip(conf, hits)]
     want = (abs(0.05 - 0) + 2 * abs(0.15 - 0.5) + abs(0.75 - 1)
             + abs(0.85 - 1) + abs(0.95 - 0)) / 6
-    assert ece(records, 0) == pytest.approx(want, abs=1e-12)
+    assert ece(conf, hits) == pytest.approx(want, abs=1e-12)
 
 
 def test_ece_validation():
     with pytest.raises(UndefinedMetricError):
-        ece([], 0)
+        ece([], [])
     with pytest.raises(ValidationError):
-        ece([rec([0.5])], 3)
+        ece([0.5], [1, 0])
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -185,15 +205,15 @@ def test_ece_validation():
 def test_fit_data_ece_never_increases(seed):
     rng = np.random.default_rng(seed)
     n_labels = int(rng.integers(1, 4))
-    records = []
+    probs, gts = [], []
     for _ in range(int(rng.integers(4, 40))):
-        probs = rng.uniform(size=n_labels)
-        gt = {j for j in range(n_labels) if rng.uniform() < probs[j]}
-        records.append(rec(probs, gt))
-    m = fit_isotonic(records)
-    calibrated = m.apply(records)
+        probs.append(rng.uniform(size=n_labels))
+        gts.append({j for j in range(n_labels) if rng.uniform() < probs[-1][j]})
+    records = P(probs, gts)
+    cal = fit_isotonic(records).apply(records)
     for j in range(n_labels):
-        assert ece(calibrated, j) <= ece(records, j) + 1e-9
+        hits = records.gt[:, j]
+        assert ece(cal.probs[:, j], hits) <= ece(records.probs[:, j], hits) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +223,32 @@ def test_fit_data_ece_never_increases(seed):
 RULE = ThresholdRule(t_u=0.95, t_l=0.10)
 
 
+def decide(probs, rule=RULE):
+    return decide_exact_match(P([probs]), rule).tolist() == [True]
+
+
 def test_decide_confident_prediction_selected():
-    assert decide_exact_match(rec([0.97, 0.05], {0}), RULE)
+    assert decide([0.97, 0.05])
 
 
 def test_decide_uncertain_negative_rejected():
-    assert not decide_exact_match(rec([0.97, 0.50], {0}), RULE)
+    assert not decide([0.97, 0.50])
 
 
 def test_decide_empty_prediction_rejected():
-    assert not decide_exact_match(rec([0.30, 0.20], {0}), RULE)
+    assert not decide([0.30, 0.20])
 
 
 def test_decide_all_labels_predicted_needs_no_t_l():
-    assert decide_exact_match(rec([0.97, 0.96], {0, 1}), RULE)
+    assert decide([0.97, 0.96])
 
 
 def test_decide_boundaries_are_closed():
-    rule = ThresholdRule(t_u=0.95, t_l=0.10)
-    assert decide_exact_match(rec([0.95, 0.10], {0}), rule)
+    assert decide([0.95, 0.10], ThresholdRule(t_u=0.95, t_l=0.10))
 
 
 def test_select_none_rule_selects_nothing():
-    rule = ThresholdRule(1.0, 0.0, select_none=True)
-    assert not decide_exact_match(rec([1.0, 0.0], {0}), rule)
+    assert not decide([1.0, 0.0], ThresholdRule(1.0, 0.0, select_none=True))
 
 
 def test_rule_threshold_bounds_validated():
@@ -238,13 +260,12 @@ def test_rule_threshold_bounds_validated():
 @settings(max_examples=50, deadline=None)
 def test_tightening_thresholds_only_shrinks(seed):
     rng = np.random.default_rng(seed)
-    records = [rec(rng.uniform(size=6), {0}) for _ in range(10)]
+    records = P([rng.uniform(size=6) for _ in range(10)], [{0}] * 10)
     t_u, t_l = rng.uniform(size=2)
     loose = ThresholdRule(t_u, t_l)
     tight = ThresholdRule(min(1.0, t_u + 0.2), max(0.0, t_l - 0.2))
-    for r in records:
-        if decide_exact_match(r, tight):
-            assert decide_exact_match(r, loose)
+    assert not (decide_exact_match(records, tight)
+                & ~decide_exact_match(records, loose)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +275,16 @@ def test_tightening_thresholds_only_shrinks(seed):
 
 def test_search_perfect_record_picks_extreme_corner():
     # every grid point ties at 1 TP / 0 FP → higher t_u, then lower t_l
-    records = [rec([1.0, 0.0], {0})]
-    rule, result = search_thresholds(records, max_fp=1.0)
+    rule, result = search_thresholds(P([[1.0, 0.0]], [{0}]), max_fp=1.0)
     assert (rule.t_u, rule.t_l) == (1.0, 0.0)
     assert not rule.select_none
     assert result == AutomationResult((0,), 1, 0)
 
 
 def test_search_excludes_near_miss():
-    records = [
-        rec([0.9, 0.1], {0}),   # exact match
-        rec([0.8, 0.3], {1}),   # predicts {0}, wrong
-    ]
+    records = P([[0.9, 0.1],    # exact match
+                 [0.8, 0.3]],   # predicts {0}, wrong
+                [{0}, {1}])
     rule, result = search_thresholds(records, max_fp=0.05)
     assert (rule.t_u, rule.t_l) == (0.9, 0.1)
     assert result.true_positives == 1 and result.false_positives == 0
@@ -273,14 +292,13 @@ def test_search_excludes_near_miss():
 
 
 def test_search_all_half_probs_selects_nothing():
-    records = [rec([0.5, 0.5], {0}) for _ in range(3)]
-    rule, result = search_thresholds(records, max_fp=0.2)
+    rule, result = search_thresholds(P([[0.5, 0.5]] * 3, [{0}] * 3), max_fp=0.2)
     assert rule.select_none
     assert result == AutomationResult((), 0, 0)
 
 
 def test_search_max_fp_domain():
-    records = [rec([0.9], {0})]
+    records = P([[0.9]], [{0}])
     search_thresholds(records, max_fp=1.0)  # closed upper end allowed
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValidationError):
@@ -291,12 +309,12 @@ def test_search_max_fp_domain():
 @settings(max_examples=40, deadline=None)
 def test_search_respects_budget_and_counts_add_up(seed):
     rng = np.random.default_rng(seed)
-    records = []
+    probs, gts = [], []
     for _ in range(30):
-        probs = rng.uniform(size=4)
-        gt = {int(j) for j in np.nonzero(probs > 0.5)[0]} if rng.uniform() < 0.5 \
-            else {int(rng.integers(4))}
-        records.append(rec(probs, gt))
+        probs.append(rng.uniform(size=4))
+        gts.append({int(j) for j in np.nonzero(probs[-1] > 0.5)[0]}
+                   if rng.uniform() < 0.5 else {int(rng.integers(4))})
+    records = P(probs, gts)
     max_fp = float(rng.choice([0.05, 0.1, 0.2, 0.5]))
     rule, result = search_thresholds(records, max_fp)
     assert result.fp_rate <= max_fp
@@ -315,32 +333,31 @@ def test_search_respects_budget_and_counts_add_up(seed):
 def test_evaluate_rejects_test_fitted_rule():
     rule = ThresholdRule(0.9, 0.1, fitted_on="test")
     with pytest.raises(LeakageError):
-        evaluate_automation([rec([0.9], {0})], rule)
+        evaluate_automation(P([[0.9]], [{0}]), rule)
 
 
 def test_evaluate_select_none_scores_zero():
     rule = ThresholdRule(1.0, 0.0, select_none=True)
-    result, pct = evaluate_automation([rec([1.0], {0})], rule)
+    result, pct = evaluate_automation(P([[1.0]], [{0}]), rule)
     assert result == AutomationResult((), 0, 0)
     assert pct == 0.0 and result.fp_rate == 0.0
 
 
 def test_evaluate_separable_fixture_identifies_everything():
     rng = np.random.default_rng(3)
-    records = []
+    probs, gts = [], []
     for _ in range(40):
-        gt = {int(rng.integers(5))}
-        probs = np.where(np.isin(np.arange(5), list(gt)), 0.99, 0.01)
-        records.append(rec(probs, gt))
+        gts.append({int(rng.integers(5))})
+        probs.append(np.where(np.isin(np.arange(5), list(gts[-1])), 0.99, 0.01))
     rule = ThresholdRule(0.95, 0.05)
-    result, pct = evaluate_automation(records, rule)
+    result, pct = evaluate_automation(P(probs, gts), rule)
     assert pct == 1.0
     assert result.fp_rate == 0.0
     assert len(result.selected) == 40
 
 
 def test_evaluate_no_possible_exact_matches_is_zero():
-    records = [rec([0.9, 0.9], {0})]  # prediction {0,1} never equals gt
+    records = P([[0.9, 0.9]], [{0}])  # prediction {0,1} never equals gt
     result, pct = evaluate_automation(records, ThresholdRule(0.0, 1.0))
     assert pct == 0.0
     assert result.false_positives == len(result.selected)
@@ -352,18 +369,17 @@ def test_exactness_agrees_with_instance_f1():
     for _ in range(200):
         probs = rng.uniform(size=5)
         gt = {int(j) for j in rng.choice(5, 2, replace=False)}
-        r = rec(probs, gt)
-        pred = {int(j) for j in np.nonzero(probs > 0.5)[0]}
-        result, _ = evaluate_automation([r], rule)
+        r = P([probs], [gt])
+        result, _ = evaluate_automation(r, rule)
         if result.true_positives:
-            assert instance_f1(pred, r) == 1.0
+            assert instance_f1(r)[0] == 1.0
         elif result.selected:
-            assert instance_f1(pred, r) < 1.0
+            assert instance_f1(r)[0] < 1.0
 
 
 def test_sweep_rows_and_csv():
-    dev = [rec([0.9, 0.1], {0}), rec([0.2, 0.8], {1})]
-    test = [rec([0.95, 0.05], {0})]
+    dev = P([[0.9, 0.1], [0.2, 0.8]], [{0}, {1}])
+    test = P([[0.95, 0.05]], [{0}])
     rows = automation_sweep(dev, test, [0.05, 0.2])
     assert [r[0] for r in rows] == [0.05, 0.2]
     assert all(r[1] is False for r in rows)
@@ -374,12 +390,12 @@ def test_sweep_rows_and_csv():
 
 def test_sweep_with_calibration_uses_calibrated_rule():
     rng = np.random.default_rng(5)
-    dev = []
+    probs, gts = [], []
     for _ in range(60):
-        gt = {int(rng.integers(3))}
-        probs = np.where(np.isin(np.arange(3), list(gt)), 0.9, 0.2)
-        probs = probs + rng.uniform(-0.05, 0.05, size=3)
-        dev.append(rec(probs, gt))
+        gts.append({int(rng.integers(3))})
+        p = np.where(np.isin(np.arange(3), list(gts[-1])), 0.9, 0.2)
+        probs.append(p + rng.uniform(-0.05, 0.05, size=3))
+    dev = P(probs, gts)
     maps = fit_isotonic(dev)
     rows = automation_sweep(dev, dev, [0.1], maps=maps)
     (max_fp, calibrated, pct, fpr) = rows[0]

@@ -149,9 +149,8 @@ def test_prediction_records_round_trip(pipeline):
     out = pipeline["eval_test"]
     records = read_prediction_records(out)
     probs = np.load(out / "probs.npy")
-    assert np.array_equal(np.stack([r.probs for r in records]), probs)
-    r = records[0]
-    assert r.encounter is not None and r.encounter.patient_id
+    assert np.array_equal(records.probs, probs)
+    assert records.encounters[0].patient_id
     # reported recall must be reproducible from the reloaded records
     reported = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1]
     recall_pct = float(reported.split(",")[-1])
@@ -288,3 +287,47 @@ def test_numeric_poison_exits_4(pipeline, tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("icdlab-error: numeric:") and "batch" in err
+
+
+def _edit_first_record(eval_dir: Path, **changes) -> None:
+    path = eval_dir / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **changes})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _edit_probs(eval_dir: Path, edit) -> None:
+    np.save(eval_dir / "probs.npy", edit(np.load(eval_dir / "probs.npy")))
+
+
+def _drop_last_record(eval_dir: Path) -> None:
+    path = eval_dir / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+
+
+def _nan_cell(probs):
+    probs[0, 0] = np.nan
+    return probs
+
+
+@pytest.mark.parametrize("command, corrupt, code, category", [
+    ("calibrate", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation"),
+    ("report", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation"),
+    ("report", lambda d: _edit_first_record(d, n_unseen=-1), 3, "validation"),
+    ("calibrate", _drop_last_record, 3, "validation"),
+    ("calibrate", lambda d: _edit_probs(d, _nan_cell), 4, "numeric"),
+    ("report", lambda d: _edit_probs(d, _nan_cell), 4, "numeric"),
+    ("report", lambda d: _edit_probs(d, lambda p: p[0]), 4, "numeric"),
+], ids=["gt-outside-labels-calibrate", "gt-outside-labels-report", "negative-unseen",
+        "row-count-mismatch", "nan-calibrate", "nan-report", "one-dimensional-probs"])
+def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
+                                                        command, corrupt, code, category):
+    bad = tmp_path / "eval"
+    shutil.copytree(pipeline["eval_dev"], bad)
+    corrupt(bad)
+    capsys.readouterr()
+    assert main([command, "--config", str(pipeline["cfg"]), "--in", str(bad),
+                 "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"icdlab-error: {category}:")

@@ -1,6 +1,7 @@
 """Metric implementations against brute-force oracles."""
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from icdlab.corpus import Encounter
 from icdlab.errors import UndefinedMetricError, ValidationError
 from icdlab.metrics import (
     ConsistencyReport,
-    PredictionRecord,
+    Predictions,
+    _rankdata,
     auc_macro,
     auc_micro,
     breakdown,
@@ -24,7 +26,6 @@ from icdlab.metrics import (
     mean_instance_f1,
     mean_recall_at_k,
     micro_f1,
-    oracle_scores,
     ranked_indices,
     recall_at_k,
     score_histogram,
@@ -32,8 +33,25 @@ from icdlab.metrics import (
 )
 
 
-def rec(probs, gt, **kw):
-    return PredictionRecord(np.asarray(probs, float), frozenset(gt), **kw)
+def _enc(pid, day, codes, dept="D0"):
+    return Encounter(pid, dt.date(2020, 1, day), dept, "DR0", "t", frozenset(codes))
+
+
+def rec(probs, gt, n_unseen=0, dept="D0", first_visit=True, encounter=None):
+    """One document's row; `P` stacks rows into a Predictions value."""
+    return {"probs": probs, "gt": gt, "n_unseen": n_unseen, "dept": dept,
+            "first_visit": first_visit, "freq_bucket": "",
+            "encounters": encounter or _enc("P0", 1, ["A00.0"], dept)}
+
+
+def P(*rows):
+    probs = np.array([r["probs"] for r in rows], dtype=float)
+    gt = np.zeros(probs.shape, dtype=bool)
+    for i, r in enumerate(rows):
+        gt[i, sorted(r["gt"])] = True
+    return Predictions(probs, gt, **{k: [r[k] for r in rows] for k in
+                                     ("n_unseen", "dept", "first_visit", "freq_bucket",
+                                      "encounters")})
 
 
 # ---------------------------------------------------------------------------
@@ -42,38 +60,38 @@ def rec(probs, gt, **kw):
 
 
 def test_recall_half_when_one_of_two_found():
-    r = rec([0.9, 0.01, 0.8, 0.7, 0.6, 0.5], {0, 1})
-    assert recall_at_k(r, 5) == 0.5
+    r = P(rec([0.9, 0.01, 0.8, 0.7, 0.6, 0.5], {0, 1}))
+    assert recall_at_k(r, 5).tolist() == [0.5]
 
 
 def test_recall_capped_by_k():
     probs = np.linspace(1, 0.3, 8)
-    r = rec(probs, set(range(7)))
-    assert recall_at_k(r, 5) == pytest.approx(5 / 7)
+    r = P(rec(probs, set(range(7))))
+    assert recall_at_k(r, 5)[0] == pytest.approx(5 / 7)
 
 
 def test_recall_ties_break_by_ascending_index():
-    r = rec([0.5, 0.5, 0.5], {2})
-    assert recall_at_k(r, 2) == 0.0  # indices 0,1 win the tie
-    assert recall_at_k(r, 3) == 1.0
+    r = P(rec([0.5, 0.5, 0.5], {2}))
+    assert recall_at_k(r, 2).tolist() == [0.0]  # indices 0,1 win the tie
+    assert recall_at_k(r, 3).tolist() == [1.0]
 
 
 def test_unseen_gt_codes_count_against_recall():
-    r = rec([0.9, 0.1], {0}, n_unseen=1)
-    assert recall_at_k(r, 5) == 0.5
+    r = P(rec([0.9, 0.1], {0}, n_unseen=1))
+    assert recall_at_k(r, 5).tolist() == [0.5]
 
 
 def test_recall_empty_gt_is_undefined():
     with pytest.raises(UndefinedMetricError):
-        recall_at_k(rec([0.5], set()))
+        recall_at_k(P(rec([0.5], set())))
 
 
 def test_recall_non_decreasing_in_k():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        r = rec(rng.uniform(size=12), set(rng.choice(12, 4, replace=False).tolist()))
-        vals = [recall_at_k(r, k) for k in range(1, 13)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+    r = P(*(rec(rng.uniform(size=12), set(rng.choice(12, 4, replace=False).tolist()))
+            for _ in range(20)))
+    vals = np.stack([recall_at_k(r, k) for k in range(1, 13)])
+    assert (np.diff(vals, axis=0) >= 0).all()
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -82,11 +100,11 @@ def test_recall_matches_exhaustive_sort_oracle(seed):
     rng = np.random.default_rng(seed)
     probs = rng.uniform(size=10)
     gt = set(rng.choice(10, int(rng.integers(1, 5)), replace=False).tolist())
-    r = rec(probs, gt)
+    r = P(rec(probs, gt))
     # oracle: stable sort by (-p, index), take first 5
     order = sorted(range(10), key=lambda i: (-probs[i], i))[:5]
     want = len(set(order) & gt) / len(gt)
-    assert recall_at_k(r, 5) == pytest.approx(want)
+    assert recall_at_k(r, 5)[0] == pytest.approx(want)
 
 
 def test_ranked_indices_prefers_low_index_on_tie():
@@ -99,24 +117,24 @@ def test_ranked_indices_prefers_low_index_on_tie():
 
 
 def test_if1_exact_match_is_one():
-    r = rec([0.9, 0.9, 0.1], {0, 1})
-    assert instance_f1({0, 1}, r) == 1.0
+    r = P(rec([0.9, 0.9, 0.1], {0, 1}))
+    assert instance_f1(r).tolist() == [1.0]
 
 
 def test_if1_half_overlap():
-    r = rec([0.9, 0.1, 0.9], {0, 2})
-    assert instance_f1({0, 1}, r) == 0.5
+    r = P(rec([0.9, 0.9, 0.1], {0, 2}))  # predicts {0, 1}
+    assert instance_f1(r).tolist() == [0.5]
 
 
 def test_if1_empty_prediction_is_zero():
-    r = rec([0.1, 0.1], {0})
-    assert instance_f1(set(), r) == 0.0
+    r = P(rec([0.1, 0.1], {0}))
+    assert instance_f1(r).tolist() == [0.0]
 
 
 def test_if1_unseen_counts_in_recall_denominator():
-    r = rec([0.9], {0}, n_unseen=1)
+    r = P(rec([0.9], {0}, n_unseen=1))
     # P = 1, R = 1/2 → F1 = 2/3
-    assert instance_f1({0}, r) == pytest.approx(2 / 3)
+    assert instance_f1(r)[0] == pytest.approx(2 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +143,19 @@ def test_if1_unseen_counts_in_recall_denominator():
 
 
 def test_perfect_predictions_score_one():
-    records = [rec([0.9, 0.1], {0}), rec([0.1, 0.9], {1})]
+    records = P(rec([0.9, 0.1], {0}), rec([0.1, 0.9], {1}))
     assert micro_f1(records) == 1.0
     assert macro_f1(records) == 1.0
 
 
 def test_micro_macro_hand_pooled_example():
     # label 0 always predicted, never true; label 1 predicted iff true
-    records = [
+    records = P(
         rec([0.9, 0.9], {1}),
         rec([0.9, 0.1], {1}),   # label-1 FN
         rec([0.9, 0.9], {1}),
         rec([0.9, 0.1], set(), n_unseen=1),
-    ]
+    )
     # pooled: TP=2 (label1), FP=4 (label0) , FN=1 (label1) + 1 unseen
     assert micro_f1(records) == pytest.approx(2 * 2 / (2 * 2 + 4 + 2))
     # macro: only label 1 has eval positives → F1 = 2*2/(2*2+0+1)
@@ -146,9 +164,9 @@ def test_micro_macro_hand_pooled_example():
 
 def test_f1_no_positives_is_error():
     with pytest.raises(UndefinedMetricError):
-        micro_f1([rec([0.9], set())])
+        micro_f1(P(rec([0.9], set())))
     with pytest.raises(UndefinedMetricError):
-        macro_f1([rec([0.9], set())])
+        macro_f1(P(rec([0.9], set())))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -156,23 +174,23 @@ def test_f1_no_positives_is_error():
 def test_micro_f1_matches_single_pass_counter(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 8))
-    records = []
+    rows = []
     for _ in range(int(rng.integers(1, 12))):
         probs = rng.uniform(size=n)
         gt = {int(i) for i in rng.choice(n, int(rng.integers(1, n)), replace=False)}
-        records.append(rec(probs, gt))
+        rows.append(rec(probs, gt))
     tp = fp = fn = 0
-    for r in records:
-        pred = {int(i) for i in np.nonzero(r.probs > 0.5)[0]}
+    for r in rows:
+        pred = {int(i) for i in np.nonzero(r["probs"] > 0.5)[0]}
         for i in range(n):
-            if i in pred and i in r.gt_indices:
+            if i in pred and i in r["gt"]:
                 tp += 1
             elif i in pred:
                 fp += 1
-            elif i in r.gt_indices:
+            elif i in r["gt"]:
                 fn += 1
     want = 2 * tp / (2 * tp + fp + fn)
-    assert micro_f1(records) == pytest.approx(want, abs=1e-12)
+    assert micro_f1(P(*rows)) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +199,25 @@ def test_micro_f1_matches_single_pass_counter(seed):
 
 
 def test_auc_perfect_separation():
-    records = [rec([0.9, 0.2], {0}), rec([0.8, 0.1], {0})]
+    records = P(rec([0.9, 0.2], {0}), rec([0.8, 0.1], {0}))
     assert auc_micro(records) == 1.0
 
 
 def test_auc_constant_scores_half():
-    records = [rec([0.5, 0.5], {0})]
+    records = P(rec([0.5, 0.5], {0}))
     assert auc_micro(records) == 0.5
 
 
 def test_auc_single_class_is_error():
     with pytest.raises(UndefinedMetricError):
-        auc_micro([rec([0.9, 0.8], {0, 1})])
+        auc_micro(P(rec([0.9, 0.8], {0, 1})))
 
 
 def test_auc_macro_excludes_single_class_labels():
-    records = [
+    records = P(
         rec([0.9, 0.9], {0, 1}),
         rec([0.2, 0.9], {1}),  # label 0 varies; label 1 always positive
-    ]
+    )
     assert auc_macro(records) == 1.0  # only label 0 participates
 
 
@@ -222,46 +240,36 @@ def test_auc_matches_pairwise_oracle(seed):
     ys = rng.integers(0, 2, size=n).astype(bool)
     if ys.all() or not ys.any():
         ys[0] = not ys[0]
-    records = [rec([s], {0} if y else set(), n_unseen=0 if y else 1) for s, y in zip(scores, ys)]
+    records = P(*(rec([s], {0} if y else set(), n_unseen=0 if y else 1)
+                  for s, y in zip(scores, ys)))
     assert auc_micro(records) == pytest.approx(_pairwise_auc(scores, ys), abs=1e-12)
 
 
 def test_rank_metrics_invariant_under_monotone_transform():
     rng = np.random.default_rng(7)
-    records = [rec(rng.uniform(size=8), {int(i) for i in rng.choice(8, 2, replace=False)})
-               for _ in range(6)]
-    transformed = [rec(np.sqrt(r.probs) * 3 + 1, r.gt_indices) for r in records]
+    records = P(*(rec(rng.uniform(size=8), {int(i) for i in rng.choice(8, 2, replace=False)})
+                  for _ in range(6)))
+    transformed = replace(records, probs=np.sqrt(records.probs) * 3 + 1)
     assert mean_recall_at_k(records, 5) == mean_recall_at_k(transformed, 5)
     assert auc_micro(records) == pytest.approx(auc_micro(transformed), abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# oracle scorer
-# ---------------------------------------------------------------------------
-
-
-def test_oracle_all_frequent_small_gt():
-    records = [rec([0.0] * 6, {0, 1})]
-    counts = {i: 200 for i in range(6)}
-    assert oracle_scores(records, counts, min_count=100) == 1.0
-
-
-def test_oracle_half_frequent():
-    records = [rec([0.0] * 6, {0, 1})]
-    counts = {0: 200, 1: 3}
-    assert oracle_scores(records, counts, min_count=100) == 0.5
-
-
-def test_plain_oracle_caps_at_k_over_gt():
-    records = [rec([0.0] * 9, set(range(7)))]
-    assert oracle_scores(records, None, min_count=0, k=5) == pytest.approx(5 / 7)
-
-
-def test_oracle_unseen_label_never_counts_for_mink():
-    records = [rec([0.0] * 4, {0}, n_unseen=1)]
-    counts = {0: 500}
-    assert oracle_scores(records, counts, min_count=100) == 0.5
-    assert oracle_scores(records, counts, min_count=0) == 1.0
+def test_rankdata_matches_tie_loop():
+    rng = np.random.default_rng(3)
+    cases = [rng.integers(0, 4, size=size) / 3.0 for size in (1, 2, 7, 50)]
+    cases += [rng.uniform(size=30), np.zeros(5), np.array([0.5, 0.1, 0.5, 0.1, 0.9])]
+    for x in cases:
+        size = x.size
+        order = np.argsort(x, kind="stable")
+        want = np.empty(size)
+        i = 0
+        while i < size:  # each run of equal sorted values shares its mean rank
+            j = i
+            while j + 1 < size and x[order[j + 1]] == x[order[i]]:
+                j += 1
+            want[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+            i = j + 1
+        np.testing.assert_array_equal(_rankdata(x), want)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +277,8 @@ def test_oracle_unseen_label_never_counts_for_mink():
 # ---------------------------------------------------------------------------
 
 
-def _enc(pid, day, codes, dept="D0"):
-    return Encounter(pid, dt.date(2020, 1, day), dept, "DR0", "t", frozenset(codes))
-
-
 def test_breakdown_single_group_equals_global():
-    records = [rec([0.9, 0.1], {0}, dept="D1"), rec([0.1, 0.9], {1}, dept="D1")]
+    records = P(rec([0.9, 0.1], {0}, dept="D1"), rec([0.1, 0.9], {1}, dept="D1"))
     out = breakdown(records, "dept")
     assert len(out) == 1
     assert out[0].group == "D1"
@@ -284,28 +288,28 @@ def test_breakdown_single_group_equals_global():
 
 
 def test_breakdown_sorted_by_size_desc():
-    records = [rec([0.9], {0}, dept="A"), rec([0.9], {0}, dept="B"),
-               rec([0.9], {0}, dept="B")]
+    records = P(rec([0.9], {0}, dept="A"), rec([0.9], {0}, dept="B"),
+                rec([0.9], {0}, dept="B"))
     out = breakdown(records, "dept")
     assert [g.group for g in out] == ["B", "A"]
 
 
 def test_breakdown_first_visit_key():
-    records = [rec([0.9], {0}, first_visit=True), rec([0.9], {0}, first_visit=False)]
+    records = P(rec([0.9], {0}, first_visit=True), rec([0.9], {0}, first_visit=False))
     names = {g.group for g in breakdown(records, "first_visit")}
     assert names == {"first", "recurring"}
 
 
 def test_breakdown_unknown_key_rejected():
     with pytest.raises(ValidationError):
-        breakdown([rec([0.9], {0})], "nope")
+        breakdown(P(rec([0.9], {0})), "nope")
 
 
 def test_breakdown_distinct_labels_per_period():
-    records = [
+    records = P(
         rec([0.9], {0}, dept="A", encounter=_enc("P1", 1, ["A00.0", "B00.0"])),
         rec([0.9], {0}, dept="A", encounter=_enc("P2", 5, ["A00.0", "C00.0"])),
-    ]
+    )
     out = breakdown(records, "dept")
     assert out[0].distinct_labels_per_period == 3.0  # one year, 3 distinct codes
     assert "distinct_labels_per_period" in breakdown_csv(out).splitlines()[0]
@@ -313,24 +317,29 @@ def test_breakdown_distinct_labels_per_period():
 
 def test_breakdown_micro_counts_are_additive():
     rng = np.random.default_rng(11)
-    records = []
+    rows = []
     for i in range(10):
         probs = rng.uniform(size=4)
         gt = {int(j) for j in rng.choice(4, 2, replace=False)}
-        records.append(rec(probs, gt, dept="A" if i % 2 else "B"))
+        rows.append(rec(probs, gt, dept="A" if i % 2 else "B"))
+    records = P(*rows)
 
-    def counts(rs):
-        tp = fp = fn = 0
-        for r in rs:
-            pred = {int(i) for i in np.nonzero(r.probs > 0.5)[0]}
-            tp += len(pred & r.gt_indices)
-            fp += len(pred - r.gt_indices)
-            fn += len(r.gt_indices - pred)
-        return np.array([tp, fp, fn])
+    def counts(mask):
+        pred, gt = records.probs[mask] > 0.5, records.gt[mask]
+        return np.array([(pred & gt).sum(), (pred & ~gt).sum(), (~pred & gt).sum()])
 
-    a = [r for r in records if r.dept == "A"]
-    b = [r for r in records if r.dept == "B"]
-    np.testing.assert_array_equal(counts(a) + counts(b), counts(records))
+    a = records.dept == "A"
+    np.testing.assert_array_equal(counts(a) + counts(~a), counts(np.ones(10, bool)))
+
+
+def test_predictions_reject_mismatched_shapes():
+    good = P(rec([0.9, 0.1], {0}))
+    with pytest.raises(ValidationError):
+        replace(good, gt=np.zeros((1, 3), bool))
+    with pytest.raises(ValidationError):
+        replace(good, dept=["A", "B"])
+    with pytest.raises(ValidationError):
+        replace(good, probs=np.array([0.9, 0.1]), gt=np.array([True, False]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +373,7 @@ def test_spearman_zero_variance_is_error():
 
 
 def test_histogram_all_ones():
-    records = [rec([0.9], {0}) for _ in range(4)]
+    records = P(*(rec([0.9], {0}) for _ in range(4)))
     counts, frac = score_histogram(records, metric="recall@5")
     assert counts[-1] == 4 and counts[:-1].sum() == 0
     assert frac == 1.0
@@ -373,11 +382,11 @@ def test_histogram_all_ones():
 def test_histogram_bin_edges():
     # scores 0, 0.5, 1 land in bins 0, 5, 9
     probs = [0.9, 0.8, 0.7, 0.6, 0.5, 0.1]
-    records = [
+    records = P(
         rec(probs, {5}),       # last-ranked label misses the top 5 → recall 0
         rec(probs, {0, 5}),    # recall 0.5
         rec(probs, {0}),       # recall 1
-    ]
+    )
     counts, frac = score_histogram(records, metric="recall@5")
     assert counts[0] == 1 and counts[5] == 1 and counts[9] == 1
     assert counts.sum() == 3
@@ -385,7 +394,7 @@ def test_histogram_bin_edges():
 
 
 def test_histogram_if1_metric_and_validation():
-    records = [rec([0.9], {0})]
+    records = P(rec([0.9], {0}))
     counts, frac = score_histogram(records, metric="if1")
     assert counts.sum() == 1 and frac == 1.0
     with pytest.raises(ValidationError):
@@ -435,7 +444,7 @@ def test_consistency_empty_is_zero():
 
 
 def test_report_csv_scales_by_100():
-    records = [rec([0.9, 0.1], {0}), rec([0.2, 0.8], {1})]
+    records = P(rec([0.9, 0.1], {0}), rec([0.2, 0.8], {1}))
     report = compute_report(records)
     csv = report.as_csv()
     header, row = csv.strip().splitlines()

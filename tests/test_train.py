@@ -68,9 +68,9 @@ def test_config_validation():
 
 def test_label_targets_split_in_and_out_of_space():
     n = tokenize("aches", VOCAB, encounter=enc(codes=("A00.0", "Z99.9")))
-    y, gt, unseen = label_targets(n, LABELS)
-    assert y.tolist() == [1.0, 0.0]
-    assert gt == frozenset({0}) and unseen == 1
+    assert label_targets(n, LABELS).tolist() == [1.0, 0.0]
+    records = predict_records(toy_model(), [n], LABELS)
+    assert records.gt.tolist() == [[True, False]] and records.n_unseen.tolist() == [1]
 
 
 def test_label_targets_need_encounter():
@@ -113,7 +113,7 @@ def test_single_step_decreases_batch_loss():
     # line-search probe: a small step along Adam's direction must help
     model = toy_model(seed=3)
     notes = [note(), note(text="bruise dizzy", codes=("B11.1",))]
-    pairs = [(n, ad.tensor(label_targets(n, LABELS)[0])) for n in notes]
+    pairs = [(n, ad.tensor(label_targets(n, LABELS))) for n in notes]
 
     def batch_loss():
         vals = []
@@ -256,22 +256,21 @@ def test_history_csv_shape():
 def test_first_visit_flags_by_patient_and_date():
     notes = [note(pid="P1", day=5), note(pid="P1", day=2), note(pid="P2", day=9)]
     records = predict_records(toy_model(), notes, LABELS)
-    assert [r.first_visit for r in records] == [False, True, True]
+    assert records.first_visit.tolist() == [False, True, True]
 
 
 def test_uniform_baseline_is_seed_deterministic():
     notes = [note(), note(text="dizzy")]
     a = uniform_baseline_records(notes, LABELS, seed=4)
     b = uniform_baseline_records(notes, LABELS, seed=4)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.probs, y.probs)
-    assert not np.array_equal(a[0].probs, a[1].probs)
+    np.testing.assert_array_equal(a.probs, b.probs)
+    assert not np.array_equal(a.probs[0], a.probs[1])
 
 
 def test_marginal_baseline_ranks_by_train_count():
     records = marginal_baseline_records([note()], LABELS)
-    assert records[0].probs[0] == 1.0  # A00.0: most frequent
-    assert records[0].probs[1] == pytest.approx(4 / 40)
+    assert records.probs[0, 0] == 1.0  # A00.0: most frequent
+    assert records.probs[0, 1] == pytest.approx(4 / 40)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +293,18 @@ def test_fresh_reranker_matches_base_metrics():
     base_r5 = mean_recall_at_k(predict_records(base, notes, LABELS), 5)
     rr_r5 = mean_recall_at_k(predict_records_reranked(base, rr, notes, LABELS, VOCAB), 5)
     assert rr_r5 == base_r5
+
+
+def test_reranked_predictions_accept_a_generator():
+    base, rr, _ = reranker_fixture()
+    notes = [note(pid="P1", day=5, meds=("M1",)), note(pid="P1", day=2),
+             note(pid="P2", day=9, codes=("B11.1",))]
+    want = predict_records_reranked(base, rr, notes, LABELS, VOCAB)
+    got = predict_records_reranked(base, rr, (n for n in notes), LABELS, VOCAB)
+    assert len(got) == 3
+    np.testing.assert_array_equal(got.probs, want.probs)
+    np.testing.assert_array_equal(got.gt, want.gt)
+    assert got.first_visit.tolist() == want.first_visit.tolist() == [False, True, True]
 
 
 def test_reranker_training_freezes_base():
