@@ -3,10 +3,8 @@
 A deliberately small engine: rank-0/1/2 arrays, no broadcasting beyond
 bias-row addition, and exactly the primitives the classifiers and the
 reranker need. Applying a primitive builds a computation graph; `backward`
-walks it in reverse for exact gradients, and a linearized
-`ComputationRecord` of the same graph can be replayed bit-for-bit.
-`grad_check` verifies any scalar-valued composite against central
-differences.
+walks it in reverse for exact gradients. `grad_check` verifies any
+scalar-valued composite against central differences.
 
 Everything is float64. Forward passes are deterministic: identical inputs
 and parameters produce bitwise-identical outputs.
@@ -83,9 +81,9 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Primitive registry. Forward functions are pure (arrays in, array out) so a
-# recorded computation can be replayed; backward functions receive the
-# upstream gradient, the cached output and the input arrays.
+# Primitive registry. Forward functions are pure (arrays in, array out);
+# backward functions receive the upstream gradient, the cached output and
+# the input arrays.
 # --------------------------------------------------------------------------
 
 _FORWARD: dict[str, Callable] = {}
@@ -466,7 +464,7 @@ def multi_head_attention(
 
 
 # --------------------------------------------------------------------------
-# Reverse pass and the replayable record.
+# Reverse pass.
 # --------------------------------------------------------------------------
 
 class GradientMap(dict):
@@ -526,34 +524,6 @@ def backward(loss: Tensor) -> GradientMap:
         if node.requires_grad:
             result[node] = grads.get(id(node), np.zeros_like(node.data))
     return result
-
-
-class ComputationRecord:
-    """Linearized trace of the primitives that produced one tensor.
-
-    Replaying re-executes every recorded primitive in order against the
-    leaves' current data, reproducing the forward output bit-for-bit when
-    the leaves are unchanged.
-    """
-
-    def __init__(self, output: Tensor):
-        self.output = output
-        self.steps: list[Tensor] = [t for t in _toposort(output) if t.op is not None]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def replay(self) -> np.ndarray:
-        computed: dict[int, np.ndarray] = {}
-
-        def value(t: Tensor) -> np.ndarray:
-            return computed.get(id(t), t.data)
-
-        for node in self.steps:
-            computed[id(node)] = _FORWARD[node.op](
-                *(value(p) for p in node.parents), **node.params
-            )
-        return value(self.output)
 
 
 def grad_check(

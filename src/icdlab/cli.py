@@ -22,22 +22,19 @@ import numpy as np
 
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
 from .checkpoint import load_params, save_params
-from .config import (RunConfig, config_sha256, parse_config, parse_fractions,
-                     stage_seed)
-from .corpus import (CorpusConfig, Encounter, LabelSpace, corpus_stats,
-                     generate_corpus, read_encounters, split_by_patient,
-                     write_encounters)
-from .errors import NumericError, ParseError, UndefinedMetricError, ValidationError
+from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
+from .corpus import (Encounter, LabelSpace, corpus_stats, generate_corpus,
+                     read_encounters, split_by_patient, write_encounters)
+from .errors import (NumericError, ParseError, UndefinedMetricError, ValidationError,
+                     reading)
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
                       compute_report, consistency_check, score_histogram,
                       spearman)
-from .model import (BaseHParams, BaseModel, MetadataReranker, ModalityVocabs,
-                    RerankerHParams, load_base_model, load_reranker,
-                    save_base_model, save_reranker)
+from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
+                    load_reranker, save_base_model, save_reranker)
 from .preprocess import Vocabulary, build_vocab, encounter_aux_text, preprocess_train
-from .train import (TrainConfig, data_fraction_experiment, fraction_csv,
-                    note_for_encounter, predict_records,
-                    predict_records_reranked, train, train_reranker)
+from .train import (data_fraction_experiment, fraction_csv, note_for_encounter,
+                    predict_records, predict_records_reranked, train, train_reranker)
 
 # --------------------------------------------------------------------------
 # small file helpers
@@ -80,20 +77,15 @@ def _manifest(out: Path, args, rc: RunConfig, inputs, outputs, logs=()) -> None:
 
 
 def _load_prep(prep: Path):
-    vocab = Vocabulary.from_json((prep / "vocab.json").read_text(encoding="utf-8"))
-    labels = LabelSpace.from_json((prep / "labels.json").read_text(encoding="utf-8"))
-    return vocab, labels
+    def load(name, cls):
+        with reading(prep / name):
+            return cls.from_json((prep / name).read_text(encoding="utf-8"))
+
+    return load("vocab.json", Vocabulary), load("labels.json", LabelSpace)
 
 
 def _notes(encounters, vocab, rc: RunConfig):
     return [note_for_encounter(e, vocab, rc.max_note_tokens) for e in encounters]
-
-
-def _train_config(rc: RunConfig, stage: str, max_epochs: int, patience: int) -> TrainConfig:
-    return TrainConfig(learning_rate=rc.learning_rate, batch_size=rc.batch_size,
-                       max_epochs=max_epochs, patience=patience,
-                       seed=stage_seed(rc.seed, stage), architecture=rc.architecture,
-                       decision_threshold=rc.decision_threshold)
 
 
 # --------------------------------------------------------------------------
@@ -129,10 +121,8 @@ def read_prediction_records(eval_dir) -> Predictions:
     outside the label space, a negative unseen count or a row-count mismatch
     is a validation error."""
     eval_dir = Path(eval_dir)
-    try:
+    with reading(eval_dir / "probs.npy"):
         probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
-    except (EOFError, ValueError) as exc:
-        raise ParseError(f"{eval_dir}/probs.npy: {exc!r}") from None
     if probs.ndim != 2 or probs.dtype.kind not in "fiu":
         raise NumericError(f"{eval_dir}/probs.npy: expected a 2-D numeric matrix, "
                            f"got {probs.dtype} of shape {probs.shape}")
@@ -146,7 +136,7 @@ def read_prediction_records(eval_dir) -> Predictions:
         if not line.strip():
             continue
         where = f"{eval_dir}/records.jsonl line {number}"
-        try:
+        try:  # not `reading`, whose enter/exit adds ~2 µs to every record line
             row = json.loads(line)
             enc = Encounter(row["patient_id"], dt.date.fromisoformat(row["date"]),
                             row["dept"], row["doctor"], "", frozenset(row["codes"]),
@@ -177,19 +167,9 @@ def read_prediction_records(eval_dir) -> Predictions:
 # --------------------------------------------------------------------------
 
 
-def cmd_gen_corpus(args) -> int:
-    rc = _read_config(args.config)
+def cmd_gen_corpus(args, rc: RunConfig) -> int:
     out = _out_dir(args)
-    cc = CorpusConfig(
-        n_patients=rc.n_patients, n_codes=rc.n_codes, n_depts=rc.n_depts,
-        n_doctors=rc.n_doctors, tokens_per_code=rc.tokens_per_code,
-        vocab_size=rc.vocab_size, zipf_exponent=rc.zipf_exponent,
-        ditto_probability=rc.ditto_probability,
-        omitted_evidence_fraction=rc.omitted_evidence_fraction,
-        mean_encounters_per_patient=rc.mean_encounters_per_patient,
-        mean_codes_per_encounter=rc.mean_codes_per_encounter,
-        seed=stage_seed(rc.seed, "corpus"))
-    encounters, labels = generate_corpus(cc)
+    encounters, labels = generate_corpus(rc.corpus())
     split = split_by_patient(encounters, rc.n_dev_patients, rc.n_test_patients,
                              seed=stage_seed(rc.seed, "split"))
     outputs = []
@@ -206,8 +186,7 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    rc = _read_config(args.config)
+def cmd_preprocess(args, rc: RunConfig) -> int:
     src, out = Path(args.inp), _out_dir(args)
     inputs = [args.config] + [src / f"{n}.txt" for n in ("train", "dev", "test")]
     train_encs = read_encounters(src / "train.txt")
@@ -232,19 +211,16 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    rc = _read_config(args.config)
+def cmd_train(args, rc: RunConfig) -> int:
     prep, out = Path(args.inp), _out_dir(args)
     inputs = [args.config] + [prep / n for n in ("train.txt", "dev.txt", "vocab.json",
                                                  "labels.json")]
     vocab, labels = _load_prep(prep)
     train_notes = _notes(read_encounters(prep / "train.txt"), vocab, rc)
     dev_notes = _notes(read_encounters(prep / "dev.txt"), vocab, rc)
-    hp = BaseHParams(d_e=rc.d_e, d_c=rc.d_c, kernel_width=rc.kernel_width, d_a=rc.d_a)
-    model = BaseModel.init(rc.architecture, len(vocab), len(labels), hp,
+    model = BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
                            seed=stage_seed(rc.seed, "train-init"))
-    tc = _train_config(rc, "train", rc.max_epochs, rc.patience)
-    _, history = train(model, train_notes, dev_notes, labels, tc)
+    _, history = train(model, train_notes, dev_notes, labels, rc.train_config("train"))
     save_base_model(out / "model.ckpt", model, vocab.sha256(), labels.sha256())
     _write(out / "history.csv", history.to_csv())
     _manifest(out, args, rc, inputs,
@@ -255,8 +231,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_train_reranker(args) -> int:
-    rc = _read_config(args.config)
+def cmd_train_reranker(args, rc: RunConfig) -> int:
     prep, out = Path(args.inp), _out_dir(args)
     base_dir = Path(args.base)
     inputs = [args.config, base_dir / "model.ckpt", base_dir / "model.ckpt.json"] + \
@@ -267,13 +242,10 @@ def cmd_train_reranker(args) -> int:
     dev_notes = _notes(read_encounters(prep / "dev.txt"), vocab, rc)
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     vocabs = ModalityVocabs.from_encounters(train_encs)
-    reranker = MetadataReranker.init(
-        len(labels), rc.d_c, vocabs,
-        RerankerHParams(d=rc.reranker_d, n_heads=rc.reranker_heads),
-        seed=stage_seed(rc.seed, "reranker-init"))
-    tc = _train_config(rc, "reranker", rc.reranker_max_epochs, rc.reranker_patience)
+    reranker = MetadataReranker.init(len(labels), rc.d_c, vocabs, rc.reranker_hparams(),
+                                     seed=stage_seed(rc.seed, "reranker-init"))
     _, history = train_reranker(base, reranker, train_notes, dev_notes, labels,
-                                vocab, tc)
+                                vocab, rc.train_config("reranker"))
     save_reranker(out / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256())
     _write(out / "history.csv", history.to_csv())
     _manifest(out, args, rc, inputs,
@@ -284,8 +256,7 @@ def cmd_train_reranker(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    rc = _read_config(args.config)
+def cmd_evaluate(args, rc: RunConfig) -> int:
     prep, out = Path(args.inp), _out_dir(args)
     model_dir = Path(args.model)
     split_file = prep / f"{args.split}.txt"
@@ -320,8 +291,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_fractions(args) -> int:
-    rc = _read_config(args.config)
+def cmd_fractions(args, rc: RunConfig) -> int:
     prep, out = Path(args.inp), _out_dir(args)
     inputs = [args.config] + [prep / n for n in ("train.txt", "dev.txt", "test.txt",
                                                  "vocab.json", "labels.json")]
@@ -329,24 +299,21 @@ def cmd_fractions(args) -> int:
     train_notes = _notes(read_encounters(prep / "train.txt"), vocab, rc)
     dev_notes = _notes(read_encounters(prep / "dev.txt"), vocab, rc)
     test_notes = _notes(read_encounters(prep / "test.txt"), vocab, rc)
-    hp = BaseHParams(d_e=rc.d_e, d_c=rc.d_c, kernel_width=rc.kernel_width, d_a=rc.d_a)
 
     def make_model():
-        return BaseModel.init(rc.architecture, len(vocab), len(labels), hp,
+        return BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
                               seed=stage_seed(rc.seed, "fractions-init"))
 
-    tc = _train_config(rc, "fractions", rc.max_epochs, rc.patience)
     rows = data_fraction_experiment(make_model, train_notes, dev_notes, labels,
-                                    parse_fractions(rc.fractions), tc,
-                                    eval_notes=test_notes)
+                                    parse_fractions(rc.fractions),
+                                    rc.train_config("fractions"), eval_notes=test_notes)
     _write(out / "fractions.csv", fraction_csv(rows))
     _manifest(out, args, rc, inputs, [out / "fractions.csv"])
     print(f"fractions: {len(rows)} runs, full-data test R@5 {rows[-1].recall_at_5:.4f}")
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    rc = _read_config(args.config)
+def cmd_calibrate(args, rc: RunConfig) -> int:
     src, out = Path(args.inp), _out_dir(args)
     inputs = [args.config, src / "probs.npy", src / "records.jsonl"]
     records = read_prediction_records(src)
@@ -376,18 +343,17 @@ def cmd_calibrate(args) -> int:
 
 def load_isotonic(calib_dir) -> IsotonicMap:
     calib_dir = Path(calib_dir)
-    meta = json.loads((calib_dir / "isotonic.json").read_text(encoding="utf-8"))
-    if meta.get("kind") != "isotonic":
-        raise ValidationError(f"{calib_dir}: not a calibration checkpoint")
+    with reading(calib_dir / "isotonic.json"):
+        meta = json.loads((calib_dir / "isotonic.json").read_text(encoding="utf-8"))
+        if meta.get("kind") != "isotonic":
+            raise ValidationError(f"{calib_dir}: not a calibration checkpoint")
+        n = int(meta["n_labels"])
     arrays = load_params(calib_dir / "isotonic.ckpt")
-    n = int(meta["n_labels"])
-    maps = {j: (arrays[f"x{j}"], arrays[f"v{j}"]) for j in range(n)
-            if f"x{j}" in arrays}
+    maps = {j: (arrays[f"x{j}"], arrays[f"v{j}"]) for j in range(n) if f"x{j}" in arrays}
     return IsotonicMap(n_labels=n, maps=maps)
 
 
-def cmd_automate(args) -> int:
-    rc = _read_config(args.config)
+def cmd_automate(args, rc: RunConfig) -> int:
     out = _out_dir(args)
     dev_dir, test_dir = Path(args.dev), Path(args.test)
     if args.calibrated and not args.maps:
@@ -412,8 +378,7 @@ def cmd_automate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    rc = _read_config(args.config)
+def cmd_report(args, rc: RunConfig) -> int:
     src, out = Path(args.inp), _out_dir(args)
     inputs = [args.config, src / "probs.npy", src / "records.jsonl"]
     records = read_prediction_records(src)
@@ -517,16 +482,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     args.argv = argv
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        return args.func(args, _read_config(args.config))
+    except (ValidationError, OSError) as exc:
         print(f"icdlab-error: validation: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"icdlab-error: numeric: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"icdlab-error: validation: {exc}", file=sys.stderr)
-        return 3
 
 
 def entrypoint() -> None:

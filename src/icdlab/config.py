@@ -1,15 +1,22 @@
 """Flat key=value run configuration shared by every pipeline stage.
 
-One key per line, '#' starts a comment, unknown keys are rejected. The
-normalized form (`config_text`) lists every key in declaration order, so
-any accepted file round-trips to a single canonical representation.
+One key per line, '#' starts a comment, unknown keys and non-finite floats
+are rejected. The normalized form (`config_text`) lists every key in
+declaration order, so any accepted file round-trips to a single canonical
+representation. `RunConfig` derives every stage's config and validates all
+of them when it is built, so a config that exists is valid for every stage.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
+from .corpus import CorpusConfig
 from .errors import ConfigError
+from .model import ARCHITECTURES, BaseHParams, RerankerHParams
+from .preprocess import DEDUP_SCOPES
+from .train import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -56,15 +63,57 @@ class RunConfig:
     fractions: str = "0.05,0.1,0.25,0.5,1.0"
     ece_bins: int = 10
 
+    def __post_init__(self):
+        for name, low in (("max_note_tokens", 1), ("ece_bins", 1), ("min_token_count", 1),
+                          ("min_code_count", 0), ("n_dev_patients", 0),
+                          ("n_test_patients", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be ≥ {low}, got {getattr(self, name)}")
+        if self.architecture not in ARCHITECTURES:
+            raise ConfigError(f"unknown architecture {self.architecture!r}")
+        if self.dedup_scope not in DEDUP_SCOPES:
+            raise ConfigError(f"unknown dedup scope {self.dedup_scope!r}")
+        parse_fractions(self.fractions)
+        # building each stage config runs that stage's own checks
+        self.corpus(), self.base_hparams(), self.reranker_hparams()
+        self.train_config("train"), self.train_config("reranker")
+
+    def corpus(self) -> CorpusConfig:
+        return _derive(CorpusConfig, self, seed=stage_seed(self.seed, "corpus"))
+
+    def base_hparams(self) -> BaseHParams:
+        return _derive(BaseHParams, self)
+
+    def reranker_hparams(self) -> RerankerHParams:
+        return _derive(RerankerHParams, self, d=self.reranker_d,
+                       n_heads=self.reranker_heads)
+
+    def train_config(self, stage: str) -> TrainConfig:
+        """The optimizer settings of `stage` ("train", "reranker" or
+        "fractions"), seeded from that stage's stream."""
+        budget = ({"max_epochs": self.reranker_max_epochs,
+                   "patience": self.reranker_patience} if stage == "reranker" else {})
+        return _derive(TrainConfig, self, seed=stage_seed(self.seed, stage), **budget)
+
+
+def _derive(cls, rc: RunConfig, **overrides):
+    """`cls` built from the RunConfig fields named like its own; `overrides`
+    supply the fields RunConfig names differently (or derives)."""
+    shared = {f.name: getattr(rc, f.name) for f in fields(cls) if f.name not in overrides}
+    return cls(**shared, **overrides)
+
 
 _TYPES = get_type_hints(RunConfig)
 
 
 def _parse_value(key: str, raw: str, lineno: int):
     try:
-        return _TYPES[key](raw)
+        value = _TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:

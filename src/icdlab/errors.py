@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ValidationError and subclasses are
 exit 3, NumericError and subclasses exit 4 (usage problems are exit 2).
 """
 
+from contextlib import contextmanager
+
 
 class IcdLabError(Exception):
     pass
@@ -43,3 +45,13 @@ class NumericError(IcdLabError):
 
 class EmptySourceError(NumericError):
     """Attention was asked to attend over zero unmasked positions."""
+
+
+@contextmanager
+def reading(where):
+    """Turn what a malformed artifact raises while it is read (truncation, bad
+    JSON, a missing key, a wrong type) into one ParseError naming `where`."""
+    try:
+        yield
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc!r}") from None

@@ -17,7 +17,7 @@ should prefer the pre-clamp scores, which carry no ties at the bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,14 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_params, save_params
 from .corpus import Encounter
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, reading
 from .preprocess import PAD_ID, TokenizedNote
 
 # --------------------------------------------------------------------------
 # base model
 # --------------------------------------------------------------------------
+
+ARCHITECTURES = ("caml", "laat")
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class BaseModel:
 
     def __init__(self, arch: str, vocab_size: int, n_labels: int,
                  hp: BaseHParams, params: dict[str, ad.Tensor]):
-        if arch not in ("caml", "laat"):
+        if arch not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {arch!r}")
         self.arch = arch
         self.vocab_size = vocab_size
@@ -109,11 +111,6 @@ class BaseModel:
         with ad.no_grad():
             p, _, _ = self.forward(note)
         return p.data
-
-
-def predict_set(probs: np.ndarray, decision_threshold: float = 0.5) -> set[int]:
-    """Indices with probability strictly above the threshold."""
-    return {int(i) for i in np.nonzero(np.asarray(probs) > decision_threshold)[0]}
 
 
 # --------------------------------------------------------------------------
@@ -290,25 +287,35 @@ def save_base_model(path, model: BaseModel, vocab_sha: str, labels_sha: str) -> 
         "vocab_size": model.vocab_size,
         "vocab_sha256": vocab_sha,
         "labels_sha256": labels_sha,
-        "hparams": {"d_e": model.hp.d_e, "d_c": model.hp.d_c,
-                    "kernel_width": model.hp.kernel_width, "d_a": model.hp.d_a},
+        "hparams": asdict(model.hp),
     }
     Path(str(path) + ".json").write_text(json.dumps(manifest, sort_keys=True) + "\n",
                                          encoding="utf-8")
 
 
-def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
+def _read_sidecar(path, kind: str, vocab_sha: str, labels_sha: str) -> dict:
+    """The `.json` sidecar of a `kind` checkpoint, checked against the
+    vocabulary and label space it must have been trained with."""
     manifest = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "base":
-        raise ValidationError(f"{path}: not a base-model checkpoint")
-    if manifest["vocab_sha256"] != vocab_sha:
-        raise ValidationError(f"{path}: checkpoint was trained with a different vocabulary")
-    if manifest["labels_sha256"] != labels_sha:
-        raise ValidationError(f"{path}: checkpoint was trained with a different label space")
-    hp = BaseHParams(**manifest["hparams"])
-    arrays = load_params(path)
-    params = {k: ad.tensor(v, requires_grad=True) for k, v in arrays.items()}
-    return BaseModel(manifest["arch"], manifest["vocab_size"], manifest["n_labels"], hp, params)
+    if manifest.get("kind") != kind:
+        raise ValidationError(f"{path}: not a {kind} checkpoint")
+    for key, sha, what in (("vocab_sha256", vocab_sha, "vocabulary"),
+                           ("labels_sha256", labels_sha, "label space")):
+        if manifest[key] != sha:
+            raise ValidationError(f"{path}: checkpoint was trained with a different {what}")
+    return manifest
+
+
+def _load_tensors(path) -> dict[str, ad.Tensor]:
+    return {k: ad.tensor(v, requires_grad=True) for k, v in load_params(path).items()}
+
+
+def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
+    with reading(f"{path}.json"):
+        manifest = _read_sidecar(path, "base", vocab_sha, labels_sha)
+        args = (manifest["arch"], manifest["vocab_size"], manifest["n_labels"])
+        hp = BaseHParams(**manifest["hparams"])
+    return BaseModel(*args, hp, _load_tensors(path))
 
 
 def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str) -> None:
@@ -319,7 +326,7 @@ def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str
         "d_keys": model.d_keys,
         "vocab_sha256": vocab_sha,
         "labels_sha256": labels_sha,
-        "hparams": {"d": model.hp.d, "n_heads": model.hp.n_heads},
+        "hparams": asdict(model.hp),
         "modalities": {m: list(getattr(model.vocabs, m)) for m in MODALITIES},
     }
     Path(str(path) + ".json").write_text(json.dumps(manifest, sort_keys=True) + "\n",
@@ -327,15 +334,9 @@ def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str
 
 
 def load_reranker(path, vocab_sha: str, labels_sha: str) -> MetadataReranker:
-    manifest = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "reranker":
-        raise ValidationError(f"{path}: not a reranker checkpoint")
-    if manifest["vocab_sha256"] != vocab_sha:
-        raise ValidationError(f"{path}: checkpoint was trained with a different vocabulary")
-    if manifest["labels_sha256"] != labels_sha:
-        raise ValidationError(f"{path}: checkpoint was trained with a different label space")
-    vocabs = ModalityVocabs(**{m: tuple(v) for m, v in manifest["modalities"].items()})
-    hp = RerankerHParams(**manifest["hparams"])
-    arrays = load_params(path)
-    params = {k: ad.tensor(v, requires_grad=True) for k, v in arrays.items()}
-    return MetadataReranker(manifest["n_labels"], manifest["d_keys"], hp, vocabs, params)
+    with reading(f"{path}.json"):
+        manifest = _read_sidecar(path, "reranker", vocab_sha, labels_sha)
+        args = (manifest["n_labels"], manifest["d_keys"])
+        vocabs = ModalityVocabs(**{m: tuple(v) for m, v in manifest["modalities"].items()})
+        hp = RerankerHParams(**manifest["hparams"])
+    return MetadataReranker(*args, hp, vocabs, _load_tensors(path))

@@ -31,6 +31,8 @@ def text_tokens(text: str) -> list[str]:
 # ditto de-duplication
 # --------------------------------------------------------------------------
 
+DEDUP_SCOPES = ("none", "consecutive", "global")
+
 
 def dedup_ditto(encounters: list[Encounter], scope: str = "consecutive") -> list[Encounter]:
     """Drop copied-forward encounters of ONE patient.
@@ -41,7 +43,7 @@ def dedup_ditto(encounters: list[Encounter], scope: str = "consecutive") -> list
     set matches ANY earlier retained one. scope="none" only sorts, keeping
     every encounter (the undeduplicated pipeline variant).
     """
-    if scope not in ("none", "consecutive", "global"):
+    if scope not in DEDUP_SCOPES:
         raise ConfigError(f"unknown dedup scope {scope!r}")
     if not encounters:
         return []

@@ -36,7 +36,6 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 3
     seed: int = 0
-    architecture: str = "caml"  # consumed by callers constructing the model
     decision_threshold: float = 0.5
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ConfigError("patience must be ≥ 1")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be ≥ 0")
-        if self.architecture not in ("caml", "laat"):
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ConfigError("decision_threshold must lie strictly inside (0, 1)")
 

@@ -252,6 +252,69 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("icdlab-error: validation:")
 
 
+def _config_with(line: str) -> str:
+    """TINY_CFG with `line` in place of any line setting the same key."""
+    key = line.split("=")[0].strip()
+    kept = [row for row in TINY_CFG.splitlines() if row.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "evaluate", "calibrate"])
+@pytest.mark.parametrize("line", [
+    "decision_threshold = nan", "max_note_tokens = -3", "ece_bins = 0",
+    "zipf_exponent = nan", "mean_codes_per_encounter = nan",
+    "mean_encounters_per_patient = inf", "kernel_width = 4", "reranker_heads = 3"])
+def test_bad_config_value_fails_every_stage(pipeline, tmp_path, capsys, command, line):
+    # a config is validated as a whole, whichever stage reads it
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_config_with(line), encoding="utf-8")
+    stage_args = {"gen-corpus": [],
+                  "evaluate": ["--in", str(pipeline["prep"]),
+                               "--model", str(pipeline["model"])],
+                  "calibrate": ["--in", str(pipeline["eval_dev"])]}[command]
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 *stage_args]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert "duplicate" not in err[0]
+
+
+def _automate_calibrated(d):
+    return ["automate", "--dev", str(d["eval_dev"]), "--test", str(d["eval_test"]),
+            "--max-fp", "0.1", "--calibrated", "--maps", str(d["calib"])]
+
+
+def _evaluate(d):
+    return ["evaluate", "--in", str(d["prep"]), "--model", str(d["model"])]
+
+
+def _without_key(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize("stage, name, edit, argv", [
+    ("calib", "isotonic.json", lambda _: "{not json", _automate_calibrated),
+    ("calib", "isotonic.json", lambda _: '{"kind": "isotonic"}', _automate_calibrated),
+    ("model", "model.ckpt.json", _without_key("vocab_sha256"), _evaluate),
+    ("prep", "vocab.json", lambda _: "{bad", _evaluate),
+], ids=["isotonic-not-json", "isotonic-no-n_labels", "sidecar-no-vocab_sha256",
+        "vocab-not-json"])
+def test_malformed_json_artifact_exits_with_one_error_line(pipeline, tmp_path, capsys,
+                                                          stage, name, edit, argv):
+    dirs = dict(pipeline)
+    dirs[stage] = tmp_path / stage
+    shutil.copytree(pipeline[stage], dirs[stage])
+    path = dirs[stage] / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv(dirs), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert name in err[0]
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CFG, encoding="utf-8")

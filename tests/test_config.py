@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 
 from icdlab.config import (RunConfig, config_sha256, config_text, parse_config,
                            parse_fractions, stage_seed)
+from icdlab.corpus import CorpusConfig
 from icdlab.errors import ConfigError
+from icdlab.model import BaseHParams, BaseModel, RerankerHParams
+from icdlab.train import TrainConfig
 
 
 # --------------------------------------------------------------------------
@@ -87,6 +90,96 @@ def test_unknown_key_message_names_the_key():
 
 def test_float_field_accepts_int_literal():
     assert parse_config("zipf_exponent = 2\n").zipf_exponent == 2.0
+
+
+# --------------------------------------------------------------------------
+# whole-file validation: every stage's checks run when the config is built
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("line, match", [
+    ("decision_threshold = nan", "line 2"),
+    ("zipf_exponent = nan", "line 2"),
+    ("mean_codes_per_encounter = nan", "line 2"),
+    ("mean_encounters_per_patient = inf", "line 2"),
+    ("learning_rate = -inf", "line 2"),
+    ("max_note_tokens = -3", "max_note_tokens"),
+    ("max_note_tokens = 0", "max_note_tokens"),
+    ("ece_bins = 0", "ece_bins"),
+    ("min_token_count = 0", "min_token_count"),
+    ("min_code_count = -1", "min_code_count"),
+    ("n_dev_patients = -5", "n_dev_patients"),
+    ("n_test_patients = -1", "n_test_patients"),
+    ("kernel_width = 4", "kernel_width"),
+    ("reranker_heads = 3", "head count 3"),
+    ("dedup_scope = sometimes", "dedup scope"),
+    ("fractions = 0.5,half", "fractions"),
+])
+def test_bad_value_rejected_when_read(line, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"seed = 42\n{line}\n")
+
+
+def test_unknown_architecture_rejected_by_config_and_model():
+    with pytest.raises(ConfigError, match="rnn"):
+        parse_config("architecture = rnn\n")
+    with pytest.raises(ConfigError, match="rnn"):
+        BaseModel.init("rnn", 10, 2)
+
+
+# every field changed from its default, still valid as a whole
+NON_DEFAULT = RunConfig(
+    seed=7, n_patients=40, n_codes=20, n_depts=3, n_doctors=6, tokens_per_code=2,
+    vocab_size=150, zipf_exponent=1.3, ditto_probability=0.5,
+    omitted_evidence_fraction=0.1, mean_encounters_per_patient=5.0,
+    mean_codes_per_encounter=1.2, n_dev_patients=4, n_test_patients=6,
+    dedup_scope="global", min_code_count=2, min_token_count=2, max_note_tokens=64,
+    architecture="laat", d_e=8, d_c=12, kernel_width=3, d_a=6, reranker_d=16,
+    reranker_heads=4, learning_rate=0.01, batch_size=4, max_epochs=7, patience=2,
+    decision_threshold=0.3, reranker_max_epochs=9, reranker_patience=1,
+    fractions="0.5,1.0", ece_bins=15)
+
+
+def _hand_copied(rc):
+    """The stage configs as the CLI once assembled them field by field."""
+    def train_config(stage, max_epochs, patience):
+        return TrainConfig(learning_rate=rc.learning_rate, batch_size=rc.batch_size,
+                           max_epochs=max_epochs, patience=patience,
+                           seed=stage_seed(rc.seed, stage),
+                           decision_threshold=rc.decision_threshold)
+
+    return {
+        "corpus": CorpusConfig(
+            n_patients=rc.n_patients, n_codes=rc.n_codes, n_depts=rc.n_depts,
+            n_doctors=rc.n_doctors, tokens_per_code=rc.tokens_per_code,
+            vocab_size=rc.vocab_size, zipf_exponent=rc.zipf_exponent,
+            ditto_probability=rc.ditto_probability,
+            omitted_evidence_fraction=rc.omitted_evidence_fraction,
+            mean_encounters_per_patient=rc.mean_encounters_per_patient,
+            mean_codes_per_encounter=rc.mean_codes_per_encounter,
+            seed=stage_seed(rc.seed, "corpus")),
+        "base": BaseHParams(d_e=rc.d_e, d_c=rc.d_c, kernel_width=rc.kernel_width,
+                            d_a=rc.d_a),
+        "reranker_hp": RerankerHParams(d=rc.reranker_d, n_heads=rc.reranker_heads),
+        "train": train_config("train", rc.max_epochs, rc.patience),
+        "reranker": train_config("reranker", rc.reranker_max_epochs,
+                                 rc.reranker_patience),
+        "fractions": train_config("fractions", rc.max_epochs, rc.patience),
+    }
+
+
+def test_non_default_config_changes_every_field():
+    assert all(getattr(NON_DEFAULT, f.name) != getattr(RunConfig(), f.name)
+               for f in dataclasses.fields(RunConfig))
+
+
+@pytest.mark.parametrize("rc", [RunConfig(), NON_DEFAULT], ids=["default", "non-default"])
+def test_stage_configs_match_hand_copied_fields(rc):
+    derived = {"corpus": rc.corpus(), "base": rc.base_hparams(),
+               "reranker_hp": rc.reranker_hparams(),
+               **{stage: rc.train_config(stage)
+                  for stage in ("train", "reranker", "fractions")}}
+    assert derived == _hand_copied(rc)
 
 
 # --------------------------------------------------------------------------

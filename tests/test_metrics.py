@@ -162,6 +162,18 @@ def test_micro_macro_hand_pooled_example():
     assert macro_f1(records) == pytest.approx(4 / 5)
 
 
+def test_threshold_is_strict_and_zero_predicts_every_positive_score():
+    # a probability exactly at the threshold is not predicted: only label 1 is
+    at = P(rec([0.5, 0.9], {0, 1}))
+    assert instance_f1(at, 0.5)[0] == pytest.approx(2 / 3)  # P = 1, R = 1/2
+    assert micro_f1(at, 0.5) == pytest.approx(2 / 3)  # TP 1, FP 0, FN 1
+    # threshold 0 predicts labels 0 and 1, not the label scored exactly 0
+    low = P(rec([0.4, 0.2, 0.0], {0}))
+    assert instance_f1(low, 0.0)[0] == pytest.approx(2 / 3)  # P = 1/2, R = 1
+    assert micro_f1(low, 0.0) == pytest.approx(2 / 3)  # TP 1, FP 1, FN 0
+    assert instance_f1(low, 0.5)[0] == 0.0  # nothing above 0.5
+
+
 def test_f1_no_positives_is_error():
     with pytest.raises(UndefinedMetricError):
         micro_f1(P(rec([0.9], set())))

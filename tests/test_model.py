@@ -18,7 +18,6 @@ from icdlab.model import (
     frozen_base_outputs,
     load_base_model,
     load_reranker,
-    predict_set,
     save_base_model,
     save_reranker,
 )
@@ -171,18 +170,6 @@ def test_base_model_grad_check(arch):
         return ad.bce_loss(m.forward(note(ids))[0], y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# predict_set
-# ---------------------------------------------------------------------------
-
-
-def test_predict_set_threshold_semantics():
-    assert predict_set(np.array([0.9, 0.1]), 0.5) == {0}
-    assert predict_set(np.array([0.4, 0.2]), 0.5) == set()
-    assert predict_set(np.array([0.4, 0.2]), 0.0) == {0, 1}
-    assert predict_set(np.array([0.5]), 0.5) == set()  # strict
 
 
 # ---------------------------------------------------------------------------

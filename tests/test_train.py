@@ -60,8 +60,7 @@ def toy_model(seed=0, arch="caml"):
 
 def test_config_validation():
     for kw in ({"learning_rate": 0.0}, {"batch_size": 0}, {"patience": 0},
-               {"max_epochs": -1}, {"architecture": "rnn"},
-               {"decision_threshold": 1.0}):
+               {"max_epochs": -1}, {"decision_threshold": 1.0}):
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
