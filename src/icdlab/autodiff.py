@@ -1,10 +1,12 @@
 """Dense float64 arrays with reverse-mode differentiation.
 
-A deliberately small engine: rank-0/1/2 arrays, no broadcasting beyond
-bias-row addition, and exactly the primitives the classifiers and the
-reranker need. Applying a primitive builds a computation graph; `backward`
-walks it in reverse for exact gradients. `grad_check` verifies any
-scalar-valued composite against central differences.
+A deliberately small engine with exactly the primitives the classifiers and
+the reranker need. A mini-batch of notes is one (B, T, ...) array, so one
+graph and one `backward` serve the whole batch: `add` and `mul` broadcast
+their second operand, `matmul` applies a rank-2 weight to every position.
+Applying a primitive builds a computation graph; `backward` walks it in
+reverse for exact gradients. `grad_check` verifies any scalar-valued
+composite against central differences.
 
 Everything is float64. Forward passes are deterministic: identical inputs
 and parameters produce bitwise-identical outputs.
@@ -12,8 +14,8 @@ and parameters produce bitwise-identical outputs.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -24,27 +26,23 @@ PROB_EPS = 1e-12  # clamp applied to probabilities before logs
 _grad_enabled = True
 
 
-class no_grad:
-    """Context manager that disables graph recording (frozen evaluation)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+@contextmanager
+def no_grad():
+    """Disable graph recording inside the block (frozen evaluation)."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Tensor:
     """A float64 array plus its position in the computation graph.
 
-    `data` is the backing ndarray (row-major), `values` a flat view of it.
-    Leaf tensors are created directly; non-leaf tensors remember the
-    primitive, parents and parameters that produced them.
+    `data` is the backing ndarray (row-major). Leaf tensors are created
+    directly; non-leaf tensors remember the primitive, parents and
+    parameters that produced them.
     """
 
     __slots__ = ("data", "requires_grad", "op", "parents", "params")
@@ -62,18 +60,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.op is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = self.op or ("param" if self.requires_grad else "const")
-        return f"Tensor(shape={self.shape}, {tag})"
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -104,27 +90,34 @@ def _apply(name: str, inputs: tuple[Tensor, ...], params: dict) -> Tensor:
 
 # ---- add / mul / scale ----------------------------------------------------
 
+def _check_broadcast(name, a, b):
+    """`b` must broadcast to the shape of `a` (a bias row, a batch axis)."""
+    if b.ndim > a.ndim or any(m not in (1, n) for m, n in zip(b.shape[::-1], a.shape[::-1])):
+        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient over the axes along which `shape` was broadcast."""
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    return g.sum(axis=tuple(i for i, n in enumerate(shape) if n < g.shape[i]), keepdims=True)
+
+
 def _add_fwd(a, b):
-    if a.shape == b.shape:
-        return a + b
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return a + b  # bias row added to every row
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    _check_broadcast("add", a, b)
+    return a + b
 
 
 def _add_bwd(g, out, a, b):
-    gb = g if b.shape == g.shape else g.sum(axis=0)
-    return g, gb
+    return g, _unbroadcast(g, b.shape)
 
 
 def _mul_fwd(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    _check_broadcast("mul", a, b)
     return a * b
 
 
 def _mul_bwd(g, out, a, b):
-    return g * b, g * a
+    return g * b, _unbroadcast(g * a, b.shape)
 
 
 def _scale_fwd(a, *, c):
@@ -142,24 +135,36 @@ _register("scale", _scale_fwd, _scale_bwd)
 
 # ---- matmul / transpose ----------------------------------------------------
 
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _flat_matmul(a, b):
+    """(..., k) @ (k, n) as one GEMM over every leading position."""
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+
+
 def _matmul_fwd(a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (b.ndim < 2 or a.shape[-1:] != b.shape[-2:-1]
+            or b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return a @ b
+    return _flat_matmul(a, b) if b.ndim == 2 else a @ b
 
 
 def _matmul_bwd(g, out, a, b):
-    return g @ b.T, a.T @ g
+    if b.ndim == 2:
+        return _flat_matmul(g, b.T), a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return g @ _swap(b), _swap(a) @ g
 
 
 def _transpose_fwd(a):
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected rank-2, got shape {a.shape}")
-    return np.ascontiguousarray(a.T)
+    if a.ndim < 2:
+        raise ShapeError(f"transpose: expected rank ≥ 2, got shape {a.shape}")
+    return np.ascontiguousarray(_swap(a))
 
 
 def _transpose_bwd(g, out, a):
-    return (np.ascontiguousarray(g.T),)
+    return (np.ascontiguousarray(_swap(g)),)
 
 
 _register("matmul", _matmul_fwd, _matmul_bwd)
@@ -169,7 +174,7 @@ _register("transpose", _transpose_fwd, _transpose_bwd)
 # ---- reductions -------------------------------------------------------------
 
 def _sum_fwd(a, *, axis):
-    if axis is not None and axis >= a.ndim:
+    if axis is not None and not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum: axis {axis} out of range for shape {a.shape}")
     return np.sum(a, axis=axis)
 
@@ -177,9 +182,7 @@ def _sum_fwd(a, *, axis):
 def _sum_bwd(g, out, a, *, axis):
     if axis is None:
         return (np.full_like(a, g),)
-    if axis == 0:
-        return (np.broadcast_to(g, a.shape).copy(),)
-    return (np.broadcast_to(g[:, None], a.shape).copy(),)
+    return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
 
 _register("sum", _sum_fwd, _sum_bwd)
@@ -215,13 +218,15 @@ _register("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
 # ---- softmax ----------------------------------------------------------------
 
 def _expand_mask(mask: np.ndarray, shape: tuple[int, ...], axis: int) -> np.ndarray:
-    if mask.ndim != 1 or mask.shape[0] != shape[axis]:
+    """A (L,) mask over the softmax axis, or a (B, L) mask over the leading
+    batch axis and the softmax axis, broadcast to the full shape."""
+    kept = (axis,) if mask.ndim == 1 else (0, axis)
+    if axis in kept[:-1] or mask.shape != tuple(shape[i] for i in kept):
         raise ShapeError(
-            f"softmax: mask length {mask.shape} does not match axis {axis} of {shape}"
+            f"softmax: mask of shape {mask.shape} does not match axes {kept} of {shape}"
         )
-    ix = [None] * len(shape)
-    ix[axis] = slice(None)
-    return np.broadcast_to(mask[tuple(ix)], shape)
+    ix = tuple(slice(None) if i in kept else None for i in range(len(shape)))
+    return np.broadcast_to(mask[ix], shape)
 
 
 def _softmax_fwd(a, *, axis, mask=None):
@@ -229,12 +234,14 @@ def _softmax_fwd(a, *, axis, mask=None):
         raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
     z = a
     if mask is not None:
-        if not mask.any():
+        full = _expand_mask(mask, a.shape, axis)
+        if not mask.any(axis=-1).all():
             raise EmptySourceError("softmax: every position along the axis is masked")
-        z = np.where(_expand_mask(mask, a.shape, axis), a, -np.inf)
-    m = z.max(axis=axis, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=axis, keepdims=True)
+        z = np.where(full, a, -np.inf)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_bwd(g, out, a, *, axis, mask=None):
@@ -245,22 +252,41 @@ def _softmax_bwd(g, out, a, *, axis, mask=None):
 _register("softmax", _softmax_fwd, _softmax_bwd)
 
 
+# ---- attention pooling ----------------------------------------------------------
+# One primitive, so the graph keeps only scores and values: the weights are
+# recomputed in the backward pass instead of being held for every batch.
+
+def _pool_fwd(scores, values, *, mask):
+    if scores.ndim != 3 or values.shape != scores.shape:
+        raise ShapeError(f"attention_pool: expected two equal (B,T,N) shapes, "
+                         f"got {scores.shape} and {values.shape}")
+    return (_softmax_fwd(scores, axis=1, mask=mask) * values).sum(axis=1)
+
+
+def _pool_bwd(g, out, scores, values, *, mask):
+    weights = _softmax_fwd(scores, axis=1, mask=mask)
+    g = g[:, None]
+    return _softmax_bwd(g * values, weights, scores, axis=1)[0], g * weights
+
+
+_register("attention_pool", _pool_fwd, _pool_bwd)
+
+
 # ---- embedding lookup --------------------------------------------------------
 
 def _embed_fwd(table, *, ids):
     if table.ndim != 2:
         raise ShapeError(f"embedding: table must be rank-2, got {table.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ContractError(
-            f"embedding: id out of range [0, {table.shape[0]}) in {idx.tolist()}"
-        )
-    return table[idx].copy()
+    bad = (ids < 0) | (ids >= table.shape[0])
+    if bad.any():
+        raise ContractError(f"embedding: ids {np.unique(ids[bad]).tolist()} out of "
+                            f"range [0, {table.shape[0]})")
+    return table[ids]
 
 
 def _embed_bwd(g, out, table, *, ids):
     gt = np.zeros_like(table)
-    np.add.at(gt, np.asarray(ids, dtype=np.int64), g)
+    np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
     return (gt,)
 
 
@@ -269,57 +295,40 @@ _register("embed", _embed_fwd, _embed_bwd)
 
 # ---- same-padded 1-D convolution ---------------------------------------------
 
+def _im2col(x, w):
+    """(B, T, d_e) → (B·T, w·d_e): row (b, t) holds positions t-w//2 .. t+w//2
+    of row b, zeros beyond either end of the row."""
+    n, t, d_e = x.shape
+    xp = np.zeros((n, t + w - 1, d_e))
+    xp[:, w // 2 : w // 2 + t] = x
+    return np.concatenate([xp[:, j : j + t] for j in range(w)], axis=2).reshape(n * t, -1)
+
+
 def _conv1d_fwd(x, k, b):
-    if x.ndim != 2 or k.ndim != 3 or b.ndim != 1:
-        raise ShapeError(
-            f"conv1d: expected x (T,d_e), kernels (d_c,w,d_e), bias (d_c,);"
-            f" got {x.shape}, {k.shape}, {b.shape}"
-        )
+    if x.ndim != 3 or k.ndim != 3 or b.shape != k.shape[:1] or x.shape[2] != k.shape[2]:
+        raise ShapeError(f"conv1d: expected x (B,T,d_e), kernels (d_c,w,d_e), bias (d_c,);"
+                         f" got {x.shape}, {k.shape}, {b.shape}")
     d_c, w, d_e = k.shape
     if w % 2 == 0:
         raise ShapeError(f"conv1d: kernel width {w} is even, same-padding ill-defined")
-    if x.shape[1] != d_e or b.shape[0] != d_c:
-        raise ShapeError(f"conv1d: incompatible shapes {x.shape}, {k.shape}, {b.shape}")
-    t = x.shape[0]
-    pad = w // 2
-    xp = np.zeros((t + w - 1, d_e))
-    xp[pad : pad + t] = x
-    out = np.tile(b, (t, 1))
-    for j in range(w):
-        out += xp[j : j + t] @ k[:, j, :].T
-    return out
+    out = _im2col(x, w) @ k.reshape(d_c, -1).T
+    out += b
+    return out.reshape(x.shape[:2] + (d_c,))
 
 
 def _conv1d_bwd(g, out, x, k, b):
     d_c, w, d_e = k.shape
-    t = x.shape[0]
-    pad = w // 2
-    xp = np.zeros((t + w - 1, d_e))
-    xp[pad : pad + t] = x
-    gk = np.empty_like(k)
-    gxp = np.zeros_like(xp)
+    n, t, _ = x.shape
+    g2 = g.reshape(-1, d_c)
+    gk = (g2.T @ _im2col(x, w)).reshape(k.shape)
+    gcols = (g2 @ k.reshape(d_c, -1)).reshape(n, t, w, d_e)
+    gxp = np.zeros((n, t + w - 1, d_e))
     for j in range(w):
-        gk[:, j, :] = g.T @ xp[j : j + t]
-        gxp[j : j + t] += g @ k[:, j, :]
-    return gxp[pad : pad + t], gk, g.sum(axis=0)
+        gxp[:, j : j + t] += gcols[:, :, j]
+    return gxp[:, w // 2 : w // 2 + t], gk, g2.sum(axis=0)
 
 
 _register("conv1d", _conv1d_fwd, _conv1d_bwd)
-
-
-# ---- concatenation -----------------------------------------------------------
-
-def _concat_fwd(*arrays, axis):
-    return np.concatenate(arrays, axis=axis)
-
-
-def _concat_bwd(g, out, *arrays, axis):
-    sizes = [a.shape[axis] for a in arrays]
-    split_at = np.cumsum(sizes)[:-1]
-    return tuple(np.ascontiguousarray(p) for p in np.split(g, split_at, axis=axis))
-
-
-_register("concat", _concat_fwd, _concat_bwd)
 
 
 # ---- clamp to the unit interval ------------------------------------------------
@@ -359,11 +368,12 @@ _register("bce", _bce_fwd, _bce_bwd)
 # --------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts (m,n) + (n,) bias-row addition."""
+    """Elementwise sum; `b` may broadcast to the shape of `a`."""
     return _apply("add", (a, b), {})
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; `b` may broadcast to the shape of `a`."""
     return _apply("mul", (a, b), {})
 
 
@@ -372,10 +382,14 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes. A rank-2 `b` is shared by every
+    leading (batch) position of `a`, in one GEMM; a higher-rank `b` must have
+    the same leading axes as `a`."""
     return _apply("matmul", (a, b), {})
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
     return _apply("transpose", (a,), {})
 
 
@@ -394,31 +408,29 @@ def sigmoid(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """Overflow-safe softmax along `axis`.
 
-    `mask` is an optional boolean array over that axis; masked-out
-    positions receive zero weight. Raises EmptySourceError when nothing
-    is left to attend to.
+    `mask` is an optional boolean array over that axis, (L,), or over the
+    leading batch axis and that axis, (B, L); masked-out positions receive
+    zero weight. Raises EmptySourceError when some row has nothing left to
+    attend to.
     """
     ax = axis % max(a.data.ndim, 1)
     m = None if mask is None else np.asarray(mask, dtype=bool)
     return _apply("softmax", (a,), {"axis": ax, "mask": m})
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row lookup: ids -> stacked rows of `table`. Gradient scatters back."""
-    return _apply("embed", (table,), {"ids": tuple(int(i) for i in ids)})
+def embedding(table: Tensor, ids) -> Tensor:
+    """Row lookup: an int array of ids of any shape -> that shape plus one
+    axis of `table` rows. Gradient scatters back."""
+    return _apply("embed", (table,), {"ids": np.asarray(ids, dtype=np.int64)})
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Same-length 1-D convolution over positions (zero padded, odd width).
-
-    x is (T, d_e), kernels (d_c, w, d_e), bias (d_c,); output is (T, d_c),
-    linear (any nonlinearity is the caller's).
+    """Same-length 1-D convolution over the positions of each row (zero
+    padded, odd width) as one im2col GEMM: x (B, T, d_e), kernels
+    (d_c, w, d_e), bias (d_c,) → linear (B, T, d_c). A zero row of x adds
+    nothing to its neighbours' outputs.
     """
     return _apply("conv1d", (x, kernels, bias), {})
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return _apply("concat", tuple(parts), {"axis": axis})
 
 
 def clamp01(a: Tensor) -> Tensor:
@@ -430,46 +442,16 @@ def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:
     return _apply("bce", (probs, targets), {})
 
 
-def multi_head_attention(
-    q_in: Tensor,
-    k_in: Tensor,
-    v_in: Tensor,
-    w_q: Sequence[Tensor],
-    w_k: Sequence[Tensor],
-    w_v: Sequence[Tensor],
-    w_o: Tensor,
-    mask: np.ndarray | None = None,
-) -> Tensor:
-    """Scaled dot-product attention with per-head projections.
-
-    Per head h: softmax(q W_q[h] (k W_k[h])^T / sqrt(d_head)) v W_v[h];
-    heads are concatenated column-wise and projected by `w_o`. `mask`
-    selects which source rows may be attended to.
-    """
-    if k_in.shape[0] == 0 or v_in.shape[0] == 0:
-        raise EmptySourceError("attention: source sequence is empty")
-    if not (len(w_q) == len(w_k) == len(w_v)) or not w_q:
-        raise ContractError("attention: need one (W_q, W_k, W_v) triple per head")
-    heads = []
-    for hq, hk, hv in zip(w_q, w_k, w_v):
-        d_head = hq.shape[1]
-        q = matmul(q_in, hq)
-        k = matmul(k_in, hk)
-        v = matmul(v_in, hv)
-        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_head))
-        attn = softmax(scores, axis=1, mask=mask)
-        heads.append(matmul(attn, v))
-    joined = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-    return matmul(joined, w_o)
+def attention_pool(scores: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
+    """out[b, n] = Σ_t a[b, t, n] · values[b, t, n], a = softmax over t of
+    scores (both (B, T, N)) with the (B, T) mask: masked positions weigh
+    exactly zero; a row with no position left raises EmptySourceError."""
+    return _apply("attention_pool", (scores, values), {"mask": np.asarray(mask, dtype=bool)})
 
 
 # --------------------------------------------------------------------------
 # Reverse pass.
 # --------------------------------------------------------------------------
-
-class GradientMap(dict):
-    """Maps each participating requires_grad tensor to its gradient array."""
-
 
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
@@ -490,12 +472,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> GradientMap:
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Exact reverse-mode gradients of a scalar loss.
 
-    Returns a GradientMap with one entry per requires_grad tensor that
-    participated in the computation, each gradient matching the tensor's
-    shape.
+    Returns one entry per requires_grad tensor that participated in the
+    computation, each gradient matching the tensor's shape.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -515,15 +496,12 @@ def backward(loss: Tensor) -> GradientMap:
         if not isinstance(parent_grads, tuple):
             parent_grads = (parent_grads,)
         for parent, pg in zip(node.parents, parent_grads):
-            if pg is None or (parent.is_leaf and not parent.requires_grad):
+            if pg is None or (parent.op is None and not parent.requires_grad):
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    result = GradientMap()
-    for node in order:
-        if node.requires_grad:
-            result[node] = grads.get(id(node), np.zeros_like(node.data))
-    return result
+    return {node: grads.get(id(node), np.zeros_like(node.data))
+            for node in order if node.requires_grad}
 
 
 def grad_check(

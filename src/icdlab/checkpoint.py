@@ -47,7 +47,9 @@ def load_params(path) -> dict[str, np.ndarray]:
         nl = raw.find(b"\n", cut)
         if nl < 0:
             raise ParseError("checkpoint: header not terminated by END line")
-        line = raw[cut:nl].decode("ascii")
+        line = raw[cut:nl].decode("latin-1")
+        if not line.isascii():
+            raise ParseError(f"checkpoint {path}: non-ASCII header line {len(header_lines) + 1}")
         cut = nl + 1
         if line == "END":
             break

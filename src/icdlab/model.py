@@ -7,6 +7,10 @@ differ only in how attention scores are produced:
 * "caml": scores = H u_l per label (one attention vector per label);
 * "laat": scores = tanh(H W^T) U^T (a shared projection, then per-label).
 
+Both take a mini-batch of notes as one PAD_ID-padded (B, T) id matrix.
+Padding adds nothing to a real position's encoding and gets zero attention
+weight, so each row scores as that note alone, up to float rounding.
+
 The reranker treats the base model's outputs P and H as constants, adds
 structured-metadata embeddings to label embeddings, attends over the note
 encoding and over an auxiliary encoding of medication/procedure names, and
@@ -17,6 +21,7 @@ should prefer the pre-clamp scores, which carry no ties at the bounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,11 +31,27 @@ from . import autodiff as ad
 from .checkpoint import load_params, save_params
 from .corpus import Encounter
 from .errors import ConfigError, ValidationError, reading
-from .preprocess import PAD_ID, TokenizedNote
+from .preprocess import PAD_ID
 
 # --------------------------------------------------------------------------
 # base model
 # --------------------------------------------------------------------------
+
+
+def padded(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of varying length zero-filled to the longest (at least one
+    position) as one array, plus the (B, T) mask of the filled positions."""
+    lengths = np.array([len(row) for row in rows])
+    out = np.zeros((len(rows), max(1, lengths.max())) + np.shape(rows[0])[1:], dtype)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out, np.arange(out.shape[1]) < lengths[:, None]
+
+
+def id_matrix(notes) -> np.ndarray:
+    """A batch of notes as one (B, T) id matrix, padded with PAD_ID (0)."""
+    return padded([n.token_ids for n in notes], np.int64)[0]
+
 
 ARCHITECTURES = ("caml", "laat")
 
@@ -83,34 +104,31 @@ class BaseModel:
         p["out_b"] = ad.tensor(np.zeros(n_labels), requires_grad=True)
         return cls(arch, vocab_size, n_labels, hp, p)
 
-    def encode(self, note: TokenizedNote) -> tuple[ad.Tensor, np.ndarray]:
-        """Token ids → H (T×d_c) plus the non-padding position mask."""
-        ids = note.token_ids
-        if any(i >= self.vocab_size or i < 0 for i in ids):
+    def encode(self, ids: np.ndarray) -> tuple[ad.Tensor, np.ndarray]:
+        """(B, T) id matrix → H (B×T×d_c) plus the non-padding position mask.
+        Padding embeds to zero vectors, which add nothing to the convolution."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ValidationError(f"token id out of range for vocabulary of {self.vocab_size}")
-        x = ad.embedding(self.params["emb"], ids)
+        mask = ids != PAD_ID
+        x = ad.mul(ad.embedding(self.params["emb"], ids), ad.tensor(mask[..., None]))
         h = ad.tanh(ad.conv1d(x, self.params["conv_w"], self.params["conv_b"]))
-        mask = np.asarray([i != PAD_ID for i in ids], dtype=bool)
         return h, mask
 
-    def forward(self, note: TokenizedNote) -> tuple[ad.Tensor, ad.Tensor, np.ndarray]:
-        """Probabilities P (N,), the document encoding H, and its mask."""
-        h, mask = self.encode(note)
+    def forward(self, ids: np.ndarray) -> tuple[ad.Tensor, ad.Tensor, np.ndarray]:
+        """Probabilities P (B, N), the document encodings H and their mask.
+        Label n's logit v_n · w_n, v_n = Σ_t a_tn h_t, is taken as the pooled
+        per-position scores Σ_t a_tn (h_t · w_n): no (B, N, d_c) tensor."""
+        h, mask = self.encode(ids)
+        p = self.params
         if self.arch == "caml":
-            scores = ad.matmul(h, ad.transpose(self.params["attn_u"]))  # (T,N)
+            scores = ad.matmul(h, ad.transpose(p["attn_u"]))          # (B,T,N)
         else:
-            z = ad.tanh(ad.matmul(h, ad.transpose(self.params["laat_w"])))
-            scores = ad.matmul(z, ad.transpose(self.params["laat_u"]))
-        attn = ad.softmax(scores, axis=0, mask=mask)          # per-label over positions
-        v = ad.matmul(ad.transpose(attn), h)                   # (N,d_c)
-        logits = ad.add(ad.tensor_sum(ad.mul(v, self.params["out_w"]), axis=1),
-                        self.params["out_b"])
+            z = ad.tanh(ad.matmul(h, ad.transpose(p["laat_w"])))
+            scores = ad.matmul(z, ad.transpose(p["laat_u"]))
+        per_position = ad.matmul(h, ad.transpose(p["out_w"]))         # (B,T,N)
+        logits = ad.add(ad.attention_pool(scores, per_position, mask), p["out_b"])
         return ad.sigmoid(logits), h, mask
-
-    def predict_probs(self, note: TokenizedNote) -> np.ndarray:
-        with ad.no_grad():
-            p, _, _ = self.forward(note)
-        return p.data
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +177,8 @@ class RerankerHParams:
         if self.d <= 0 or self.n_heads <= 0:
             raise ConfigError("reranker dimensions must be positive")
         if self.d % self.n_heads:
-            raise ConfigError(f"head count {self.n_heads} must divide d={self.d}")
+            raise ConfigError(f"head count {self.n_heads} must divide d={self.d} "
+                              f"(config keys reranker_heads and reranker_d)")
 
 
 class MetadataReranker:
@@ -206,67 +225,61 @@ class MetadataReranker:
         p["proj_b"] = ad.tensor(np.zeros(n_labels), requires_grad=True)
         return cls(n_labels, d_keys, hp, vocabs, p)
 
-    def embed_modalities(self, enc: Encounter) -> ad.Tensor:
-        """Σ over modalities; med/proc lists contribute their average."""
-        parts = []
-        for m, values in (("med", enc.meds), ("proc", enc.procs)):
-            if values:
-                rows = ad.embedding(self.params[f"{m}_emb"], [self.vocabs.row(m, v) for v in values])
-                parts.append(ad.scale(ad.tensor_sum(rows, axis=0), 1.0 / len(values)))
-        for m, value in (("doctor", enc.doctor), ("dept", enc.dept)):
-            rows = ad.embedding(self.params[f"{m}_emb"], [self.vocabs.row(m, value)])
-            parts.append(ad.tensor_sum(rows, axis=0))
-        total = parts[0]
-        for part in parts[1:]:
-            total = ad.add(total, part)
+    def embed_modalities(self, encs) -> ad.Tensor:
+        """(B, 1, d): per encounter, the sum over modalities of its embedding
+        rows; med/proc lists contribute their average, an empty list nothing.
+        A table no encounter of the batch uses stays out of the graph."""
+        total = None
+        for m in MODALITIES:
+            weights = np.zeros((len(encs), 1, len(getattr(self.vocabs, m)) + 1))
+            for b, enc in enumerate(encs):
+                values = {"med": enc.meds, "proc": enc.procs,
+                          "doctor": (enc.doctor,), "dept": (enc.dept,)}[m]
+                for v in values:
+                    weights[b, 0, self.vocabs.row(m, v)] += 1.0 / len(values)
+            if weights.any():
+                part = ad.matmul(ad.tensor(weights), self.params[f"{m}_emb"])
+                total = part if total is None else ad.add(total, part)
         return total
 
-    def _attend(self, side: str, queries: ad.Tensor, source: ad.Tensor,
-                mask: np.ndarray | None) -> ad.Tensor:
-        nh = self.hp.n_heads
-        return ad.multi_head_attention(
-            queries, source, source,
-            [self.params[f"{side}.h{h}.wq"] for h in range(nh)],
-            [self.params[f"{side}.h{h}.wk"] for h in range(nh)],
-            [self.params[f"{side}.h{h}.wv"] for h in range(nh)],
-            self.params[f"{side}.wo"],
-            mask=mask,
-        )
+    def _head(self, side: str, h: int, modalities: ad.Tensor, source: ad.Tensor,
+              mask: np.ndarray) -> ad.Tensor:
+        """Head h of one side's share of the residual, (B, N). Label n of row b
+        queries with label_emb[n] + m_b; the head's output would pass through
+        its rows of W_o and proj_w[n], both linear, so each source row is read
+        out through them first and the attention pools the read-out values."""
+        p, dh, wq = self.params, self.hp.d // self.hp.n_heads, self.params[f"{side}.h{h}.wq"]
+        keys = ad.scale(ad.matmul(source, p[f"{side}.h{h}.wk"]), 1.0 / math.sqrt(dh))
+        scores = ad.add(ad.matmul(keys, ad.transpose(ad.matmul(p["label_emb"], wq))),
+                        ad.matmul(keys, ad.transpose(ad.matmul(modalities, wq))))  # (B,S,N)
+        w_o = ad.embedding(p[f"{side}.wo"], np.arange(h * dh, (h + 1) * dh))
+        readout = ad.matmul(w_o, ad.transpose(p["proj_w"]))               # (dh,N)
+        values = ad.matmul(ad.matmul(source, p[f"{side}.h{h}.wv"]), readout)
+        return ad.attention_pool(scores, values, mask)
 
     def forward(self, base_probs: ad.Tensor, h_note: ad.Tensor, note_mask: np.ndarray,
-                h_aux: ad.Tensor | None, aux_mask: np.ndarray | None,
-                enc: Encounter) -> tuple[ad.Tensor, ad.Tensor]:
-        """Returns (clamped P_f, pre-clamp scores P' + P).
+                h_aux: ad.Tensor, aux_mask: np.ndarray,
+                encs) -> tuple[ad.Tensor, ad.Tensor]:
+        """Returns (clamped P_f, pre-clamp scores P' + P), each (B, N).
 
-        base_probs/h_note/h_aux must be constants (frozen base outputs).
-        h_aux of None or with no unmasked rows degrades the auxiliary
-        attention term to zero.
+        base_probs (B, N), h_note (B, T, d_keys) and h_aux (B, A, d_keys)
+        must be constants (frozen base outputs), zero where their masks are
+        False. A row without auxiliary tokens gets an auxiliary term of
+        exactly zero: it attends to one zero source row, read out as zero.
+        A batch without any leaves the attn_m parameters out of the graph.
         """
-        el = ad.add(self.params["label_emb"], self.embed_modalities(enc))
-        mixed = self._attend("attn_n", el, h_note, note_mask)
-        if h_aux is not None and aux_mask is not None and aux_mask.any():
-            mixed = ad.add(mixed, self._attend("attn_m", el, h_aux, aux_mask))
-        delta = ad.add(ad.tensor_sum(ad.mul(mixed, self.params["proj_w"]), axis=1),
-                       self.params["proj_b"])
+        sides = [("attn_n", h_note, note_mask)]
+        if aux_mask.any():
+            aux_mask = aux_mask.copy()
+            aux_mask[~aux_mask.any(axis=1), 0] = True
+            sides.append(("attn_m", h_aux, aux_mask))
+        modalities = self.embed_modalities(encs)
+        delta = self.params["proj_b"]
+        for side, source, mask in sides:
+            for h in range(self.hp.n_heads):
+                delta = ad.add(self._head(side, h, modalities, source, mask), delta)
         raw = ad.add(delta, base_probs)
         return ad.clamp01(raw), raw
-
-
-def frozen_base_outputs(base: BaseModel, note: TokenizedNote,
-                        aux_note: TokenizedNote | None):
-    """Evaluate the base model without recording gradients and return its
-    outputs as fresh constant tensors: (P, H, note mask, H_aux, aux mask)."""
-    with ad.no_grad():
-        probs, h, mask = base.forward(note)
-        h_aux = aux_mask = None
-        if aux_note is not None:
-            aux_mask = np.asarray([i != PAD_ID for i in aux_note.token_ids], dtype=bool)
-            if aux_mask.any():
-                h_aux_t, _ = base.encode(aux_note)
-                h_aux = ad.tensor(h_aux_t.data.copy())
-            else:
-                h_aux = aux_mask = None
-    return ad.tensor(probs.data.copy()), ad.tensor(h.data.copy()), mask, h_aux, aux_mask
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Optimization loops with dev-set early stopping, evaluation plumbing,
 reference baselines, and the training-data-fraction experiment.
 
-Training minimizes mean binary cross-entropy with per-example gradient
-graphs averaged over each mini-batch. After every epoch the dev split is
+Training minimizes mean binary cross-entropy over each mini-batch of
+notes, one padded (B, T) id matrix: one graph and one backward pass per
+batch. Scoring runs the same batched forward pass in fixed chunks of
+SCORE_CHUNK notes. After every epoch the dev split is
 scored; the parameters with the best dev Recall@5 win, where the untrained
 starting point counts as the epoch-0 candidate (for the zero-initialized
 reranker that candidate IS the base model, so a reranker can never leave
@@ -21,8 +23,10 @@ from . import autodiff as ad
 from .corpus import Encounter, LabelSpace
 from .errors import ConfigError, NumericError, ValidationError
 from .metrics import Predictions, mean_instance_f1, mean_recall_at_k
-from .model import BaseModel, MetadataReranker, frozen_base_outputs
+from .model import BaseModel, MetadataReranker, id_matrix, padded
 from .preprocess import PAD_ID, UNK_ID, TokenizedNote, Vocabulary, encounter_aux_text, tokenize
+
+SCORE_CHUNK = 32  # notes per no-grad scoring batch (dev scoring and evaluate)
 
 # --------------------------------------------------------------------------
 # configuration and history
@@ -173,11 +177,15 @@ def _first_visit_flags(notes) -> list[bool]:
     return flags
 
 
+def _targets(notes, labels: LabelSpace) -> np.ndarray:
+    return np.array([label_targets(n, labels) for n in notes],
+                    dtype=bool).reshape(len(notes), len(labels))
+
+
 def _predictions(probs, notes, labels: LabelSpace) -> Predictions:
     """One score row per note, with the notes' targets and context columns."""
     encs = [n.encounter for n in notes]
-    gt = np.array([label_targets(n, labels) for n in notes],
-                  dtype=bool).reshape(len(notes), len(labels))
+    gt = _targets(notes, labels)
     return Predictions(
         probs=np.array(probs, dtype=np.float64).reshape(gt.shape),
         gt=gt,
@@ -188,9 +196,57 @@ def _predictions(probs, notes, labels: LabelSpace) -> Predictions:
         encounters=encs)
 
 
+def _scored(score, n: int, width: int) -> np.ndarray:
+    """(n, width) rows of `score(idx)` over SCORE_CHUNK-sized chunks, no graph."""
+    with ad.no_grad():
+        return np.concatenate([np.empty((0, width))]
+                              + [score(np.arange(lo, min(lo + SCORE_CHUNK, n)))
+                                 for lo in range(0, n, SCORE_CHUNK)])
+
+
+def _base_probs(model: BaseModel, notes) -> np.ndarray:
+    return _scored(lambda idx: model.forward(id_matrix([notes[i] for i in idx]))[0].data,
+                   len(notes), model.n_labels)
+
+
 def predict_records(model: BaseModel, notes, labels: LabelSpace) -> Predictions:
     notes = list(notes)
-    return _predictions([model.predict_probs(n) for n in notes], notes, labels)
+    return _predictions(_base_probs(model, notes), notes, labels)
+
+
+class _FrozenBase:
+    """A frozen base model's outputs on a list of notes: P (n, N), and per
+    note its encoding H and that of its auxiliary text, trimmed to their
+    real positions. Computed once in scoring chunks, then padded per batch,
+    so a batch pads only to its own longest note."""
+
+    def __init__(self, base: BaseModel, notes, vocab: Vocabulary):
+        self.encs = [n.encounter for n in notes]
+        if any(e is None for e in self.encs):
+            raise ValidationError("note carries no encounter; reranker needs metadata")
+        aux = [tokenize(encounter_aux_text(e), vocab, encounter=e) for e in self.encs]
+        self.h, self.h_aux = [], []
+
+        def run(idx):
+            probs, h, mask = base.forward(id_matrix([notes[i] for i in idx]))
+            self.h += [row[m] for row, m in zip(h.data, mask)]
+            h_aux, aux_mask = base.encode(id_matrix([aux[i] for i in idx]))
+            self.h_aux += [row[m] for row, m in zip(h_aux.data, aux_mask)]
+            return probs.data
+
+        self.probs = _scored(run, len(notes), base.n_labels)
+
+    def forward(self, reranker: MetadataReranker, idx):
+        """The reranker's (clamped, raw) scores on the notes at `idx`."""
+        (h, h_mask), (aux, aux_mask) = (padded([rows[i] for i in idx], np.float64)
+                                        for rows in (self.h, self.h_aux))
+        return reranker.forward(ad.tensor(self.probs[idx]), ad.tensor(h), h_mask,
+                                ad.tensor(aux), aux_mask, [self.encs[i] for i in idx])
+
+    def reranked(self, reranker: MetadataReranker) -> np.ndarray:
+        """The reranker's pre-clamp scores on every note, (n, N)."""
+        return _scored(lambda idx: self.forward(reranker, idx)[1].data, len(self.encs),
+                       reranker.n_labels)
 
 
 def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes,
@@ -200,8 +256,8 @@ def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes,
     Ranking must use unclamped scores (no ties at the bounds); every decision
     threshold strictly inside (0,1) selects the same set either way.
     """
-    items = [_RerankItem.build(base, n, labels, vocab) for n in notes]
-    return _reranked_records(reranker, items, labels)
+    notes = list(notes)
+    return _predictions(_FrozenBase(base, notes, vocab).reranked(reranker), notes, labels)
 
 
 # --------------------------------------------------------------------------
@@ -209,29 +265,11 @@ def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes,
 # --------------------------------------------------------------------------
 
 
-def _batch_mean_grads(loss_of, items, epoch: int, batch_index: int):
-    """Mean loss and mean gradients over per-example graphs."""
-    total: dict = {}
-    loss_sum = 0.0
-    for item in items:
-        loss = loss_of(item)
-        loss_sum += float(loss.data)
-        for t, g in ad.backward(loss).items():
-            if t in total:
-                total[t] += g
-            else:
-                total[t] = g.copy()
-    mean_loss = loss_sum / len(items)
-    if not np.isfinite(mean_loss):
-        raise NumericError(f"non-finite training loss in batch {batch_index} "
-                           f"of epoch {epoch}")
-    inv = 1.0 / len(items)
-    return mean_loss, {t: g * inv for t, g in total.items()}
-
-
-def _fit(params: dict[str, ad.Tensor], items, loss_of, dev_scores, config: TrainConfig):
-    """The epoch loop shared by base and reranker training."""
-    if not items:
+def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
+         config: TrainConfig):
+    """The epoch loop shared by base and reranker training: `loss_of(idx)`
+    is the mean loss of the mini-batch of items at indices `idx`."""
+    if n_items == 0:
         raise ValidationError("training set is empty")
     if config.max_epochs == 0:
         return _snapshot(params), TrainHistory()
@@ -243,13 +281,15 @@ def _fit(params: dict[str, ad.Tensor], items, loss_of, dev_scores, config: Train
     history = []
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        order = rng.permutation(len(items))
+        order = rng.permutation(n_items)
         losses = []
-        for b, lo in enumerate(range(0, len(order), config.batch_size)):
-            batch = [items[i] for i in order[lo:lo + config.batch_size]]
-            loss, grads = _batch_mean_grads(loss_of, batch, epoch, b)
-            opt.step(grads)
-            losses.append(loss)
+        for b, lo in enumerate(range(0, n_items, config.batch_size)):
+            loss = loss_of(order[lo:lo + config.batch_size])
+            losses.append(float(loss.data))
+            if not np.isfinite(losses[-1]):
+                raise NumericError(f"non-finite training loss in batch {b} of epoch {epoch}")
+            opt.step(ad.backward(loss))
+            del loss  # free this batch's graph before the next one is built
         r5, if1 = dev_scores()
         history.append(EpochStats(epoch, float(np.mean(losses)), r5, if1,
                                   time.perf_counter() - started))
@@ -263,87 +303,53 @@ def _fit(params: dict[str, ad.Tensor], items, loss_of, dev_scores, config: Train
 
 
 # --------------------------------------------------------------------------
-# base-model training
+# base-model and reranker training
 # --------------------------------------------------------------------------
+
+
+def _train(params: dict[str, ad.Tensor], notes, dev_notes, labels: LabelSpace,
+           config: TrainConfig, probs_of, dev_probs):
+    """`probs_of(idx)` is the (B, N) probability tensor of the training notes
+    at `idx`, `dev_probs()` the score matrix of the dev notes."""
+    targets = _targets(notes, labels)
+
+    def dev_scores():
+        records = _predictions(dev_probs(), dev_notes, labels)
+        return (mean_recall_at_k(records, 5),
+                mean_instance_f1(records, config.decision_threshold))
+
+    return _fit(params, len(notes),
+                lambda idx: ad.bce_loss(probs_of(idx), ad.tensor(targets[idx])),
+                dev_scores, config)
+
+
+def _notes_and_dev(train_notes, dev_notes):
+    train_notes, dev_notes = list(train_notes), list(dev_notes)
+    if not dev_notes:
+        raise ValidationError("dev set is empty; early stopping needs one")
+    return train_notes, dev_notes
 
 
 def train(model: BaseModel, train_notes, dev_notes, labels: LabelSpace,
           config: TrainConfig):
     """Returns (best parameter snapshot, history); the model is left holding
     the snapshot."""
-    train_notes, dev_notes = list(train_notes), list(dev_notes)
-    if not dev_notes:
-        raise ValidationError("dev set is empty; early stopping needs one")
-    pairs = [(n, ad.tensor(label_targets(n, labels))) for n in train_notes]
-
-    def loss_of(pair):
-        note, y = pair
-        probs, _, _ = model.forward(note)
-        return ad.bce_loss(probs, y)
-
-    def dev_scores():
-        records = predict_records(model, dev_notes, labels)
-        return (mean_recall_at_k(records, 5),
-                mean_instance_f1(records, config.decision_threshold))
-
-    return _fit(model.params, pairs, loss_of, dev_scores, config)
-
-
-# --------------------------------------------------------------------------
-# reranker training over cached frozen-base outputs
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class _RerankItem:
-    outputs: tuple  # (P, H, note mask, H_aux, aux mask) as constants
-    enc: Encounter
-    y: np.ndarray
-    note: TokenizedNote
-
-    @classmethod
-    def build(cls, base: BaseModel, note: TokenizedNote, labels: LabelSpace,
-              vocab: Vocabulary) -> "_RerankItem":
-        enc = note.encounter
-        if enc is None:
-            raise ValidationError("note carries no encounter; reranker needs metadata")
-        aux = tokenize(encounter_aux_text(enc), vocab, encounter=enc)
-        outputs = frozen_base_outputs(base, note, aux)
-        return cls(outputs, enc, label_targets(note, labels), note)
-
-
-def _rerank_forward(reranker: MetadataReranker, item: _RerankItem):
-    p, h, mask, h_aux, aux_mask = item.outputs
-    return reranker.forward(p, h, mask, h_aux, aux_mask, item.enc)
-
-
-def _reranked_records(reranker: MetadataReranker, items, labels: LabelSpace) -> Predictions:
-    with ad.no_grad():
-        probs = [_rerank_forward(reranker, item)[1].data for item in items]
-    return _predictions(probs, [i.note for i in items], labels)
+    notes, dev_notes = _notes_and_dev(train_notes, dev_notes)
+    return _train(model.params, notes, dev_notes, labels, config,
+                  lambda idx: model.forward(id_matrix([notes[i] for i in idx]))[0],
+                  lambda: _base_probs(model, dev_notes))
 
 
 def train_reranker(base: BaseModel, reranker: MetadataReranker, train_notes,
                    dev_notes, labels: LabelSpace, vocab: Vocabulary,
                    config: TrainConfig):
-    """Optimizes only the reranker; base outputs are computed once and reused
-    every epoch (the frozen contract makes them constants)."""
-    train_notes, dev_notes = list(train_notes), list(dev_notes)
-    if not dev_notes:
-        raise ValidationError("dev set is empty; early stopping needs one")
-    items = [_RerankItem.build(base, n, labels, vocab) for n in train_notes]
-    dev_items = [_RerankItem.build(base, n, labels, vocab) for n in dev_notes]
-
-    def loss_of(item):
-        clamped, _ = _rerank_forward(reranker, item)
-        return ad.bce_loss(clamped, ad.tensor(item.y))
-
-    def dev_scores():
-        records = _reranked_records(reranker, dev_items, labels)
-        return (mean_recall_at_k(records, 5),
-                mean_instance_f1(records, config.decision_threshold))
-
-    return _fit(reranker.params, items, loss_of, dev_scores, config)
+    """Optimizes only the reranker over frozen base outputs, computed once
+    and reused every epoch (the frozen contract makes them constants)."""
+    notes, dev_notes = _notes_and_dev(train_notes, dev_notes)
+    frozen, dev_frozen = _FrozenBase(base, notes, vocab), _FrozenBase(base, dev_notes, vocab)
+    return _train(reranker.params, notes, dev_notes, labels, config,
+                  lambda idx: frozen.forward(reranker, idx)[0],
+                  lambda: dev_frozen.reranked(reranker))
 
 
 # --------------------------------------------------------------------------

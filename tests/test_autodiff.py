@@ -1,7 +1,5 @@
 """Numerics engine: forward oracles, gradient checks, determinism."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,32 +70,45 @@ def test_softmax_extreme_logits_stay_finite():
 
 def test_conv1d_same_padding_oracle():
     # single kernel of ones, width 3, over [1,2,3]: edges see zero padding
-    x = t([[1.0], [2.0], [3.0]])
+    x = t([[[1.0], [2.0], [3.0]]])
     k = t(np.ones((1, 3, 1)))
     b = t(np.zeros(1))
     out = ad.conv1d(x, k, b).data
-    np.testing.assert_array_equal(out, [[3.0], [6.0], [5.0]])
+    np.testing.assert_array_equal(out, [[[3.0], [6.0], [5.0]]])
 
 
 def test_conv1d_even_width_rejected():
     with pytest.raises(ShapeError):
-        ad.conv1d(t(np.ones((4, 2))), t(np.ones((1, 4, 2))), t(np.zeros(1)))
+        ad.conv1d(t(np.ones((1, 4, 2))), t(np.ones((1, 4, 2))), t(np.zeros(1)))
 
 
 def test_conv1d_matches_direct_dense_computation():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(6, 3))
+    x = rng.normal(size=(2, 6, 3))
     k = rng.normal(size=(2, 3, 3))
     b = rng.normal(size=2)
     out = ad.conv1d(t(x), t(k), t(b)).data
-    xp = np.zeros((8, 3))
-    xp[1:7] = x
-    want = np.empty((6, 2))
-    for i in range(6):
-        window = xp[i : i + 3]  # (w, d_e)
-        for c in range(2):
-            want[i, c] = (window * k[c]).sum() + b[c]
-    np.testing.assert_allclose(out, want, atol=1e-12)
+    for row in range(2):
+        xp = np.zeros((8, 3))
+        xp[1:7] = x[row]
+        want = np.empty((6, 2))
+        for i in range(6):
+            window = xp[i : i + 3]  # (w, d_e)
+            for c in range(2):
+                want[i, c] = (window * k[c]).sum() + b[c]
+        np.testing.assert_allclose(out[row], want, atol=1e-12)
+
+
+def test_conv1d_zero_rows_leave_a_row_as_if_alone():
+    # a short row zero-padded to the batch's length convolves as it would alone
+    rng = np.random.default_rng(8)
+    k, b = t(rng.normal(size=(2, 5, 3))), t(rng.normal(size=2))
+    short, long = rng.normal(size=(3, 3)), rng.normal(size=(7, 3))
+    batch = np.zeros((2, 7, 3))
+    batch[0, :3], batch[1] = short, long
+    out = ad.conv1d(t(batch), k, b).data
+    np.testing.assert_allclose(out[0, :3], ad.conv1d(t(short[None]), k, b).data[0], atol=1e-12)
+    np.testing.assert_allclose(out[1], ad.conv1d(t(long[None]), k, b).data[0], atol=1e-12)
 
 
 def test_bce_reference_value():
@@ -129,6 +140,22 @@ def test_embedding_rejects_out_of_range_id():
         ad.embedding(t(np.zeros((3, 2))), [3])
 
 
+def test_embedding_error_lists_only_the_bad_ids():
+    ids = np.full((64, 40), 2)
+    ids[5, 7], ids[9, 1] = 7, -1
+    with pytest.raises(ContractError) as info:
+        ad.embedding(t(np.zeros((3, 2))), ids)
+    assert "[-1, 7]" in str(info.value) and len(str(info.value)) < 80
+
+
+def test_embedding_of_an_id_matrix_scatters_back():
+    table = t(np.arange(8.0).reshape(4, 2), grad=True)
+    out = ad.embedding(table, np.array([[1, 3], [1, 0]]))
+    assert out.shape == (2, 2, 2)
+    grads = ad.backward(ad.tensor_sum(out))
+    np.testing.assert_array_equal(grads[table], [[1, 1], [2, 2], [0, 0], [1, 1]])
+
+
 def test_clamp01_values_and_gradient_gate():
     x = t([-0.5, 0.25, 1.5], grad=True)
     out = ad.clamp01(x)
@@ -147,6 +174,43 @@ def test_sum_axes():
 def test_matmul_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 1))))
+
+
+def test_softmax_batch_mask_and_empty_row():
+    mask = np.array([[True, False, True], [False, True, False]])
+    scores = np.arange(12.0).reshape(2, 3, 2)
+    out = ad.softmax(t(scores), axis=1, mask=mask).data
+    assert (out[0, 1] == 0).all() and (out[1, [0, 2]] == 0).all()
+    np.testing.assert_array_equal(out[1, 1], [1.0, 1.0])
+    np.testing.assert_allclose(out[0, [0, 2]], ad.softmax(t(scores[0, [0, 2]]), axis=0).data,
+                               atol=1e-15)
+    mask[1] = False
+    with pytest.raises(EmptySourceError):
+        ad.softmax(t(scores), axis=1, mask=mask)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 3, 4), (4,)), ((2, 3, 4), (2, 3, 1)), ((2, 3, 4), (3, 1)), ((2, 3, 4), (1, 1, 4)),
+])
+def test_broadcast_add_mul_gradients(a_shape, b_shape):
+    rng = np.random.default_rng(17)
+    a, b = t(rng.normal(size=a_shape), grad=True), t(rng.normal(size=b_shape), grad=True)
+    for op in (ad.add, ad.mul):
+        assert ad.grad_check(lambda a_, b_: ad.tensor_sum(ad.tanh(op(a_, b_))), [a, b]) < GC_TOL
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 1)), ((3, 4), (4, 5)),
+])
+def test_batched_matmul_gradients(a_shape, b_shape):
+    rng = np.random.default_rng(19)
+    a, b = t(rng.normal(size=a_shape), grad=True), t(rng.normal(size=b_shape), grad=True)
+    got = ad.matmul(a, b)
+    np.testing.assert_allclose(got.data, a.data @ b.data, atol=1e-12)
+    assert ad.grad_check(lambda a_, b_: ad.tensor_sum(ad.tanh(ad.matmul(a_, b_))),
+                         [a, b]) < GC_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +243,7 @@ def test_no_grad_suppresses_graph():
     x = t([1.0, 2.0], grad=True)
     with ad.no_grad():
         y = ad.scale(x, 3.0)
-    assert y.is_leaf and y.parents == ()
+    assert y.op is None and y.parents == ()
 
 
 def test_constants_get_no_gradient_entry():
@@ -196,15 +260,10 @@ def test_constants_get_no_gradient_entry():
 
 def test_attention_is_bitwise_deterministic():
     rng = np.random.default_rng(11)
-    d, dh, s = 4, 2, 3
-    q = t(rng.normal(size=(2, d)))
-    kv = t(rng.normal(size=(s, d)))
-    wq = [t(rng.normal(size=(d, dh)), grad=True) for _ in range(2)]
-    wk = [t(rng.normal(size=(d, dh)), grad=True) for _ in range(2)]
-    wv = [t(rng.normal(size=(d, dh)), grad=True) for _ in range(2)]
-    wo = t(rng.normal(size=(2 * dh, d)), grad=True)
-    first = ad.multi_head_attention(q, kv, kv, wq, wk, wv, wo)
-    second = ad.multi_head_attention(q, kv, kv, wq, wk, wv, wo)
+    scores, values = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 3, 4)))
+    mask = np.array([[True, True, False], [True, True, True]])
+    first = ad.attention_pool(scores, values, mask)
+    second = ad.attention_pool(scores, values, mask)
     assert first.data.tobytes() == second.data.tobytes()
 
 
@@ -214,38 +273,29 @@ def test_attention_is_bitwise_deterministic():
 
 
 def test_attention_empty_source_raises():
-    d = 4
-    q = t(np.ones((2, d)))
-    empty = t(np.zeros((0, d)))
-    ws = [t(np.ones((d, 2)))]
+    scores = t(np.ones((2, 3, 4)))
     with pytest.raises(EmptySourceError):
-        ad.multi_head_attention(q, empty, empty, ws, ws, ws, t(np.ones((2, d))))
+        ad.attention_pool(scores, scores, np.array([[True, False, False], [False] * 3]))
 
 
 def test_attention_single_source_row_copies_value():
-    # with one source row the softmax is 1, output = v W_v W_o exactly
+    # with one unmasked position the softmax is 1, output = that position's values
     rng = np.random.default_rng(5)
-    d, dh = 3, 3
-    q = t(rng.normal(size=(2, d)))
-    kv = t(rng.normal(size=(1, d)))
-    wq = [t(rng.normal(size=(d, dh)))]
-    wk = [t(rng.normal(size=(d, dh)))]
-    wv = [t(rng.normal(size=(d, dh)))]
-    wo = t(rng.normal(size=(dh, d)))
-    out = ad.multi_head_attention(q, kv, kv, wq, wk, wv, wo).data
-    want = (kv.data @ wv[0].data) @ wo.data
-    np.testing.assert_allclose(out, np.vstack([want, want]), atol=1e-12)
+    scores, values = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 3, 4)))
+    mask = np.array([[False, True, False], [True, False, False]])
+    out = ad.attention_pool(scores, values, mask).data
+    np.testing.assert_array_equal(out, [values.data[0, 1], values.data[1, 0]])
 
 
 def test_attention_rows_are_convex_mixtures():
     rng = np.random.default_rng(9)
-    d, s = 4, 5
-    q = t(rng.normal(size=(3, d)))
-    kv = t(rng.normal(size=(s, d)))
-    eye = [t(np.eye(d))]
-    out = ad.multi_head_attention(q, kv, kv, eye, eye, eye, t(np.eye(d))).data
-    lo, hi = kv.data.min(axis=0), kv.data.max(axis=0)
-    assert (out >= lo - 1e-9).all() and (out <= hi + 1e-9).all()
+    scores, values = t(rng.normal(size=(3, 5, 4)) * 3), t(rng.normal(size=(3, 5, 4)))
+    mask = rng.uniform(size=(3, 5)) < 0.7
+    mask[:, 0] = True
+    out = ad.attention_pool(scores, values, mask).data
+    real = np.where(mask[..., None], values.data, np.nan)
+    assert (out >= np.nanmin(real, axis=1) - 1e-12).all()
+    assert (out <= np.nanmax(real, axis=1) + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +322,13 @@ def test_grad_check_dense_chain(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_check_conv_tanh_softmax(seed):
     rng = np.random.default_rng(100 + seed)
-    x = t(rng.normal(size=(5, 3)), grad=True)
+    x = t(rng.normal(size=(2, 5, 3)), grad=True)
     k = t(rng.normal(size=(2, 3, 3)) * 0.5, grad=True)
     b = t(rng.normal(size=2), grad=True)
 
     def f(x_, k_, b_):
         h = ad.tanh(ad.conv1d(x_, k_, b_))
-        a = ad.softmax(h, axis=0)
+        a = ad.softmax(h, axis=1)
         return ad.tensor_sum(ad.mul(a, h))
 
     assert ad.grad_check(f, [x, k, b]) < GC_TOL
@@ -303,22 +353,16 @@ def test_grad_check_masked_softmax_and_embedding(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_check_attention(seed):
     rng = np.random.default_rng(300 + seed)
-    d, dh, s, n = 4, 2, 3, 2
-    q = t(rng.normal(size=(n, d)), grad=True)
-    kv = t(rng.normal(size=(s, d)), grad=True)
-    wq = [t(rng.normal(size=(d, dh)), grad=True) for _ in range(2)]
-    wk = [t(rng.normal(size=(d, dh)), grad=True) for _ in range(2)]
-    wv = [t(rng.normal(size=(d, dh)), grad=True) for _ in range(2)]
-    wo = t(rng.normal(size=(2 * dh, d)), grad=True)
-    y = t(rng.integers(0, 2, size=(n, d)).astype(float))
+    scores = t(rng.normal(size=(2, 4, 3)), grad=True)
+    values = t(rng.normal(size=(2, 4, 3)), grad=True)
+    mask = np.array([[True, True, False, False], [True, True, True, True]])
+    y = t(rng.integers(0, 2, size=(2, 3)).astype(float))
 
-    def f(q_, kv_, *ws):
-        wq_, wk_, wv_, wo_ = list(ws[0:2]), list(ws[2:4]), list(ws[4:6]), ws[6]
-        out = ad.multi_head_attention(q_, kv_, kv_, wq_, wk_, wv_, wo_)
-        return ad.bce_loss(ad.sigmoid(out), y)
+    def f(s_, v_):
+        return ad.bce_loss(ad.sigmoid(ad.attention_pool(s_, v_, mask)), y)
 
     # wider step: near-zero coordinates make eps=1e-5 round-off dominated
-    assert ad.grad_check(f, [q, kv, *wq, *wk, *wv, wo], eps=1e-4) < GC_TOL
+    assert ad.grad_check(f, [scores, values], eps=1e-4) < GC_TOL
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -6,12 +6,16 @@ tests then inspect its artifacts. Exit-code tests run tiny one-off commands.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icdlab
 from icdlab.cli import load_isotonic, main, read_prediction_records
 from icdlab.config import config_sha256, parse_config
 from icdlab.corpus import LabelSpace, read_encounters
@@ -225,6 +229,50 @@ def test_gen_corpus_deterministic_given_config(pipeline, tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+# default model widths, so the batched GEMMs are large enough for OpenBLAS to
+# split them across threads
+BLAS_CFG = """\
+seed = 5
+n_patients = 60
+n_dev_patients = 10
+n_test_patients = 10
+min_code_count = 1
+learning_rate = 0.005
+max_epochs = 1
+patience = 1
+reranker_max_epochs = 1
+reranker_patience = 1
+"""
+
+TRAIN_BOTH = """\
+import sys
+from icdlab.cli import main
+cfg, prep, out = sys.argv[1:]
+assert main(["train", "--config", cfg, "--in", prep, "--out", out + "/model"]) == 0
+assert main(["train-reranker", "--config", cfg, "--in", prep, "--base", out + "/model",
+             "--out", out + "/reranker"]) == 0
+"""
+
+
+def test_checkpoints_identical_across_blas_thread_counts(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BLAS_CFG, encoding="utf-8")
+    assert main(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
+    assert main(["preprocess", "--config", str(cfg), "--in", str(tmp_path / "corpus"),
+                 "--out", str(tmp_path / "prep")]) == 0
+    src = str(Path(icdlab.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", TRAIN_BOTH, str(cfg), str(tmp_path / "prep"),
+                        str(out)], env=env, check=True, capture_output=True)
+        digests.append([_sha(out / "model" / "model.ckpt"),
+                        _sha(out / "reranker" / "reranker.ckpt")])
+    assert digests[0] == digests[1]
+
+
 # --------------------------------------------------------------------------
 # exit codes
 # --------------------------------------------------------------------------
@@ -313,6 +361,20 @@ def test_malformed_json_artifact_exits_with_one_error_line(pipeline, tmp_path, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert name in err[0]
+
+
+def test_non_ascii_checkpoint_header_exits_with_one_error_line(pipeline, tmp_path, capsys):
+    model2 = tmp_path / "model2"
+    shutil.copytree(pipeline["model"], model2)
+    raw = bytearray((model2 / "model.ckpt").read_bytes())
+    raw[3] = 0xFF
+    (model2 / "model.ckpt").write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(pipeline["cfg"]), "--in", str(pipeline["prep"]),
+                 "--model", str(model2), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert "model.ckpt" in err[0]
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

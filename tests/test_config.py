@@ -112,6 +112,7 @@ def test_float_field_accepts_int_literal():
     ("n_test_patients = -1", "n_test_patients"),
     ("kernel_width = 4", "kernel_width"),
     ("reranker_heads = 3", "head count 3"),
+    ("reranker_heads = 3", "reranker_heads and reranker_d"),
     ("dedup_scope = sometimes", "dedup scope"),
     ("fractions = 0.5,half", "fractions"),
 ])

@@ -15,17 +15,19 @@ from icdlab.model import (
     MetadataReranker,
     ModalityVocabs,
     RerankerHParams,
-    frozen_base_outputs,
+    id_matrix,
     load_base_model,
     load_reranker,
     save_base_model,
     save_reranker,
 )
-from icdlab.preprocess import TokenizedNote
+from icdlab.preprocess import TokenizedNote, Vocabulary, tokenize
+from icdlab.train import _FrozenBase
 
 
 def note(ids):
-    return TokenizedNote(tuple(ids))
+    """A batch of one note."""
+    return id_matrix([TokenizedNote(tuple(ids))])
 
 
 def softmax_cols(scores, mask=None):
@@ -52,7 +54,7 @@ def test_zero_kernels_give_zero_encoding():
     m.params["conv_w"].data[:] = 0.0
     m.params["conv_b"].data[:] = 0.0
     h, mask = m.encode(note([2, 3, 4]))
-    np.testing.assert_array_equal(h.data, np.zeros((3, 5)))
+    np.testing.assert_array_equal(h.data, np.zeros((1, 3, 5)))
     assert mask.all()
 
 
@@ -69,7 +71,7 @@ def test_encoder_matches_manual_convolution():
     for t in range(len(ids)):
         for c in range(k.shape[0]):
             want[t, c] = (xp[t : t + 3] * k[c]).sum() + b[c]
-    np.testing.assert_allclose(h.data, np.tanh(want), atol=1e-12)
+    np.testing.assert_allclose(h.data[0], np.tanh(want), atol=1e-12)
 
 
 def test_out_of_range_token_rejected():
@@ -81,6 +83,9 @@ def test_all_padding_note_raises_empty_source():
     m = toy_model("caml")
     with pytest.raises(EmptySourceError):
         m.forward(note([0]))
+    # one all-padding row fails its whole batch
+    with pytest.raises(EmptySourceError):
+        m.forward(id_matrix([TokenizedNote((2, 3)), TokenizedNote((0,))]))
 
 
 def test_even_kernel_width_rejected():
@@ -97,24 +102,24 @@ def test_caml_forward_matches_numpy_oracle():
     m = toy_model("caml", seed=7)
     ids = [2, 3, 4, 5]
     p, h, mask = m.forward(note(ids))
-    H = h.data
+    H = h.data[0]
     U = m.params["attn_u"].data
-    A = softmax_cols(H @ U.T, mask)
+    A = softmax_cols(H @ U.T, mask[0])
     V = A.T @ H
     logits = (V * m.params["out_w"].data).sum(axis=1) + m.params["out_b"].data
-    np.testing.assert_allclose(p.data, 1 / (1 + np.exp(-logits)), atol=1e-12)
+    np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
 
 
 def test_laat_forward_matches_numpy_oracle():
     m = toy_model("laat", seed=9)
     ids = [3, 2, 5]
     p, h, mask = m.forward(note(ids))
-    H = h.data
+    H = h.data[0]
     Z = np.tanh(H @ m.params["laat_w"].data.T)
-    A = softmax_cols(Z @ m.params["laat_u"].data.T, mask)
+    A = softmax_cols(Z @ m.params["laat_u"].data.T, mask[0])
     V = A.T @ H
     logits = (V * m.params["out_w"].data).sum(axis=1) + m.params["out_b"].data
-    np.testing.assert_allclose(p.data, 1 / (1 + np.exp(-logits)), atol=1e-12)
+    np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
 
 
 def test_single_position_attention_copies_row():
@@ -122,9 +127,9 @@ def test_single_position_attention_copies_row():
     for arch in ("caml", "laat"):
         m = toy_model(arch, seed=5)
         p, h, _ = m.forward(note([4]))
-        logits = (np.tile(h.data[0], (3, 1)) * m.params["out_w"].data).sum(axis=1) \
+        logits = (np.tile(h.data[0, 0], (3, 1)) * m.params["out_w"].data).sum(axis=1) \
             + m.params["out_b"].data
-        np.testing.assert_allclose(p.data, 1 / (1 + np.exp(-logits)), atol=1e-12)
+        np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
 
 
 def test_zero_attention_params_give_uniform_attention():
@@ -132,9 +137,9 @@ def test_zero_attention_params_give_uniform_attention():
     m.params["attn_u"].data[:] = 0.0
     _, h, mask = m.forward(note([2, 3, 4]))
     p, _, _ = m.forward(note([2, 3, 4]))
-    v = h.data.mean(axis=0)
+    v = h.data[0].mean(axis=0)
     logits = (np.tile(v, (3, 1)) * m.params["out_w"].data).sum(axis=1) + m.params["out_b"].data
-    np.testing.assert_allclose(p.data, 1 / (1 + np.exp(-logits)), atol=1e-12)
+    np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
 
 
 def test_caml_bag_of_positions_invariance_for_width_one():
@@ -167,7 +172,36 @@ def test_base_model_grad_check(arch):
     tensors = [m.params[n] for n in names]
 
     def f(*ts):
-        return ad.bce_loss(m.forward(note(ids))[0], y)
+        return ad.bce_loss(m.forward(note(ids))[0], ad.tensor(y.data[None]))
+
+    assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
+
+
+MIXED = [(2, 3, 4, 5, 2), (4,), (5, 3), (3, 2, 2, 4)]  # lengths 5, 1, 2, 4
+
+
+@pytest.mark.parametrize("arch", ["caml", "laat"])
+def test_padded_batch_rows_equal_notes_alone(arch):
+    m = toy_model(arch, seed=25)
+    notes = [TokenizedNote(ids) for ids in MIXED]
+    p, h, mask = m.forward(id_matrix(notes))
+    assert p.shape == (4, 3) and h.shape == (4, 5, 5)
+    assert mask.sum(axis=1).tolist() == [5, 1, 2, 4]
+    for i, n in enumerate(notes):
+        p1, h1, _ = m.forward(id_matrix([n]))
+        np.testing.assert_allclose(p.data[i], p1.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.data[i, :len(n.token_ids)], h1.data[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["caml", "laat"])
+def test_padded_batch_grad_check(arch):
+    m = toy_model(arch, seed=27)
+    ids = id_matrix([TokenizedNote(x) for x in MIXED])
+    y = ad.tensor(np.random.default_rng(2).integers(0, 2, size=(4, 3)).astype(float))
+    tensors = [m.params[n] for n in sorted(m.params)]
+
+    def f(*ts):
+        return ad.bce_loss(m.forward(ids)[0], y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -188,23 +222,30 @@ def toy_reranker(n_labels=2, d=4, d_keys=5, seed=31, meds=("M1", "M2")):
     return MetadataReranker.init(n_labels, d_keys, vocabs, hp, seed=seed)
 
 
+NO_AUX = (ad.tensor(np.zeros((1, 1, 5))), np.zeros((1, 1), bool))
+
+
 def test_zero_projection_is_exact_residual():
     rr = toy_reranker()
-    base_p = ad.tensor(np.array([0.3, 0.8]))
-    h = ad.tensor(np.random.default_rng(0).normal(size=(4, 5)))
-    pf, raw = rr.forward(base_p, h, np.ones(4, bool), None, None, make_enc())
+    base_p = ad.tensor(np.array([[0.3, 0.8]]))
+    h = ad.tensor(np.random.default_rng(0).normal(size=(1, 4, 5)))
+    pf, raw = rr.forward(base_p, h, np.ones((1, 4), bool), *NO_AUX, [make_enc()])
     assert raw.data.tobytes() == base_p.data.tobytes()
     assert pf.data.tobytes() == base_p.data.tobytes()
+
+
+def modality_vector(rr, enc):
+    return rr.embed_modalities([enc]).data[0, 0]
 
 
 def test_modality_average_of_duplicate_med():
     rr = toy_reranker()
     e1 = rr.params["med_emb"].data[rr.vocabs.row("med", "M1")]
     enc = make_enc(meds=("M1", "M1"))
-    vec = rr.embed_modalities(enc).data
+    vec = modality_vector(rr, enc)
     enc_single = make_enc(meds=("M1",))
-    np.testing.assert_allclose(vec, rr.embed_modalities(enc_single).data, atol=1e-12)
-    base = rr.embed_modalities(make_enc()).data
+    np.testing.assert_allclose(vec, modality_vector(rr, enc_single), atol=1e-12)
+    base = modality_vector(rr, make_enc())
     np.testing.assert_allclose(vec - base, e1, atol=1e-12)
 
 
@@ -212,15 +253,24 @@ def test_modality_mean_of_two_meds():
     rr = toy_reranker()
     e1 = rr.params["med_emb"].data[rr.vocabs.row("med", "M1")]
     e2 = rr.params["med_emb"].data[rr.vocabs.row("med", "M2")]
-    both = rr.embed_modalities(make_enc(meds=("M1", "M2"))).data
-    none = rr.embed_modalities(make_enc()).data
+    both = modality_vector(rr, make_enc(meds=("M1", "M2")))
+    none = modality_vector(rr, make_enc())
     np.testing.assert_allclose(both - none, (e1 + e2) / 2.0, atol=1e-12)
 
 
 def test_unknown_metadata_maps_to_zero_rows():
     rr = toy_reranker()
-    vec = rr.embed_modalities(make_enc(doctor="DRX", dept="DX")).data
+    vec = modality_vector(rr, make_enc(doctor="DRX", dept="DX"))
     np.testing.assert_array_equal(vec, np.zeros(4))
+
+
+def test_modality_rows_of_a_batch_are_per_encounter():
+    rr = toy_reranker()
+    encs = [make_enc(meds=("M1", "M2")), make_enc(), make_enc(procs=("R1",), dept="DX")]
+    rows = rr.embed_modalities(encs).data
+    assert rows.shape == (3, 1, 4)
+    for row, enc in zip(rows, encs):
+        np.testing.assert_allclose(row[0], modality_vector(rr, enc), rtol=0, atol=1e-15)
 
 
 def test_reranker_forward_matches_numpy_oracle():
@@ -233,8 +283,8 @@ def test_reranker_forward_matches_numpy_oracle():
     Ha = rng.normal(size=(2, 5))
     enc = make_enc(meds=("M1",), procs=("R1",))
 
-    pf, raw = rr.forward(ad.tensor(base_p), ad.tensor(Hn), np.ones(3, bool),
-                         ad.tensor(Ha), np.ones(2, bool), enc)
+    pf, raw = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn[None]), np.ones((1, 3), bool),
+                         ad.tensor(Ha[None]), np.ones((1, 2), bool), [enc])
 
     # independent recomputation with plain numpy
     P = rr.params
@@ -257,52 +307,74 @@ def test_reranker_forward_matches_numpy_oracle():
 
     mixed = attn("attn_n", Hn) + attn("attn_m", Ha)
     want_raw = (mixed * P["proj_w"].data).sum(axis=1) + P["proj_b"].data + base_p
-    np.testing.assert_allclose(raw.data, want_raw, atol=1e-10)
-    np.testing.assert_allclose(pf.data, np.clip(want_raw, 0, 1), atol=1e-10)
+    np.testing.assert_allclose(raw.data[0], want_raw, atol=1e-10)
+    np.testing.assert_allclose(pf.data[0], np.clip(want_raw, 0, 1), atol=1e-10)
 
 
 def test_missing_aux_encoding_drops_attn_m_term():
     rr = toy_reranker(seed=43)
     rr.params["proj_w"].data[:] = 0.5
-    base_p = ad.tensor(np.array([0.5, 0.5]))
-    h = ad.tensor(np.random.default_rng(3).normal(size=(3, 5)))
+    base_p = ad.tensor(np.array([[0.5, 0.5]]))
+    h = ad.tensor(np.random.default_rng(3).normal(size=(1, 3, 5)))
+    note_mask = np.ones((1, 3), bool)
     enc = make_enc()
-    pf_none, _ = rr.forward(base_p, h, np.ones(3, bool), None, None, enc)
-    # all-masked aux behaves identically to absent aux
-    pf_masked, _ = rr.forward(base_p, h, np.ones(3, bool),
-                              ad.tensor(np.zeros((2, 5))), np.zeros(2, bool), enc)
+    pf_masked, _ = rr.forward(base_p, h, note_mask, ad.tensor(np.zeros((1, 2, 5))),
+                              np.zeros((1, 2), bool), [enc])
+    # an all-masked aux row behaves exactly as a reranker with no attn_m output
+    rr.params["attn_m.wo"].data[:] = 0.0
+    pf_none, _ = rr.forward(base_p, h, note_mask, *NO_AUX, [enc])
     np.testing.assert_array_equal(pf_none.data, pf_masked.data)
+
+
+def test_parameters_a_batch_does_not_use_get_no_gradient():
+    # as with one graph per note, Adam must skip what no note of the batch
+    # reached: the aux attention without aux tokens, a table with no entries
+    rr = toy_reranker(seed=45)
+    rr.params["proj_w"].data[:] = 0.3
+    h = ad.tensor(np.random.default_rng(6).normal(size=(2, 3, 5)))
+    pf, _ = rr.forward(ad.tensor(np.full((2, 2), 0.5)), h, np.ones((2, 3), bool),
+                       ad.tensor(np.zeros((2, 1, 5))), np.zeros((2, 1), bool),
+                       [make_enc(), make_enc(procs=("R1",))])
+    grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 2)))))
+    unused = [rr.params[k] for k in rr.params if k.startswith("attn_m") or k == "med_emb"]
+    assert unused and not any(t in grads for t in unused)
+    assert rr.params["proc_emb"] in grads and rr.params["attn_n.wo"] in grads
 
 
 def test_reranker_grad_check():
     rr = toy_reranker(seed=47)
     rng = np.random.default_rng(5)
     rr.params["proj_w"].data[:] = rng.normal(size=(2, 4)) * 0.3
-    base_p = ad.tensor(np.full(2, 0.5))
-    h = ad.tensor(rng.normal(size=(3, 5)))
-    ha = ad.tensor(rng.normal(size=(2, 5)))
+    base_p = ad.tensor(np.full((1, 2), 0.5))
+    h = ad.tensor(rng.normal(size=(1, 3, 5)))
+    ha = ad.tensor(rng.normal(size=(1, 2, 5)))
     enc = make_enc(meds=("M1",))
-    y = ad.tensor(np.array([1.0, 0.0]))
+    y = ad.tensor(np.array([[1.0, 0.0]]))
     names = sorted(rr.params)
     tensors = [rr.params[n] for n in names]
 
     def f(*ts):
-        pf, _ = rr.forward(base_p, h, np.ones(3, bool), ha, np.ones(2, bool), enc)
+        pf, _ = rr.forward(base_p, h, np.ones((1, 3), bool), ha, np.ones((1, 2), bool), [enc])
         return ad.bce_loss(pf, y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
+
+
+# the toy base models read ids 0..5: padding, unknown and these four tokens
+TOY_VOCAB = Vocabulary(("a", "b", "c", "d"))
+
+
+def frozen_notes(texts_and_encs):
+    return [tokenize(text, TOY_VOCAB, encounter=enc) for text, enc in texts_and_encs]
 
 
 def test_frozen_base_gets_no_gradient():
     base = toy_model("caml", seed=51)
     rr = toy_reranker(n_labels=3, d=4, d_keys=5, seed=53)
     rr.params["proj_w"].data[:] = 0.2
-    enc = make_enc(meds=("M1",))
-    n = note([2, 3, 4])
-    aux = note([2])
-    p_c, h_c, mask, ha_c, am = frozen_base_outputs(base, n, aux)
-    pf, _ = rr.forward(p_c, h_c, mask, ha_c, am, enc)
-    grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.array([1.0, 0.0, 1.0]))))
+    frozen = _FrozenBase(base, frozen_notes([("a b c", make_enc(meds=("M1",)))]), TOY_VOCAB)
+    pf, _ = frozen.forward(rr, np.arange(1))
+    grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.array([[1.0, 0.0, 1.0]]))))
     for t in base.params.values():
         assert t not in grads
     assert rr.params["proj_w"] in grads
@@ -311,8 +383,43 @@ def test_frozen_base_gets_no_gradient():
 
 def test_frozen_outputs_all_pad_aux_is_none():
     base = toy_model("caml", seed=55)
-    _, _, _, ha, am = frozen_base_outputs(base, note([2, 3]), note([0]))
-    assert ha is None and am is None
+    frozen = _FrozenBase(base, frozen_notes([("a b", make_enc())]), TOY_VOCAB)
+    assert frozen.h_aux[0].shape == (0, 5) and frozen.h[0].shape == (2, 5)
+
+
+MIXED_ENCOUNTERS = [("a b c d a", make_enc(meds=("M1", "M2"))), ("b", make_enc()),
+                    ("c a", make_enc(procs=("R1",), dept="DX")), ("d d b c", make_enc())]
+
+
+def reranker_on_mixed_batch(seed):
+    base = toy_model("laat", seed=seed)
+    rr = toy_reranker(n_labels=3, d=4, d_keys=5, seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    rr.params["proj_w"].data[:] = rng.normal(size=(3, 4)) * 0.3
+    rr.params["proj_b"].data[:] = rng.normal(size=3) * 0.05
+    return rr, _FrozenBase(base, frozen_notes(MIXED_ENCOUNTERS), TOY_VOCAB)
+
+
+def test_reranker_padded_batch_rows_equal_notes_alone():
+    rr, frozen = reranker_on_mixed_batch(57)
+    assert [len(h) for h in frozen.h] == [5, 1, 2, 4]
+    assert [len(h) for h in frozen.h_aux] == [2, 0, 1, 0]  # "m1 m2" and "r1" are unknown
+    pf, raw = frozen.forward(rr, np.arange(4))
+    for i in range(4):
+        pf1, raw1 = frozen.forward(rr, np.array([i]))
+        np.testing.assert_allclose(raw.data[i], raw1.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pf.data[i], pf1.data[0], rtol=0, atol=1e-12)
+
+
+def test_reranker_padded_batch_grad_check():
+    rr, frozen = reranker_on_mixed_batch(59)
+    y = ad.tensor(np.random.default_rng(4).integers(0, 2, size=(4, 3)).astype(float))
+    tensors = [rr.params[n] for n in sorted(rr.params)]
+
+    def f(*ts):
+        return ad.bce_loss(frozen.forward(rr, np.arange(4))[0], y)
+
+    assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
 
 # ---------------------------------------------------------------------------

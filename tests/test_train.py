@@ -12,13 +12,13 @@ from icdlab import autodiff as ad
 from icdlab.corpus import Encounter, LabelSpace
 from icdlab.errors import ConfigError, NumericError, ValidationError
 from icdlab.metrics import mean_recall_at_k
-from icdlab.model import BaseHParams, BaseModel, MetadataReranker, ModalityVocabs, RerankerHParams
+from icdlab.model import (BaseHParams, BaseModel, MetadataReranker, ModalityVocabs,
+                          RerankerHParams, id_matrix)
 from icdlab.preprocess import TokenizedNote, Vocabulary, tokenize
 from icdlab.train import (
     Adam,
     TrainConfig,
     TrainHistory,
-    _batch_mean_grads,
     _fit,
     data_fraction_experiment,
     fraction_csv,
@@ -108,29 +108,40 @@ def test_adam_skips_untouched_params():
     assert u.data[0] == 5.0
 
 
+def batch_loss(model, notes):
+    """Mean BCE of one padded batch of notes."""
+    probs, _, _ = model.forward(id_matrix(notes))
+    return ad.bce_loss(probs, ad.tensor(np.array([label_targets(n, LABELS) for n in notes])))
+
+
 def test_single_step_decreases_batch_loss():
     # line-search probe: a small step along Adam's direction must help
     model = toy_model(seed=3)
     notes = [note(), note(text="bruise dizzy", codes=("B11.1",))]
-    pairs = [(n, ad.tensor(label_targets(n, LABELS))) for n in notes]
 
-    def batch_loss():
-        vals = []
+    def per_note_mean():
         with ad.no_grad():
-            for n, y in pairs:
-                p, _, _ = model.forward(n)
-                vals.append(float(ad.bce_loss(p, y).data))
-        return float(np.mean(vals))
+            return float(np.mean([batch_loss(model, [n]).data for n in notes]))
 
-    def loss_of(pair):
-        p, _, _ = model.forward(pair[0])
-        return ad.bce_loss(p, pair[1])
+    before = per_note_mean()
+    loss = batch_loss(model, notes)
+    assert float(loss.data) == pytest.approx(before)
+    Adam(model.params, learning_rate=1e-4).step(ad.backward(loss))
+    assert per_note_mean() < before
 
-    before = batch_loss()
-    loss, grads = _batch_mean_grads(loss_of, pairs, epoch=1, batch_index=0)
-    assert loss == pytest.approx(before)
-    Adam(model.params, learning_rate=1e-4).step(grads)
-    assert batch_loss() < before
+
+@pytest.mark.parametrize("arch", ["caml", "laat"])
+def test_batch_gradient_is_mean_of_note_gradients(arch):
+    # mixed lengths, so the batch pads all but its longest note
+    model = toy_model(seed=4, arch=arch)
+    notes = [note(text="aches cough bruise dizzy edema"), note(text="dizzy", codes=("B11.1",)),
+             note(text="cough edema", codes=("A00.0", "B11.1"))]
+    grads = ad.backward(batch_loss(model, notes))
+    singles = [ad.backward(batch_loss(model, [n])) for n in notes]
+    assert set(grads) == set(model.params.values())
+    for t, g in grads.items():
+        mean = sum(s[t] for s in singles) / len(notes)
+        np.testing.assert_allclose(g, mean, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,7 @@ def scripted_fit(dev_r5_values, patience, max_epochs=50):
 
     config = TrainConfig(learning_rate=0.05, batch_size=1, max_epochs=max_epochs,
                          patience=patience)
-    snap, history = _fit(params, [0], loss_of, dev_scores, config)
+    snap, history = _fit(params, 1, loss_of, dev_scores, config)
     return snap, history, captures, w
 
 
