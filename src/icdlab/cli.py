@@ -33,8 +33,8 @@ from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
 from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
                     load_reranker, save_base_model, save_reranker)
 from .preprocess import Vocabulary, build_vocab, encounter_aux_text, preprocess_train
-from .train import (data_fraction_experiment, fraction_csv, note_for_encounter,
-                    predict_records, predict_records_reranked, train, train_reranker)
+from .train import (Notes, data_fraction_experiment, fraction_csv, predict_records,
+                    predict_records_reranked, train, train_reranker)
 
 # --------------------------------------------------------------------------
 # small file helpers
@@ -84,8 +84,8 @@ def _load_prep(prep: Path):
     return load("vocab.json", Vocabulary), load("labels.json", LabelSpace)
 
 
-def _notes(encounters, vocab, rc: RunConfig):
-    return [note_for_encounter(e, vocab, rc.max_note_tokens) for e in encounters]
+def _notes(path: Path, vocab: Vocabulary, labels: LabelSpace, rc: RunConfig) -> Notes:
+    return Notes.of(read_encounters(path), vocab, labels, rc.max_note_tokens)
 
 
 # --------------------------------------------------------------------------
@@ -216,11 +216,11 @@ def cmd_train(args, rc: RunConfig) -> int:
     inputs = [args.config] + [prep / n for n in ("train.txt", "dev.txt", "vocab.json",
                                                  "labels.json")]
     vocab, labels = _load_prep(prep)
-    train_notes = _notes(read_encounters(prep / "train.txt"), vocab, rc)
-    dev_notes = _notes(read_encounters(prep / "dev.txt"), vocab, rc)
+    train_notes = _notes(prep / "train.txt", vocab, labels, rc)
+    dev_notes = _notes(prep / "dev.txt", vocab, labels, rc)
     model = BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
                            seed=stage_seed(rc.seed, "train-init"))
-    _, history = train(model, train_notes, dev_notes, labels, rc.train_config("train"))
+    _, history = train(model, train_notes, dev_notes, rc.train_config("train"))
     save_base_model(out / "model.ckpt", model, vocab.sha256(), labels.sha256())
     _write(out / "history.csv", history.to_csv())
     _manifest(out, args, rc, inputs,
@@ -237,15 +237,14 @@ def cmd_train_reranker(args, rc: RunConfig) -> int:
     inputs = [args.config, base_dir / "model.ckpt", base_dir / "model.ckpt.json"] + \
         [prep / n for n in ("train.txt", "dev.txt", "vocab.json", "labels.json")]
     vocab, labels = _load_prep(prep)
-    train_encs = read_encounters(prep / "train.txt")
-    train_notes = _notes(train_encs, vocab, rc)
-    dev_notes = _notes(read_encounters(prep / "dev.txt"), vocab, rc)
+    train_notes = _notes(prep / "train.txt", vocab, labels, rc)
+    dev_notes = _notes(prep / "dev.txt", vocab, labels, rc)
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
-    vocabs = ModalityVocabs.from_encounters(train_encs)
+    vocabs = ModalityVocabs.from_encounters(train_notes.truth.encounters)
     reranker = MetadataReranker.init(len(labels), rc.d_c, vocabs, rc.reranker_hparams(),
                                      seed=stage_seed(rc.seed, "reranker-init"))
-    _, history = train_reranker(base, reranker, train_notes, dev_notes, labels,
-                                vocab, rc.train_config("reranker"))
+    _, history = train_reranker(base, reranker, train_notes, dev_notes, vocab,
+                                rc.train_config("reranker"))
     save_reranker(out / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256())
     _write(out / "history.csv", history.to_csv())
     _manifest(out, args, rc, inputs,
@@ -257,22 +256,25 @@ def cmd_train_reranker(args, rc: RunConfig) -> int:
 
 
 def cmd_evaluate(args, rc: RunConfig) -> int:
+    if args.k < 1:
+        print(f"icdlab-error: usage: --k must be at least 1, got {args.k}", file=sys.stderr)
+        return 2
     prep, out = Path(args.inp), _out_dir(args)
     model_dir = Path(args.model)
     split_file = prep / f"{args.split}.txt"
     inputs = [args.config, split_file, prep / "vocab.json", prep / "labels.json",
               model_dir / "model.ckpt", model_dir / "model.ckpt.json"]
     vocab, labels = _load_prep(prep)
-    notes = _notes(read_encounters(split_file), vocab, rc)
+    notes = _notes(split_file, vocab, labels, rc)
     base = load_base_model(model_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     if args.reranker:
         rr_dir = Path(args.reranker)
         inputs += [rr_dir / "reranker.ckpt", rr_dir / "reranker.ckpt.json"]
         reranker = load_reranker(rr_dir / "reranker.ckpt", vocab.sha256(),
                                  labels.sha256())
-        records = predict_records_reranked(base, reranker, notes, labels, vocab)
+        records = predict_records_reranked(base, reranker, notes, vocab)
     else:
-        records = predict_records(base, notes, labels)
+        records = predict_records(base, notes)
     report = compute_report(records, rc.decision_threshold, args.k)
     np.save(out / "probs.npy", records.probs)
     _write(out / "records.jsonl", _records_jsonl(records))
@@ -296,15 +298,14 @@ def cmd_fractions(args, rc: RunConfig) -> int:
     inputs = [args.config] + [prep / n for n in ("train.txt", "dev.txt", "test.txt",
                                                  "vocab.json", "labels.json")]
     vocab, labels = _load_prep(prep)
-    train_notes = _notes(read_encounters(prep / "train.txt"), vocab, rc)
-    dev_notes = _notes(read_encounters(prep / "dev.txt"), vocab, rc)
-    test_notes = _notes(read_encounters(prep / "test.txt"), vocab, rc)
+    train_notes, dev_notes, test_notes = (_notes(prep / f"{name}.txt", vocab, labels, rc)
+                                          for name in ("train", "dev", "test"))
 
     def make_model():
         return BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
                               seed=stage_seed(rc.seed, "fractions-init"))
 
-    rows = data_fraction_experiment(make_model, train_notes, dev_notes, labels,
+    rows = data_fraction_experiment(make_model, train_notes, dev_notes,
                                     parse_fractions(rc.fractions),
                                     rc.train_config("fractions"), eval_notes=test_notes)
     _write(out / "fractions.csv", fraction_csv(rows))
@@ -349,7 +350,12 @@ def load_isotonic(calib_dir) -> IsotonicMap:
             raise ValidationError(f"{calib_dir}: not a calibration checkpoint")
         n = int(meta["n_labels"])
     arrays = load_params(calib_dir / "isotonic.ckpt")
-    maps = {j: (arrays[f"x{j}"], arrays[f"v{j}"]) for j in range(n) if f"x{j}" in arrays}
+    maps = {j: (arrays[f"x{j}"], arrays.get(f"v{j}")) for j in range(n) if f"x{j}" in arrays}
+    for j, (xs, vs) in maps.items():
+        if (vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
+                or not (np.diff(xs) >= 0).all()):
+            raise ValidationError(f"{calib_dir}/isotonic.ckpt: label {j} needs non-empty "
+                                  f"1-D x{j} and v{j} of equal length, x{j} non-decreasing")
     return IsotonicMap(n_labels=n, maps=maps)
 
 

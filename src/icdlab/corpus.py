@@ -36,6 +36,7 @@ CODE_RE = re.compile(r"^[A-Z]\d{2}(\.[A-Za-z0-9]{1,4})?$")
 SIBLING_SWAP_PROB = 0.08
 
 _ENCOUNTER_FIELDS = ("patient_id", "date", "dept", "doctor", "text", "codes", "meds", "procs")
+_LIST_FIELDS = ("codes", "meds", "procs")
 
 
 def chapter(code: str) -> str:
@@ -368,9 +369,13 @@ def read_encounters(path) -> list[Encounter]:
                 raise ParseError(
                     f"{path}:{lineno}: missing fields {missing}, unknown fields {unknown}"
                 )
+            for f in _ENCOUNTER_FIELDS:
+                listed, v = f in _LIST_FIELDS, obj[f]
+                if listed and not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+                    raise ParseError(f"{path}:{lineno}: {f} must be a list of strings")
+                if not listed and not isinstance(v, str):
+                    raise ParseError(f"{path}:{lineno}: {f} must be a string")
             codes = obj["codes"]
-            if not isinstance(codes, list):
-                raise ParseError(f"{path}:{lineno}: codes must be a list")
             if len(set(codes)) != len(codes):
                 raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
             try:

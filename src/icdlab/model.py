@@ -39,18 +39,15 @@ from .preprocess import PAD_ID
 
 
 def padded(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of varying length zero-filled to the longest (at least one
-    position) as one array, plus the (B, T) mask of the filled positions."""
-    lengths = np.array([len(row) for row in rows])
-    out = np.zeros((len(rows), max(1, lengths.max())) + np.shape(rows[0])[1:], dtype)
+    """Rows of varying length zero-filled (PAD_ID for id rows) to the longest
+    (at least one position) as one array, plus the (B, T) mask of the filled
+    positions. Zero rows give a (0, 1) array."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    tail = np.shape(rows[0])[1:] if len(rows) else ()
+    out = np.zeros((len(rows), max(1, lengths.max(initial=0))) + tail, dtype)
     for b, row in enumerate(rows):
         out[b, :len(row)] = row
     return out, np.arange(out.shape[1]) < lengths[:, None]
-
-
-def id_matrix(notes) -> np.ndarray:
-    """A batch of notes as one (B, T) id matrix, padded with PAD_ID (0)."""
-    return padded([n.token_ids for n in notes], np.int64)[0]
 
 
 ARCHITECTURES = ("caml", "laat")
@@ -319,8 +316,18 @@ def _read_sidecar(path, kind: str, vocab_sha: str, labels_sha: str) -> dict:
     return manifest
 
 
-def _load_tensors(path) -> dict[str, ad.Tensor]:
-    return {k: ad.tensor(v, requires_grad=True) for k, v in load_params(path).items()}
+def _load_tensors(path, expected: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
+    """The checkpoint's arrays as trainable tensors, once their names and
+    shapes are those of `expected`, the parameters `init` creates for the
+    sidecar's hyperparameters."""
+    arrays = load_params(path)
+    for name in sorted(set(arrays) | set(expected)):
+        got = arrays[name].shape if name in arrays else "absent"
+        want = expected[name].data.shape if name in expected else "absent"
+        if got != want:
+            raise ValidationError(f"{path}: parameter {name!r} is {got} in the checkpoint, "
+                                  f"{want} for the sidecar's hyperparameters")
+    return {k: ad.tensor(v, requires_grad=True) for k, v in arrays.items()}
 
 
 def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
@@ -328,7 +335,8 @@ def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
         manifest = _read_sidecar(path, "base", vocab_sha, labels_sha)
         args = (manifest["arch"], manifest["vocab_size"], manifest["n_labels"])
         hp = BaseHParams(**manifest["hparams"])
-    return BaseModel(*args, hp, _load_tensors(path))
+        expected = BaseModel.init(*args, hp).params
+    return BaseModel(*args, hp, _load_tensors(path, expected))
 
 
 def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str) -> None:
@@ -352,4 +360,5 @@ def load_reranker(path, vocab_sha: str, labels_sha: str) -> MetadataReranker:
         args = (manifest["n_labels"], manifest["d_keys"])
         vocabs = ModalityVocabs(**{m: tuple(v) for m, v in manifest["modalities"].items()})
         hp = RerankerHParams(**manifest["hparams"])
-    return MetadataReranker(*args, hp, vocabs, _load_tensors(path))
+        expected = MetadataReranker.init(*args, vocabs, hp).params
+    return MetadataReranker(*args, hp, vocabs, _load_tensors(path, expected))

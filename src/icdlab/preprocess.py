@@ -165,16 +165,14 @@ def build_vocab(texts, min_token_count: int = 1) -> Vocabulary:
 @dataclass(frozen=True)
 class TokenizedNote:
     token_ids: tuple[int, ...]
-    encounter: Encounter | None = None
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int = 512,
-             encounter: Encounter | None = None) -> TokenizedNote:
+def tokenize(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenizedNote:
     """Head-truncated id sequence; empty text becomes a lone padding token."""
     ids = [vocab.id_for(t) for t in text_tokens(text)[:max_len]]
     if not ids:
         ids = [PAD_ID]
-    return TokenizedNote(tuple(ids), encounter)
+    return TokenizedNote(tuple(ids))
 
 
 def encounter_aux_text(enc: Encounter) -> str:

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Encounter, LabelSpace
+from .corpus import LabelSpace
 from .errors import ConfigError, NumericError, ValidationError
 from .metrics import Predictions, mean_instance_f1, mean_recall_at_k
-from .model import BaseModel, MetadataReranker, id_matrix, padded
-from .preprocess import PAD_ID, UNK_ID, TokenizedNote, Vocabulary, encounter_aux_text, tokenize
+from .model import BaseModel, MetadataReranker, padded
+from .preprocess import PAD_ID, UNK_ID, Vocabulary, encounter_aux_text, tokenize
 
 SCORE_CHUNK = 32  # notes per no-grad scoring batch (dev scoring and evaluate)
 
@@ -118,32 +118,8 @@ def _restore(params: dict[str, ad.Tensor], snap: dict[str, np.ndarray]) -> None:
 
 
 # --------------------------------------------------------------------------
-# targets and evaluation records
+# a split of notes and its scoring
 # --------------------------------------------------------------------------
-
-
-def note_for_encounter(enc: Encounter, vocab: Vocabulary, max_len: int = 512) -> TokenizedNote:
-    """Tokenize an encounter's note for model consumption.
-
-    A blank note (some encounters carry codes with no prose) becomes a single
-    unknown token instead of pure padding, so attention always has one
-    position to land on and no document drops out of the denominators.
-    """
-    note = tokenize(enc.text, vocab, max_len, encounter=enc)
-    if all(i == PAD_ID for i in note.token_ids):
-        return TokenizedNote((UNK_ID,), enc)
-    return note
-
-
-def label_targets(note: TokenizedNote, labels: LabelSpace) -> np.ndarray:
-    """0/1 target vector over the label space; codes outside it get no entry."""
-    if note.encounter is None:
-        raise ValidationError("note carries no encounter; cannot derive targets")
-    y = np.zeros(len(labels))
-    for code in sorted(note.encounter.codes):
-        if code in labels:
-            y[labels.index(code)] = 1.0
-    return y
 
 
 def frequency_bucket(codes, labels: LabelSpace) -> str:
@@ -158,42 +134,59 @@ def frequency_bucket(codes, labels: LabelSpace) -> str:
     return "100+"
 
 
-def _first_visit_flags(notes) -> list[bool]:
+def _first_visit_flags(encounters: list) -> list[bool]:
     # a patient's chronologically earliest evaluated encounter is "first";
     # date ties resolve to the earliest in input order
-    earliest: dict[str, object] = {}
-    for n in notes:
-        e = n.encounter
-        if e.patient_id not in earliest or e.date < earliest[e.patient_id]:
-            earliest[e.patient_id] = e.date
-    flags = []
-    claimed: set[str] = set()
-    for n in notes:
-        e = n.encounter
-        first = e.date == earliest[e.patient_id] and e.patient_id not in claimed
-        if first:
-            claimed.add(e.patient_id)
-        flags.append(first)
-    return flags
+    first: dict[str, int] = {}
+    for i, e in enumerate(encounters):
+        if e.patient_id not in first or e.date < encounters[first[e.patient_id]].date:
+            first[e.patient_id] = i
+    chosen = set(first.values())
+    return [i in chosen for i in range(len(encounters))]
 
 
-def _targets(notes, labels: LabelSpace) -> np.ndarray:
-    return np.array([label_targets(n, labels) for n in notes],
-                    dtype=bool).reshape(len(notes), len(labels))
+@dataclass(frozen=True)
+class Notes:
+    """One split, tokenized once: `ids` (n, T) int64, the notes padded with
+    PAD_ID to the longest, their `lengths` (n,), and `truth`, the split's
+    Predictions with zero probs (targets `gt`, `n_unseen` and the per-record
+    columns). A scoring pass's predictions are `replace(truth, probs=...)`."""
 
+    ids: np.ndarray
+    lengths: np.ndarray
+    truth: Predictions
 
-def _predictions(probs, notes, labels: LabelSpace) -> Predictions:
-    """One score row per note, with the notes' targets and context columns."""
-    encs = [n.encounter for n in notes]
-    gt = _targets(notes, labels)
-    return Predictions(
-        probs=np.array(probs, dtype=np.float64).reshape(gt.shape),
-        gt=gt,
-        n_unseen=np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
-        dept=[e.dept for e in encs],
-        first_visit=_first_visit_flags(notes),
-        freq_bucket=[frequency_bucket(e.codes, labels) for e in encs],
-        encounters=encs)
+    @classmethod
+    def of(cls, encounters, vocab: Vocabulary, labels: LabelSpace,
+           max_len: int = 512) -> "Notes":
+        """A blank note (some encounters carry codes with no prose) becomes a
+        single unknown token instead of pure padding, so attention always has
+        one position to land on and no document drops out of the denominators."""
+        encs = list(encounters)
+        rows = [tokenize(e.text, vocab, max_len).token_ids for e in encs]
+        ids, mask = padded([(UNK_ID,) if r == (PAD_ID,) else r for r in rows], np.int64)
+        gt = np.zeros((len(encs), len(labels)), dtype=bool)
+        for i, e in enumerate(encs):
+            gt[i, [labels.index(c) for c in e.codes if c in labels]] = True
+        truth = Predictions(
+            probs=np.zeros(gt.shape), gt=gt,
+            n_unseen=np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
+            dept=[e.dept for e in encs], first_visit=_first_visit_flags(encs),
+            freq_bucket=[frequency_bucket(e.codes, labels) for e in encs], encounters=encs)
+        return cls(ids, mask.sum(axis=1), truth)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def batch(self, idx) -> np.ndarray:
+        """The notes at `idx` as one (B, T) id matrix, T their longest length."""
+        return self.ids[idx, :self.lengths[idx].max()]
+
+    def rows(self, idx) -> "Notes":
+        """The notes at `idx` (and their truth rows) as a split of their own."""
+        return Notes(self.ids[idx], self.lengths[idx],
+                     Predictions(**{f.name: getattr(self.truth, f.name)[idx]
+                                    for f in fields(Predictions)}))
 
 
 def _scored(score, n: int, width: int) -> np.ndarray:
@@ -204,33 +197,32 @@ def _scored(score, n: int, width: int) -> np.ndarray:
                                  for lo in range(0, n, SCORE_CHUNK)])
 
 
-def _base_probs(model: BaseModel, notes) -> np.ndarray:
-    return _scored(lambda idx: model.forward(id_matrix([notes[i] for i in idx]))[0].data,
+def _base_probs(model: BaseModel, notes: Notes) -> np.ndarray:
+    return _scored(lambda idx: model.forward(notes.batch(idx))[0].data,
                    len(notes), model.n_labels)
 
 
-def predict_records(model: BaseModel, notes, labels: LabelSpace) -> Predictions:
-    notes = list(notes)
-    return _predictions(_base_probs(model, notes), notes, labels)
+def predict_records(model: BaseModel, notes: Notes) -> Predictions:
+    return replace(notes.truth, probs=_base_probs(model, notes))
 
 
 class _FrozenBase:
-    """A frozen base model's outputs on a list of notes: P (n, N), and per
-    note its encoding H and that of its auxiliary text, trimmed to their
-    real positions. Computed once in scoring chunks, then padded per batch,
-    so a batch pads only to its own longest note."""
+    """A frozen base model's outputs on a split: P (n, N), and per note its
+    encoding H and that of its auxiliary text, trimmed to their real
+    positions. Computed once in scoring chunks, then padded per batch, so a
+    batch pads only to its own longest note."""
 
-    def __init__(self, base: BaseModel, notes, vocab: Vocabulary):
-        self.encs = [n.encounter for n in notes]
-        if any(e is None for e in self.encs):
-            raise ValidationError("note carries no encounter; reranker needs metadata")
-        aux = [tokenize(encounter_aux_text(e), vocab, encounter=e) for e in self.encs]
+    def __init__(self, base: BaseModel, notes: Notes, vocab: Vocabulary):
+        self.encs = notes.truth.encounters
+        aux, aux_mask = padded([tokenize(encounter_aux_text(e), vocab).token_ids
+                                for e in self.encs], np.int64)
+        aux_lengths = aux_mask.sum(axis=1)
         self.h, self.h_aux = [], []
 
         def run(idx):
-            probs, h, mask = base.forward(id_matrix([notes[i] for i in idx]))
+            probs, h, mask = base.forward(notes.batch(idx))
             self.h += [row[m] for row, m in zip(h.data, mask)]
-            h_aux, aux_mask = base.encode(id_matrix([aux[i] for i in idx]))
+            h_aux, aux_mask = base.encode(aux[idx, :aux_lengths[idx].max()])
             self.h_aux += [row[m] for row, m in zip(h_aux.data, aux_mask)]
             return probs.data
 
@@ -241,7 +233,7 @@ class _FrozenBase:
         (h, h_mask), (aux, aux_mask) = (padded([rows[i] for i in idx], np.float64)
                                         for rows in (self.h, self.h_aux))
         return reranker.forward(ad.tensor(self.probs[idx]), ad.tensor(h), h_mask,
-                                ad.tensor(aux), aux_mask, [self.encs[i] for i in idx])
+                                ad.tensor(aux), aux_mask, self.encs[idx])
 
     def reranked(self, reranker: MetadataReranker) -> np.ndarray:
         """The reranker's pre-clamp scores on every note, (n, N)."""
@@ -249,15 +241,14 @@ class _FrozenBase:
                        reranker.n_labels)
 
 
-def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes,
-                             labels: LabelSpace, vocab: Vocabulary) -> Predictions:
+def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes: Notes,
+                             vocab: Vocabulary) -> Predictions:
     """Predictions carrying the reranker's pre-clamp residual scores.
 
     Ranking must use unclamped scores (no ties at the bounds); every decision
     threshold strictly inside (0,1) selects the same set either way.
     """
-    notes = list(notes)
-    return _predictions(_FrozenBase(base, notes, vocab).reranked(reranker), notes, labels)
+    return replace(notes.truth, probs=_FrozenBase(base, notes, vocab).reranked(reranker))
 
 
 # --------------------------------------------------------------------------
@@ -307,47 +298,37 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
 # --------------------------------------------------------------------------
 
 
-def _train(params: dict[str, ad.Tensor], notes, dev_notes, labels: LabelSpace,
+def _train(params: dict[str, ad.Tensor], notes: Notes, dev_notes: Notes,
            config: TrainConfig, probs_of, dev_probs):
     """`probs_of(idx)` is the (B, N) probability tensor of the training notes
     at `idx`, `dev_probs()` the score matrix of the dev notes."""
-    targets = _targets(notes, labels)
+    if not len(dev_notes):
+        raise ValidationError("dev set is empty; early stopping needs one")
 
     def dev_scores():
-        records = _predictions(dev_probs(), dev_notes, labels)
+        records = replace(dev_notes.truth, probs=dev_probs())
         return (mean_recall_at_k(records, 5),
                 mean_instance_f1(records, config.decision_threshold))
 
     return _fit(params, len(notes),
-                lambda idx: ad.bce_loss(probs_of(idx), ad.tensor(targets[idx])),
+                lambda idx: ad.bce_loss(probs_of(idx), ad.tensor(notes.truth.gt[idx])),
                 dev_scores, config)
 
 
-def _notes_and_dev(train_notes, dev_notes):
-    train_notes, dev_notes = list(train_notes), list(dev_notes)
-    if not dev_notes:
-        raise ValidationError("dev set is empty; early stopping needs one")
-    return train_notes, dev_notes
-
-
-def train(model: BaseModel, train_notes, dev_notes, labels: LabelSpace,
-          config: TrainConfig):
+def train(model: BaseModel, notes: Notes, dev_notes: Notes, config: TrainConfig):
     """Returns (best parameter snapshot, history); the model is left holding
     the snapshot."""
-    notes, dev_notes = _notes_and_dev(train_notes, dev_notes)
-    return _train(model.params, notes, dev_notes, labels, config,
-                  lambda idx: model.forward(id_matrix([notes[i] for i in idx]))[0],
+    return _train(model.params, notes, dev_notes, config,
+                  lambda idx: model.forward(notes.batch(idx))[0],
                   lambda: _base_probs(model, dev_notes))
 
 
-def train_reranker(base: BaseModel, reranker: MetadataReranker, train_notes,
-                   dev_notes, labels: LabelSpace, vocab: Vocabulary,
-                   config: TrainConfig):
+def train_reranker(base: BaseModel, reranker: MetadataReranker, notes: Notes,
+                   dev_notes: Notes, vocab: Vocabulary, config: TrainConfig):
     """Optimizes only the reranker over frozen base outputs, computed once
     and reused every epoch (the frozen contract makes them constants)."""
-    notes, dev_notes = _notes_and_dev(train_notes, dev_notes)
     frozen, dev_frozen = _FrozenBase(base, notes, vocab), _FrozenBase(base, dev_notes, vocab)
-    return _train(reranker.params, notes, dev_notes, labels, config,
+    return _train(reranker.params, notes, dev_notes, config,
                   lambda idx: frozen.forward(reranker, idx)[0],
                   lambda: dev_frozen.reranked(reranker))
 
@@ -357,19 +338,17 @@ def train_reranker(base: BaseModel, reranker: MetadataReranker, train_notes,
 # --------------------------------------------------------------------------
 
 
-def uniform_baseline_records(notes, labels: LabelSpace, seed: int = 0) -> Predictions:
+def uniform_baseline_records(notes: Notes, seed: int = 0) -> Predictions:
     """Scores every label uniformly at random, fresh per document."""
-    notes = list(notes)
-    probs = np.random.default_rng(seed).uniform(size=(len(notes), len(labels)))
-    return _predictions(probs, notes, labels)
+    probs = np.random.default_rng(seed).uniform(size=notes.truth.probs.shape)
+    return replace(notes.truth, probs=probs)
 
 
-def marginal_baseline_records(notes, labels: LabelSpace) -> Predictions:
+def marginal_baseline_records(notes: Notes, labels: LabelSpace) -> Predictions:
     """Scores every document with the train-frequency ranking of the codes."""
     counts = np.asarray([labels.train_count(c) for c in labels.codes], dtype=np.float64)
     probs = counts / max(counts.max(), 1.0)
-    notes = list(notes)
-    return _predictions(np.tile(probs, (len(notes), 1)), notes, labels)
+    return replace(notes.truth, probs=np.tile(probs, (len(notes), 1)))
 
 
 # --------------------------------------------------------------------------
@@ -400,9 +379,9 @@ class FractionResult:
     relative_instance_f1: float
 
 
-def data_fraction_experiment(make_model, train_notes, dev_notes, labels: LabelSpace,
-                             fractions, config: TrainConfig,
-                             eval_notes=None) -> list[FractionResult]:
+def data_fraction_experiment(make_model, train_notes: Notes, dev_notes: Notes, fractions,
+                             config: TrainConfig,
+                             eval_notes: Notes | None = None) -> list[FractionResult]:
     """Trains one freshly-initialized model per training-set fraction and
     reports scores absolute and relative to the full-data run.
 
@@ -413,13 +392,14 @@ def data_fraction_experiment(make_model, train_notes, dev_notes, labels: LabelSp
         raise ValidationError("every fraction must lie in (0, 1]")
     if 1.0 not in fractions:
         raise ValidationError("fraction 1.0 is required for normalization")
-    scored = list(dev_notes) if eval_notes is None else list(eval_notes)
+    scored = dev_notes if eval_notes is None else eval_notes
     scores: dict[float, tuple[float, float]] = {}
     for i, f in enumerate(fractions):
-        subset = subsample_train(train_notes, f, seed=config.seed + i)
+        subset = train_notes.rows(subsample_train(range(len(train_notes)), f,
+                                                  seed=config.seed + i))
         model = make_model()
-        train(model, subset, dev_notes, labels, config)
-        records = predict_records(model, scored, labels)
+        train(model, subset, dev_notes, config)
+        records = predict_records(model, scored)
         scores[f] = (mean_recall_at_k(records, 5),
                      mean_instance_f1(records, config.decision_threshold))
     full_r5, full_if1 = scores[1.0]

@@ -53,10 +53,8 @@ from icdlab.model import (
     MetadataReranker,
     ModalityVocabs,
     RerankerHParams,
-    id_matrix,
 )
 from icdlab.preprocess import (
-    TokenizedNote,
     build_vocab,
     dedup_ditto,
     encounter_aux_text,
@@ -64,10 +62,10 @@ from icdlab.preprocess import (
     preprocess_train,
 )
 from icdlab.train import (
+    Notes,
     TrainConfig,
     data_fraction_experiment,
     marginal_baseline_records,
-    note_for_encounter,
     predict_records,
     predict_records_reranked,
     train,
@@ -81,8 +79,8 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def _notes(encounters, vocab):
-    return [note_for_encounter(e, vocab) for e in encounters]
+def _notes(encounters, vocab, labels):
+    return Notes.of(encounters, vocab, labels)
 
 
 def _prepared(corpus_config, n_dev, n_test, split_seed, scope="consecutive"):
@@ -105,7 +103,7 @@ def _base_grad_error(arch: str, seed: int) -> float:
     hp = BaseHParams(d_e=5, d_c=6, kernel_width=3, d_a=4)
     model = BaseModel.init(arch, 10, 3, hp, seed=seed)
     length = int(rng.integers(2, 7))  # T ≤ 6
-    nt = id_matrix([TokenizedNote(tuple(int(t) for t in rng.integers(2, 10, size=length)))])
+    nt = np.array([rng.integers(2, 10, size=length)], dtype=np.int64)
     target = ad.tensor(rng.integers(0, 2, size=(1, 3)).astype(np.float64))
     tensors = [model.params[k] for k in sorted(model.params)]
 
@@ -434,16 +432,16 @@ def default_run():
     t0 = time.perf_counter()
     filtered, split, vocab, labels, n_enc = _prepared(CorpusConfig(), 75, 75,
                                                       split_seed=42)
-    dev = _notes(split.dev, vocab)
+    dev = _notes(split.dev, vocab, labels)
     model = BaseModel.init("caml", len(vocab), len(labels), BaseHParams(), seed=7)
-    train(model, _notes(filtered, vocab), dev, labels,
+    train(model, _notes(filtered, vocab, labels), dev,
           TrainConfig(learning_rate=5e-3, batch_size=32, max_epochs=20,
                       patience=5, seed=0))
     return {
         "labels": labels,
         "dev_notes": dev,
-        "dev_records": predict_records(model, dev, labels),
-        "test_records": predict_records(model, _notes(split.test, vocab), labels),
+        "dev_records": predict_records(model, dev),
+        "test_records": predict_records(model, _notes(split.test, vocab, labels)),
         "n_encounters": n_enc,
         "seconds": time.perf_counter() - t0,
     }
@@ -452,7 +450,7 @@ def default_run():
 def test_criterion_04_end_to_end_learnability(default_run):
     labels, dev = default_run["labels"], default_run["dev_notes"]
     model_r5 = mean_recall_at_k(default_run["dev_records"], 5)
-    uniform_r5 = mean_recall_at_k(uniform_baseline_records(dev, labels, seed=0), 5)
+    uniform_r5 = mean_recall_at_k(uniform_baseline_records(dev, seed=0), 5)
     marginal_r5 = mean_recall_at_k(marginal_baseline_records(dev, labels), 5)
     secs = default_run["seconds"]
     ok = (model_r5 >= 0.85
@@ -477,22 +475,22 @@ def _reranker_arm(omitted: float):
                       mean_encounters_per_patient=10.0, mean_codes_per_encounter=2.0,
                       omitted_evidence_fraction=omitted, seed=5)
     filtered, split, vocab, labels, _ = _prepared(cc, 40, 40, split_seed=3)
-    tr, dv, ts = (_notes(filtered, vocab), _notes(split.dev, vocab),
-                  _notes(split.test, vocab))
+    tr, dv, ts = (_notes(filtered, vocab, labels), _notes(split.dev, vocab, labels),
+                  _notes(split.test, vocab, labels))
     hp = BaseHParams(d_e=24, d_c=32, kernel_width=5, d_a=16)
     base = BaseModel.init("caml", len(vocab), len(labels), hp, seed=7)
-    train(base, tr, dv, labels,
+    train(base, tr, dv,
           TrainConfig(learning_rate=5e-3, batch_size=16, max_epochs=30,
                       patience=10, seed=0))
-    base_r5 = mean_recall_at_k(predict_records(base, ts, labels), 5)
+    base_r5 = mean_recall_at_k(predict_records(base, ts), 5)
     reranker = MetadataReranker.init(len(labels), hp.d_c,
                                      ModalityVocabs.from_encounters(filtered),
                                      RerankerHParams(d=32, n_heads=2), seed=11)
-    train_reranker(base, reranker, tr, dv, labels, vocab,
+    train_reranker(base, reranker, tr, dv, vocab,
                    TrainConfig(learning_rate=5e-3, batch_size=16, max_epochs=25,
                                patience=3, seed=1))
     reranked_r5 = mean_recall_at_k(
-        predict_records_reranked(base, reranker, ts, labels, vocab), 5)
+        predict_records_reranked(base, reranker, ts, vocab), 5)
     return base_r5, reranked_r5
 
 
@@ -522,14 +520,14 @@ def test_criterion_06_dedup_budget():
     vocab = build_vocab([e.text for e in full_train]
                         + [encounter_aux_text(e) for e in full_train], 1)
     labels = labels.with_train_counts(full_train)
-    dev = _notes(split.dev, vocab)
+    dev = _notes(split.dev, vocab, labels)
     hp = BaseHParams(d_e=24, d_c=32, kernel_width=5, d_a=16)
     config = TrainConfig(learning_rate=5e-3, batch_size=16, max_epochs=30,
                          patience=30, seed=0)
     best = {}
     for name, encounters in (("full", full_train), ("dedup", dedup_train)):
         model = BaseModel.init("caml", len(vocab), len(labels), hp, seed=7)
-        _, history = train(model, _notes(encounters, vocab), dev, labels, config)
+        _, history = train(model, _notes(encounters, vocab, labels), dev, config)
         best[name] = max(e.dev_recall_at_5 for e in history.epochs)
     ratio = len(dedup_train) / len(full_train)
     ok = best["dedup"] >= best["full"] and ratio <= 0.75
@@ -552,9 +550,9 @@ def test_criterion_07_data_fraction_saturation():
                          patience=6, seed=0)
     rows = data_fraction_experiment(
         lambda: BaseModel.init("caml", len(vocab), len(labels), hp, seed=7),
-        _notes(filtered, vocab), _notes(split.dev, vocab), labels,
+        _notes(filtered, vocab, labels), _notes(split.dev, vocab, labels),
         [0.05, 0.1, 0.25, 0.5, 1.0], config,
-        eval_notes=_notes(split.test, vocab))
+        eval_notes=_notes(split.test, vocab, labels))
     rel = {r.fraction: r.relative_recall_at_5 for r in rows}
     curve = [rel[f] for f in (0.05, 0.1, 0.25, 0.5, 1.0)]
     monotone = all(b >= a - 0.02 for a, b in zip(curve, curve[1:]))

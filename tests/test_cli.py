@@ -456,3 +456,109 @@ def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, caps
                  "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"icdlab-error: {category}:")
+
+
+def _edit_first_line(path: Path, **changes) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **changes})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("codes", [1]), ("date", 20180101), ("text", 5), ("meds", None),
+], ids=["int-code", "int-date", "int-text", "null-meds"])
+def test_wrongly_typed_encounter_field_names_its_line(pipeline, tmp_path, capsys,
+                                                      field, value):
+    prep2 = tmp_path / "prep2"
+    shutil.copytree(pipeline["prep"], prep2)
+    _edit_first_line(prep2 / "dev.txt", **{field: value})
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(pipeline["cfg"]), "--in", str(prep2),
+                 "--model", str(pipeline["model"]), "--out", str(tmp_path / "o"),
+                 "--split", "dev"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert "dev.txt:1" in err[0] and field in err[0]
+
+
+def _drop_param(name):
+    return lambda params: {k: v for k, v in params.items() if k != name}
+
+
+def _cut_rows(name, rows):
+    return lambda params: {**params, name: params[name][:rows]}
+
+
+@pytest.mark.parametrize("stage, ckpt, edit, param", [
+    ("model", "model.ckpt", _drop_param("out_b"), "out_b"),
+    ("model", "model.ckpt", _cut_rows("emb", 10), "emb"),
+    ("reranker", "reranker.ckpt", _drop_param("proj_b"), "proj_b"),
+    ("reranker", "reranker.ckpt", _cut_rows("label_emb", 1), "label_emb"),
+], ids=["base-without-out_b", "base-emb-10-rows", "reranker-without-proj_b",
+        "reranker-label_emb-1-row"])
+def test_checkpoint_parameters_must_match_the_sidecar(pipeline, tmp_path, capsys,
+                                                      stage, ckpt, edit, param):
+    from icdlab.checkpoint import load_params, save_params
+    dirs = dict(pipeline)
+    dirs[stage] = tmp_path / stage
+    shutil.copytree(pipeline[stage], dirs[stage])
+    save_params(dirs[stage] / ckpt, edit(load_params(dirs[stage] / ckpt)))
+    argv = ["evaluate", "--config", str(pipeline["cfg"]), "--in", str(pipeline["prep"]),
+            "--model", str(dirs["model"]), "--out", str(tmp_path / "o")]
+    if stage == "reranker":
+        argv += ["--reranker", str(dirs["reranker"])]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert ckpt in err[0] and repr(param) in err[0]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda arrays: {k: v for k, v in arrays.items() if k != "v0"},
+    lambda arrays: {**arrays, "v0": arrays["v0"][:-1]},
+    lambda arrays: {**arrays, "x0": arrays["x0"][::-1]},
+], ids=["x0-without-v0", "v0-shorter-than-x0", "x0-decreasing"])
+def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
+    from icdlab.checkpoint import load_params, save_params
+    dirs = dict(pipeline)
+    dirs["calib"] = tmp_path / "calib"
+    shutil.copytree(pipeline["calib"], dirs["calib"])
+    arrays = load_params(dirs["calib"] / "isotonic.ckpt")
+    assert arrays["x0"].size > 1  # so that cutting or reversing x0 changes the map
+    save_params(dirs["calib"] / "isotonic.ckpt", edit(arrays))
+    capsys.readouterr()
+    assert main([*_automate_calibrated(dirs), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert "isotonic.ckpt" in err[0] and "label 0" in err[0]
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_evaluate_k_below_one_is_usage_error(pipeline, tmp_path, capsys, k):
+    capsys.readouterr()
+    assert main([*_evaluate(pipeline), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o"), "--k", k]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: usage:") and "--k" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_pipeline_script_runs_every_stage(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG, encoding="utf-8")
+    root = Path(icdlab.__file__).resolve().parents[2]
+    src = str(Path(icdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_pipeline.py"),
+                           "--config", str(cfg), "--workdir", str(tmp_path / "w")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    stages = sorted(p.name for p in (tmp_path / "w").iterdir())
+    assert stages == sorted(["corpus", "prep", "model", "reranker", "eval_dev", "eval_test",
+                             "eval_test_rr", "calib", "automation", "automation_cal",
+                             "report"])
+    for stage in stages:
+        assert (tmp_path / "w" / stage / "manifest.json").exists(), stage
+    assert done.stdout.splitlines()[-1].startswith("pipeline complete")

@@ -2,12 +2,13 @@
 
 import datetime as dt
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from icdlab import autodiff as ad
-from icdlab.corpus import Encounter
+from icdlab.corpus import Encounter, LabelSpace
 from icdlab.errors import ConfigError, EmptySourceError, ValidationError
 from icdlab.model import (
     BaseHParams,
@@ -15,19 +16,19 @@ from icdlab.model import (
     MetadataReranker,
     ModalityVocabs,
     RerankerHParams,
-    id_matrix,
     load_base_model,
     load_reranker,
     save_base_model,
+    padded,
     save_reranker,
 )
-from icdlab.preprocess import TokenizedNote, Vocabulary, tokenize
-from icdlab.train import _FrozenBase
+from icdlab.preprocess import Vocabulary
+from icdlab.train import Notes, _FrozenBase
 
 
 def note(ids):
     """A batch of one note."""
-    return id_matrix([TokenizedNote(tuple(ids))])
+    return np.array([ids], dtype=np.int64)
 
 
 def softmax_cols(scores, mask=None):
@@ -85,7 +86,7 @@ def test_all_padding_note_raises_empty_source():
         m.forward(note([0]))
     # one all-padding row fails its whole batch
     with pytest.raises(EmptySourceError):
-        m.forward(id_matrix([TokenizedNote((2, 3)), TokenizedNote((0,))]))
+        m.forward(np.array([[2, 3], [0, 0]]))
 
 
 def test_even_kernel_width_rejected():
@@ -183,20 +184,19 @@ MIXED = [(2, 3, 4, 5, 2), (4,), (5, 3), (3, 2, 2, 4)]  # lengths 5, 1, 2, 4
 @pytest.mark.parametrize("arch", ["caml", "laat"])
 def test_padded_batch_rows_equal_notes_alone(arch):
     m = toy_model(arch, seed=25)
-    notes = [TokenizedNote(ids) for ids in MIXED]
-    p, h, mask = m.forward(id_matrix(notes))
+    p, h, mask = m.forward(padded(MIXED, np.int64)[0])
     assert p.shape == (4, 3) and h.shape == (4, 5, 5)
     assert mask.sum(axis=1).tolist() == [5, 1, 2, 4]
-    for i, n in enumerate(notes):
-        p1, h1, _ = m.forward(id_matrix([n]))
+    for i, ids in enumerate(MIXED):
+        p1, h1, _ = m.forward(note(ids))
         np.testing.assert_allclose(p.data[i], p1.data[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h.data[i, :len(n.token_ids)], h1.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h.data[i, :len(ids)], h1.data[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("arch", ["caml", "laat"])
 def test_padded_batch_grad_check(arch):
     m = toy_model(arch, seed=27)
-    ids = id_matrix([TokenizedNote(x) for x in MIXED])
+    ids = padded(MIXED, np.int64)[0]
     y = ad.tensor(np.random.default_rng(2).integers(0, 2, size=(4, 3)).astype(float))
     tensors = [m.params[n] for n in sorted(m.params)]
 
@@ -365,7 +365,8 @@ TOY_VOCAB = Vocabulary(("a", "b", "c", "d"))
 
 
 def frozen_notes(texts_and_encs):
-    return [tokenize(text, TOY_VOCAB, encounter=enc) for text, enc in texts_and_encs]
+    return Notes.of([replace(enc, text=text) for text, enc in texts_and_encs], TOY_VOCAB,
+                    LabelSpace(("A00.0",)))
 
 
 def test_frozen_base_gets_no_gradient():

@@ -233,14 +233,6 @@ def test_tokenize_truncates_head():
     assert set(note.token_ids) == {2}
 
 
-def test_tokenize_keeps_encounter_reference():
-    e = enc("P", 1, ["A00.0"], text="a b")
-    v = build_vocab(["a b"])
-    note = tokenize(e.text, v, encounter=e)
-    assert note.encounter is e
-    assert all(i < len(v) for i in note.token_ids)
-
-
 def test_aux_text_joins_meds_and_procs_lowercased():
     e = enc("P", 1, ["A00.0"], meds=("M17", "M3"), procs=("R4",))
     assert encounter_aux_text(e) == "m17 m3 r4"

@@ -12,18 +12,17 @@ from icdlab import autodiff as ad
 from icdlab.corpus import Encounter, LabelSpace
 from icdlab.errors import ConfigError, NumericError, ValidationError
 from icdlab.metrics import mean_recall_at_k
-from icdlab.model import (BaseHParams, BaseModel, MetadataReranker, ModalityVocabs,
-                          RerankerHParams, id_matrix)
-from icdlab.preprocess import TokenizedNote, Vocabulary, tokenize
+from icdlab.model import BaseHParams, BaseModel, MetadataReranker, ModalityVocabs, RerankerHParams
+from icdlab.preprocess import PAD_ID, UNK_ID, Vocabulary
 from icdlab.train import (
     Adam,
+    Notes,
     TrainConfig,
     TrainHistory,
     _fit,
     data_fraction_experiment,
     fraction_csv,
     frequency_bucket,
-    label_targets,
     marginal_baseline_records,
     predict_records,
     predict_records_reranked,
@@ -44,8 +43,13 @@ def enc(pid="P1", day=1, codes=("A00.0",), text="aches cough", **kw):
                      meds=kw.get("meds", ()), procs=kw.get("procs", ()))
 
 
+def notes(*encounters):
+    return Notes.of(encounters, VOCAB, LABELS)
+
+
 def note(text="aches cough", **kw):
-    return tokenize(text, VOCAB, encounter=enc(text=text, **kw))
+    """A split of one note."""
+    return notes(enc(text=text, **kw))
 
 
 def toy_model(seed=0, arch="caml"):
@@ -65,16 +69,37 @@ def test_config_validation():
             TrainConfig(**kw)
 
 
-def test_label_targets_split_in_and_out_of_space():
-    n = tokenize("aches", VOCAB, encounter=enc(codes=("A00.0", "Z99.9")))
-    assert label_targets(n, LABELS).tolist() == [1.0, 0.0]
-    records = predict_records(toy_model(), [n], LABELS)
+def test_targets_split_in_and_out_of_space():
+    split = note(text="aches", codes=("A00.0", "Z99.9"))
+    assert split.truth.gt.tolist() == [[True, False]] and split.truth.n_unseen.tolist() == [1]
+    assert not split.truth.probs.any()
+    records = predict_records(toy_model(), split)
     assert records.gt.tolist() == [[True, False]] and records.n_unseen.tolist() == [1]
 
 
-def test_label_targets_need_encounter():
-    with pytest.raises(ValidationError):
-        label_targets(TokenizedNote((2, 3)), LABELS)
+def test_notes_keep_encounter_reference():
+    e = enc(text="aches zzz")
+    split = notes(e)
+    assert split.truth.encounters[0] is e
+    assert split.ids.tolist() == [[2, UNK_ID]] and split.lengths.tolist() == [2]
+
+
+def test_notes_pad_to_the_longest_and_batch_to_their_own():
+    split = notes(enc(text="aches cough bruise"), enc(text="dizzy"), enc(text=""),
+                  enc(text="edema cough"))
+    assert split.ids.tolist() == [[2, 4, 3], [5, PAD_ID, PAD_ID], [UNK_ID, PAD_ID, PAD_ID],
+                                  [6, 4, PAD_ID]]
+    assert split.lengths.tolist() == [3, 1, 1, 2]  # a blank note is one unknown token
+    assert split.batch(np.array([1, 3])).tolist() == [[5, PAD_ID], [6, 4]]
+    assert split.batch(np.array([2])).tolist() == [[UNK_ID]]
+    sub = split.rows([0, 3])
+    assert sub.lengths.tolist() == [3, 2] and len(sub.truth) == 2
+    assert list(sub.truth.encounters) == [split.truth.encounters[0], split.truth.encounters[3]]
+
+
+def test_notes_truncate_to_max_len():
+    split = Notes.of([enc(text="aches cough bruise dizzy")], VOCAB, LABELS, max_len=2)
+    assert split.ids.tolist() == [[2, 4]]
 
 
 def test_frequency_bucket_edges():
@@ -108,23 +133,23 @@ def test_adam_skips_untouched_params():
     assert u.data[0] == 5.0
 
 
-def batch_loss(model, notes):
+def batch_loss(model, split, idx):
     """Mean BCE of one padded batch of notes."""
-    probs, _, _ = model.forward(id_matrix(notes))
-    return ad.bce_loss(probs, ad.tensor(np.array([label_targets(n, LABELS) for n in notes])))
+    probs, _, _ = model.forward(split.batch(idx))
+    return ad.bce_loss(probs, ad.tensor(split.truth.gt[idx]))
 
 
 def test_single_step_decreases_batch_loss():
     # line-search probe: a small step along Adam's direction must help
     model = toy_model(seed=3)
-    notes = [note(), note(text="bruise dizzy", codes=("B11.1",))]
+    split = notes(enc(), enc(text="bruise dizzy", codes=("B11.1",)))
 
     def per_note_mean():
         with ad.no_grad():
-            return float(np.mean([batch_loss(model, [n]).data for n in notes]))
+            return float(np.mean([batch_loss(model, split, [i]).data for i in range(2)]))
 
     before = per_note_mean()
-    loss = batch_loss(model, notes)
+    loss = batch_loss(model, split, [0, 1])
     assert float(loss.data) == pytest.approx(before)
     Adam(model.params, learning_rate=1e-4).step(ad.backward(loss))
     assert per_note_mean() < before
@@ -134,13 +159,13 @@ def test_single_step_decreases_batch_loss():
 def test_batch_gradient_is_mean_of_note_gradients(arch):
     # mixed lengths, so the batch pads all but its longest note
     model = toy_model(seed=4, arch=arch)
-    notes = [note(text="aches cough bruise dizzy edema"), note(text="dizzy", codes=("B11.1",)),
-             note(text="cough edema", codes=("A00.0", "B11.1"))]
-    grads = ad.backward(batch_loss(model, notes))
-    singles = [ad.backward(batch_loss(model, [n])) for n in notes]
+    split = notes(enc(text="aches cough bruise dizzy edema"), enc(text="dizzy", codes=("B11.1",)),
+                  enc(text="cough edema", codes=("A00.0", "B11.1")))
+    grads = ad.backward(batch_loss(model, split, [0, 1, 2]))
+    singles = [ad.backward(batch_loss(model, split, [i])) for i in range(3)]
     assert set(grads) == set(model.params.values())
     for t, g in grads.items():
-        mean = sum(s[t] for s in singles) / len(notes)
+        mean = sum(s[t] for s in singles) / 3
         np.testing.assert_allclose(g, mean, rtol=0, atol=1e-12)
 
 
@@ -203,8 +228,7 @@ def test_history_runs_to_max_epochs_when_improving():
 def test_zero_epochs_returns_initial_params():
     model = toy_model()
     before = {k: t.data.copy() for k, t in model.params.items()}
-    snap, history = train(model, [note()], [note()], LABELS,
-                          TrainConfig(max_epochs=0))
+    snap, history = train(model, note(), note(), TrainConfig(max_epochs=0))
     assert history == TrainHistory()
     for k in before:
         np.testing.assert_array_equal(snap[k], before[k])
@@ -215,17 +239,17 @@ def test_single_example_memorization():
     n = note()
     config = TrainConfig(learning_rate=0.05, batch_size=1, max_epochs=200,
                          patience=200)
-    _, history = train(model, [n], [n], LABELS, config)
+    _, history = train(model, n, n, config)
     assert history.epochs[-1].loss < 0.01
 
 
 def test_same_seed_reproduces_history_exactly():
-    notes = [note(), note(text="bruise dizzy", codes=("B11.1",)),
-             note(text="cough edema", codes=("A00.0", "B11.1"))]
+    split = notes(enc(), enc(text="bruise dizzy", codes=("B11.1",)),
+                  enc(text="cough edema", codes=("A00.0", "B11.1")))
     runs = []
     for _ in range(2):
         model = toy_model(seed=5)
-        _, history = train(model, notes, notes, LABELS,
+        _, history = train(model, split, split,
                            TrainConfig(max_epochs=3, patience=3, seed=11))
         # everything but wall-clock must reproduce bit-for-bit
         runs.append([(e.epoch, e.loss, e.dev_recall_at_5, e.dev_instance_f1)
@@ -237,21 +261,20 @@ def test_non_finite_loss_names_the_batch():
     model = toy_model()
     model.params["out_b"].data[0] = np.nan
     with pytest.raises(NumericError, match=r"batch 0"):
-        train(model, [note()], [note()], LABELS, TrainConfig(max_epochs=1))
+        train(model, note(), note(), TrainConfig(max_epochs=1))
 
 
 def test_empty_sets_rejected():
     model = toy_model()
-    with pytest.raises(ValidationError):
-        train(model, [], [note()], LABELS, TrainConfig())
-    with pytest.raises(ValidationError):
-        train(model, [note()], [], LABELS, TrainConfig())
+    with pytest.raises(ValidationError, match="training set is empty"):
+        train(model, notes(), note(), TrainConfig())
+    with pytest.raises(ValidationError, match="dev set is empty"):
+        train(model, note(), notes(), TrainConfig())
 
 
 def test_history_csv_shape():
     model = toy_model()
-    _, history = train(model, [note()], [note()], LABELS,
-                       TrainConfig(max_epochs=2, patience=5))
+    _, history = train(model, note(), note(), TrainConfig(max_epochs=2, patience=5))
     lines = history.to_csv().strip().splitlines()
     assert lines[0] == "epoch,loss,dev_r5,dev_if1,seconds"
     assert len(lines) == 1 + len(history.epochs)
@@ -264,21 +287,22 @@ def test_history_csv_shape():
 
 
 def test_first_visit_flags_by_patient_and_date():
-    notes = [note(pid="P1", day=5), note(pid="P1", day=2), note(pid="P2", day=9)]
-    records = predict_records(toy_model(), notes, LABELS)
-    assert records.first_visit.tolist() == [False, True, True]
+    split = notes(enc(pid="P1", day=5), enc(pid="P1", day=2), enc(pid="P2", day=9),
+                  enc(pid="P1", day=2))  # a date tie goes to the first in input order
+    records = predict_records(toy_model(), split)
+    assert records.first_visit.tolist() == [False, True, True, False]
 
 
 def test_uniform_baseline_is_seed_deterministic():
-    notes = [note(), note(text="dizzy")]
-    a = uniform_baseline_records(notes, LABELS, seed=4)
-    b = uniform_baseline_records(notes, LABELS, seed=4)
+    split = notes(enc(), enc(text="dizzy"))
+    a = uniform_baseline_records(split, seed=4)
+    b = uniform_baseline_records(split, seed=4)
     np.testing.assert_array_equal(a.probs, b.probs)
     assert not np.array_equal(a.probs[0], a.probs[1])
 
 
 def test_marginal_baseline_ranks_by_train_count():
-    records = marginal_baseline_records([note()], LABELS)
+    records = marginal_baseline_records(note(), LABELS)
     assert records.probs[0, 0] == 1.0  # A00.0: most frequent
     assert records.probs[0, 1] == pytest.approx(4 / 40)
 
@@ -294,23 +318,22 @@ def reranker_fixture():
     vocabs = ModalityVocabs.from_encounters(encs)
     rr = MetadataReranker.init(len(LABELS), HP.d_c, vocabs,
                                RerankerHParams(d=8, n_heads=2), seed=7)
-    notes = [tokenize("aches cough", VOCAB, encounter=encs[0])]
-    return base, rr, notes
+    return base, rr, notes(*encs)
 
 
 def test_fresh_reranker_matches_base_metrics():
-    base, rr, notes = reranker_fixture()
-    base_r5 = mean_recall_at_k(predict_records(base, notes, LABELS), 5)
-    rr_r5 = mean_recall_at_k(predict_records_reranked(base, rr, notes, LABELS, VOCAB), 5)
+    base, rr, split = reranker_fixture()
+    base_r5 = mean_recall_at_k(predict_records(base, split), 5)
+    rr_r5 = mean_recall_at_k(predict_records_reranked(base, rr, split, VOCAB), 5)
     assert rr_r5 == base_r5
 
 
 def test_reranked_predictions_accept_a_generator():
     base, rr, _ = reranker_fixture()
-    notes = [note(pid="P1", day=5, meds=("M1",)), note(pid="P1", day=2),
-             note(pid="P2", day=9, codes=("B11.1",))]
-    want = predict_records_reranked(base, rr, notes, LABELS, VOCAB)
-    got = predict_records_reranked(base, rr, (n for n in notes), LABELS, VOCAB)
+    encs = [enc(pid="P1", day=5, meds=("M1",)), enc(pid="P1", day=2),
+            enc(pid="P2", day=9, codes=("B11.1",))]
+    want = predict_records_reranked(base, rr, Notes.of(encs, VOCAB, LABELS), VOCAB)
+    got = predict_records_reranked(base, rr, Notes.of((e for e in encs), VOCAB, LABELS), VOCAB)
     assert len(got) == 3
     np.testing.assert_array_equal(got.probs, want.probs)
     np.testing.assert_array_equal(got.gt, want.gt)
@@ -318,17 +341,17 @@ def test_reranked_predictions_accept_a_generator():
 
 
 def test_reranker_training_freezes_base():
-    base, rr, notes = reranker_fixture()
+    base, rr, split = reranker_fixture()
     before = {k: t.data.copy() for k, t in base.params.items()}
-    train_reranker(base, rr, notes, notes, LABELS, VOCAB,
+    train_reranker(base, rr, split, split, VOCAB,
                    TrainConfig(max_epochs=2, patience=5, batch_size=1))
     for k, arr in before.items():
         np.testing.assert_array_equal(base.params[k].data, arr)
 
 
 def test_reranker_zero_epochs_keeps_zero_projection():
-    base, rr, notes = reranker_fixture()
-    snap, history = train_reranker(base, rr, notes, notes, LABELS, VOCAB,
+    base, rr, split = reranker_fixture()
+    snap, history = train_reranker(base, rr, split, split, VOCAB,
                                    TrainConfig(max_epochs=0))
     assert history == TrainHistory()
     assert not snap["proj_w"].any() and not snap["proj_b"].any()
@@ -369,16 +392,16 @@ def test_subsample_size_is_ceil(n, fraction):
 
 def test_fraction_experiment_requires_full_run():
     with pytest.raises(ValidationError):
-        data_fraction_experiment(toy_model, [note()], [note()], LABELS, [0.5],
+        data_fraction_experiment(toy_model, note(), note(), [0.5],
                                  TrainConfig(max_epochs=1))
 
 
 def test_fraction_experiment_normalizes_to_full():
-    notes = [note(), note(text="bruise dizzy", codes=("B11.1",)),
-             note(text="cough edema", codes=("A00.0", "B11.1")),
-             note(text="edema aches", codes=("B11.1",))]
-    rows = data_fraction_experiment(toy_model, notes, notes, LABELS,
-                                    [0.5, 1.0], TrainConfig(max_epochs=1))
+    split = notes(enc(), enc(text="bruise dizzy", codes=("B11.1",)),
+                  enc(text="cough edema", codes=("A00.0", "B11.1")),
+                  enc(text="edema aches", codes=("B11.1",)))
+    rows = data_fraction_experiment(toy_model, split, split, [0.5, 1.0],
+                                    TrainConfig(max_epochs=1))
     assert [r.fraction for r in rows] == [0.5, 1.0]
     assert rows[-1].relative_recall_at_5 == 1.0
     assert rows[-1].relative_instance_f1 == 1.0
