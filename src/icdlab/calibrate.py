@@ -101,12 +101,10 @@ def ece(conf: np.ndarray, hits: np.ndarray, n_bins: int = 10) -> float:
     if not conf.size:
         raise UndefinedMetricError("ECE needs at least one observation")
     bins = np.minimum((conf * n_bins).astype(int), n_bins - 1)
-    total = 0.0
-    for b in range(n_bins):
-        mask = bins == b
-        if mask.any():
-            total += mask.sum() / conf.size * abs(conf[mask].mean() - hit[mask].mean())
-    return float(total)
+    # Σ_b (n_b/m)·|mean conf_b − mean hit_b| = Σ_b |Σ conf_b − Σ hit_b| / m
+    gaps = (np.bincount(bins, weights=conf, minlength=n_bins)
+            - np.bincount(bins, weights=hit, minlength=n_bins))
+    return float(np.abs(gaps).sum() / conf.size)
 
 
 # --------------------------------------------------------------------------

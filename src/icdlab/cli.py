@@ -241,7 +241,7 @@ def cmd_train_reranker(args, rc: RunConfig) -> int:
     dev_notes = _notes(prep / "dev.txt", vocab, labels, rc)
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     vocabs = ModalityVocabs.from_encounters(train_notes.truth.encounters)
-    reranker = MetadataReranker.init(len(labels), rc.d_c, vocabs, rc.reranker_hparams(),
+    reranker = MetadataReranker.init(len(labels), base.hp.d_c, vocabs, rc.reranker_hparams(),
                                      seed=stage_seed(rc.seed, "reranker-init"))
     _, history = train_reranker(base, reranker, train_notes, dev_notes, vocab,
                                 rc.train_config("reranker"))
@@ -369,6 +369,10 @@ def cmd_automate(args, rc: RunConfig) -> int:
                               for n in ("probs.npy", "records.jsonl")]
     dev_records = read_prediction_records(dev_dir)
     test_records = read_prediction_records(test_dir)
+    n_dev, n_test = dev_records.probs.shape[1], test_records.probs.shape[1]
+    if n_dev != n_test:
+        raise ValidationError(f"automate: {dev_dir} scores {n_dev} labels but {test_dir} "
+                              f"scores {n_test}; both must come from one label space")
     maps = None
     if args.calibrated:
         maps = load_isotonic(args.maps)

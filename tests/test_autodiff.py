@@ -49,17 +49,29 @@ def test_softmax_shift_invariance_is_bitwise():
     assert a.tobytes() == b.tobytes()
 
 
+def pool_weights(scores, mask):
+    """The (B, T, N) weights of the masked softmax inside attention_pool:
+    pooling the indicator of position k reads back the weights of k."""
+    weights = []
+    for k in range(scores.shape[1]):
+        values = np.zeros(scores.shape)
+        values[:, k] = 1.0
+        weights.append(ad.attention_pool(t(scores), t(values), mask).data)
+    return np.stack(weights, axis=1)
+
+
 def test_softmax_mask_zeroes_excluded_positions():
-    mask = np.array([True, False, True, False])
-    out = ad.softmax(t([1.0, 50.0, 2.0, 50.0]), axis=0, mask=mask).data
+    mask = np.array([[True, False, True, False]])
+    out = pool_weights(np.array([[[1.0], [50.0], [2.0], [50.0]]]), mask)[0, :, 0]
     assert out[1] == 0.0 and out[3] == 0.0
     e = np.exp([1.0 - 2.0, 2.0 - 2.0])
     np.testing.assert_allclose(out[[0, 2]], e / e.sum(), atol=1e-15)
 
 
 def test_softmax_all_masked_raises():
+    scores = t([[[1.0], [2.0]]])
     with pytest.raises(EmptySourceError):
-        ad.softmax(t([1.0, 2.0]), axis=0, mask=np.array([False, False]))
+        ad.attention_pool(scores, scores, np.array([[False, False]]))
 
 
 def test_softmax_extreme_logits_stay_finite():
@@ -181,14 +193,14 @@ def test_matmul_shape_mismatch_raises():
 def test_softmax_batch_mask_and_empty_row():
     mask = np.array([[True, False, True], [False, True, False]])
     scores = np.arange(12.0).reshape(2, 3, 2)
-    out = ad.softmax(t(scores), axis=1, mask=mask).data
+    out = pool_weights(scores, mask)
     assert (out[0, 1] == 0).all() and (out[1, [0, 2]] == 0).all()
     np.testing.assert_array_equal(out[1, 1], [1.0, 1.0])
     np.testing.assert_allclose(out[0, [0, 2]], ad.softmax(t(scores[0, [0, 2]]), axis=0).data,
                                atol=1e-15)
     mask[1] = False
     with pytest.raises(EmptySourceError):
-        ad.softmax(t(scores), axis=1, mask=mask)
+        ad.attention_pool(t(scores), t(scores), mask)
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -243,7 +255,7 @@ def test_no_grad_suppresses_graph():
     x = t([1.0, 2.0], grad=True)
     with ad.no_grad():
         y = ad.scale(x, 3.0)
-    assert y.op is None and y.parents == ()
+    assert y.grad_fn is None and y.parents == ()
 
 
 def test_constants_get_no_gradient_entry():
@@ -276,6 +288,13 @@ def test_attention_empty_source_raises():
     scores = t(np.ones((2, 3, 4)))
     with pytest.raises(EmptySourceError):
         ad.attention_pool(scores, scores, np.array([[True, False, False], [False] * 3]))
+
+
+def test_attention_mask_must_be_batch_by_positions():
+    scores = t(np.ones((2, 3, 4)))
+    for mask in (np.ones(3, dtype=bool), np.ones((3, 2), dtype=bool)):
+        with pytest.raises(ShapeError):
+            ad.attention_pool(scores, scores, mask)
 
 
 def test_attention_single_source_row_copies_value():
@@ -338,14 +357,14 @@ def test_grad_check_conv_tanh_softmax(seed):
 def test_grad_check_masked_softmax_and_embedding(seed):
     rng = np.random.default_rng(200 + seed)
     table = t(rng.normal(size=(6, 3)), grad=True)
-    mask = np.array([True, False, True, True])
-    ids = rng.integers(0, 6, size=4).tolist()
+    mask = np.array([[True, False, True, True]])
+    ids = rng.integers(0, 6, size=(1, 4))
     w = t(rng.normal(size=(3, 1)), grad=True)
 
     def f(table_, w_):
-        e = ad.embedding(table_, ids)
-        s = ad.softmax(ad.matmul(e, w_), axis=0, mask=mask)
-        return ad.tensor_sum(ad.mul(s, ad.matmul(e, w_)))
+        # Σ_t softmax(s)_t · s_t over the unmasked positions of s (1, 4, 1)
+        s = ad.matmul(ad.embedding(table_, ids), w_)
+        return ad.tensor_sum(ad.attention_pool(s, s, mask))
 
     assert ad.grad_check(f, [table, w]) < GC_TOL
 
@@ -375,6 +394,55 @@ def test_grad_check_clamp_interior(seed):
         return ad.tensor_sum(ad.mul(ad.clamp01(x_), x_))
 
     assert ad.grad_check(f, [x]) < GC_TOL
+
+
+def _normal(*shapes):
+    return lambda rng: [t(rng.normal(size=s), grad=True) for s in shapes]
+
+
+def _inside_unit(rng):
+    return t(rng.uniform(0.05, 0.95, size=(3, 4)), grad=True)
+
+
+POOL_MASK = np.array([[True, True, False, True], [True, True, True, True]])
+
+# name -> (primitive, inputs from a generator)
+ONE_PRIMITIVE = {
+    "add": (ad.add, _normal((2, 3, 4), (3, 1))),
+    "mul": (ad.mul, _normal((2, 3, 4), (4,))),
+    "scale": (lambda a: ad.scale(a, -1.7), _normal((3, 4))),
+    "matmul": (ad.matmul, _normal((2, 3, 4), (4, 5))),
+    "matmul_batched": (ad.matmul, _normal((2, 3, 4), (2, 4, 5))),
+    "transpose": (ad.transpose, _normal((2, 3, 4))),
+    "tensor_sum": (ad.tensor_sum, _normal((3, 4))),
+    "tensor_sum_axis": (lambda a: ad.tensor_sum(a, axis=1), _normal((2, 3, 4))),
+    "tanh": (ad.tanh, _normal((3, 4))),
+    "sigmoid": (ad.sigmoid, lambda rng: [t(np.linspace(-6.0, 5.0, 12).reshape(3, 4), grad=True)]),
+    "softmax": (lambda a: ad.softmax(a, axis=1), _normal((2, 3, 4))),
+    "attention_pool": (lambda s, v: ad.attention_pool(s, v, POOL_MASK),
+                       _normal((2, 4, 3), (2, 4, 3))),
+    "embedding": (lambda table: ad.embedding(table, [[1, 3, 1], [0, 1, 1]]), _normal((4, 3))),
+    "conv1d": (ad.conv1d, _normal((2, 5, 3), (2, 3, 3), (2,))),
+    "clamp01": (ad.clamp01, lambda rng: [_inside_unit(rng)]),
+    "bce_loss": (ad.bce_loss, lambda rng: [_inside_unit(rng),
+                                            t(rng.integers(0, 2, size=(3, 4)).astype(float))]),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_PRIMITIVE))
+def test_grad_check_one_primitive(name):
+    # one primitive alone; a non-scalar output is read out through fixed
+    # random weights, so every output coordinate gets its own upstream gradient
+    op, make_inputs = ONE_PRIMITIVE[name]
+    rng = np.random.default_rng(500)
+    inputs = make_inputs(rng)
+    readout = t(rng.normal(size=op(*inputs).shape))
+
+    def f(*xs):
+        out = op(*xs)
+        return out if out.shape == () else ad.tensor_sum(ad.mul(out, readout))
+
+    assert ad.grad_check(f, inputs) < GC_TOL
 
 
 # ---------------------------------------------------------------------------

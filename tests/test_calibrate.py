@@ -193,6 +193,32 @@ def test_ece_six_point_toy_matches_definition():
     assert ece(conf, hits) == pytest.approx(want, abs=1e-12)
 
 
+def _ece_loop(conf, hits, n_bins):
+    """Reference: the per-bin definition, Σ_b (n_b/m)·|mean conf_b − mean hit_b|."""
+    conf = np.clip(np.asarray(conf, dtype=float), 0.0, 1.0)
+    hit = np.asarray(hits, dtype=float)
+    bins = np.minimum((conf * n_bins).astype(int), n_bins - 1)
+    total = 0.0
+    for b in range(n_bins):
+        mask = bins == b
+        if mask.any():
+            total += mask.sum() / conf.size * abs(conf[mask].mean() - hit[mask].mean())
+    return total
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ece_matches_the_per_bin_loop(seed):
+    rng = np.random.default_rng(seed)
+    m, n_bins = int(rng.integers(1, 300)), int(rng.integers(1, 25))
+    conf = rng.uniform(-0.1, 1.1, size=m)  # some outside [0, 1], clipped into the end bins
+    conf[rng.uniform(size=m) < 0.2] = rng.integers(0, n_bins + 1) / n_bins  # bin edges
+    hits = rng.uniform(size=m) < np.clip(conf, 0.0, 1.0)
+    # the sums run in another order: allow a few float64 ulps per document
+    assert ece(conf, hits, n_bins) == pytest.approx(_ece_loop(conf, hits, n_bins),
+                                                    rel=0, abs=m * 1e-15)
+
+
 def test_ece_validation():
     with pytest.raises(UndefinedMetricError):
         ece([], [])

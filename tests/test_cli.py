@@ -545,6 +545,32 @@ def test_evaluate_k_below_one_is_usage_error(pipeline, tmp_path, capsys, k):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_reranker_takes_key_width_from_the_base(pipeline, tmp_path):
+    # the base was trained with d_c = 8; the reranker reads its keys at that width
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_with("d_c = 4"), encoding="utf-8")
+    out = tmp_path / "rr"
+    assert main(["train-reranker", "--config", str(cfg), "--in", str(pipeline["prep"]),
+                 "--base", str(pipeline["model"]), "--out", str(out)]) == 0
+    sidecar = json.loads((out / "reranker.ckpt.json").read_text(encoding="utf-8"))
+    assert sidecar["d_keys"] == 8
+
+
+def test_automate_rejects_eval_dirs_of_different_label_spaces(pipeline, tmp_path, capsys):
+    wider = tmp_path / "eval_wider"
+    shutil.copytree(pipeline["eval_test"], wider)
+    _edit_probs(wider, lambda p: np.hstack([p, np.zeros((len(p), 1))]))
+    n = np.load(pipeline["eval_dev"] / "probs.npy").shape[1]
+    capsys.readouterr()
+    assert main(["automate", "--config", str(pipeline["cfg"]), "--dev", str(pipeline["eval_dev"]),
+                 "--test", str(wider), "--out", str(tmp_path / "o"), "--max-fp", "0.1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert all(s in err[0] for s in (str(pipeline["eval_dev"]), str(wider),
+                                     f"{n} labels", f"{n + 1}"))
+    assert not (tmp_path / "o" / "automation.csv").exists()
+
+
 def test_run_pipeline_script_runs_every_stage(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CFG, encoding="utf-8")
