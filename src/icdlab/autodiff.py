@@ -307,7 +307,7 @@ def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:
     if p.shape != y.shape:
         raise ShapeError(f"bce: shapes differ, {p.shape} vs {y.shape}")
     q = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    out = np.asarray(-np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q)))
+    out = -np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))
 
     def grad_fn(g):
         q = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
