@@ -178,25 +178,17 @@ def sigmoid(a: Tensor) -> Tensor:
 
 # ---- softmax and attention pooling ------------------------------------------
 
-def _softmax(z, axis):
-    e = z - z.max(axis=axis, keepdims=True)
+def _softmax(z):
+    """Overflow-safe softmax of a (B, T, N) array over its positions, axis 1."""
+    e = z - z.max(axis=1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=1, keepdims=True)
     return e
 
 
-def _softmax_grad(g, out, axis):
-    inner = (g * out).sum(axis=axis, keepdims=True)
+def _softmax_grad(g, out):
+    inner = (g * out).sum(axis=1, keepdims=True)
     return out * (g - inner)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Overflow-safe softmax along `axis`."""
-    ax = axis % max(a.data.ndim, 1)
-    if ax >= a.data.ndim:
-        raise ShapeError(f"softmax: axis {ax} out of range for shape {a.shape}")
-    out = _softmax(a.data, ax)
-    return _node(out, (a,), lambda g: (_softmax_grad(g, out, ax),))
 
 
 def attention_pool(scores: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
@@ -217,12 +209,12 @@ def attention_pool(scores: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
         raise EmptySourceError("softmax: every position along the axis is masked")
 
     def weights():
-        return _softmax(np.where(mask[:, :, None], scores.data, -np.inf), 1)
+        return _softmax(np.where(mask[:, :, None], scores.data, -np.inf))
 
     def grad_fn(g):
         w = weights()
         g = g[:, None]
-        return _softmax_grad(g * values.data, w, 1), g * w
+        return _softmax_grad(g * values.data, w), g * w
 
     return _node((weights() * values.data).sum(axis=1), (scores, values), grad_fn)
 

@@ -3,7 +3,8 @@
 One file holds any ordered mapping of named float64 arrays: an ASCII
 header (one "name dim0 dim1 ..." line per parameter, then an END line)
 followed by the raw little-endian row-major values in header order.
-Round-trip is byte-exact, so saved models replay identically.
+Round-trip is byte-exact, so saved models replay identically. A value that
+is NaN or infinite is a NumericError when the checkpoint is read.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/\[\]]+$")
 _MAGIC = "icdlab-params v1"
@@ -39,7 +40,8 @@ def save_params(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into {name: array}, verifying sizes."""
+    """Read a checkpoint back into {name: array}, verifying sizes and that
+    every value is finite."""
     raw = Path(path).read_bytes()
     cut = 0
     header_lines = []
@@ -73,6 +75,8 @@ def load_params(path) -> dict[str, np.ndarray]:
         if offset + nbytes > len(raw):
             raise ParseError(f"checkpoint: truncated data for parameter {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise NumericError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         params[name] = arr.copy()  # writable, native order
         offset += nbytes
     if offset != len(raw):

@@ -4,7 +4,8 @@ Every command reads a flat key=value config, writes its artifacts under
 --out, and drops a manifest.json recording argv, the config hash, and
 the SHA-256 of every input and output file, so a run can be replayed and
 verified byte-for-byte. Timing logs (history.csv) are listed separately
-from outputs because wall-clock never reproduces.
+from outputs because wall-clock never reproduces. `pipeline` runs the
+stages in order, each into its own directory under --workdir.
 
 Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 4 numeric failures. Errors print one machine-parseable line to stderr:
@@ -240,7 +241,7 @@ def cmd_train_reranker(args, rc: RunConfig) -> int:
     train_notes = _notes(prep / "train.txt", vocab, labels, rc)
     dev_notes = _notes(prep / "dev.txt", vocab, labels, rc)
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
-    vocabs = ModalityVocabs.from_encounters(train_notes.truth.encounters)
+    vocabs = ModalityVocabs.from_encounters(train_notes.encounters)
     reranker = MetadataReranker.init(len(labels), base.hp.d_c, vocabs, rc.reranker_hparams(),
                                      seed=stage_seed(rc.seed, "reranker-init"))
     _, history = train_reranker(base, reranker, train_notes, dev_notes, vocab,
@@ -433,6 +434,43 @@ def cmd_report(args, rc: RunConfig) -> int:
     return 0
 
 
+def cmd_pipeline(args, rc: RunConfig) -> int:
+    """The whole chain, corpus to report, one stage directory each under
+    --workdir; the first stage that fails stops it with that stage's exit
+    code."""
+    w = Path(args.workdir)
+    w.mkdir(parents=True, exist_ok=True)
+
+    def d(name):
+        return str(w / name)
+
+    model = ("--in", d("prep"), "--model", d("model"))
+    evals = ("--dev", d("eval_dev"), "--test", d("eval_test"))
+    stages = [
+        ("gen-corpus", "--out", d("corpus")),
+        ("preprocess", "--in", d("corpus"), "--out", d("prep")),
+        ("train", "--in", d("prep"), "--out", d("model")),
+        ("train-reranker", "--in", d("prep"), "--base", d("model"), "--out", d("reranker")),
+        ("evaluate", *model, "--out", d("eval_dev"), "--split", "dev"),
+        ("evaluate", *model, "--out", d("eval_test"), "--split", "test"),
+        ("evaluate", *model, "--reranker", d("reranker"), "--out", d("eval_test_rr"),
+         "--split", "test"),
+        ("calibrate", "--in", d("eval_dev"), "--out", d("calib")),
+        ("automate", *evals, "--out", d("automation"), "--max-fp", args.max_fp),
+        ("automate", *evals, "--out", d("automation_cal"), "--max-fp", args.max_fp,
+         "--calibrated", "--maps", d("calib")),
+        ("report", "--in", d("eval_test"), "--out", d("report")),
+    ]
+    for command, *flags in stages:
+        argv = [command, "--config", args.config, *flags]
+        print("+ icdlab " + " ".join(argv), flush=True)
+        code = main(argv)
+        if code != 0:
+            return code
+    print(f"pipeline complete under {w}")
+    return 0
+
+
 # --------------------------------------------------------------------------
 # parser and dispatch
 # --------------------------------------------------------------------------
@@ -480,6 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
                "--maps": {"default": None}})
     command("report", cmd_report,
             **{"--in": {"required": True, "dest": "inp"}, "--out": {"required": True}})
+    command("pipeline", cmd_pipeline,
+            **{"--workdir": {"required": True},
+               "--max-fp": {"default": "0.05,0.1,0.15,0.2", "dest": "max_fp"}})
     return parser
 
 

@@ -16,7 +16,7 @@ from .corpus import CorpusConfig
 from .errors import ConfigError
 from .model import ARCHITECTURES, BaseHParams, RerankerHParams
 from .preprocess import DEDUP_SCOPES
-from .train import TrainConfig
+from .train import TrainConfig, check_fractions
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class RunConfig:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.dedup_scope not in DEDUP_SCOPES:
             raise ConfigError(f"unknown dedup scope {self.dedup_scope!r}")
-        parse_fractions(self.fractions)
+        check_fractions(parse_fractions(self.fractions))
         # building each stage config runs that stage's own checks
         self.corpus(), self.base_hparams(), self.reranker_hparams()
         self.train_config("train"), self.train_config("reranker")

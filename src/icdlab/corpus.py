@@ -405,7 +405,6 @@ class CorpusStats:
     n_distinct_codes: int
     mean_text_chars: float
     mean_codes_per_doc: float
-    pct_codes_unseen: float | None = None
 
     def as_text(self) -> str:
         lines = [
@@ -415,29 +414,20 @@ class CorpusStats:
             f"Mean document length (chars)   {self.mean_text_chars:.2f}",
             f"Mean codes per document        {self.mean_codes_per_doc:.2f}",
         ]
-        if self.pct_codes_unseen is not None:
-            lines.append(f"Distinct % codes unseen        {self.pct_codes_unseen:.2f}")
         return "\n".join(lines) + "\n"
 
 
-def corpus_stats(encounters: list[Encounter], train_reference: list[Encounter] | None = None) -> CorpusStats:
+def corpus_stats(encounters: list[Encounter]) -> CorpusStats:
     n = len(encounters)
     distinct = set()
     for enc in encounters:
         distinct.update(enc.codes)
     mean_chars = sum(len(e.text) for e in encounters) / n if n else 0.0
     mean_codes = sum(len(e.codes) for e in encounters) / n if n else 0.0
-    pct_unseen = None
-    if train_reference is not None:
-        train_codes = set()
-        for enc in train_reference:
-            train_codes.update(enc.codes)
-        pct_unseen = 100.0 * len(distinct - train_codes) / len(distinct) if distinct else 0.0
     return CorpusStats(
         n_documents=n,
         n_patients=len({e.patient_id for e in encounters}),
         n_distinct_codes=len(distinct),
         mean_text_chars=mean_chars,
         mean_codes_per_doc=mean_codes,
-        pct_codes_unseen=pct_unseen,
     )

@@ -26,7 +26,7 @@ Conventions that matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -300,7 +300,7 @@ def score_histogram(p: Predictions, metric: str = "if1", bins: int = 10,
         raise ValidationError("bins must be ≥ 1")
     if metric == "if1":
         vals = instance_f1(p, decision_threshold)
-    elif metric in ("recall@5", "recall_at_k"):
+    elif metric == "recall@5":
         vals = recall_at_k(p, k)
     else:
         raise ValidationError(f"unknown histogram metric {metric!r}")
@@ -373,7 +373,6 @@ class MetricsReport:
     recall_at_k: float
     k: int = 5
     n_records: int = 0
-    breakdowns: dict = field(default_factory=dict)
 
     def as_csv(self) -> str:
         def fmt(v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Encounter
 from .errors import ConfigError, ContractError
@@ -132,9 +132,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens) + 2
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_for(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
@@ -197,7 +194,6 @@ class PreprocessReport:
     mean_codes_after: float
     min_count: int
     dedup_scope: str
-    rows: tuple[tuple[str, str], ...] = field(default=())
 
     def as_text(self) -> str:
         lines = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -148,13 +148,18 @@ def _first_visit_flags(encounters: list) -> list[bool]:
 @dataclass(frozen=True)
 class Notes:
     """One split, tokenized once: `ids` (n, T) int64, the notes padded with
-    PAD_ID to the longest, their `lengths` (n,), and `truth`, the split's
-    Predictions with zero probs (targets `gt`, `n_unseen` and the per-record
-    columns). A scoring pass's predictions are `replace(truth, probs=...)`."""
+    PAD_ID to the longest, their `lengths` (n,), and the split's ground
+    truth and per-record columns, named and typed as in Predictions. A
+    scoring pass's predictions are `scored(probs)`."""
 
     ids: np.ndarray
     lengths: np.ndarray
-    truth: Predictions
+    gt: np.ndarray
+    n_unseen: np.ndarray
+    dept: np.ndarray
+    first_visit: np.ndarray
+    freq_bucket: np.ndarray
+    encounters: np.ndarray
 
     @classmethod
     def of(cls, encounters, vocab: Vocabulary, labels: LabelSpace,
@@ -168,12 +173,14 @@ class Notes:
         gt = np.zeros((len(encs), len(labels)), dtype=bool)
         for i, e in enumerate(encs):
             gt[i, [labels.index(c) for c in e.codes if c in labels]] = True
-        truth = Predictions(
-            probs=np.zeros(gt.shape), gt=gt,
-            n_unseen=np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
-            dept=[e.dept for e in encs], first_visit=_first_visit_flags(encs),
-            freq_bucket=[frequency_bucket(e.codes, labels) for e in encs], encounters=encs)
-        return cls(ids, mask.sum(axis=1), truth)
+        objects = np.empty(len(encs), dtype=object)
+        objects[:] = encs
+        return cls(ids, mask.sum(axis=1), gt,
+                   np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
+                   np.array([e.dept for e in encs], dtype=str),
+                   np.array(_first_visit_flags(encs), dtype=bool),
+                   np.array([frequency_bucket(e.codes, labels) for e in encs], dtype=str),
+                   objects)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -183,10 +190,13 @@ class Notes:
         return self.ids[idx, :self.lengths[idx].max()]
 
     def rows(self, idx) -> "Notes":
-        """The notes at `idx` (and their truth rows) as a split of their own."""
-        return Notes(self.ids[idx], self.lengths[idx],
-                     Predictions(**{f.name: getattr(self.truth, f.name)[idx]
-                                    for f in fields(Predictions)}))
+        """The notes at `idx` as a split of their own."""
+        return Notes(**{f.name: getattr(self, f.name)[idx] for f in fields(Notes)})
+
+    def scored(self, probs: np.ndarray) -> Predictions:
+        """These notes' Predictions for the (n, N) score matrix `probs`."""
+        return Predictions(probs, **{f.name: getattr(self, f.name)
+                                     for f in fields(Predictions)[1:]})
 
 
 def _scored(score, n: int, width: int) -> np.ndarray:
@@ -203,7 +213,7 @@ def _base_probs(model: BaseModel, notes: Notes) -> np.ndarray:
 
 
 def predict_records(model: BaseModel, notes: Notes) -> Predictions:
-    return replace(notes.truth, probs=_base_probs(model, notes))
+    return notes.scored(_base_probs(model, notes))
 
 
 class _FrozenBase:
@@ -213,7 +223,7 @@ class _FrozenBase:
     batch pads only to its own longest note."""
 
     def __init__(self, base: BaseModel, notes: Notes, vocab: Vocabulary):
-        self.encs = notes.truth.encounters
+        self.encs = notes.encounters
         aux, aux_mask = padded([tokenize(encounter_aux_text(e), vocab).token_ids
                                 for e in self.encs], np.int64)
         aux_lengths = aux_mask.sum(axis=1)
@@ -248,7 +258,7 @@ def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes:
     Ranking must use unclamped scores (no ties at the bounds); every decision
     threshold strictly inside (0,1) selects the same set either way.
     """
-    return replace(notes.truth, probs=_FrozenBase(base, notes, vocab).reranked(reranker))
+    return notes.scored(_FrozenBase(base, notes, vocab).reranked(reranker))
 
 
 # --------------------------------------------------------------------------
@@ -306,12 +316,12 @@ def _train(params: dict[str, ad.Tensor], notes: Notes, dev_notes: Notes,
         raise ValidationError("dev set is empty; early stopping needs one")
 
     def dev_scores():
-        records = replace(dev_notes.truth, probs=dev_probs())
+        records = dev_notes.scored(dev_probs())
         return (mean_recall_at_k(records, 5),
                 mean_instance_f1(records, config.decision_threshold))
 
     return _fit(params, len(notes),
-                lambda idx: ad.bce_loss(probs_of(idx), ad.tensor(notes.truth.gt[idx])),
+                lambda idx: ad.bce_loss(probs_of(idx), ad.tensor(notes.gt[idx])),
                 dev_scores, config)
 
 
@@ -340,15 +350,14 @@ def train_reranker(base: BaseModel, reranker: MetadataReranker, notes: Notes,
 
 def uniform_baseline_records(notes: Notes, seed: int = 0) -> Predictions:
     """Scores every label uniformly at random, fresh per document."""
-    probs = np.random.default_rng(seed).uniform(size=notes.truth.probs.shape)
-    return replace(notes.truth, probs=probs)
+    return notes.scored(np.random.default_rng(seed).uniform(size=notes.gt.shape))
 
 
 def marginal_baseline_records(notes: Notes, labels: LabelSpace) -> Predictions:
     """Scores every document with the train-frequency ranking of the codes."""
     counts = np.asarray([labels.train_count(c) for c in labels.codes], dtype=np.float64)
     probs = counts / max(counts.max(), 1.0)
-    return replace(notes.truth, probs=np.tile(probs, (len(notes), 1)))
+    return notes.scored(np.tile(probs, (len(notes), 1)))
 
 
 # --------------------------------------------------------------------------
@@ -379,27 +388,28 @@ class FractionResult:
     relative_instance_f1: float
 
 
-def data_fraction_experiment(make_model, train_notes: Notes, dev_notes: Notes, fractions,
-                             config: TrainConfig,
-                             eval_notes: Notes | None = None) -> list[FractionResult]:
-    """Trains one freshly-initialized model per training-set fraction and
-    reports scores absolute and relative to the full-data run.
+def check_fractions(fractions) -> list[float]:
+    """The distinct training-set fractions, ascending. Each must lie in
+    (0, 1], and 1.0, the full-data run the others are normalized by, must be
+    one of them."""
+    grid = sorted({float(f) for f in fractions})
+    if not all(0.0 < f <= 1.0 for f in grid) or 1.0 not in grid:
+        raise ConfigError(f"fractions must lie in (0, 1] and include 1.0, got {grid}")
+    return grid
 
-    Scoring uses eval_notes when given (a held-out test split), else the dev
-    split that also drives early stopping."""
-    fractions = sorted({float(f) for f in fractions})
-    if any(not 0.0 < f <= 1.0 for f in fractions):
-        raise ValidationError("every fraction must lie in (0, 1]")
-    if 1.0 not in fractions:
-        raise ValidationError("fraction 1.0 is required for normalization")
-    scored = dev_notes if eval_notes is None else eval_notes
+
+def data_fraction_experiment(make_model, train_notes: Notes, dev_notes: Notes, fractions,
+                             config: TrainConfig, eval_notes: Notes) -> list[FractionResult]:
+    """Trains one freshly-initialized model per training-set fraction, with
+    early stopping on dev_notes, and reports its scores on eval_notes (a
+    held-out split) absolute and relative to the full-data run."""
     scores: dict[float, tuple[float, float]] = {}
-    for i, f in enumerate(fractions):
+    for i, f in enumerate(check_fractions(fractions)):
         subset = train_notes.rows(subsample_train(range(len(train_notes)), f,
                                                   seed=config.seed + i))
         model = make_model()
         train(model, subset, dev_notes, config)
-        records = predict_records(model, scored)
+        records = predict_records(model, eval_notes)
         scores[f] = (mean_recall_at_k(records, 5),
                      mean_instance_f1(records, config.decision_threshold))
     full_r5, full_if1 = scores[1.0]

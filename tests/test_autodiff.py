@@ -33,31 +33,37 @@ def test_add_rejects_mismatched_shapes():
         ad.add(t([[1.0, 2.0]]), t([[1.0], [2.0]]))
 
 
-def test_softmax_reference_values():
-    out = ad.softmax(t([1.0, 2.0, 3.0]), axis=0)
-    np.testing.assert_allclose(
-        out.data, [0.09003057317038046, 0.24472847105479767, 0.6652409557748219],
-        rtol=0, atol=1e-15,
-    )
-    assert out.data.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_softmax_shift_invariance_is_bitwise():
-    logits = np.array([3.0, -1.0, 0.0, 7.0])
-    a = ad.softmax(t(logits), axis=0).data
-    b = ad.softmax(t(logits + 100.0), axis=0).data
-    assert a.tobytes() == b.tobytes()
-
-
-def pool_weights(scores, mask):
+def pool_weights(scores, mask=None):
     """The (B, T, N) weights of the masked softmax inside attention_pool:
-    pooling the indicator of position k reads back the weights of k."""
+    pooling the indicator of position k reads back the weights of k. No
+    mask keeps every position."""
+    if mask is None:
+        mask = np.ones(scores.shape[:2], dtype=bool)
     weights = []
     for k in range(scores.shape[1]):
         values = np.zeros(scores.shape)
         values[:, k] = 1.0
         weights.append(ad.attention_pool(t(scores), t(values), mask).data)
     return np.stack(weights, axis=1)
+
+
+def softmax(logits):
+    """The softmax of a 1-D vector, as attention_pool weighs its positions."""
+    return pool_weights(np.asarray(logits, dtype=np.float64)[None, :, None])[0, :, 0]
+
+
+def test_softmax_reference_values():
+    out = softmax([1.0, 2.0, 3.0])
+    np.testing.assert_allclose(
+        out, [0.09003057317038046, 0.24472847105479767, 0.6652409557748219],
+        rtol=0, atol=1e-15,
+    )
+    assert out.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_softmax_shift_invariance_is_bitwise():
+    logits = np.array([3.0, -1.0, 0.0, 7.0])
+    assert softmax(logits).tobytes() == softmax(logits + 100.0).tobytes()
 
 
 def test_softmax_mask_zeroes_excluded_positions():
@@ -75,7 +81,7 @@ def test_softmax_all_masked_raises():
 
 
 def test_softmax_extreme_logits_stay_finite():
-    out = ad.softmax(t([1000.0, 0.0, -1000.0]), axis=0).data
+    out = softmax([1000.0, 0.0, -1000.0])
     assert np.isfinite(out).all()
     assert out[0] == pytest.approx(1.0)
 
@@ -196,8 +202,7 @@ def test_softmax_batch_mask_and_empty_row():
     out = pool_weights(scores, mask)
     assert (out[0, 1] == 0).all() and (out[1, [0, 2]] == 0).all()
     np.testing.assert_array_equal(out[1, 1], [1.0, 1.0])
-    np.testing.assert_allclose(out[0, [0, 2]], ad.softmax(t(scores[0, [0, 2]]), axis=0).data,
-                               atol=1e-15)
+    np.testing.assert_allclose(out[0, [0, 2]], pool_weights(scores[:1, [0, 2]])[0], atol=1e-15)
     mask[1] = False
     with pytest.raises(EmptySourceError):
         ad.attention_pool(t(scores), t(scores), mask)
@@ -346,9 +351,9 @@ def test_grad_check_conv_tanh_softmax(seed):
     b = t(rng.normal(size=2), grad=True)
 
     def f(x_, k_, b_):
+        # Σ_t softmax_t(h) · h_t over the positions of h (2, 5, 2)
         h = ad.tanh(ad.conv1d(x_, k_, b_))
-        a = ad.softmax(h, axis=1)
-        return ad.tensor_sum(ad.mul(a, h))
+        return ad.tensor_sum(ad.attention_pool(h, h, np.ones((2, 5), dtype=bool)))
 
     assert ad.grad_check(f, [x, k, b]) < GC_TOL
 
@@ -418,7 +423,6 @@ ONE_PRIMITIVE = {
     "tensor_sum_axis": (lambda a: ad.tensor_sum(a, axis=1), _normal((2, 3, 4))),
     "tanh": (ad.tanh, _normal((3, 4))),
     "sigmoid": (ad.sigmoid, lambda rng: [t(np.linspace(-6.0, 5.0, 12).reshape(3, 4), grad=True)]),
-    "softmax": (lambda a: ad.softmax(a, axis=1), _normal((2, 3, 4))),
     "attention_pool": (lambda s, v: ad.attention_pool(s, v, POOL_MASK),
                        _normal((2, 4, 3), (2, 4, 3))),
     "embedding": (lambda table: ad.embedding(table, [[1, 3, 1], [0, 1, 1]]), _normal((4, 3))),
@@ -455,7 +459,7 @@ def test_grad_check_one_primitive(name):
 )
 @settings(max_examples=60, deadline=None)
 def test_softmax_simplex_property(logits):
-    out = ad.softmax(t(logits), axis=0).data
+    out = softmax(logits)
     assert (out >= 0).all()
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
 

@@ -5,6 +5,7 @@ tests then inspect its artifacts. Exit-code tests run tiny one-off commands.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -311,7 +312,8 @@ def _config_with(line: str) -> str:
 @pytest.mark.parametrize("line", [
     "decision_threshold = nan", "max_note_tokens = -3", "ece_bins = 0",
     "zipf_exponent = nan", "mean_codes_per_encounter = nan",
-    "mean_encounters_per_patient = inf", "kernel_width = 4", "reranker_heads = 3"])
+    "mean_encounters_per_patient = inf", "kernel_width = 4", "reranker_heads = 3",
+    "fractions = 0.5", "fractions = 0.5,2.0", "fractions = nan,1.0", "fractions = 0,1.0"])
 def test_bad_config_value_fails_every_stage(pipeline, tmp_path, capsys, command, line):
     # a config is validated as a whole, whichever stage reads it
     cfg = tmp_path / "bad.cfg"
@@ -411,7 +413,34 @@ def test_numeric_poison_exits_4(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("icdlab-error: numeric:") and "batch" in err
+    assert err.startswith("icdlab-error: numeric:") and "model.ckpt" in err and "'out_b'" in err
+
+
+def _evaluate_reranked(d):
+    return [*_evaluate(d), "--reranker", str(d["reranker"])]
+
+
+@pytest.mark.parametrize("stage, ckpt, param, value, argv", [
+    ("model", "model.ckpt", "out_b", np.nan, _evaluate),
+    ("model", "model.ckpt", "emb", np.inf, _evaluate),
+    ("reranker", "reranker.ckpt", "proj_b", np.nan, _evaluate_reranked),
+    ("calib", "isotonic.ckpt", "v0", np.nan, _automate_calibrated),
+], ids=["base-out_b-nan", "base-emb-inf", "reranker-proj_b-nan", "isotonic-v0-nan"])
+def test_non_finite_checkpoint_value_exits_4(pipeline, tmp_path, capsys,
+                                             stage, ckpt, param, value, argv):
+    from icdlab.checkpoint import load_params, save_params
+    dirs = dict(pipeline)
+    dirs[stage] = tmp_path / stage
+    shutil.copytree(pipeline[stage], dirs[stage])
+    params = load_params(dirs[stage] / ckpt)
+    params[param] = np.full_like(params[param], value)
+    save_params(dirs[stage] / ckpt, params)
+    capsys.readouterr()
+    assert main([*argv(dirs), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: numeric:")
+    assert ckpt in err[0] and repr(param) in err[0]
 
 
 def _edit_first_record(eval_dir: Path, **changes) -> None:
@@ -571,20 +600,85 @@ def test_automate_rejects_eval_dirs_of_different_label_spaces(pipeline, tmp_path
     assert not (tmp_path / "o" / "automation.csv").exists()
 
 
-def test_run_pipeline_script_runs_every_stage(tmp_path):
+# the stage calls of `pipeline` as the former scripts/run_pipeline.py wrote them
+SCRIPT_STAGES = [
+    ["gen-corpus", "--config", "run.cfg", "--out", "w/corpus"],
+    ["preprocess", "--config", "run.cfg", "--in", "w/corpus", "--out", "w/prep"],
+    ["train", "--config", "run.cfg", "--in", "w/prep", "--out", "w/model"],
+    ["train-reranker", "--config", "run.cfg", "--in", "w/prep", "--base", "w/model",
+     "--out", "w/reranker"],
+    ["evaluate", "--config", "run.cfg", "--in", "w/prep", "--model", "w/model",
+     "--out", "w/eval_dev", "--split", "dev"],
+    ["evaluate", "--config", "run.cfg", "--in", "w/prep", "--model", "w/model",
+     "--out", "w/eval_test", "--split", "test"],
+    ["evaluate", "--config", "run.cfg", "--in", "w/prep", "--model", "w/model",
+     "--reranker", "w/reranker", "--out", "w/eval_test_rr", "--split", "test"],
+    ["calibrate", "--config", "run.cfg", "--in", "w/eval_dev", "--out", "w/calib"],
+    ["automate", "--config", "run.cfg", "--dev", "w/eval_dev", "--test", "w/eval_test",
+     "--out", "w/automation", "--max-fp", "0.05,0.1,0.15,0.2"],
+    ["automate", "--config", "run.cfg", "--dev", "w/eval_dev", "--test", "w/eval_test",
+     "--out", "w/automation_cal", "--max-fp", "0.05,0.1,0.15,0.2", "--calibrated",
+     "--maps", "w/calib"],
+    ["report", "--config", "run.cfg", "--in", "w/eval_test", "--out", "w/report"],
+]
+
+
+def test_pipeline_runs_every_stage(tmp_path, monkeypatch, capsys):
+    # relative paths from two working directories, so the manifests' argv agree
+    for side in ("pipeline", "stages"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "run.cfg").write_text(TINY_CFG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "pipeline")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", "run.cfg", "--workdir", "w"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("+ icdlab ")] == \
+        ["+ icdlab " + " ".join(argv) for argv in SCRIPT_STAGES]
+    assert out[-1] == "pipeline complete under w"
+    monkeypatch.chdir(tmp_path / "stages")
+    for argv in SCRIPT_STAGES:
+        assert main(argv) == 0, argv[0]
+    stages = sorted(p.name for p in (tmp_path / "pipeline" / "w").iterdir())
+    assert stages == sorted(argv[argv.index("--out") + 1][2:] for argv in SCRIPT_STAGES)
+    for stage in stages:
+        manifest = Path("w", stage, "manifest.json")
+        assert (tmp_path / "pipeline" / manifest).read_bytes() == \
+            (tmp_path / "stages" / manifest).read_bytes(), stage
+
+
+def test_pipeline_stops_at_the_first_failing_stage(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CFG, encoding="utf-8")
-    root = Path(icdlab.__file__).resolve().parents[2]
-    src = str(Path(icdlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, str(root / "scripts" / "run_pipeline.py"),
-                           "--config", str(cfg), "--workdir", str(tmp_path / "w")],
-                          env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    stages = sorted(p.name for p in (tmp_path / "w").iterdir())
-    assert stages == sorted(["corpus", "prep", "model", "reranker", "eval_dev", "eval_test",
-                             "eval_test_rr", "calib", "automation", "automation_cal",
-                             "report"])
-    for stage in stages:
-        assert (tmp_path / "w" / stage / "manifest.json").exists(), stage
-    assert done.stdout.splitlines()[-1].startswith("pipeline complete")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg), "--workdir", str(tmp_path / "w"),
+                 "--max-fp", "0.1,oops"]) == 3
+    out = capsys.readouterr().out
+    assert "+ icdlab automate" in out and "+ icdlab report" not in out
+    assert "pipeline complete" not in out
+
+
+def _perfbench_spans():
+    """The benchmark's tracer module, loaded from the checkout without
+    importing anything else of the benchmark."""
+    path = Path(icdlab.__file__).resolve().parents[2] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_runs_the_chain_and_counts_repeat(tmp_path):
+    # the benchmark's traced run wraps program functions by name and reads
+    # what they return; the whole chain must run under it, counting the same twice
+    spans = _perfbench_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG, encoding="utf-8")
+    counts = []
+    for run in range(2):
+        tracer = spans.Tracer()
+        with spans.traced(tracer):
+            assert main(["pipeline", "--config", str(cfg),
+                         "--workdir", str(tmp_path / f"w{run}")]) == 0
+        counts.append(spans.summarize(tracer, set())[1])
+    assert counts[0] == counts[1]
+    assert counts[0]["preprocess.tokens"] > 0 and counts[0]["autodiff.backward.calls"] > 0

@@ -115,6 +115,10 @@ def test_float_field_accepts_int_literal():
     ("reranker_heads = 3", "reranker_heads and reranker_d"),
     ("dedup_scope = sometimes", "dedup scope"),
     ("fractions = 0.5,half", "fractions"),
+    ("fractions = 0.5", "fractions"),
+    ("fractions = 0.5,2.0", "fractions"),
+    ("fractions = nan,1.0", "fractions"),
+    ("fractions = 0,1.0", "fractions"),
 ])
 def test_bad_value_rejected_when_read(line, match):
     with pytest.raises(ConfigError, match=match):

@@ -362,13 +362,6 @@ def test_mean_codes_per_document():
     assert stats.n_patients == 2
 
 
-def test_pct_unseen_codes():
-    ref = [Encounter("P1", dt.date(2020, 1, 1), "D", "R", "t", frozenset(["A00.0"]))]
-    ev = [Encounter("P2", dt.date(2020, 1, 2), "D", "R", "t", frozenset(["A00.0", "B00.0"]))]
-    stats = corpus_stats(ev, train_reference=ref)
-    assert stats.pct_codes_unseen == pytest.approx(50.0)
-
-
 def test_stats_match_independent_recount():
     encs, _ = generate_corpus(small_config())
     stats = corpus_stats(encs)

@@ -71,8 +71,8 @@ def test_config_validation():
 
 def test_targets_split_in_and_out_of_space():
     split = note(text="aches", codes=("A00.0", "Z99.9"))
-    assert split.truth.gt.tolist() == [[True, False]] and split.truth.n_unseen.tolist() == [1]
-    assert not split.truth.probs.any()
+    assert split.gt.tolist() == [[True, False]] and split.n_unseen.tolist() == [1]
+    assert not hasattr(split, "probs")  # no score matrix until the split is scored
     records = predict_records(toy_model(), split)
     assert records.gt.tolist() == [[True, False]] and records.n_unseen.tolist() == [1]
 
@@ -80,7 +80,7 @@ def test_targets_split_in_and_out_of_space():
 def test_notes_keep_encounter_reference():
     e = enc(text="aches zzz")
     split = notes(e)
-    assert split.truth.encounters[0] is e
+    assert split.encounters[0] is e
     assert split.ids.tolist() == [[2, UNK_ID]] and split.lengths.tolist() == [2]
 
 
@@ -93,8 +93,8 @@ def test_notes_pad_to_the_longest_and_batch_to_their_own():
     assert split.batch(np.array([1, 3])).tolist() == [[5, PAD_ID], [6, 4]]
     assert split.batch(np.array([2])).tolist() == [[UNK_ID]]
     sub = split.rows([0, 3])
-    assert sub.lengths.tolist() == [3, 2] and len(sub.truth) == 2
-    assert list(sub.truth.encounters) == [split.truth.encounters[0], split.truth.encounters[3]]
+    assert sub.lengths.tolist() == [3, 2] and sub.gt.shape == (2, len(LABELS))
+    assert list(sub.encounters) == [split.encounters[0], split.encounters[3]]
 
 
 def test_notes_truncate_to_max_len():
@@ -136,7 +136,7 @@ def test_adam_skips_untouched_params():
 def batch_loss(model, split, idx):
     """Mean BCE of one padded batch of notes."""
     probs, _, _ = model.forward(split.batch(idx))
-    return ad.bce_loss(probs, ad.tensor(split.truth.gt[idx]))
+    return ad.bce_loss(probs, ad.tensor(split.gt[idx]))
 
 
 def test_single_step_decreases_batch_loss():
@@ -393,7 +393,7 @@ def test_subsample_size_is_ceil(n, fraction):
 def test_fraction_experiment_requires_full_run():
     with pytest.raises(ValidationError):
         data_fraction_experiment(toy_model, note(), note(), [0.5],
-                                 TrainConfig(max_epochs=1))
+                                 TrainConfig(max_epochs=1), eval_notes=note())
 
 
 def test_fraction_experiment_normalizes_to_full():
@@ -401,7 +401,7 @@ def test_fraction_experiment_normalizes_to_full():
                   enc(text="cough edema", codes=("A00.0", "B11.1")),
                   enc(text="edema aches", codes=("B11.1",)))
     rows = data_fraction_experiment(toy_model, split, split, [0.5, 1.0],
-                                    TrainConfig(max_epochs=1))
+                                    TrainConfig(max_epochs=1), eval_notes=split)
     assert [r.fraction for r in rows] == [0.5, 1.0]
     assert rows[-1].relative_recall_at_5 == 1.0
     assert rows[-1].relative_instance_f1 == 1.0
