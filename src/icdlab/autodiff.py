@@ -1,14 +1,17 @@
 """Dense float64 arrays with reverse-mode differentiation.
 
 A deliberately small engine with exactly the primitives the classifiers and
-the reranker need. A mini-batch of notes is one (B, T, ...) array, so one
-graph and one `backward` serve the whole batch: `add` and `mul` broadcast
-their second operand, `matmul` applies a rank-2 weight to every position.
+the reranker need. A mini-batch of notes is packed: the positions of all its
+notes stacked as the rows of one (ΣL, ...) array, note b being the next
+lengths[b] rows. One graph and one `backward` serve the whole batch, and
+only real positions are computed. `conv1d` keeps each window inside its own
+note and `attention_pool` softmaxes over each note's rows, returning one row
+per note; every other primitive is per position: `add` and `mul` broadcast
+their second operand, `matmul` applies a rank-2 weight to every row.
 Each primitive records its parents and a `grad_fn` closure that maps the
 upstream gradient to one gradient per parent; `backward` walks that graph
-in reverse for exact gradients. Only `attention_pool` takes a (B, T) mask.
-`grad_check` verifies any scalar-valued composite against central
-differences.
+in reverse for exact gradients. `grad_check` verifies any scalar-valued
+composite against central differences.
 
 Everything is float64. Forward passes are deterministic: identical inputs
 and parameters produce bitwise-identical outputs.
@@ -108,41 +111,18 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), lambda g: (g * c,))
 
 
-# ---- matmul / transpose ----------------------------------------------------
+# ---- matmul ------------------------------------------------------------------
 
-def _swap(a):
-    return np.swapaxes(a, -1, -2)
-
-
-def _flat_matmul(a, b):
-    """(..., k) @ (k, n) as one GEMM over every leading position."""
-    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes. A rank-2 `b` is shared by every
-    leading (batch) position of `a`, in one GEMM; a higher-rank `b` must have
-    the same leading axes as `a`."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """a (m, k) @ b (k, n) as one GEMM: every row of a packed batch shares
+    the weight. With `transpose_b`, `b` is (n, k) and is read as a transposed
+    view: a weight stored one row per output needs no copy."""
     x, y = a.data, b.data
-    if (y.ndim < 2 or x.shape[-1:] != y.shape[-2:-1]
-            or y.ndim > 2 and x.shape[:-2] != y.shape[:-2]):
-        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
-
-    def grad_fn(g):
-        if y.ndim == 2:
-            return _flat_matmul(g, y.T), x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return g @ _swap(y), _swap(x) @ g
-
-    return _node(_flat_matmul(x, y) if y.ndim == 2 else x @ y, (a, b), grad_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes, as a C-contiguous copy: BLAS rounds a GEMM that
-    reads a transposed view differently from one over the copy on some shapes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: expected rank ≥ 2, got shape {a.shape}")
-    return _node(np.ascontiguousarray(_swap(a.data)), (a,),
-                 lambda g: (np.ascontiguousarray(_swap(g)),))
+    yk = y.T if transpose_b else y
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != yk.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}"
+                         + (" (transposed)" if transpose_b else ""))
+    return _node(x @ yk, (a, b), lambda g: (g @ yk.T, g.T @ x if transpose_b else x.T @ g))
 
 
 # ---- reductions -------------------------------------------------------------
@@ -176,47 +156,40 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-# ---- softmax and attention pooling ------------------------------------------
+# ---- attention pooling over packed segments --------------------------------
 
-def _softmax(z):
-    """Overflow-safe softmax of a (B, T, N) array over its positions, axis 1."""
-    e = z - z.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+def attention_pool(scores: Tensor, values: Tensor, lengths) -> Tensor:
+    """out[b, n] = Σ_t a[t, n] · values[t, n] over the positions t of segment
+    b, a = the softmax of scores[:, n] over those positions. scores and values
+    are packed (ΣL, N): segment b is the next lengths[b] rows, so out is
+    (B, N). A segment of no position raises EmptySourceError.
 
-
-def _softmax_grad(g, out):
-    inner = (g * out).sum(axis=1, keepdims=True)
-    return out * (g - inner)
-
-
-def attention_pool(scores: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
-    """out[b, n] = Σ_t a[b, t, n] · values[b, t, n], a = softmax over t of
-    scores (both (B, T, N)) with the (B, T) mask: masked positions weigh
-    exactly zero; a row with no position left raises EmptySourceError.
-
-    The graph keeps only scores and values: the weights are recomputed in
-    the backward pass instead of being held for every batch."""
-    if scores.data.ndim != 3 or values.shape != scores.shape:
-        raise ShapeError(f"attention_pool: expected two equal (B,T,N) shapes, "
-                         f"got {scores.shape} and {values.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape[:2]:
-        raise ShapeError(f"softmax: mask of shape {mask.shape} does not match axes (0, 1) "
-                         f"of {scores.shape}")
-    if not mask.any(axis=-1).all():
-        raise EmptySourceError("softmax: every position along the axis is masked")
-
-    def weights():
-        return _softmax(np.where(mask[:, :, None], scores.data, -np.inf))
+    The graph keeps the exponentials of the softmax for the backward pass."""
+    s, v = scores.data, values.data
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if s.ndim != 2 or v.shape != s.shape or lengths.ndim != 1 or lengths.sum() != len(s):
+        raise ShapeError(f"attention_pool: expected scores and values (ΣL,N), lengths (B,) "
+                         f"summing to ΣL; got {s.shape}, {v.shape}, {lengths.tolist()}")
+    if not (lengths > 0).all():
+        raise EmptySourceError("attention_pool: a segment has no position")
+    starts = np.cumsum(lengths) - lengths
+    e = np.repeat(np.maximum.reduceat(s, starts), lengths, axis=0)
+    np.exp(np.subtract(s, e, out=e), out=e)
+    total = np.add.reduceat(e, starts)
+    out = np.add.reduceat(e * v, starts)
+    out /= total
 
     def grad_fn(g):
-        w = weights()
-        g = g[:, None]
-        return _softmax_grad(g * values.data, w), g * w
+        # with weights a_t = e_t / total: ∂out/∂v_t = a_t and ∂out/∂s_t =
+        # a_t (v_t - out), since the softmax Jacobian's inner sum is out itself
+        gv = np.repeat(g / total, lengths, axis=0)
+        gv *= e
+        gs = np.repeat(out, lengths, axis=0)
+        np.subtract(v, gs, out=gs)
+        gs *= gv
+        return gs, gv
 
-    return _node((weights() * values.data).sum(axis=1), (scores, values), grad_fn)
+    return _node(out, (scores, values), grad_fn)
 
 
 # ---- embedding lookup --------------------------------------------------------
@@ -241,45 +214,54 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _node(rows[ids], (table,), grad_fn)
 
 
-# ---- same-padded 1-D convolution ---------------------------------------------
+# ---- same-padded 1-D convolution over packed segments ------------------------
 
-def _im2col(x, w):
-    """(B, T, d_e) → (B·T, w·d_e): row (b, t) holds positions t-w//2 .. t+w//2
-    of row b, zeros beyond either end of the row."""
-    n, t, d_e = x.shape
-    xp = np.zeros((n, t + w - 1, d_e))
-    xp[:, w // 2 : w // 2 + t] = x
-    return np.concatenate([xp[:, j : j + t] for j in range(w)], axis=2).reshape(n * t, -1)
+def _windows(lengths, w):
+    """(ΣL, w): the rows t-w//2 .. t+w//2 around each packed row t, or ΣL, a
+    zero row past the end, where that position lies outside t's segment."""
+    n = int(lengths.sum())
+    shift = np.arange(w) - w // 2
+    at = (np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths))[:, None] + shift
+    inside = (at >= 0) & (at < np.repeat(lengths, lengths)[:, None])
+    return np.where(inside, np.arange(n)[:, None] + shift, n)
 
 
-def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Same-length 1-D convolution over the positions of each row (zero
-    padded, odd width) as one im2col GEMM: x (B, T, d_e), kernels
-    (d_c, w, d_e), bias (d_c,) → linear (B, T, d_c). A zero row of x adds
-    nothing to its neighbours' outputs. The backward pass rebuilds the
-    im2col matrix rather than the graph holding it.
+def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
+    """Same-length 1-D convolution (zero padded, odd width) within each
+    segment of packed rows, as one im2col GEMM: x (ΣL, d_e) with segment b
+    the next lengths[b] rows, kernels (d_c, w, d_e), bias (d_c,) → linear
+    (ΣL, d_c). A window reads zero wherever it leaves its segment, so no
+    segment sees its neighbour. The backward pass rebuilds the im2col
+    matrix rather than the graph holding it.
     """
     xs, k, b = x.data, kernels.data, bias.data
-    if xs.ndim != 3 or k.ndim != 3 or b.shape != k.shape[:1] or xs.shape[2] != k.shape[2]:
-        raise ShapeError(f"conv1d: expected x (B,T,d_e), kernels (d_c,w,d_e), bias (d_c,);"
-                         f" got {xs.shape}, {k.shape}, {b.shape}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (xs.ndim != 2 or k.ndim != 3 or b.shape != k.shape[:1] or xs.shape[1] != k.shape[2]
+            or lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(xs)):
+        raise ShapeError(f"conv1d: expected x (ΣL,d_e), kernels (d_c,w,d_e), bias (d_c,), "
+                         f"lengths (B,) summing to ΣL; got {xs.shape}, {k.shape}, {b.shape}, "
+                         f"{lengths.tolist()}")
     d_c, w, d_e = k.shape
     if w % 2 == 0:
         raise ShapeError(f"conv1d: kernel width {w} is even, same-padding ill-defined")
-    out = _im2col(xs, w) @ k.reshape(d_c, -1).T
+    idx = _windows(lengths, w)
+
+    def im2col():
+        return np.concatenate([xs, np.zeros((1, d_e))])[idx].reshape(len(xs), w * d_e)
+
+    out = im2col() @ k.reshape(d_c, -1).T
     out += b
 
     def grad_fn(g):
-        n, t, _ = xs.shape
-        g2 = g.reshape(-1, d_c)
-        gk = (g2.T @ _im2col(xs, w)).reshape(k.shape)
-        gcols = (g2 @ k.reshape(d_c, -1)).reshape(n, t, w, d_e)
-        gxp = np.zeros((n, t + w - 1, d_e))
+        gk = (g.T @ im2col()).reshape(k.shape)
+        gcols = (g @ k.reshape(d_c, -1)).reshape(len(xs), w, d_e)
+        gcols[idx == len(xs)] = 0.0  # a read past the segment passes nothing back
+        gxp = np.zeros((len(xs) + w - 1, d_e))
         for j in range(w):
-            gxp[:, j : j + t] += gcols[:, :, j]
-        return gxp[:, w // 2 : w // 2 + t], gk, g2.sum(axis=0)
+            gxp[j : j + len(xs)] += gcols[:, j]
+        return gxp[w // 2 : w // 2 + len(xs)], gk, g.sum(axis=0)
 
-    return _node(out.reshape(xs.shape[:2] + (d_c,)), (x, kernels, bias), grad_fn)
+    return _node(out, (x, kernels, bias), grad_fn)
 
 
 # ---- clamp to the unit interval ------------------------------------------------

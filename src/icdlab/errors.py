@@ -44,7 +44,7 @@ class NumericError(IcdLabError):
 
 
 class EmptySourceError(NumericError):
-    """Attention was asked to attend over zero unmasked positions."""
+    """Attention was asked to attend over a note of no position."""
 
 
 @contextmanager

@@ -7,9 +7,10 @@ differ only in how attention scores are produced:
 * "caml": scores = H u_l per label (one attention vector per label);
 * "laat": scores = tanh(H W^T) U^T (a shared projection, then per-label).
 
-Both take a mini-batch of notes as one PAD_ID-padded (B, T) id matrix.
-Padding adds nothing to a real position's encoding and gets zero attention
-weight, so each row scores as that note alone, up to float rounding.
+Both take a mini-batch of notes packed: one (ΣL,) vector of their token ids
+plus their lengths. Every layer computes only real positions, convolution
+windows and attention stay within their own note, so each note scores as
+it would alone, up to float rounding.
 
 The reranker treats the base model's outputs P and H as constants, adds
 structured-metadata embeddings to label embeddings, attends over the note
@@ -36,18 +37,6 @@ from .preprocess import PAD_ID
 # --------------------------------------------------------------------------
 # base model
 # --------------------------------------------------------------------------
-
-
-def padded(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of varying length zero-filled (PAD_ID for id rows) to the longest
-    (at least one position) as one array, plus the (B, T) mask of the filled
-    positions. Zero rows give a (0, 1) array."""
-    lengths = np.array([len(row) for row in rows], dtype=np.int64)
-    tail = np.shape(rows[0])[1:] if len(rows) else ()
-    out = np.zeros((len(rows), max(1, lengths.max(initial=0))) + tail, dtype)
-    for b, row in enumerate(rows):
-        out[b, :len(row)] = row
-    return out, np.arange(out.shape[1]) < lengths[:, None]
 
 
 ARCHITECTURES = ("caml", "laat")
@@ -101,31 +90,29 @@ class BaseModel:
         p["out_b"] = ad.tensor(np.zeros(n_labels), requires_grad=True)
         return cls(arch, vocab_size, n_labels, hp, p)
 
-    def encode(self, ids: np.ndarray) -> tuple[ad.Tensor, np.ndarray]:
-        """(B, T) id matrix → H (B×T×d_c) plus the non-padding position mask.
-        Padding embeds to zero vectors, which add nothing to the convolution."""
+    def encode(self, ids: np.ndarray, lengths: np.ndarray) -> ad.Tensor:
+        """Packed ids (ΣL,) of notes of `lengths` (B,) → H (ΣL, d_c). Padding
+        is not a token: a packed batch holds real positions only."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise ValidationError(f"token id out of range for vocabulary of {self.vocab_size}")
-        mask = ids != PAD_ID
-        x = ad.mul(ad.embedding(self.params["emb"], ids), ad.tensor(mask[..., None]))
-        h = ad.tanh(ad.conv1d(x, self.params["conv_w"], self.params["conv_b"]))
-        return h, mask
+        if ids.size and (ids.min() <= PAD_ID or ids.max() >= self.vocab_size):
+            raise ValidationError(f"token id out of range [{PAD_ID + 1}, {self.vocab_size})")
+        x = ad.embedding(self.params["emb"], ids)
+        return ad.tanh(ad.conv1d(x, self.params["conv_w"], self.params["conv_b"], lengths))
 
-    def forward(self, ids: np.ndarray) -> tuple[ad.Tensor, ad.Tensor, np.ndarray]:
-        """Probabilities P (B, N), the document encodings H and their mask.
+    def forward(self, ids: np.ndarray, lengths: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
+        """Probabilities P (B, N) and the packed note encodings H (ΣL, d_c).
         Label n's logit v_n · w_n, v_n = Σ_t a_tn h_t, is taken as the pooled
         per-position scores Σ_t a_tn (h_t · w_n): no (B, N, d_c) tensor."""
-        h, mask = self.encode(ids)
+        h = self.encode(ids, lengths)
         p = self.params
         if self.arch == "caml":
-            scores = ad.matmul(h, ad.transpose(p["attn_u"]))          # (B,T,N)
+            scores = ad.matmul(h, p["attn_u"], transpose_b=True)          # (ΣL,N)
         else:
-            z = ad.tanh(ad.matmul(h, ad.transpose(p["laat_w"])))
-            scores = ad.matmul(z, ad.transpose(p["laat_u"]))
-        per_position = ad.matmul(h, ad.transpose(p["out_w"]))         # (B,T,N)
-        logits = ad.add(ad.attention_pool(scores, per_position, mask), p["out_b"])
-        return ad.sigmoid(logits), h, mask
+            z = ad.tanh(ad.matmul(h, p["laat_w"], transpose_b=True))
+            scores = ad.matmul(z, p["laat_u"], transpose_b=True)
+        per_position = ad.matmul(h, p["out_w"], transpose_b=True)         # (ΣL,N)
+        logits = ad.add(ad.attention_pool(scores, per_position, lengths), p["out_b"])
+        return ad.sigmoid(logits), h
 
 
 # --------------------------------------------------------------------------
@@ -223,58 +210,60 @@ class MetadataReranker:
         return cls(n_labels, d_keys, hp, vocabs, p)
 
     def embed_modalities(self, encs) -> ad.Tensor:
-        """(B, 1, d): per encounter, the sum over modalities of its embedding
+        """(B, d): per encounter, the sum over modalities of its embedding
         rows; med/proc lists contribute their average, an empty list nothing.
         A table no encounter of the batch uses stays out of the graph."""
         total = None
         for m in MODALITIES:
-            weights = np.zeros((len(encs), 1, len(getattr(self.vocabs, m)) + 1))
+            weights = np.zeros((len(encs), len(getattr(self.vocabs, m)) + 1))
             for b, enc in enumerate(encs):
                 values = {"med": enc.meds, "proc": enc.procs,
                           "doctor": (enc.doctor,), "dept": (enc.dept,)}[m]
                 for v in values:
-                    weights[b, 0, self.vocabs.row(m, v)] += 1.0 / len(values)
+                    weights[b, self.vocabs.row(m, v)] += 1.0 / len(values)
             if weights.any():
                 part = ad.matmul(ad.tensor(weights), self.params[f"{m}_emb"])
                 total = part if total is None else ad.add(total, part)
         return total
 
     def _head(self, side: str, h: int, modalities: ad.Tensor, source: ad.Tensor,
-              mask: np.ndarray) -> ad.Tensor:
-        """Head h of one side's share of the residual, (B, N). Label n of row b
-        queries with label_emb[n] + m_b; the head's output would pass through
-        its rows of W_o and proj_w[n], both linear, so each source row is read
-        out through them first and the attention pools the read-out values."""
+              lengths: np.ndarray) -> ad.Tensor:
+        """Head h of one side's share of the residual, (B, N), over the packed
+        source rows of notes of `lengths`. Label n of note b queries with
+        label_emb[n] + m_b, m_b's term gathered to each row of note b. The
+        head's output would pass through its rows of W_o and proj_w[n], both
+        linear, so each source row is read out through them first and the
+        attention pools the read-out values."""
         p, dh, wq = self.params, self.hp.d // self.hp.n_heads, self.params[f"{side}.h{h}.wq"]
         keys = ad.scale(ad.matmul(source, p[f"{side}.h{h}.wk"]), 1.0 / math.sqrt(dh))
-        scores = ad.add(ad.matmul(keys, ad.transpose(ad.matmul(p["label_emb"], wq))),
-                        ad.matmul(keys, ad.transpose(ad.matmul(modalities, wq))))  # (B,S,N)
+        m_rows = ad.embedding(ad.matmul(modalities, wq),
+                              np.repeat(np.arange(len(lengths)), lengths))
+        scores = ad.add(ad.matmul(keys, ad.matmul(p["label_emb"], wq), transpose_b=True),
+                        ad.matmul(ad.mul(keys, m_rows), ad.tensor(np.ones((dh, 1)))))  # (ΣS,N)
         w_o = ad.embedding(p[f"{side}.wo"], np.arange(h * dh, (h + 1) * dh))
-        readout = ad.matmul(w_o, ad.transpose(p["proj_w"]))               # (dh,N)
+        readout = ad.matmul(w_o, p["proj_w"], transpose_b=True)          # (dh,N)
         values = ad.matmul(ad.matmul(source, p[f"{side}.h{h}.wv"]), readout)
-        return ad.attention_pool(scores, values, mask)
+        return ad.attention_pool(scores, values, lengths)
 
-    def forward(self, base_probs: ad.Tensor, h_note: ad.Tensor, note_mask: np.ndarray,
-                h_aux: ad.Tensor, aux_mask: np.ndarray,
+    def forward(self, base_probs: ad.Tensor, h_note: ad.Tensor, note_lengths: np.ndarray,
+                h_aux: ad.Tensor | None, aux_lengths: np.ndarray | None,
                 encs) -> tuple[ad.Tensor, ad.Tensor]:
         """Returns (clamped P_f, pre-clamp scores P' + P), each (B, N).
 
-        base_probs (B, N), h_note (B, T, d_keys) and h_aux (B, A, d_keys)
-        must be constants (frozen base outputs), zero where their masks are
-        False. A row without auxiliary tokens gets an auxiliary term of
-        exactly zero: it attends to one zero source row, read out as zero.
-        A batch without any leaves the attn_m parameters out of the graph.
+        base_probs (B, N), the packed h_note (ΣL, d_keys) and h_aux
+        (ΣA, d_keys) must be constants (frozen base outputs). h_aux is None
+        when no note of the batch has auxiliary tokens, which leaves the
+        attn_m parameters out of the graph; otherwise a note without any is
+        one zero row, which gets an auxiliary term of exactly zero.
         """
-        sides = [("attn_n", h_note, note_mask)]
-        if aux_mask.any():
-            aux_mask = aux_mask.copy()
-            aux_mask[~aux_mask.any(axis=1), 0] = True
-            sides.append(("attn_m", h_aux, aux_mask))
+        sides = [("attn_n", h_note, note_lengths)]
+        if h_aux is not None:
+            sides.append(("attn_m", h_aux, aux_lengths))
         modalities = self.embed_modalities(encs)
         delta = self.params["proj_b"]
-        for side, source, mask in sides:
+        for side, source, lengths in sides:
             for h in range(self.hp.n_heads):
-                delta = ad.add(self._head(side, h, modalities, source, mask), delta)
+                delta = ad.add(self._head(side, h, modalities, source, lengths), delta)
         raw = ad.add(delta, base_probs)
         return ad.clamp01(raw), raw
 

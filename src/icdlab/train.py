@@ -2,9 +2,9 @@
 reference baselines, and the training-data-fraction experiment.
 
 Training minimizes mean binary cross-entropy over each mini-batch of
-notes, one padded (B, T) id matrix: one graph and one backward pass per
-batch. Scoring runs the same batched forward pass in fixed chunks of
-SCORE_CHUNK notes. After every epoch the dev split is
+notes, packed as one token vector plus the notes' lengths: one graph and
+one backward pass per batch. Scoring runs the same batched forward pass in
+fixed chunks of SCORE_CHUNK notes. After every epoch the dev split is
 scored; the parameters with the best dev Recall@5 win, where the untrained
 starting point counts as the epoch-0 candidate (for the zero-initialized
 reranker that candidate IS the base model, so a reranker can never leave
@@ -13,6 +13,7 @@ training worse than the model it corrects).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from .corpus import LabelSpace
 from .errors import ConfigError, NumericError, ValidationError
 from .metrics import Predictions, mean_instance_f1, mean_recall_at_k
-from .model import BaseModel, MetadataReranker, padded
+from .model import BaseModel, MetadataReranker
 from .preprocess import PAD_ID, UNK_ID, Vocabulary, encounter_aux_text, tokenize
 
 SCORE_CHUNK = 32  # notes per no-grad scoring batch (dev scoring and evaluate)
@@ -91,8 +92,10 @@ class Adam:
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.t = 0
+        self._work = np.empty((2, max((t.data.size for t in params.values()), default=0)))
 
     def step(self, grads) -> None:
+        """In place, bitwise p -= lr · (m / bias1) / (√(v / bias2) + eps)."""
         self.t += 1
         bias1 = 1.0 - self.b1**self.t
         bias2 = 1.0 - self.b2**self.t
@@ -101,11 +104,16 @@ class Adam:
             if g is None:
                 continue  # parameter untouched by this batch's losses
             m, v = self.m[name], self.v[name]
+            step, den = (w[:m.size].reshape(m.shape) for w in self._work)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(1.0 - self.b1, g, out=step)
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += np.multiply(np.multiply(1.0 - self.b2, g, out=den), g, out=den)
+            np.sqrt(np.divide(v, bias2, out=den), out=den)
+            den += self.eps
+            np.divide(m, bias1, out=step)
+            step *= self.lr
+            p.data -= np.divide(step, den, out=step)
 
 
 def _snapshot(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
@@ -145,15 +153,28 @@ def _first_visit_flags(encounters: list) -> list[bool]:
     return [i in chosen for i in range(len(encounters))]
 
 
+def _packed(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ids as one (ΣL,) int64 vector plus their (n+1,) offsets."""
+    return np.fromiter(itertools.chain(*rows), np.int64), np.cumsum([0, *map(len, rows)])
+
+
+def _segments(offsets, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The packed rows of the segments at `idx`, concatenated in that order,
+    and their lengths."""
+    starts, lengths = offsets[idx], offsets[np.asarray(idx) + 1] - offsets[idx]
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(lengths.sum()) + shift, lengths
+
+
 @dataclass(frozen=True)
 class Notes:
-    """One split, tokenized once: `ids` (n, T) int64, the notes padded with
-    PAD_ID to the longest, their `lengths` (n,), and the split's ground
-    truth and per-record columns, named and typed as in Predictions. A
-    scoring pass's predictions are `scored(probs)`."""
+    """One split, tokenized once: the notes' ids packed as `tokens` (ΣL,)
+    int64, note i being tokens[offsets[i]:offsets[i + 1]], and the split's
+    ground truth and per-record columns, named and typed as in Predictions.
+    A scoring pass's predictions are `scored(probs)`."""
 
-    ids: np.ndarray
-    lengths: np.ndarray
+    tokens: np.ndarray
+    offsets: np.ndarray
     gt: np.ndarray
     n_unseen: np.ndarray
     dept: np.ndarray
@@ -165,17 +186,17 @@ class Notes:
     def of(cls, encounters, vocab: Vocabulary, labels: LabelSpace,
            max_len: int = 512) -> "Notes":
         """A blank note (some encounters carry codes with no prose) becomes a
-        single unknown token instead of pure padding, so attention always has
-        one position to land on and no document drops out of the denominators."""
+        single unknown token instead of no token, so attention always has one
+        position to land on and no document drops out of the denominators."""
         encs = list(encounters)
         rows = [tokenize(e.text, vocab, max_len).token_ids for e in encs]
-        ids, mask = padded([(UNK_ID,) if r == (PAD_ID,) else r for r in rows], np.int64)
+        tokens, offsets = _packed([(UNK_ID,) if r == (PAD_ID,) else r for r in rows])
         gt = np.zeros((len(encs), len(labels)), dtype=bool)
         for i, e in enumerate(encs):
             gt[i, [labels.index(c) for c in e.codes if c in labels]] = True
         objects = np.empty(len(encs), dtype=object)
         objects[:] = encs
-        return cls(ids, mask.sum(axis=1), gt,
+        return cls(tokens, offsets, gt,
                    np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
                    np.array([e.dept for e in encs], dtype=str),
                    np.array(_first_visit_flags(encs), dtype=bool),
@@ -183,15 +204,18 @@ class Notes:
                    objects)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.offsets) - 1
 
-    def batch(self, idx) -> np.ndarray:
-        """The notes at `idx` as one (B, T) id matrix, T their longest length."""
-        return self.ids[idx, :self.lengths[idx].max()]
+    def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The notes at `idx` packed: their ids concatenated, and their lengths."""
+        rows, lengths = _segments(self.offsets, idx)
+        return self.tokens[rows], lengths
 
     def rows(self, idx) -> "Notes":
         """The notes at `idx` as a split of their own."""
-        return Notes(**{f.name: getattr(self, f.name)[idx] for f in fields(Notes)})
+        tokens, lengths = self.batch(idx)
+        return Notes(tokens, np.cumsum([0, *lengths]),
+                     **{f.name: getattr(self, f.name)[idx] for f in fields(Notes)[2:]})
 
     def scored(self, probs: np.ndarray) -> Predictions:
         """These notes' Predictions for the (n, N) score matrix `probs`."""
@@ -208,7 +232,7 @@ def _scored(score, n: int, width: int) -> np.ndarray:
 
 
 def _base_probs(model: BaseModel, notes: Notes) -> np.ndarray:
-    return _scored(lambda idx: model.forward(notes.batch(idx))[0].data,
+    return _scored(lambda idx: model.forward(*notes.batch(idx))[0].data,
                    len(notes), model.n_labels)
 
 
@@ -217,33 +241,37 @@ def predict_records(model: BaseModel, notes: Notes) -> Predictions:
 
 
 class _FrozenBase:
-    """A frozen base model's outputs on a split: P (n, N), and per note its
-    encoding H and that of its auxiliary text, trimmed to their real
-    positions. Computed once in scoring chunks, then padded per batch, so a
-    batch pads only to its own longest note."""
+    """A frozen base model's outputs on a split, computed once in scoring
+    chunks: P (n, N), the packed note encodings H (rows as `notes.offsets`)
+    and the packed encodings of the notes' auxiliary text, where a note
+    without auxiliary tokens has one zero row. A batch gathers its rows."""
 
     def __init__(self, base: BaseModel, notes: Notes, vocab: Vocabulary):
-        self.encs = notes.encounters
-        aux, aux_mask = padded([tokenize(encounter_aux_text(e), vocab).token_ids
-                                for e in self.encs], np.int64)
-        aux_lengths = aux_mask.sum(axis=1)
-        self.h, self.h_aux = [], []
+        self.encs, self.offsets = notes.encounters, notes.offsets
+        aux_rows = (tokenize(encounter_aux_text(e), vocab).token_ids for e in self.encs)
+        aux, aux_offsets = _packed([() if r == (PAD_ID,) else r for r in aux_rows])
+        h, h_aux = [np.empty((0, base.hp.d_c))], [np.empty((0, base.hp.d_c))]
 
         def run(idx):
-            probs, h, mask = base.forward(notes.batch(idx))
-            self.h += [row[m] for row, m in zip(h.data, mask)]
-            h_aux, aux_mask = base.encode(aux[idx, :aux_lengths[idx].max()])
-            self.h_aux += [row[m] for row, m in zip(h_aux.data, aux_mask)]
+            probs, hc = base.forward(*notes.batch(idx))
+            rows, lengths = _segments(aux_offsets, idx)
+            h.append(hc.data)
+            h_aux.append(base.encode(aux[rows], lengths).data)
             return probs.data
 
         self.probs = _scored(run, len(notes), base.n_labels)
+        self.h = np.concatenate(h)
+        self.has_aux = np.diff(aux_offsets) > 0
+        self.aux_offsets = np.cumsum([0, *np.maximum(np.diff(aux_offsets), 1)])
+        self.h_aux = np.insert(np.concatenate(h_aux), aux_offsets[:-1][~self.has_aux], 0.0, 0)
 
     def forward(self, reranker: MetadataReranker, idx):
         """The reranker's (clamped, raw) scores on the notes at `idx`."""
-        (h, h_mask), (aux, aux_mask) = (padded([rows[i] for i in idx], np.float64)
-                                        for rows in (self.h, self.h_aux))
-        return reranker.forward(ad.tensor(self.probs[idx]), ad.tensor(h), h_mask,
-                                ad.tensor(aux), aux_mask, self.encs[idx])
+        rows, lengths = _segments(self.offsets, idx)
+        aux_rows, aux_lengths = _segments(self.aux_offsets, idx)
+        aux = ad.tensor(self.h_aux[aux_rows]) if self.has_aux[idx].any() else None
+        return reranker.forward(ad.tensor(self.probs[idx]), ad.tensor(self.h[rows]), lengths,
+                                aux, aux_lengths, self.encs[idx])
 
     def reranked(self, reranker: MetadataReranker) -> np.ndarray:
         """The reranker's pre-clamp scores on every note, (n, N)."""
@@ -329,7 +357,7 @@ def train(model: BaseModel, notes: Notes, dev_notes: Notes, config: TrainConfig)
     """Returns (best parameter snapshot, history); the model is left holding
     the snapshot."""
     return _train(model.params, notes, dev_notes, config,
-                  lambda idx: model.forward(notes.batch(idx))[0],
+                  lambda idx: model.forward(*notes.batch(idx))[0],
                   lambda: _base_probs(model, dev_notes))
 
 

@@ -103,12 +103,12 @@ def _base_grad_error(arch: str, seed: int) -> float:
     hp = BaseHParams(d_e=5, d_c=6, kernel_width=3, d_a=4)
     model = BaseModel.init(arch, 10, 3, hp, seed=seed)
     length = int(rng.integers(2, 7))  # T ≤ 6
-    nt = np.array([rng.integers(2, 10, size=length)], dtype=np.int64)
+    nt = np.asarray(rng.integers(2, 10, size=length), dtype=np.int64)
     target = ad.tensor(rng.integers(0, 2, size=(1, 3)).astype(np.float64))
     tensors = [model.params[k] for k in sorted(model.params)]
 
     def loss(*_):
-        probs, _, _ = model.forward(nt)
+        probs, _ = model.forward(nt, [length])
         return ad.bce_loss(probs, target)
 
     return ad.grad_check(loss, tensors, eps=1e-4)
@@ -125,16 +125,15 @@ def _reranker_grad_error(seed: int) -> float:
     rr.params["proj_w"].data[:] = rng.normal(size=(3, 4)) * 0.2
     rr.params["proj_b"].data[:] = rng.normal(size=3) * 0.05
     base_p = ad.tensor(np.full((1, 3), 0.5))
-    h_note = ad.tensor(rng.normal(size=(1, 4, 6)))
-    h_aux = ad.tensor(rng.normal(size=(1, 2, 6)))
+    h_note = ad.tensor(rng.normal(size=(4, 6)))
+    h_aux = ad.tensor(rng.normal(size=(2, 6)))
     enc = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t",
                     frozenset(["A00.0"]), ("M1",), ("R1",))
     target = ad.tensor(rng.integers(0, 2, size=(1, 3)).astype(np.float64))
     tensors = [rr.params[k] for k in sorted(rr.params)]
 
     def loss(*_):
-        clamped, _ = rr.forward(base_p, h_note, np.ones((1, 4), bool),
-                                h_aux, np.ones((1, 2), bool), [enc])
+        clamped, _ = rr.forward(base_p, h_note, [4], h_aux, [2], [enc])
         return ad.bce_loss(clamped, target)
 
     return ad.grad_check(loss, tensors, eps=1e-4)

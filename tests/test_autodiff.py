@@ -33,23 +33,24 @@ def test_add_rejects_mismatched_shapes():
         ad.add(t([[1.0, 2.0]]), t([[1.0], [2.0]]))
 
 
-def pool_weights(scores, mask=None):
-    """The (B, T, N) weights of the masked softmax inside attention_pool:
-    pooling the indicator of position k reads back the weights of k. No
-    mask keeps every position."""
-    if mask is None:
-        mask = np.ones(scores.shape[:2], dtype=bool)
+def pool_weights(scores, lengths=None):
+    """The (ΣL, N) weights of the segment softmax inside attention_pool:
+    pooling the indicator of row k reads back the weights of k in its own
+    segment. No lengths makes every row one segment."""
+    if lengths is None:
+        lengths = [len(scores)]
+    segment = np.repeat(np.arange(len(lengths)), lengths)
     weights = []
-    for k in range(scores.shape[1]):
+    for k in range(len(scores)):
         values = np.zeros(scores.shape)
-        values[:, k] = 1.0
-        weights.append(ad.attention_pool(t(scores), t(values), mask).data)
-    return np.stack(weights, axis=1)
+        values[k] = 1.0
+        weights.append(ad.attention_pool(t(scores), t(values), lengths).data[segment[k]])
+    return np.stack(weights)
 
 
 def softmax(logits):
     """The softmax of a 1-D vector, as attention_pool weighs its positions."""
-    return pool_weights(np.asarray(logits, dtype=np.float64)[None, :, None])[0, :, 0]
+    return pool_weights(np.asarray(logits, dtype=np.float64)[:, None])[:, 0]
 
 
 def test_softmax_reference_values():
@@ -67,17 +68,23 @@ def test_softmax_shift_invariance_is_bitwise():
 
 
 def test_softmax_mask_zeroes_excluded_positions():
-    mask = np.array([[True, False, True, False]])
-    out = pool_weights(np.array([[[1.0], [50.0], [2.0], [50.0]]]), mask)[0, :, 0]
-    assert out[1] == 0.0 and out[3] == 0.0
+    # a segment's softmax covers its own rows only: the rows of its
+    # neighbour, however large their scores, weigh exactly zero in it
+    scores = np.array([[1.0], [2.0], [50.0], [50.0]])
+    for k in range(4):
+        values = np.zeros((4, 1))
+        values[k] = 1.0
+        assert ad.attention_pool(t(scores), t(values), [2, 2]).data[1 - k // 2, 0] == 0.0
     e = np.exp([1.0 - 2.0, 2.0 - 2.0])
-    np.testing.assert_allclose(out[[0, 2]], e / e.sum(), atol=1e-15)
+    np.testing.assert_allclose(pool_weights(scores, [2, 2])[:2, 0], e / e.sum(), atol=1e-15)
 
 
 def test_softmax_all_masked_raises():
-    scores = t([[[1.0], [2.0]]])
-    with pytest.raises(EmptySourceError):
-        ad.attention_pool(scores, scores, np.array([[False, False]]))
+    # a zero-length segment, first, in the middle or last
+    scores = t([[1.0], [2.0]])
+    for lengths in ([0, 1, 1], [1, 0, 1], [1, 1, 0]):
+        with pytest.raises(EmptySourceError):
+            ad.attention_pool(scores, scores, lengths)
 
 
 def test_softmax_extreme_logits_stay_finite():
@@ -88,16 +95,23 @@ def test_softmax_extreme_logits_stay_finite():
 
 def test_conv1d_same_padding_oracle():
     # single kernel of ones, width 3, over [1,2,3]: edges see zero padding
-    x = t([[[1.0], [2.0], [3.0]]])
+    x = t([[1.0], [2.0], [3.0]])
     k = t(np.ones((1, 3, 1)))
     b = t(np.zeros(1))
-    out = ad.conv1d(x, k, b).data
-    np.testing.assert_array_equal(out, [[[3.0], [6.0], [5.0]]])
+    out = ad.conv1d(x, k, b, [3]).data
+    np.testing.assert_array_equal(out, [[3.0], [6.0], [5.0]])
 
 
 def test_conv1d_even_width_rejected():
     with pytest.raises(ShapeError):
-        ad.conv1d(t(np.ones((1, 4, 2))), t(np.ones((1, 4, 2))), t(np.zeros(1)))
+        ad.conv1d(t(np.ones((4, 2))), t(np.ones((1, 4, 2))), t(np.zeros(1)), [4])
+
+
+def test_conv1d_lengths_must_cover_the_rows():
+    x, k, b = t(np.ones((4, 2))), t(np.ones((1, 3, 2))), t(np.zeros(1))
+    for lengths in ([3], [2, 3], [5, -1], [[4]]):
+        with pytest.raises(ShapeError):
+            ad.conv1d(x, k, b, lengths)
 
 
 def test_conv1d_matches_direct_dense_computation():
@@ -105,7 +119,7 @@ def test_conv1d_matches_direct_dense_computation():
     x = rng.normal(size=(2, 6, 3))
     k = rng.normal(size=(2, 3, 3))
     b = rng.normal(size=2)
-    out = ad.conv1d(t(x), t(k), t(b)).data
+    out = ad.conv1d(t(x.reshape(12, 3)), t(k), t(b), [6, 6]).data.reshape(2, 6, 2)
     for row in range(2):
         xp = np.zeros((8, 3))
         xp[1:7] = x[row]
@@ -118,15 +132,15 @@ def test_conv1d_matches_direct_dense_computation():
 
 
 def test_conv1d_zero_rows_leave_a_row_as_if_alone():
-    # a short row zero-padded to the batch's length convolves as it would alone
+    # packed segments convolve as each would alone: a window reads zeros,
+    # not its neighbour's rows, where it leaves its own segment
     rng = np.random.default_rng(8)
     k, b = t(rng.normal(size=(2, 5, 3))), t(rng.normal(size=2))
-    short, long = rng.normal(size=(3, 3)), rng.normal(size=(7, 3))
-    batch = np.zeros((2, 7, 3))
-    batch[0, :3], batch[1] = short, long
-    out = ad.conv1d(t(batch), k, b).data
-    np.testing.assert_allclose(out[0, :3], ad.conv1d(t(short[None]), k, b).data[0], atol=1e-12)
-    np.testing.assert_allclose(out[1], ad.conv1d(t(long[None]), k, b).data[0], atol=1e-12)
+    short, one, long = (rng.normal(size=(n, 3)) for n in (3, 1, 7))
+    out = ad.conv1d(t(np.concatenate([short, one, long])), k, b, [3, 1, 7]).data
+    for got, alone in ((out[:3], short), (out[3:4], one), (out[4:], long)):
+        np.testing.assert_allclose(got, ad.conv1d(t(alone), k, b, [len(alone)]).data,
+                                   rtol=0, atol=1e-12)
 
 
 def test_bce_reference_value():
@@ -194,18 +208,27 @@ def test_matmul_shape_mismatch_raises():
         ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 1))))
+    with pytest.raises(ShapeError):  # one row per packed position, not a batch axis
+        ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((4, 1))))
+    with pytest.raises(ShapeError):
+        ad.matmul(t(np.ones((2, 3))), t(np.ones((3, 2))), transpose_b=True)
+
+
+def test_matmul_transposed_reads_b_as_its_transpose():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+    np.testing.assert_allclose(ad.matmul(t(a), t(b), transpose_b=True).data,
+                               ad.matmul(t(a), t(b.T.copy())).data, rtol=0, atol=1e-12)
 
 
 def test_softmax_batch_mask_and_empty_row():
-    mask = np.array([[True, False, True], [False, True, False]])
-    scores = np.arange(12.0).reshape(2, 3, 2)
-    out = pool_weights(scores, mask)
-    assert (out[0, 1] == 0).all() and (out[1, [0, 2]] == 0).all()
-    np.testing.assert_array_equal(out[1, 1], [1.0, 1.0])
-    np.testing.assert_allclose(out[0, [0, 2]], pool_weights(scores[:1, [0, 2]])[0], atol=1e-15)
-    mask[1] = False
+    scores = np.arange(12.0).reshape(6, 2)
+    out = pool_weights(scores, [2, 1, 3])
+    np.testing.assert_array_equal(out[2], [1.0, 1.0])  # a one-row segment weighs it fully
+    for rows in (slice(0, 2), slice(3, 6)):
+        np.testing.assert_allclose(out[rows], pool_weights(scores[rows]), atol=1e-15)
     with pytest.raises(EmptySourceError):
-        ad.attention_pool(t(scores), t(scores), mask)
+        ad.attention_pool(t(scores), t(scores), [2, 0, 4])
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -219,7 +242,7 @@ def test_broadcast_add_mul_gradients(a_shape, b_shape):
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
-    ((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 1)), ((3, 4), (4, 5)),
+    ((6, 4), (4, 5)), ((6, 4), (4, 1)), ((3, 4), (4, 5)),
 ])
 def test_batched_matmul_gradients(a_shape, b_shape):
     rng = np.random.default_rng(19)
@@ -277,10 +300,9 @@ def test_constants_get_no_gradient_entry():
 
 def test_attention_is_bitwise_deterministic():
     rng = np.random.default_rng(11)
-    scores, values = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 3, 4)))
-    mask = np.array([[True, True, False], [True, True, True]])
-    first = ad.attention_pool(scores, values, mask)
-    second = ad.attention_pool(scores, values, mask)
+    scores, values = t(rng.normal(size=(5, 4))), t(rng.normal(size=(5, 4)))
+    first = ad.attention_pool(scores, values, [2, 3])
+    second = ad.attention_pool(scores, values, [2, 3])
     assert first.data.tobytes() == second.data.tobytes()
 
 
@@ -290,36 +312,37 @@ def test_attention_is_bitwise_deterministic():
 
 
 def test_attention_empty_source_raises():
-    scores = t(np.ones((2, 3, 4)))
+    scores = t(np.ones((1, 4)))
     with pytest.raises(EmptySourceError):
-        ad.attention_pool(scores, scores, np.array([[True, False, False], [False] * 3]))
+        ad.attention_pool(scores, scores, [1, 0])
 
 
 def test_attention_mask_must_be_batch_by_positions():
-    scores = t(np.ones((2, 3, 4)))
-    for mask in (np.ones(3, dtype=bool), np.ones((3, 2), dtype=bool)):
+    # the segment lengths are one vector that covers every row exactly
+    scores = t(np.ones((3, 4)))
+    for lengths in ([2], [2, 2], [[3]]):
         with pytest.raises(ShapeError):
-            ad.attention_pool(scores, scores, mask)
+            ad.attention_pool(scores, scores, lengths)
+    with pytest.raises(ShapeError):
+        ad.attention_pool(t(np.ones((1, 3, 4))), t(np.ones((1, 3, 4))), [1])
 
 
 def test_attention_single_source_row_copies_value():
-    # with one unmasked position the softmax is 1, output = that position's values
+    # a segment of one row has softmax 1: its output is that row's values
     rng = np.random.default_rng(5)
-    scores, values = t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 3, 4)))
-    mask = np.array([[False, True, False], [True, False, False]])
-    out = ad.attention_pool(scores, values, mask).data
-    np.testing.assert_array_equal(out, [values.data[0, 1], values.data[1, 0]])
+    scores, values = t(rng.normal(size=(2, 4))), t(rng.normal(size=(2, 4)))
+    out = ad.attention_pool(scores, values, [1, 1]).data
+    np.testing.assert_array_equal(out, values.data)
 
 
 def test_attention_rows_are_convex_mixtures():
     rng = np.random.default_rng(9)
-    scores, values = t(rng.normal(size=(3, 5, 4)) * 3), t(rng.normal(size=(3, 5, 4)))
-    mask = rng.uniform(size=(3, 5)) < 0.7
-    mask[:, 0] = True
-    out = ad.attention_pool(scores, values, mask).data
-    real = np.where(mask[..., None], values.data, np.nan)
-    assert (out >= np.nanmin(real, axis=1) - 1e-12).all()
-    assert (out <= np.nanmax(real, axis=1) + 1e-12).all()
+    lengths = [3, 1, 5]
+    scores, values = t(rng.normal(size=(9, 4)) * 3), t(rng.normal(size=(9, 4)))
+    out = ad.attention_pool(scores, values, lengths).data
+    for b, rows in enumerate(np.split(values.data, np.cumsum(lengths)[:-1])):
+        assert (out[b] >= rows.min(axis=0) - 1e-12).all()
+        assert (out[b] <= rows.max(axis=0) + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -346,30 +369,47 @@ def test_grad_check_dense_chain(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_check_conv_tanh_softmax(seed):
     rng = np.random.default_rng(100 + seed)
-    x = t(rng.normal(size=(2, 5, 3)), grad=True)
+    x = t(rng.normal(size=(10, 3)), grad=True)
     k = t(rng.normal(size=(2, 3, 3)) * 0.5, grad=True)
     b = t(rng.normal(size=2), grad=True)
 
     def f(x_, k_, b_):
-        # Σ_t softmax_t(h) · h_t over the positions of h (2, 5, 2)
-        h = ad.tanh(ad.conv1d(x_, k_, b_))
-        return ad.tensor_sum(ad.attention_pool(h, h, np.ones((2, 5), dtype=bool)))
+        # Σ_t softmax_t(h) · h_t over the rows of each segment of h (10, 2)
+        h = ad.tanh(ad.conv1d(x_, k_, b_, [5, 5]))
+        return ad.tensor_sum(ad.attention_pool(h, h, [5, 5]))
 
     assert ad.grad_check(f, [x, k, b]) < GC_TOL
+
+
+@pytest.mark.parametrize("lengths", [[1, 4, 3], [4, 1, 3], [4, 3, 1]])
+def test_grad_check_conv_and_pool_around_a_length_one_segment(lengths):
+    # a one-row segment first, in the middle and last: its window reads only
+    # itself and its softmax is 1, and neither leaks into a neighbour
+    rng = np.random.default_rng(sum(i * n for i, n in enumerate(lengths)))
+    x = t(rng.normal(size=(8, 3)), grad=True)
+    k = t(rng.normal(size=(2, 5, 3)) * 0.5, grad=True)
+    b = t(rng.normal(size=2), grad=True)
+    u = t(rng.normal(size=(2, 2)), grad=True)
+    y = t(rng.integers(0, 2, size=(3, 2)).astype(float))
+
+    def f(x_, k_, b_, u_):
+        h = ad.tanh(ad.conv1d(x_, k_, b_, lengths))
+        return ad.bce_loss(ad.sigmoid(ad.attention_pool(ad.matmul(h, u_), h, lengths)), y)
+
+    assert ad.grad_check(f, [x, k, b, u]) < GC_TOL
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_check_masked_softmax_and_embedding(seed):
     rng = np.random.default_rng(200 + seed)
     table = t(rng.normal(size=(6, 3)), grad=True)
-    mask = np.array([[True, False, True, True]])
-    ids = rng.integers(0, 6, size=(1, 4))
+    ids = rng.integers(0, 6, size=4)
     w = t(rng.normal(size=(3, 1)), grad=True)
 
     def f(table_, w_):
-        # Σ_t softmax(s)_t · s_t over the unmasked positions of s (1, 4, 1)
+        # Σ_t softmax(s)_t · s_t over the rows of each segment of s (4, 1)
         s = ad.matmul(ad.embedding(table_, ids), w_)
-        return ad.tensor_sum(ad.attention_pool(s, s, mask))
+        return ad.tensor_sum(ad.attention_pool(s, s, [1, 3]))
 
     assert ad.grad_check(f, [table, w]) < GC_TOL
 
@@ -377,13 +417,12 @@ def test_grad_check_masked_softmax_and_embedding(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_check_attention(seed):
     rng = np.random.default_rng(300 + seed)
-    scores = t(rng.normal(size=(2, 4, 3)), grad=True)
-    values = t(rng.normal(size=(2, 4, 3)), grad=True)
-    mask = np.array([[True, True, False, False], [True, True, True, True]])
+    scores = t(rng.normal(size=(6, 3)), grad=True)
+    values = t(rng.normal(size=(6, 3)), grad=True)
     y = t(rng.integers(0, 2, size=(2, 3)).astype(float))
 
     def f(s_, v_):
-        return ad.bce_loss(ad.sigmoid(ad.attention_pool(s_, v_, mask)), y)
+        return ad.bce_loss(ad.sigmoid(ad.attention_pool(s_, v_, [2, 4])), y)
 
     # wider step: near-zero coordinates make eps=1e-5 round-off dominated
     assert ad.grad_check(f, [scores, values], eps=1e-4) < GC_TOL
@@ -409,24 +448,24 @@ def _inside_unit(rng):
     return t(rng.uniform(0.05, 0.95, size=(3, 4)), grad=True)
 
 
-POOL_MASK = np.array([[True, True, False, True], [True, True, True, True]])
 
 # name -> (primitive, inputs from a generator)
 ONE_PRIMITIVE = {
     "add": (ad.add, _normal((2, 3, 4), (3, 1))),
     "mul": (ad.mul, _normal((2, 3, 4), (4,))),
     "scale": (lambda a: ad.scale(a, -1.7), _normal((3, 4))),
-    "matmul": (ad.matmul, _normal((2, 3, 4), (4, 5))),
-    "matmul_batched": (ad.matmul, _normal((2, 3, 4), (2, 4, 5))),
-    "transpose": (ad.transpose, _normal((2, 3, 4))),
+    "matmul": (ad.matmul, _normal((6, 4), (4, 5))),
+    "matmul_transposed": (lambda a, b: ad.matmul(a, b, transpose_b=True),
+                          _normal((6, 4), (5, 4))),
     "tensor_sum": (ad.tensor_sum, _normal((3, 4))),
     "tensor_sum_axis": (lambda a: ad.tensor_sum(a, axis=1), _normal((2, 3, 4))),
     "tanh": (ad.tanh, _normal((3, 4))),
     "sigmoid": (ad.sigmoid, lambda rng: [t(np.linspace(-6.0, 5.0, 12).reshape(3, 4), grad=True)]),
-    "attention_pool": (lambda s, v: ad.attention_pool(s, v, POOL_MASK),
-                       _normal((2, 4, 3), (2, 4, 3))),
+    "attention_pool": (lambda s, v: ad.attention_pool(s, v, [3, 4]),
+                       _normal((7, 3), (7, 3))),
     "embedding": (lambda table: ad.embedding(table, [[1, 3, 1], [0, 1, 1]]), _normal((4, 3))),
-    "conv1d": (ad.conv1d, _normal((2, 5, 3), (2, 3, 3), (2,))),
+    "conv1d": (lambda x, k, b: ad.conv1d(x, k, b, [3, 1, 5]),
+               _normal((9, 3), (2, 3, 3), (2,))),
     "clamp01": (ad.clamp01, lambda rng: [_inside_unit(rng)]),
     "bce_loss": (ad.bce_loss, lambda rng: [_inside_unit(rng),
                                             t(rng.integers(0, 2, size=(3, 4)).astype(float))]),

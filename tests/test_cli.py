@@ -682,3 +682,16 @@ def test_benchmark_tracer_runs_the_chain_and_counts_repeat(tmp_path):
         counts.append(spans.summarize(tracer, set())[1])
     assert counts[0] == counts[1]
     assert counts[0]["preprocess.tokens"] > 0 and counts[0]["autodiff.backward.calls"] > 0
+
+
+def test_benchmark_train_workload_passes_its_output_checks():
+    # one traced run of the benchmark's train workload and its own checks:
+    # R@5 against the seed's reference, the numpy oracle against report.csv,
+    # the best model kept, and the per-layer counts repeating
+    root = Path(icdlab.__file__).resolve().parents[2]
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "train",
+                           "--seed", "42", "--seconds", "0", "--trace", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.strip().splitlines()
+    assert json.loads(lines[-1])["correct"] is True, [l for l in lines if "FAILED" in l]

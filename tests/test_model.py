@@ -19,7 +19,6 @@ from icdlab.model import (
     load_base_model,
     load_reranker,
     save_base_model,
-    padded,
     save_reranker,
 )
 from icdlab.preprocess import Vocabulary
@@ -27,14 +26,17 @@ from icdlab.train import Notes, _FrozenBase
 
 
 def note(ids):
-    """A batch of one note."""
-    return np.array([ids], dtype=np.int64)
+    """A batch of one note, packed: its ids and its length."""
+    return np.array(ids, dtype=np.int64), np.array([len(ids)])
 
 
-def softmax_cols(scores, mask=None):
+def packed(notes):
+    """A batch of notes, packed."""
+    return np.concatenate(notes).astype(np.int64), np.array([len(n) for n in notes])
+
+
+def softmax_cols(scores):
     z = scores.copy()
-    if mask is not None:
-        z[~mask, :] = -np.inf
     z -= z.max(axis=0, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=0, keepdims=True)
@@ -54,15 +56,14 @@ def test_zero_kernels_give_zero_encoding():
     m = toy_model("caml")
     m.params["conv_w"].data[:] = 0.0
     m.params["conv_b"].data[:] = 0.0
-    h, mask = m.encode(note([2, 3, 4]))
-    np.testing.assert_array_equal(h.data, np.zeros((1, 3, 5)))
-    assert mask.all()
+    h = m.encode(*note([2, 3, 4]))
+    np.testing.assert_array_equal(h.data, np.zeros((3, 5)))
 
 
 def test_encoder_matches_manual_convolution():
     m = toy_model("caml", seed=3)
     ids = [2, 4, 5, 3]
-    h, _ = m.encode(note(ids))
+    h = m.encode(*note(ids))
     emb = m.params["emb"].data[ids]
     k = m.params["conv_w"].data
     b = m.params["conv_b"].data
@@ -72,21 +73,23 @@ def test_encoder_matches_manual_convolution():
     for t in range(len(ids)):
         for c in range(k.shape[0]):
             want[t, c] = (xp[t : t + 3] * k[c]).sum() + b[c]
-    np.testing.assert_allclose(h.data[0], np.tanh(want), atol=1e-12)
+    np.testing.assert_allclose(h.data, np.tanh(want), atol=1e-12)
 
 
 def test_out_of_range_token_rejected():
     with pytest.raises(ValidationError):
-        toy_model("caml").encode(note([99]))
+        toy_model("caml").encode(*note([99]))
+    with pytest.raises(ValidationError):  # padding is not a token of a packed batch
+        toy_model("caml").encode(*note([2, 0]))
 
 
 def test_all_padding_note_raises_empty_source():
     m = toy_model("caml")
     with pytest.raises(EmptySourceError):
-        m.forward(note([0]))
-    # one all-padding row fails its whole batch
+        m.forward(*note([]))
+    # one note of no token fails its whole batch
     with pytest.raises(EmptySourceError):
-        m.forward(np.array([[2, 3], [0, 0]]))
+        m.forward(*packed([[2, 3], []]))
 
 
 def test_even_kernel_width_rejected():
@@ -102,10 +105,10 @@ def test_even_kernel_width_rejected():
 def test_caml_forward_matches_numpy_oracle():
     m = toy_model("caml", seed=7)
     ids = [2, 3, 4, 5]
-    p, h, mask = m.forward(note(ids))
-    H = h.data[0]
+    p, h = m.forward(*note(ids))
+    H = h.data
     U = m.params["attn_u"].data
-    A = softmax_cols(H @ U.T, mask[0])
+    A = softmax_cols(H @ U.T)
     V = A.T @ H
     logits = (V * m.params["out_w"].data).sum(axis=1) + m.params["out_b"].data
     np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
@@ -114,10 +117,10 @@ def test_caml_forward_matches_numpy_oracle():
 def test_laat_forward_matches_numpy_oracle():
     m = toy_model("laat", seed=9)
     ids = [3, 2, 5]
-    p, h, mask = m.forward(note(ids))
-    H = h.data[0]
+    p, h = m.forward(*note(ids))
+    H = h.data
     Z = np.tanh(H @ m.params["laat_w"].data.T)
-    A = softmax_cols(Z @ m.params["laat_u"].data.T, mask[0])
+    A = softmax_cols(Z @ m.params["laat_u"].data.T)
     V = A.T @ H
     logits = (V * m.params["out_w"].data).sum(axis=1) + m.params["out_b"].data
     np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
@@ -127,8 +130,8 @@ def test_single_position_attention_copies_row():
     # T=1: attention weight is 1, V_l = H_1 for every label
     for arch in ("caml", "laat"):
         m = toy_model(arch, seed=5)
-        p, h, _ = m.forward(note([4]))
-        logits = (np.tile(h.data[0, 0], (3, 1)) * m.params["out_w"].data).sum(axis=1) \
+        p, h = m.forward(*note([4]))
+        logits = (np.tile(h.data[0], (3, 1)) * m.params["out_w"].data).sum(axis=1) \
             + m.params["out_b"].data
         np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
 
@@ -136,9 +139,8 @@ def test_single_position_attention_copies_row():
 def test_zero_attention_params_give_uniform_attention():
     m = toy_model("caml", seed=11)
     m.params["attn_u"].data[:] = 0.0
-    _, h, mask = m.forward(note([2, 3, 4]))
-    p, _, _ = m.forward(note([2, 3, 4]))
-    v = h.data[0].mean(axis=0)
+    p, h = m.forward(*note([2, 3, 4]))
+    v = h.data.mean(axis=0)
     logits = (np.tile(v, (3, 1)) * m.params["out_w"].data).sum(axis=1) + m.params["out_b"].data
     np.testing.assert_allclose(p.data[0], 1 / (1 + np.exp(-logits)), atol=1e-12)
 
@@ -148,14 +150,14 @@ def test_caml_bag_of_positions_invariance_for_width_one():
     # permutes attention weights and leaves V (hence P) unchanged
     hp = BaseHParams(d_e=4, d_c=5, kernel_width=1, d_a=3)
     m = BaseModel.init("caml", 8, 3, hp, seed=13)
-    p1, _, _ = m.forward(note([2, 3, 4, 5]))
-    p2, _, _ = m.forward(note([5, 3, 2, 4]))
+    p1, _ = m.forward(*note([2, 3, 4, 5]))
+    p2, _ = m.forward(*note([5, 3, 2, 4]))
     np.testing.assert_allclose(p1.data, p2.data, atol=1e-12)
 
 
 def test_probabilities_lie_in_unit_interval():
     m = toy_model("laat", seed=17)
-    p, _, _ = m.forward(note([2, 3]))
+    p, _ = m.forward(*note([2, 3]))
     assert ((p.data >= 0) & (p.data <= 1)).all()
 
 
@@ -173,7 +175,7 @@ def test_base_model_grad_check(arch):
     tensors = [m.params[n] for n in names]
 
     def f(*ts):
-        return ad.bce_loss(m.forward(note(ids))[0], ad.tensor(y.data[None]))
+        return ad.bce_loss(m.forward(*note(ids))[0], ad.tensor(y.data[None]))
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -183,25 +185,26 @@ MIXED = [(2, 3, 4, 5, 2), (4,), (5, 3), (3, 2, 2, 4)]  # lengths 5, 1, 2, 4
 
 @pytest.mark.parametrize("arch", ["caml", "laat"])
 def test_padded_batch_rows_equal_notes_alone(arch):
+    # a packed batch: each note's rows, and its probabilities, as if alone
     m = toy_model(arch, seed=25)
-    p, h, mask = m.forward(padded(MIXED, np.int64)[0])
-    assert p.shape == (4, 3) and h.shape == (4, 5, 5)
-    assert mask.sum(axis=1).tolist() == [5, 1, 2, 4]
+    p, h = m.forward(*packed(MIXED))
+    assert p.shape == (4, 3) and h.shape == (12, 5)
+    rows = np.split(h.data, np.cumsum([5, 1, 2, 4])[:-1])
     for i, ids in enumerate(MIXED):
-        p1, h1, _ = m.forward(note(ids))
+        p1, h1 = m.forward(*note(ids))
         np.testing.assert_allclose(p.data[i], p1.data[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h.data[i, :len(ids)], h1.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows[i], h1.data, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("arch", ["caml", "laat"])
 def test_padded_batch_grad_check(arch):
     m = toy_model(arch, seed=27)
-    ids = padded(MIXED, np.int64)[0]
+    batch = packed(MIXED)
     y = ad.tensor(np.random.default_rng(2).integers(0, 2, size=(4, 3)).astype(float))
     tensors = [m.params[n] for n in sorted(m.params)]
 
     def f(*ts):
-        return ad.bce_loss(m.forward(ids)[0], y)
+        return ad.bce_loss(m.forward(*batch)[0], y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -222,20 +225,20 @@ def toy_reranker(n_labels=2, d=4, d_keys=5, seed=31, meds=("M1", "M2")):
     return MetadataReranker.init(n_labels, d_keys, vocabs, hp, seed=seed)
 
 
-NO_AUX = (ad.tensor(np.zeros((1, 1, 5))), np.zeros((1, 1), bool))
+NO_AUX = (None, None)  # a batch without auxiliary tokens
 
 
 def test_zero_projection_is_exact_residual():
     rr = toy_reranker()
     base_p = ad.tensor(np.array([[0.3, 0.8]]))
-    h = ad.tensor(np.random.default_rng(0).normal(size=(1, 4, 5)))
-    pf, raw = rr.forward(base_p, h, np.ones((1, 4), bool), *NO_AUX, [make_enc()])
+    h = ad.tensor(np.random.default_rng(0).normal(size=(4, 5)))
+    pf, raw = rr.forward(base_p, h, [4], *NO_AUX, [make_enc()])
     assert raw.data.tobytes() == base_p.data.tobytes()
     assert pf.data.tobytes() == base_p.data.tobytes()
 
 
 def modality_vector(rr, enc):
-    return rr.embed_modalities([enc]).data[0, 0]
+    return rr.embed_modalities([enc]).data[0]
 
 
 def test_modality_average_of_duplicate_med():
@@ -268,9 +271,9 @@ def test_modality_rows_of_a_batch_are_per_encounter():
     rr = toy_reranker()
     encs = [make_enc(meds=("M1", "M2")), make_enc(), make_enc(procs=("R1",), dept="DX")]
     rows = rr.embed_modalities(encs).data
-    assert rows.shape == (3, 1, 4)
+    assert rows.shape == (3, 4)
     for row, enc in zip(rows, encs):
-        np.testing.assert_allclose(row[0], modality_vector(rr, enc), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(row, modality_vector(rr, enc), rtol=0, atol=1e-15)
 
 
 def test_reranker_forward_matches_numpy_oracle():
@@ -283,8 +286,7 @@ def test_reranker_forward_matches_numpy_oracle():
     Ha = rng.normal(size=(2, 5))
     enc = make_enc(meds=("M1",), procs=("R1",))
 
-    pf, raw = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn[None]), np.ones((1, 3), bool),
-                         ad.tensor(Ha[None]), np.ones((1, 2), bool), [enc])
+    pf, raw = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn), [3], ad.tensor(Ha), [2], [enc])
 
     # independent recomputation with plain numpy
     P = rr.params
@@ -315,14 +317,12 @@ def test_missing_aux_encoding_drops_attn_m_term():
     rr = toy_reranker(seed=43)
     rr.params["proj_w"].data[:] = 0.5
     base_p = ad.tensor(np.array([[0.5, 0.5]]))
-    h = ad.tensor(np.random.default_rng(3).normal(size=(1, 3, 5)))
-    note_mask = np.ones((1, 3), bool)
+    h = ad.tensor(np.random.default_rng(3).normal(size=(3, 5)))
     enc = make_enc()
-    pf_masked, _ = rr.forward(base_p, h, note_mask, ad.tensor(np.zeros((1, 2, 5))),
-                              np.zeros((1, 2), bool), [enc])
-    # an all-masked aux row behaves exactly as a reranker with no attn_m output
+    pf_masked, _ = rr.forward(base_p, h, [3], ad.tensor(np.zeros((1, 5))), [1], [enc])
+    # one zero aux row behaves exactly as a reranker with no attn_m output
     rr.params["attn_m.wo"].data[:] = 0.0
-    pf_none, _ = rr.forward(base_p, h, note_mask, *NO_AUX, [enc])
+    pf_none, _ = rr.forward(base_p, h, [3], *NO_AUX, [enc])
     np.testing.assert_array_equal(pf_none.data, pf_masked.data)
 
 
@@ -331,9 +331,8 @@ def test_parameters_a_batch_does_not_use_get_no_gradient():
     # reached: the aux attention without aux tokens, a table with no entries
     rr = toy_reranker(seed=45)
     rr.params["proj_w"].data[:] = 0.3
-    h = ad.tensor(np.random.default_rng(6).normal(size=(2, 3, 5)))
-    pf, _ = rr.forward(ad.tensor(np.full((2, 2), 0.5)), h, np.ones((2, 3), bool),
-                       ad.tensor(np.zeros((2, 1, 5))), np.zeros((2, 1), bool),
+    h = ad.tensor(np.random.default_rng(6).normal(size=(6, 5)))
+    pf, _ = rr.forward(ad.tensor(np.full((2, 2), 0.5)), h, [3, 3], *NO_AUX,
                        [make_enc(), make_enc(procs=("R1",))])
     grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 2)))))
     unused = [rr.params[k] for k in rr.params if k.startswith("attn_m") or k == "med_emb"]
@@ -346,15 +345,15 @@ def test_reranker_grad_check():
     rng = np.random.default_rng(5)
     rr.params["proj_w"].data[:] = rng.normal(size=(2, 4)) * 0.3
     base_p = ad.tensor(np.full((1, 2), 0.5))
-    h = ad.tensor(rng.normal(size=(1, 3, 5)))
-    ha = ad.tensor(rng.normal(size=(1, 2, 5)))
+    h = ad.tensor(rng.normal(size=(3, 5)))
+    ha = ad.tensor(rng.normal(size=(2, 5)))
     enc = make_enc(meds=("M1",))
     y = ad.tensor(np.array([[1.0, 0.0]]))
     names = sorted(rr.params)
     tensors = [rr.params[n] for n in names]
 
     def f(*ts):
-        pf, _ = rr.forward(base_p, h, np.ones((1, 3), bool), ha, np.ones((1, 2), bool), [enc])
+        pf, _ = rr.forward(base_p, h, [3], ha, [2], [enc])
         return ad.bce_loss(pf, y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
@@ -385,7 +384,8 @@ def test_frozen_base_gets_no_gradient():
 def test_frozen_outputs_all_pad_aux_is_none():
     base = toy_model("caml", seed=55)
     frozen = _FrozenBase(base, frozen_notes([("a b", make_enc())]), TOY_VOCAB)
-    assert frozen.h_aux[0].shape == (0, 5) and frozen.h[0].shape == (2, 5)
+    assert frozen.h.shape == (2, 5) and frozen.has_aux.tolist() == [False]
+    np.testing.assert_array_equal(frozen.h_aux, np.zeros((1, 5)))  # one zero row
 
 
 MIXED_ENCOUNTERS = [("a b c d a", make_enc(meds=("M1", "M2"))), ("b", make_enc()),
@@ -403,8 +403,9 @@ def reranker_on_mixed_batch(seed):
 
 def test_reranker_padded_batch_rows_equal_notes_alone():
     rr, frozen = reranker_on_mixed_batch(57)
-    assert [len(h) for h in frozen.h] == [5, 1, 2, 4]
-    assert [len(h) for h in frozen.h_aux] == [2, 0, 1, 0]  # "m1 m2" and "r1" are unknown
+    assert np.diff(frozen.offsets).tolist() == [5, 1, 2, 4]
+    assert frozen.has_aux.tolist() == [True, False, True, False]  # "m1 m2" and "r1"
+    assert np.diff(frozen.aux_offsets).tolist() == [2, 1, 1, 1]  # are unknown tokens
     pf, raw = frozen.forward(rr, np.arange(4))
     for i in range(4):
         pf1, raw1 = frozen.forward(rr, np.array([i]))
@@ -423,6 +424,17 @@ def test_reranker_padded_batch_grad_check():
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
 
+def test_batch_without_aux_tokens_leaves_attn_m_out_of_the_graph():
+    # notes 1 and 3 have no auxiliary tokens: a zero gradient for attn_m
+    # instead of none would still move it through Adam's moments
+    rr, frozen = reranker_on_mixed_batch(61)
+    attn_m = [rr.params[k] for k in rr.params if k.startswith("attn_m")]
+    for idx, used in (([1, 3], False), ([3, 0], True)):
+        pf, _ = frozen.forward(rr, np.array(idx))
+        grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 3)))))
+        assert all((t in grads) == used for t in attn_m)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -438,8 +450,8 @@ def test_base_model_round_trip(tmp_path):
     for k in m.params:
         assert back.params[k].data.tobytes() == m.params[k].data.tobytes()
         assert back.params[k].requires_grad
-    p1, _, _ = m.forward(note([2, 3]))
-    p2, _, _ = back.forward(note([2, 3]))
+    p1, _ = m.forward(*note([2, 3]))
+    p2, _ = back.forward(*note([2, 3]))
     assert p1.data.tobytes() == p2.data.tobytes()
 
 

@@ -81,25 +81,28 @@ def test_notes_keep_encounter_reference():
     e = enc(text="aches zzz")
     split = notes(e)
     assert split.encounters[0] is e
-    assert split.ids.tolist() == [[2, UNK_ID]] and split.lengths.tolist() == [2]
+    assert split.tokens.tolist() == [2, UNK_ID] and np.diff(split.offsets).tolist() == [2]
 
 
-def test_notes_pad_to_the_longest_and_batch_to_their_own():
+def test_notes_pack_and_batch_in_index_order():
     split = notes(enc(text="aches cough bruise"), enc(text="dizzy"), enc(text=""),
                   enc(text="edema cough"))
-    assert split.ids.tolist() == [[2, 4, 3], [5, PAD_ID, PAD_ID], [UNK_ID, PAD_ID, PAD_ID],
-                                  [6, 4, PAD_ID]]
-    assert split.lengths.tolist() == [3, 1, 1, 2]  # a blank note is one unknown token
-    assert split.batch(np.array([1, 3])).tolist() == [[5, PAD_ID], [6, 4]]
-    assert split.batch(np.array([2])).tolist() == [[UNK_ID]]
+    assert split.tokens.tolist() == [2, 4, 3, 5, UNK_ID, 6, 4] and PAD_ID not in split.tokens
+    assert split.offsets.tolist() == [0, 3, 4, 5, 7]
+    assert np.diff(split.offsets).tolist() == [3, 1, 1, 2]  # a blank note is one unknown token
+    for idx, tokens, lengths in (([1, 3], [5, 6, 4], [1, 2]), ([2], [UNK_ID], [1]),
+                                 ([3, 0], [6, 4, 2, 4, 3], [2, 3])):
+        got = split.batch(np.array(idx))
+        assert got[0].tolist() == tokens and got[1].tolist() == lengths
     sub = split.rows([0, 3])
-    assert sub.lengths.tolist() == [3, 2] and sub.gt.shape == (2, len(LABELS))
+    assert sub.tokens.tolist() == [2, 4, 3, 6, 4] and np.diff(sub.offsets).tolist() == [3, 2]
+    assert sub.gt.shape == (2, len(LABELS)) and len(sub) == 2
     assert list(sub.encounters) == [split.encounters[0], split.encounters[3]]
 
 
 def test_notes_truncate_to_max_len():
     split = Notes.of([enc(text="aches cough bruise dizzy")], VOCAB, LABELS, max_len=2)
-    assert split.ids.tolist() == [[2, 4]]
+    assert split.tokens.tolist() == [2, 4]
 
 
 def test_frequency_bucket_edges():
@@ -125,6 +128,26 @@ def test_adam_step_is_signed_descent_at_start():
     np.testing.assert_allclose(w.data, [0.9, -1.9], atol=1e-6)
 
 
+def test_adam_steps_equal_the_textbook_formula_bitwise():
+    rng = np.random.default_rng(12)
+    w = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = ad.tensor(rng.normal(size=4), requires_grad=True)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam({"w": w, "b": b}, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    want = {"w": w.data.copy(), "b": b.data.copy()}
+    m = {k: np.zeros_like(v) for k, v in want.items()}
+    v = {k: np.zeros_like(x) for k, x in want.items()}
+    for step in range(1, 4):
+        grads = {k: rng.normal(size=x.shape) for k, x in want.items()}
+        opt.step({w: grads["w"], b: grads["b"]})
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            m_hat, v_hat = m[k] / (1.0 - b1**step), v[k] / (1.0 - b2**step)
+            want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(w.data, want["w"]) and np.array_equal(b.data, want["b"])
+
+
 def test_adam_skips_untouched_params():
     w = ad.tensor(np.array([1.0]), requires_grad=True)
     u = ad.tensor(np.array([5.0]), requires_grad=True)
@@ -134,8 +157,8 @@ def test_adam_skips_untouched_params():
 
 
 def batch_loss(model, split, idx):
-    """Mean BCE of one padded batch of notes."""
-    probs, _, _ = model.forward(split.batch(idx))
+    """Mean BCE of one packed batch of notes."""
+    probs, _ = model.forward(*split.batch(idx))
     return ad.bce_loss(probs, ad.tensor(split.gt[idx]))
 
 
@@ -157,7 +180,7 @@ def test_single_step_decreases_batch_loss():
 
 @pytest.mark.parametrize("arch", ["caml", "laat"])
 def test_batch_gradient_is_mean_of_note_gradients(arch):
-    # mixed lengths, so the batch pads all but its longest note
+    # mixed lengths: each note's windows and softmax stay within its own rows
     model = toy_model(seed=4, arch=arch)
     split = notes(enc(text="aches cough bruise dizzy edema"), enc(text="dizzy", codes=("B11.1",)),
                   enc(text="cough edema", codes=("A00.0", "B11.1")))
