@@ -88,7 +88,10 @@ def _check_broadcast(name, a, b):
 
 
 def _unbroadcast(g, shape):
-    """Sum a gradient over the axes along which `shape` was broadcast."""
+    """Sum a gradient over the axes along which `shape` was broadcast; a
+    gradient of that very shape comes back as it is, not copied."""
+    if g.shape == tuple(shape):
+        return g
     g = g.sum(axis=tuple(range(g.ndim - len(shape))))
     return g.sum(axis=tuple(i for i, n in enumerate(shape) if n < g.shape[i]), keepdims=True)
 
@@ -143,7 +146,14 @@ def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+    def grad_fn(g):
+        ga = np.multiply(out, out, out=np.empty_like(out))  # g · (1 - out²), one array
+        np.subtract(1.0, ga, out=ga)
+        ga *= g
+        return (ga,)
+
+    return _node(out, (a,), grad_fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -153,7 +163,13 @@ def sigmoid(a: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ea = np.exp(x[~pos])
     out[~pos] = ea / (1.0 + ea)
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+    def grad_fn(g):
+        ga = np.multiply(g, out)  # (g · out) · (1 - out)
+        ga *= np.subtract(1.0, out)
+        return (ga,)
+
+    return _node(out, (a,), grad_fn)
 
 
 # ---- attention pooling over packed segments --------------------------------
@@ -284,9 +300,17 @@ def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:
     out = -np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))
 
     def grad_fn(g):
-        q = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-        inside = (p >= PROB_EPS) & (p <= 1.0 - PROB_EPS)
-        return g * inside * (-y / q + (1.0 - y) / (1.0 - q)) / p.size, None
+        # g · inside · (-y / q + (1 - y) / (1 - q)) / p.size, in that order,
+        # in three arrays (each given as `out`, so a 0-d one stays an array)
+        q = np.clip(p, PROB_EPS, 1.0 - PROB_EPS, out=np.empty_like(p))
+        gp = np.negative(y, out=np.empty_like(p))
+        gp /= q
+        pos = np.subtract(1.0, y, out=np.empty_like(p))
+        pos /= np.subtract(1.0, q, out=q)
+        gp += pos
+        gp *= np.multiply(g, (p >= PROB_EPS) & (p <= 1.0 - PROB_EPS), out=pos)
+        gp /= p.size
+        return gp, None
 
     return _node(out, (probs, targets), grad_fn)
 
@@ -337,7 +361,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    return {node: grads.get(id(node), np.zeros_like(node.data))
+    return {node: grads[id(node)] if id(node) in grads else np.zeros_like(node.data)
             for node in order if node.requires_grad}
 
 

@@ -20,29 +20,61 @@ from .metrics import Predictions
 # --------------------------------------------------------------------------
 
 
-def _pav(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Pool adjacent violators: least-squares non-decreasing fit.
+_BLOCK_CELLS = 1 << 15  # matrix cells per pass over a block of labels
 
-    Inputs are per-level outcome means (levels already sorted by raw
-    probability, ties pooled) and the level weights. Violating neighbours
-    merge into their weighted average until the sequence is monotone.
+
+def _label_blocks(m: int, n: int) -> list[slice]:
+    """Runs of consecutive labels of an (m, n) matrix, each of at most
+    _BLOCK_CELLS cells (or one label), so that a pass over every label of a
+    block at once needs temporaries of a bounded size, not of the matrix's."""
+    step = max(1, _BLOCK_CELLS // m)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _pav(sums, weights, first=(0,)) -> np.ndarray:
+    """Pool adjacent violators for many labels at once: the least-squares
+    non-decreasing fit of every label's level means sums / weights.
+
+    Levels are sorted by raw probability with ties already pooled; label j's
+    levels run from index first[j] to the next label's first. The fit of a
+    level is the slope over it of its label's greatest convex minorant of the
+    cumulative sum diagram (Best & Chakravarti 1990). Point k of the diagram
+    is (W_k, S_k), the summed weights and sums of the first k levels, so label
+    j spans points first[j] to the next label's first, and a chord inside one
+    label reads only differences. Quickhull finds every label's lower hull
+    together: each round keeps, under every chord between two known hull
+    points, the points strictly below it and adds the furthest of them to the
+    hull. A block's fitted value is then its sum over its weight in one
+    division, and with integer inputs every comparison is an exact integer
+    cross product.
     """
-    val: list[float] = []
-    wt: list[float] = []
-    start: list[int] = []  # first level index covered by each block
-    for i, (m, w) in enumerate(zip(means, weights)):
-        val.append(float(m))
-        wt.append(float(w))
-        start.append(i)
-        while len(val) > 1 and val[-2] > val[-1]:
-            w_hi, m_hi = wt.pop(), val.pop()
-            start.pop()
-            wt[-1], val[-1] = wt[-1] + w_hi, (wt[-1] * val[-1] + w_hi * m_hi) / (wt[-1] + w_hi)
-    fitted = np.empty(len(means), dtype=np.float64)
-    bounds = start + [len(means)]
-    for b, v in enumerate(val):
-        fitted[bounds[b]:bounds[b + 1]] = v
-    return fitted
+    sums, weights = np.asarray(sums), np.asarray(weights)
+    W = np.concatenate(([0], np.cumsum(weights)))
+    S = np.concatenate(([0], np.cumsum(sums)))
+    hull = np.zeros(len(W), dtype=bool)
+    hull[np.asarray(first)] = hull[-1] = True  # both ends of every label
+    # a vertex between two levels of one label needs the level mean to rise
+    rising = sums[:-1] * weights[1:] < sums[1:] * weights[:-1]
+    cand = 1 + np.flatnonzero(rising & ~hull[1:-1])
+    while cand.size:
+        vertices = np.flatnonzero(hull)
+        chord = np.searchsorted(vertices, cand)
+        lo, hi = vertices[chord - 1], vertices[chord]
+        below = ((W[cand] - W[lo]) * (S[hi] - S[lo])
+                 - (S[cand] - S[lo]) * (W[hi] - W[lo]))
+        keep = below > 0
+        cand, chord, below = cand[keep], chord[keep], below[keep]
+        if not cand.size:
+            break
+        runs = np.flatnonzero(np.append(True, chord[1:] != chord[:-1]))
+        furthest = below == np.repeat(np.maximum.reduceat(below, runs),
+                                      np.diff(runs, append=cand.size))
+        hull[cand[furthest]] = True
+        cand = cand[~furthest]
+    vertices = np.flatnonzero(hull)
+    edge = np.searchsorted(vertices, np.arange(1, len(W)))  # level i ends at point i + 1
+    lo, hi = vertices[edge - 1], vertices[edge]
+    return (S[hi] - S[lo]) / (W[hi] - W[lo])
 
 
 @dataclass(frozen=True)
@@ -69,16 +101,28 @@ class IsotonicMap:
 
 
 def fit_isotonic(predictions: Predictions) -> IsotonicMap:
-    """Fit one isotonic map per label on (raw probability, in-gt) pairs."""
+    """Fit one isotonic map per label on (raw probability, in-gt) pairs: per
+    block of labels, one row-wise sort of their columns, then one PAV over
+    every level of the block."""
     if not len(predictions):
         raise ValidationError("cannot fit calibration on zero records")
-    n = predictions.probs.shape[1]
+    m, n = predictions.probs.shape
     maps = {}
-    for j in range(n):
-        xs, inv, cnt = np.unique(predictions.probs[:, j], return_inverse=True,
-                                 return_counts=True)
-        level_means = np.bincount(inv, weights=predictions.gt[:, j]) / cnt
-        maps[j] = (xs, _pav(level_means, cnt.astype(np.float64)))
+    for block in _label_blocks(m, n):
+        cols = np.ascontiguousarray(predictions.probs[:, block].T)
+        order = np.argsort(cols, axis=1)  # a level sums its tied hits in any order
+        xs = np.take_along_axis(cols, order, axis=1).ravel()
+        hits = np.take_along_axis(predictions.gt[:, block].T, order, axis=1).ravel()
+        del cols, order
+        new_level = np.ones(xs.size, dtype=bool)
+        np.not_equal(xs[1:], xs[:-1], out=new_level[1:])
+        new_level[::m] = True  # each label starts a level
+        starts = np.flatnonzero(new_level)
+        first = np.searchsorted(starts, np.arange(0, xs.size, m))
+        fitted = _pav(np.add.reduceat(hits, starts, dtype=np.int64),
+                      np.diff(starts, append=xs.size), first)
+        maps.update(zip(range(block.start, block.stop),
+                        zip(np.split(xs[starts], first[1:]), np.split(fitted, first[1:]))))
     return IsotonicMap(n_labels=n, maps=maps)
 
 
@@ -87,24 +131,36 @@ def fit_isotonic(predictions: Predictions) -> IsotonicMap:
 # --------------------------------------------------------------------------
 
 
-def ece(conf: np.ndarray, hits: np.ndarray, n_bins: int = 10) -> float:
-    """Equal-width-bin ECE of one label's column: confidences and 0/1
-    outcomes over the same documents.
+def ece(conf: np.ndarray, hits: np.ndarray, n_bins: int = 10):
+    """Equal-width-bin ECE of each label column: confidences and 0/1
+    outcomes over the same documents, (m,) for one label (a float) or
+    (m, N) for N labels (an (N,) array), every bin of a block of labels from
+    one `bincount`.
 
     Confidences are clipped into [0,1] before binning so that unclamped
     residual scores still land in a bin.
     """
-    conf = np.clip(np.asarray(conf, dtype=np.float64), 0.0, 1.0)
-    hit = np.asarray(hits, dtype=np.float64)
-    if conf.shape != hit.shape or conf.ndim != 1:
-        raise ValidationError("ECE needs one confidence and one outcome per document")
-    if not conf.size:
+    conf, hits = np.asarray(conf), np.asarray(hits)
+    if conf.shape != hits.shape or conf.ndim not in (1, 2):
+        raise ValidationError("ECE needs one confidence and one outcome per document "
+                              "and label")
+    if not len(conf):
         raise UndefinedMetricError("ECE needs at least one observation")
-    bins = np.minimum((conf * n_bins).astype(int), n_bins - 1)
-    # Σ_b (n_b/m)·|mean conf_b − mean hit_b| = Σ_b |Σ conf_b − Σ hit_b| / m
-    gaps = (np.bincount(bins, weights=conf, minlength=n_bins)
-            - np.bincount(bins, weights=hit, minlength=n_bins))
-    return float(np.abs(gaps).sum() / conf.size)
+    m = len(conf)
+    cols, outcomes = conf.reshape(m, -1), hits.reshape(m, -1)
+    per_label = np.empty(cols.shape[1])
+    for block in _label_blocks(*cols.shape):
+        c = np.clip(np.asarray(cols[:, block], dtype=np.float64), 0.0, 1.0)
+        size = c.shape[1] * n_bins
+        bins = np.multiply(c, n_bins, out=np.empty(c.shape, np.int64), casting="unsafe")
+        np.minimum(bins, n_bins - 1, out=bins)
+        bins += np.arange(0, size, n_bins)  # label j's bins are j·n_bins onwards
+        # Σ_b (n_b/m)·|mean conf_b − mean hit_b| = Σ_b |Σ conf_b − Σ hit_b| / m
+        gaps = (np.bincount(bins.ravel(), weights=c.ravel(), minlength=size)
+                - np.bincount(bins.ravel(), minlength=size,
+                              weights=np.asarray(outcomes[:, block], dtype=np.float64).ravel()))
+        per_label[block] = np.abs(gaps).reshape(-1, n_bins).sum(axis=1) / m
+    return float(per_label[0]) if conf.ndim == 1 else per_label
 
 
 # --------------------------------------------------------------------------
@@ -145,9 +201,9 @@ def _extremes(probs: np.ndarray, decision_threshold: float):
     predicted (no t_u selects it), and the highest other score, -inf when
     every label is predicted (every t_l accepts it)."""
     pred = probs > decision_threshold
-    lowest = np.min(np.where(pred, probs, np.inf), axis=1, initial=np.inf)
-    min_pred = np.where(pred.any(axis=1), lowest, -np.inf)
-    max_rest = np.max(np.where(pred, -np.inf, probs), axis=1, initial=-np.inf)
+    min_pred = np.min(probs, axis=1, where=pred, initial=np.inf)
+    min_pred[~pred.any(axis=1)] = -np.inf
+    max_rest = np.max(probs, axis=1, where=~pred, initial=-np.inf)
     return min_pred, max_rest
 
 
@@ -177,36 +233,43 @@ def search_thresholds(predictions: Predictions, max_fp: float,
     Feasible points keep fp_rate ≤ max_fp; ties break toward lower fp_rate,
     then higher t_u, then lower t_l. If no feasible point selects anything,
     the returned rule carries select_none=True.
+
+    Every grid point is counted at once: a document passes t_u = _GRID[a]
+    iff a < u, u the number of grid points ≤ its min_pred, and passes
+    t_l = _GRID[b] iff b ≥ l, l the number of grid points < its max_rest; so
+    the selected and exact counts over the (t_u, t_l) grid are 2-D
+    cumulative sums of one histogram over (u, l).
     """
     if not 0.0 < max_fp <= 1.0:
         raise ValidationError("max_fp must lie in (0, 1]")
     min_pred, max_rest = _extremes(predictions.probs, decision_threshold)
     exact = _exact(predictions, decision_threshold)
+    g = len(_GRID)
+    cell = (np.searchsorted(_GRID, min_pred, side="right") * (g + 1)
+            + np.searchsorted(_GRID, max_rest, side="left"))
 
-    best_key = None
-    best = None
-    for t_u in _GRID:
-        sel_u = min_pred >= t_u
-        for t_l in _GRID:
-            sel = sel_u & (max_rest <= t_l)
-            n_sel = int(sel.sum())
-            tp = int((sel & exact).sum())
-            fp = n_sel - tp
-            fpr = fp / max(1, n_sel)
-            if fpr > max_fp:
-                continue
-            key = (tp, -fpr, t_u, -t_l)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (t_u, t_l, sel, tp, fp)
+    def grid_counts(weights):
+        """Documents per (t_u, t_l) grid point, flat: point a·g + b counts
+        the documents with u > a and l ≤ b."""
+        hist = np.bincount(cell, weights=weights, minlength=(g + 1) ** 2)
+        hist = hist.reshape(g + 1, g + 1)[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+        return hist[1:, :g].astype(np.int64).ravel()
 
-    if best is None or best[3] == 0:
+    n_sel, tp = grid_counts(None), grid_counts(exact)
+    fpr = (n_sel - tp) / np.maximum(1, n_sel)
+    feasible = np.flatnonzero(fpr <= max_fp)
+    a, b = np.divmod(feasible, g)  # the t_u and t_l grid indices
+    # the largest key (tp, -fpr, t_u, -t_l) first
+    best = feasible[np.lexsort((b, -a, fpr[feasible], -tp[feasible]))][:1]
+    if not best.size or tp[best[0]] == 0:
         # for max_fp < 1 a feasible point with zero TP selects nothing
         rule = ThresholdRule(1.0, 0.0, decision_threshold, fitted_on, select_none=True)
         return rule, AutomationResult((), 0, 0)
-    t_u, t_l, sel, tp, fp = best
-    rule = ThresholdRule(t_u, t_l, decision_threshold, fitted_on)
-    return rule, AutomationResult(tuple(np.flatnonzero(sel).tolist()), tp, fp)
+    best = int(best[0])
+    rule = ThresholdRule(_GRID[best // g], _GRID[best % g], decision_threshold, fitted_on)
+    sel = (min_pred >= rule.t_u) & (max_rest <= rule.t_l)
+    return rule, AutomationResult(tuple(np.flatnonzero(sel).tolist()), int(tp[best]),
+                                  int(n_sel[best] - tp[best]))
 
 
 def evaluate_automation(predictions: Predictions,

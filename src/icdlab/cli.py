@@ -29,8 +29,8 @@ from .corpus import (Encounter, LabelSpace, corpus_stats, generate_corpus,
 from .errors import (NumericError, ParseError, UndefinedMetricError, ValidationError,
                      reading)
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
-                      compute_report, consistency_check, score_histogram,
-                      spearman)
+                      compute_report, consistency_check, instance_f1, recall_at_k,
+                      score_histogram, spearman)
 from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
                     load_reranker, save_base_model, save_reranker)
 from .preprocess import Vocabulary, build_vocab, encounter_aux_text, preprocess_train
@@ -285,8 +285,9 @@ def cmd_evaluate(args, rc: RunConfig) -> int:
                                  "report.txt")]
     if args.breakdown:
         path = out / f"breakdown_{args.breakdown}.csv"
-        _write(path, breakdown_csv(breakdown(records, args.breakdown,
-                                             rc.decision_threshold, args.k)))
+        _write(path, breakdown_csv(breakdown(
+            records, args.breakdown, recall_at_k(records, args.k),
+            instance_f1(records, rc.decision_threshold))))
         outputs.append(path)
     _manifest(out, args, rc, inputs, outputs)
     print(f"evaluate[{args.split}]: R@{args.k} {report.recall_at_k:.4f}, "
@@ -328,14 +329,12 @@ def cmd_calibrate(args, rc: RunConfig) -> int:
     _write(out / "isotonic.json",
            json.dumps({"kind": "isotonic", "n_labels": maps.n_labels},
                       sort_keys=True) + "\n")
-    calibrated = maps.apply(records)
+    before = ece(records.probs, records.gt, rc.ece_bins)
+    after = ece(maps.apply(records).probs, records.gt, rc.ece_bins)
+    improved = int(np.count_nonzero(after <= before + 1e-9))
     lines = ["label,ece_before,ece_after"]
-    improved = 0
-    for j in range(maps.n_labels):
-        before = ece(records.probs[:, j], records.gt[:, j], rc.ece_bins)
-        after = ece(calibrated.probs[:, j], records.gt[:, j], rc.ece_bins)
-        improved += after <= before + 1e-9
-        lines.append(f"{j},{before:.6f},{after:.6f}")
+    lines += [f"{j},{b:.6f},{a:.6f}" for j, (b, a) in enumerate(zip(before.tolist(),
+                                                                    after.tolist()))]
     _write(out / "ece.csv", "\n".join(lines) + "\n")
     _manifest(out, args, rc, inputs,
               [out / "isotonic.ckpt", out / "isotonic.json", out / "ece.csv"])
@@ -354,9 +353,9 @@ def load_isotonic(calib_dir) -> IsotonicMap:
     maps = {j: (arrays[f"x{j}"], arrays.get(f"v{j}")) for j in range(n) if f"x{j}" in arrays}
     for j, (xs, vs) in maps.items():
         if (vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
-                or not (np.diff(xs) >= 0).all()):
+                or not (np.diff(xs) >= 0).all() or not (np.diff(vs) >= 0).all()):
             raise ValidationError(f"{calib_dir}/isotonic.ckpt: label {j} needs non-empty "
-                                  f"1-D x{j} and v{j} of equal length, x{j} non-decreasing")
+                                  f"1-D x{j} and v{j} of equal length, both non-decreasing")
     return IsotonicMap(n_labels=n, maps=maps)
 
 
@@ -393,17 +392,17 @@ def cmd_report(args, rc: RunConfig) -> int:
     src, out = Path(args.inp), _out_dir(args)
     inputs = [args.config, src / "probs.npy", src / "records.jsonl"]
     records = read_prediction_records(src)
+    recall, if1 = recall_at_k(records), instance_f1(records, rc.decision_threshold)
     outputs = []
     group_rows = {}
     for key in GROUP_KEYS:
-        rows = breakdown(records, key, rc.decision_threshold)
+        rows = breakdown(records, key, recall, if1)
         group_rows[key] = rows
         path = out / f"breakdown_{key}.csv"
         _write(path, breakdown_csv(rows))
         outputs.append(path)
-    for metric, name in (("if1", "hist_if1.csv"), ("recall@5", "hist_recall.csv")):
-        counts, frac = score_histogram(records, metric=metric,
-                                       decision_threshold=rc.decision_threshold)
+    for values, name in ((if1, "hist_if1.csv"), (recall, "hist_recall.csv")):
+        counts, frac = score_histogram(values)
         lines = ["bin_low,bin_high,count"]
         for i, c in enumerate(counts):
             lines.append(f"{i / len(counts):.2f},{(i + 1) / len(counts):.2f},{int(c)}")

@@ -159,8 +159,7 @@ def _rankdata(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank.
 
     Untied values keep their sorted position as rank and only the runs of
-    equal sorted values are averaged, which keeps the temporaries of a
-    micro-AUC over every cell few.
+    equal sorted values are averaged.
     """
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
@@ -181,32 +180,50 @@ def _rankdata(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Mann-Whitney AUC; ties count half via average ranks."""
-    pos = positives.astype(bool)
-    n_pos = int(pos.sum())
-    n_neg = pos.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+def _aucs(scores: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of every row of (K, m) scores against its 0/1
+    outcomes, ties counting half via average ranks, from one row-wise sort.
+
+    Only the positives get a rank: the mean 1-based position of their run of
+    equal sorted scores. The rank sums add half-integers, exact in any order,
+    and the temporaries are the sort's and one index per run.
+    """
+    pos = np.asarray(positives, dtype=bool)
+    n_pos = pos.sum(axis=1)
+    n_neg = pos.shape[1] - n_pos
+    if not (n_pos.all() and n_neg.all()):
         raise UndefinedMetricError("AUC undefined for single-class data")
-    ranks = _rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    k, m = scores.shape
+    order = np.argsort(scores, axis=1)
+    xs = np.take_along_axis(scores, order, axis=1)
+    hits = np.flatnonzero(np.take_along_axis(pos, order, axis=1))  # flat sorted positions
+    del order
+    new_run = np.ones(k * m + 1, dtype=bool)  # each row starts a run; the end closes one
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=new_run[:-1].reshape(k, m)[:, 1:])
+    del xs
+    runs = np.flatnonzero(new_run)
+    after = np.searchsorted(runs, hits, side="right")  # the run after each positive's
+    ranks = 0.5 * (runs[after - 1] + runs[after] - 1) + 1.0
+    rows = np.arange(k)
+    rank_sum = np.add.reduceat(ranks, np.searchsorted(hits, rows * m)) - rows * m * n_pos
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc_micro(p: Predictions) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
-    return _auc(p.probs.ravel(), p.gt.ravel())
+    return float(_aucs(p.probs.reshape(1, -1), p.gt.reshape(1, -1))[0])
 
 
 def auc_macro(p: Predictions) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
     n_pos = p.gt.sum(axis=0)
-    vals = [_auc(p.probs[:, j], p.gt[:, j])
-            for j in np.flatnonzero((n_pos > 0) & (n_pos < len(p)))]
-    if not vals:
+    two_class = np.flatnonzero((n_pos > 0) & (n_pos < len(p)))
+    if not two_class.size:
         raise UndefinedMetricError("macro AUC: every label is single-class")
-    return float(np.mean(vals))
+    return float(np.mean(_aucs(np.ascontiguousarray(p.probs[:, two_class].T),
+                               p.gt[:, two_class].T)))
 
 
 # --------------------------------------------------------------------------
@@ -247,17 +264,18 @@ def _distinct_labels_per_period(encounters) -> float:
     return float(np.mean(per_year))
 
 
-def breakdown(p: Predictions, group_key: str, decision_threshold: float = 0.5,
-              k: int = 5) -> list[GroupReport]:
+def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
+              if1: np.ndarray) -> list[GroupReport]:
+    """Per-group means of the documents' (m,) Recall@k and instance-F1
+    vectors, so that several breakdowns share one computation of each."""
     names, group = np.unique(_group_values(p, group_key), return_inverse=True)
-    r5, if1 = recall_at_k(p, k), instance_f1(p, decision_threshold)
     out = []
     for g, name in enumerate(names.tolist()):
         members = group == g
         out.append(GroupReport(
             group=name,
             size=int(members.sum()),
-            recall_at_5=float(np.mean(r5[members])),
+            recall_at_5=float(np.mean(recall[members])),
             instance_f1=float(np.mean(if1[members])),
             distinct_labels_per_period=_distinct_labels_per_period(p.encounters[members]),
         ))
@@ -290,23 +308,18 @@ def spearman(xs, ys) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
-def score_histogram(p: Predictions, metric: str = "if1", bins: int = 10,
-                    decision_threshold: float = 0.5, k: int = 5):
-    """Counts per equal-width bin over [0,1] plus the exactly-1 fraction.
+def score_histogram(values: np.ndarray, bins: int = 10):
+    """Counts of a per-document score vector per equal-width bin over [0,1],
+    plus the exactly-1 fraction.
 
     Bins are half-open [i/b, (i+1)/b) except the last, which is closed.
     """
     if bins < 1:
         raise ValidationError("bins must be ≥ 1")
-    if metric == "if1":
-        vals = instance_f1(p, decision_threshold)
-    elif metric == "recall@5":
-        vals = recall_at_k(p, k)
-    else:
-        raise ValidationError(f"unknown histogram metric {metric!r}")
-    counts = np.bincount(np.minimum((vals * bins).astype(np.int64), bins - 1),
+    values = np.asarray(values, dtype=np.float64)
+    counts = np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1),
                          minlength=bins)
-    frac = int(np.count_nonzero(vals == 1.0)) / vals.size if vals.size else 0.0
+    frac = int(np.count_nonzero(values == 1.0)) / values.size if values.size else 0.0
     return counts, frac
 
 

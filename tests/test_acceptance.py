@@ -329,7 +329,7 @@ def test_criterion_02_metric_oracles():
         size = int(rng.integers(3, 11))
         means = rng.uniform(size=size)
         weights = rng.integers(1, 6, size=size).astype(float)
-        got = _pav(means, weights)
+        got = _pav(means * weights, weights)
         want = _pav_partition_oracle(means, weights)
         pav_worst = max(pav_worst, float(np.max(np.abs(got - want))))
         if not np.allclose(got, want, atol=1e-9):

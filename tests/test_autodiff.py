@@ -293,6 +293,52 @@ def test_constants_get_no_gradient_entry():
     assert x in grads and c not in grads
 
 
+def test_a_parameter_that_gets_no_gradient_gets_zeros():
+    # bce passes nothing back to its targets; a target that requires grad
+    # still gets its zero entry, which an optimizer may step
+    p, y = t([0.3, 0.8], grad=True), t([0.0, 1.0], grad=True)
+    grads = ad.backward(ad.bce_loss(p, y))
+    np.testing.assert_array_equal(grads[y], [0.0, 0.0])
+    assert grads[p].shape == (2,)
+
+
+def test_backward_closures_match_the_plain_expressions():
+    # the in-place closures reproduce, bit for bit, the one-expression forms
+    rng = np.random.default_rng(17)
+    x, w = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
+    row = rng.normal(size=5)
+    g = rng.normal(size=(7, 5))
+    out = np.tanh(x)
+    ga, = ad.tanh(t(x, grad=True)).grad_fn(g)
+    assert np.array_equal(ga, g * (1.0 - out * out))
+    sig = ad.sigmoid(t(x, grad=True))
+    ga, = sig.grad_fn(g)
+    assert np.array_equal(ga, g * sig.data * (1.0 - sig.data))
+    for b in (w, row):
+        ga, gb = ad.mul(t(x, grad=True), t(b, grad=True)).grad_fn(g)
+        assert np.array_equal(ga, g * b)
+        want = (g * x).sum(axis=tuple(range(g.ndim - b.ndim)))
+        assert np.array_equal(gb, want.reshape(b.shape))
+    p = np.clip(rng.uniform(-0.1, 1.1, size=(7, 5)), 0.0, 1.0)
+    p[0, :2] = 0.0, 1.0  # outside [eps, 1 - eps]: no gradient
+    y = (rng.uniform(size=(7, 5)) < 0.5).astype(np.float64)
+    for upstream in (np.float64(1.0), np.float64(-0.37)):
+        gp, gy = ad.bce_loss(t(p, grad=True), t(y)).grad_fn(upstream)
+        q = np.clip(p, ad.PROB_EPS, 1.0 - ad.PROB_EPS)
+        inside = (p >= ad.PROB_EPS) & (p <= 1.0 - ad.PROB_EPS)
+        assert gy is None
+        assert np.array_equal(gp, upstream * inside * (-y / q + (1.0 - y) / (1.0 - q)) / p.size)
+
+
+def test_backward_closures_take_0d_tensors():
+    x = t(-0.7, grad=True)
+    assert ad.backward(ad.tanh(x))[x] == 1.0 - np.tanh(-0.7) ** 2
+    s = 1.0 / (1.0 + np.exp(0.7))
+    assert ad.backward(ad.sigmoid(x))[x] == pytest.approx(s * (1.0 - s), rel=1e-15)
+    p = t(0.3, grad=True)
+    assert ad.backward(ad.bce_loss(p, t(1.0)))[p] == -1.0 / 0.3
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 import datetime as dt
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icdlab import calibrate
 from icdlab.calibrate import (
+    _GRID,
     AutomationResult,
     IsotonicMap,
     ThresholdRule,
+    _exact,
+    _extremes,
     _pav,
     automation_sweep,
     decide_exact_match,
@@ -86,7 +91,7 @@ def test_pav_matches_projection_oracle(seed):
     n = int(rng.integers(3, 13))
     means = rng.uniform(size=n)
     weights = rng.integers(1, 5, size=n).astype(float)
-    got = _pav(means, weights)
+    got = _pav(means * weights, weights)
     want = _projection_oracle(means, weights)
     np.testing.assert_allclose(got, want, atol=1e-9)
     assert (np.diff(got) >= -1e-12).all()
@@ -99,6 +104,46 @@ def test_pav_monotone_input_untouched():
 
 def test_pav_single_violation_pools_to_average():
     np.testing.assert_allclose(_pav(np.array([1.0, 0.0]), np.ones(2)), [0.5, 0.5])
+
+
+def _exact_pav(sums, weights):
+    """Sequential pool-adjacent-violators in exact rationals, each block's
+    value rounded once: the reference for long chains."""
+    blocks = []  # [sum, weight, levels]
+    for s, w in zip(sums.tolist(), weights.tolist()):
+        blocks.append([s, w, 1])
+        while (len(blocks) > 1
+               and Fraction(blocks[-2][0], blocks[-2][1]) > Fraction(blocks[-1][0], blocks[-1][1])):
+            s_hi, w_hi, n_hi = blocks.pop()
+            blocks[-1] = [blocks[-1][0] + s_hi, blocks[-1][1] + w_hi, blocks[-1][2] + n_hi]
+    return np.array([s / w for s, w, n in blocks for _ in range(n)])
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pav_of_many_labels_is_each_labels_exact_fit(seed):
+    # one call over several labels' levels equals each label fitted alone,
+    # every value the correctly rounded quotient of its block's sums
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 40, size=int(rng.integers(1, 6)))
+    weights = rng.integers(1, 9, size=sizes.sum())
+    sums = rng.binomial(weights, rng.uniform(size=sizes.sum()))
+    first = np.cumsum(sizes) - sizes
+    got = _pav(sums, weights, first)
+    for lo, hi in zip(first, first + sizes):
+        np.testing.assert_array_equal(got[lo:hi], _exact_pav(sums[lo:hi], weights[lo:hi]))
+
+
+@pytest.mark.parametrize("drop_weight", [2_000, 1_000_000])
+def test_pav_convex_chain_then_drop(drop_weight):
+    # 1,000 levels whose means rise by 1/1000 each (a convex run of the
+    # cumulative sum diagram), then one level of mean 0 that pools part or
+    # all of the run
+    sums = np.append(np.arange(1000), 0)
+    weights = np.append(np.full(1000, 1000), drop_weight)
+    got = _pav(sums, weights)
+    np.testing.assert_array_equal(got, _exact_pav(sums, weights))
+    assert (np.diff(got) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +172,57 @@ def test_ties_pool_before_fitting():
     xs, vs = m.maps[0]
     assert xs.tolist() == [0.3]
     assert vs.tolist() == [0.5]
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fit_matches_the_projection_oracle_on_every_label(seed):
+    # tied scores on a coarse grid keep each label at ≤ 12 levels
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+    probs = rng.integers(0, int(rng.integers(1, 12)), size=(m, n)) / 11
+    gt = rng.uniform(size=(m, n)) < probs
+    maps = fit_isotonic(P(probs, [set(np.flatnonzero(row)) for row in gt])).maps
+    assert sorted(maps) == list(range(n))
+    for j, (xs, vs) in maps.items():
+        levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
+                                            return_counts=True)
+        positives = np.bincount(inverse, weights=gt[:, j]).astype(int)
+        np.testing.assert_array_equal(xs, levels)
+        np.testing.assert_allclose(vs, _projection_oracle(positives / counts, counts),
+                                   rtol=0, atol=1e-12)
+        # each block of equal fitted values holds exactly its positives over its count
+        bounds = np.flatnonzero(np.diff(np.append(np.append(-1.0, vs), 2.0)))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert (vs[lo:hi] == positives[lo:hi].sum() / counts[lo:hi].sum()).all()
+
+
+def test_fit_single_level_and_constant_columns():
+    # one record is one level; a constant column is one level of all records
+    one = fit_isotonic(P([[0.4, 0.7]], [{1}])).maps
+    assert [(xs.tolist(), vs.tolist()) for xs, vs in one.values()] == [([0.4], [0.0]),
+                                                                      ([0.7], [1.0])]
+    const = fit_isotonic(P([[0.3, 0.2]] * 3, [{0}, {0}, {1}])).maps
+    assert [(xs.tolist(), vs.tolist()) for xs, vs in const.values()] == [([0.3], [2 / 3]),
+                                                                        ([0.2], [1 / 3])]
+
+
+@pytest.mark.parametrize("block_cells", [5, 20])
+def test_label_blocks_give_the_whole_matrix_results(monkeypatch, block_cells):
+    # one label per block (fewer cells than records), then two labels per
+    # block with a last block of one: maps and ECEs as from one block
+    rng = np.random.default_rng(8)
+    probs = rng.integers(0, 6, size=(9, 11)) / 5
+    gt = rng.uniform(size=(9, 11)) < probs
+    records = P(probs, [set(np.flatnonzero(row)) for row in gt])
+    whole, whole_ece = fit_isotonic(records).maps, ece(probs, gt)
+    monkeypatch.setattr(calibrate, "_BLOCK_CELLS", block_cells)
+    blocked = fit_isotonic(records).maps
+    assert sorted(blocked) == sorted(whole)
+    for j, (xs, vs) in whole.items():
+        np.testing.assert_array_equal(blocked[j][0], xs)
+        np.testing.assert_array_equal(blocked[j][1], vs)
+    np.testing.assert_array_equal(ece(probs, gt), whole_ece)
 
 
 def test_unfitted_label_is_identity():
@@ -321,6 +417,52 @@ def test_search_all_half_probs_selects_nothing():
     rule, result = search_thresholds(P([[0.5, 0.5]] * 3, [{0}] * 3), max_fp=0.2)
     assert rule.select_none
     assert result == AutomationResult((), 0, 0)
+
+
+def _grid_loop_search(predictions, max_fp, decision_threshold=0.5):
+    """The search point by point over the 21 × 21 grid: the reference for the
+    counted search."""
+    min_pred, max_rest = _extremes(predictions.probs, decision_threshold)
+    exact = _exact(predictions, decision_threshold)
+    best_key, best = None, None
+    for t_u in _GRID:
+        for t_l in _GRID:
+            sel = (min_pred >= t_u) & (max_rest <= t_l)
+            n_sel = int(sel.sum())
+            tp = int((sel & exact).sum())
+            fpr = (n_sel - tp) / max(1, n_sel)
+            if fpr > max_fp:
+                continue
+            key = (tp, -fpr, t_u, -t_l)
+            if best_key is None or key > best_key:
+                best_key, best = key, (t_u, t_l, sel, tp, n_sel - tp)
+    if best is None or best[3] == 0:
+        return (ThresholdRule(1.0, 0.0, decision_threshold, select_none=True),
+                AutomationResult((), 0, 0))
+    t_u, t_l, sel, tp, fp = best
+    return (ThresholdRule(t_u, t_l, decision_threshold),
+            AutomationResult(tuple(np.flatnonzero(sel).tolist()), tp, fp))
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_search_equals_the_grid_loop(seed):
+    # scores on the grid itself, records predicting nothing (min_pred -inf)
+    # or everything (max_rest -inf), plain and calibrated
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+    probs = np.where(rng.uniform(size=(m, n)) < 0.5, rng.integers(0, 21, size=(m, n)) / 20,
+                     rng.uniform(size=(m, n)))
+    probs[rng.uniform(size=m) < 0.15] *= 0.5  # every label ≤ 0.5: nothing predicted
+    everything = rng.uniform(size=m) < 0.15  # every label > 0.5: all predicted
+    probs[everything] = 0.55 + 0.45 * probs[everything]
+    gts = [set(np.flatnonzero(row > 0.5)) if rng.uniform() < 0.6
+           else {int(rng.integers(n))} for row in probs]
+    records = P(probs, gts)
+    calibrated = fit_isotonic(records).apply(records)
+    for max_fp in (0.05, 0.1, 0.2, 0.4, 1.0):
+        for r in (records, calibrated):
+            assert search_thresholds(r, max_fp) == _grid_loop_search(r, max_fp)
 
 
 def test_search_max_fp_domain():

@@ -547,7 +547,8 @@ def test_checkpoint_parameters_must_match_the_sidecar(pipeline, tmp_path, capsys
     lambda arrays: {k: v for k, v in arrays.items() if k != "v0"},
     lambda arrays: {**arrays, "v0": arrays["v0"][:-1]},
     lambda arrays: {**arrays, "x0": arrays["x0"][::-1]},
-], ids=["x0-without-v0", "v0-shorter-than-x0", "x0-decreasing"])
+    lambda arrays: {**arrays, "v0": np.linspace(1.0, 0.0, arrays["v0"].size)},
+], ids=["x0-without-v0", "v0-shorter-than-x0", "x0-decreasing", "v0-decreasing"])
 def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
     from icdlab.checkpoint import load_params, save_params
     dirs = dict(pipeline)
@@ -684,14 +685,25 @@ def test_benchmark_tracer_runs_the_chain_and_counts_repeat(tmp_path):
     assert counts[0]["preprocess.tokens"] > 0 and counts[0]["autodiff.backward.calls"] > 0
 
 
-def test_benchmark_train_workload_passes_its_output_checks():
-    # one traced run of the benchmark's train workload and its own checks:
-    # R@5 against the seed's reference, the numpy oracle against report.csv,
-    # the best model kept, and the per-layer counts repeating
+def _benchmark_workload_is_correct(workload):
+    """One traced `perfbench/run.py` run of a workload at seed 42 ends with
+    every one of its own output checks passing."""
     root = Path(icdlab.__file__).resolve().parents[2]
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "train",
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "42", "--seconds", "0", "--trace", "1"],
                           cwd=root, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.strip().splitlines()
     assert json.loads(lines[-1])["correct"] is True, [l for l in lines if "FAILED" in l]
+
+
+def test_benchmark_train_workload_passes_its_output_checks():
+    # R@5 against the seed's reference, the numpy oracle against report.csv,
+    # the best model kept, and the per-layer counts repeating
+    _benchmark_workload_is_correct("train")
+
+
+def test_benchmark_post_model_workload_passes_its_output_checks():
+    # the R@5 oracle against each eval's report.csv, one automation.csv row
+    # per budget, unit outputs that repeat, and the per-layer counts repeating
+    _benchmark_workload_is_correct("post_model")

@@ -289,9 +289,14 @@ def test_rankdata_matches_tie_loop():
 # ---------------------------------------------------------------------------
 
 
+def groups(records, key):
+    """The breakdown over R@5 and iF1 at 0.5, as `report` computes it."""
+    return breakdown(records, key, recall_at_k(records, 5), instance_f1(records, 0.5))
+
+
 def test_breakdown_single_group_equals_global():
     records = P(rec([0.9, 0.1], {0}, dept="D1"), rec([0.1, 0.9], {1}, dept="D1"))
-    out = breakdown(records, "dept")
+    out = groups(records, "dept")
     assert len(out) == 1
     assert out[0].group == "D1"
     assert out[0].size == 2
@@ -302,19 +307,19 @@ def test_breakdown_single_group_equals_global():
 def test_breakdown_sorted_by_size_desc():
     records = P(rec([0.9], {0}, dept="A"), rec([0.9], {0}, dept="B"),
                 rec([0.9], {0}, dept="B"))
-    out = breakdown(records, "dept")
+    out = groups(records, "dept")
     assert [g.group for g in out] == ["B", "A"]
 
 
 def test_breakdown_first_visit_key():
     records = P(rec([0.9], {0}, first_visit=True), rec([0.9], {0}, first_visit=False))
-    names = {g.group for g in breakdown(records, "first_visit")}
+    names = {g.group for g in groups(records, "first_visit")}
     assert names == {"first", "recurring"}
 
 
 def test_breakdown_unknown_key_rejected():
     with pytest.raises(ValidationError):
-        breakdown(P(rec([0.9], {0})), "nope")
+        groups(P(rec([0.9], {0})), "nope")
 
 
 def test_breakdown_distinct_labels_per_period():
@@ -322,7 +327,7 @@ def test_breakdown_distinct_labels_per_period():
         rec([0.9], {0}, dept="A", encounter=_enc("P1", 1, ["A00.0", "B00.0"])),
         rec([0.9], {0}, dept="A", encounter=_enc("P2", 5, ["A00.0", "C00.0"])),
     )
-    out = breakdown(records, "dept")
+    out = groups(records, "dept")
     assert out[0].distinct_labels_per_period == 3.0  # one year, 3 distinct codes
     assert "distinct_labels_per_period" in breakdown_csv(out).splitlines()[0]
 
@@ -386,7 +391,7 @@ def test_spearman_zero_variance_is_error():
 
 def test_histogram_all_ones():
     records = P(*(rec([0.9], {0}) for _ in range(4)))
-    counts, frac = score_histogram(records, metric="recall@5")
+    counts, frac = score_histogram(recall_at_k(records, 5))
     assert counts[-1] == 4 and counts[:-1].sum() == 0
     assert frac == 1.0
 
@@ -399,7 +404,7 @@ def test_histogram_bin_edges():
         rec(probs, {0, 5}),    # recall 0.5
         rec(probs, {0}),       # recall 1
     )
-    counts, frac = score_histogram(records, metric="recall@5")
+    counts, frac = score_histogram(recall_at_k(records, 5))
     assert counts[0] == 1 and counts[5] == 1 and counts[9] == 1
     assert counts.sum() == 3
     assert frac == pytest.approx(1 / 3)
@@ -407,10 +412,10 @@ def test_histogram_bin_edges():
 
 def test_histogram_if1_metric_and_validation():
     records = P(rec([0.9], {0}))
-    counts, frac = score_histogram(records, metric="if1")
+    counts, frac = score_histogram(instance_f1(records))
     assert counts.sum() == 1 and frac == 1.0
     with pytest.raises(ValidationError):
-        score_histogram(records, metric="nope")
+        score_histogram(instance_f1(records), bins=0)
 
 
 # ---------------------------------------------------------------------------
