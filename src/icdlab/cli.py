@@ -1,9 +1,11 @@
 """Pipeline subcommands: corpus generation through automation reports.
 
-Every command reads a flat key=value config, writes its artifacts under
---out, and drops a manifest.json recording argv, the config hash, and
-the SHA-256 of every input and output file, so a run can be replayed and
-verified byte-for-byte. Timing logs (history.csv) are listed separately
+Every stage command reads a flat key=value config and writes its files into
+a fresh staging directory beside --out. One runner, `_stage`, then writes a
+manifest.json recording argv, the config hash, and the SHA-256 of every
+input and output file, so a run can be replayed and verified byte-for-byte,
+and moves the files into --out with the manifest last. A stage that fails
+leaves --out as it was. Timing logs (history.csv) are listed separately
 from outputs because wall-clock never reproduces. `pipeline` runs the
 stages in order, each into its own directory under --workdir.
 
@@ -16,7 +18,10 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +31,8 @@ from .checkpoint import load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
 from .corpus import (Encounter, LabelSpace, corpus_stats, generate_corpus,
                      read_encounters, split_by_patient, write_encounters)
-from .errors import (NumericError, ParseError, UndefinedMetricError, ValidationError,
-                     reading)
+from .errors import (NumericError, ParseError, UndefinedMetricError, UsageError,
+                     ValidationError, reading)
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
                       compute_report, consistency_check, instance_f1, recall_at_k,
                       score_histogram, spearman)
@@ -38,7 +43,7 @@ from .train import (Notes, data_fraction_experiment, fraction_csv, predict_recor
                     predict_records_reranked, train, train_reranker)
 
 # --------------------------------------------------------------------------
-# small file helpers
+# small file helpers and the stage runner
 # --------------------------------------------------------------------------
 
 
@@ -53,40 +58,63 @@ def _write(path: Path, text: str) -> None:
 def _read_config(path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _stage(command):
+    """Run `command(args, rc, stage)` as a stage. It writes its files into
+    `stage`, a fresh directory beside --out, and returns the paths it read,
+    the names of its logs and the line to print; every other staged file is
+    an output. Only if it succeeds are the files hashed into manifest.json
+    and moved into --out, the manifest last."""
+
+    def run(args, rc: RunConfig) -> int:
+        out = Path(args.out)
+        # stage in the nearest existing ancestor, so a failed stage creates no directory
+        near = next(p for p in (out.parent, *out.parents) if p.is_dir())
+        stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=near))
+        try:
+            inputs, logs, summary = command(args, rc, stage)
+            names = sorted(p.name for p in stage.iterdir())
+            manifest = {
+                "command": args.command,
+                "argv": list(args.argv),
+                "seed": rc.seed,
+                "config_sha256": config_sha256(rc),
+                "inputs": {str(p): _sha256_file(p) for p in [args.config, *inputs]},
+                "outputs": {n: _sha256_file(stage / n) for n in names if n not in logs},
+                "logs": sorted(logs),
+            }
+            _write(stage / "manifest.json",
+                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "manifest.json").unlink(missing_ok=True)
+            for name in [*names, "manifest.json"]:
+                os.replace(stage / name, out / name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+        print(summary)
+        return 0
+
+    return run
 
 
-def _manifest(out: Path, args, rc: RunConfig, inputs, outputs, logs=()) -> None:
-    data = {
-        "command": args.command,
-        "argv": list(args.argv),
-        "seed": rc.seed,
-        "config_sha256": config_sha256(rc),
-        "inputs": {str(p): _sha256_file(Path(p)) for p in inputs},
-        "outputs": {Path(p).name: _sha256_file(Path(p)) for p in outputs},
-        "logs": sorted(Path(p).name for p in logs),
-    }
-    _write(out / "manifest.json", json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _load_prep(prep, rc: RunConfig, *splits):
+    """A preprocess directory's vocabulary and label space, one Notes per
+    named split, and the paths read."""
 
+    def load(path, cls):
+        with reading(path):
+            return cls.from_json(path.read_text(encoding="utf-8"))
 
-def _load_prep(prep: Path):
-    def load(name, cls):
-        with reading(prep / name):
-            return cls.from_json((prep / name).read_text(encoding="utf-8"))
-
-    return load("vocab.json", Vocabulary), load("labels.json", LabelSpace)
-
-
-def _notes(path: Path, vocab: Vocabulary, labels: LabelSpace, rc: RunConfig) -> Notes:
-    return Notes.of(read_encounters(path), vocab, labels, rc.max_note_tokens)
+    prep = Path(prep)
+    paths = [prep / "vocab.json", prep / "labels.json", *(prep / f"{s}.txt" for s in splits)]
+    vocab, labels = load(paths[0], Vocabulary), load(paths[1], LabelSpace)
+    notes = [Notes.of(read_encounters(path), vocab, labels, rc.max_note_tokens)
+             for path in paths[2:]]
+    return vocab, labels, notes, paths
 
 
 # --------------------------------------------------------------------------
@@ -130,7 +158,8 @@ def read_prediction_records(eval_dir) -> Predictions:
     if not np.isfinite(probs).all():
         raise NumericError(f"{eval_dir}/probs.npy: non-finite probabilities")
     m, n = probs.shape
-    text = (eval_dir / "records.jsonl").read_text(encoding="utf-8")
+    with reading(eval_dir / "records.jsonl"):
+        text = (eval_dir / "records.jsonl").read_text(encoding="utf-8")
     cols = {k: [] for k in ("gt", "n_unseen", "dept", "first_visit", "freq_bucket",
                             "encounters")}
     for number, line in enumerate(text.splitlines(), start=1):
@@ -168,105 +197,78 @@ def read_prediction_records(eval_dir) -> Predictions:
 # --------------------------------------------------------------------------
 
 
-def cmd_gen_corpus(args, rc: RunConfig) -> int:
-    out = _out_dir(args)
+@_stage
+def cmd_gen_corpus(args, rc: RunConfig, stage: Path):
     encounters, labels = generate_corpus(rc.corpus())
     split = split_by_patient(encounters, rc.n_dev_patients, rc.n_test_patients,
                              seed=stage_seed(rc.seed, "split"))
-    outputs = []
     for name, part in (("train", split.train), ("dev", split.dev), ("test", split.test)):
-        path = out / f"{name}.txt"
-        write_encounters(path, part)
-        outputs.append(path)
-    _write(out / "corpus_labels.json", labels.to_json() + "\n")
-    _write(out / "stats.txt", corpus_stats(encounters).as_text())
-    outputs += [out / "corpus_labels.json", out / "stats.txt"]
-    _manifest(out, args, rc, [args.config], outputs)
-    print(f"gen-corpus: {len(encounters)} encounters, {len(labels)} codes, "
-          f"split {len(split.train)}/{len(split.dev)}/{len(split.test)}")
-    return 0
+        write_encounters(stage / f"{name}.txt", part)
+    _write(stage / "corpus_labels.json", labels.to_json() + "\n")
+    _write(stage / "stats.txt", corpus_stats(encounters).as_text())
+    return [], (), (f"gen-corpus: {len(encounters)} encounters, {len(labels)} codes, "
+                    f"split {len(split.train)}/{len(split.dev)}/{len(split.test)}")
 
 
-def cmd_preprocess(args, rc: RunConfig) -> int:
-    src, out = Path(args.inp), _out_dir(args)
-    inputs = [args.config] + [src / f"{n}.txt" for n in ("train", "dev", "test")]
-    train_encs = read_encounters(src / "train.txt")
+@_stage
+def cmd_preprocess(args, rc: RunConfig, stage: Path):
+    inputs = [Path(args.inp) / f"{n}.txt" for n in ("train", "dev", "test")]
+    train_encs = read_encounters(inputs[0])
     filtered, retained, report = preprocess_train(train_encs, rc.min_code_count,
                                                   rc.dedup_scope)
     vocab = build_vocab(
         [e.text for e in filtered] + [encounter_aux_text(e) for e in filtered],
         rc.min_token_count)
     labels = LabelSpace(tuple(sorted(retained))).with_train_counts(filtered)
-    write_encounters(out / "train.txt", filtered)
-    for name in ("dev", "test"):  # pass through untouched
-        write_encounters(out / f"{name}.txt", read_encounters(src / f"{name}.txt"))
-    _write(out / "vocab.json", vocab.to_json() + "\n")
-    _write(out / "labels.json", labels.to_json() + "\n")
-    _write(out / "report.csv", report.as_csv())
-    _write(out / "report.txt", report.as_text())
-    outputs = [out / n for n in ("train.txt", "dev.txt", "test.txt", "vocab.json",
-                                 "labels.json", "report.csv", "report.txt")]
-    _manifest(out, args, rc, inputs, outputs)
-    print(f"preprocess: {report.docs_before} → {report.docs_after_filter} train docs, "
-          f"{len(labels)} labels, vocab {len(vocab)}")
-    return 0
+    write_encounters(stage / "train.txt", filtered)
+    for path in inputs[1:]:  # dev and test pass through untouched
+        write_encounters(stage / path.name, read_encounters(path))
+    _write(stage / "vocab.json", vocab.to_json() + "\n")
+    _write(stage / "labels.json", labels.to_json() + "\n")
+    _write(stage / "report.csv", report.as_csv())
+    _write(stage / "report.txt", report.as_text())
+    return inputs, (), (f"preprocess: {report.docs_before} → {report.docs_after_filter} "
+                        f"train docs, {len(labels)} labels, vocab {len(vocab)}")
 
 
-def cmd_train(args, rc: RunConfig) -> int:
-    prep, out = Path(args.inp), _out_dir(args)
-    inputs = [args.config] + [prep / n for n in ("train.txt", "dev.txt", "vocab.json",
-                                                 "labels.json")]
-    vocab, labels = _load_prep(prep)
-    train_notes = _notes(prep / "train.txt", vocab, labels, rc)
-    dev_notes = _notes(prep / "dev.txt", vocab, labels, rc)
+@_stage
+def cmd_train(args, rc: RunConfig, stage: Path):
+    vocab, labels, (train_notes, dev_notes), inputs = _load_prep(args.inp, rc, "train", "dev")
     model = BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
                            seed=stage_seed(rc.seed, "train-init"))
     _, history = train(model, train_notes, dev_notes, rc.train_config("train"))
-    save_base_model(out / "model.ckpt", model, vocab.sha256(), labels.sha256())
-    _write(out / "history.csv", history.to_csv())
-    _manifest(out, args, rc, inputs,
-              [out / "model.ckpt", out / "model.ckpt.json"],
-              logs=[out / "history.csv"])
+    save_base_model(stage / "model.ckpt", model, vocab.sha256(), labels.sha256())
+    _write(stage / "history.csv", history.to_csv())
     best = max((e.dev_recall_at_5 for e in history.epochs), default=float("nan"))
-    print(f"train: {len(history.epochs)} epochs, best dev R@5 {best:.4f}")
-    return 0
+    return inputs, ("history.csv",), (f"train: {len(history.epochs)} epochs, "
+                                      f"best dev R@5 {best:.4f}")
 
 
-def cmd_train_reranker(args, rc: RunConfig) -> int:
-    prep, out = Path(args.inp), _out_dir(args)
+@_stage
+def cmd_train_reranker(args, rc: RunConfig, stage: Path):
+    vocab, labels, (train_notes, dev_notes), inputs = _load_prep(args.inp, rc, "train", "dev")
     base_dir = Path(args.base)
-    inputs = [args.config, base_dir / "model.ckpt", base_dir / "model.ckpt.json"] + \
-        [prep / n for n in ("train.txt", "dev.txt", "vocab.json", "labels.json")]
-    vocab, labels = _load_prep(prep)
-    train_notes = _notes(prep / "train.txt", vocab, labels, rc)
-    dev_notes = _notes(prep / "dev.txt", vocab, labels, rc)
+    inputs += [base_dir / "model.ckpt", base_dir / "model.ckpt.json"]
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     vocabs = ModalityVocabs.from_encounters(train_notes.encounters)
     reranker = MetadataReranker.init(len(labels), base.hp.d_c, vocabs, rc.reranker_hparams(),
                                      seed=stage_seed(rc.seed, "reranker-init"))
     _, history = train_reranker(base, reranker, train_notes, dev_notes, vocab,
                                 rc.train_config("reranker"))
-    save_reranker(out / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256())
-    _write(out / "history.csv", history.to_csv())
-    _manifest(out, args, rc, inputs,
-              [out / "reranker.ckpt", out / "reranker.ckpt.json"],
-              logs=[out / "history.csv"])
+    save_reranker(stage / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256())
+    _write(stage / "history.csv", history.to_csv())
     best = max((e.dev_recall_at_5 for e in history.epochs), default=float("nan"))
-    print(f"train-reranker: {len(history.epochs)} epochs, best dev R@5 {best:.4f}")
-    return 0
+    return inputs, ("history.csv",), (f"train-reranker: {len(history.epochs)} epochs, "
+                                      f"best dev R@5 {best:.4f}")
 
 
-def cmd_evaluate(args, rc: RunConfig) -> int:
+@_stage
+def cmd_evaluate(args, rc: RunConfig, stage: Path):
     if args.k < 1:
-        print(f"icdlab-error: usage: --k must be at least 1, got {args.k}", file=sys.stderr)
-        return 2
-    prep, out = Path(args.inp), _out_dir(args)
+        raise UsageError(f"--k must be at least 1, got {args.k}")
+    vocab, labels, (notes,), inputs = _load_prep(args.inp, rc, args.split)
     model_dir = Path(args.model)
-    split_file = prep / f"{args.split}.txt"
-    inputs = [args.config, split_file, prep / "vocab.json", prep / "labels.json",
-              model_dir / "model.ckpt", model_dir / "model.ckpt.json"]
-    vocab, labels = _load_prep(prep)
-    notes = _notes(split_file, vocab, labels, rc)
+    inputs += [model_dir / "model.ckpt", model_dir / "model.ckpt.json"]
     base = load_base_model(model_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     if args.reranker:
         rr_dir = Path(args.reranker)
@@ -277,31 +279,22 @@ def cmd_evaluate(args, rc: RunConfig) -> int:
     else:
         records = predict_records(base, notes)
     report = compute_report(records, rc.decision_threshold, args.k)
-    np.save(out / "probs.npy", records.probs)
-    _write(out / "records.jsonl", _records_jsonl(records))
-    _write(out / "report.csv", report.as_csv())
-    _write(out / "report.txt", report.as_text())
-    outputs = [out / n for n in ("probs.npy", "records.jsonl", "report.csv",
-                                 "report.txt")]
+    np.save(stage / "probs.npy", records.probs)
+    _write(stage / "records.jsonl", _records_jsonl(records))
+    _write(stage / "report.csv", report.as_csv())
+    _write(stage / "report.txt", report.as_text())
     if args.breakdown:
-        path = out / f"breakdown_{args.breakdown}.csv"
-        _write(path, breakdown_csv(breakdown(
+        _write(stage / f"breakdown_{args.breakdown}.csv", breakdown_csv(breakdown(
             records, args.breakdown, recall_at_k(records, args.k),
             instance_f1(records, rc.decision_threshold))))
-        outputs.append(path)
-    _manifest(out, args, rc, inputs, outputs)
-    print(f"evaluate[{args.split}]: R@{args.k} {report.recall_at_k:.4f}, "
-          f"iF1 {report.f1_instance:.4f} over {report.n_records} records")
-    return 0
+    return inputs, (), (f"evaluate[{args.split}]: R@{args.k} {report.recall_at_k:.4f}, "
+                        f"iF1 {report.f1_instance:.4f} over {report.n_records} records")
 
 
-def cmd_fractions(args, rc: RunConfig) -> int:
-    prep, out = Path(args.inp), _out_dir(args)
-    inputs = [args.config] + [prep / n for n in ("train.txt", "dev.txt", "test.txt",
-                                                 "vocab.json", "labels.json")]
-    vocab, labels = _load_prep(prep)
-    train_notes, dev_notes, test_notes = (_notes(prep / f"{name}.txt", vocab, labels, rc)
-                                          for name in ("train", "dev", "test"))
+@_stage
+def cmd_fractions(args, rc: RunConfig, stage: Path):
+    vocab, labels, (train_notes, dev_notes, test_notes), inputs = _load_prep(
+        args.inp, rc, "train", "dev", "test")
 
     def make_model():
         return BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
@@ -310,23 +303,21 @@ def cmd_fractions(args, rc: RunConfig) -> int:
     rows = data_fraction_experiment(make_model, train_notes, dev_notes,
                                     parse_fractions(rc.fractions),
                                     rc.train_config("fractions"), eval_notes=test_notes)
-    _write(out / "fractions.csv", fraction_csv(rows))
-    _manifest(out, args, rc, inputs, [out / "fractions.csv"])
-    print(f"fractions: {len(rows)} runs, full-data test R@5 {rows[-1].recall_at_5:.4f}")
-    return 0
+    _write(stage / "fractions.csv", fraction_csv(rows))
+    return inputs, (), (f"fractions: {len(rows)} runs, "
+                        f"full-data test R@5 {rows[-1].recall_at_5:.4f}")
 
 
-def cmd_calibrate(args, rc: RunConfig) -> int:
-    src, out = Path(args.inp), _out_dir(args)
-    inputs = [args.config, src / "probs.npy", src / "records.jsonl"]
+@_stage
+def cmd_calibrate(args, rc: RunConfig, stage: Path):
+    src = Path(args.inp)
     records = read_prediction_records(src)
     maps = fit_isotonic(records)
     arrays = {}
     for j, (xs, vs) in sorted(maps.maps.items()):
-        arrays[f"x{j}"] = xs
-        arrays[f"v{j}"] = vs
-    save_params(out / "isotonic.ckpt", arrays)
-    _write(out / "isotonic.json",
+        arrays |= {f"x{j}": xs, f"v{j}": vs}
+    save_params(stage / "isotonic.ckpt", arrays)
+    _write(stage / "isotonic.json",
            json.dumps({"kind": "isotonic", "n_labels": maps.n_labels},
                       sort_keys=True) + "\n")
     before = ece(records.probs, records.gt, rc.ece_bins)
@@ -335,11 +326,9 @@ def cmd_calibrate(args, rc: RunConfig) -> int:
     lines = ["label,ece_before,ece_after"]
     lines += [f"{j},{b:.6f},{a:.6f}" for j, (b, a) in enumerate(zip(before.tolist(),
                                                                     after.tolist()))]
-    _write(out / "ece.csv", "\n".join(lines) + "\n")
-    _manifest(out, args, rc, inputs,
-              [out / "isotonic.ckpt", out / "isotonic.json", out / "ece.csv"])
-    print(f"calibrate: fit-data ECE non-increasing for {improved}/{maps.n_labels} labels")
-    return 0
+    _write(stage / "ece.csv", "\n".join(lines) + "\n")
+    return [src / "probs.npy", src / "records.jsonl"], (), (
+        f"calibrate: fit-data ECE non-increasing for {improved}/{maps.n_labels} labels")
 
 
 def load_isotonic(calib_dir) -> IsotonicMap:
@@ -359,14 +348,23 @@ def load_isotonic(calib_dir) -> IsotonicMap:
     return IsotonicMap(n_labels=n, maps=maps)
 
 
-def cmd_automate(args, rc: RunConfig) -> int:
-    out = _out_dir(args)
-    dev_dir, test_dir = Path(args.dev), Path(args.test)
+def _labels_digest(eval_dir: Path) -> str:
+    """The labels.json digest among the inputs of an eval dir's manifest."""
+    path = eval_dir / "manifest.json"
+    with reading(path):
+        inputs = json.loads(path.read_text(encoding="utf-8"))["inputs"]
+        return {Path(p).name: digest for p, digest in inputs.items()}["labels.json"]
+
+
+@_stage
+def cmd_automate(args, rc: RunConfig, stage: Path):
     if args.calibrated and not args.maps:
-        print("icdlab-error: usage: --calibrated requires --maps", file=sys.stderr)
-        return 2
-    inputs = [args.config] + [d / n for d in (dev_dir, test_dir)
-                              for n in ("probs.npy", "records.jsonl")]
+        raise UsageError("--calibrated requires --maps")
+    dev_dir, test_dir = Path(args.dev), Path(args.test)
+    if _labels_digest(dev_dir) != _labels_digest(test_dir):
+        raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "
+                              f"different labels.json digests, so different label spaces")
+    inputs = [d / n for d in (dev_dir, test_dir) for n in ("probs.npy", "records.jsonl")]
     dev_records = read_prediction_records(dev_dir)
     test_records = read_prediction_records(test_dir)
     n_dev, n_test = dev_records.probs.shape[1], test_records.probs.shape[1]
@@ -380,36 +378,28 @@ def cmd_automate(args, rc: RunConfig) -> int:
     fps = parse_fractions(args.max_fp)
     rows = automation_sweep(dev_records, test_records, fps, maps,
                             rc.decision_threshold)
-    _write(out / "automation.csv", sweep_csv(rows))
-    _manifest(out, args, rc, inputs, [out / "automation.csv"])
-    for max_fp, calibrated, pct, fpr in rows:
-        print(f"automate: max_fp {max_fp:.2f} calibrated={'yes' if calibrated else 'no'} "
-              f"identified {100 * pct:.2f}% fp_rate {100 * fpr:.2f}%")
-    return 0
+    _write(stage / "automation.csv", sweep_csv(rows))
+    return inputs, (), "\n".join(
+        f"automate: max_fp {max_fp:.2f} calibrated={'yes' if calibrated else 'no'} "
+        f"identified {100 * pct:.2f}% fp_rate {100 * fpr:.2f}%"
+        for max_fp, calibrated, pct, fpr in rows)
 
 
-def cmd_report(args, rc: RunConfig) -> int:
-    src, out = Path(args.inp), _out_dir(args)
-    inputs = [args.config, src / "probs.npy", src / "records.jsonl"]
+@_stage
+def cmd_report(args, rc: RunConfig, stage: Path):
+    src = Path(args.inp)
     records = read_prediction_records(src)
     recall, if1 = recall_at_k(records), instance_f1(records, rc.decision_threshold)
-    outputs = []
-    group_rows = {}
-    for key in GROUP_KEYS:
-        rows = breakdown(records, key, recall, if1)
-        group_rows[key] = rows
-        path = out / f"breakdown_{key}.csv"
-        _write(path, breakdown_csv(rows))
-        outputs.append(path)
+    group_rows = {key: breakdown(records, key, recall, if1) for key in GROUP_KEYS}
+    for key, rows in group_rows.items():
+        _write(stage / f"breakdown_{key}.csv", breakdown_csv(rows))
     for values, name in ((if1, "hist_if1.csv"), (recall, "hist_recall.csv")):
         counts, frac = score_histogram(values)
         lines = ["bin_low,bin_high,count"]
         for i, c in enumerate(counts):
             lines.append(f"{i / len(counts):.2f},{(i + 1) / len(counts):.2f},{int(c)}")
         lines.append(f"exact_one_fraction,,{frac:.6f}")
-        path = out / name
-        _write(path, "\n".join(lines) + "\n")
-        outputs.append(path)
+        _write(stage / name, "\n".join(lines) + "\n")
     lines = ["group_key,versus,spearman"]
     for key, rows in group_rows.items():
         for versus, values in (("size", [g.size for g in rows]),
@@ -420,17 +410,14 @@ def cmd_report(args, rc: RunConfig) -> int:
             except UndefinedMetricError:
                 r = "n/a"
             lines.append(f"{key},{versus},{r}")
-    _write(out / "correlations.csv", "\n".join(lines) + "\n")
-    outputs.append(out / "correlations.csv")
+    _write(stage / "correlations.csv", "\n".join(lines) + "\n")
     consistency = consistency_check(records.encounters)
-    _write(out / "consistency.txt",
+    _write(stage / "consistency.txt",
            f"matched pairs        {consistency.matched_pairs}\n"
            f"inconsistent pairs   {consistency.inconsistent_pairs}\n"
            f"inconsistency rate   {consistency.rate:.4f}\n")
-    outputs.append(out / "consistency.txt")
-    _manifest(out, args, rc, inputs, outputs)
-    print(f"report: {len(outputs)} artifacts for {len(records)} records")
-    return 0
+    return [src / "probs.npy", src / "records.jsonl"], (), (
+        f"report: {len(list(stage.iterdir()))} artifacts for {len(records)} records")
 
 
 def cmd_pipeline(args, rc: RunConfig) -> int:
@@ -490,33 +477,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("gen-corpus", cmd_gen_corpus, **{"--out": {"required": True}})
-    command("preprocess", cmd_preprocess,
-            **{"--in": {"required": True, "dest": "inp"}, "--out": {"required": True}})
-    command("train", cmd_train,
-            **{"--in": {"required": True, "dest": "inp"}, "--out": {"required": True}})
+    inp, out = {"--in": {"required": True, "dest": "inp"}}, {"--out": {"required": True}}
+    command("gen-corpus", cmd_gen_corpus, **out)
+    command("preprocess", cmd_preprocess, **inp, **out)
+    command("train", cmd_train, **inp, **out)
     command("train-reranker", cmd_train_reranker,
-            **{"--in": {"required": True, "dest": "inp"},
-               "--base": {"required": True}, "--out": {"required": True}})
+            **{**inp, "--base": {"required": True}, **out})
     command("evaluate", cmd_evaluate,
-            **{"--in": {"required": True, "dest": "inp"},
-               "--model": {"required": True}, "--out": {"required": True},
-               "--reranker": {"default": None},
+            **{**inp, "--model": {"required": True}, **out, "--reranker": {"default": None},
                "--split": {"default": "test", "choices": ["train", "dev", "test"]},
                "--k": {"type": int, "default": 5},
                "--breakdown": {"default": None, "choices": list(GROUP_KEYS)}})
-    command("fractions", cmd_fractions,
-            **{"--in": {"required": True, "dest": "inp"}, "--out": {"required": True}})
-    command("calibrate", cmd_calibrate,
-            **{"--in": {"required": True, "dest": "inp"}, "--out": {"required": True}})
+    command("fractions", cmd_fractions, **inp, **out)
+    command("calibrate", cmd_calibrate, **inp, **out)
     command("automate", cmd_automate,
-            **{"--dev": {"required": True}, "--test": {"required": True},
-               "--out": {"required": True}, "--max-fp": {"required": True,
-                                                         "dest": "max_fp"},
-               "--calibrated": {"action": "store_true"},
-               "--maps": {"default": None}})
-    command("report", cmd_report,
-            **{"--in": {"required": True, "dest": "inp"}, "--out": {"required": True}})
+            **{"--dev": {"required": True}, "--test": {"required": True}, **out,
+               "--max-fp": {"required": True, "dest": "max_fp"},
+               "--calibrated": {"action": "store_true"}, "--maps": {"default": None}})
+    command("report", cmd_report, **inp, **out)
     command("pipeline", cmd_pipeline,
             **{"--workdir": {"required": True},
                "--max-fp": {"default": "0.05,0.1,0.15,0.2", "dest": "max_fp"}})
@@ -533,6 +511,9 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args, _read_config(args.config))
+    except UsageError as exc:
+        print(f"icdlab-error: usage: {exc}", file=sys.stderr)
+        return 2
     except (ValidationError, OSError) as exc:
         print(f"icdlab-error: validation: {exc}", file=sys.stderr)
         return 3

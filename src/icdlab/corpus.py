@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, reading
 
 CODE_RE = re.compile(r"^[A-Z]\d{2}(\.[A-Za-z0-9]{1,4})?$")
 
@@ -352,44 +352,45 @@ def write_encounters(path, encounters: list[Encounter]) -> None:
 
 
 def read_encounters(path) -> list[Encounter]:
+    with open(path, encoding="utf-8") as fh, reading(path):
+        lines = fh.read().split("\n")
     out: list[Encounter] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected an object")
-            missing = [f for f in _ENCOUNTER_FIELDS if f not in obj]
-            unknown = [f for f in obj if f not in _ENCOUNTER_FIELDS]
-            if missing or unknown:
-                raise ParseError(
-                    f"{path}:{lineno}: missing fields {missing}, unknown fields {unknown}"
-                )
-            for f in _ENCOUNTER_FIELDS:
-                listed, v = f in _LIST_FIELDS, obj[f]
-                if listed and not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
-                    raise ParseError(f"{path}:{lineno}: {f} must be a list of strings")
-                if not listed and not isinstance(v, str):
-                    raise ParseError(f"{path}:{lineno}: {f} must be a string")
-            codes = obj["codes"]
-            if len(set(codes)) != len(codes):
-                raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
-            try:
-                date = dt.date.fromisoformat(obj["date"])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad date {obj['date']!r}") from exc
-            try:
-                enc = Encounter(
-                    obj["patient_id"], date, obj["dept"], obj["doctor"], obj["text"],
-                    frozenset(codes), tuple(obj["meds"]), tuple(obj["procs"]),
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            out.append(enc)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: expected an object")
+        missing = [f for f in _ENCOUNTER_FIELDS if f not in obj]
+        unknown = [f for f in obj if f not in _ENCOUNTER_FIELDS]
+        if missing or unknown:
+            raise ParseError(
+                f"{path}:{lineno}: missing fields {missing}, unknown fields {unknown}"
+            )
+        for f in _ENCOUNTER_FIELDS:
+            listed, v = f in _LIST_FIELDS, obj[f]
+            if listed and not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+                raise ParseError(f"{path}:{lineno}: {f} must be a list of strings")
+            if not listed and not isinstance(v, str):
+                raise ParseError(f"{path}:{lineno}: {f} must be a string")
+        codes = obj["codes"]
+        if len(set(codes)) != len(codes):
+            raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
+        try:
+            date = dt.date.fromisoformat(obj["date"])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad date {obj['date']!r}") from exc
+        try:
+            enc = Encounter(
+                obj["patient_id"], date, obj["dept"], obj["doctor"], obj["text"],
+                frozenset(codes), tuple(obj["meds"]), tuple(obj["procs"]),
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        out.append(enc)
     return out
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: ValidationError and subclasses are
-exit 3, NumericError and subclasses exit 4 (usage problems are exit 2).
+The CLI maps these onto exit codes: UsageError is exit 2, ValidationError
+and subclasses exit 3, NumericError and subclasses exit 4.
 """
 
 from contextlib import contextmanager
@@ -9,6 +9,10 @@ from contextlib import contextmanager
 
 class IcdLabError(Exception):
     pass
+
+
+class UsageError(IcdLabError):
+    """Command-line arguments contradict each other or leave their range."""
 
 
 class ValidationError(IcdLabError):
@@ -53,5 +57,7 @@ def reading(where):
     JSON, a missing key, a wrong type) into one ParseError naming `where`."""
     try:
         yield
+    except UnicodeDecodeError as exc:  # its repr would quote every byte decoded
+        raise ParseError(f"{where}: not UTF-8 text ({exc})") from None
     except (AttributeError, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc!r}") from None

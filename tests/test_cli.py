@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 import icdlab
+from icdlab import cli
 from icdlab.cli import load_isotonic, main, read_prediction_records
 from icdlab.config import config_sha256, parse_config
 from icdlab.corpus import LabelSpace, read_encounters
+from icdlab.errors import ValidationError
 from icdlab.metrics import mean_recall_at_k
 from icdlab.preprocess import Vocabulary
 
@@ -292,6 +294,7 @@ def test_calibrated_without_maps_is_usage_error(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--max-fp", "0.1", "--calibrated"])
     assert code == 2
     assert "icdlab-error: usage" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
 
 
 def test_bad_config_exits_3(tmp_path, capsys):
@@ -572,7 +575,7 @@ def test_evaluate_k_below_one_is_usage_error(pipeline, tmp_path, capsys, k):
                  "--out", str(tmp_path / "o"), "--k", k]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: usage:") and "--k" in err[0]
-    assert not (tmp_path / "o").exists()
+    assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
 
 
 def test_train_reranker_takes_key_width_from_the_base(pipeline, tmp_path):
@@ -599,6 +602,104 @@ def test_automate_rejects_eval_dirs_of_different_label_spaces(pipeline, tmp_path
     assert all(s in err[0] for s in (str(pipeline["eval_dev"]), str(wider),
                                      f"{n} labels", f"{n + 1}"))
     assert not (tmp_path / "o" / "automation.csv").exists()
+
+
+@pytest.mark.parametrize("edit, names_dev", [
+    (lambda m: {**m, "inputs": {p: "0" * 64 if p.endswith("labels.json") else d
+                                for p, d in m["inputs"].items()}}, True),
+    (None, False),
+    (lambda m: "{not json", False),
+    (lambda m: {**m, "inputs": {p: d for p, d in m["inputs"].items()
+                                if not p.endswith("labels.json")}}, False),
+], ids=["other-labels-digest", "no-manifest", "manifest-not-json", "no-labels-input"])
+def test_automate_compares_the_label_spaces_the_eval_manifests_record(pipeline, tmp_path,
+                                                                      capsys, edit, names_dev):
+    other = tmp_path / "eval_other"
+    shutil.copytree(pipeline["eval_test"], other)
+    path = other / "manifest.json"
+    if edit is None:
+        path.unlink()
+    else:
+        m = edit(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(m if isinstance(m, str) else json.dumps(m), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["automate", "--config", str(pipeline["cfg"]), "--dev", str(pipeline["eval_dev"]),
+                 "--test", str(other), "--out", str(tmp_path / "o"), "--max-fp", "0.1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(other) in err[0]
+    assert (str(pipeline["eval_dev"]) in err[0]) == names_dev
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_stage_leaves_out_as_it_was(pipeline, tmp_path, capsys, monkeypatch):
+    # evaluating the test split would rewrite every file of this dev eval dir
+    out = tmp_path / "eval"
+    shutil.copytree(pipeline["eval_dev"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def refuse(records):
+        raise ValidationError("records refused")
+
+    monkeypatch.setattr(cli, "_records_jsonl", refuse)
+    capsys.readouterr()
+    assert main([*_evaluate(pipeline), "--config", str(pipeline["cfg"]), "--out", str(out),
+                 "--split", "test"]) == 3
+    assert capsys.readouterr().err == "icdlab-error: validation: records refused\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["eval"]  # no staging directory left
+
+
+def _corrupt(path: Path, how: str) -> None:
+    raw = path.read_bytes()
+    mid = len(raw) // 2
+    path.write_bytes({"half": raw[:mid], "empty": b"",
+                      "flip": raw[:mid] + bytes([raw[mid] ^ 0xFF]) + raw[mid + 1:],
+                      "non-utf8-prefix": b"\xff\xfe" + raw}[how])
+
+
+# every artifact a stage reads, with the first stage of the chain that reads it
+CORRUPTIBLE = [
+    ("cfg", "run.cfg", lambda d: ["gen-corpus"]),
+    *[("corpus", f"{split}.txt", lambda d: ["preprocess", "--in", str(d["corpus"])])
+      for split in ("train", "dev", "test")],
+    *[("prep", name, lambda d: ["train", "--in", str(d["prep"])])
+      for name in ("train.txt", "dev.txt", "vocab.json", "labels.json")],
+    ("prep", "test.txt", lambda d: [*_evaluate(d), "--split", "test"]),
+    *[("model", name, lambda d: ["train-reranker", "--in", str(d["prep"]),
+                                 "--base", str(d["model"])])
+      for name in ("model.ckpt", "model.ckpt.json")],
+    *[("reranker", name, _evaluate_reranked)
+      for name in ("reranker.ckpt", "reranker.ckpt.json")],
+    *[("eval_dev", name, lambda d: ["calibrate", "--in", str(d["eval_dev"])])
+      for name in ("probs.npy", "records.jsonl")],
+    *[("calib", name, _automate_calibrated) for name in ("isotonic.ckpt", "isotonic.json")],
+]
+
+
+@pytest.mark.parametrize("how", ["half", "empty", "flip", "non-utf8-prefix"])
+@pytest.mark.parametrize("stage, name, argv", CORRUPTIBLE,
+                         ids=[f"{stage}-{name}" for stage, name, _ in CORRUPTIBLE])
+def test_corrupt_artifact_succeeds_or_ends_in_one_error_line(pipeline, tmp_path, capsys,
+                                                            stage, name, argv, how):
+    dirs = dict(pipeline)
+    if stage == "cfg":
+        dirs["cfg"] = path = tmp_path / name
+        shutil.copy(pipeline["cfg"], path)
+    else:
+        dirs[stage] = tmp_path / stage
+        shutil.copytree(pipeline[stage], dirs[stage])
+        path = dirs[stage] / name
+    _corrupt(path, how)
+    capsys.readouterr()
+    code = main([*argv(dirs), "--config", str(dirs["cfg"]), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+    else:
+        assert code in (3, 4) and len(err) == 1 and err[0].startswith("icdlab-error: ")
+    if how == "non-utf8-prefix":
+        assert code == 3 and err[0].startswith("icdlab-error: validation:") and name in err[0]
 
 
 # the stage calls of `pipeline` as the former scripts/run_pipeline.py wrote them
@@ -645,6 +746,10 @@ def test_pipeline_runs_every_stage(tmp_path, monkeypatch, capsys):
         manifest = Path("w", stage, "manifest.json")
         assert (tmp_path / "pipeline" / manifest).read_bytes() == \
             (tmp_path / "stages" / manifest).read_bytes(), stage
+        # a stage dir holds exactly what its manifest names
+        m = json.loads((tmp_path / "pipeline" / manifest).read_text(encoding="utf-8"))
+        held = sorted(p.name for p in (tmp_path / "pipeline" / "w" / stage).iterdir())
+        assert held == sorted([*m["outputs"], *m["logs"], "manifest.json"]), stage
 
 
 def test_pipeline_stops_at_the_first_failing_stage(tmp_path, capsys):
