@@ -1,14 +1,17 @@
-"""Bit-exact parameter checkpoints.
+"""Bit-exact checkpoints: named float64 arrays and their metadata in one file.
 
-One file holds any ordered mapping of named float64 arrays: an ASCII
-header (one "name dim0 dim1 ..." line per parameter, then an END line)
-followed by the raw little-endian row-major values in header order.
-Round-trip is byte-exact, so saved models replay identically. A value that
-is NaN or infinite is a NumericError when the checkpoint is read.
+An ASCII header (the magic line, the metadata as one line of sort-keyed JSON,
+one "name dim0 dim1 ..." line per array, then an END line) is followed by the
+raw little-endian row-major values in header order. Round-trip is byte-exact,
+so saved models replay identically. Every error names the file. A checkpoint
+of another format version is a ParseError and must be regenerated; a value
+that is NaN or infinite is a NumericError.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from pathlib import Path
 
@@ -17,12 +20,13 @@ import numpy as np
 from .errors import NumericError, ParseError, ValidationError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/\[\]]+$")
-_MAGIC = "icdlab-params v1"
+_MAGIC = "icdlab-params v2"
 
 
-def save_params(path, params: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays; header order = dict insertion order."""
-    lines = [_MAGIC]
+def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
+    """Write `meta` and named float64 arrays; header order = dict insertion
+    order."""
+    lines = [_MAGIC, json.dumps(meta, sort_keys=True)]  # ASCII: non-ASCII is escaped
     blobs = []
     for name, arr in params.items():
         if not _NAME_RE.match(name):
@@ -39,16 +43,16 @@ def save_params(path, params: dict[str, np.ndarray]) -> None:
             fh.write(blob)
 
 
-def load_params(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into {name: array}, verifying sizes and that
-    every value is finite."""
+def load_params(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint back into (metadata, {name: array}), verifying sizes
+    and that every value is finite."""
     raw = Path(path).read_bytes()
     cut = 0
     header_lines = []
     while True:
         nl = raw.find(b"\n", cut)
         if nl < 0:
-            raise ParseError("checkpoint: header not terminated by END line")
+            raise ParseError(f"checkpoint {path}: header not terminated by END line")
         line = raw[cut:nl].decode("latin-1")
         if not line.isascii():
             raise ParseError(f"checkpoint {path}: non-ASCII header line {len(header_lines) + 1}")
@@ -56,29 +60,36 @@ def load_params(path) -> dict[str, np.ndarray]:
         if line == "END":
             break
         header_lines.append(line)
-    if not header_lines or header_lines[0] != _MAGIC:
-        raise ParseError("checkpoint: missing magic line")
+    if header_lines[:1] != [_MAGIC]:
+        raise ParseError(f"checkpoint {path}: first line is not {_MAGIC!r}; "
+                         f"a checkpoint of another version must be regenerated")
+    try:
+        meta = json.loads(header_lines[1] if len(header_lines) > 1 else "")
+    except ValueError as exc:
+        raise ParseError(f"checkpoint {path}: line 2 is not JSON metadata ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"checkpoint {path}: line 2 holds a JSON {type(meta).__name__}, "
+                         f"not a metadata object")
 
     params: dict[str, np.ndarray] = {}
     offset = cut
-    for lineno, line in enumerate(header_lines[1:], start=2):
+    for lineno, line in enumerate(header_lines[2:], start=3):
         fields = line.split(" ")
         name, dims = fields[0], fields[1:]
         if name in params:
-            raise ParseError(f"checkpoint: duplicate parameter {name!r} (line {lineno})")
-        try:
-            shape = tuple(int(d) for d in dims)
-        except ValueError as exc:
-            raise ParseError(f"checkpoint: bad shape on line {lineno}: {line!r}") from exc
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            raise ParseError(f"checkpoint {path}: duplicate parameter {name!r} (line {lineno})")
+        shape = tuple(int(d) for d in dims if d.isdigit())  # no sign, so no negative size
+        if len(shape) != len(dims):
+            raise ParseError(f"checkpoint {path}: bad shape on line {lineno}: {line!r}")
+        count = math.prod(shape)  # a Python int, which cannot overflow
         nbytes = count * 8
         if offset + nbytes > len(raw):
-            raise ParseError(f"checkpoint: truncated data for parameter {name!r}")
+            raise ParseError(f"checkpoint {path}: truncated data for parameter {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         params[name] = arr.copy()  # writable, native order
         offset += nbytes
     if offset != len(raw):
-        raise ParseError(f"checkpoint: {len(raw) - offset} trailing bytes after parameters")
-    return params
+        raise ParseError(f"checkpoint {path}: {len(raw) - offset} trailing bytes after data")
+    return meta, params

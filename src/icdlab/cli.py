@@ -135,10 +135,7 @@ def _records_jsonl(p: Predictions) -> str:
             "freq_bucket": bucket,
             "patient_id": e.patient_id,
             "date": e.date.isoformat(),
-            "doctor": e.doctor,
             "codes": sorted(e.codes),
-            "meds": list(e.meds),
-            "procs": list(e.procs),
         }
         lines.append(json.dumps(row, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
@@ -169,8 +166,7 @@ def read_prediction_records(eval_dir) -> Predictions:
         try:  # not `reading`, whose enter/exit adds ~2 µs to every record line
             row = json.loads(line)
             enc = Encounter(row["patient_id"], dt.date.fromisoformat(row["date"]),
-                            row["dept"], row["doctor"], "", frozenset(row["codes"]),
-                            meds=tuple(row["meds"]), procs=tuple(row["procs"]))
+                            row["dept"], "", "", frozenset(row["codes"]))
             gt, n_unseen = row["gt"], row["n_unseen"]
             for key in ("dept", "first_visit", "freq_bucket"):
                 cols[key].append(row[key])
@@ -248,7 +244,7 @@ def cmd_train(args, rc: RunConfig, stage: Path):
 def cmd_train_reranker(args, rc: RunConfig, stage: Path):
     vocab, labels, (train_notes, dev_notes), inputs = _load_prep(args.inp, rc, "train", "dev")
     base_dir = Path(args.base)
-    inputs += [base_dir / "model.ckpt", base_dir / "model.ckpt.json"]
+    inputs.append(base_dir / "model.ckpt")
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     vocabs = ModalityVocabs.from_encounters(train_notes.encounters)
     reranker = MetadataReranker.init(len(labels), base.hp.d_c, vocabs, rc.reranker_hparams(),
@@ -268,11 +264,11 @@ def cmd_evaluate(args, rc: RunConfig, stage: Path):
         raise UsageError(f"--k must be at least 1, got {args.k}")
     vocab, labels, (notes,), inputs = _load_prep(args.inp, rc, args.split)
     model_dir = Path(args.model)
-    inputs += [model_dir / "model.ckpt", model_dir / "model.ckpt.json"]
+    inputs.append(model_dir / "model.ckpt")
     base = load_base_model(model_dir / "model.ckpt", vocab.sha256(), labels.sha256())
     if args.reranker:
         rr_dir = Path(args.reranker)
-        inputs += [rr_dir / "reranker.ckpt", rr_dir / "reranker.ckpt.json"]
+        inputs.append(rr_dir / "reranker.ckpt")
         reranker = load_reranker(rr_dir / "reranker.ckpt", vocab.sha256(),
                                  labels.sha256())
         records = predict_records_reranked(base, reranker, notes, vocab)
@@ -316,10 +312,7 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
     arrays = {}
     for j, (xs, vs) in sorted(maps.maps.items()):
         arrays |= {f"x{j}": xs, f"v{j}": vs}
-    save_params(stage / "isotonic.ckpt", arrays)
-    _write(stage / "isotonic.json",
-           json.dumps({"kind": "isotonic", "n_labels": maps.n_labels},
-                      sort_keys=True) + "\n")
+    save_params(stage / "isotonic.ckpt", arrays, {"kind": "isotonic", "n_labels": maps.n_labels})
     before = ece(records.probs, records.gt, rc.ece_bins)
     after = ece(maps.apply(records).probs, records.gt, rc.ece_bins)
     improved = int(np.count_nonzero(after <= before + 1e-9))
@@ -332,19 +325,20 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
 
 
 def load_isotonic(calib_dir) -> IsotonicMap:
-    calib_dir = Path(calib_dir)
-    with reading(calib_dir / "isotonic.json"):
-        meta = json.loads((calib_dir / "isotonic.json").read_text(encoding="utf-8"))
+    """The maps of a calibration checkpoint, which must hold one for every label."""
+    path = Path(calib_dir) / "isotonic.ckpt"
+    meta, arrays = load_params(path)
+    with reading(path):
         if meta.get("kind") != "isotonic":
-            raise ValidationError(f"{calib_dir}: not a calibration checkpoint")
+            raise ValidationError(f"{path}: not a calibration checkpoint")
         n = int(meta["n_labels"])
-    arrays = load_params(calib_dir / "isotonic.ckpt")
-    maps = {j: (arrays[f"x{j}"], arrays.get(f"v{j}")) for j in range(n) if f"x{j}" in arrays}
-    for j, (xs, vs) in maps.items():
-        if (vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
+    maps = {}
+    for j in range(n):
+        xs, vs = maps[j] = arrays.get(f"x{j}"), arrays.get(f"v{j}")
+        if (xs is None or vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
                 or not (np.diff(xs) >= 0).all() or not (np.diff(vs) >= 0).all()):
-            raise ValidationError(f"{calib_dir}/isotonic.ckpt: label {j} needs non-empty "
-                                  f"1-D x{j} and v{j} of equal length, both non-decreasing")
+            raise ValidationError(f"{path}: label {j} needs non-empty 1-D x{j} and v{j} "
+                                  f"of equal length, both non-decreasing")
     return IsotonicMap(n_labels=n, maps=maps)
 
 
@@ -374,7 +368,7 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
     maps = None
     if args.calibrated:
         maps = load_isotonic(args.maps)
-        inputs += [Path(args.maps) / "isotonic.ckpt", Path(args.maps) / "isotonic.json"]
+        inputs.append(Path(args.maps) / "isotonic.ckpt")
     fps = parse_fractions(args.max_fp)
     rows = automation_sweep(dev_records, test_records, fps, maps,
                             rc.decision_threshold)

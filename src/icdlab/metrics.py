@@ -156,28 +156,11 @@ def macro_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
 
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank.
-
-    Untied values keep their sorted position as rank and only the runs of
-    equal sorted values are averaged.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    tied = np.flatnonzero(xs[1:] == xs[:-1])  # sorted position i equals i + 1
-    del xs
-    sorted_ranks = np.arange(1.0, x.size + 1.0)
-    if tied.size:
-        breaks = np.flatnonzero(np.diff(tied) > 1)
-        first = tied[np.r_[0, breaks + 1]]  # each run of equal values spans
-        last = tied[np.r_[breaks, tied.size - 1]] + 1  # sorted first..last
-        size = last - first + 1
-        within = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        sorted_ranks[np.repeat(first, size) + within] = np.repeat(0.5 * (first + last) + 1.0,
-                                                                  size)
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = sorted_ranks
-    return ranks
+    """1-based ranks of a float vector with ties sharing their average rank:
+    the mean of a value's first and last sorted positions, a half-integer and
+    so exact."""
+    xs = np.sort(x)
+    return (np.searchsorted(xs, x, "left") + np.searchsorted(xs, x, "right") + 1) / 2
 
 
 def _aucs(scores: np.ndarray, positives: np.ndarray) -> np.ndarray:

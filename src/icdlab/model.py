@@ -21,10 +21,8 @@ should prefer the pre-clamp scores, which carry no ties at the bounds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -269,7 +267,7 @@ class MetadataReranker:
 
 
 # --------------------------------------------------------------------------
-# persistence: checkpoint file + hash-verified manifest sidecar
+# persistence: one checkpoint file, its header carrying the metadata
 # --------------------------------------------------------------------------
 
 
@@ -278,8 +276,7 @@ def _params_to_arrays(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
 
 
 def save_base_model(path, model: BaseModel, vocab_sha: str, labels_sha: str) -> None:
-    save_params(path, _params_to_arrays(model.params))
-    manifest = {
+    save_params(path, _params_to_arrays(model.params), {
         "kind": "base",
         "arch": model.arch,
         "n_labels": model.n_labels,
@@ -287,50 +284,45 @@ def save_base_model(path, model: BaseModel, vocab_sha: str, labels_sha: str) -> 
         "vocab_sha256": vocab_sha,
         "labels_sha256": labels_sha,
         "hparams": asdict(model.hp),
-    }
-    Path(str(path) + ".json").write_text(json.dumps(manifest, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+    })
 
 
-def _read_sidecar(path, kind: str, vocab_sha: str, labels_sha: str) -> dict:
-    """The `.json` sidecar of a `kind` checkpoint, checked against the
-    vocabulary and label space it must have been trained with."""
-    manifest = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != kind:
+def _check_meta(path, meta: dict, kind: str, vocab_sha: str, labels_sha: str) -> None:
+    """That a checkpoint's metadata is that of a `kind` checkpoint trained
+    with this vocabulary and label space."""
+    if meta.get("kind") != kind:
         raise ValidationError(f"{path}: not a {kind} checkpoint")
     for key, sha, what in (("vocab_sha256", vocab_sha, "vocabulary"),
                            ("labels_sha256", labels_sha, "label space")):
-        if manifest[key] != sha:
+        if meta[key] != sha:
             raise ValidationError(f"{path}: checkpoint was trained with a different {what}")
-    return manifest
 
 
-def _load_tensors(path, expected: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
+def _tensors(path, arrays: dict, expected: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
     """The checkpoint's arrays as trainable tensors, once their names and
     shapes are those of `expected`, the parameters `init` creates for the
-    sidecar's hyperparameters."""
-    arrays = load_params(path)
+    hyperparameters in its metadata."""
     for name in sorted(set(arrays) | set(expected)):
         got = arrays[name].shape if name in arrays else "absent"
         want = expected[name].data.shape if name in expected else "absent"
         if got != want:
             raise ValidationError(f"{path}: parameter {name!r} is {got} in the checkpoint, "
-                                  f"{want} for the sidecar's hyperparameters")
+                                  f"{want} for the hyperparameters in its metadata")
     return {k: ad.tensor(v, requires_grad=True) for k, v in arrays.items()}
 
 
 def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
-    with reading(f"{path}.json"):
-        manifest = _read_sidecar(path, "base", vocab_sha, labels_sha)
-        args = (manifest["arch"], manifest["vocab_size"], manifest["n_labels"])
-        hp = BaseHParams(**manifest["hparams"])
+    meta, arrays = load_params(path)
+    with reading(path):
+        _check_meta(path, meta, "base", vocab_sha, labels_sha)
+        args = (meta["arch"], meta["vocab_size"], meta["n_labels"])
+        hp = BaseHParams(**meta["hparams"])
         expected = BaseModel.init(*args, hp).params
-    return BaseModel(*args, hp, _load_tensors(path, expected))
+    return BaseModel(*args, hp, _tensors(path, arrays, expected))
 
 
 def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str) -> None:
-    save_params(path, _params_to_arrays(model.params))
-    manifest = {
+    save_params(path, _params_to_arrays(model.params), {
         "kind": "reranker",
         "n_labels": model.n_labels,
         "d_keys": model.d_keys,
@@ -338,16 +330,15 @@ def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str
         "labels_sha256": labels_sha,
         "hparams": asdict(model.hp),
         "modalities": {m: list(getattr(model.vocabs, m)) for m in MODALITIES},
-    }
-    Path(str(path) + ".json").write_text(json.dumps(manifest, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+    })
 
 
 def load_reranker(path, vocab_sha: str, labels_sha: str) -> MetadataReranker:
-    with reading(f"{path}.json"):
-        manifest = _read_sidecar(path, "reranker", vocab_sha, labels_sha)
-        args = (manifest["n_labels"], manifest["d_keys"])
-        vocabs = ModalityVocabs(**{m: tuple(v) for m, v in manifest["modalities"].items()})
-        hp = RerankerHParams(**manifest["hparams"])
+    meta, arrays = load_params(path)
+    with reading(path):
+        _check_meta(path, meta, "reranker", vocab_sha, labels_sha)
+        args = (meta["n_labels"], meta["d_keys"])
+        vocabs = ModalityVocabs(**{m: tuple(v) for m, v in meta["modalities"].items()})
+        hp = RerankerHParams(**meta["hparams"])
         expected = MetadataReranker.init(*args, vocabs, hp).params
-    return MetadataReranker(*args, hp, vocabs, _load_tensors(path, expected))
+    return MetadataReranker(*args, hp, vocabs, _tensors(path, arrays, expected))

@@ -18,6 +18,7 @@ import pytest
 
 import icdlab
 from icdlab import cli
+from icdlab.checkpoint import load_params, save_params
 from icdlab.cli import load_isotonic, main, read_prediction_records
 from icdlab.config import config_sha256, parse_config
 from icdlab.corpus import LabelSpace, read_encounters
@@ -147,6 +148,8 @@ def test_evaluate_outputs_align(pipeline):
         (pipeline["prep"] / "labels.json").read_text(encoding="utf-8"))
     assert probs.shape == (n_test, len(labels))
     assert len(lines) == n_test
+    assert set(json.loads(lines[0])) == {"gt", "n_unseen", "dept", "first_visit",
+                                         "freq_bucket", "patient_id", "date", "codes"}
     assert (out / "breakdown_dept.csv").exists()
     report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     assert report[0].endswith("recall_at_5") and len(report) == 2
@@ -342,24 +345,41 @@ def _evaluate(d):
     return ["evaluate", "--in", str(d["prep"]), "--model", str(d["model"])]
 
 
+def _evaluate_reranked(d):
+    return [*_evaluate(d), "--reranker", str(d["reranker"])]
+
+
+def _meta_line(edit):
+    """An edit of a checkpoint's metadata, the second line of its header."""
+
+    def apply(raw: bytes) -> bytes:
+        magic, meta, rest = raw.split(b"\n", 2)
+        return b"\n".join([magic, edit(meta), rest])
+
+    return apply
+
+
 def _without_key(key):
-    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+    return _meta_line(lambda line: json.dumps(
+        {k: v for k, v in json.loads(line).items() if k != key}).encode())
 
 
 @pytest.mark.parametrize("stage, name, edit, argv", [
-    ("calib", "isotonic.json", lambda _: "{not json", _automate_calibrated),
-    ("calib", "isotonic.json", lambda _: '{"kind": "isotonic"}', _automate_calibrated),
-    ("model", "model.ckpt.json", _without_key("vocab_sha256"), _evaluate),
-    ("prep", "vocab.json", lambda _: "{bad", _evaluate),
-], ids=["isotonic-not-json", "isotonic-no-n_labels", "sidecar-no-vocab_sha256",
-        "vocab-not-json"])
+    ("calib", "isotonic.ckpt", _meta_line(lambda _: b"{not json"), _automate_calibrated),
+    ("calib", "isotonic.ckpt", _meta_line(lambda _: b'{"kind": "isotonic"}'),
+     _automate_calibrated),
+    ("calib", "isotonic.ckpt", _meta_line(lambda _: b'["isotonic", 3]'), _automate_calibrated),
+    ("model", "model.ckpt", _without_key("vocab_sha256"), _evaluate),
+    ("prep", "vocab.json", lambda _: b"{bad", _evaluate),
+], ids=["isotonic-not-json", "isotonic-no-n_labels", "isotonic-meta-a-list",
+        "model-meta-no-vocab_sha256", "vocab-not-json"])
 def test_malformed_json_artifact_exits_with_one_error_line(pipeline, tmp_path, capsys,
                                                           stage, name, edit, argv):
     dirs = dict(pipeline)
     dirs[stage] = tmp_path / stage
     shutil.copytree(pipeline[stage], dirs[stage])
     path = dirs[stage] / name
-    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    path.write_bytes(edit(path.read_bytes()))
     capsys.readouterr()
     assert main([*argv(dirs), "--config", str(pipeline["cfg"]),
                  "--out", str(tmp_path / "o")]) == 3
@@ -380,6 +400,51 @@ def test_non_ascii_checkpoint_header_exits_with_one_error_line(pipeline, tmp_pat
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert "model.ckpt" in err[0]
+
+
+def _as_version_1(raw: bytes) -> bytes:
+    """Version 1 had no metadata line: its header went from the magic line to
+    the arrays."""
+    _, _, arrays = raw.split(b"\n", 2)
+    return b"icdlab-params v1\n" + arrays
+
+
+@pytest.mark.parametrize("stage, name, edit, argv, message", [
+    ("reranker", "reranker.ckpt", lambda raw: b"", _evaluate_reranked, "not terminated by END"),
+    ("model", "model.ckpt", lambda raw: raw[:-8], _evaluate_reranked, "truncated data"),
+    ("model", "model.ckpt", _as_version_1, _evaluate, "must be regenerated"),
+    ("reranker", "reranker.ckpt", _as_version_1, _evaluate_reranked, "must be regenerated"),
+    ("calib", "isotonic.ckpt", _as_version_1, _automate_calibrated, "must be regenerated"),
+], ids=["empty-reranker", "truncated-model", "version-1-model", "version-1-reranker",
+        "version-1-isotonic"])
+def test_unreadable_checkpoint_exits_3_naming_the_file(pipeline, tmp_path, capsys,
+                                                       stage, name, edit, argv, message):
+    dirs = dict(pipeline)
+    dirs[stage] = tmp_path / stage
+    shutil.copytree(pipeline[stage], dirs[stage])
+    path = dirs[stage] / name
+    path.write_bytes(edit(path.read_bytes()))
+    capsys.readouterr()
+    assert main([*argv(dirs), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(path) in err[0] and message in err[0]
+
+
+def test_reranker_with_a_non_ascii_medication_saves_and_loads(pipeline, tmp_path):
+    prep2 = tmp_path / "prep2"
+    shutil.copytree(pipeline["prep"], prep2)
+    _edit_first_line(prep2 / "train.txt", meds=["paracétamol 500 mg"])
+    c = ["--config", str(pipeline["cfg"]), "--in", str(prep2)]
+    assert main(["train-reranker", *c, "--base", str(pipeline["model"]),
+                 "--out", str(tmp_path / "rr")]) == 0
+    raw = (tmp_path / "rr" / "reranker.ckpt").read_bytes()
+    assert raw[:raw.index(b"\nEND\n")].isascii()
+    meta, _ = load_params(tmp_path / "rr" / "reranker.ckpt")
+    assert "paracétamol 500 mg" in meta["modalities"]["med"]
+    assert main(["evaluate", *c, "--model", str(pipeline["model"]),
+                 "--reranker", str(tmp_path / "rr"), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
@@ -405,22 +470,17 @@ def test_checkpoint_hash_mismatch_exits_3(pipeline, tmp_path, capsys):
 
 
 def test_numeric_poison_exits_4(pipeline, tmp_path, capsys):
-    from icdlab.checkpoint import load_params, save_params
     model2 = tmp_path / "model2"
     shutil.copytree(pipeline["model"], model2)
-    params = load_params(model2 / "model.ckpt")
+    meta, params = load_params(model2 / "model.ckpt")
     params["out_b"] = np.full_like(params["out_b"], np.nan)
-    save_params(model2 / "model.ckpt", params)
+    save_params(model2 / "model.ckpt", params, meta)
     code = main(["train-reranker", "--config", str(pipeline["cfg"]),
                  "--in", str(pipeline["prep"]), "--base", str(model2),
                  "--out", str(tmp_path / "o")])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("icdlab-error: numeric:") and "model.ckpt" in err and "'out_b'" in err
-
-
-def _evaluate_reranked(d):
-    return [*_evaluate(d), "--reranker", str(d["reranker"])]
 
 
 @pytest.mark.parametrize("stage, ckpt, param, value, argv", [
@@ -431,13 +491,12 @@ def _evaluate_reranked(d):
 ], ids=["base-out_b-nan", "base-emb-inf", "reranker-proj_b-nan", "isotonic-v0-nan"])
 def test_non_finite_checkpoint_value_exits_4(pipeline, tmp_path, capsys,
                                              stage, ckpt, param, value, argv):
-    from icdlab.checkpoint import load_params, save_params
     dirs = dict(pipeline)
     dirs[stage] = tmp_path / stage
     shutil.copytree(pipeline[stage], dirs[stage])
-    params = load_params(dirs[stage] / ckpt)
+    meta, params = load_params(dirs[stage] / ckpt)
     params[param] = np.full_like(params[param], value)
-    save_params(dirs[stage] / ckpt, params)
+    save_params(dirs[stage] / ckpt, params, meta)
     capsys.readouterr()
     assert main([*argv(dirs), "--config", str(pipeline["cfg"]),
                  "--out", str(tmp_path / "o")]) == 4
@@ -530,11 +589,11 @@ def _cut_rows(name, rows):
         "reranker-label_emb-1-row"])
 def test_checkpoint_parameters_must_match_the_sidecar(pipeline, tmp_path, capsys,
                                                       stage, ckpt, edit, param):
-    from icdlab.checkpoint import load_params, save_params
     dirs = dict(pipeline)
     dirs[stage] = tmp_path / stage
     shutil.copytree(pipeline[stage], dirs[stage])
-    save_params(dirs[stage] / ckpt, edit(load_params(dirs[stage] / ckpt)))
+    meta, params = load_params(dirs[stage] / ckpt)
+    save_params(dirs[stage] / ckpt, edit(params), meta)
     argv = ["evaluate", "--config", str(pipeline["cfg"]), "--in", str(pipeline["prep"]),
             "--model", str(dirs["model"]), "--out", str(tmp_path / "o")]
     if stage == "reranker":
@@ -551,15 +610,16 @@ def test_checkpoint_parameters_must_match_the_sidecar(pipeline, tmp_path, capsys
     lambda arrays: {**arrays, "v0": arrays["v0"][:-1]},
     lambda arrays: {**arrays, "x0": arrays["x0"][::-1]},
     lambda arrays: {**arrays, "v0": np.linspace(1.0, 0.0, arrays["v0"].size)},
-], ids=["x0-without-v0", "v0-shorter-than-x0", "x0-decreasing", "v0-decreasing"])
+    lambda arrays: {k: v for k, v in arrays.items() if k not in ("x0", "v0")},
+], ids=["x0-without-v0", "v0-shorter-than-x0", "x0-decreasing", "v0-decreasing",
+        "x0-and-v0-absent"])
 def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
-    from icdlab.checkpoint import load_params, save_params
     dirs = dict(pipeline)
     dirs["calib"] = tmp_path / "calib"
     shutil.copytree(pipeline["calib"], dirs["calib"])
-    arrays = load_params(dirs["calib"] / "isotonic.ckpt")
+    meta, arrays = load_params(dirs["calib"] / "isotonic.ckpt")
     assert arrays["x0"].size > 1  # so that cutting or reversing x0 changes the map
-    save_params(dirs["calib"] / "isotonic.ckpt", edit(arrays))
+    save_params(dirs["calib"] / "isotonic.ckpt", edit(arrays), meta)
     capsys.readouterr()
     assert main([*_automate_calibrated(dirs), "--config", str(pipeline["cfg"]),
                  "--out", str(tmp_path / "o")]) == 3
@@ -585,8 +645,8 @@ def test_train_reranker_takes_key_width_from_the_base(pipeline, tmp_path):
     out = tmp_path / "rr"
     assert main(["train-reranker", "--config", str(cfg), "--in", str(pipeline["prep"]),
                  "--base", str(pipeline["model"]), "--out", str(out)]) == 0
-    sidecar = json.loads((out / "reranker.ckpt.json").read_text(encoding="utf-8"))
-    assert sidecar["d_keys"] == 8
+    meta, _ = load_params(out / "reranker.ckpt")
+    assert meta["d_keys"] == 8
 
 
 def test_automate_rejects_eval_dirs_of_different_label_spaces(pipeline, tmp_path, capsys):
@@ -666,14 +726,12 @@ CORRUPTIBLE = [
     *[("prep", name, lambda d: ["train", "--in", str(d["prep"])])
       for name in ("train.txt", "dev.txt", "vocab.json", "labels.json")],
     ("prep", "test.txt", lambda d: [*_evaluate(d), "--split", "test"]),
-    *[("model", name, lambda d: ["train-reranker", "--in", str(d["prep"]),
-                                 "--base", str(d["model"])])
-      for name in ("model.ckpt", "model.ckpt.json")],
-    *[("reranker", name, _evaluate_reranked)
-      for name in ("reranker.ckpt", "reranker.ckpt.json")],
+    ("model", "model.ckpt", lambda d: ["train-reranker", "--in", str(d["prep"]),
+                                       "--base", str(d["model"])]),
+    ("reranker", "reranker.ckpt", _evaluate_reranked),
     *[("eval_dev", name, lambda d: ["calibrate", "--in", str(d["eval_dev"])])
       for name in ("probs.npy", "records.jsonl")],
-    *[("calib", name, _automate_calibrated) for name in ("isotonic.ckpt", "isotonic.json")],
+    ("calib", "isotonic.ckpt", _automate_calibrated),
 ]
 
 
@@ -750,6 +808,8 @@ def test_pipeline_runs_every_stage(tmp_path, monkeypatch, capsys):
         m = json.loads((tmp_path / "pipeline" / manifest).read_text(encoding="utf-8"))
         held = sorted(p.name for p in (tmp_path / "pipeline" / "w" / stage).iterdir())
         assert held == sorted([*m["outputs"], *m["logs"], "manifest.json"]), stage
+    # a checkpoint's metadata lives in its header, not in a JSON file beside it
+    assert not [*Path("w").rglob("*.ckpt.json"), *Path("w").rglob("isotonic.json")]
 
 
 def test_pipeline_stops_at_the_first_failing_stage(tmp_path, capsys):
