@@ -5,9 +5,12 @@ the reranker need. A mini-batch of notes is packed: the positions of all its
 notes stacked as the rows of one (ΣL, ...) array, note b being the next
 lengths[b] rows. One graph and one `backward` serve the whole batch, and
 only real positions are computed. `conv1d` keeps each window inside its own
-note and `attention_pool` softmaxes over each note's rows, returning one row
-per note; every other primitive is per position: `add` and `mul` broadcast
-their second operand, `matmul` applies a rank-2 weight to every row.
+note. `label_attention` scores every position against every label query,
+softmaxes over each note's rows and pools the positions' read-out values,
+returning one row per note, all in one primitive; attention heads are
+column blocks of its operands. Every other primitive is per position: `add`
+and `mul` broadcast their second operand, `matmul` applies a rank-2 weight
+to every row.
 Each primitive records its parents and a `grad_fn` closure that maps the
 upstream gradient to one gradient per parent; `backward` walks that graph
 in reverse for exact gradients. `grad_check` verifies any scalar-valued
@@ -19,6 +22,7 @@ and parameters produce bitwise-identical outputs.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -172,40 +176,92 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), grad_fn)
 
 
-# ---- attention pooling over packed segments --------------------------------
+# ---- label attention over packed segments -----------------------------------
 
-def attention_pool(scores: Tensor, values: Tensor, lengths) -> Tensor:
-    """out[b, n] = Σ_t a[t, n] · values[t, n] over the positions t of segment
-    b, a = the softmax of scores[:, n] over those positions. scores and values
-    are packed (ΣL, N): segment b is the next lengths[b] rows, so out is
-    (B, N). A segment of no position raises EmptySourceError.
+_SUM_FLOOR = 1e-290  # below it a segment's exponentials have underflowed
 
-    The graph keeps the exponentials of the softmax for the backward pass."""
-    s, v = scores.data, values.data
+
+def label_attention(keys: Tensor, queries: Tensor, values: Tensor, readout: Tensor,
+                    lengths, row_bias: Tensor | None = None, heads: int = 1) -> Tensor:
+    """out[b, n] = Σ_h Σ_t a_h[t, n] · (values_h[t] · readout_h[n]) over the
+    positions t of segment b, where a_h[:, n] is the softmax over those
+    positions of keys_h[t] · queries_h[n] + row_bias[t, h], and head h is the
+    h-th of `heads` equal column blocks of each operand. keys (ΣL, H·k) and
+    values (ΣL, H·v) are packed, segment b being the next lengths[b] rows;
+    queries are (N, H·k), readout (N, H·v), row_bias (ΣL, H) and out (B, N).
+    A segment of no position raises EmptySourceError.
+
+    Each head's score GEMM output becomes its exponentials in place, shifted
+    by each column's max over the whole batch. Only when a segment's sum then
+    falls below _SUM_FLOOR, a segment far below that max, is the head redone
+    with each segment's own max. The graph keeps the exponentials and their
+    products with the per-position values for the backward pass."""
+    k, q, v, r = keys.data, queries.data, values.data, readout.data
+    bias = None if row_bias is None else row_bias.data
     lengths = np.asarray(lengths, dtype=np.int64)
-    if s.ndim != 2 or v.shape != s.shape or lengths.ndim != 1 or lengths.sum() != len(s):
-        raise ShapeError(f"attention_pool: expected scores and values (ΣL,N), lengths (B,) "
-                         f"summing to ΣL; got {s.shape}, {v.shape}, {lengths.tolist()}")
+    if (heads < 1 or any(x.ndim != 2 for x in (k, q, v, r)) or len(v) != len(k)
+            or q.shape[1] != k.shape[1] or r.shape != (len(q), v.shape[1])
+            or k.shape[1] % heads or v.shape[1] % heads
+            or (bias is not None and bias.shape != (len(k), heads))
+            or lengths.ndim != 1 or lengths.sum() != len(k)):
+        raise ShapeError(f"label_attention: expected keys (ΣL,H·k), queries (N,H·k), values "
+                         f"(ΣL,H·v), readout (N,H·v), row_bias (ΣL,H) and lengths (B,) "
+                         f"summing to ΣL for H={heads}; got {k.shape}, {q.shape}, {v.shape}, "
+                         f"{r.shape}, {None if bias is None else bias.shape}, "
+                         f"{lengths.tolist()}")
     if not (lengths > 0).all():
-        raise EmptySourceError("attention_pool: a segment has no position")
+        raise EmptySourceError("label_attention: a segment has no position")
     starts = np.cumsum(lengths) - lengths
-    e = np.repeat(np.maximum.reduceat(s, starts), lengths, axis=0)
-    np.exp(np.subtract(s, e, out=e), out=e)
-    total = np.add.reduceat(e, starts)
-    out = np.add.reduceat(e * v, starts)
-    out /= total
+    dk, dv = k.shape[1] // heads, v.shape[1] // heads
+    blocks = [(slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
+
+    def scores(h):
+        kc = blocks[h][0]
+        s = k[:, kc] @ q[:, kc].T
+        if bias is not None:
+            s += bias[:, h, None]
+        return s
+
+    kept = []  # per head: exponentials, their products with the values, sums, output
+    for h, (_, vc) in enumerate(blocks):
+        e = scores(h)
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        total = np.add.reduceat(e, starts)
+        if (total < _SUM_FLOOR).any():
+            e = scores(h)
+            e -= np.repeat(np.maximum.reduceat(e, starts), lengths, axis=0)
+            np.exp(e, out=e)
+            total = np.add.reduceat(e, starts)
+        ev = v[:, vc] @ r[:, vc].T
+        ev *= e
+        out = np.add.reduceat(ev, starts)
+        out /= total
+        kept.append((e, ev, total, out))
 
     def grad_fn(g):
-        # with weights a_t = e_t / total: ∂out/∂v_t = a_t and ∂out/∂s_t =
-        # a_t (v_t - out), since the softmax Jacobian's inner sum is out itself
-        gv = np.repeat(g / total, lengths, axis=0)
-        gv *= e
-        gs = np.repeat(out, lengths, axis=0)
-        np.subtract(v, gs, out=gs)
-        gs *= gv
-        return gs, gv
+        # with weights a_t = e_t / total and per-position values p_t = v_t · r:
+        # ∂out/∂p_t = a_t and ∂out/∂s_t = a_t (p_t - out), written (e_t p_t -
+        # e_t out) / total from the kept products
+        gk, gq, gv, gr = (np.empty_like(x) for x in (k, q, v, r))
+        gb = None if bias is None else np.empty_like(bias)
+        for h, ((kc, vc), (e, ev, total, out)) in enumerate(zip(blocks, kept)):
+            gp = np.repeat(g / total, lengths, axis=0)
+            gs = np.repeat(out, lengths, axis=0)
+            gs *= e
+            np.subtract(ev, gs, out=gs)
+            gs *= gp
+            gp *= e
+            gk[:, kc] = gs @ q[:, kc]
+            gq[:, kc] = gs.T @ k[:, kc]
+            gv[:, vc] = gp @ r[:, vc]
+            gr[:, vc] = gp.T @ v[:, vc]
+            if gb is not None:
+                gb[:, h] = gs.sum(axis=1)
+        return gk, gq, gv, gr, gb
 
-    return _node(out, (scores, values), grad_fn)
+    parents = (keys, queries, values, readout) + (() if row_bias is None else (row_bias,))
+    return _node(functools.reduce(np.add, [out for *_, out in kept]), parents, grad_fn)
 
 
 # ---- embedding lookup --------------------------------------------------------

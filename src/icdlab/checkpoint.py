@@ -10,6 +10,7 @@ that is NaN or infinite is a NumericError.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -21,6 +22,12 @@ from .errors import NumericError, ParseError, ValidationError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/\[\]]+$")
 _MAGIC = "icdlab-params v2"
+
+
+def file_sha256(path) -> str:
+    """The hex sha256 of a file's bytes: manifest digests, and the base
+    model a reranker checkpoint names."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:

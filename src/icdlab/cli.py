@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 
 import argparse
 import datetime as dt
-import hashlib
 import json
 import os
 import shutil
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
-from .checkpoint import load_params, save_params
+from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
 from .corpus import (Encounter, LabelSpace, corpus_stats, generate_corpus,
                      read_encounters, split_by_patient, write_encounters)
@@ -45,10 +44,6 @@ from .train import (Notes, data_fraction_experiment, fraction_csv, predict_recor
 # --------------------------------------------------------------------------
 # small file helpers and the stage runner
 # --------------------------------------------------------------------------
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write(path: Path, text: str) -> None:
@@ -83,8 +78,8 @@ def _stage(command):
                 "argv": list(args.argv),
                 "seed": rc.seed,
                 "config_sha256": config_sha256(rc),
-                "inputs": {str(p): _sha256_file(p) for p in [args.config, *inputs]},
-                "outputs": {n: _sha256_file(stage / n) for n in names if n not in logs},
+                "inputs": {str(p): file_sha256(p) for p in [args.config, *inputs]},
+                "outputs": {n: file_sha256(stage / n) for n in names if n not in logs},
                 "logs": sorted(logs),
             }
             _write(stage / "manifest.json",
@@ -251,7 +246,8 @@ def cmd_train_reranker(args, rc: RunConfig, stage: Path):
                                      seed=stage_seed(rc.seed, "reranker-init"))
     _, history = train_reranker(base, reranker, train_notes, dev_notes, vocab,
                                 rc.train_config("reranker"))
-    save_reranker(stage / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256())
+    save_reranker(stage / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256(),
+                  base_dir / "model.ckpt")
     _write(stage / "history.csv", history.to_csv())
     best = max((e.dev_recall_at_5 for e in history.epochs), default=float("nan"))
     return inputs, ("history.csv",), (f"train-reranker: {len(history.epochs)} epochs, "
@@ -270,7 +266,7 @@ def cmd_evaluate(args, rc: RunConfig, stage: Path):
         rr_dir = Path(args.reranker)
         inputs.append(rr_dir / "reranker.ckpt")
         reranker = load_reranker(rr_dir / "reranker.ckpt", vocab.sha256(),
-                                 labels.sha256())
+                                 labels.sha256(), model_dir / "model.ckpt")
         records = predict_records_reranked(base, reranker, notes, vocab)
     else:
         records = predict_records(base, notes)

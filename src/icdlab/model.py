@@ -10,13 +10,16 @@ differ only in how attention scores are produced:
 Both take a mini-batch of notes packed: one (ΣL,) vector of their token ids
 plus their lengths. Every layer computes only real positions, convolution
 windows and attention stay within their own note, so each note scores as
-it would alone, up to float rounding.
+it would alone, up to float rounding. The scores, their softmax over each
+note and the per-label read-out are one `autodiff.label_attention` call.
 
 The reranker treats the base model's outputs P and H as constants, adds
 structured-metadata embeddings to label embeddings, attends over the note
 encoding and over an auxiliary encoding of medication/procedure names, and
-emits a residual correction: P_f = clamp_[0,1](P' + P). Ranking consumers
-should prefer the pre-clamp scores, which carry no ties at the bounds.
+emits a residual correction: P_f = clamp_[0,1](P' + P). Its attention heads
+are column blocks of one projection per side, so each side is one
+`label_attention` call. Ranking consumers should prefer the pre-clamp
+scores, which carry no ties at the bounds.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_params, save_params
+from .checkpoint import file_sha256, load_params, save_params
 from .corpus import Encounter
 from .errors import ConfigError, ValidationError, reading
 from .preprocess import PAD_ID
@@ -104,12 +107,10 @@ class BaseModel:
         h = self.encode(ids, lengths)
         p = self.params
         if self.arch == "caml":
-            scores = ad.matmul(h, p["attn_u"], transpose_b=True)          # (ΣL,N)
+            keys, queries = h, p["attn_u"]
         else:
-            z = ad.tanh(ad.matmul(h, p["laat_w"], transpose_b=True))
-            scores = ad.matmul(z, p["laat_u"], transpose_b=True)
-        per_position = ad.matmul(h, p["out_w"], transpose_b=True)         # (ΣL,N)
-        logits = ad.add(ad.attention_pool(scores, per_position, lengths), p["out_b"])
+            keys, queries = ad.tanh(ad.matmul(h, p["laat_w"], transpose_b=True)), p["laat_u"]
+        logits = ad.add(ad.label_attention(keys, queries, h, p["out_w"], lengths), p["out_b"])
         return ad.sigmoid(logits), h
 
 
@@ -197,10 +198,12 @@ class MetadataReranker:
             table[0] = 0.0  # unknown row
             p[f"{m}_emb"] = ad.tensor(table, requires_grad=True)
         for side in ("attn_n", "attn_m"):
-            for h in range(nh):
-                param(f"{side}.h{h}.wq", (d, dh), d**-0.5)
-                param(f"{side}.h{h}.wk", (d_keys, dh), d_keys**-0.5)
-                param(f"{side}.h{h}.wv", (d_keys, dh), d_keys**-0.5)
+            # head h is the h-th column block of wq, wk and wv, each block
+            # drawn on its own: head 0's wq, wk, wv, then head 1's, ...
+            drawn = [[rng.normal(size=(rows, dh)) * rows**-0.5 for rows in (d, d_keys, d_keys)]
+                     for _ in range(nh)]
+            for name, blocks in zip(("wq", "wk", "wv"), zip(*drawn)):
+                p[f"{side}.{name}"] = ad.tensor(np.hstack(blocks), requires_grad=True)
             param(f"{side}.wo", (d, d), d**-0.5)
         # zero start: the reranker opens as an exact residual identity
         p["proj_w"] = ad.tensor(np.zeros((n_labels, d)), requires_grad=True)
@@ -224,25 +227,6 @@ class MetadataReranker:
                 total = part if total is None else ad.add(total, part)
         return total
 
-    def _head(self, side: str, h: int, modalities: ad.Tensor, source: ad.Tensor,
-              lengths: np.ndarray) -> ad.Tensor:
-        """Head h of one side's share of the residual, (B, N), over the packed
-        source rows of notes of `lengths`. Label n of note b queries with
-        label_emb[n] + m_b, m_b's term gathered to each row of note b. The
-        head's output would pass through its rows of W_o and proj_w[n], both
-        linear, so each source row is read out through them first and the
-        attention pools the read-out values."""
-        p, dh, wq = self.params, self.hp.d // self.hp.n_heads, self.params[f"{side}.h{h}.wq"]
-        keys = ad.scale(ad.matmul(source, p[f"{side}.h{h}.wk"]), 1.0 / math.sqrt(dh))
-        m_rows = ad.embedding(ad.matmul(modalities, wq),
-                              np.repeat(np.arange(len(lengths)), lengths))
-        scores = ad.add(ad.matmul(keys, ad.matmul(p["label_emb"], wq), transpose_b=True),
-                        ad.matmul(ad.mul(keys, m_rows), ad.tensor(np.ones((dh, 1)))))  # (ΣS,N)
-        w_o = ad.embedding(p[f"{side}.wo"], np.arange(h * dh, (h + 1) * dh))
-        readout = ad.matmul(w_o, p["proj_w"], transpose_b=True)          # (dh,N)
-        values = ad.matmul(ad.matmul(source, p[f"{side}.h{h}.wv"]), readout)
-        return ad.attention_pool(scores, values, lengths)
-
     def forward(self, base_probs: ad.Tensor, h_note: ad.Tensor, note_lengths: np.ndarray,
                 h_aux: ad.Tensor | None, aux_lengths: np.ndarray | None,
                 encs) -> tuple[ad.Tensor, ad.Tensor]:
@@ -253,15 +237,31 @@ class MetadataReranker:
         when no note of the batch has auxiliary tokens, which leaves the
         attn_m parameters out of the graph; otherwise a note without any is
         one zero row, which gets an auxiliary term of exactly zero.
+
+        Per side, label n of note b queries head h with the h-th column
+        block of (label_emb[n] + m_b) wq: the label term is the query matrix
+        and m_b's term a per-row score bias. A head's output would pass
+        through its rows of wo and through proj_w[n], both linear, so each
+        source row's values are read out through proj_w wo^T first.
         """
+        p, nh = self.params, self.hp.n_heads
+        dh = self.hp.d // nh
+        head_sums = ad.tensor(np.kron(np.eye(nh), np.ones((dh, 1))))  # (d, H)
+        modalities = self.embed_modalities(encs)
         sides = [("attn_n", h_note, note_lengths)]
         if h_aux is not None:
             sides.append(("attn_m", h_aux, aux_lengths))
-        modalities = self.embed_modalities(encs)
-        delta = self.params["proj_b"]
+        delta = p["proj_b"]
         for side, source, lengths in sides:
-            for h in range(self.hp.n_heads):
-                delta = ad.add(self._head(side, h, modalities, source, lengths), delta)
+            wq = p[f"{side}.wq"]
+            keys = ad.scale(ad.matmul(source, p[f"{side}.wk"]), 1.0 / math.sqrt(dh))
+            m_rows = ad.embedding(ad.matmul(modalities, wq),
+                                  np.repeat(np.arange(len(lengths)), lengths))
+            row_bias = ad.matmul(ad.mul(keys, m_rows), head_sums)          # (ΣS,H)
+            readout = ad.matmul(p["proj_w"], p[f"{side}.wo"], transpose_b=True)  # (N,d)
+            delta = ad.add(ad.label_attention(keys, ad.matmul(p["label_emb"], wq),
+                                              ad.matmul(source, p[f"{side}.wv"]), readout,
+                                              lengths, row_bias, heads=nh), delta)
         raw = ad.add(delta, base_probs)
         return ad.clamp01(raw), raw
 
@@ -321,19 +321,26 @@ def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
     return BaseModel(*args, hp, _tensors(path, arrays, expected))
 
 
-def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str) -> None:
+def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str,
+                  base_path) -> None:
+    """The reranker, tied to the base checkpoint at `base_path` it was
+    trained over by that file's sha256."""
     save_params(path, _params_to_arrays(model.params), {
         "kind": "reranker",
         "n_labels": model.n_labels,
         "d_keys": model.d_keys,
         "vocab_sha256": vocab_sha,
         "labels_sha256": labels_sha,
+        "base_sha256": file_sha256(base_path),
         "hparams": asdict(model.hp),
         "modalities": {m: list(getattr(model.vocabs, m)) for m in MODALITIES},
     })
 
 
-def load_reranker(path, vocab_sha: str, labels_sha: str) -> MetadataReranker:
+def load_reranker(path, vocab_sha: str, labels_sha: str, base_path) -> MetadataReranker:
+    """The reranker at `path`, once it is known to have been trained over
+    the base checkpoint at `base_path`. Its parameter names and shapes are
+    checked first: a checkpoint of an older layout fails on those."""
     meta, arrays = load_params(path)
     with reading(path):
         _check_meta(path, meta, "reranker", vocab_sha, labels_sha)
@@ -341,4 +348,8 @@ def load_reranker(path, vocab_sha: str, labels_sha: str) -> MetadataReranker:
         vocabs = ModalityVocabs(**{m: tuple(v) for m, v in meta["modalities"].items()})
         hp = RerankerHParams(**meta["hparams"])
         expected = MetadataReranker.init(*args, vocabs, hp).params
-    return MetadataReranker(*args, hp, vocabs, _tensors(path, arrays, expected))
+    params = _tensors(path, arrays, expected)
+    if meta.get("base_sha256") != file_sha256(base_path):
+        raise ValidationError(f"{path}: reranker was trained over another base model "
+                              f"than {base_path}")
+    return MetadataReranker(*args, hp, vocabs, params)

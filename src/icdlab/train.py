@@ -274,7 +274,11 @@ class _FrozenBase:
                                 aux, aux_lengths, self.encs[idx])
 
     def reranked(self, reranker: MetadataReranker) -> np.ndarray:
-        """The reranker's pre-clamp scores on every note, (n, N)."""
+        """The reranker's pre-clamp scores on every note, (n, N). With its
+        projection all zero, as at the zero start, the residual is exactly
+        zero and the scores are P itself."""
+        if not (reranker.params["proj_w"].data.any() or reranker.params["proj_b"].data.any()):
+            return self.probs.copy()
         return _scored(lambda idx: self.forward(reranker, idx)[1].data, len(self.encs),
                        reranker.n_labels)
 

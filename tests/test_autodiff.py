@@ -33,8 +33,15 @@ def test_add_rejects_mismatched_shapes():
         ad.add(t([[1.0, 2.0]]), t([[1.0], [2.0]]))
 
 
+def pool(scores, values, lengths):
+    """label_attention with the given (ΣL, N) scores and per-position values:
+    keys and values read out through identity queries and readout."""
+    eye = t(np.eye(scores.shape[1]))
+    return ad.label_attention(scores, eye, values, eye, lengths)
+
+
 def pool_weights(scores, lengths=None):
-    """The (ΣL, N) weights of the segment softmax inside attention_pool:
+    """The (ΣL, N) weights of the segment softmax inside label_attention:
     pooling the indicator of row k reads back the weights of k in its own
     segment. No lengths makes every row one segment."""
     if lengths is None:
@@ -44,12 +51,12 @@ def pool_weights(scores, lengths=None):
     for k in range(len(scores)):
         values = np.zeros(scores.shape)
         values[k] = 1.0
-        weights.append(ad.attention_pool(t(scores), t(values), lengths).data[segment[k]])
+        weights.append(pool(t(scores), t(values), lengths).data[segment[k]])
     return np.stack(weights)
 
 
 def softmax(logits):
-    """The softmax of a 1-D vector, as attention_pool weighs its positions."""
+    """The softmax of a 1-D vector, as label_attention weighs its positions."""
     return pool_weights(np.asarray(logits, dtype=np.float64)[:, None])[:, 0]
 
 
@@ -74,7 +81,7 @@ def test_softmax_mask_zeroes_excluded_positions():
     for k in range(4):
         values = np.zeros((4, 1))
         values[k] = 1.0
-        assert ad.attention_pool(t(scores), t(values), [2, 2]).data[1 - k // 2, 0] == 0.0
+        assert pool(t(scores), t(values), [2, 2]).data[1 - k // 2, 0] == 0.0
     e = np.exp([1.0 - 2.0, 2.0 - 2.0])
     np.testing.assert_allclose(pool_weights(scores, [2, 2])[:2, 0], e / e.sum(), atol=1e-15)
 
@@ -84,7 +91,7 @@ def test_softmax_all_masked_raises():
     scores = t([[1.0], [2.0]])
     for lengths in ([0, 1, 1], [1, 0, 1], [1, 1, 0]):
         with pytest.raises(EmptySourceError):
-            ad.attention_pool(scores, scores, lengths)
+            pool(scores, scores, lengths)
 
 
 def test_softmax_extreme_logits_stay_finite():
@@ -228,7 +235,7 @@ def test_softmax_batch_mask_and_empty_row():
     for rows in (slice(0, 2), slice(3, 6)):
         np.testing.assert_allclose(out[rows], pool_weights(scores[rows]), atol=1e-15)
     with pytest.raises(EmptySourceError):
-        ad.attention_pool(t(scores), t(scores), [2, 0, 4])
+        pool(t(scores), t(scores), [2, 0, 4])
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -347,8 +354,8 @@ def test_backward_closures_take_0d_tensors():
 def test_attention_is_bitwise_deterministic():
     rng = np.random.default_rng(11)
     scores, values = t(rng.normal(size=(5, 4))), t(rng.normal(size=(5, 4)))
-    first = ad.attention_pool(scores, values, [2, 3])
-    second = ad.attention_pool(scores, values, [2, 3])
+    first = pool(scores, values, [2, 3])
+    second = pool(scores, values, [2, 3])
     assert first.data.tobytes() == second.data.tobytes()
 
 
@@ -360,7 +367,7 @@ def test_attention_is_bitwise_deterministic():
 def test_attention_empty_source_raises():
     scores = t(np.ones((1, 4)))
     with pytest.raises(EmptySourceError):
-        ad.attention_pool(scores, scores, [1, 0])
+        pool(scores, scores, [1, 0])
 
 
 def test_attention_mask_must_be_batch_by_positions():
@@ -368,16 +375,16 @@ def test_attention_mask_must_be_batch_by_positions():
     scores = t(np.ones((3, 4)))
     for lengths in ([2], [2, 2], [[3]]):
         with pytest.raises(ShapeError):
-            ad.attention_pool(scores, scores, lengths)
+            pool(scores, scores, lengths)
     with pytest.raises(ShapeError):
-        ad.attention_pool(t(np.ones((1, 3, 4))), t(np.ones((1, 3, 4))), [1])
+        pool(t(np.ones((1, 3, 4))), t(np.ones((1, 3, 4))), [1])
 
 
 def test_attention_single_source_row_copies_value():
     # a segment of one row has softmax 1: its output is that row's values
     rng = np.random.default_rng(5)
     scores, values = t(rng.normal(size=(2, 4))), t(rng.normal(size=(2, 4)))
-    out = ad.attention_pool(scores, values, [1, 1]).data
+    out = pool(scores, values, [1, 1]).data
     np.testing.assert_array_equal(out, values.data)
 
 
@@ -385,10 +392,59 @@ def test_attention_rows_are_convex_mixtures():
     rng = np.random.default_rng(9)
     lengths = [3, 1, 5]
     scores, values = t(rng.normal(size=(9, 4)) * 3), t(rng.normal(size=(9, 4)))
-    out = ad.attention_pool(scores, values, lengths).data
+    out = pool(scores, values, lengths).data
     for b, rows in enumerate(np.split(values.data, np.cumsum(lengths)[:-1])):
         assert (out[b] >= rows.min(axis=0) - 1e-12).all()
         assert (out[b] <= rows.max(axis=0) + 1e-12).all()
+
+
+def test_attention_segment_far_below_the_batch_max_falls_back_to_its_own_max():
+    # in column 1 the middle segment sits 800 below the batch max, so every
+    # exponential of it underflows under the batch-max shift; the result and
+    # its gradients must be those of each segment scored on its own, where
+    # the batch max is the segment's max
+    rng = np.random.default_rng(13)
+    lengths = [3, 2, 4]
+    scores, values = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    scores[3:5, 1] -= 800.0
+    upstream = rng.normal(size=(3, 3))
+
+    def run(s, v, lens, up):
+        s, v = t(s, grad=True), t(v, grad=True)
+        out = pool(s, v, lens)
+        grads = ad.backward(ad.tensor_sum(ad.mul(out, t(up))))
+        return out.data, grads[s], grads[v]
+
+    out, gs, gv = run(scores, values, lengths, upstream)
+    assert np.isfinite(out).all() and np.isfinite(gs).all() and np.isfinite(gv).all()
+    for b, r in enumerate(np.split(np.arange(9), np.cumsum(lengths)[:-1])):
+        alone, gs_alone, gv_alone = run(scores[r], values[r], [len(r)], upstream[b:b + 1])
+        np.testing.assert_allclose(out[b], alone[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gs[r], gs_alone, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gv[r], gv_alone, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("heads", [2, 3])
+def test_attention_heads_are_the_sum_of_single_head_calls_on_column_blocks(heads):
+    rng = np.random.default_rng(heads)
+    lengths, dk, dv = [2, 5, 1], 3, 2
+    k, q = rng.normal(size=(8, heads * dk)), rng.normal(size=(4, heads * dk))
+    v, r = rng.normal(size=(8, heads * dv)), rng.normal(size=(4, heads * dv))
+    bias = rng.normal(size=(8, heads))
+    out = ad.label_attention(t(k), t(q), t(v), t(r), lengths, t(bias), heads=heads).data
+    want = sum(ad.label_attention(t(k[:, h * dk:(h + 1) * dk]), t(q[:, h * dk:(h + 1) * dk]),
+                                  t(v[:, h * dv:(h + 1) * dv]), t(r[:, h * dv:(h + 1) * dv]),
+                                  lengths, t(bias[:, h:h + 1])).data
+               for h in range(heads))
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+def test_attention_rejects_blocks_that_do_not_split_into_heads():
+    ones = t(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        ad.label_attention(ones, ones, t(np.ones((3, 3))), t(np.ones((3, 3))), [3], heads=2)
+    with pytest.raises(ShapeError):
+        ad.label_attention(ones, ones, ones, ones, [3], t(np.ones((3, 1))), heads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +478,7 @@ def test_grad_check_conv_tanh_softmax(seed):
     def f(x_, k_, b_):
         # Σ_t softmax_t(h) · h_t over the rows of each segment of h (10, 2)
         h = ad.tanh(ad.conv1d(x_, k_, b_, [5, 5]))
-        return ad.tensor_sum(ad.attention_pool(h, h, [5, 5]))
+        return ad.tensor_sum(pool(h, h, [5, 5]))
 
     assert ad.grad_check(f, [x, k, b]) < GC_TOL
 
@@ -440,7 +496,7 @@ def test_grad_check_conv_and_pool_around_a_length_one_segment(lengths):
 
     def f(x_, k_, b_, u_):
         h = ad.tanh(ad.conv1d(x_, k_, b_, lengths))
-        return ad.bce_loss(ad.sigmoid(ad.attention_pool(ad.matmul(h, u_), h, lengths)), y)
+        return ad.bce_loss(ad.sigmoid(pool(ad.matmul(h, u_), h, lengths)), y)
 
     assert ad.grad_check(f, [x, k, b, u]) < GC_TOL
 
@@ -455,7 +511,7 @@ def test_grad_check_masked_softmax_and_embedding(seed):
     def f(table_, w_):
         # Σ_t softmax(s)_t · s_t over the rows of each segment of s (4, 1)
         s = ad.matmul(ad.embedding(table_, ids), w_)
-        return ad.tensor_sum(ad.attention_pool(s, s, [1, 3]))
+        return ad.tensor_sum(pool(s, s, [1, 3]))
 
     assert ad.grad_check(f, [table, w]) < GC_TOL
 
@@ -468,10 +524,23 @@ def test_grad_check_attention(seed):
     y = t(rng.integers(0, 2, size=(2, 3)).astype(float))
 
     def f(s_, v_):
-        return ad.bce_loss(ad.sigmoid(ad.attention_pool(s_, v_, [2, 4])), y)
+        return ad.bce_loss(ad.sigmoid(pool(s_, v_, [2, 4])), y)
 
     # wider step: near-zero coordinates make eps=1e-5 round-off dominated
     assert ad.grad_check(f, [scores, values], eps=1e-4) < GC_TOL
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_attention_with_row_bias_and_two_heads(seed):
+    rng = np.random.default_rng(320 + seed)
+    inputs = [t(rng.normal(size=shape), grad=True)
+              for shape in ((7, 4), (3, 4), (7, 6), (3, 6), (7, 2))]
+    y = t(rng.integers(0, 2, size=(2, 3)).astype(float))
+
+    def f(k, q, v, r, b):
+        return ad.bce_loss(ad.sigmoid(ad.label_attention(k, q, v, r, [3, 4], b, heads=2)), y)
+
+    assert ad.grad_check(f, inputs, eps=1e-4) < GC_TOL
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -507,8 +576,8 @@ ONE_PRIMITIVE = {
     "tensor_sum_axis": (lambda a: ad.tensor_sum(a, axis=1), _normal((2, 3, 4))),
     "tanh": (ad.tanh, _normal((3, 4))),
     "sigmoid": (ad.sigmoid, lambda rng: [t(np.linspace(-6.0, 5.0, 12).reshape(3, 4), grad=True)]),
-    "attention_pool": (lambda s, v: ad.attention_pool(s, v, [3, 4]),
-                       _normal((7, 3), (7, 3))),
+    "label_attention": (lambda k, q, v, r: ad.label_attention(k, q, v, r, [3, 4]),
+                        _normal((7, 2), (3, 2), (7, 4), (3, 4))),
     "embedding": (lambda table: ad.embedding(table, [[1, 3, 1], [0, 1, 1]]), _normal((4, 3))),
     "conv1d": (lambda x, k, b: ad.conv1d(x, k, b, [3, 1, 5]),
                _normal((9, 3), (2, 3, 3), (2,))),

@@ -638,6 +638,55 @@ def test_evaluate_k_below_one_is_usage_error(pipeline, tmp_path, capsys, k):
     assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
 
 
+@pytest.mark.parametrize("line", ["learning_rate = 0.02", "d_c = 4"],
+                         ids=["same-width", "other-width"])
+def test_reranker_over_another_base_model_exits_3_naming_both(pipeline, tmp_path, capsys,
+                                                              line):
+    # the reranker was trained over pipeline["model"]; a base model trained
+    # otherwise, at the reranker's key width or another, must not serve it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_with(line), encoding="utf-8")
+    other = tmp_path / "other_model"
+    assert main(["train", "--config", str(cfg), "--in", str(pipeline["prep"]),
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(pipeline["cfg"]), "--in", str(pipeline["prep"]),
+                 "--model", str(other), "--reranker", str(pipeline["reranker"]),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(pipeline["reranker"] / "reranker.ckpt") in err[0]
+    assert str(other / "model.ckpt") in err[0]
+    meta, _ = load_params(pipeline["reranker"] / "reranker.ckpt")
+    assert meta["base_sha256"] == _sha(pipeline["model"] / "model.ckpt")
+
+
+def test_reranker_checkpoint_with_per_head_parameters_exits_3_naming_the_file(
+        pipeline, tmp_path, capsys):
+    # before the heads became column blocks, each side stored one wq, wk
+    # and wv per head (attn_n.h0.wq ...) and the metadata named no base model
+    rr = tmp_path / "reranker"
+    shutil.copytree(pipeline["reranker"], rr)
+    meta, params = load_params(rr / "reranker.ckpt")
+    del meta["base_sha256"]
+    heads = meta["hparams"]["n_heads"]
+    old = {}
+    for name, value in params.items():
+        side, _, kind = name.partition(".")
+        if kind in ("wq", "wk", "wv"):
+            for h, block in enumerate(np.hsplit(value, heads)):
+                old[f"{side}.h{h}.{kind}"] = block
+        else:
+            old[name] = value
+    save_params(rr / "reranker.ckpt", old, meta)
+    capsys.readouterr()
+    assert main([*_evaluate_reranked({**pipeline, "reranker": rr}),
+                 "--config", str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(rr / "reranker.ckpt") in err[0] and "attn_m.h0.wk" in err[0]
+
+
 def test_train_reranker_takes_key_width_from_the_base(pipeline, tmp_path):
     # the base was trained with d_c = 8; the reranker reads its keys at that width
     cfg = tmp_path / "run.cfg"

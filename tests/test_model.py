@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -295,11 +296,13 @@ def test_reranker_forward_matches_numpy_oracle():
     el = P["label_emb"].data + mv
 
     def attn(side, source):
+        # head h is the h-th two-column block of wq, wk and wv
         heads = []
         for h in range(2):
-            q = el @ P[f"{side}.h{h}.wq"].data
-            k = source @ P[f"{side}.h{h}.wk"].data
-            v = source @ P[f"{side}.h{h}.wv"].data
+            block = slice(2 * h, 2 * h + 2)
+            q = el @ P[f"{side}.wq"].data[:, block]
+            k = source @ P[f"{side}.wk"].data[:, block]
+            v = source @ P[f"{side}.wv"].data[:, block]
             s = q @ k.T / math.sqrt(2)
             s -= s.max(axis=1, keepdims=True)
             a = np.exp(s)
@@ -435,6 +438,42 @@ def test_batch_without_aux_tokens_leaves_attn_m_out_of_the_graph():
         assert all((t in grads) == used for t in attn_m)
 
 
+def primitive_counts(out):
+    """How many nodes of each autodiff primitive the graph of `out` holds."""
+    return Counter(node.grad_fn.__qualname__.split(".")[0] for node in ad._toposort(out)
+                   if node.grad_fn is not None)
+
+
+def test_forward_graphs_hold_one_label_attention_per_attention():
+    # a reranker's heads are column blocks of one attention per side; a caml
+    # base model's scores and per-position values live inside its attention
+    rr = toy_reranker(seed=63)
+    rng = np.random.default_rng(9)
+    pf, _ = rr.forward(ad.tensor(np.full((1, 2), 0.5)), ad.tensor(rng.normal(size=(3, 5))),
+                       [3], ad.tensor(rng.normal(size=(2, 5))), [2],
+                       [make_enc(meds=("M1",), procs=("R1",))])
+    counts = primitive_counts(pf)
+    assert counts["label_attention"] == 2 and counts["matmul"] <= 16
+    counts = primitive_counts(toy_model("caml").forward(*note([2, 3, 4]))[0])
+    assert counts["label_attention"] == 1 and counts["matmul"] == 0
+
+
+def test_fresh_reranker_scores_are_the_base_probs_without_a_forward(monkeypatch):
+    # the zero-initialized projection makes the residual exactly zero, so
+    # scoring the epoch-0 candidate needs no reranker pass
+    rr, frozen = reranker_on_mixed_batch(65)
+    fresh = toy_reranker(n_labels=3, d=4, d_keys=5, seed=66)
+
+    def no_forward(*args):
+        raise AssertionError("MetadataReranker.forward was called")
+
+    monkeypatch.setattr(MetadataReranker, "forward", no_forward)
+    scores = frozen.reranked(fresh)
+    assert scores is not frozen.probs and scores.tobytes() == frozen.probs.tobytes()
+    with pytest.raises(AssertionError):
+        frozen.reranked(rr)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -467,9 +506,10 @@ def test_base_model_hash_mismatch_rejected(tmp_path):
 
 def test_reranker_round_trip(tmp_path):
     rr = toy_reranker(seed=67)
-    path = tmp_path / "rr.ckpt"
-    save_reranker(path, rr, "v", "l")
-    back = load_reranker(path, "v", "l")
+    path, base = tmp_path / "rr.ckpt", tmp_path / "base.ckpt"
+    save_base_model(base, toy_model("caml"), "v", "l")
+    save_reranker(path, rr, "v", "l", base)
+    back = load_reranker(path, "v", "l", base)
     assert back.vocabs == rr.vocabs
     assert back.hp == rr.hp
     for k in rr.params:
@@ -481,4 +521,4 @@ def test_wrong_kind_rejected(tmp_path):
     path = tmp_path / "x.ckpt"
     save_base_model(path, m, "v", "l")
     with pytest.raises(ValidationError):
-        load_reranker(path, "v", "l")
+        load_reranker(path, "v", "l", path)
