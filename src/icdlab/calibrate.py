@@ -83,7 +83,9 @@ class IsotonicMap:
 
     Each label holds sorted raw-probability breakpoints with one calibrated
     value per segment; lookups clamp to the first/last segment outside the
-    observed range. Labels without a fitted map pass through unchanged.
+    observed range. A fitted map starts a segment only where the value
+    changes; a map with repeated values (one breakpoint per level) is the
+    same function. Labels without a fitted map pass through unchanged.
     """
 
     n_labels: int
@@ -103,7 +105,12 @@ class IsotonicMap:
 def fit_isotonic(predictions: Predictions) -> IsotonicMap:
     """Fit one isotonic map per label on (raw probability, in-gt) pairs: per
     block of labels, one row-wise sort of their columns, then one PAV over
-    every level of the block."""
+    every level of the block.
+
+    A map keeps one breakpoint per step: each label's first level, then
+    every level whose fitted value differs from the level before it. A
+    dropped level's value is its predecessor's, so lookups are the same at
+    every x as over all levels."""
     if not len(predictions):
         raise ValidationError("cannot fit calibration on zero records")
     m, n = predictions.probs.shape
@@ -121,8 +128,13 @@ def fit_isotonic(predictions: Predictions) -> IsotonicMap:
         first = np.searchsorted(starts, np.arange(0, xs.size, m))
         fitted = _pav(np.add.reduceat(hits, starts, dtype=np.int64),
                       np.diff(starts, append=xs.size), first)
+        step = np.ones(fitted.size, dtype=bool)
+        np.not_equal(fitted[1:], fitted[:-1], out=step[1:])
+        step[first] = True  # each label starts a step
+        steps = np.flatnonzero(step)
+        cut = np.searchsorted(steps, first[1:])
         maps.update(zip(range(block.start, block.stop),
-                        zip(np.split(xs[starts], first[1:]), np.split(fitted, first[1:]))))
+                        zip(np.split(xs[starts[steps]], cut), np.split(fitted[steps], cut))))
     return IsotonicMap(n_labels=n, maps=maps)
 
 

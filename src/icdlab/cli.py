@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 
 import argparse
 import datetime as dt
+import functools
 import json
 import os
 import shutil
@@ -136,11 +137,16 @@ def _records_jsonl(p: Predictions) -> str:
     return "\n".join(lines) + "\n"
 
 
+_decode_json = json.JSONDecoder().decode  # json.loads without its per-call checks
+
+
 def read_prediction_records(eval_dir) -> Predictions:
     """probs.npy + records.jsonl as one Predictions value. A malformed
-    probability matrix is a numeric error; an unparseable record, a gt index
-    outside the label space, a negative unseen count or a row-count mismatch
-    is a validation error."""
+    probability matrix is a numeric error; an unparseable record, a field of
+    the wrong type (patient_id, dept and freq_bucket strings, first_visit a
+    boolean, codes a list of strings), an empty code set or a malformed
+    code, a gt index outside the label space, a negative unseen count or a
+    row-count mismatch is a validation error naming the line."""
     eval_dir = Path(eval_dir)
     with reading(eval_dir / "probs.npy"):
         probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
@@ -152,35 +158,51 @@ def read_prediction_records(eval_dir) -> Predictions:
     m, n = probs.shape
     with reading(eval_dir / "records.jsonl"):
         text = (eval_dir / "records.jsonl").read_text(encoding="utf-8")
-    cols = {k: [] for k in ("gt", "n_unseen", "dept", "first_visit", "freq_bucket",
-                            "encounters")}
+    gt_rows, gt_cols, n_unseen, dept, first_visit, freq_bucket, encounters = (
+        [], [], [], [], [], [], [])
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        where = f"{eval_dir}/records.jsonl line {number}"
         try:  # not `reading`, whose enter/exit adds ~2 µs to every record line
-            row = json.loads(line)
-            enc = Encounter(row["patient_id"], dt.date.fromisoformat(row["date"]),
-                            row["dept"], "", "", frozenset(row["codes"]))
-            gt, n_unseen = row["gt"], row["n_unseen"]
-            for key in ("dept", "first_visit", "freq_bucket"):
-                cols[key].append(row[key])
+            row = _decode_json(line)
+            pid, day = row["patient_id"], dt.date.fromisoformat(row["date"])
+            codes, gt, unseen = row["codes"], row["gt"], row["n_unseen"]
+            d, first, bucket = row["dept"], row["first_visit"], row["freq_bucket"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc!r}") from None
-        if not (isinstance(gt, list) and all(type(i) is int and 0 <= i < n for i in gt)):
-            raise ValidationError(f"{where}: gt must list label indices in [0, {n})")
-        if type(n_unseen) is not int or n_unseen < 0:
-            raise ValidationError(f"{where}: n_unseen must be a non-negative integer")
-        cols["gt"].append(gt)
-        cols["n_unseen"].append(n_unseen)
-        cols["encounters"].append(enc)
-    if len(cols["gt"]) != m:
+            raise ParseError(f"{eval_dir}/records.jsonl line {number}: {exc!r}") from None
+        if type(pid) is not str or type(d) is not str or type(bucket) is not str:
+            problem = "patient_id, dept and freq_bucket must be strings"
+        elif type(first) is not bool:
+            problem = "first_visit must be true or false"
+        elif type(codes) is not list or not all(type(c) is str for c in codes):
+            problem = "codes must list code strings"
+        elif type(gt) is not list or not all(type(i) is int and 0 <= i < n for i in gt):
+            problem = f"gt must list label indices in [0, {n})"
+        elif type(unseen) is not int or unseen < 0:
+            problem = "n_unseen must be a non-negative integer"
+        else:
+            problem = None
+        if problem is None:
+            try:
+                encounters.append(Encounter(pid, day, d, "", "", codes))
+            except ValidationError as exc:  # an empty code set or a malformed code
+                problem = str(exc)
+        if problem:
+            raise ValidationError(f"{eval_dir}/records.jsonl line {number}: {problem}")
+        gt_rows += [len(n_unseen)] * len(gt)
+        gt_cols += gt
+        n_unseen.append(unseen)
+        dept.append(d)
+        first_visit.append(first)
+        freq_bucket.append(bucket)
+    if len(n_unseen) != m:
         raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
-                              f"records.jsonl lines ({len(cols['gt'])}) disagree")
+                              f"records.jsonl lines ({len(n_unseen)}) disagree")
     gt = np.zeros((m, n), dtype=bool)
-    for i, indices in enumerate(cols.pop("gt")):
-        gt[i, indices] = True
-    return Predictions(probs=probs, gt=gt, **cols)
+    gt[gt_rows, gt_cols] = True
+    return Predictions(probs=probs, gt=gt, n_unseen=n_unseen, dept=dept,
+                       first_visit=first_visit, freq_bucket=freq_bucket,
+                       encounters=encounters)
 
 
 # --------------------------------------------------------------------------
@@ -452,6 +474,7 @@ def cmd_pipeline(args, rc: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # one per process: building it costs more than a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icdlab",

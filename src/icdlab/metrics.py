@@ -12,8 +12,8 @@ A set of m evaluated documents over a label space of N codes is one
 
 Conventions that matter:
 
-* Ranking ties break by ascending label index (stable argsort on negated
-  scores), so runs are reproducible.
+* Ranking ties break by ascending label index (the order of a stable
+  argsort on negated scores), so runs are reproducible.
 * Unseen ground-truth codes stay in denominators: they count against
   recall, add false negatives to micro-F1, and are excluded from AUC (they
   have no score to rank).
@@ -83,22 +83,38 @@ def _require_gt(p: Predictions) -> np.ndarray:
     return total
 
 
-def ranked_indices(probs: np.ndarray) -> np.ndarray:
-    """Descending score along the last axis; equal scores ordered by
-    ascending label index."""
-    return np.argsort(-np.asarray(probs), axis=-1, kind="stable")
-
-
 # --------------------------------------------------------------------------
 # per-record measures
 # --------------------------------------------------------------------------
 
 
 def recall_at_k(p: Predictions, k: int = 5) -> np.ndarray:
-    """(m,) share of each document's ground truth found in its top k."""
+    """(m,) share of each document's ground truth found in its top k.
+
+    A ground-truth label is in the top k iff fewer than k labels of its
+    document rank above it: those scoring higher, plus the equal-scoring
+    ones of lower index. A NaN score ranks below every number, as in a
+    stable argsort. The scores of at most m ground-truth cells are compared
+    with their documents' rows at once, so no temporary outgrows the (m, N)
+    matrix."""
     total = _require_gt(p)
-    top = ranked_indices(p.probs)[:, :k]
-    return np.take_along_axis(p.gt, top, axis=1).sum(axis=1) / total
+    m, n = p.probs.shape
+    rows, cols = np.nonzero(p.gt)
+    found = np.zeros(m, dtype=np.int64)
+    for lo in range(0, rows.size, max(m, 1)):
+        r, c = rows[lo:lo + m], cols[lo:lo + m]
+        scores = p.probs[r]
+        own = p.probs[r, c][:, None]
+        before = np.arange(n) < c[:, None]
+        rank = (np.count_nonzero(scores > own, axis=1)
+                + np.count_nonzero((scores == own) & before, axis=1))
+        nan = np.isnan(own[:, 0])
+        if nan.any():
+            blank = np.isnan(scores[nan])
+            rank[nan] = (np.count_nonzero(~blank, axis=1)
+                         + np.count_nonzero(blank & before[nan], axis=1))
+        found += np.bincount(r[rank < k], minlength=m)
+    return found / total
 
 
 def instance_f1(p: Predictions, decision_threshold: float = 0.5) -> np.ndarray:

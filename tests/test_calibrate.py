@@ -182,19 +182,46 @@ def test_fit_matches_the_projection_oracle_on_every_label(seed):
     m, n = int(rng.integers(1, 30)), int(rng.integers(1, 6))
     probs = rng.integers(0, int(rng.integers(1, 12)), size=(m, n)) / 11
     gt = rng.uniform(size=(m, n)) < probs
-    maps = fit_isotonic(P(probs, [set(np.flatnonzero(row)) for row in gt])).maps
-    assert sorted(maps) == list(range(n))
-    for j, (xs, vs) in maps.items():
+    fitted = fit_isotonic(P(probs, [set(np.flatnonzero(row)) for row in gt]))
+    assert sorted(fitted.maps) == list(range(n))
+    for j, (xs, vs) in fitted.maps.items():
         levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
                                             return_counts=True)
         positives = np.bincount(inverse, weights=gt[:, j]).astype(int)
-        np.testing.assert_array_equal(xs, levels)
-        np.testing.assert_allclose(vs, _projection_oracle(positives / counts, counts),
+        at = fitted.apply(P(np.tile(levels[:, None], (1, n)))).probs[:, j]  # per level
+        np.testing.assert_allclose(at, _projection_oracle(positives / counts, counts),
                                    rtol=0, atol=1e-12)
+        # one breakpoint per step: at the first level and wherever the value changes
+        assert (np.diff(xs) > 0).all() and (np.diff(vs) > 0).all()
+        np.testing.assert_array_equal(vs, np.unique(at))
+        np.testing.assert_array_equal(xs, levels[np.flatnonzero(np.diff(at, prepend=-1.0))])
         # each block of equal fitted values holds exactly its positives over its count
-        bounds = np.flatnonzero(np.diff(np.append(np.append(-1.0, vs), 2.0)))
+        bounds = np.flatnonzero(np.diff(np.append(np.append(-1.0, at), 2.0)))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            assert (vs[lo:hi] == positives[lo:hi].sum() / counts[lo:hi].sum()).all()
+            assert (at[lo:hi] == positives[lo:hi].sum() / counts[lo:hi].sum()).all()
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stepped_map_applies_as_the_full_level_map(seed):
+    # a full-level map (one breakpoint per level with its PAV value, which
+    # load_isotonic still reads) and the stepped fit give the same bits on
+    # the fit data and on probes on both sides of the fitted range
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+    probs = rng.integers(0, int(rng.integers(1, 20)), size=(m, n)) / 19
+    gt = rng.uniform(size=(m, n)) < probs
+    records = P(probs, [set(np.flatnonzero(row)) for row in gt])
+    full = {}
+    for j in range(n):
+        levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
+                                            return_counts=True)
+        full[j] = (levels, _pav(np.bincount(inverse, weights=gt[:, j]).astype(np.int64),
+                                counts))
+    stepped, full = fit_isotonic(records), IsotonicMap(n_labels=n, maps=full)
+    probes = P(rng.uniform(-0.2, 1.2, size=(50, n)))
+    for data in (records, probes):
+        assert stepped.apply(data).probs.tobytes() == full.apply(data).probs.tobytes()
 
 
 def test_fit_single_level_and_constant_columns():

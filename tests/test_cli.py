@@ -18,6 +18,7 @@ import pytest
 
 import icdlab
 from icdlab import cli
+from icdlab.calibrate import _pav
 from icdlab.checkpoint import load_params, save_params
 from icdlab.cli import load_isotonic, main, read_prediction_records
 from icdlab.config import config_sha256, parse_config
@@ -527,18 +528,35 @@ def _nan_cell(probs):
     return probs
 
 
-@pytest.mark.parametrize("command, corrupt, code, category", [
-    ("calibrate", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation"),
-    ("report", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation"),
-    ("report", lambda d: _edit_first_record(d, n_unseen=-1), 3, "validation"),
-    ("calibrate", _drop_last_record, 3, "validation"),
-    ("calibrate", lambda d: _edit_probs(d, _nan_cell), 4, "numeric"),
-    ("report", lambda d: _edit_probs(d, _nan_cell), 4, "numeric"),
-    ("report", lambda d: _edit_probs(d, lambda p: p[0]), 4, "numeric"),
+_LINE_1 = "records.jsonl line 1: "
+
+
+@pytest.mark.parametrize("command, corrupt, code, category, where", [
+    ("calibrate", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, n_unseen=-1), 3, "validation", _LINE_1),
+    ("calibrate", _drop_last_record, 3, "validation", "records.jsonl lines"),
+    ("calibrate", lambda d: _edit_probs(d, _nan_cell), 4, "numeric", "probs.npy"),
+    ("report", lambda d: _edit_probs(d, _nan_cell), 4, "numeric", "probs.npy"),
+    ("report", lambda d: _edit_probs(d, lambda p: p[0]), 4, "numeric", "probs.npy"),
+    ("report", lambda d: _edit_first_record(d, first_visit="no"), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, first_visit=2), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, dept=5), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, dept=["a"]), 3, "validation", _LINE_1),
+    ("calibrate", lambda d: _edit_first_record(d, freq_bucket=None), 3, "validation",
+     _LINE_1),
+    ("report", lambda d: _edit_first_record(d, patient_id=7), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, codes="A00.0"), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, codes=[]), 3, "validation", _LINE_1),
+    ("report", lambda d: _edit_first_record(d, codes=["nope"]), 3, "validation", _LINE_1),
 ], ids=["gt-outside-labels-calibrate", "gt-outside-labels-report", "negative-unseen",
-        "row-count-mismatch", "nan-calibrate", "nan-report", "one-dimensional-probs"])
+        "row-count-mismatch", "nan-calibrate", "nan-report", "one-dimensional-probs",
+        "first_visit-a-string", "first_visit-an-int", "dept-an-int", "dept-a-list",
+        "freq_bucket-null", "patient_id-an-int", "codes-a-string", "codes-empty",
+        "code-malformed"])
 def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
-                                                        command, corrupt, code, category):
+                                                        command, corrupt, code, category,
+                                                        where):
     bad = tmp_path / "eval"
     shutil.copytree(pipeline["eval_dev"], bad)
     corrupt(bad)
@@ -547,6 +565,7 @@ def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, caps
                  "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"icdlab-error: {category}:")
+    assert where in err[0]
 
 
 def _edit_first_line(path: Path, **changes) -> None:
@@ -605,12 +624,12 @@ def test_checkpoint_parameters_must_match_the_sidecar(pipeline, tmp_path, capsys
     assert ckpt in err[0] and repr(param) in err[0]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda arrays: {k: v for k, v in arrays.items() if k != "v0"},
-    lambda arrays: {**arrays, "v0": arrays["v0"][:-1]},
-    lambda arrays: {**arrays, "x0": arrays["x0"][::-1]},
-    lambda arrays: {**arrays, "v0": np.linspace(1.0, 0.0, arrays["v0"].size)},
-    lambda arrays: {k: v for k, v in arrays.items() if k not in ("x0", "v0")},
+@pytest.mark.parametrize("edit", [  # of x{j} and v{j}, label j's map
+    lambda a, x, v: {k: a[k] for k in a if k != v},
+    lambda a, x, v: {**a, v: a[v][:-1]},
+    lambda a, x, v: {**a, x: a[x][::-1]},
+    lambda a, x, v: {**a, v: np.linspace(1.0, 0.0, a[v].size)},
+    lambda a, x, v: {k: a[k] for k in a if k not in (x, v)},
 ], ids=["x0-without-v0", "v0-shorter-than-x0", "x0-decreasing", "v0-decreasing",
         "x0-and-v0-absent"])
 def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
@@ -618,14 +637,41 @@ def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
     dirs["calib"] = tmp_path / "calib"
     shutil.copytree(pipeline["calib"], dirs["calib"])
     meta, arrays = load_params(dirs["calib"] / "isotonic.ckpt")
-    assert arrays["x0"].size > 1  # so that cutting or reversing x0 changes the map
-    save_params(dirs["calib"] / "isotonic.ckpt", edit(arrays), meta)
+    # the label with the most steps, so that cutting or reversing its map changes it
+    j = max(range(meta["n_labels"]), key=lambda j: arrays[f"x{j}"].size)
+    assert arrays[f"x{j}"].size > 1
+    save_params(dirs["calib"] / "isotonic.ckpt", edit(arrays, f"x{j}", f"v{j}"), meta)
     capsys.readouterr()
     assert main([*_automate_calibrated(dirs), "--config", str(pipeline["cfg"]),
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
-    assert "isotonic.ckpt" in err[0] and "label 0" in err[0]
+    assert "isotonic.ckpt" in err[0]
+    assert f"label {j} needs non-empty 1-D x{j} and v{j}" in err[0]
+
+
+def test_full_level_isotonic_checkpoint_automates_the_same(pipeline, tmp_path):
+    # one breakpoint per level of the dev probabilities, each with its PAV
+    # value: the same maps as the stepped checkpoint, so the same rules
+    calib = tmp_path / "calib"
+    shutil.copytree(pipeline["calib"], calib)
+    meta, stepped = load_params(calib / "isotonic.ckpt")
+    dev = read_prediction_records(pipeline["eval_dev"])
+    full = {}
+    for j in range(meta["n_labels"]):
+        levels, inverse, counts = np.unique(dev.probs[:, j], return_inverse=True,
+                                            return_counts=True)
+        full[f"x{j}"] = levels
+        full[f"v{j}"] = _pav(np.bincount(inverse, weights=dev.gt[:, j]).astype(np.int64),
+                             counts)
+    assert sum(x.size for x in full.values()) > sum(x.size for x in stepped.values())
+    save_params(calib / "isotonic.ckpt", full, meta)
+    assert main(["automate", "--config", str(pipeline["cfg"]),
+                 "--dev", str(pipeline["eval_dev"]), "--test", str(pipeline["eval_test"]),
+                 "--out", str(tmp_path / "o"), "--max-fp", "0.1,0.2",
+                 "--calibrated", "--maps", str(calib)]) == 0
+    assert ((tmp_path / "o" / "automation.csv").read_bytes()
+            == (pipeline["auto"] / "automation.csv").read_bytes())
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

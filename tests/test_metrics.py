@@ -26,7 +26,6 @@ from icdlab.metrics import (
     mean_instance_f1,
     mean_recall_at_k,
     micro_f1,
-    ranked_indices,
     recall_at_k,
     score_histogram,
     spearman,
@@ -97,18 +96,39 @@ def test_recall_non_decreasing_in_k():
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_recall_matches_exhaustive_sort_oracle(seed):
+    # scores uniform, or on a grid of one to four values so that ties abound;
+    # up to n ground-truth cells per row, often more cells than rows in all
     rng = np.random.default_rng(seed)
-    probs = rng.uniform(size=10)
-    gt = set(rng.choice(10, int(rng.integers(1, 5)), replace=False).tolist())
-    r = P(rec(probs, gt))
-    # oracle: stable sort by (-p, index), take first 5
-    order = sorted(range(10), key=lambda i: (-probs[i], i))[:5]
-    want = len(set(order) & gt) / len(gt)
-    assert recall_at_k(r, 5)[0] == pytest.approx(want)
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+    if rng.uniform() < 0.5:
+        probs = rng.uniform(size=(m, n))
+    else:
+        probs = rng.integers(0, int(rng.integers(1, 5)), size=(m, n)) / 3
+    gts = [set(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+           for _ in range(m)]
+    r = P(*(rec(row, gt) for row, gt in zip(probs, gts)))
+    for k in (1, 5, n, n + 2):
+        # oracle: stable sort by (-p, index), take the first k
+        want = [len(set(sorted(range(n), key=lambda i: (-row[i], i))[:k]) & gt) / len(gt)
+                for row, gt in zip(probs.tolist(), gts)]
+        assert recall_at_k(r, k).tolist() == want
 
 
-def test_ranked_indices_prefers_low_index_on_tie():
-    assert ranked_indices(np.array([0.3, 0.9, 0.9])).tolist() == [1, 2, 0]
+def test_recall_at_k_prefers_low_index_on_tie():
+    # the ranking of [0.3, 0.9, 0.9] is 1, 2, 0
+    r = P(rec([0.3, 0.9, 0.9], {1}), rec([0.3, 0.9, 0.9], {2}), rec([0.3, 0.9, 0.9], {0}))
+    assert [recall_at_k(r, k).tolist() for k in (1, 2, 3)] == [[1.0, 0.0, 0.0],
+                                                               [1.0, 1.0, 0.0],
+                                                               [1.0, 1.0, 1.0]]
+
+
+def test_recall_ranks_a_nan_score_below_every_number():
+    # a stable argsort of the negated scores puts NaN last, ties by index
+    r = P(rec([np.nan, 0.1, np.nan], {0}), rec([np.nan, 0.1, np.nan], {2}),
+          rec([np.nan, 0.1, 0.2], {1}))
+    assert [recall_at_k(r, k).tolist() for k in (1, 2, 3)] == [[0.0, 0.0, 0.0],
+                                                               [1.0, 0.0, 1.0],
+                                                               [1.0, 1.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
