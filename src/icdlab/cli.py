@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 """
 
 import argparse
-import datetime as dt
 import functools
 import json
 import os
@@ -29,10 +28,9 @@ import numpy as np
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
 from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
-from .corpus import (Encounter, LabelSpace, corpus_stats, generate_corpus,
-                     read_encounters, split_by_patient, write_encounters)
-from .errors import (NumericError, ParseError, UndefinedMetricError, UsageError,
-                     ValidationError, reading)
+from .corpus import (LabelSpace, corpus_stats, encounter_of, generate_corpus,
+                     read_encounters, read_rows, split_by_patient, write_encounters)
+from .errors import NumericError, UndefinedMetricError, UsageError, ValidationError, reading
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
                       compute_report, consistency_check, instance_f1, recall_at_k,
                       score_histogram, spearman)
@@ -137,16 +135,15 @@ def _records_jsonl(p: Predictions) -> str:
     return "\n".join(lines) + "\n"
 
 
-_decode_json = json.JSONDecoder().decode  # json.loads without its per-call checks
+_RECORD_TYPES = {"gt": list[int], "n_unseen": int, "dept": str, "first_visit": bool,
+                 "freq_bucket": str, "patient_id": str, "date": str, "codes": list[str]}
 
 
 def read_prediction_records(eval_dir) -> Predictions:
-    """probs.npy + records.jsonl as one Predictions value. A malformed
-    probability matrix is a numeric error; an unparseable record, a field of
-    the wrong type (patient_id, dept and freq_bucket strings, first_visit a
-    boolean, codes a list of strings), an empty code set or a malformed
-    code, a gt index outside the label space, a negative unseen count or a
-    row-count mismatch is a validation error naming the line."""
+    """probs.npy + records.jsonl as one Predictions value. A malformed matrix
+    is a numeric error. records.jsonl is read as a split file is; beyond that,
+    a gt index outside the label space, a negative unseen count or a row
+    count other than the matrix's is a validation error."""
     eval_dir = Path(eval_dir)
     with reading(eval_dir / "probs.npy"):
         probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
@@ -156,53 +153,25 @@ def read_prediction_records(eval_dir) -> Predictions:
     if not np.isfinite(probs).all():
         raise NumericError(f"{eval_dir}/probs.npy: non-finite probabilities")
     m, n = probs.shape
-    with reading(eval_dir / "records.jsonl"):
-        text = (eval_dir / "records.jsonl").read_text(encoding="utf-8")
-    gt_rows, gt_cols, n_unseen, dept, first_visit, freq_bucket, encounters = (
-        [], [], [], [], [], [], [])
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:  # not `reading`, whose enter/exit adds ~2 µs to every record line
-            row = _decode_json(line)
-            pid, day = row["patient_id"], dt.date.fromisoformat(row["date"])
-            codes, gt, unseen = row["codes"], row["gt"], row["n_unseen"]
-            d, first, bucket = row["dept"], row["first_visit"], row["freq_bucket"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{eval_dir}/records.jsonl line {number}: {exc!r}") from None
-        if type(pid) is not str or type(d) is not str or type(bucket) is not str:
-            problem = "patient_id, dept and freq_bucket must be strings"
-        elif type(first) is not bool:
-            problem = "first_visit must be true or false"
-        elif type(codes) is not list or not all(type(c) is str for c in codes):
-            problem = "codes must list code strings"
-        elif type(gt) is not list or not all(type(i) is int and 0 <= i < n for i in gt):
-            problem = f"gt must list label indices in [0, {n})"
-        elif type(unseen) is not int or unseen < 0:
-            problem = "n_unseen must be a non-negative integer"
-        else:
-            problem = None
-        if problem is None:
-            try:
-                encounters.append(Encounter(pid, day, d, "", "", codes))
-            except ValidationError as exc:  # an empty code set or a malformed code
-                problem = str(exc)
-        if problem:
-            raise ValidationError(f"{eval_dir}/records.jsonl line {number}: {problem}")
-        gt_rows += [len(n_unseen)] * len(gt)
-        gt_cols += gt
-        n_unseen.append(unseen)
-        dept.append(d)
-        first_visit.append(first)
-        freq_bucket.append(bucket)
-    if len(n_unseen) != m:
+    path = eval_dir / "records.jsonl"
+    rows, encounters = [], []
+    for lineno, row in read_rows(path, _RECORD_TYPES):
+        if row["gt"] and not (min(row["gt"]) >= 0 and max(row["gt"]) < n):
+            raise ValidationError(f"{path}:{lineno}: gt must list label indices in [0, {n})")
+        if row["n_unseen"] < 0:
+            raise ValidationError(f"{path}:{lineno}: n_unseen must be non-negative")
+        encounters.append(encounter_of(path, lineno, row))
+        rows.append(row)
+    if len(rows) != m:
         raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
-                              f"records.jsonl lines ({len(n_unseen)}) disagree")
+                              f"records.jsonl lines ({len(rows)}) disagree")
     gt = np.zeros((m, n), dtype=bool)
-    gt[gt_rows, gt_cols] = True
-    return Predictions(probs=probs, gt=gt, n_unseen=n_unseen, dept=dept,
-                       first_visit=first_visit, freq_bucket=freq_bucket,
-                       encounters=encounters)
+    gt[[i for i, r in enumerate(rows) for _ in r["gt"]],
+       [j for r in rows for j in r["gt"]]] = True
+    return Predictions(probs=probs, gt=gt, n_unseen=[r["n_unseen"] for r in rows],
+                       dept=[r["dept"] for r in rows],
+                       first_visit=[r["first_visit"] for r in rows],
+                       freq_bucket=[r["freq_bucket"] for r in rows], encounters=encounters)
 
 
 # --------------------------------------------------------------------------
@@ -252,9 +221,9 @@ def cmd_train(args, rc: RunConfig, stage: Path):
     _, history = train(model, train_notes, dev_notes, rc.train_config("train"))
     save_base_model(stage / "model.ckpt", model, vocab.sha256(), labels.sha256())
     _write(stage / "history.csv", history.to_csv())
-    best = max((e.dev_recall_at_5 for e in history.epochs), default=float("nan"))
-    return inputs, ("history.csv",), (f"train: {len(history.epochs)} epochs, "
-                                      f"best dev R@5 {best:.4f}")
+    return inputs, ("history.csv",), (
+        f"train: {len(history.epochs)} epochs, kept epoch {history.best_epoch} "
+        f"at dev R@5 {history.best_dev_recall_at_5:.4f}")
 
 
 @_stage
@@ -271,9 +240,9 @@ def cmd_train_reranker(args, rc: RunConfig, stage: Path):
     save_reranker(stage / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256(),
                   base_dir / "model.ckpt")
     _write(stage / "history.csv", history.to_csv())
-    best = max((e.dev_recall_at_5 for e in history.epochs), default=float("nan"))
-    return inputs, ("history.csv",), (f"train-reranker: {len(history.epochs)} epochs, "
-                                      f"best dev R@5 {best:.4f}")
+    return inputs, ("history.csv",), (
+        f"train-reranker: {len(history.epochs)} epochs, kept epoch {history.best_epoch} "
+        f"at dev R@5 {history.best_dev_recall_at_5:.4f}")
 
 
 @_stage
@@ -301,7 +270,8 @@ def cmd_evaluate(args, rc: RunConfig, stage: Path):
         _write(stage / f"breakdown_{args.breakdown}.csv", breakdown_csv(breakdown(
             records, args.breakdown, recall_at_k(records, args.k),
             instance_f1(records, rc.decision_threshold))))
-    return inputs, (), (f"evaluate[{args.split}]: R@{args.k} {report.recall_at_k:.4f}, "
+    scored = f"{args.split}, reranked" if args.reranker else args.split
+    return inputs, (), (f"evaluate[{scored}]: R@{args.k} {report.recall_at_k:.4f}, "
                         f"iF1 {report.f1_instance:.4f} over {report.n_records} records")
 
 

@@ -22,6 +22,7 @@ import datetime as dt
 import hashlib
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,6 @@ CODE_RE = re.compile(r"^[A-Z]\d{2}(\.[A-Za-z0-9]{1,4})?$")
 # instead of itself: models coder variability, which is what the level-3
 # consistency check is designed to catch.
 SIBLING_SWAP_PROB = 0.08
-
-_ENCOUNTER_FIELDS = ("patient_id", "date", "dept", "doctor", "text", "codes", "meds", "procs")
-_LIST_FIELDS = ("codes", "meds", "procs")
 
 
 def chapter(code: str) -> str:
@@ -58,9 +56,12 @@ class Encounter:
     procs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", frozenset(self.codes))
-        object.__setattr__(self, "meds", tuple(self.meds))
-        object.__setattr__(self, "procs", tuple(self.procs))
+        if type(self.codes) is not frozenset:
+            object.__setattr__(self, "codes", frozenset(self.codes))
+        if type(self.meds) is not tuple:
+            object.__setattr__(self, "meds", tuple(self.meds))
+        if type(self.procs) is not tuple:
+            object.__setattr__(self, "procs", tuple(self.procs))
         if not self.codes:
             raise ValidationError(f"encounter {self.patient_id}/{self.date}: empty code set")
         for c in sorted(self.codes):
@@ -331,8 +332,16 @@ def split_by_patient(corpus: list[Encounter], n_dev_patients: int, n_test_patien
 
 
 # --------------------------------------------------------------------------
-# record file I/O: UTF-8, one JSON object per line, fixed field set
+# JSON-lines I/O (split files and records.jsonl): one object per line, fixed fields
 # --------------------------------------------------------------------------
+
+# field type -> exact JSON type of the value and of its items, and what an error calls it
+_KINDS = {str: (str, None, "a string"), bool: (bool, None, "true or false"),
+          int: (int, None, "an integer"), list[str]: (list, str, "a list of strings"),
+          list[int]: (list, int, "a list of integers")}
+_ENCOUNTER_TYPES = {"patient_id": str, "date": str, "dept": str, "doctor": str, "text": str,
+                    "codes": list[str], "meds": list[str], "procs": list[str]}
+_decode = json.JSONDecoder().decode  # json.loads without its per-call checks
 
 
 def write_encounters(path, encounters: list[Encounter]) -> None:
@@ -351,47 +360,63 @@ def write_encounters(path, encounters: list[Encounter]) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def read_encounters(path) -> list[Encounter]:
+def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
+    """(line number, row) for each non-blank line of a JSON-lines file, one
+    at a time, so a row can be dropped once it is built into a value. A row is
+    an object holding exactly the fields of `types` (name -> str, bool, int,
+    list[str] or list[int]), each of exactly its type: JSON true is not an
+    int. Lines end at "\n" only, as json.dumps leaves U+2028 and U+0085 as
+    they are. Every fault is one ParseError naming `path:line` and the field."""
     with open(path, encoding="utf-8") as fh, reading(path):
-        lines = fh.read().split("\n")
-    out: list[Encounter] = []
-    for lineno, line in enumerate(lines, start=1):
+        text = fh.read()
+    checks = [(name, *_KINDS[kind]) for name, kind in types.items()]
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            row = _decode(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ParseError(f"{path}:{lineno}: JSON nested too deeply") from None
+        if type(row) is not dict:
             raise ParseError(f"{path}:{lineno}: expected an object")
-        missing = [f for f in _ENCOUNTER_FIELDS if f not in obj]
-        unknown = [f for f in obj if f not in _ENCOUNTER_FIELDS]
-        if missing or unknown:
-            raise ParseError(
-                f"{path}:{lineno}: missing fields {missing}, unknown fields {unknown}"
-            )
-        for f in _ENCOUNTER_FIELDS:
-            listed, v = f in _LIST_FIELDS, obj[f]
-            if listed and not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
-                raise ParseError(f"{path}:{lineno}: {f} must be a list of strings")
-            if not listed and not isinstance(v, str):
-                raise ParseError(f"{path}:{lineno}: {f} must be a string")
-        codes = obj["codes"]
-        if len(set(codes)) != len(codes):
-            raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
-        try:
-            date = dt.date.fromisoformat(obj["date"])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad date {obj['date']!r}") from exc
-        try:
-            enc = Encounter(
-                obj["patient_id"], date, obj["dept"], obj["doctor"], obj["text"],
-                frozenset(codes), tuple(obj["meds"]), tuple(obj["procs"]),
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        out.append(enc)
-    return out
+        if row.keys() != types.keys():
+            missing = [f for f in types if f not in row]
+            unknown = [f for f in row if f not in types]
+            raise ParseError(f"{path}:{lineno}: missing fields {missing}, "
+                             f"unknown fields {unknown}")
+        for name, exact, item, kind in checks:
+            value = row[name]
+            if type(value) is not exact:
+                raise ParseError(f"{path}:{lineno}: {name} must be {kind}")
+            for x in value if item else ():  # a loop, not all(): no generator per field
+                if type(x) is not item:
+                    raise ParseError(f"{path}:{lineno}: {name} must be {kind}")
+        yield lineno, row
+
+
+def encounter_of(path, lineno: int, row: dict) -> Encounter:
+    """The Encounter of a row of `read_rows` (doctor, text, meds and procs
+    default to empty). Duplicate codes, a bad date, an empty code set or a
+    malformed code is a ValidationError naming `path:line`."""
+    codes = frozenset(row["codes"])
+    if len(codes) != len(row["codes"]):
+        raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
+    try:
+        date = dt.date.fromisoformat(row["date"])
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: bad date {row['date']!r}") from None
+    try:
+        return Encounter(row["patient_id"], date, row["dept"], row.get("doctor", ""),
+                         row.get("text", ""), codes, row.get("meds", ()), row.get("procs", ()))
+    except ValidationError as exc:  # an empty code set or a malformed code
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
+
+def read_encounters(path) -> list[Encounter]:
+    rows = read_rows(path, _ENCOUNTER_TYPES)
+    return [encounter_of(path, lineno, row) for lineno, row in rows]
 
 
 # --------------------------------------------------------------------------

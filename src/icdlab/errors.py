@@ -54,10 +54,11 @@ class EmptySourceError(NumericError):
 @contextmanager
 def reading(where):
     """Turn what a malformed artifact raises while it is read (truncation, bad
-    JSON, a missing key, a wrong type) into one ParseError naming `where`."""
+    or too deeply nested JSON, a missing key, a wrong type) into one
+    ParseError naming `where`."""
     try:
         yield
     except UnicodeDecodeError as exc:  # its repr would quote every byte decoded
         raise ParseError(f"{where}: not UTF-8 text ({exc})") from None
-    except (AttributeError, EOFError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, EOFError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc!r}") from None

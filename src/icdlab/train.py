@@ -67,7 +67,11 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class TrainHistory:
-    epochs: tuple[EpochStats, ...] = ()
+    """The trained epochs, and the one kept (0: the start) with its dev R@5."""
+
+    epochs: tuple[EpochStats, ...]
+    best_epoch: int
+    best_dev_recall_at_5: float
 
     def to_csv(self) -> str:
         lines = ["epoch,loss,dev_r5,dev_if1,seconds"]
@@ -304,8 +308,6 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
     is the mean loss of the mini-batch of items at indices `idx`."""
     if n_items == 0:
         raise ValidationError("training set is empty")
-    if config.max_epochs == 0:
-        return _snapshot(params), TrainHistory()
     opt = Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     best_r5, _ = dev_scores()
@@ -332,7 +334,7 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
         elif epoch - best_epoch >= config.patience:
             break
     _restore(params, best_snap)
-    return best_snap, TrainHistory(tuple(history))
+    return best_snap, TrainHistory(tuple(history), best_epoch, best_r5)
 
 
 # --------------------------------------------------------------------------
