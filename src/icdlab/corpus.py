@@ -201,7 +201,21 @@ def _zipf_probs(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _sample_code_set(rng, chronic: np.ndarray, zipf_p: np.ndarray, siblings: dict[int, list[int]], mean_codes: float) -> set[int]:
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table of `p`, built as `Generator.choice` builds it on
+    every call, so `_draw` over it returns what `choice(p.size, size, p=p)`
+    returns and consumes the same stream."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng, cdf: np.ndarray, size=None):
+    """Index (or array of `size` indices) drawn by inverse transform."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _sample_code_set(rng, chronic: np.ndarray, zipf_cdf: np.ndarray, siblings: dict[int, list[int]], mean_codes: float) -> set[int]:
     n_draw = 1 + rng.poisson(mean_codes - 1.0)
     out: set[int] = set()
     for _ in range(int(n_draw)):
@@ -211,12 +225,12 @@ def _sample_code_set(rng, chronic: np.ndarray, zipf_p: np.ndarray, siblings: dic
             if sibs and rng.random() < SIBLING_SWAP_PROB:
                 j = sibs[rng.integers(0, len(sibs))]
         else:
-            j = int(rng.choice(zipf_p.size, p=zipf_p))
+            j = int(_draw(rng, zipf_cdf))
         out.add(j)
     return out
 
 
-def _note_tokens(rng, code_idxs: set[int], silent: set[int], config: CorpusConfig, noise_p: np.ndarray) -> list[str]:
+def _note_tokens(rng, code_idxs: set[int], silent: set[int], config: CorpusConfig, noise_cdf: np.ndarray) -> list[str]:
     toks: list[str] = []
     for j in sorted(code_idxs):
         if j in silent:
@@ -224,7 +238,7 @@ def _note_tokens(rng, code_idxs: set[int], silent: set[int], config: CorpusConfi
         variants = rng.integers(0, 3, size=config.tokens_per_code)
         toks.extend(f"c{j}v{int(k)}" for k in variants)
     n_noise = 2 + int(rng.poisson(3.0))
-    noise_ids = rng.choice(config.vocab_size, size=n_noise, p=noise_p)
+    noise_ids = _draw(rng, noise_cdf, n_noise)
     toks.extend(f"n{int(i)}" for i in noise_ids)
     order = rng.permutation(len(toks))
     return [toks[i] for i in order]
@@ -249,7 +263,8 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Encounter], LabelSpace]:
     labels = LabelSpace(tuple(codes))
     silent = silent_code_indices(config)
     zipf_p = _zipf_probs(config.n_codes, config.zipf_exponent)
-    noise_p = _zipf_probs(config.vocab_size, 1.2)
+    zipf_cdf = _cdf(zipf_p)  # the per-encounter draws search these, built once per corpus
+    noise_cdf = _cdf(_zipf_probs(config.vocab_size, 1.2))
 
     # same-chapter siblings, for the coder-variability swap
     by_chapter: dict[str, list[int]] = {}
@@ -281,11 +296,11 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Encounter], LabelSpace]:
                                 prev.codes, prev.meds, prev.procs)
                 idxs = prev_idxs
             else:
-                idxs = _sample_code_set(rng, chronic, zipf_p, siblings, config.mean_codes_per_encounter)
+                idxs = _sample_code_set(rng, chronic, zipf_cdf, siblings, config.mean_codes_per_encounter)
                 for _attempt in range(50):
                     if idxs != prev_idxs:
                         break
-                    idxs = _sample_code_set(rng, chronic, zipf_p, siblings, config.mean_codes_per_encounter)
+                    idxs = _sample_code_set(rng, chronic, zipf_cdf, siblings, config.mean_codes_per_encounter)
                 if idxs == prev_idxs:  # force a difference deterministically
                     missing = [j for j in range(config.n_codes) if j not in idxs]
                     if missing:
@@ -296,7 +311,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Encounter], LabelSpace]:
                 dept = dept_of_chapter[code_chapters[primary]]
                 pool = doctors_of_dept[dept]
                 doctor = pool[int(rng.integers(0, len(pool)))]
-                text = " ".join(_note_tokens(rng, idxs, silent, config, noise_p))
+                text = " ".join(_note_tokens(rng, idxs, silent, config, noise_cdf))
                 meds = tuple(f"M{j}" for j in sorted(idxs) if j in silent)
                 procs = tuple(f"R{j}" for j in sorted(idxs) if j in silent)
                 enc = Encounter(pid, date, dept, doctor, text,
@@ -370,6 +385,7 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh, reading(path):
         text = fh.read()
     checks = [(name, *_KINDS[kind]) for name, kind in types.items()]
+    n_fields = len(checks)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -381,19 +397,29 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"{path}:{lineno}: JSON nested too deeply") from None
         if type(row) is not dict:
             raise ParseError(f"{path}:{lineno}: expected an object")
-        if row.keys() != types.keys():
-            missing = [f for f in types if f not in row]
-            unknown = [f for f in row if f not in types]
-            raise ParseError(f"{path}:{lineno}: missing fields {missing}, "
-                             f"unknown fields {unknown}")
+        if len(row) != n_fields:  # as many fields, each found below: the same set
+            raise _row_error(path, lineno, row, types)
         for name, exact, item, kind in checks:
-            value = row[name]
+            try:
+                value = row[name]
+            except KeyError:
+                raise _row_error(path, lineno, row, types) from None
             if type(value) is not exact:
-                raise ParseError(f"{path}:{lineno}: {name} must be {kind}")
+                raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
             for x in value if item else ():  # a loop, not all(): no generator per field
                 if type(x) is not item:
-                    raise ParseError(f"{path}:{lineno}: {name} must be {kind}")
+                    raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
         yield lineno, row
+
+
+def _row_error(path, lineno: int, row: dict, types: dict, fault: str = "") -> ParseError:
+    """The ParseError of a row that failed a check of `read_rows`: a wrong
+    field set is reported before any field's type."""
+    if row.keys() != types.keys():
+        missing = [f for f in types if f not in row]
+        unknown = [f for f in row if f not in types]
+        fault = f"missing fields {missing}, unknown fields {unknown}"
+    return ParseError(f"{path}:{lineno}: {fault}")
 
 
 def encounter_of(path, lineno: int, row: dict) -> Encounter:
@@ -408,8 +434,10 @@ def encounter_of(path, lineno: int, row: dict) -> Encounter:
     except ValueError:
         raise ParseError(f"{path}:{lineno}: bad date {row['date']!r}") from None
     try:
-        return Encounter(row["patient_id"], date, row["dept"], row.get("doctor", ""),
-                         row.get("text", ""), codes, row.get("meds", ()), row.get("procs", ()))
+        if "text" in row:  # a split-file row
+            return Encounter(row["patient_id"], date, row["dept"], row["doctor"], row["text"],
+                             codes, row["meds"], row["procs"])
+        return Encounter(row["patient_id"], date, row["dept"], "", "", codes)
     except ValidationError as exc:  # an empty code set or a malformed code
         raise ValidationError(f"{path}:{lineno}: {exc}") from None
 

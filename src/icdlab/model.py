@@ -62,33 +62,43 @@ class BaseModel:
 
     def __init__(self, arch: str, vocab_size: int, n_labels: int,
                  hp: BaseHParams, params: dict[str, ad.Tensor]):
-        if arch not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {arch!r}")
         self.arch = arch
         self.vocab_size = vocab_size
         self.n_labels = n_labels
         self.hp = hp
         self.params = params
 
+    @staticmethod
+    def shapes(arch: str, vocab_size: int, n_labels: int,
+               hp: BaseHParams) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape, in the order `init` draws them: what a
+        checkpoint with these hyperparameters must hold."""
+        if arch not in ARCHITECTURES:
+            raise ConfigError(f"unknown architecture {arch!r}")
+        shapes = {"emb": (vocab_size, hp.d_e), "conv_w": (hp.d_c, hp.kernel_width, hp.d_e),
+                  "conv_b": (hp.d_c,)}
+        if arch == "caml":
+            shapes["attn_u"] = (n_labels, hp.d_c)
+        else:
+            shapes["laat_w"] = (hp.d_a, hp.d_c)
+            shapes["laat_u"] = (n_labels, hp.d_a)
+        shapes["out_w"] = (n_labels, hp.d_c)
+        shapes["out_b"] = (n_labels,)
+        return shapes
+
     @classmethod
     def init(cls, arch: str, vocab_size: int, n_labels: int,
              hp: BaseHParams = BaseHParams(), seed: int = 0) -> "BaseModel":
+        """Biases start at zero and draw nothing; the embedding is N(0, 0.1²)
+        and every other weight (rows out, columns in) N(0, 1/fan-in)."""
         rng = np.random.default_rng(seed)
         p: dict[str, ad.Tensor] = {}
-
-        def param(name, shape, scale):
-            p[name] = ad.tensor(rng.normal(size=shape) * scale, requires_grad=True)
-
-        param("emb", (vocab_size, hp.d_e), 0.1)
-        param("conv_w", (hp.d_c, hp.kernel_width, hp.d_e), (hp.kernel_width * hp.d_e) ** -0.5)
-        p["conv_b"] = ad.tensor(np.zeros(hp.d_c), requires_grad=True)
-        if arch == "caml":
-            param("attn_u", (n_labels, hp.d_c), hp.d_c**-0.5)
-        else:
-            param("laat_w", (hp.d_a, hp.d_c), hp.d_c**-0.5)
-            param("laat_u", (n_labels, hp.d_a), hp.d_a**-0.5)
-        param("out_w", (n_labels, hp.d_c), hp.d_c**-0.5)
-        p["out_b"] = ad.tensor(np.zeros(n_labels), requires_grad=True)
+        for name, shape in cls.shapes(arch, vocab_size, n_labels, hp).items():
+            if len(shape) == 1:
+                data = np.zeros(shape)
+            else:
+                data = rng.normal(size=shape) * (0.1 if name == "emb" else math.prod(shape[1:]) ** -0.5)
+            p[name] = ad.tensor(data, requires_grad=True)
         return cls(arch, vocab_size, n_labels, hp, p)
 
     def encode(self, ids: np.ndarray, lengths: np.ndarray) -> ad.Tensor:
@@ -181,34 +191,43 @@ class MetadataReranker:
         self.vocabs = vocabs
         self.params = params
 
+    @staticmethod
+    def shapes(n_labels: int, d_keys: int, vocabs: ModalityVocabs,
+               hp: RerankerHParams) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape, in the order `init` draws them: what a
+        checkpoint with these hyperparameters and vocabularies must hold."""
+        d = hp.d
+        shapes = {"label_emb": (n_labels, d)}
+        for m in MODALITIES:
+            shapes[f"{m}_emb"] = (len(getattr(vocabs, m)) + 1, d)
+        for side in ("attn_n", "attn_m"):
+            shapes.update({f"{side}.wq": (d, d), f"{side}.wk": (d_keys, d),
+                           f"{side}.wv": (d_keys, d), f"{side}.wo": (d, d)})
+        shapes["proj_w"] = (n_labels, d)
+        shapes["proj_b"] = (n_labels,)
+        return shapes
+
     @classmethod
     def init(cls, n_labels: int, d_keys: int, vocabs: ModalityVocabs,
              hp: RerankerHParams = RerankerHParams(), seed: int = 0) -> "MetadataReranker":
         rng = np.random.default_rng(seed)
-        d, nh = hp.d, hp.n_heads
-        dh = d // nh
-        p: dict[str, ad.Tensor] = {}
-
-        def param(name, shape, scale):
-            p[name] = ad.tensor(rng.normal(size=shape) * scale, requires_grad=True)
-
-        param("label_emb", (n_labels, d), 0.1)
+        shapes = cls.shapes(n_labels, d_keys, vocabs, hp)
+        p = {"label_emb": rng.normal(size=shapes["label_emb"]) * 0.1}
         for m in MODALITIES:
-            table = rng.normal(size=(len(getattr(vocabs, m)) + 1, d)) * 0.1
-            table[0] = 0.0  # unknown row
-            p[f"{m}_emb"] = ad.tensor(table, requires_grad=True)
+            p[f"{m}_emb"] = rng.normal(size=shapes[f"{m}_emb"]) * 0.1
+            p[f"{m}_emb"][0] = 0.0  # unknown row
         for side in ("attn_n", "attn_m"):
             # head h is the h-th column block of wq, wk and wv, each block
             # drawn on its own: head 0's wq, wk, wv, then head 1's, ...
-            drawn = [[rng.normal(size=(rows, dh)) * rows**-0.5 for rows in (d, d_keys, d_keys)]
-                     for _ in range(nh)]
-            for name, blocks in zip(("wq", "wk", "wv"), zip(*drawn)):
-                p[f"{side}.{name}"] = ad.tensor(np.hstack(blocks), requires_grad=True)
-            param(f"{side}.wo", (d, d), d**-0.5)
+            names = [f"{side}.{w}" for w in ("wq", "wk", "wv")]
+            drawn = [[rng.normal(size=(rows, cols // hp.n_heads)) * rows**-0.5
+                      for rows, cols in map(shapes.get, names)] for _ in range(hp.n_heads)]
+            p.update(zip(names, map(np.hstack, zip(*drawn))))
+            p[f"{side}.wo"] = rng.normal(size=shapes[f"{side}.wo"]) * hp.d**-0.5
         # zero start: the reranker opens as an exact residual identity
-        p["proj_w"] = ad.tensor(np.zeros((n_labels, d)), requires_grad=True)
-        p["proj_b"] = ad.tensor(np.zeros(n_labels), requires_grad=True)
-        return cls(n_labels, d_keys, hp, vocabs, p)
+        p["proj_w"], p["proj_b"] = np.zeros(shapes["proj_w"]), np.zeros(shapes["proj_b"])
+        return cls(n_labels, d_keys, hp, vocabs,
+                   {name: ad.tensor(a, requires_grad=True) for name, a in p.items()})
 
     def embed_modalities(self, encs) -> ad.Tensor:
         """(B, d): per encounter, the sum over modalities of its embedding
@@ -298,14 +317,14 @@ def _check_meta(path, meta: dict, kind: str, vocab_sha: str, labels_sha: str) ->
             raise ValidationError(f"{path}: checkpoint was trained with a different {what}")
 
 
-def _tensors(path, arrays: dict, expected: dict[str, ad.Tensor]) -> dict[str, ad.Tensor]:
+def _tensors(path, arrays: dict, expected: dict[str, tuple[int, ...]]) -> dict[str, ad.Tensor]:
     """The checkpoint's arrays as trainable tensors, once their names and
-    shapes are those of `expected`, the parameters `init` creates for the
-    hyperparameters in its metadata."""
+    shapes are those of `expected`, the shape table for the hyperparameters
+    in its metadata."""
     for name in sorted(set(arrays) | set(expected)):
         got = arrays[name].shape if name in arrays else "absent"
-        want = expected[name].data.shape if name in expected else "absent"
-        if got != want:
+        want = expected.get(name, "absent")
+        if repr(got) != repr(want):  # as written: 48.0 == 48, but no array has 48.0 rows
             raise ValidationError(f"{path}: parameter {name!r} is {got} in the checkpoint, "
                                   f"{want} for the hyperparameters in its metadata")
     return {k: ad.tensor(v, requires_grad=True) for k, v in arrays.items()}
@@ -317,7 +336,7 @@ def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
         _check_meta(path, meta, "base", vocab_sha, labels_sha)
         args = (meta["arch"], meta["vocab_size"], meta["n_labels"])
         hp = BaseHParams(**meta["hparams"])
-        expected = BaseModel.init(*args, hp).params
+        expected = BaseModel.shapes(*args, hp)
     return BaseModel(*args, hp, _tensors(path, arrays, expected))
 
 
@@ -347,7 +366,7 @@ def load_reranker(path, vocab_sha: str, labels_sha: str, base_path) -> MetadataR
         args = (meta["n_labels"], meta["d_keys"])
         vocabs = ModalityVocabs(**{m: tuple(v) for m, v in meta["modalities"].items()})
         hp = RerankerHParams(**meta["hparams"])
-        expected = MetadataReranker.init(*args, vocabs, hp).params
+        expected = MetadataReranker.shapes(*args, vocabs, hp)
     params = _tensors(path, arrays, expected)
     if meta.get("base_sha256") != file_sha256(base_path):
         raise ValidationError(f"{path}: reranker was trained over another base model "

@@ -238,6 +238,24 @@ def test_gen_corpus_deterministic_given_config(pipeline, tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+# Every other corpus key at its default, so the draws run over the full code
+# and noise tables. A change to which values the generator draws, or in what
+# order, changes these bytes.
+PINNED_CFG = "seed = 3\nn_patients = 40\nn_dev_patients = 5\nn_test_patients = 5\n"
+PINNED_SHA256 = {
+    "train.txt": "47d03be56c4ee8f3345780a0ed1244b14145e1fb34b4fed83aee1b6375f1af28",
+    "dev.txt": "7de8274343eee832697c73757120ebfc7b19a9a8147cb08beb803c47ef6bba73",
+    "test.txt": "e5b0d71c752f54cc39418812a8d1f8220da0bb0e5b031c1ec1d1c8107f3f0c68",
+}
+
+
+def test_gen_corpus_writes_the_pinned_bytes(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PINNED_CFG, encoding="utf-8")
+    assert main(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
+    assert {name: _sha(tmp_path / "corpus" / name) for name in PINNED_SHA256} == PINNED_SHA256
+
+
 # default model widths, so the batched GEMMs are large enough for OpenBLAS to
 # split them across threads
 BLAS_CFG = """\

@@ -1,6 +1,7 @@
 """Synthetic corpus generator: pathologies, determinism, I/O, statistics."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from icdlab.corpus import (
     CorpusConfig,
     Encounter,
     LabelSpace,
+    _cdf,
+    _draw,
+    _zipf_probs,
     chapter,
     corpus_stats,
     generate_corpus,
@@ -122,6 +126,24 @@ def test_different_seed_differs():
     a, _ = generate_corpus(small_config(seed=1))
     b, _ = generate_corpus(small_config(seed=2))
     assert a != b
+
+
+@pytest.mark.parametrize("p", [
+    _zipf_probs(CorpusConfig().n_codes, CorpusConfig().zipf_exponent),
+    _zipf_probs(CorpusConfig().vocab_size, 1.2),
+], ids=["codes", "noise"])
+@pytest.mark.parametrize("size", [None, 1, 7])
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_cdf_draws_are_generator_choice(p, size, seed):
+    """A draw from the prebuilt table returns what Generator.choice returns
+    on a twin generator and leaves both streams at the same place."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = _cdf(p)
+    for _ in range(50):
+        got, want = _draw(rng, cdf, size), twin.choice(p.size, size, p=p)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert rng.random() == twin.random()
 
 
 def test_zero_ditto_no_consecutive_identical_sets():
@@ -331,6 +353,22 @@ def test_unknown_field_rejected(tmp_path):
     )
     with pytest.raises(ParseError, match="extra"):
         read_encounters(path)
+
+
+@pytest.mark.parametrize("edit, missing, unknown", [
+    ({"patient_id": 1, "procs": None, "proc": []}, ["procs"], ["proc"]),  # as many fields
+    ({"text": 1, "procs": None}, ["procs"], []),
+    ({"codes": [1], "meds": None, "med": [], "x": 0}, ["meds"], ["med", "x"]),
+], ids=["renamed", "missing", "renamed-and-extra"])
+def test_a_wrong_field_set_is_reported_before_a_wrong_type(tmp_path, edit, missing, unknown):
+    row = {"patient_id": "P1", "date": "2020-01-01", "dept": "D", "doctor": "R", "text": "t",
+           "codes": ["E78.5"], "meds": [], "procs": []}
+    row = {k: v for k, v in {**row, **edit}.items() if v is not None}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_encounters(path)
+    assert str(err.value) == f"{path}:1: missing fields {missing}, unknown fields {unknown}"
 
 
 def test_malformed_json_line_number(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from icdlab import autodiff as ad
+from icdlab.checkpoint import load_params, save_params
 from icdlab.corpus import Encounter, LabelSpace
 from icdlab.errors import ConfigError, EmptySourceError, ValidationError
 from icdlab.model import (
@@ -479,6 +480,20 @@ def test_fresh_reranker_scores_are_the_base_probs_without_a_forward(monkeypatch)
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("arch", ["caml", "laat", "reranker"])
+def test_shape_tables_are_the_shapes_init_draws(arch):
+    """The loaders check a checkpoint against the shape table; init must
+    create exactly those parameters, in the table's order."""
+    if arch == "reranker":
+        args = (7, 5, ModalityVocabs(("M1", "M2"), ("R1",), ("DR000", "DR001", "DR002"), ()),
+                RerankerHParams(d=6, n_heads=3))
+        table, model = MetadataReranker.shapes(*args), MetadataReranker.init(*args)
+    else:
+        args = (arch, 11, 7, BaseHParams(d_e=3, d_c=4, kernel_width=5, d_a=2))
+        table, model = BaseModel.shapes(*args), BaseModel.init(*args)
+    assert list(table.items()) == [(k, t.data.shape) for k, t in model.params.items()]
+
+
 def test_base_model_round_trip(tmp_path):
     m = toy_model("laat", seed=61)
     path = tmp_path / "base.ckpt"
@@ -514,6 +529,22 @@ def test_reranker_round_trip(tmp_path):
     assert back.hp == rr.hp
     for k in rr.params:
         assert back.params[k].data.tobytes() == rr.params[k].data.tobytes()
+
+
+@pytest.mark.parametrize("key, value", [("vocab_size", 6.0), ("vocab_size", -6),
+                                        ("kernel_width", 3.0)])
+def test_base_checkpoint_with_a_non_integer_or_negative_dimension_is_rejected(
+        tmp_path, key, value):
+    path = tmp_path / "base.ckpt"
+    save_base_model(path, toy_model("caml"), "v", "l")
+    meta, arrays = load_params(path)
+    if key in meta:
+        meta[key] = value
+    else:
+        meta["hparams"][key] = value
+    save_params(path, arrays, meta)
+    with pytest.raises(ValidationError, match="base.ckpt"):
+        load_base_model(path, "v", "l")
 
 
 def test_wrong_kind_rejected(tmp_path):
