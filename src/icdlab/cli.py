@@ -340,8 +340,9 @@ def _labels_digest(eval_dir: Path) -> str:
 
 @_stage
 def cmd_automate(args, rc: RunConfig, stage: Path):
-    if args.calibrated and not args.maps:
-        raise UsageError("--calibrated requires --maps")
+    if args.calibrated != bool(args.maps):
+        raise UsageError("--calibrated requires --maps" if args.calibrated
+                         else "--maps requires --calibrated")
     dev_dir, test_dir = Path(args.dev), Path(args.test)
     if _labels_digest(dev_dir) != _labels_digest(test_dir):
         raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "

@@ -44,7 +44,12 @@ def chapter(code: str) -> str:
 
 @dataclass(frozen=True)
 class Encounter:
-    """One outpatient visit: note text, assigned codes, and metadata."""
+    """One outpatient visit: note text, assigned codes, and metadata.
+
+    Its codes are a non-empty frozenset of CODE_RE codes, its meds and procs
+    tuples. Nothing checks that here: `generate_corpus` builds them so, and
+    `encounter_of`, the one way file data becomes an Encounter, checks them.
+    """
 
     patient_id: str
     date: dt.date
@@ -54,19 +59,6 @@ class Encounter:
     codes: frozenset[str]
     meds: tuple[str, ...] = ()
     procs: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if type(self.codes) is not frozenset:
-            object.__setattr__(self, "codes", frozenset(self.codes))
-        if type(self.meds) is not tuple:
-            object.__setattr__(self, "meds", tuple(self.meds))
-        if type(self.procs) is not tuple:
-            object.__setattr__(self, "procs", tuple(self.procs))
-        if not self.codes:
-            raise ValidationError(f"encounter {self.patient_id}/{self.date}: empty code set")
-        for c in sorted(self.codes):
-            if not CODE_RE.match(c):
-                raise ValidationError(f"malformed code {c!r}")
 
 
 @dataclass(frozen=True)
@@ -433,13 +425,16 @@ def encounter_of(path, lineno: int, row: dict) -> Encounter:
         date = dt.date.fromisoformat(row["date"])
     except ValueError:
         raise ParseError(f"{path}:{lineno}: bad date {row['date']!r}") from None
-    try:
-        if "text" in row:  # a split-file row
-            return Encounter(row["patient_id"], date, row["dept"], row["doctor"], row["text"],
-                             codes, row["meds"], row["procs"])
-        return Encounter(row["patient_id"], date, row["dept"], "", "", codes)
-    except ValidationError as exc:  # an empty code set or a malformed code
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    if not codes:
+        raise ValidationError(f"{path}:{lineno}: encounter {row['patient_id']}/{date}: "
+                              "empty code set")
+    for c in sorted(codes):
+        if not CODE_RE.match(c):
+            raise ValidationError(f"{path}:{lineno}: malformed code {c!r}")
+    if "text" in row:  # a split-file row
+        return Encounter(row["patient_id"], date, row["dept"], row["doctor"], row["text"],
+                         codes, tuple(row["meds"]), tuple(row["procs"]))
+    return Encounter(row["patient_id"], date, row["dept"], "", "", codes)
 
 
 def read_encounters(path) -> list[Encounter]:

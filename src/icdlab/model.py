@@ -16,10 +16,9 @@ note and the per-label read-out are one `autodiff.label_attention` call.
 The reranker treats the base model's outputs P and H as constants, adds
 structured-metadata embeddings to label embeddings, attends over the note
 encoding and over an auxiliary encoding of medication/procedure names, and
-emits a residual correction: P_f = clamp_[0,1](P' + P). Its attention heads
-are column blocks of one projection per side, so each side is one
-`label_attention` call. Ranking consumers should prefer the pre-clamp
-scores, which carry no ties at the bounds.
+emits a residual correction: its scores are P + Δ, unclamped (the loss
+clips its input). Its attention heads are column blocks of one projection
+per side, so each side is one `label_attention` call.
 """
 
 from __future__ import annotations
@@ -248,8 +247,8 @@ class MetadataReranker:
 
     def forward(self, base_probs: ad.Tensor, h_note: ad.Tensor, note_lengths: np.ndarray,
                 h_aux: ad.Tensor | None, aux_lengths: np.ndarray | None,
-                encs) -> tuple[ad.Tensor, ad.Tensor]:
-        """Returns (clamped P_f, pre-clamp scores P' + P), each (B, N).
+                encs) -> ad.Tensor:
+        """The scores P + Δ, (B, N).
 
         base_probs (B, N), the packed h_note (ΣL, d_keys) and h_aux
         (ΣA, d_keys) must be constants (frozen base outputs). h_aux is None
@@ -281,8 +280,7 @@ class MetadataReranker:
             delta = ad.add(ad.label_attention(keys, ad.matmul(p["label_emb"], wq),
                                               ad.matmul(source, p[f"{side}.wv"]), readout,
                                               lengths, row_bias, heads=nh), delta)
-        raw = ad.add(delta, base_probs)
-        return ad.clamp01(raw), raw
+        return ad.add(delta, base_probs)
 
 
 # --------------------------------------------------------------------------

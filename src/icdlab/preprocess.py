@@ -165,11 +165,9 @@ class TokenizedNote:
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenizedNote:
-    """Head-truncated id sequence; empty text becomes a lone padding token."""
-    ids = [vocab.id_for(t) for t in text_tokens(text)[:max_len]]
-    if not ids:
-        ids = [PAD_ID]
-    return TokenizedNote(tuple(ids))
+    """Head-truncated id sequence: the ids of the tokens found, none for an
+    empty text, never PAD_ID."""
+    return TokenizedNote(tuple([vocab.id_for(t) for t in text_tokens(text)[:max_len]]))
 
 
 def encounter_aux_text(enc: Encounter) -> str:

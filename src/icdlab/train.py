@@ -25,7 +25,7 @@ from .corpus import LabelSpace
 from .errors import ConfigError, NumericError, ValidationError
 from .metrics import Predictions, mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker
-from .preprocess import PAD_ID, UNK_ID, Vocabulary, encounter_aux_text, tokenize
+from .preprocess import UNK_ID, Vocabulary, encounter_aux_text, tokenize
 
 SCORE_CHUNK = 32  # notes per no-grad scoring batch (dev scoring and evaluate)
 
@@ -193,8 +193,8 @@ class Notes:
         single unknown token instead of no token, so attention always has one
         position to land on and no document drops out of the denominators."""
         encs = list(encounters)
-        rows = [tokenize(e.text, vocab, max_len).token_ids for e in encs]
-        tokens, offsets = _packed([(UNK_ID,) if r == (PAD_ID,) else r for r in rows])
+        rows = [tokenize(e.text, vocab, max_len).token_ids or (UNK_ID,) for e in encs]
+        tokens, offsets = _packed(rows)
         gt = np.zeros((len(encs), len(labels)), dtype=bool)
         for i, e in enumerate(encs):
             gt[i, [labels.index(c) for c in e.codes if c in labels]] = True
@@ -252,8 +252,8 @@ class _FrozenBase:
 
     def __init__(self, base: BaseModel, notes: Notes, vocab: Vocabulary):
         self.encs, self.offsets = notes.encounters, notes.offsets
-        aux_rows = (tokenize(encounter_aux_text(e), vocab).token_ids for e in self.encs)
-        aux, aux_offsets = _packed([() if r == (PAD_ID,) else r for r in aux_rows])
+        aux, aux_offsets = _packed([tokenize(encounter_aux_text(e), vocab).token_ids
+                                    for e in self.encs])
         h, h_aux = [np.empty((0, base.hp.d_c))], [np.empty((0, base.hp.d_c))]
 
         def run(idx):
@@ -270,7 +270,7 @@ class _FrozenBase:
         self.h_aux = np.insert(np.concatenate(h_aux), aux_offsets[:-1][~self.has_aux], 0.0, 0)
 
     def forward(self, reranker: MetadataReranker, idx):
-        """The reranker's (clamped, raw) scores on the notes at `idx`."""
+        """The reranker's (B, N) scores on the notes at `idx`."""
         rows, lengths = _segments(self.offsets, idx)
         aux_rows, aux_lengths = _segments(self.aux_offsets, idx)
         aux = ad.tensor(self.h_aux[aux_rows]) if self.has_aux[idx].any() else None
@@ -278,22 +278,18 @@ class _FrozenBase:
                                 aux, aux_lengths, self.encs[idx])
 
     def reranked(self, reranker: MetadataReranker) -> np.ndarray:
-        """The reranker's pre-clamp scores on every note, (n, N). With its
+        """The reranker's scores on every note, (n, N). With its
         projection all zero, as at the zero start, the residual is exactly
         zero and the scores are P itself."""
         if not (reranker.params["proj_w"].data.any() or reranker.params["proj_b"].data.any()):
             return self.probs.copy()
-        return _scored(lambda idx: self.forward(reranker, idx)[1].data, len(self.encs),
+        return _scored(lambda idx: self.forward(reranker, idx).data, len(self.encs),
                        reranker.n_labels)
 
 
 def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes: Notes,
                              vocab: Vocabulary) -> Predictions:
-    """Predictions carrying the reranker's pre-clamp residual scores.
-
-    Ranking must use unclamped scores (no ties at the bounds); every decision
-    threshold strictly inside (0,1) selects the same set either way.
-    """
+    """Predictions carrying the reranker's scores."""
     return notes.scored(_FrozenBase(base, notes, vocab).reranked(reranker))
 
 
@@ -373,7 +369,7 @@ def train_reranker(base: BaseModel, reranker: MetadataReranker, notes: Notes,
     and reused every epoch (the frozen contract makes them constants)."""
     frozen, dev_frozen = _FrozenBase(base, notes, vocab), _FrozenBase(base, dev_notes, vocab)
     return _train(reranker.params, notes, dev_notes, config,
-                  lambda idx: frozen.forward(reranker, idx)[0],
+                  lambda idx: frozen.forward(reranker, idx),
                   lambda: dev_frozen.reranked(reranker))
 
 

@@ -121,7 +121,7 @@ def _reranker_grad_error(seed: int) -> float:
     rr = MetadataReranker.init(3, 6, vocabs, RerankerHParams(d=4, n_heads=2),
                                seed=seed)
     # a zero projection would zero most parameter gradients; small scales keep
-    # the residual scores inside (0, 1) where the clamp is differentiable
+    # the residual scores inside (0, 1) where the loss's clip is differentiable
     rr.params["proj_w"].data[:] = rng.normal(size=(3, 4)) * 0.2
     rr.params["proj_b"].data[:] = rng.normal(size=3) * 0.05
     base_p = ad.tensor(np.full((1, 3), 0.5))
@@ -133,8 +133,7 @@ def _reranker_grad_error(seed: int) -> float:
     tensors = [rr.params[k] for k in sorted(rr.params)]
 
     def loss(*_):
-        clamped, _ = rr.forward(base_p, h_note, [4], h_aux, [2], [enc])
-        return ad.bce_loss(clamped, target)
+        return ad.bce_loss(rr.forward(base_p, h_note, [4], h_aux, [2], [enc]), target)
 
     return ad.grad_check(loss, tensors, eps=1e-4)
 

@@ -203,6 +203,32 @@ def test_clamp01_values_and_gradient_gate():
     np.testing.assert_array_equal(grads[x], [0.0, 1.0, 0.0])
 
 
+EPS = ad.PROB_EPS
+# one score in each stretch of the line: below 0, (0, ε), [ε, 1 − ε] with
+# both ends, (1 − ε, 1] and above 1
+CLIP_CASES = [-0.3, EPS / 2, EPS, 0.4, 1.0 - EPS, 1.0 - EPS / 4, 1.0, 1.7]
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0])
+@pytest.mark.parametrize("x", CLIP_CASES)
+def test_bce_loss_clips_as_clamp01_then_bce_loss(x, target):
+    # the reranker hands its unclamped scores P + Δ to bce_loss: the loss's own
+    # clip to [ε, 1 − ε], whose gradient is zero outside it, gives what a clamp
+    # to [0, 1] first would give, in value and gradient, to the bit
+    def loss_and_grad(clamp):
+        score = t([[x]], grad=True)
+        loss = ad.bce_loss(ad.clamp01(score) if clamp else score, t([[target]]))
+        return loss.data, ad.backward(loss)[score]
+
+    (loss, grad), (clamped_loss, clamped_grad) = loss_and_grad(False), loss_and_grad(True)
+    assert loss.tobytes() == clamped_loss.tobytes()
+    assert grad.tobytes() == clamped_grad.tobytes()
+    # what a reranker correcting in logit space, σ(logit P + Δ), changes: its
+    # scores never leave (0, 1), and the gradient of the loss with respect to
+    # the logit, σ − y, is never zero, where here a score past the clip gets none
+    assert (grad[0, 0] == 0.0) == (not EPS <= x <= 1.0 - EPS)
+
+
 def test_sum_axes():
     x = t([[1.0, 2.0], [3.0, 4.0]])
     assert ad.tensor_sum(x).data == 10.0

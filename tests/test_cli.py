@@ -256,6 +256,45 @@ def test_gen_corpus_writes_the_pinned_bytes(tmp_path):
     assert {name: _sha(tmp_path / "corpus" / name) for name in PINNED_SHA256} == PINNED_SHA256
 
 
+# TINY_CFG at seed 3 with 40 patients and three epochs for both models.
+# train-reranker keeps its third epoch, so these are a trained reranker's
+# bytes, not those of the zero start, which scores as the base model does.
+RERANKER_PIN = {"seed": "3", "n_patients": "40", "n_dev_patients": "6",
+                "n_test_patients": "6", "omitted_evidence_fraction": "0.2",
+                "max_epochs": "3", "patience": "3", "reranker_max_epochs": "3",
+                "reranker_patience": "3"}
+RERANKER_PIN_CFG = "".join(
+    [f"{row}\n" for row in TINY_CFG.splitlines() if row.split("=")[0].strip() not in RERANKER_PIN]
+    + [f"{key} = {value}\n" for key, value in RERANKER_PIN.items()])
+RERANKER_PIN_SHA256 = {
+    "reranker.ckpt": "7efcb3c0a3d8816e3a42865f223dbebe3dae51ffa5f63c218f966ecfc938e0f1",
+    "probs.npy": "8c711798f5056afc7aa2b75cd27ec6cc9e8f141163159075a69245699c806c51",
+    "history.csv": "f57a641afa3128c86532ae76240bc9783f7c264ee7ca728cb0ff894d6b620c7b",
+}
+
+
+def test_train_reranker_writes_the_pinned_bytes(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RERANKER_PIN_CFG, encoding="utf-8")
+    c, d = str(cfg), {name: str(tmp_path / name) for name in
+                      ("corpus", "prep", "model", "rr", "eval_rr")}
+    for argv in (["gen-corpus", "--config", c, "--out", d["corpus"]],
+                 ["preprocess", "--config", c, "--in", d["corpus"], "--out", d["prep"]],
+                 ["train", "--config", c, "--in", d["prep"], "--out", d["model"]],
+                 ["train-reranker", "--config", c, "--in", d["prep"], "--base", d["model"],
+                  "--out", d["rr"]],
+                 ["evaluate", "--config", c, "--in", d["prep"], "--model", d["model"],
+                  "--reranker", d["rr"], "--out", d["eval_rr"]]):
+        assert main(argv) == 0, argv[0]
+    assert "train-reranker: 3 epochs, kept epoch 3 at dev R@5 0.9423" in capsys.readouterr().out
+    history = (tmp_path / "rr" / "history.csv").read_text(encoding="utf-8")
+    without_seconds = "".join(row.rsplit(",", 1)[0] + "\n" for row in history.splitlines())
+    assert {"reranker.ckpt": _sha(tmp_path / "rr" / "reranker.ckpt"),
+            "probs.npy": _sha(tmp_path / "eval_rr" / "probs.npy"),
+            "history.csv": hashlib.sha256(without_seconds.encode("utf-8")).hexdigest(),
+            } == RERANKER_PIN_SHA256
+
+
 # default model widths, so the batched GEMMs are large enough for OpenBLAS to
 # split them across threads
 BLAS_CFG = """\
@@ -318,6 +357,18 @@ def test_calibrated_without_maps_is_usage_error(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "o"), "--max-fp", "0.1", "--calibrated"])
     assert code == 2
     assert "icdlab-error: usage" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
+
+
+def test_maps_without_calibrated_is_usage_error(pipeline, tmp_path, capsys):
+    # the maps would go unused: calibrated=no rows and no maps among the inputs
+    code = main(["automate", "--config", str(pipeline["cfg"]),
+                 "--dev", str(pipeline["eval_dev"]), "--test", str(pipeline["eval_test"]),
+                 "--out", str(tmp_path / "o"), "--max-fp", "0.1",
+                 "--maps", str(pipeline["calib"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "icdlab-error: usage: --maps requires --calibrated\n"
     assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
 
 

@@ -18,6 +18,7 @@ from icdlab.corpus import (
     _zipf_probs,
     chapter,
     corpus_stats,
+    encounter_of,
     generate_corpus,
     read_encounters,
     silent_code_indices,
@@ -57,15 +58,23 @@ def _avg_ranks(x):
 # ---------------------------------------------------------------------------
 
 
+def split_row(codes):
+    """A split-file row of `read_rows` holding `codes`."""
+    return {"patient_id": "P1", "date": "2020-01-01", "dept": "D1", "doctor": "DR1",
+            "text": "x", "codes": codes, "meds": [], "procs": []}
+
+
 def test_encounter_rejects_empty_codes():
-    with pytest.raises(ValidationError):
-        Encounter("P1", dt.date(2020, 1, 1), "D1", "DR1", "x", frozenset())
+    with pytest.raises(ValidationError) as err:
+        encounter_of("f.jsonl", 3, split_row([]))
+    assert str(err.value) == "f.jsonl:3: encounter P1/2020-01-01: empty code set"
 
 
 @pytest.mark.parametrize("bad", ["e78.5", "E785", "E7.5", "E78.", "E78.12345", "XX78"])
 def test_encounter_rejects_malformed_codes(bad):
-    with pytest.raises(ValidationError):
-        Encounter("P1", dt.date(2020, 1, 1), "D1", "DR1", "x", frozenset([bad]))
+    with pytest.raises(ValidationError) as err:
+        encounter_of("f.jsonl", 3, split_row([bad]))
+    assert str(err.value) == f"f.jsonl:3: malformed code {bad!r}"
 
 
 @pytest.mark.parametrize("good", ["E78", "E78.5", "I70.203", "A00.0", "Z99.aB3x"])

@@ -234,8 +234,7 @@ def test_zero_projection_is_exact_residual():
     rr = toy_reranker()
     base_p = ad.tensor(np.array([[0.3, 0.8]]))
     h = ad.tensor(np.random.default_rng(0).normal(size=(4, 5)))
-    pf, raw = rr.forward(base_p, h, [4], *NO_AUX, [make_enc()])
-    assert raw.data.tobytes() == base_p.data.tobytes()
+    pf = rr.forward(base_p, h, [4], *NO_AUX, [make_enc()])
     assert pf.data.tobytes() == base_p.data.tobytes()
 
 
@@ -288,7 +287,7 @@ def test_reranker_forward_matches_numpy_oracle():
     Ha = rng.normal(size=(2, 5))
     enc = make_enc(meds=("M1",), procs=("R1",))
 
-    pf, raw = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn), [3], ad.tensor(Ha), [2], [enc])
+    pf = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn), [3], ad.tensor(Ha), [2], [enc])
 
     # independent recomputation with plain numpy
     P = rr.params
@@ -313,8 +312,7 @@ def test_reranker_forward_matches_numpy_oracle():
 
     mixed = attn("attn_n", Hn) + attn("attn_m", Ha)
     want_raw = (mixed * P["proj_w"].data).sum(axis=1) + P["proj_b"].data + base_p
-    np.testing.assert_allclose(raw.data[0], want_raw, atol=1e-10)
-    np.testing.assert_allclose(pf.data[0], np.clip(want_raw, 0, 1), atol=1e-10)
+    np.testing.assert_allclose(pf.data[0], want_raw, atol=1e-10)
 
 
 def test_missing_aux_encoding_drops_attn_m_term():
@@ -323,10 +321,10 @@ def test_missing_aux_encoding_drops_attn_m_term():
     base_p = ad.tensor(np.array([[0.5, 0.5]]))
     h = ad.tensor(np.random.default_rng(3).normal(size=(3, 5)))
     enc = make_enc()
-    pf_masked, _ = rr.forward(base_p, h, [3], ad.tensor(np.zeros((1, 5))), [1], [enc])
+    pf_masked = rr.forward(base_p, h, [3], ad.tensor(np.zeros((1, 5))), [1], [enc])
     # one zero aux row behaves exactly as a reranker with no attn_m output
     rr.params["attn_m.wo"].data[:] = 0.0
-    pf_none, _ = rr.forward(base_p, h, [3], *NO_AUX, [enc])
+    pf_none = rr.forward(base_p, h, [3], *NO_AUX, [enc])
     np.testing.assert_array_equal(pf_none.data, pf_masked.data)
 
 
@@ -336,8 +334,8 @@ def test_parameters_a_batch_does_not_use_get_no_gradient():
     rr = toy_reranker(seed=45)
     rr.params["proj_w"].data[:] = 0.3
     h = ad.tensor(np.random.default_rng(6).normal(size=(6, 5)))
-    pf, _ = rr.forward(ad.tensor(np.full((2, 2), 0.5)), h, [3, 3], *NO_AUX,
-                       [make_enc(), make_enc(procs=("R1",))])
+    pf = rr.forward(ad.tensor(np.full((2, 2), 0.5)), h, [3, 3], *NO_AUX,
+                    [make_enc(), make_enc(procs=("R1",))])
     grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 2)))))
     unused = [rr.params[k] for k in rr.params if k.startswith("attn_m") or k == "med_emb"]
     assert unused and not any(t in grads for t in unused)
@@ -357,8 +355,7 @@ def test_reranker_grad_check():
     tensors = [rr.params[n] for n in names]
 
     def f(*ts):
-        pf, _ = rr.forward(base_p, h, [3], ha, [2], [enc])
-        return ad.bce_loss(pf, y)
+        return ad.bce_loss(rr.forward(base_p, h, [3], ha, [2], [enc]), y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -377,7 +374,7 @@ def test_frozen_base_gets_no_gradient():
     rr = toy_reranker(n_labels=3, d=4, d_keys=5, seed=53)
     rr.params["proj_w"].data[:] = 0.2
     frozen = _FrozenBase(base, frozen_notes([("a b c", make_enc(meds=("M1",)))]), TOY_VOCAB)
-    pf, _ = frozen.forward(rr, np.arange(1))
+    pf = frozen.forward(rr, np.arange(1))
     grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.array([[1.0, 0.0, 1.0]]))))
     for t in base.params.values():
         assert t not in grads
@@ -410,10 +407,9 @@ def test_reranker_padded_batch_rows_equal_notes_alone():
     assert np.diff(frozen.offsets).tolist() == [5, 1, 2, 4]
     assert frozen.has_aux.tolist() == [True, False, True, False]  # "m1 m2" and "r1"
     assert np.diff(frozen.aux_offsets).tolist() == [2, 1, 1, 1]  # are unknown tokens
-    pf, raw = frozen.forward(rr, np.arange(4))
+    pf = frozen.forward(rr, np.arange(4))
     for i in range(4):
-        pf1, raw1 = frozen.forward(rr, np.array([i]))
-        np.testing.assert_allclose(raw.data[i], raw1.data[0], rtol=0, atol=1e-12)
+        pf1 = frozen.forward(rr, np.array([i]))
         np.testing.assert_allclose(pf.data[i], pf1.data[0], rtol=0, atol=1e-12)
 
 
@@ -423,7 +419,7 @@ def test_reranker_padded_batch_grad_check():
     tensors = [rr.params[n] for n in sorted(rr.params)]
 
     def f(*ts):
-        return ad.bce_loss(frozen.forward(rr, np.arange(4))[0], y)
+        return ad.bce_loss(frozen.forward(rr, np.arange(4)), y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -434,7 +430,7 @@ def test_batch_without_aux_tokens_leaves_attn_m_out_of_the_graph():
     rr, frozen = reranker_on_mixed_batch(61)
     attn_m = [rr.params[k] for k in rr.params if k.startswith("attn_m")]
     for idx, used in (([1, 3], False), ([3, 0], True)):
-        pf, _ = frozen.forward(rr, np.array(idx))
+        pf = frozen.forward(rr, np.array(idx))
         grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 3)))))
         assert all((t in grads) == used for t in attn_m)
 
@@ -450,9 +446,9 @@ def test_forward_graphs_hold_one_label_attention_per_attention():
     # base model's scores and per-position values live inside its attention
     rr = toy_reranker(seed=63)
     rng = np.random.default_rng(9)
-    pf, _ = rr.forward(ad.tensor(np.full((1, 2), 0.5)), ad.tensor(rng.normal(size=(3, 5))),
-                       [3], ad.tensor(rng.normal(size=(2, 5))), [2],
-                       [make_enc(meds=("M1",), procs=("R1",))])
+    pf = rr.forward(ad.tensor(np.full((1, 2), 0.5)), ad.tensor(rng.normal(size=(3, 5))),
+                    [3], ad.tensor(rng.normal(size=(2, 5))), [2],
+                    [make_enc(meds=("M1",), procs=("R1",))])
     counts = primitive_counts(pf)
     assert counts["label_attention"] == 2 and counts["matmul"] <= 16
     counts = primitive_counts(toy_model("caml").forward(*note([2, 3, 4]))[0])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from icdlab.corpus import CorpusConfig, Encounter, generate_corpus
 from icdlab.errors import ConfigError, ContractError
 from icdlab.preprocess import (
-    PAD_ID,
     UNK_ID,
     Vocabulary,
     build_vocab,
@@ -215,9 +214,9 @@ def test_vocab_min_count_must_be_positive():
 # ---------------------------------------------------------------------------
 
 
-def test_tokenize_empty_text_is_single_pad():
+def test_tokenize_empty_text_is_empty():
     v = build_vocab(["a"])
-    assert tokenize("", v).token_ids == (PAD_ID,)
+    assert tokenize("", v).token_ids == ()
 
 
 def test_tokenize_unknown_token():
