@@ -2,8 +2,9 @@
 
 Calibration fits one monotone step function per label on (probability,
 outcome) pairs from the development split. Automation selects whole
-documents whose prediction the model is confident about: every predicted
-label's probability at least t_u, every other label's at most t_l.
+documents whose prediction the model is confident about: a rule is the pair
+(t_u, t_l), and it selects a document iff every predicted label's
+probability is at least t_u and every other label's at most t_l.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LeakageError, UndefinedMetricError, ValidationError
+from .errors import UndefinedMetricError, ValidationError
 from .metrics import Predictions
 
 # --------------------------------------------------------------------------
@@ -79,25 +80,25 @@ def _pav(sums, weights, first=(0,)) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsotonicMap:
-    """Per-label piecewise-constant calibration maps.
+    """Per-label piecewise-constant calibration maps, label j's the pair
+    maps[j] = (xs, vs).
 
     Each label holds sorted raw-probability breakpoints with one calibrated
     value per segment; lookups clamp to the first/last segment outside the
     observed range. A fitted map starts a segment only where the value
     changes; a map with repeated values (one breakpoint per level) is the
-    same function. Labels without a fitted map pass through unchanged.
+    same function.
     """
 
-    n_labels: int
-    maps: dict[int, tuple[np.ndarray, np.ndarray]]
+    maps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def apply(self, predictions: Predictions) -> Predictions:
-        """The same documents with every fitted label column mapped."""
-        if predictions.probs.shape[1] != self.n_labels:
-            raise ValidationError(f"calibration maps cover {self.n_labels} labels, "
+        """The same documents with every label column mapped."""
+        if predictions.probs.shape[1] != len(self.maps):
+            raise ValidationError(f"calibration maps cover {len(self.maps)} labels, "
                                   f"predictions {predictions.probs.shape[1]}")
         probs = predictions.probs.copy()
-        for j, (xs, vs) in self.maps.items():
+        for j, (xs, vs) in enumerate(self.maps):
             probs[:, j] = vs[np.maximum(np.searchsorted(xs, probs[:, j], side="right") - 1, 0)]
         return replace(predictions, probs=probs)
 
@@ -114,7 +115,7 @@ def fit_isotonic(predictions: Predictions) -> IsotonicMap:
     if not len(predictions):
         raise ValidationError("cannot fit calibration on zero records")
     m, n = predictions.probs.shape
-    maps = {}
+    maps = []
     for block in _label_blocks(m, n):
         cols = np.ascontiguousarray(predictions.probs[:, block].T)
         order = np.argsort(cols, axis=1)  # a level sums its tied hits in any order
@@ -133,9 +134,8 @@ def fit_isotonic(predictions: Predictions) -> IsotonicMap:
         step[first] = True  # each label starts a step
         steps = np.flatnonzero(step)
         cut = np.searchsorted(steps, first[1:])
-        maps.update(zip(range(block.start, block.stop),
-                        zip(np.split(xs[starts[steps]], cut), np.split(fitted[steps], cut))))
-    return IsotonicMap(n_labels=n, maps=maps)
+        maps += zip(np.split(xs[starts[steps]], cut), np.split(fitted[steps], cut))
+    return IsotonicMap(tuple(maps))
 
 
 # --------------------------------------------------------------------------
@@ -180,34 +180,6 @@ def ece(conf: np.ndarray, hits: np.ndarray, n_bins: int = 10):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Select a document iff its predicted labels all score ≥ t_u and every
-    other label scores ≤ t_l. `select_none` marks a degenerate search result
-    that should select nothing at all."""
-
-    t_u: float
-    t_l: float
-    decision_threshold: float = 0.5
-    fitted_on: str = "dev"
-    select_none: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_u <= 1.0 and 0.0 <= self.t_l <= 1.0):
-            raise ValidationError("thresholds must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class AutomationResult:
-    selected: tuple[int, ...]  # positions within the evaluated record list
-    true_positives: int
-    false_positives: int
-
-    @property
-    def fp_rate(self) -> float:
-        return self.false_positives / max(1, len(self.selected))
-
-
 def _extremes(probs: np.ndarray, decision_threshold: float):
     """Per document: the lowest predicted score, -inf when nothing is
     predicted (no t_u selects it), and the highest other score, -inf when
@@ -217,14 +189,6 @@ def _extremes(probs: np.ndarray, decision_threshold: float):
     min_pred[~pred.any(axis=1)] = -np.inf
     max_rest = np.max(probs, axis=1, where=~pred, initial=-np.inf)
     return min_pred, max_rest
-
-
-def decide_exact_match(predictions: Predictions, rule: ThresholdRule) -> np.ndarray:
-    """(m,) whether the rule selects each document."""
-    if rule.select_none:
-        return np.zeros(len(predictions), dtype=bool)
-    min_pred, max_rest = _extremes(predictions.probs, rule.decision_threshold)
-    return (min_pred >= rule.t_u) & (max_rest <= rule.t_l)
 
 
 def _exact(predictions: Predictions, decision_threshold: float) -> np.ndarray:
@@ -237,23 +201,20 @@ def _exact(predictions: Predictions, decision_threshold: float) -> np.ndarray:
 _GRID = tuple(i / 20 for i in range(21))
 
 
-def search_thresholds(predictions: Predictions, max_fp: float,
-                      decision_threshold: float = 0.5,
-                      fitted_on: str = "dev") -> tuple[ThresholdRule, AutomationResult]:
-    """Exhaustive 0.05-step grid search maximizing dev true positives.
+def search_thresholds(predictions: Predictions, max_fps,
+                      decision_threshold: float = 0.5) -> list[tuple[float, float] | None]:
+    """One rule per false-positive budget: the (t_u, t_l) point of the
+    0.05-step grid with the most dev true positives among those whose fp
+    rate is at most the budget, or None, select nothing, where no such point
+    has a true positive.
 
-    Feasible points keep fp_rate ≤ max_fp; ties break toward lower fp_rate,
-    then higher t_u, then lower t_l. If no feasible point selects anything,
-    the returned rule carries select_none=True.
-
-    Every grid point is counted at once: a document passes t_u = _GRID[a]
-    iff a < u, u the number of grid points ≤ its min_pred, and passes
+    Ties break toward lower fp rate, then higher t_u, then lower t_l. Every
+    grid point is counted at once: a document passes t_u = _GRID[a] iff
+    a < u, u the number of grid points ≤ its min_pred, and passes
     t_l = _GRID[b] iff b ≥ l, l the number of grid points < its max_rest; so
     the selected and exact counts over the (t_u, t_l) grid are 2-D
-    cumulative sums of one histogram over (u, l).
+    cumulative sums of one histogram over (u, l), which every budget shares.
     """
-    if not 0.0 < max_fp <= 1.0:
-        raise ValidationError("max_fp must lie in (0, 1]")
     min_pred, max_rest = _extremes(predictions.probs, decision_threshold)
     exact = _exact(predictions, decision_threshold)
     g = len(_GRID)
@@ -269,38 +230,38 @@ def search_thresholds(predictions: Predictions, max_fp: float,
 
     n_sel, tp = grid_counts(None), grid_counts(exact)
     fpr = (n_sel - tp) / np.maximum(1, n_sel)
-    feasible = np.flatnonzero(fpr <= max_fp)
-    a, b = np.divmod(feasible, g)  # the t_u and t_l grid indices
-    # the largest key (tp, -fpr, t_u, -t_l) first
-    best = feasible[np.lexsort((b, -a, fpr[feasible], -tp[feasible]))][:1]
-    if not best.size or tp[best[0]] == 0:
-        # for max_fp < 1 a feasible point with zero TP selects nothing
-        rule = ThresholdRule(1.0, 0.0, decision_threshold, fitted_on, select_none=True)
-        return rule, AutomationResult((), 0, 0)
-    best = int(best[0])
-    rule = ThresholdRule(_GRID[best // g], _GRID[best % g], decision_threshold, fitted_on)
-    sel = (min_pred >= rule.t_u) & (max_rest <= rule.t_l)
-    return rule, AutomationResult(tuple(np.flatnonzero(sel).tolist()), int(tp[best]),
-                                  int(n_sel[best] - tp[best]))
+    a, b = np.divmod(np.arange(g * g), g)  # the t_u and t_l grid indices
+    ranked = np.lexsort((b, -a, fpr, -tp))  # the largest key (tp, -fpr, t_u, -t_l) first
+    rules = []
+    for max_fp in max_fps:
+        best = ranked[fpr[ranked] <= max_fp][:1]
+        rules.append((_GRID[best[0] // g], _GRID[best[0] % g])
+                     if best.size and tp[best[0]] else None)
+    return rules
 
 
-def evaluate_automation(predictions: Predictions,
-                        rule: ThresholdRule) -> tuple[AutomationResult, float]:
-    """Apply the rule and report the identified fraction of exact-match
-    records.
+def evaluate_automation(predictions: Predictions, rules,
+                        decision_threshold: float = 0.5) -> list[tuple[float, float]]:
+    """(identified, fp_rate) of each rule: the fraction of exact-match
+    records it selects (0 when no record is an exact match) and the fraction
+    of what it selects that is not one (0 when it selects nothing).
 
     Exactness and decisions use the same probabilities, so the identified
-    fraction never exceeds 1. No exact match anywhere → 0.
+    fraction never exceeds 1.
     """
-    if rule.fitted_on == "test":
-        raise LeakageError("automation rule was fitted on the test split")
-    exact = _exact(predictions, rule.decision_threshold)
-    selected = decide_exact_match(predictions, rule)
-    tp = int(np.count_nonzero(selected & exact))
-    fp = int(np.count_nonzero(selected & ~exact))
+    min_pred, max_rest = _extremes(predictions.probs, decision_threshold)
+    exact = _exact(predictions, decision_threshold)
     possible = int(np.count_nonzero(exact))
-    result = AutomationResult(tuple(np.flatnonzero(selected).tolist()), tp, fp)
-    return result, (tp / possible if possible else 0.0)
+    results = []
+    for rule in rules:
+        if rule is None:
+            results.append((0.0, 0.0))
+            continue
+        selected = (min_pred >= rule[0]) & (max_rest <= rule[1])
+        n_sel = int(np.count_nonzero(selected))
+        tp = int(np.count_nonzero(selected & exact))
+        results.append((tp / possible if possible else 0.0, (n_sel - tp) / max(1, n_sel)))
+    return results
 
 
 def automation_sweep(dev: Predictions, test: Predictions, max_fps,
@@ -313,12 +274,9 @@ def automation_sweep(dev: Predictions, test: Predictions, max_fps,
     """
     if maps is not None:
         dev, test = maps.apply(dev), maps.apply(test)
-    rows = []
-    for max_fp in max_fps:
-        rule, _ = search_thresholds(dev, max_fp, decision_threshold)
-        result, pct = evaluate_automation(test, rule)
-        rows.append((float(max_fp), maps is not None, pct, result.fp_rate))
-    return rows
+    rules = search_thresholds(dev, max_fps, decision_threshold)
+    return [(float(max_fp), maps is not None, pct, fpr) for max_fp, (pct, fpr)
+            in zip(max_fps, evaluate_automation(test, rules, decision_threshold))]
 
 
 def sweep_csv(rows) -> str:

@@ -298,9 +298,10 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
     records = read_prediction_records(src)
     maps = fit_isotonic(records)
     arrays = {}
-    for j, (xs, vs) in sorted(maps.maps.items()):
+    for j, (xs, vs) in enumerate(maps.maps):
         arrays |= {f"x{j}": xs, f"v{j}": vs}
-    save_params(stage / "isotonic.ckpt", arrays, {"kind": "isotonic", "n_labels": maps.n_labels})
+    save_params(stage / "isotonic.ckpt", arrays, {
+        "kind": "isotonic", "n_labels": len(maps.maps), "labels_sha256": _labels_digest(src)})
     before = ece(records.probs, records.gt, rc.ece_bins)
     after = ece(maps.apply(records).probs, records.gt, rc.ece_bins)
     improved = int(np.count_nonzero(after <= before + 1e-9))
@@ -309,25 +310,38 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
                                                                     after.tolist()))]
     _write(stage / "ece.csv", "\n".join(lines) + "\n")
     return [src / "probs.npy", src / "records.jsonl"], (), (
-        f"calibrate: fit-data ECE non-increasing for {improved}/{maps.n_labels} labels")
+        f"calibrate: fit-data ECE non-increasing for {improved}/{len(maps.maps)} labels")
 
 
-def load_isotonic(calib_dir) -> IsotonicMap:
-    """The maps of a calibration checkpoint, which must hold one for every label."""
+def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
+    """The maps of a calibration checkpoint fitted on the label space whose
+    labels.json digest is `labels_sha256`, that of `dev_dir`: for each of its
+    n_labels labels j exactly the arrays x{j} and v{j}, non-empty, 1-D, of
+    equal length and non-decreasing."""
     path = Path(calib_dir) / "isotonic.ckpt"
     meta, arrays = load_params(path)
     with reading(path):
         if meta.get("kind") != "isotonic":
             raise ValidationError(f"{path}: not a calibration checkpoint")
-        n = int(meta["n_labels"])
-    maps = {}
+        n, digest = meta["n_labels"], meta["labels_sha256"]
+    if type(n) is not int or n < 0:  # not a bool, a float or a string
+        raise ValidationError(f"{path}: n_labels must be a non-negative integer, got {n!r}")
+    if digest != labels_sha256:
+        raise ValidationError(f"{path}: maps were fitted on another label space than the "
+                              f"one the manifest of {dev_dir} records")
+    maps = []
     for j in range(n):
-        xs, vs = maps[j] = arrays.get(f"x{j}"), arrays.get(f"v{j}")
+        xs, vs = arrays.get(f"x{j}"), arrays.get(f"v{j}")
         if (xs is None or vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
                 or not (np.diff(xs) >= 0).all() or not (np.diff(vs) >= 0).all()):
             raise ValidationError(f"{path}: label {j} needs non-empty 1-D x{j} and v{j} "
                                   f"of equal length, both non-decreasing")
-    return IsotonicMap(n_labels=n, maps=maps)
+        maps.append((xs, vs))
+    extra = sorted(set(arrays) - {f"{c}{j}" for j in range(n) for c in "xv"})
+    if extra:
+        raise ValidationError(f"{path}: array {extra[0]!r} is not an x{{j}} or v{{j}} "
+                              f"of its {n} labels")
+    return IsotonicMap(tuple(maps))
 
 
 def _labels_digest(eval_dir: Path) -> str:
@@ -338,13 +352,28 @@ def _labels_digest(eval_dir: Path) -> str:
         return {Path(p).name: digest for p, digest in inputs.items()}["labels.json"]
 
 
+def _budgets(spec: str) -> list[float]:
+    """The --max-fp false-positive budgets: a comma-separated list of
+    fractions in (0, 1]."""
+    try:
+        fps = [float(p) for p in spec.split(",") if p.strip()]
+    except ValueError:
+        fps = []
+    if not fps or not all(0.0 < f <= 1.0 for f in fps):
+        raise UsageError(f"--max-fp must list budgets in (0, 1], separated by commas, "
+                         f"got {spec!r}")
+    return fps
+
+
 @_stage
 def cmd_automate(args, rc: RunConfig, stage: Path):
     if args.calibrated != bool(args.maps):
         raise UsageError("--calibrated requires --maps" if args.calibrated
                          else "--maps requires --calibrated")
+    fps = _budgets(args.max_fp)
     dev_dir, test_dir = Path(args.dev), Path(args.test)
-    if _labels_digest(dev_dir) != _labels_digest(test_dir):
+    labels_sha256 = _labels_digest(dev_dir)
+    if labels_sha256 != _labels_digest(test_dir):
         raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "
                               f"different labels.json digests, so different label spaces")
     inputs = [d / n for d in (dev_dir, test_dir) for n in ("probs.npy", "records.jsonl")]
@@ -356,9 +385,8 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
                               f"scores {n_test}; both must come from one label space")
     maps = None
     if args.calibrated:
-        maps = load_isotonic(args.maps)
+        maps = load_isotonic(args.maps, labels_sha256, dev_dir)
         inputs.append(Path(args.maps) / "isotonic.ckpt")
-    fps = parse_fractions(args.max_fp)
     rows = automation_sweep(dev_records, test_records, fps, maps,
                             rc.decision_threshold)
     _write(stage / "automation.csv", sweep_csv(rows))
@@ -406,7 +434,8 @@ def cmd_report(args, rc: RunConfig, stage: Path):
 def cmd_pipeline(args, rc: RunConfig) -> int:
     """The whole chain, corpus to report, one stage directory each under
     --workdir; the first stage that fails stops it with that stage's exit
-    code."""
+    code. Bad --max-fp budgets stop it before the first stage."""
+    _budgets(args.max_fp)
     w = Path(args.workdir)
     w.mkdir(parents=True, exist_ok=True)
 

@@ -35,10 +35,6 @@ class ShapeError(ContractError):
     """Array shapes are incompatible for the requested operation."""
 
 
-class LeakageError(ValidationError):
-    """An evaluation artifact was fitted on the data it is scored on."""
-
-
 class UndefinedMetricError(ValidationError):
     """The requested statistic is undefined for the given input."""
 

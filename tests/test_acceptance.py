@@ -24,9 +24,7 @@ import pytest
 
 from icdlab import autodiff as ad
 from icdlab.calibrate import (
-    ThresholdRule,
     _pav,
-    decide_exact_match,
     ece,
     evaluate_automation,
     fit_isotonic,
@@ -605,11 +603,12 @@ def test_criterion_08_automation_budget():
     dev = _confusable_records(rng)
     budget_ok, any_tp = True, False
     compliance = []
-    for max_fp in (0.05, 0.10, 0.15, 0.20):
-        rule, result = search_thresholds(dev, max_fp)
-        budget_ok &= result.fp_rate <= max_fp + 1e-12
-        any_tp |= result.true_positives > 0
-        compliance.append(f"{max_fp:.2f}:{result.fp_rate:.3f}")
+    budgets = (0.05, 0.10, 0.15, 0.20)
+    for max_fp, (identified, fp_rate) in zip(
+            budgets, evaluate_automation(dev, search_thresholds(dev, budgets))):
+        budget_ok &= fp_rate <= max_fp + 1e-12
+        any_tp |= identified > 0  # some exact match selected
+        compliance.append(f"{max_fp:.2f}:{fp_rate:.3f}")
 
     violations = 0
     for _ in range(10_000):
@@ -618,13 +617,16 @@ def test_criterion_08_automation_budget():
         record = _predictions([_Row(probs, gt, 0)])
         u1, u2 = sorted(rng.integers(0, 21, size=2) / 20)
         l2, l1 = sorted(rng.integers(0, 21, size=2) / 20)
-        loose = ThresholdRule(float(u1), float(l1))
-        tight = ThresholdRule(float(u2), float(l2))  # higher t_u, lower t_l
-        if decide_exact_match(record, tight)[0] and not decide_exact_match(record, loose)[0]:
+        loose = (float(u1), float(l1))
+        tight = (float(u2), float(l2))  # higher t_u, lower t_l
+        # one document: a rule selects it iff it counts as identified or as a false positive
+        tight_sel, loose_sel = (hit + fpr > 0 for hit, fpr
+                                in evaluate_automation(record, [tight, loose]))
+        if tight_sel and not loose_sel:
             violations += 1
 
-    sep_rule, _ = search_thresholds(_separable_records(np.random.default_rng(881)), 0.05)
-    _, pct = evaluate_automation(_separable_records(np.random.default_rng(882)), sep_rule)
+    sep_rules = search_thresholds(_separable_records(np.random.default_rng(881)), [0.05])
+    [(pct, _)] = evaluate_automation(_separable_records(np.random.default_rng(882)), sep_rules)
 
     ok = budget_ok and any_tp and violations == 0 and pct >= 0.5
     _verdict(8, ok, f"dev fp-rate within budget at {' '.join(compliance)} "

@@ -12,22 +12,20 @@ from hypothesis import strategies as st
 from icdlab import calibrate
 from icdlab.calibrate import (
     _GRID,
-    AutomationResult,
     IsotonicMap,
-    ThresholdRule,
     _exact,
     _extremes,
     _pav,
     automation_sweep,
-    decide_exact_match,
     ece,
     evaluate_automation,
     fit_isotonic,
     search_thresholds,
     sweep_csv,
 )
+from icdlab.cli import _budgets
 from icdlab.corpus import Encounter
-from icdlab.errors import LeakageError, UndefinedMetricError, ValidationError
+from icdlab.errors import UndefinedMetricError, UsageError, ValidationError
 from icdlab.metrics import Predictions, instance_f1
 
 _ENC = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t", frozenset(["A00.0"]))
@@ -183,8 +181,8 @@ def test_fit_matches_the_projection_oracle_on_every_label(seed):
     probs = rng.integers(0, int(rng.integers(1, 12)), size=(m, n)) / 11
     gt = rng.uniform(size=(m, n)) < probs
     fitted = fit_isotonic(P(probs, [set(np.flatnonzero(row)) for row in gt]))
-    assert sorted(fitted.maps) == list(range(n))
-    for j, (xs, vs) in fitted.maps.items():
+    assert len(fitted.maps) == n
+    for j, (xs, vs) in enumerate(fitted.maps):
         levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
                                             return_counts=True)
         positives = np.bincount(inverse, weights=gt[:, j]).astype(int)
@@ -212,13 +210,13 @@ def test_stepped_map_applies_as_the_full_level_map(seed):
     probs = rng.integers(0, int(rng.integers(1, 20)), size=(m, n)) / 19
     gt = rng.uniform(size=(m, n)) < probs
     records = P(probs, [set(np.flatnonzero(row)) for row in gt])
-    full = {}
+    full = []
     for j in range(n):
         levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
                                             return_counts=True)
-        full[j] = (levels, _pav(np.bincount(inverse, weights=gt[:, j]).astype(np.int64),
-                                counts))
-    stepped, full = fit_isotonic(records), IsotonicMap(n_labels=n, maps=full)
+        full.append((levels, _pav(np.bincount(inverse, weights=gt[:, j]).astype(np.int64),
+                                  counts)))
+    stepped, full = fit_isotonic(records), IsotonicMap(tuple(full))
     probes = P(rng.uniform(-0.2, 1.2, size=(50, n)))
     for data in (records, probes):
         assert stepped.apply(data).probs.tobytes() == full.apply(data).probs.tobytes()
@@ -227,11 +225,11 @@ def test_stepped_map_applies_as_the_full_level_map(seed):
 def test_fit_single_level_and_constant_columns():
     # one record is one level; a constant column is one level of all records
     one = fit_isotonic(P([[0.4, 0.7]], [{1}])).maps
-    assert [(xs.tolist(), vs.tolist()) for xs, vs in one.values()] == [([0.4], [0.0]),
-                                                                      ([0.7], [1.0])]
+    assert [(xs.tolist(), vs.tolist()) for xs, vs in one] == [([0.4], [0.0]),
+                                                               ([0.7], [1.0])]
     const = fit_isotonic(P([[0.3, 0.2]] * 3, [{0}, {0}, {1}])).maps
-    assert [(xs.tolist(), vs.tolist()) for xs, vs in const.values()] == [([0.3], [2 / 3]),
-                                                                        ([0.2], [1 / 3])]
+    assert [(xs.tolist(), vs.tolist()) for xs, vs in const] == [([0.3], [2 / 3]),
+                                                                 ([0.2], [1 / 3])]
 
 
 @pytest.mark.parametrize("block_cells", [5, 20])
@@ -245,17 +243,11 @@ def test_label_blocks_give_the_whole_matrix_results(monkeypatch, block_cells):
     whole, whole_ece = fit_isotonic(records).maps, ece(probs, gt)
     monkeypatch.setattr(calibrate, "_BLOCK_CELLS", block_cells)
     blocked = fit_isotonic(records).maps
-    assert sorted(blocked) == sorted(whole)
-    for j, (xs, vs) in whole.items():
+    assert len(blocked) == len(whole)
+    for j, (xs, vs) in enumerate(whole):
         np.testing.assert_array_equal(blocked[j][0], xs)
         np.testing.assert_array_equal(blocked[j][1], vs)
     np.testing.assert_array_equal(ece(probs, gt), whole_ece)
-
-
-def test_unfitted_label_is_identity():
-    fitted = fit_isotonic(column([0.2, 0.7], hits={0, 1}))
-    m = IsotonicMap(n_labels=2, maps=fitted.maps)  # label 1 has no map
-    assert m.apply(P([[0.2, 0.37]])).probs.tolist() == [[1.0, 0.37]]
 
 
 def test_apply_rebuilds_records():
@@ -369,11 +361,14 @@ def test_fit_data_ece_never_increases(seed):
 # decision rule
 # ---------------------------------------------------------------------------
 
-RULE = ThresholdRule(t_u=0.95, t_l=0.10)
+RULE = (0.95, 0.10)  # (t_u, t_l)
 
 
 def decide(probs, rule=RULE):
-    return decide_exact_match(P([probs]), rule).tolist() == [True]
+    """Whether the rule selects the one document: a selected document is
+    identified if it is an exact match and a false positive if not."""
+    [(identified, fp_rate)] = evaluate_automation(P([probs], [{0}]), [rule])
+    return identified + fp_rate > 0
 
 
 def test_decide_confident_prediction_selected():
@@ -393,28 +388,22 @@ def test_decide_all_labels_predicted_needs_no_t_l():
 
 
 def test_decide_boundaries_are_closed():
-    assert decide([0.95, 0.10], ThresholdRule(t_u=0.95, t_l=0.10))
+    assert decide([0.95, 0.10], (0.95, 0.10))
 
 
-def test_select_none_rule_selects_nothing():
-    assert not decide([1.0, 0.0], ThresholdRule(1.0, 0.0, select_none=True))
-
-
-def test_rule_threshold_bounds_validated():
-    with pytest.raises(ValidationError):
-        ThresholdRule(t_u=1.5, t_l=0.0)
+def test_no_rule_selects_nothing():
+    assert not decide([1.0, 0.0], None)
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=50, deadline=None)
 def test_tightening_thresholds_only_shrinks(seed):
     rng = np.random.default_rng(seed)
-    records = P([rng.uniform(size=6) for _ in range(10)], [{0}] * 10)
+    records = [rng.uniform(size=6) for _ in range(10)]
     t_u, t_l = rng.uniform(size=2)
-    loose = ThresholdRule(t_u, t_l)
-    tight = ThresholdRule(min(1.0, t_u + 0.2), max(0.0, t_l - 0.2))
-    assert not (decide_exact_match(records, tight)
-                & ~decide_exact_match(records, loose)).any()
+    loose = (t_u, t_l)
+    tight = (min(1.0, t_u + 0.2), max(0.0, t_l - 0.2))
+    assert not any(decide(probs, tight) and not decide(probs, loose) for probs in records)
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +413,29 @@ def test_tightening_thresholds_only_shrinks(seed):
 
 def test_search_perfect_record_picks_extreme_corner():
     # every grid point ties at 1 TP / 0 FP → higher t_u, then lower t_l
-    rule, result = search_thresholds(P([[1.0, 0.0]], [{0}]), max_fp=1.0)
-    assert (rule.t_u, rule.t_l) == (1.0, 0.0)
-    assert not rule.select_none
-    assert result == AutomationResult((0,), 1, 0)
+    records = P([[1.0, 0.0]], [{0}])
+    rules = search_thresholds(records, [1.0])
+    assert rules == [(1.0, 0.0)]
+    assert evaluate_automation(records, rules) == [(1.0, 0.0)]  # 1 TP, 0 FP
 
 
 def test_search_excludes_near_miss():
     records = P([[0.9, 0.1],    # exact match
                  [0.8, 0.3]],   # predicts {0}, wrong
                 [{0}, {1}])
-    rule, result = search_thresholds(records, max_fp=0.05)
-    assert (rule.t_u, rule.t_l) == (0.9, 0.1)
-    assert result.true_positives == 1 and result.false_positives == 0
-    assert result.selected == (0,)
+    rules = search_thresholds(records, [0.05])
+    assert rules == [(0.9, 0.1)]
+    assert evaluate_automation(records, rules) == [(1.0, 0.0)]  # record 0 alone
 
 
 def test_search_all_half_probs_selects_nothing():
-    rule, result = search_thresholds(P([[0.5, 0.5]] * 3, [{0}] * 3), max_fp=0.2)
-    assert rule.select_none
-    assert result == AutomationResult((), 0, 0)
+    assert search_thresholds(P([[0.5, 0.5]] * 3, [{0}] * 3), [0.2]) == [None]
 
 
 def _grid_loop_search(predictions, max_fp, decision_threshold=0.5):
     """The search point by point over the 21 × 21 grid: the reference for the
-    counted search."""
+    counted search. Returns the rule and, on the searched records, its
+    (identified, fp_rate)."""
     min_pred, max_rest = _extremes(predictions.probs, decision_threshold)
     exact = _exact(predictions, decision_threshold)
     best_key, best = None, None
@@ -464,11 +451,10 @@ def _grid_loop_search(predictions, max_fp, decision_threshold=0.5):
             if best_key is None or key > best_key:
                 best_key, best = key, (t_u, t_l, sel, tp, n_sel - tp)
     if best is None or best[3] == 0:
-        return (ThresholdRule(1.0, 0.0, decision_threshold, select_none=True),
-                AutomationResult((), 0, 0))
+        return None, (0.0, 0.0)
     t_u, t_l, sel, tp, fp = best
-    return (ThresholdRule(t_u, t_l, decision_threshold),
-            AutomationResult(tuple(np.flatnonzero(sel).tolist()), tp, fp))
+    possible = int(exact.sum())
+    return (t_u, t_l), (tp / possible if possible else 0.0, fp / max(1, int(sel.sum())))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -487,17 +473,20 @@ def test_search_equals_the_grid_loop(seed):
            else {int(rng.integers(n))} for row in probs]
     records = P(probs, gts)
     calibrated = fit_isotonic(records).apply(records)
-    for max_fp in (0.05, 0.1, 0.2, 0.4, 1.0):
-        for r in (records, calibrated):
-            assert search_thresholds(r, max_fp) == _grid_loop_search(r, max_fp)
+    budgets = (0.05, 0.1, 0.2, 0.4, 1.0)
+    for r in (records, calibrated):
+        rules = search_thresholds(r, budgets)
+        want = [_grid_loop_search(r, max_fp) for max_fp in budgets]
+        assert rules == [rule for rule, _ in want]
+        assert evaluate_automation(r, rules) == [result for _, result in want]
 
 
 def test_search_max_fp_domain():
-    records = P([[0.9]], [{0}])
-    search_thresholds(records, max_fp=1.0)  # closed upper end allowed
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValidationError):
-            search_thresholds(records, max_fp=bad)
+    # budgets are checked once, where --max-fp is parsed
+    assert _budgets("1.0") == [1.0]  # closed upper end allowed
+    for bad in ("0.0", "-0.1", "1.5"):
+        with pytest.raises(UsageError):
+            _budgets(bad)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -511,13 +500,13 @@ def test_search_respects_budget_and_counts_add_up(seed):
                    if rng.uniform() < 0.5 else {int(rng.integers(4))})
     records = P(probs, gts)
     max_fp = float(rng.choice([0.05, 0.1, 0.2, 0.5]))
-    rule, result = search_thresholds(records, max_fp)
-    assert result.fp_rate <= max_fp
-    assert result.true_positives + result.false_positives == len(result.selected)
-    if not rule.select_none:
-        # the reported dev result matches a fresh application of the rule
-        fresh, _ = evaluate_automation(records, rule)
-        assert fresh == result
+    [rule] = search_thresholds(records, [max_fp])
+    [(identified, fp_rate)] = evaluate_automation(records, [rule])
+    assert fp_rate <= max_fp
+    assert 0.0 <= identified <= 1.0
+    if rule is not None:
+        # a rule is searched only where it finds a true positive
+        assert identified > 0
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +514,8 @@ def test_search_respects_budget_and_counts_add_up(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_evaluate_rejects_test_fitted_rule():
-    rule = ThresholdRule(0.9, 0.1, fitted_on="test")
-    with pytest.raises(LeakageError):
-        evaluate_automation(P([[0.9]], [{0}]), rule)
-
-
-def test_evaluate_select_none_scores_zero():
-    rule = ThresholdRule(1.0, 0.0, select_none=True)
-    result, pct = evaluate_automation(P([[1.0]], [{0}]), rule)
-    assert result == AutomationResult((), 0, 0)
-    assert pct == 0.0 and result.fp_rate == 0.0
+def test_evaluate_no_rule_scores_zero():
+    assert evaluate_automation(P([[1.0]], [{0}]), [None]) == [(0.0, 0.0)]
 
 
 def test_evaluate_separable_fixture_identifies_everything():
@@ -544,32 +524,53 @@ def test_evaluate_separable_fixture_identifies_everything():
     for _ in range(40):
         gts.append({int(rng.integers(5))})
         probs.append(np.where(np.isin(np.arange(5), list(gts[-1])), 0.99, 0.01))
-    rule = ThresholdRule(0.95, 0.05)
-    result, pct = evaluate_automation(P(probs, gts), rule)
+    # all 40 documents are exact matches, so identifying all selects all
+    [(pct, fp_rate)] = evaluate_automation(P(probs, gts), [(0.95, 0.05)])
     assert pct == 1.0
-    assert result.fp_rate == 0.0
-    assert len(result.selected) == 40
+    assert fp_rate == 0.0
 
 
 def test_evaluate_no_possible_exact_matches_is_zero():
     records = P([[0.9, 0.9]], [{0}])  # prediction {0,1} never equals gt
-    result, pct = evaluate_automation(records, ThresholdRule(0.0, 1.0))
-    assert pct == 0.0
-    assert result.false_positives == len(result.selected)
+    # the rule selects it, and every document it selects is a false positive
+    assert evaluate_automation(records, [(0.0, 1.0)]) == [(0.0, 1.0)]
 
 
 def test_exactness_agrees_with_instance_f1():
     rng = np.random.default_rng(9)
-    rule = ThresholdRule(0.0, 1.0)  # selects every non-empty prediction
+    rule = (0.0, 1.0)  # selects every non-empty prediction
     for _ in range(200):
         probs = rng.uniform(size=5)
         gt = {int(j) for j in rng.choice(5, 2, replace=False)}
         r = P([probs], [gt])
-        result, _ = evaluate_automation(r, rule)
-        if result.true_positives:
+        [(identified, fp_rate)] = evaluate_automation(r, [rule])
+        if identified:  # a true positive
             assert instance_f1(r)[0] == 1.0
-        elif result.selected:
+        elif fp_rate:  # selected, not a true positive
             assert instance_f1(r)[0] < 1.0
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_sweep_rows_are_dev_rules_evaluated_on_test(seed):
+    # the rules come from dev alone: other test records leave them as they are
+    rng = np.random.default_rng(seed)
+
+    def records(m):
+        probs = np.where(rng.uniform(size=(m, 3)) < 0.5, rng.integers(0, 21, size=(m, 3)) / 20,
+                         rng.uniform(size=(m, 3)))
+        return P(probs, [set(np.flatnonzero(row > 0.5)) if rng.uniform() < 0.7
+                         else {int(rng.integers(3))} for row in probs])
+
+    dev, test, other = records(40), records(30), records(25)
+    budgets = [0.05, 0.1, 0.2, 0.4, 1.0]
+    rules = search_thresholds(dev, budgets)
+    assert automation_sweep(dev, test, budgets) == [
+        (max_fp, False, pct, fpr)
+        for max_fp, (pct, fpr) in zip(budgets, evaluate_automation(test, rules))]
+    assert automation_sweep(dev, other, budgets) == [
+        (max_fp, False, pct, fpr)
+        for max_fp, (pct, fpr) in zip(budgets, evaluate_automation(other, rules))]
 
 
 def test_sweep_rows_and_csv():

@@ -22,7 +22,7 @@ import icdlab
 from icdlab import cli
 from icdlab.calibrate import _pav
 from icdlab.checkpoint import load_params, save_params
-from icdlab.cli import load_isotonic, main, read_prediction_records
+from icdlab.cli import _labels_digest, load_isotonic, main, read_prediction_records
 from icdlab.config import config_sha256, parse_config
 from icdlab.corpus import LabelSpace, read_encounters
 from icdlab.errors import ValidationError
@@ -172,10 +172,10 @@ def test_prediction_records_round_trip(pipeline):
 
 def test_calibrate_artifacts(pipeline):
     out = pipeline["calib"]
-    maps = load_isotonic(out)
+    maps = load_isotonic(out, _labels_digest(pipeline["eval_dev"]), pipeline["eval_dev"])
     labels = LabelSpace.from_json(
         (pipeline["prep"] / "labels.json").read_text(encoding="utf-8"))
-    assert maps.n_labels == len(labels)
+    assert len(maps.maps) == len(labels)
     rows = (out / "ece.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0] == "label,ece_before,ece_after"
     assert len(rows) == len(labels) + 1
@@ -295,6 +295,58 @@ def test_train_reranker_writes_the_pinned_bytes(tmp_path, capsys):
             } == RERANKER_PIN_SHA256
 
 
+# TINY_CFG with eight base epochs at learning rate 0.1: at these budgets the
+# plain and the calibrated sweep each select records at some budgets and
+# nothing at others.
+POST_MODEL_PIN_CFG = "".join(
+    [f"{row}\n" for row in TINY_CFG.splitlines()
+     if row.split("=")[0].strip() not in ("learning_rate", "max_epochs", "patience")]
+    + ["learning_rate = 0.1\n", "max_epochs = 8\n", "patience = 8\n"])
+POST_MODEL_PIN_BUDGETS = "0.05,0.1,0.2,0.4,1.0"
+POST_MODEL_PIN = {
+    "auto/automation.csv": "max_fp,calibrated,percent_identified,achieved_fp_rate\n"
+                           "0.05,no,33.33,0.00\n0.10,no,33.33,0.00\n0.20,no,66.67,20.00\n"
+                           "0.40,no,100.00,20.00\n1.00,no,100.00,20.00\n",
+    "auto_cal/automation.csv": "max_fp,calibrated,percent_identified,achieved_fp_rate\n"
+                               "0.05,yes,0.00,0.00\n0.10,yes,0.00,0.00\n"
+                               "0.20,yes,83.33,44.44\n0.40,yes,100.00,40.00\n"
+                               "1.00,yes,100.00,40.00\n",
+}
+POST_MODEL_PIN_SHA256 = {
+    "calib/ece.csv": "6179101cc3025941d83f184243247dee2f1d7e9225f3fc927205f35d4b8101cb",
+    "calib/isotonic.ckpt without its metadata line":
+        "cdf204ad5141760cc9f2abcd03d74eb6376587dde1155c0863ef823e307643fe",
+}
+
+
+def test_post_model_stages_write_the_pinned_bytes(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(POST_MODEL_PIN_CFG, encoding="utf-8")
+    c, d = str(cfg), {name: str(tmp_path / name) for name in
+                      ("corpus", "prep", "model", "eval_dev", "eval_test", "calib", "auto",
+                       "auto_cal")}
+    sweep = ["automate", "--config", c, "--dev", d["eval_dev"], "--test", d["eval_test"],
+             "--max-fp", POST_MODEL_PIN_BUDGETS]
+    for argv in (["gen-corpus", "--config", c, "--out", d["corpus"]],
+                 ["preprocess", "--config", c, "--in", d["corpus"], "--out", d["prep"]],
+                 ["train", "--config", c, "--in", d["prep"], "--out", d["model"]],
+                 ["evaluate", "--config", c, "--in", d["prep"], "--model", d["model"],
+                  "--out", d["eval_dev"], "--split", "dev"],
+                 ["evaluate", "--config", c, "--in", d["prep"], "--model", d["model"],
+                  "--out", d["eval_test"]],
+                 ["calibrate", "--config", c, "--in", d["eval_dev"], "--out", d["calib"]],
+                 [*sweep, "--out", d["auto"]],
+                 [*sweep, "--out", d["auto_cal"], "--calibrated", "--maps", d["calib"]]):
+        assert main(argv) == 0, argv[0]
+    assert {name: (tmp_path / name).read_text(encoding="utf-8")
+            for name in POST_MODEL_PIN} == POST_MODEL_PIN
+    magic, _, arrays = (tmp_path / "calib" / "isotonic.ckpt").read_bytes().split(b"\n", 2)
+    assert {"calib/ece.csv": _sha(tmp_path / "calib" / "ece.csv"),
+            "calib/isotonic.ckpt without its metadata line":
+                hashlib.sha256(magic + b"\n" + arrays).hexdigest(),
+            } == POST_MODEL_PIN_SHA256
+
+
 # default model widths, so the batched GEMMs are large enough for OpenBLAS to
 # split them across threads
 BLAS_CFG = """\
@@ -372,6 +424,27 @@ def test_maps_without_calibrated_is_usage_error(pipeline, tmp_path, capsys):
     assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
 
 
+def test_max_fp_outside_the_unit_interval_is_a_usage_error(pipeline, tmp_path, capsys):
+    # checked before any eval dir is read: these do not exist
+    absent = ["--dev", str(tmp_path / "no_dev"), "--test", str(tmp_path / "no_test")]
+    for bad in ("abc", "0", "0.0", "-0.1", "1.5", "0.1,oops", "nan", ","):
+        capsys.readouterr()
+        assert main(["automate", "--config", str(pipeline["cfg"]), *absent,
+                     "--out", str(tmp_path / "o"), "--max-fp", bad]) == 2, bad
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("icdlab-error: usage: --max-fp "), err
+        assert repr(bad) in err[0]
+        # and before the first stage of a pipeline
+        assert main(["pipeline", "--config", str(pipeline["cfg"]),
+                     "--workdir", str(tmp_path / "w"), "--max-fp", bad]) == 2, bad
+        assert "+ icdlab" not in capsys.readouterr().out
+        assert not any(tmp_path.iterdir())  # no --out, staging directory or --workdir
+    # the closed upper end is a budget
+    assert main(["automate", "--config", str(pipeline["cfg"]), "--dev", str(pipeline["eval_dev"]),
+                 "--test", str(pipeline["eval_test"]), "--out", str(tmp_path / "o"),
+                 "--max-fp", "1.0"]) == 0
+
+
 def test_bad_config_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nnot_a_key = 2\n", encoding="utf-8")
@@ -441,11 +514,12 @@ def _without_key(key):
     ("calib", "isotonic.ckpt", _meta_line(lambda _: b'{"kind": "isotonic"}'),
      _automate_calibrated),
     ("calib", "isotonic.ckpt", _meta_line(lambda _: b'["isotonic", 3]'), _automate_calibrated),
+    ("calib", "isotonic.ckpt", _without_key("labels_sha256"), _automate_calibrated),
     ("model", "model.ckpt", _without_key("vocab_sha256"), _evaluate),
     ("prep", "vocab.json", lambda _: b"{bad", _evaluate),
     ("prep", "vocab.json", lambda _: b"[" * 100_000 + b"]" * 100_000, _evaluate),
 ], ids=["isotonic-not-json", "isotonic-no-n_labels", "isotonic-meta-a-list",
-        "model-meta-no-vocab_sha256", "vocab-not-json", "vocab-nested-too-deeply"])
+        "isotonic-meta-no-labels_sha256", "model-meta-no-vocab_sha256", "vocab-not-json", "vocab-nested-too-deeply"])
 def test_malformed_json_artifact_exits_with_one_error_line(pipeline, tmp_path, capsys,
                                                           stage, name, edit, argv):
     dirs = dict(pipeline)
@@ -759,6 +833,45 @@ def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
     assert f"label {j} needs non-empty 1-D x{j} and v{j}" in err[0]
 
 
+def test_calibrate_records_the_label_space_and_automate_checks_it(pipeline, tmp_path, capsys):
+    meta, arrays = load_params(pipeline["calib"] / "isotonic.ckpt")
+    assert meta["labels_sha256"] == _labels_digest(pipeline["eval_dev"])
+    # maps of as many labels, fitted on another label space
+    calib = tmp_path / "calib"
+    shutil.copytree(pipeline["calib"], calib)
+    save_params(calib / "isotonic.ckpt", arrays, {**meta, "labels_sha256": "0" * 64})
+    capsys.readouterr()
+    assert main([*_automate_calibrated({**pipeline, "calib": calib}), "--config",
+                 str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(calib / "isotonic.ckpt") in err[0] and str(pipeline["eval_dev"]) in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta, a: ({**meta, "n_labels": meta["n_labels"] - 0.1}, a),
+    lambda meta, a: ({**meta, "n_labels": str(meta["n_labels"])}, a),
+    lambda meta, a: ({**meta, "n_labels": True}, a),
+    lambda meta, a: ({**meta, "n_labels": -1}, a),
+    lambda meta, a: (meta, {**a, f"x{meta['n_labels']}": a["x0"],
+                            f"v{meta['n_labels']}": a["v0"]}),
+    lambda meta, a: (meta, {**a, "w0": a["v0"]}),
+], ids=["n_labels-a-float", "n_labels-a-string", "n_labels-true", "n_labels-negative",
+        "a-map-past-n_labels", "an-array-of-another-name"])
+def test_isotonic_header_must_state_exactly_its_maps(pipeline, tmp_path, capsys, edit):
+    calib = tmp_path / "calib"
+    shutil.copytree(pipeline["calib"], calib)
+    meta, arrays = edit(*load_params(calib / "isotonic.ckpt"))
+    save_params(calib / "isotonic.ckpt", arrays, meta)
+    capsys.readouterr()
+    assert main([*_automate_calibrated({**pipeline, "calib": calib}), "--config",
+                 str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(calib / "isotonic.ckpt") in err[0]
+
+
 def test_full_level_isotonic_checkpoint_automates_the_same(pipeline, tmp_path):
     # one breakpoint per level of the dev probabilities, each with its PAV
     # value: the same maps as the stepped checkpoint, so the same rules
@@ -1017,13 +1130,15 @@ def test_pipeline_runs_every_stage(tmp_path, monkeypatch, capsys):
 
 
 def test_pipeline_stops_at_the_first_failing_stage(tmp_path, capsys):
+    # no code is that frequent, so preprocess keeps no training document and
+    # train, the third stage, exits 3
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(TINY_CFG, encoding="utf-8")
+    cfg.write_text(TINY_CFG.replace("min_code_count = 1", "min_code_count = 1000"),
+                   encoding="utf-8")
     capsys.readouterr()
-    assert main(["pipeline", "--config", str(cfg), "--workdir", str(tmp_path / "w"),
-                 "--max-fp", "0.1,oops"]) == 3
+    assert main(["pipeline", "--config", str(cfg), "--workdir", str(tmp_path / "w")]) == 3
     out = capsys.readouterr().out
-    assert "+ icdlab automate" in out and "+ icdlab report" not in out
+    assert "+ icdlab train " in out and "+ icdlab train-reranker" not in out
     assert "pipeline complete" not in out
 
 
