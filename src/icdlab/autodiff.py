@@ -162,11 +162,9 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ea = np.exp(x[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    e = np.exp(np.minimum(x, -x))  # exp(-x) where x >= 0, exp(x) elsewhere, NaN kept as is
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
 
     def grad_fn(g):
         ga = np.multiply(g, out)  # (g · out) · (1 - out)
@@ -278,10 +276,11 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise ContractError(f"embedding: ids {np.unique(ids[bad]).tolist()} out of "
                             f"range [0, {rows.shape[0]})")
 
-    def grad_fn(g):
-        gt = np.zeros_like(rows)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, rows.shape[1]))
-        return (gt,)
+    def grad_fn(g):  # into each cell in row order, as np.add.at adds
+        d = rows.shape[1]
+        cells = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(cells, weights=g.reshape(-1), minlength=rows.size)
+        return (gt.reshape(rows.shape),)
 
     return _node(rows[ids], (table,), grad_fn)
 

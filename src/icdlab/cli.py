@@ -116,6 +116,9 @@ def _load_prep(prep, rc: RunConfig, *splits):
 # --------------------------------------------------------------------------
 
 
+_encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
 def _records_jsonl(p: Predictions) -> str:
     lines = []
     for gt, n_unseen, dept, first, bucket, e in zip(
@@ -131,7 +134,7 @@ def _records_jsonl(p: Predictions) -> str:
             "date": e.date.isoformat(),
             "codes": sorted(e.codes),
         }
-        lines.append(json.dumps(row, sort_keys=True, ensure_ascii=False))
+        lines.append(_encode_sorted(row))
     return "\n".join(lines) + "\n"
 
 
@@ -203,8 +206,9 @@ def cmd_preprocess(args, rc: RunConfig, stage: Path):
         rc.min_token_count)
     labels = LabelSpace(tuple(sorted(retained))).with_train_counts(filtered)
     write_encounters(stage / "train.txt", filtered)
-    for path in inputs[1:]:  # dev and test pass through untouched
-        write_encounters(stage / path.name, read_encounters(path))
+    for path in inputs[1:]:  # dev and test pass through byte-for-byte once they parse
+        read_encounters(path)
+        shutil.copyfile(path, stage / path.name)
     _write(stage / "vocab.json", vocab.to_json() + "\n")
     _write(stage / "labels.json", labels.to_json() + "\n")
     _write(stage / "report.csv", report.as_csv())
@@ -309,7 +313,7 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
     lines += [f"{j},{b:.6f},{a:.6f}" for j, (b, a) in enumerate(zip(before.tolist(),
                                                                     after.tolist()))]
     _write(stage / "ece.csv", "\n".join(lines) + "\n")
-    return [src / "probs.npy", src / "records.jsonl"], (), (
+    return [src / "manifest.json", src / "probs.npy", src / "records.jsonl"], (), (
         f"calibrate: fit-data ECE non-increasing for {improved}/{len(maps.maps)} labels")
 
 
@@ -376,7 +380,8 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
     if labels_sha256 != _labels_digest(test_dir):
         raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "
                               f"different labels.json digests, so different label spaces")
-    inputs = [d / n for d in (dev_dir, test_dir) for n in ("probs.npy", "records.jsonl")]
+    inputs = [d / n for d in (dev_dir, test_dir)
+              for n in ("manifest.json", "probs.npy", "records.jsonl")]
     dev_records = read_prediction_records(dev_dir)
     test_records = read_prediction_records(test_dir)
     n_dev, n_test = dev_records.probs.shape[1], test_records.probs.shape[1]

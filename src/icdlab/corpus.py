@@ -207,6 +207,23 @@ def _draw(rng, cdf: np.ndarray, size=None):
     return cdf.searchsorted(rng.random(size), side="right")
 
 
+def _choose_distinct(rng, p: np.ndarray, cdf: np.ndarray, size: int) -> np.ndarray:
+    """`size` distinct indices, as `rng.choice(p.size, size, replace=False, p=p)`
+    draws them over `cdf = _cdf(p)`: numpy's own loop (draw the shortfall,
+    zero the found entries and rebuild the table from the second round on,
+    keep first occurrences in draw order), without re-checking `p` per call.
+    Same indices, same stream consumed."""
+    found: list[int] = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        if found:
+            p = p.copy()
+            p[found] = 0.0
+            cdf = _cdf(p)
+        found += dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+    return np.array(found, dtype=np.int64)
+
+
 def _sample_code_set(rng, chronic: np.ndarray, zipf_cdf: np.ndarray, siblings: dict[int, list[int]], mean_codes: float) -> set[int]:
     n_draw = 1 + rng.poisson(mean_codes - 1.0)
     out: set[int] = set()
@@ -227,13 +244,11 @@ def _note_tokens(rng, code_idxs: set[int], silent: set[int], config: CorpusConfi
     for j in sorted(code_idxs):
         if j in silent:
             continue
-        variants = rng.integers(0, 3, size=config.tokens_per_code)
-        toks.extend(f"c{j}v{int(k)}" for k in variants)
+        variants = rng.integers(0, 3, size=config.tokens_per_code).tolist()
+        toks.extend(f"c{j}v{k}" for k in variants)
     n_noise = 2 + int(rng.poisson(3.0))
-    noise_ids = _draw(rng, noise_cdf, n_noise)
-    toks.extend(f"n{int(i)}" for i in noise_ids)
-    order = rng.permutation(len(toks))
-    return [toks[i] for i in order]
+    toks.extend(f"n{i}" for i in _draw(rng, noise_cdf, n_noise).tolist())
+    return [toks[i] for i in rng.permutation(len(toks)).tolist()]
 
 
 def _ditto_text(rng, prev_text: str) -> str:
@@ -255,7 +270,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Encounter], LabelSpace]:
     labels = LabelSpace(tuple(codes))
     silent = silent_code_indices(config)
     zipf_p = _zipf_probs(config.n_codes, config.zipf_exponent)
-    zipf_cdf = _cdf(zipf_p)  # the per-encounter draws search these, built once per corpus
+    zipf_cdf = _cdf(zipf_p)  # every draw searches these, built once per corpus
     noise_cdf = _cdf(_zipf_probs(config.vocab_size, 1.2))
 
     # same-chapter siblings, for the coder-variability swap
@@ -275,7 +290,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Encounter], LabelSpace]:
     for p in range(config.n_patients):
         pid = f"P{p:04d}"
         chronic_size = min(config.n_codes, 1 + int(rng.poisson(1.0)))
-        chronic = rng.choice(config.n_codes, size=chronic_size, replace=False, p=zipf_p)
+        chronic = _choose_distinct(rng, zipf_p, zipf_cdf, chronic_size)
         date = dt.date(2018, 1, 1) + dt.timedelta(days=int(rng.integers(0, 365)))
         n_enc = max(1, int(rng.poisson(config.mean_encounters_per_patient)))
         prev: Encounter | None = None
@@ -349,6 +364,7 @@ _KINDS = {str: (str, None, "a string"), bool: (bool, None, "true or false"),
 _ENCOUNTER_TYPES = {"patient_id": str, "date": str, "dept": str, "doctor": str, "text": str,
                     "codes": list[str], "meds": list[str], "procs": list[str]}
 _decode = json.JSONDecoder().decode  # json.loads without its per-call checks
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without an encoder per call
 
 
 def write_encounters(path, encounters: list[Encounter]) -> None:
@@ -364,7 +380,7 @@ def write_encounters(path, encounters: list[Encounter]) -> None:
                 "meds": list(enc.meds),
                 "procs": list(enc.procs),
             }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_encode(obj) + "\n")
 
 
 def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
@@ -398,9 +414,10 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
                 raise _row_error(path, lineno, row, types) from None
             if type(value) is not exact:
                 raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
-            for x in value if item else ():  # a loop, not all(): no generator per field
-                if type(x) is not item:
-                    raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
+            if item:
+                for x in value:  # a loop, not all(): no generator per field
+                    if type(x) is not item:
+                        raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
         yield lineno, row
 
 

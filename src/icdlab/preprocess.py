@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Encounter
@@ -132,9 +133,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens) + 2
 
-    def id_for(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
-
     def to_json(self) -> str:
         return json.dumps({"tokens": list(self.tokens)}, ensure_ascii=False)
 
@@ -150,10 +148,9 @@ def build_vocab(texts, min_token_count: int = 1) -> Vocabulary:
     """Ids in descending-frequency order, ties alphabetical."""
     if min_token_count < 1:
         raise ConfigError(f"min_token_count must be ≥ 1, got {min_token_count}")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for text in texts:
-        for tok in text_tokens(text):
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(text_tokens(text))
     kept = [t for t, n in counts.items() if n >= min_token_count]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(tuple(kept))
@@ -167,7 +164,8 @@ class TokenizedNote:
 def tokenize(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenizedNote:
     """Head-truncated id sequence: the ids of the tokens found, none for an
     empty text, never PAD_ID."""
-    return TokenizedNote(tuple([vocab.id_for(t) for t in text_tokens(text)[:max_len]]))
+    id_of = vocab._ids.get
+    return TokenizedNote(tuple([id_of(t, UNK_ID) for t in text_tokens(text)[:max_len]]))
 
 
 def encounter_aux_text(enc: Encounter) -> str:

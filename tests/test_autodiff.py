@@ -195,6 +195,28 @@ def test_embedding_of_an_id_matrix_scatters_back():
     np.testing.assert_array_equal(grads[table], [[1, 1], [2, 2], [0, 0], [1, 1]])
 
 
+def test_embedding_gradient_has_the_bytes_of_np_add_at():
+    rng = np.random.default_rng(5)
+    table = t(rng.normal(size=(30, 7)), grad=True)
+    ids = rng.integers(0, 30, size=(12, 25))  # 300 lookups into 30 rows: many repeats
+    g = rng.normal(size=(12, 25, 7))
+    want = np.zeros((30, 7))
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 7))
+    grads = ad.backward(ad.tensor_sum(ad.mul(ad.embedding(table, ids), t(g))))
+    assert grads[table].tobytes() == want.tobytes()
+
+
+def test_sigmoid_has_the_bytes_of_the_masked_formula():
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 800.0, -800.0,
+                  np.inf, -np.inf, np.nan, -np.nan])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ea = np.exp(x[~pos])
+    want[~pos] = ea / (1.0 + ea)
+    assert ad.sigmoid(t(x)).data.tobytes() == want.tobytes()
+
+
 def test_clamp01_values_and_gradient_gate():
     x = t([-0.5, 0.25, 1.5], grad=True)
     out = ad.clamp01(x)

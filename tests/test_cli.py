@@ -5,6 +5,7 @@ tests then inspect its artifacts. Exit-code tests run tiny one-off commands.
 """
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -131,6 +132,63 @@ def test_train_manifest_lists_history_as_log(pipeline):
     assert history.splitlines()[0] == "epoch,loss,dev_r5,dev_if1,seconds"
 
 
+_opened: list | None = None  # paths passed to open() while a test collects them
+
+
+@functools.cache
+def _collect_opens() -> None:
+    """Install, once per process, an audit hook that adds every path opened
+    to `_opened` while that is a list."""
+
+    def hook(event, args):
+        if event == "open" and _opened is not None and isinstance(args[0], (str, os.PathLike)):
+            _opened.append(Path(args[0]).resolve())
+
+    sys.addaudithook(hook)
+
+
+def _prep_and_model(d):
+    return ["--in", str(d["prep"]), "--model", str(d["model"])]
+
+
+def _sweep(d):
+    return ["automate", "--dev", str(d["eval_dev"]), "--test", str(d["eval_test"]),
+            "--max-fp", "0.1"]
+
+
+STAGE_ARGVS = {  # each stage's argv over the pipeline's dirs, but --config and --out
+    "gen-corpus": lambda d: ["gen-corpus"],
+    "preprocess": lambda d: ["preprocess", "--in", str(d["corpus"])],
+    "train": lambda d: ["train", "--in", str(d["prep"])],
+    "train-reranker": lambda d: ["train-reranker", "--in", str(d["prep"]),
+                                 "--base", str(d["model"])],
+    "evaluate": lambda d: ["evaluate", *_prep_and_model(d), "--split", "dev"],
+    "evaluate-reranked": lambda d: ["evaluate", *_prep_and_model(d),
+                                    "--reranker", str(d["reranker"])],
+    "fractions": lambda d: ["fractions", "--in", str(d["prep"])],
+    "calibrate": lambda d: ["calibrate", "--in", str(d["eval_dev"])],
+    "automate": _sweep,
+    "automate-calibrated": lambda d: [*_sweep(d), "--calibrated", "--maps", str(d["calib"])],
+    "report": lambda d: ["report", "--in", str(d["eval_test"])],
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_ARGVS))
+def test_a_stage_manifest_names_every_file_the_stage_reads(pipeline, tmp_path, stage):
+    global _opened
+    _collect_opens()
+    root = pipeline["cfg"].parent.resolve()  # every input lies under it; --out does not
+    _opened = []
+    try:
+        assert main([*STAGE_ARGVS[stage](pipeline), "--config", str(pipeline["cfg"]),
+                     "--out", str(tmp_path / "out")]) == 0
+        read = {p for p in _opened if p.is_relative_to(root)}
+    finally:
+        _opened = None
+    inputs = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert read == {Path(p).resolve() for p in inputs["inputs"]}
+
+
 def test_preprocess_artifacts_parse(pipeline):
     out = pipeline["prep"]
     vocab = Vocabulary.from_json((out / "vocab.json").read_text(encoding="utf-8"))
@@ -254,6 +312,64 @@ def test_gen_corpus_writes_the_pinned_bytes(tmp_path):
     cfg.write_text(PINNED_CFG, encoding="utf-8")
     assert main(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
     assert {name: _sha(tmp_path / "corpus" / name) for name in PINNED_SHA256} == PINNED_SHA256
+
+
+# preprocess over the PINNED_CFG corpus: dev and test pass through unchanged.
+PREP_PINNED_SHA256 = {
+    "train.txt": "47fcc2ba2c5e440256ce10be7be60ff6870c0b6488ab7886a87d41d0c8b9f1fe",
+    "dev.txt": PINNED_SHA256["dev.txt"],
+    "test.txt": PINNED_SHA256["test.txt"],
+    "vocab.json": "7f9f877319f2243290916f463bba58b3f8f71a40b1072100bfcb103865ab27e8",
+    "labels.json": "67a22d0f3c988e1a8f2ca4eb3608899087976df713f8d06e584ca1d4b133ae26",
+    "report.csv": "cf09c8a20972ebc59282c253f70528e85ad1281d36b6a1b7e84de2b7fdd36bc9",
+}
+
+
+def test_preprocess_writes_the_pinned_bytes(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PINNED_CFG, encoding="utf-8")
+    c, corpus, prep = str(cfg), str(tmp_path / "corpus"), tmp_path / "prep"
+    assert main(["gen-corpus", "--config", c, "--out", corpus]) == 0
+    assert main(["preprocess", "--config", c, "--in", corpus, "--out", str(prep)]) == 0
+    assert {name: _sha(prep / name) for name in PREP_PINNED_SHA256} == PREP_PINNED_SHA256
+
+
+def _non_canonical(path: Path) -> bytes:
+    """The rows of a split file with their keys reversed, spaces around every
+    separator and a blank line after the first row."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    lines = [json.dumps(dict(reversed(row.items())), separators=(" , ", " : "),
+                        ensure_ascii=False) for row in rows]
+    return ("\n".join([lines[0], "  ", *lines[1:]]) + "\n").encode("utf-8")
+
+
+def test_preprocess_copies_a_valid_held_out_split_byte_for_byte(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    dev = _non_canonical(corpus / "dev.txt")
+    (corpus / "dev.txt").write_bytes(dev)
+    assert main(["preprocess", "--config", str(pipeline["cfg"]), "--in", str(corpus),
+                 "--out", str(tmp_path / "prep")]) == 0
+    assert (tmp_path / "prep" / "dev.txt").read_bytes() == dev
+    assert read_encounters(tmp_path / "prep" / "dev.txt") == read_encounters(
+        pipeline["prep"] / "dev.txt")
+    assert (tmp_path / "prep" / "test.txt").read_bytes() == (
+        pipeline["corpus"] / "test.txt").read_bytes()
+
+
+def test_preprocess_names_the_malformed_line_of_a_held_out_split(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    lines = (corpus / "dev.txt").read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"codes": [', '"codes": [7, ')
+    (corpus / "dev.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["preprocess", "--config", str(pipeline["cfg"]), "--in", str(corpus),
+                 "--out", str(tmp_path / "prep")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert "dev.txt:3: codes must be a list of strings" in err[0]
+    assert not (tmp_path / "prep").exists()
 
 
 # TINY_CFG at seed 3 with 40 patients and three epochs for both models.

@@ -14,6 +14,7 @@ from icdlab.corpus import (
     Encounter,
     LabelSpace,
     _cdf,
+    _choose_distinct,
     _draw,
     _zipf_probs,
     chapter,
@@ -153,6 +154,25 @@ def test_cdf_draws_are_generator_choice(p, size, seed):
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
         assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("p", [
+    _zipf_probs(CorpusConfig().n_codes, CorpusConfig().zipf_exponent),
+    _zipf_probs(10, 1.1),
+    np.array([0.9, 0.05, 0.03, 0.015, 0.005]),  # skewed: most calls take several rounds
+], ids=["codes", "ten", "skewed"])
+def test_distinct_draws_are_generator_choice(p):
+    """Distinct indices from the prebuilt table are those of
+    Generator.choice(replace=False) on a twin generator, and both streams
+    stay at the same place."""
+    cdf = _cdf(p)
+    for seed in range(60):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in [1, 2, 3, 4, 5] * 4:
+            got = _choose_distinct(rng, p, cdf, size)
+            want = twin.choice(p.size, size, replace=False, p=p)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert rng.random() == twin.random()
 
 
 def test_zero_ditto_no_consecutive_identical_sets():
@@ -378,6 +398,15 @@ def test_a_wrong_field_set_is_reported_before_a_wrong_type(tmp_path, edit, missi
     with pytest.raises(ParseError) as err:
         read_encounters(path)
     assert str(err.value) == f"{path}:1: missing fields {missing}, unknown fields {unknown}"
+
+
+def test_the_first_faulty_field_is_reported_whether_its_type_or_an_item_is_wrong(tmp_path):
+    row = {**split_row([1]), "meds": "M1"}  # an item fault in codes, a type fault in meds
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_encounters(path)
+    assert str(err.value) == f"{path}:1: codes must be a list of strings"
 
 
 def test_malformed_json_line_number(tmp_path):

@@ -170,21 +170,19 @@ def test_filter_recount_property(seed, k):
 
 def test_vocab_frequency_then_alpha_order():
     v = build_vocab(["a a b"])
-    assert v.id_for("a") == 2
-    assert v.id_for("b") == 3
+    assert tokenize("a b", v).token_ids == (2, 3)
     assert len(v) == 4
 
 
 def test_vocab_tie_broken_alphabetically():
     v = build_vocab(["b a", "a b"])  # equal counts
-    assert v.id_for("a") == 2
-    assert v.id_for("b") == 3
+    assert tokenize("a b", v).token_ids == (2, 3)
 
 
 def test_vocab_min_count_prunes_everything():
     v = build_vocab(["x y z"], min_token_count=5)
     assert len(v) == 2  # reserved only
-    assert v.id_for("x") == UNK_ID
+    assert tokenize("x", v).token_ids == (UNK_ID,)
 
 
 def test_vocab_lowercases_and_splits_punctuation():
