@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
-from .metrics import Predictions
+from .metrics import Predictions, searchsorted_rows
 
 # --------------------------------------------------------------------------
 # isotonic regression
@@ -105,29 +105,32 @@ class IsotonicMap:
 
 def fit_isotonic(predictions: Predictions) -> IsotonicMap:
     """Fit one isotonic map per label on (raw probability, in-gt) pairs: per
-    block of labels, one row-wise sort of their columns, then one PAV over
-    every level of the block.
+    block of labels, one row-wise value sort of their columns, then one PAV
+    over every level of the block.
 
-    A map keeps one breakpoint per step: each label's first level, then
-    every level whose fitted value differs from the level before it. A
-    dropped level's value is its predecessor's, so lookups are the same at
-    every x as over all levels."""
+    A level is a run of equal sorted values; its hits are the label's
+    positives at that value, each found at its level's start by a binary
+    search of its row. A map keeps one breakpoint per step: each label's
+    first level, then every level whose fitted value differs from the level
+    before it. A dropped level's value is its predecessor's, so lookups are
+    the same at every x as over all levels."""
     if not len(predictions):
         raise ValidationError("cannot fit calibration on zero records")
     m, n = predictions.probs.shape
     maps = []
     for block in _label_blocks(m, n):
-        cols = np.ascontiguousarray(predictions.probs[:, block].T)
-        order = np.argsort(cols, axis=1)  # a level sums its tied hits in any order
-        xs = np.take_along_axis(cols, order, axis=1).ravel()
-        hits = np.take_along_axis(predictions.gt[:, block].T, order, axis=1).ravel()
-        del cols, order
+        cols = predictions.probs[:, block].T.copy()  # sorted in place below
+        rows, records = np.nonzero(predictions.gt[:, block].T)
+        hits = cols[rows, records]
+        cols.sort(axis=1)
+        xs = cols.ravel()
         new_level = np.ones(xs.size, dtype=bool)
         np.not_equal(xs[1:], xs[:-1], out=new_level[1:])
         new_level[::m] = True  # each label starts a level
         starts = np.flatnonzero(new_level)
         first = np.searchsorted(starts, np.arange(0, xs.size, m))
-        fitted = _pav(np.add.reduceat(hits, starts, dtype=np.int64),
+        at = np.searchsorted(starts, rows * m + searchsorted_rows(cols, rows, hits, "left"))
+        fitted = _pav(np.bincount(at, minlength=starts.size),
                       np.diff(starts, append=xs.size), first)
         step = np.ones(fitted.size, dtype=bool)
         np.not_equal(fitted[1:], fitted[:-1], out=step[1:])

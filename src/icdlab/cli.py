@@ -17,10 +17,12 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 import argparse
 import functools
 import json
+import operator
 import os
 import shutil
 import sys
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +30,12 @@ import numpy as np
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
 from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
-from .corpus import (LabelSpace, corpus_stats, encounter_of, generate_corpus,
+from .corpus import (LabelSpace, check_encounters, check_row, corpus_stats, generate_corpus,
                      read_encounters, read_rows, split_by_patient, write_encounters)
 from .errors import NumericError, UndefinedMetricError, UsageError, ValidationError, reading
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
-                      compute_report, consistency_check, instance_f1, recall_at_k,
-                      score_histogram, spearman)
+                      compute_report, consistency_check, date_column, instance_f1,
+                      recall_at_k, score_histogram, spearman)
 from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
                     load_reranker, save_base_model, save_reranker)
 from .preprocess import Vocabulary, build_vocab, encounter_aux_text, preprocess_train
@@ -116,37 +118,41 @@ def _load_prep(prep, rc: RunConfig, *splits):
 # --------------------------------------------------------------------------
 
 
-_encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-
-
 def _records_jsonl(p: Predictions) -> str:
+    """One line per record, written from the columns with the bytes that
+    JSONEncoder(sort_keys=True, ensure_ascii=False) gives the record's
+    object: keys in sorted order, strings through that encoder's own
+    encode_basestring, integers through str."""
+    quote = encode_basestring
+    gt_rows, gt = np.nonzero(p.gt)
+    gt_offsets = np.searchsorted(gt_rows, np.arange(len(p) + 1)).tolist()
+    gt, codes = list(map(str, gt.tolist())), list(map(quote, p.codes.tolist()))
+    code_offsets = p.code_offsets.tolist()
     lines = []
-    for gt, n_unseen, dept, first, bucket, e in zip(
-            p.gt, p.n_unseen.tolist(), p.dept.tolist(), p.first_visit.tolist(),
-            p.freq_bucket.tolist(), p.encounters):
-        row = {
-            "gt": np.flatnonzero(gt).tolist(),
-            "n_unseen": n_unseen,
-            "dept": dept,
-            "first_visit": first,
-            "freq_bucket": bucket,
-            "patient_id": e.patient_id,
-            "date": e.date.isoformat(),
-            "codes": sorted(e.codes),
-        }
-        lines.append(_encode_sorted(row))
+    for i, (n_unseen, dept, first, bucket, pid, date) in enumerate(zip(
+            p.n_unseen.tolist(), map(quote, p.dept.tolist()), p.first_visit.tolist(),
+            map(quote, p.freq_bucket.tolist()), map(quote, p.patient_id.tolist()),
+            np.datetime_as_string(p.date).tolist())):
+        row_codes = ", ".join(codes[code_offsets[i]:code_offsets[i + 1]])
+        row_gt = ", ".join(gt[gt_offsets[i]:gt_offsets[i + 1]])
+        lines.append(f'{{"codes": [{row_codes}], "date": "{date}", "dept": {dept}, '
+                     f'"first_visit": {"true" if first else "false"}, "freq_bucket": {bucket}, '
+                     f'"gt": [{row_gt}], "n_unseen": {n_unseen}, "patient_id": {pid}}}')
     return "\n".join(lines) + "\n"
 
 
 _RECORD_TYPES = {"gt": list[int], "n_unseen": int, "dept": str, "first_visit": bool,
                  "freq_bucket": str, "patient_id": str, "date": str, "codes": list[str]}
+_RECORD_CONTEXT = operator.itemgetter("n_unseen", "dept", "first_visit", "freq_bucket",
+                                      "patient_id")
 
 
 def read_prediction_records(eval_dir) -> Predictions:
     """probs.npy + records.jsonl as one Predictions value. A malformed matrix
-    is a numeric error. records.jsonl is read as a split file is; beyond that,
-    a gt index outside the label space, a negative unseen count or a row
-    count other than the matrix's is a validation error."""
+    is a numeric error. records.jsonl is read as a split file is (`read_rows`,
+    then `check_row`); before `check_row`, a gt index outside the label space
+    or a negative unseen count is a validation error, and so is a row count
+    other than the matrix's. Each row goes straight into the columns."""
     eval_dir = Path(eval_dir)
     with reading(eval_dir / "probs.npy"):
         probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
@@ -157,24 +163,27 @@ def read_prediction_records(eval_dir) -> Predictions:
         raise NumericError(f"{eval_dir}/probs.npy: non-finite probabilities")
     m, n = probs.shape
     path = eval_dir / "records.jsonl"
-    rows, encounters = [], []
+    context, dates, gt, n_gt, codes, code_offsets = [], [], [], [], [], [0]
     for lineno, row in read_rows(path, _RECORD_TYPES):
         if row["gt"] and not (min(row["gt"]) >= 0 and max(row["gt"]) < n):
             raise ValidationError(f"{path}:{lineno}: gt must list label indices in [0, {n})")
         if row["n_unseen"] < 0:
             raise ValidationError(f"{path}:{lineno}: n_unseen must be non-negative")
-        encounters.append(encounter_of(path, lineno, row))
-        rows.append(row)
-    if len(rows) != m:
+        date, row_codes = check_row(path, lineno, row)
+        context.append(_RECORD_CONTEXT(row))
+        dates.append(date)
+        gt += row["gt"]
+        n_gt.append(len(row["gt"]))
+        codes += row_codes
+        code_offsets.append(len(codes))
+    if len(context) != m:
         raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
-                              f"records.jsonl lines ({len(rows)}) disagree")
-    gt = np.zeros((m, n), dtype=bool)
-    gt[[i for i, r in enumerate(rows) for _ in r["gt"]],
-       [j for r in rows for j in r["gt"]]] = True
-    return Predictions(probs=probs, gt=gt, n_unseen=[r["n_unseen"] for r in rows],
-                       dept=[r["dept"] for r in rows],
-                       first_visit=[r["first_visit"] for r in rows],
-                       freq_bucket=[r["freq_bucket"] for r in rows], encounters=encounters)
+                              f"records.jsonl lines ({len(context)}) disagree")
+    gt_matrix = np.zeros((m, n), dtype=bool)
+    gt_matrix[np.repeat(np.arange(m), n_gt), gt] = True
+    n_unseen, dept, first_visit, freq_bucket, patient_id = zip(*context) if m else [()] * 5
+    return Predictions(probs, gt_matrix, n_unseen, dept, first_visit, freq_bucket, patient_id,
+                       date_column(dates), code_offsets, codes)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +216,7 @@ def cmd_preprocess(args, rc: RunConfig, stage: Path):
     labels = LabelSpace(tuple(sorted(retained))).with_train_counts(filtered)
     write_encounters(stage / "train.txt", filtered)
     for path in inputs[1:]:  # dev and test pass through byte-for-byte once they parse
-        read_encounters(path)
+        check_encounters(path)
         shutil.copyfile(path, stage / path.name)
     _write(stage / "vocab.json", vocab.to_json() + "\n")
     _write(stage / "labels.json", labels.to_json() + "\n")
@@ -333,14 +342,19 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     if digest != labels_sha256:
         raise ValidationError(f"{path}: maps were fitted on another label space than the "
                               f"one the manifest of {dev_dir} records")
-    maps = []
-    for j in range(n):
-        xs, vs = arrays.get(f"x{j}"), arrays.get(f"v{j}")
-        if (xs is None or vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
-                or not (np.diff(xs) >= 0).all() or not (np.diff(vs) >= 0).all()):
-            raise ValidationError(f"{path}: label {j} needs non-empty 1-D x{j} and v{j} "
-                                  f"of equal length, both non-decreasing")
-        maps.append((xs, vs))
+    maps = [(arrays.get(f"x{j}"), arrays.get(f"v{j}")) for j in range(n)]
+    bad = next((j for j, (xs, vs) in enumerate(maps) if xs is None or vs is None
+                or xs.ndim != 1 or not xs.size or vs.shape != xs.shape), n)
+    if bad:  # the well-shaped maps before it, checked end to end in one pass
+        ends = np.cumsum([xs.size for xs, _ in maps[:bad]])
+        rises = ((np.diff(np.concatenate([xs for xs, _ in maps[:bad]])) >= 0)
+                 & (np.diff(np.concatenate([vs for _, vs in maps[:bad]])) >= 0))
+        rises[ends[:-1] - 1] = True  # from one map's last value to the next map's first
+        if not rises.all():
+            bad = int(np.searchsorted(ends, np.argmin(rises), side="right"))
+    if bad < n:
+        raise ValidationError(f"{path}: label {bad} needs non-empty 1-D x{bad} and v{bad} "
+                              f"of equal length, both non-decreasing")
     extra = sorted(set(arrays) - {f"{c}{j}" for j in range(n) for c in "xv"})
     if extra:
         raise ValidationError(f"{path}: array {extra[0]!r} is not an x{{j}} or v{{j}} "
@@ -427,7 +441,7 @@ def cmd_report(args, rc: RunConfig, stage: Path):
                 r = "n/a"
             lines.append(f"{key},{versus},{r}")
     _write(stage / "correlations.csv", "\n".join(lines) + "\n")
-    consistency = consistency_check(records.encounters)
+    consistency = consistency_check(records)
     _write(stage / "consistency.txt",
            f"matched pairs        {consistency.matched_pairs}\n"
            f"inconsistent pairs   {consistency.inconsistent_pairs}\n"

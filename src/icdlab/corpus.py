@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import itertools
 import json
 import re
 from collections.abc import Iterator
@@ -48,7 +49,8 @@ class Encounter:
 
     Its codes are a non-empty frozenset of CODE_RE codes, its meds and procs
     tuples. Nothing checks that here: `generate_corpus` builds them so, and
-    `encounter_of`, the one way file data becomes an Encounter, checks them.
+    `encounter_of`, the one way file data becomes an Encounter, checks them
+    with `check_row`.
     """
 
     patient_id: str
@@ -77,17 +79,14 @@ class LabelSpace:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __contains__(self, code: str) -> bool:
-        return code in self._index
-
-    def index(self, code: str) -> int:
-        try:
-            return self._index[code]
-        except KeyError:
-            raise ValidationError(f"code {code!r} not in label space") from None
-
     def train_count(self, code: str) -> int:
         return self.counts.get(code, 0)
+
+    def indices(self, codes) -> np.ndarray:
+        """(len(codes),) int64: the label index of each code, -1 for a code
+        outside the space."""
+        return np.fromiter(map(self._index.get, codes, itertools.repeat(-1)), np.int64,
+                           len(codes))
 
     def with_train_counts(self, encounters) -> "LabelSpace":
         """Counts each document once per code (code sets are sets)."""
@@ -104,8 +103,20 @@ class LabelSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelSpace":
+        """The label space `to_json` wrote: `codes` a non-empty list of
+        distinct CODE_RE strings, `counts` an object mapping codes of that
+        list to non-negative integers. Anything else raises an exception that
+        `errors.reading` reports as a ParseError naming the file."""
         payload = json.loads(text)
-        return cls(tuple(payload["codes"]), dict(payload["counts"]))
+        codes, counts = payload["codes"], payload["counts"]
+        if (type(codes) is not list or not codes
+                or not all(type(c) is str and CODE_RE.match(c) for c in codes)
+                or len(set(codes)) != len(codes)):
+            raise ValueError("codes must be a non-empty list of distinct codes")
+        if (type(counts) is not dict or not counts.keys() <= set(codes)
+                or not all(type(n) is int and n >= 0 for n in counts.values())):
+            raise ValueError("counts must map codes of the label space to non-negative integers")
+        return cls(tuple(codes), counts)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
@@ -431,12 +442,13 @@ def _row_error(path, lineno: int, row: dict, types: dict, fault: str = "") -> Pa
     return ParseError(f"{path}:{lineno}: {fault}")
 
 
-def encounter_of(path, lineno: int, row: dict) -> Encounter:
-    """The Encounter of a row of `read_rows` (doctor, text, meds and procs
-    default to empty). Duplicate codes, a bad date, an empty code set or a
-    malformed code is a ValidationError naming `path:line`."""
-    codes = frozenset(row["codes"])
-    if len(codes) != len(row["codes"]):
+def check_row(path, lineno: int, row: dict) -> tuple[dt.date, list[str]]:
+    """The date and the sorted codes of a row of `read_rows` (a split file's
+    or records.jsonl's). Duplicate codes, a bad date, an empty code set or a
+    malformed code, checked in that order, is a ValidationError naming
+    `path:line`."""
+    codes = row["codes"]
+    if len(set(codes)) != len(codes):
         raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
     try:
         date = dt.date.fromisoformat(row["date"])
@@ -445,18 +457,30 @@ def encounter_of(path, lineno: int, row: dict) -> Encounter:
     if not codes:
         raise ValidationError(f"{path}:{lineno}: encounter {row['patient_id']}/{date}: "
                               "empty code set")
-    for c in sorted(codes):
+    codes = sorted(codes)
+    for c in codes:
         if not CODE_RE.match(c):
             raise ValidationError(f"{path}:{lineno}: malformed code {c!r}")
-    if "text" in row:  # a split-file row
-        return Encounter(row["patient_id"], date, row["dept"], row["doctor"], row["text"],
-                         codes, tuple(row["meds"]), tuple(row["procs"]))
-    return Encounter(row["patient_id"], date, row["dept"], "", "", codes)
+    return date, codes
+
+
+def encounter_of(path, lineno: int, row: dict) -> Encounter:
+    """The Encounter of a split-file row of `read_rows`, once `check_row`
+    passes it."""
+    date, codes = check_row(path, lineno, row)
+    return Encounter(row["patient_id"], date, row["dept"], row["doctor"], row["text"],
+                     frozenset(codes), tuple(row["meds"]), tuple(row["procs"]))
 
 
 def read_encounters(path) -> list[Encounter]:
     rows = read_rows(path, _ENCOUNTER_TYPES)
     return [encounter_of(path, lineno, row) for lineno, row in rows]
+
+
+def check_encounters(path) -> None:
+    """Check a split file as `read_encounters` does, building no Encounter."""
+    for lineno, row in read_rows(path, _ENCOUNTER_TYPES):
+        check_row(path, lineno, row)
 
 
 # --------------------------------------------------------------------------

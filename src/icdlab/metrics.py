@@ -8,7 +8,13 @@ A set of m evaluated documents over a label space of N codes is one
   index;
 * `n_unseen` (m,) int: ground-truth codes with no index in the label space;
 * context columns, one entry per document: `dept`, `first_visit`,
-  `freq_bucket` and the source `encounters`.
+  `freq_bucket`, `patient_id` (str) and `date` (datetime64[D]);
+* the documents' codes, label space or not, as CSR: `codes` (str) holds each
+  document's codes sorted, document i's being
+  codes[code_offsets[i]:code_offsets[i + 1]], and `code_offsets` is (m+1,).
+
+No column holds Python objects. The str columns are numpy's fixed-width
+unicode, which does not keep a string's trailing U+0000 characters.
 
 Conventions that matter:
 
@@ -26,27 +32,31 @@ Conventions that matter:
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import CODE_RE, Encounter, chapter
+from .corpus import CODE_RE, chapter
 from .errors import ShapeError, UndefinedMetricError, ValidationError
 
 # --------------------------------------------------------------------------
 # prediction substrate
 # --------------------------------------------------------------------------
 
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
+def date_column(dates) -> np.ndarray:
+    """A list of dates as a datetime64[D] column, through their ordinals:
+    numpy converts date objects one at a time, some 40 times slower."""
+    return (np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+            - _EPOCH).astype("datetime64[D]")
+
+
 _DTYPES = {"probs": np.float64, "gt": bool, "n_unseen": np.int64, "dept": str,
-           "first_visit": bool, "freq_bucket": str, "encounters": object}
-
-
-def _column(values, dtype) -> np.ndarray:
-    if dtype is not object:
-        return np.ascontiguousarray(values, dtype=dtype)
-    out = np.empty(len(values), dtype=object)  # never unpacks its items
-    out[:] = list(values)
-    return out
+           "first_visit": bool, "freq_bucket": str, "patient_id": str,
+           "date": "datetime64[D]", "code_offsets": np.int64, "codes": str}
 
 
 @dataclass(frozen=True)
@@ -59,17 +69,26 @@ class Predictions:
     dept: np.ndarray
     first_visit: np.ndarray
     freq_bucket: np.ndarray
-    encounters: np.ndarray
+    patient_id: np.ndarray
+    date: np.ndarray
+    code_offsets: np.ndarray
+    codes: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, _column(getattr(self, f.name), _DTYPES[f.name]))
+            object.__setattr__(self, f.name, np.ascontiguousarray(getattr(self, f.name),
+                                                                  dtype=_DTYPES[f.name]))
         if self.probs.ndim != 2 or self.gt.shape != self.probs.shape:
             raise ShapeError(f"probs {self.probs.shape} and gt {self.gt.shape} must be "
                              f"equal (m, N) matrices")
-        for f in fields(self)[2:]:  # the per-document columns
+        for f in fields(self)[2:-2]:  # the per-document columns
             if getattr(self, f.name).shape != (len(self),):
                 raise ShapeError(f"{f.name} column must have one entry per row ({len(self)})")
+        offsets = self.code_offsets
+        if (offsets.shape != (len(self) + 1,) or self.codes.ndim != 1 or offsets[0]
+                or offsets[-1] != self.codes.size or (offsets[1:] < offsets[:-1]).any()):
+            raise ShapeError(f"code_offsets must rise from 0 to the {self.codes.size} codes "
+                             f"in one step per row ({len(self)})")
 
     def __len__(self) -> int:
         return self.probs.shape[0]
@@ -179,39 +198,47 @@ def _rankdata(x: np.ndarray) -> np.ndarray:
     return (np.searchsorted(xs, x, "left") + np.searchsorted(xs, x, "right") + 1) / 2
 
 
-def _aucs(scores: np.ndarray, positives: np.ndarray) -> np.ndarray:
-    """Mann-Whitney AUC of every row of (K, m) scores against its 0/1
-    outcomes, ties counting half via average ranks, from one row-wise sort.
+def searchsorted_rows(xs: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                      side: str) -> np.ndarray:
+    """np.searchsorted(xs[r], v, side) for every pair (r, v) of `rows` and
+    `values`, each row of the (K, m) matrix `xs` sorted: one binary search of
+    all pairs at once, in ⌈log2(m + 1)⌉ halvings."""
+    m = xs.shape[1]
+    flat, base = xs.ravel(), rows * m
+    below = np.less if side == "left" else np.less_equal
+    lo, hi = np.zeros(len(values), dtype=np.int64), np.full(len(values), m)
+    for _ in range(m.bit_length()):
+        mid = (lo + hi) >> 1
+        right = below(flat[base + np.minimum(mid, m - 1)], values) & (lo < hi)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
-    Only the positives get a rank: the mean 1-based position of their run of
-    equal sorted scores. The rank sums add half-integers, exact in any order,
-    and the temporaries are the sort's and one index per run.
+
+def _aucs(xs: np.ndarray, rows: np.ndarray, values: np.ndarray,
+          n_pos: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of every row of the row-sorted (K, m) scores `xs`,
+    whose positives are the scores `values` in rows `rows`, ties counting half.
+
+    A positive's rank is `_rankdata`'s average rank, found by two binary
+    searches of its row. The rank sums add half-integers, exact in any order,
+    and nothing is gathered through an index sort.
     """
-    pos = np.asarray(positives, dtype=bool)
-    n_pos = pos.sum(axis=1)
-    n_neg = pos.shape[1] - n_pos
+    n_neg = xs.shape[1] - n_pos
     if not (n_pos.all() and n_neg.all()):
         raise UndefinedMetricError("AUC undefined for single-class data")
-    k, m = scores.shape
-    order = np.argsort(scores, axis=1)
-    xs = np.take_along_axis(scores, order, axis=1)
-    hits = np.flatnonzero(np.take_along_axis(pos, order, axis=1))  # flat sorted positions
-    del order
-    new_run = np.ones(k * m + 1, dtype=bool)  # each row starts a run; the end closes one
-    np.not_equal(xs[:, 1:], xs[:, :-1], out=new_run[:-1].reshape(k, m)[:, 1:])
-    del xs
-    runs = np.flatnonzero(new_run)
-    after = np.searchsorted(runs, hits, side="right")  # the run after each positive's
-    ranks = 0.5 * (runs[after - 1] + runs[after] - 1) + 1.0
-    rows = np.arange(k)
-    rank_sum = np.add.reduceat(ranks, np.searchsorted(hits, rows * m)) - rows * m * n_pos
+    ranks = (searchsorted_rows(xs, rows, values, "left")
+             + searchsorted_rows(xs, rows, values, "right") + 1) / 2
+    rank_sum = np.bincount(rows, weights=ranks, minlength=len(xs))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc_micro(p: Predictions) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
-    return float(_aucs(p.probs.reshape(1, -1), p.gt.reshape(1, -1))[0])
+    values = p.probs[p.gt]
+    return float(_aucs(np.sort(p.probs, axis=None)[None], np.zeros(values.size, np.int64),
+                       values, np.array([values.size]))[0])
 
 
 def auc_macro(p: Predictions) -> float:
@@ -221,8 +248,11 @@ def auc_macro(p: Predictions) -> float:
     two_class = np.flatnonzero((n_pos > 0) & (n_pos < len(p)))
     if not two_class.size:
         raise UndefinedMetricError("macro AUC: every label is single-class")
-    return float(np.mean(_aucs(np.ascontiguousarray(p.probs[:, two_class].T),
-                               p.gt[:, two_class].T)))
+    scores = np.ascontiguousarray(p.probs[:, two_class].T)
+    rows, cols = np.nonzero(p.gt[:, two_class].T)
+    values = scores[rows, cols]
+    scores.sort(axis=1)
+    return float(np.mean(_aucs(scores, rows, values, n_pos[two_class])))
 
 
 # --------------------------------------------------------------------------
@@ -251,16 +281,24 @@ def _group_values(p: Predictions, key: str) -> np.ndarray:
     raise ValidationError(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
 
 
-def _distinct_labels_per_period(encounters) -> float:
-    """Mean number of distinct gt codes per calendar year within the group.
+def _distinct_labels_per_period(p: Predictions, group: np.ndarray,
+                                n_groups: int) -> np.ndarray:
+    """(n_groups,) mean number of distinct gt codes per calendar year within
+    each group of documents, 0 for a group without codes.
 
-    Codes outside the label space count too, so this reads the encounters'
-    code sets rather than the gt matrix."""
-    pairs = {(e.date.year, c) for e in encounters for c in e.codes}
-    if not pairs:
-        return 0.0
-    _, per_year = np.unique([year for year, _ in pairs], return_counts=True)
-    return float(np.mean(per_year))
+    Codes outside the label space count too, so this reads the documents'
+    codes rather than the gt matrix. Each code's (group, year, code) is one
+    integer, so value sorts find the distinct ones and count them per year."""
+    year = p.date.astype("datetime64[Y]").astype(np.int64)
+    year -= year.min(initial=0)  # from 0 up, so no two (group, year) pairs share a key
+    n_years, names = int(year.max(initial=0)) + 1, np.unique(p.codes)
+    period = np.repeat(group * n_years + year, np.diff(p.code_offsets))
+    distinct = np.unique(period * names.size + np.searchsorted(names, p.codes))
+    periods, per_period = np.unique(distinct // max(names.size, 1), return_counts=True)
+    of_group = periods // n_years
+    n_periods = np.bincount(of_group, minlength=n_groups)
+    return np.divide(np.bincount(of_group, weights=per_period, minlength=n_groups),
+                     n_periods, out=np.zeros(n_groups), where=n_periods > 0)
 
 
 def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
@@ -268,6 +306,7 @@ def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
     """Per-group means of the documents' (m,) Recall@k and instance-F1
     vectors, so that several breakdowns share one computation of each."""
     names, group = np.unique(_group_values(p, group_key), return_inverse=True)
+    distinct = _distinct_labels_per_period(p, group, len(names)).tolist()
     out = []
     for g, name in enumerate(names.tolist()):
         members = group == g
@@ -276,7 +315,7 @@ def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
             size=int(members.sum()),
             recall_at_5=float(np.mean(recall[members])),
             instance_f1=float(np.mean(if1[members])),
-            distinct_labels_per_period=_distinct_labels_per_period(p.encounters[members]),
+            distinct_labels_per_period=distinct[g],
         ))
     out.sort(key=lambda g: (-g.size, g.group))
     return out
@@ -349,21 +388,24 @@ class ConsistencyReport:
         return self.inconsistent_pairs / self.matched_pairs if self.matched_pairs else 0.0
 
 
-def consistency_check(encounters, window_days: int = 7) -> ConsistencyReport:
-    """Chapter-matched code pairs across same-patient visits ≤ window apart."""
-    by_patient: dict[str, list[Encounter]] = {}
-    for e in encounters:
-        by_patient.setdefault(e.patient_id, []).append(e)
+def consistency_check(p: Predictions, window_days: int = 7) -> ConsistencyReport:
+    """Chapter-matched code pairs across same-patient visits ≤ window apart:
+    each patient's documents in date order (ties in document order), each
+    paired with the later ones until the gap passes the window."""
+    days = p.date.astype(np.int64).tolist()
+    codes, offsets = p.codes.tolist(), p.code_offsets.tolist()
+    by_patient: dict[str, list[int]] = {}
+    for i, pid in enumerate(p.patient_id.tolist()):
+        by_patient.setdefault(pid, []).append(i)
     matched = bad = 0
     for seq in by_patient.values():
-        seq = sorted(seq, key=lambda e: e.date)
-        for i, first in enumerate(seq):
-            for second in seq[i + 1:]:
-                gap = (second.date - first.date).days
-                if gap > window_days:
+        seq.sort(key=days.__getitem__)
+        for k, first in enumerate(seq):
+            for second in seq[k + 1:]:
+                if days[second] - days[first] > window_days:
                     break
-                for a in sorted(first.codes):
-                    for b in sorted(second.codes):
+                for a in codes[offsets[first]:offsets[first + 1]]:
+                    for b in codes[offsets[second]:offsets[second + 1]]:
                         if chapter(a) == chapter(b):
                             matched += 1
                             bad += codes_inconsistent(a, b)

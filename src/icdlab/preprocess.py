@@ -138,7 +138,14 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
-        return cls(tuple(json.loads(text)["tokens"]))
+        """The vocabulary `to_json` wrote: `tokens` a list of distinct
+        non-empty strings. Anything else raises an exception that
+        `errors.reading` reports as a ParseError naming the file."""
+        tokens = json.loads(text)["tokens"]
+        if (type(tokens) is not list or not all(type(t) is str and t for t in tokens)
+                or len(set(tokens)) != len(tokens)):
+            raise ValueError("tokens must be a list of distinct non-empty strings")
+        return cls(tuple(tokens))
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()

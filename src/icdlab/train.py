@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import LabelSpace
 from .errors import ConfigError, NumericError, ValidationError
-from .metrics import Predictions, mean_instance_f1, mean_recall_at_k
+from .metrics import Predictions, date_column, mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker
 from .preprocess import UNK_ID, Vocabulary, encounter_aux_text, tokenize
 
@@ -134,16 +134,9 @@ def _restore(params: dict[str, ad.Tensor], snap: dict[str, np.ndarray]) -> None:
 # --------------------------------------------------------------------------
 
 
-def frequency_bucket(codes, labels: LabelSpace) -> str:
-    """Bucket a document by its rarest gt code's train count."""
-    lowest = min(labels.train_count(c) for c in codes)
-    if lowest == 0:
-        return "0"
-    if lowest < 10:
-        return "1-9"
-    if lowest < 100:
-        return "10-99"
-    return "100+"
+def frequency_bucket(lowest: np.ndarray) -> np.ndarray:
+    """The bucket of each document by its rarest gt code's train count."""
+    return np.select([lowest == 0, lowest < 10, lowest < 100], ["0", "1-9", "10-99"], "100+")
 
 
 def _first_visit_flags(encounters: list) -> list[bool]:
@@ -173,9 +166,9 @@ def _segments(offsets, idx) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class Notes:
     """One split, tokenized once: the notes' ids packed as `tokens` (ΣL,)
-    int64, note i being tokens[offsets[i]:offsets[i + 1]], and the split's
-    ground truth and per-record columns, named and typed as in Predictions.
-    A scoring pass's predictions are `scored(probs)`."""
+    int64, note i being tokens[offsets[i]:offsets[i + 1]], the split's ground
+    truth and record columns, named and typed as in Predictions, and the
+    source `encounters`. A scoring pass's predictions are `scored(probs)`."""
 
     tokens: np.ndarray
     offsets: np.ndarray
@@ -184,6 +177,10 @@ class Notes:
     dept: np.ndarray
     first_visit: np.ndarray
     freq_bucket: np.ndarray
+    patient_id: np.ndarray
+    date: np.ndarray
+    code_offsets: np.ndarray
+    codes: np.ndarray
     encounters: np.ndarray
 
     @classmethod
@@ -191,21 +188,32 @@ class Notes:
            max_len: int = 512) -> "Notes":
         """A blank note (some encounters carry codes with no prose) becomes a
         single unknown token instead of no token, so attention always has one
-        position to land on and no document drops out of the denominators."""
+        position to land on and no document drops out of the denominators.
+        The codes, sorted per encounter, are one CSR, and the ground truth,
+        unseen counts and frequency buckets come from it."""
         encs = list(encounters)
         rows = [tokenize(e.text, vocab, max_len).token_ids or (UNK_ID,) for e in encs]
         tokens, offsets = _packed(rows)
+        code_rows = [sorted(e.codes) for e in encs]
+        codes = list(itertools.chain(*code_rows))
+        lengths = np.fromiter(map(len, code_rows), np.int64, len(encs))
+        if not lengths.all():
+            raise ValidationError("every encounter needs at least one code")
+        code_offsets = np.concatenate(([0], np.cumsum(lengths)))
+        ids, record = labels.indices(codes), np.repeat(np.arange(len(encs)), lengths)
+        seen = ids >= 0
         gt = np.zeros((len(encs), len(labels)), dtype=bool)
-        for i, e in enumerate(encs):
-            gt[i, [labels.index(c) for c in e.codes if c in labels]] = True
+        gt[record[seen], ids[seen]] = True
+        counts = np.fromiter(map(labels.train_count, codes), np.int64, len(codes))
+        lowest = np.minimum.reduceat(counts, code_offsets[:-1])
         objects = np.empty(len(encs), dtype=object)
         objects[:] = encs
-        return cls(tokens, offsets, gt,
-                   np.array([len(e.codes) for e in encs], dtype=np.int64) - gt.sum(axis=1),
+        return cls(tokens, offsets, gt, np.bincount(record[~seen], minlength=len(encs)),
                    np.array([e.dept for e in encs], dtype=str),
-                   np.array(_first_visit_flags(encs), dtype=bool),
-                   np.array([frequency_bucket(e.codes, labels) for e in encs], dtype=str),
-                   objects)
+                   np.array(_first_visit_flags(encs), dtype=bool), frequency_bucket(lowest),
+                   np.array([e.patient_id for e in encs], dtype=str),
+                   date_column([e.date for e in encs]),
+                   code_offsets, np.array(codes, dtype=str), objects)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -218,8 +226,11 @@ class Notes:
     def rows(self, idx) -> "Notes":
         """The notes at `idx` as a split of their own."""
         tokens, lengths = self.batch(idx)
-        return Notes(tokens, np.cumsum([0, *lengths]),
-                     **{f.name: getattr(self, f.name)[idx] for f in fields(Notes)[2:]})
+        codes, code_lengths = _segments(self.code_offsets, idx)
+        return Notes(tokens=tokens, offsets=np.cumsum([0, *lengths]),
+                     code_offsets=np.cumsum([0, *code_lengths]), codes=self.codes[codes],
+                     **{f.name: getattr(self, f.name)[idx] for f in fields(Notes)
+                        if f.name not in ("tokens", "offsets", "code_offsets", "codes")})
 
     def scored(self, probs: np.ndarray) -> Predictions:
         """These notes' Predictions for the (n, N) score matrix `probs`."""

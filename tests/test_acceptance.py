@@ -168,7 +168,24 @@ def _predictions(rows) -> Predictions:
         gt[i, sorted(r.gt_indices)] = True
     m = len(rows)
     return Predictions(probs, gt, [r.n_unseen for r in rows], ["D0"] * m, [True] * m,
-                       [""] * m, [_ENC] * m)
+                       [""] * m, **_visit_columns([_ENC] * m))
+
+
+def _visit_columns(encounters) -> dict:
+    """The patient, date and code columns of Predictions over `encounters`."""
+    codes = [sorted(e.codes) for e in encounters]
+    return {"patient_id": [e.patient_id for e in encounters],
+            "date": [e.date for e in encounters],
+            "code_offsets": np.cumsum([0, *map(len, codes)]),
+            "codes": [c for row in codes for c in row]}
+
+
+def _visits(encounters) -> Predictions:
+    """Predictions over `encounters` that score no label: their columns only."""
+    m = len(encounters)
+    return Predictions(np.zeros((m, 0)), np.zeros((m, 0), dtype=bool), [0] * m,
+                       [e.dept for e in encounters], [True] * m, [""] * m,
+                       **_visit_columns(encounters))
 
 
 def _quantized_record(rng, n_labels, max_unseen=2):
@@ -677,7 +694,7 @@ def test_criterion_10_consistency_examples():
         Encounter("P1", dt.date(2024, 3, 4), "D0", "DR0", "b", frozenset(["E78.5"])),
         Encounter("P1", dt.date(2024, 3, 30), "D0", "DR0", "c", frozenset(["E78.5"])),
     ]
-    report = consistency_check(visits, window_days=7)
+    report = consistency_check(_visits(visits), window_days=7)
     ok = (flagged and identity and not cross_chapter
           and (report.matched_pairs, report.inconsistent_pairs, report.rate)
           == (1, 1, 1.0))

@@ -24,21 +24,19 @@ from icdlab.calibrate import (
     sweep_csv,
 )
 from icdlab.cli import _budgets
-from icdlab.corpus import Encounter
 from icdlab.errors import UndefinedMetricError, UsageError, ValidationError
 from icdlab.metrics import Predictions, instance_f1
 
-_ENC = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t", frozenset(["A00.0"]))
-
-
 def P(probs, gts=None):
-    """Predictions from score rows and ground-truth index sets."""
+    """Predictions from score rows and ground-truth index sets, every record
+    one visit of patient P0 coded A00.0."""
     probs = np.asarray(probs, dtype=float)
     gt = np.zeros(probs.shape, dtype=bool)
     for i, g in enumerate(gts or ()):
         gt[i, sorted(g)] = True
     m = len(probs)
-    return Predictions(probs, gt, [0] * m, ["D0"] * m, [True] * m, [""] * m, [_ENC] * m)
+    return Predictions(probs, gt, [0] * m, ["D0"] * m, [True] * m, [""] * m, ["P0"] * m,
+                       [dt.date(2020, 1, 1)] * m, np.arange(m + 1), ["A00.0"] * m)
 
 
 def column(ps, hits=None):
@@ -220,6 +218,77 @@ def test_stepped_map_applies_as_the_full_level_map(seed):
     probes = P(rng.uniform(-0.2, 1.2, size=(50, n)))
     for data in (records, probes):
         assert stepped.apply(data).probs.tobytes() == full.apply(data).probs.tobytes()
+
+
+def _argsort_fit(predictions: Predictions) -> IsotonicMap:
+    """fit_isotonic with its levels found through a row-wise argsort of each
+    block's columns and the hits gathered in that order."""
+    m, n = predictions.probs.shape
+    maps = []
+    for block in calibrate._label_blocks(m, n):
+        cols = np.ascontiguousarray(predictions.probs[:, block].T)
+        order = np.argsort(cols, axis=1)
+        xs = np.take_along_axis(cols, order, axis=1).ravel()
+        hits = np.take_along_axis(predictions.gt[:, block].T, order, axis=1).ravel()
+        new_level = np.ones(xs.size, dtype=bool)
+        np.not_equal(xs[1:], xs[:-1], out=new_level[1:])
+        new_level[::m] = True
+        starts = np.flatnonzero(new_level)
+        first = np.searchsorted(starts, np.arange(0, xs.size, m))
+        fitted = _pav(np.add.reduceat(hits, starts, dtype=np.int64),
+                      np.diff(starts, append=xs.size), first)
+        step = np.ones(fitted.size, dtype=bool)
+        np.not_equal(fitted[1:], fitted[:-1], out=step[1:])
+        step[first] = True
+        steps = np.flatnonzero(step)
+        cut = np.searchsorted(steps, first[1:])
+        maps += zip(np.split(xs[starts[steps]], cut), np.split(fitted[steps], cut))
+    return IsotonicMap(tuple(maps))
+
+
+def _tied_scores(rng):
+    """Finite scores and ground truth made of what ranking ties are made of:
+    a few values (both signed zeros among them), whole records of one value,
+    labels of one value, and a label with a single positive."""
+    m, n = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    values = np.array([0.0, -0.0, 0.5, 1.0, 0.25, -2.0, 1e300, 5e-324])
+    probs = rng.choice(values[:int(rng.integers(1, values.size + 1))], size=(m, n))
+    if rng.random() < 0.3:  # continuous scores among the ties
+        probs = np.where(rng.random((m, n)) < 0.5, rng.uniform(size=(m, n)), probs)
+    probs[rng.random(m) < 0.2] = probs[0, 0]
+    probs[:, rng.random(n) < 0.2] = probs[-1, -1]
+    gt = rng.random((m, n)) < rng.uniform(0.05, 0.7)
+    one = int(rng.integers(n))
+    gt[:, one] = False
+    gt[int(rng.integers(m)), one] = True
+    return probs, gt
+
+
+@pytest.mark.parametrize("block_cells", [None, 7])
+def test_fit_has_the_bits_of_the_argsort_fit(monkeypatch, block_cells):
+    if block_cells:  # a block of one label, as on a large split
+        monkeypatch.setattr(calibrate, "_BLOCK_CELLS", block_cells)
+    for seed in range(300):
+        probs, gt = _tied_scores(np.random.default_rng(seed))
+        records = P(probs, [set(np.flatnonzero(row)) for row in gt])
+        got, want = fit_isotonic(records).maps, _argsort_fit(records).maps
+        assert len(got) == len(want) == probs.shape[1]
+        for j, ((got_x, got_v), (want_x, want_v)) in enumerate(zip(got, want)):
+            assert got_v.tobytes() == want_v.tobytes(), (seed, j)
+            zeros = np.signbit(probs[:, j][probs[:, j] == 0])
+            if zeros.any() and not zeros.all():
+                # a level of -0.0 and +0.0 starts at whichever zero its sort put
+                # first; the maps are the same function either way
+                got_x, want_x = got_x + 0.0, want_x + 0.0
+            assert got_x.tobytes() == want_x.tobytes(), (seed, j)
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (1, 4), (6, 3)])
+def test_fit_leaves_the_scores_it_sorts_as_they_were(shape):
+    probs = np.random.default_rng(2).uniform(size=shape)
+    records = P(probs.copy(), [{0}] * shape[0])
+    fit_isotonic(records)
+    assert records.probs.tobytes() == probs.tobytes()
 
 
 def test_fit_single_level_and_constant_columns():

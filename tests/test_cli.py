@@ -221,11 +221,45 @@ def test_prediction_records_round_trip(pipeline):
     records = read_prediction_records(out)
     probs = np.load(out / "probs.npy")
     assert np.array_equal(records.probs, probs)
-    assert records.encounters[0].patient_id
+    assert records.patient_id[0]
     # reported recall must be reproducible from the reloaded records
     reported = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1]
     recall_pct = float(reported.split(",")[-1])
     assert abs(100 * mean_recall_at_k(records, 5) - recall_pct) < 0.005 + 1e-9
+
+
+@pytest.mark.parametrize("eval_dir", ["eval_dev", "eval_test", "eval_rr"])
+def test_records_read_then_written_are_the_same_bytes(pipeline, eval_dir):
+    path = pipeline[eval_dir] / "records.jsonl"
+    records = read_prediction_records(pipeline[eval_dir])
+    assert cli._records_jsonl(records).encode("utf-8") == path.read_bytes()
+
+
+# strings the JSON encoder escapes or keeps: a quote, a backslash, control
+# characters, non-ASCII letters, an emoji, U+2028 and U+0085 (no line ends
+# in a JSON-lines file) and a DEL
+_HOSTILE = ['say "hi"', "back\\slash", "tab\there", "nul\x00bell\x07esc\x1b",
+            "Zoë Ødegård", "\U0001f600", "para\u2028sep\x85nel", "del\x7f", ""]
+
+
+def test_the_records_writer_is_the_sorted_json_encoder(tmp_path):
+    rows = []
+    for i, text in enumerate(_HOSTILE):
+        rows.append({"gt": [0, 2] if i % 2 else [1], "n_unseen": i % 3,
+                     "dept": text, "first_visit": bool(i % 2),
+                     "freq_bucket": ["0", "1-9", "10-99", "100+"][i % 4],
+                     "patient_id": _HOSTILE[-1 - i] + str(i),
+                     "date": f"{1 + 999 * i:04d}-0{1 + i % 9}-2{i}",
+                     "codes": sorted({"A00.0", "B12", "C99.x1Z", "E78.5\n"}
+                                     - {["A00.0", "B12", "C99.x1Z", "E78.5\n"][i % 4]})})
+    # the file lists each record's codes in reverse; the writer sorts them
+    (tmp_path / "records.jsonl").write_text(
+        "".join(json.dumps({**row, "codes": row["codes"][::-1]}, ensure_ascii=True) + "\n"
+                for row in rows), encoding="utf-8")
+    np.save(tmp_path / "probs.npy", np.zeros((len(rows), 3)))
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+    assert (cli._records_jsonl(read_prediction_records(tmp_path))
+            == "".join(encode(row) + "\n" for row in rows))
 
 
 def test_calibrate_artifacts(pipeline):
@@ -372,6 +406,28 @@ def test_preprocess_names_the_malformed_line_of_a_held_out_split(pipeline, tmp_p
     assert not (tmp_path / "prep").exists()
 
 
+@pytest.mark.parametrize("split, edit, message", [
+    ("dev.txt", lambda row: {**row, "codes": row["codes"] * 2}, "duplicate codes in record"),
+    ("test.txt", lambda row: {**row, "date": "2018-02-30"}, "bad date '2018-02-30'"),
+    ("dev.txt", lambda row: {**row, "codes": []}, "empty code set"),
+    ("test.txt", lambda row: {**row, "codes": ["e78.5", *row["codes"]]}, "malformed code 'e78.5'"),
+], ids=["duplicate-codes", "bad-date", "no-codes", "malformed-code"])
+def test_preprocess_checks_the_codes_and_date_of_a_held_out_split(pipeline, tmp_path, capsys,
+                                                                  split, edit, message):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    lines = (corpus / split).read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])), ensure_ascii=False)
+    (corpus / split).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["preprocess", "--config", str(pipeline["cfg"]), "--in", str(corpus),
+                 "--out", str(tmp_path / "prep")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert f"{split}:2: " in err[0] and message in err[0]
+    assert not (tmp_path / "prep").exists()
+
+
 # TINY_CFG at seed 3 with 40 patients and three epochs for both models.
 # train-reranker keeps its third epoch, so these are a trained reranker's
 # bytes, not those of the zero start, which scores as the base model does.
@@ -433,6 +489,29 @@ POST_MODEL_PIN_SHA256 = {
     "calib/isotonic.ckpt without its metadata line":
         "cdf204ad5141760cc9f2abcd03d74eb6376587dde1155c0863ef823e307643fe",
 }
+# what evaluate writes for the records and report writes from them
+POST_MODEL_RECORDS_SHA256 = {
+    "eval_dev/records.jsonl":
+        "efe1dc43be1ab50cb47fd782e5fe6eb1a5fa200632d081d65be2353d93f74da6",
+    "eval_test/records.jsonl":
+        "5a7bba09b6def188a463c7b3f6bc8871c325fb78d97dd99daae3e2b70634d35f",
+    "eval_test/report.csv":
+        "b087db6f9b232a68a77a4ba6f2c1ee2a7b05c7d0680a09c97427b77f119c475a",
+    "report/breakdown_dept.csv":
+        "3321fcd01345aeb9091918e8f45fadbea2ea5692a0c75f09496abe5b3cc5b4ed",
+    "report/breakdown_label_frequency_bucket.csv":
+        "030b09c26f7bd2722f7c6a80d9b6c437a609ff318f7157c3abdba88fad651393",
+    "report/breakdown_first_visit.csv":
+        "745dc6da9d1a388f6629a9cd1a8ced9ce28438848e16d90ec9e13e71bafe0c98",
+    "report/hist_if1.csv":
+        "57bb9af794f6d7adb2791588cf84fd93736252812e9c5ae49c70ce3aba3fa1ea",
+    "report/hist_recall.csv":
+        "b8f276e91ad49ce6297f00675bb808c30d9ad447654e2bf013f9321de0d037a2",
+    "report/correlations.csv":
+        "c02793487411bdc29aef9deb11f96fa7a075a6774f6d31839aaabba9b355c147",
+    "report/consistency.txt":
+        "f730196041f417b177cf7fb25b48dcede786dd8767e44c989027b5627119b757",
+}
 
 
 def test_post_model_stages_write_the_pinned_bytes(tmp_path):
@@ -440,7 +519,7 @@ def test_post_model_stages_write_the_pinned_bytes(tmp_path):
     cfg.write_text(POST_MODEL_PIN_CFG, encoding="utf-8")
     c, d = str(cfg), {name: str(tmp_path / name) for name in
                       ("corpus", "prep", "model", "eval_dev", "eval_test", "calib", "auto",
-                       "auto_cal")}
+                       "auto_cal", "report")}
     sweep = ["automate", "--config", c, "--dev", d["eval_dev"], "--test", d["eval_test"],
              "--max-fp", POST_MODEL_PIN_BUDGETS]
     for argv in (["gen-corpus", "--config", c, "--out", d["corpus"]],
@@ -452,7 +531,8 @@ def test_post_model_stages_write_the_pinned_bytes(tmp_path):
                   "--out", d["eval_test"]],
                  ["calibrate", "--config", c, "--in", d["eval_dev"], "--out", d["calib"]],
                  [*sweep, "--out", d["auto"]],
-                 [*sweep, "--out", d["auto_cal"], "--calibrated", "--maps", d["calib"]]):
+                 [*sweep, "--out", d["auto_cal"], "--calibrated", "--maps", d["calib"]],
+                 ["report", "--config", c, "--in", d["eval_test"], "--out", d["report"]]):
         assert main(argv) == 0, argv[0]
     assert {name: (tmp_path / name).read_text(encoding="utf-8")
             for name in POST_MODEL_PIN} == POST_MODEL_PIN
@@ -461,6 +541,11 @@ def test_post_model_stages_write_the_pinned_bytes(tmp_path):
             "calib/isotonic.ckpt without its metadata line":
                 hashlib.sha256(magic + b"\n" + arrays).hexdigest(),
             } == POST_MODEL_PIN_SHA256
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == sorted(
+        ["manifest.json", *(name.split("/")[1] for name in POST_MODEL_RECORDS_SHA256
+                            if name.startswith("report/"))])
+    assert {name: _sha(tmp_path / name)
+            for name in POST_MODEL_RECORDS_SHA256} == POST_MODEL_RECORDS_SHA256
 
 
 # default model widths, so the batched GEMMs are large enough for OpenBLAS to
@@ -649,6 +734,51 @@ def test_malformed_json_artifact_exits_with_one_error_line(pipeline, tmp_path, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert name in err[0]
+
+
+def _first_count(payload, value):
+    code = next(iter(payload["counts"]))
+    return {**payload, "counts": {**payload["counts"], code: value}}
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("labels.json", lambda p: _first_count(p, "7")),
+    ("labels.json", lambda p: _first_count(p, -1)),
+    ("labels.json", lambda p: _first_count(p, True)),
+    ("labels.json", lambda p: _first_count(p, 2.0)),
+    ("labels.json", lambda p: {**p, "counts": {**p["counts"], "Z99.9": 1}}),
+    ("labels.json", lambda p: {**p, "counts": list(p["counts"])}),
+    ("labels.json", lambda p: {**p, "codes": ""}),
+    ("labels.json", lambda p: {**p, "codes": [], "counts": {}}),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + p["codes"][:1]}),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + ["e78"]}),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + [78]}),
+    ("labels.json", lambda p: {"codes": p["codes"]}),
+    ("labels.json", lambda p: p["codes"]),
+    ("vocab.json", lambda p: {**p, "tokens": "abcdef"}),
+    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + p["tokens"][:1]}),
+    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + [7]}),
+    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + [""]}),
+    ("vocab.json", lambda p: {}),
+], ids=["count-a-string", "count-negative", "count-true", "count-a-float",
+        "count-of-a-code-outside", "counts-a-list", "codes-a-string", "codes-empty",
+        "codes-duplicate", "code-malformed", "code-an-integer", "counts-absent",
+        "labels-a-list", "tokens-a-string", "tokens-duplicate", "token-an-integer",
+        "token-empty", "tokens-absent"])
+def test_a_malformed_label_space_or_vocabulary_exits_3_naming_the_file(
+        pipeline, tmp_path, capsys, name, edit):
+    prep = tmp_path / "prep"
+    shutil.copytree(pipeline["prep"], prep)
+    path = prep / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))) + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(pipeline["cfg"]), "--in", str(prep),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(path) in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_ascii_checkpoint_header_exits_with_one_error_line(pipeline, tmp_path, capsys):
@@ -947,6 +1077,30 @@ def test_malformed_isotonic_map_exits_3(pipeline, tmp_path, capsys, edit):
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert "isotonic.ckpt" in err[0]
     assert f"label {j} needs non-empty 1-D x{j} and v{j}" in err[0]
+
+
+@pytest.mark.parametrize("edit, bad", [
+    (lambda a: {**a, "x2": a["x2"][::-1]}, 2),
+    (lambda a: {**a, "v1": a["v1"][::-1], "x2": a["x2"][::-1]}, 1),
+    (lambda a: {**a, "x1": a["x1"][::-1], "v2": a["v2"][:1]}, 1),
+    (lambda a: {**a, "x2": a["x2"][::-1], "v1": a["v1"][:1]}, 1),
+    (lambda a: {**a, "x1": np.zeros(0), "v1": np.zeros(0)}, 1),
+    (lambda a: {**a, "x2": a["x2"].reshape(1, -1), "v2": a["v2"].reshape(1, -1)}, 2),
+    (lambda a: {k: v for k, v in a.items() if k != "x1"}, 1),
+], ids=["x2-decreasing", "v1-and-x2-decreasing", "x1-decreasing-v2-short",
+        "x2-decreasing-v1-short", "label-1-empty", "label-2-two-dimensional", "x1-absent"])
+def test_load_isotonic_names_the_first_faulty_label(tmp_path, edit, bad):
+    arrays = {"x0": np.array([0.1, 0.5]), "v0": np.array([0.0, 1.0]),
+              "x1": np.array([0.0, 0.2, 0.9]), "v1": np.array([0.1, 0.4, 0.8]),
+              "x2": np.array([0.3, 0.6]), "v2": np.array([0.2, 0.7])}
+    meta = {"kind": "isotonic", "n_labels": 3, "labels_sha256": "0" * 64}
+    save_params(tmp_path / "isotonic.ckpt", arrays, meta)
+    assert [xs.tolist() for xs, _ in load_isotonic(tmp_path, "0" * 64, tmp_path).maps] == [
+        arrays[f"x{j}"].tolist() for j in range(3)]
+    save_params(tmp_path / "isotonic.ckpt", edit(arrays), meta)
+    with pytest.raises(ValidationError, match=f"label {bad} needs non-empty 1-D x{bad} "
+                                              f"and v{bad} of equal length"):
+        load_isotonic(tmp_path, "0" * 64, tmp_path)
 
 
 def test_calibrate_records_the_label_space_and_automate_checks_it(pipeline, tmp_path, capsys):

@@ -40,7 +40,16 @@ def rec(probs, gt, n_unseen=0, dept="D0", first_visit=True, encounter=None):
     """One document's row; `P` stacks rows into a Predictions value."""
     return {"probs": probs, "gt": gt, "n_unseen": n_unseen, "dept": dept,
             "first_visit": first_visit, "freq_bucket": "",
-            "encounters": encounter or _enc("P0", 1, ["A00.0"], dept)}
+            "encounter": encounter or _enc("P0", 1, ["A00.0"], dept)}
+
+
+def visit_columns(encounters) -> dict:
+    """The patient, date and code columns of Predictions over `encounters`."""
+    codes = [sorted(e.codes) for e in encounters]
+    return {"patient_id": [e.patient_id for e in encounters],
+            "date": [e.date for e in encounters],
+            "code_offsets": np.cumsum([0, *map(len, codes)]),
+            "codes": [c for row in codes for c in row]}
 
 
 def P(*rows):
@@ -49,8 +58,16 @@ def P(*rows):
     for i, r in enumerate(rows):
         gt[i, sorted(r["gt"])] = True
     return Predictions(probs, gt, **{k: [r[k] for r in rows] for k in
-                                     ("n_unseen", "dept", "first_visit", "freq_bucket",
-                                      "encounters")})
+                                     ("n_unseen", "dept", "first_visit", "freq_bucket")},
+                       **visit_columns([r["encounter"] for r in rows]))
+
+
+def visits(*encounters):
+    """Predictions over `encounters` that score no label: their columns only."""
+    m = len(encounters)
+    return Predictions(np.zeros((m, 0)), np.zeros((m, 0), dtype=bool), [0] * m,
+                       [e.dept for e in encounters], [True] * m, [""] * m,
+                       **visit_columns(encounters))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +321,75 @@ def test_rankdata_matches_tie_loop():
         np.testing.assert_array_equal(_rankdata(x), want)
 
 
+def _argsort_aucs(scores, positives):
+    """The Mann-Whitney AUC of every row of (K, m) scores against its 0/1
+    outcomes by the rank-sum form over one row-wise argsort: each positive's
+    rank is the mean 1-based position of its run of equal sorted scores."""
+    pos = np.asarray(positives, dtype=bool)
+    n_pos = pos.sum(axis=1)
+    n_neg = pos.shape[1] - n_pos
+    if not (n_pos.all() and n_neg.all()):
+        raise UndefinedMetricError("AUC undefined for single-class data")
+    k, m = scores.shape
+    order = np.argsort(scores, axis=1)
+    xs = np.take_along_axis(scores, order, axis=1)
+    hits = np.flatnonzero(np.take_along_axis(pos, order, axis=1))  # flat sorted positions
+    new_run = np.ones(k * m + 1, dtype=bool)  # each row starts a run; the end closes one
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=new_run[:-1].reshape(k, m)[:, 1:])
+    runs = np.flatnonzero(new_run)
+    after = np.searchsorted(runs, hits, side="right")  # the run after each positive's
+    ranks = 0.5 * (runs[after - 1] + runs[after] - 1) + 1.0
+    rows = np.arange(k)
+    rank_sum = np.add.reduceat(ranks, np.searchsorted(hits, rows * m)) - rows * m * n_pos
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _tied_scores(rng):
+    """Finite scores and ground truth made of what ranking ties are made of:
+    a few values (both signed zeros among them), whole records of one value,
+    labels of one value, and a label with a single positive."""
+    m, n = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    values = np.array([0.0, -0.0, 0.5, 1.0, 0.25, -2.0, 1e300, 5e-324])
+    probs = rng.choice(values[:int(rng.integers(1, values.size + 1))], size=(m, n))
+    if rng.random() < 0.3:  # continuous scores among the ties
+        probs = np.where(rng.random((m, n)) < 0.5, rng.uniform(size=(m, n)), probs)
+    probs[rng.random(m) < 0.2] = probs[0, 0]
+    probs[:, rng.random(n) < 0.2] = probs[-1, -1]
+    gt = rng.random((m, n)) < rng.uniform(0.05, 0.7)
+    one = int(rng.integers(n))
+    gt[:, one] = False
+    gt[int(rng.integers(m)), one] = True
+    return probs, gt
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def test_aucs_have_the_bits_of_the_argsort_rank_sums():
+    defined = 0
+    for seed in range(400):
+        probs, gt = _tied_scores(np.random.default_rng(seed))
+        records = P(*(rec(row, set(np.flatnonzero(g).tolist())) for row, g in zip(probs, gt)))
+        try:
+            want = _argsort_aucs(probs.reshape(1, -1), gt.reshape(1, -1))[0]
+        except UndefinedMetricError:
+            with pytest.raises(UndefinedMetricError):
+                auc_micro(records)
+        else:
+            assert _bits(auc_micro(records)) == _bits(want), seed
+            defined += 1
+        two_class = np.flatnonzero(gt.any(axis=0) & ~gt.all(axis=0))
+        if two_class.size:
+            want = np.mean(_argsort_aucs(np.ascontiguousarray(probs[:, two_class].T),
+                                         gt[:, two_class].T))
+            assert _bits(auc_macro(records)) == _bits(want), seed
+        else:
+            with pytest.raises(UndefinedMetricError):
+                auc_macro(records)
+    assert defined > 300
+
+
 # ---------------------------------------------------------------------------
 # breakdown
 # ---------------------------------------------------------------------------
@@ -377,6 +463,11 @@ def test_predictions_reject_mismatched_shapes():
         replace(good, dept=["A", "B"])
     with pytest.raises(ValidationError):
         replace(good, probs=np.array([0.9, 0.1]), gt=np.array([True, False]))
+    for offsets in ([0], [0, 2], [1, 1], [0, 1, 1]):  # one step per row, 0 to the codes' count
+        with pytest.raises(ValidationError):
+            replace(good, code_offsets=offsets)
+    with pytest.raises(ValidationError):
+        replace(good, codes=[["A00.0"]])
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +557,13 @@ def test_consistency_check_window():
         _enc("P2", 1, ["I70.203"]),
         _enc("P2", 2, ["I70.203"]),  # identical → consistent
     ]
-    report = consistency_check(encs, window_days=7)
+    report = consistency_check(visits(*encs), window_days=7)
     assert report == ConsistencyReport(matched_pairs=2, inconsistent_pairs=1)
     assert report.rate == 0.5
 
 
 def test_consistency_empty_is_zero():
-    assert consistency_check([]).rate == 0.0
+    assert consistency_check(visits()).rate == 0.0
 
 
 # ---------------------------------------------------------------------------

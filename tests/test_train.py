@@ -99,19 +99,40 @@ def test_notes_pack_and_batch_in_index_order():
     assert list(sub.encounters) == [split.encounters[0], split.encounters[3]]
 
 
+def test_notes_hold_each_record_s_patient_date_and_sorted_codes():
+    split = notes(enc(pid="P2", day=3, codes=("Z99.9", "B11.1", "A00.0")),
+                  enc(pid="P1", day=9, codes=("B11.1",)), enc(pid="P2", day=4, codes=("C22.2",)))
+    assert split.patient_id.tolist() == ["P2", "P1", "P2"]
+    assert split.date.tolist() == [dt.date(2021, 1, 3), dt.date(2021, 1, 9), dt.date(2021, 1, 4)]
+    assert split.codes.tolist() == ["A00.0", "B11.1", "Z99.9", "B11.1", "C22.2"]
+    assert split.code_offsets.tolist() == [0, 3, 4, 5]
+    assert split.gt.tolist() == [[True, True], [False, True], [False, False]]
+    assert split.n_unseen.tolist() == [1, 0, 1]
+    sub = split.rows([2, 0])
+    assert sub.patient_id.tolist() == ["P2", "P2"] and sub.code_offsets.tolist() == [0, 1, 4]
+    assert sub.codes.tolist() == ["C22.2", "A00.0", "B11.1", "Z99.9"]
+    records = predict_records(toy_model(), sub)
+    assert records.codes.tolist() == sub.codes.tolist()
+    with pytest.raises(ValidationError):
+        notes(enc(codes=()))
+
+
 def test_notes_truncate_to_max_len():
     split = Notes.of([enc(text="aches cough bruise dizzy")], VOCAB, LABELS, max_len=2)
     assert split.tokens.tolist() == [2, 4]
 
 
 def test_frequency_bucket_edges():
+    lowest = np.array([500, 100, 99, 50, 10, 9, 5, 1, 0])
+    assert frequency_bucket(lowest).tolist() == ["100+", "100+", "10-99", "10-99", "10-99",
+                                                 "1-9", "1-9", "1-9", "0"]
     labels = LabelSpace(("A00.0", "B11.1", "C22.2", "D33.3"),
                         {"A00.0": 500, "B11.1": 50, "C22.2": 5})
-    assert frequency_bucket(["A00.0"], labels) == "100+"
-    assert frequency_bucket(["B11.1"], labels) == "10-99"
-    assert frequency_bucket(["C22.2"], labels) == "1-9"
-    assert frequency_bucket(["D33.3"], labels) == "0"
-    assert frequency_bucket(["A00.0", "D33.3"], labels) == "0"  # rarest wins
+    split = Notes.of([enc(codes=codes) for codes in (
+        ["A00.0"], ["B11.1"], ["C22.2"], ["D33.3"], ["A00.0", "D33.3"], ["B11.1", "Z99.9"])],
+        VOCAB, labels)
+    # the rarest code wins, and a code outside the label space counts 0
+    assert split.freq_bucket.tolist() == ["100+", "10-99", "1-9", "0", "0", "0"]
 
 
 # ---------------------------------------------------------------------------
