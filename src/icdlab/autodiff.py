@@ -335,13 +335,6 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
     return _node(out, (x, kernels, bias), grad_fn)
 
 
-# ---- clamp to the unit interval (no caller here: perfbench/spans.py wraps it) --
-
-def clamp01(a: Tensor) -> Tensor:
-    return _node(np.clip(a.data, 0.0, 1.0), (a,),
-                 lambda g: (g * ((a.data >= 0.0) & (a.data <= 1.0)),))
-
-
 # ---- binary cross-entropy -------------------------------------------------------
 
 def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:

@@ -245,10 +245,10 @@ def cmd_train_reranker(args, rc: RunConfig, stage: Path):
     base_dir = Path(args.base)
     inputs.append(base_dir / "model.ckpt")
     base = load_base_model(base_dir / "model.ckpt", vocab.sha256(), labels.sha256())
-    vocabs = ModalityVocabs.from_encounters(train_notes.encounters)
-    reranker = MetadataReranker.init(len(labels), base.hp.d_c, vocabs, rc.reranker_hparams(),
+    reranker = MetadataReranker.init(len(labels), base.hp.d_c, ModalityVocabs.of(train_notes),
+                                     rc.reranker_hparams(),
                                      seed=stage_seed(rc.seed, "reranker-init"))
-    _, history = train_reranker(base, reranker, train_notes, dev_notes, vocab,
+    _, history = train_reranker(base, reranker, train_notes, dev_notes,
                                 rc.train_config("reranker"))
     save_reranker(stage / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256(),
                   base_dir / "model.ckpt")
@@ -271,7 +271,7 @@ def cmd_evaluate(args, rc: RunConfig, stage: Path):
         inputs.append(rr_dir / "reranker.ckpt")
         reranker = load_reranker(rr_dir / "reranker.ckpt", vocab.sha256(),
                                  labels.sha256(), model_dir / "model.ckpt")
-        records = predict_records_reranked(base, reranker, notes, vocab)
+        records = predict_records_reranked(base, reranker, notes)
     else:
         records = predict_records(base, notes)
     report = compute_report(records, rc.decision_threshold, args.k)

@@ -400,7 +400,8 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
     an object holding exactly the fields of `types` (name -> str, bool, int,
     list[str] or list[int]), each of exactly its type: JSON true is not an
     int. Lines end at "\n" only, as json.dumps leaves U+2028 and U+0085 as
-    they are. Every fault is one ParseError naming `path:line` and the field."""
+    they are. No field that becomes a numpy str column holds U+0000. Every
+    fault is one ParseError naming `path:line` and the field."""
     with open(path, encoding="utf-8") as fh, reading(path):
         text = fh.read()
     checks = [(name, *_KINDS[kind]) for name, kind in types.items()]
@@ -429,6 +430,11 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
                 for x in value:  # a loop, not all(): no generator per field
                     if type(x) is not item:
                         raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
+        if "\\u0000" in line:  # JSON's only spelling of U+0000 (or an escaped "\\" + "u0000")
+            # the fields that become numpy str columns, which drop a trailing U+0000
+            for name in ("patient_id", "dept", "doctor", "freq_bucket", "meds", "procs"):
+                if "\0" in "".join(row.get(name, "")):  # a str, or a list of them
+                    raise ParseError(f"{path}:{lineno}: {name} must not contain U+0000")
         yield lineno, row
 
 
@@ -509,15 +515,7 @@ class CorpusStats:
 
 def corpus_stats(encounters: list[Encounter]) -> CorpusStats:
     n = len(encounters)
-    distinct = set()
-    for enc in encounters:
-        distinct.update(enc.codes)
-    mean_chars = sum(len(e.text) for e in encounters) / n if n else 0.0
-    mean_codes = sum(len(e.codes) for e in encounters) / n if n else 0.0
-    return CorpusStats(
-        n_documents=n,
-        n_patients=len({e.patient_id for e in encounters}),
-        n_distinct_codes=len(distinct),
-        mean_text_chars=mean_chars,
-        mean_codes_per_doc=mean_codes,
-    )
+    return CorpusStats(n, len({e.patient_id for e in encounters}),
+                       len(set().union(*(e.codes for e in encounters))),
+                       sum(len(e.text) for e in encounters) / n if n else 0.0,
+                       sum(len(e.codes) for e in encounters) / n if n else 0.0)

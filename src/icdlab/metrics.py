@@ -13,8 +13,7 @@ A set of m evaluated documents over a label space of N codes is one
   document's codes sorted, document i's being
   codes[code_offsets[i]:code_offsets[i + 1]], and `code_offsets` is (m+1,).
 
-No column holds Python objects. The str columns are numpy's fixed-width
-unicode, which does not keep a string's trailing U+0000 characters.
+No column holds Python objects.
 
 Conventions that matter:
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import file_sha256, load_params, save_params
-from .corpus import Encounter
 from .errors import ConfigError, ValidationError, reading
 from .preprocess import PAD_ID
 
@@ -130,10 +129,17 @@ class BaseModel:
 MODALITIES = ("med", "proc", "doctor", "dept")
 
 
+def _modality_columns(notes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each modality's values in a split (Notes), packed: (offsets, values)."""
+    single = np.arange(len(notes.dept) + 1)
+    return [(notes.med_offsets, notes.meds), (notes.proc_offsets, notes.procs),
+            (single, notes.doctor), (single, notes.dept)]
+
+
 @dataclass(frozen=True)
 class ModalityVocabs:
-    """Observed ids per structured modality. Row 0 of each embedding table
-    is the zero-initialized unknown entry; known ids start at row 1."""
+    """Observed values per structured modality. Row 0 of each embedding table
+    is the zero-initialized unknown entry; known values start at row 1."""
 
     med: tuple[str, ...]
     proc: tuple[str, ...]
@@ -141,23 +147,20 @@ class ModalityVocabs:
     dept: tuple[str, ...]
 
     @classmethod
-    def from_encounters(cls, encounters: list[Encounter]) -> "ModalityVocabs":
-        med, proc, doctor, dept = set(), set(), set(), set()
-        for e in encounters:
-            med.update(e.meds)
-            proc.update(e.procs)
-            doctor.add(e.doctor)
-            dept.add(e.dept)
-        return cls(tuple(sorted(med)), tuple(sorted(proc)),
-                   tuple(sorted(doctor)), tuple(sorted(dept)))
+    def of(cls, notes) -> "ModalityVocabs":
+        """The sorted distinct values of each modality column of a split."""
+        return cls(*(tuple(np.unique(values).tolist())
+                     for _, values in _modality_columns(notes)))
 
-    def __post_init__(self):
-        for m in MODALITIES:
-            object.__setattr__(self, f"_idx_{m}",
-                               {v: i + 1 for i, v in enumerate(getattr(self, m))})
+    def __post_init__(self):  # a checkpoint's lists are read as given, sorted or not
+        object.__setattr__(self, "_index", {m: {v: i + 1 for i, v in enumerate(getattr(self, m))}
+                                            for m in MODALITIES})
 
-    def row(self, modality: str, value: str) -> int:
-        return getattr(self, f"_idx_{modality}").get(value, 0)
+    def rows(self, notes) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per modality, a split's values as the table rows they embed with,
+        packed as in the split: (offsets, rows)."""
+        return [(offsets, np.array([self._index[m].get(v, 0) for v in values.tolist()], np.int64))
+                for m, (offsets, values) in zip(MODALITIES, _modality_columns(notes))]
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,9 @@ class MetadataReranker:
 
     def __init__(self, n_labels: int, d_keys: int, hp: RerankerHParams,
                  vocabs: ModalityVocabs, params: dict[str, ad.Tensor]):
-        self.n_labels = n_labels
-        self.d_keys = d_keys  # channel width of the (frozen) encoder outputs
-        self.hp = hp
-        self.vocabs = vocabs
-        self.params = params
+        # d_keys: the channel width of the (frozen) encoder outputs
+        self.n_labels, self.d_keys, self.hp = n_labels, d_keys, hp
+        self.vocabs, self.params = vocabs, params
 
     @staticmethod
     def shapes(n_labels: int, d_keys: int, vocabs: ModalityVocabs,
@@ -228,26 +229,27 @@ class MetadataReranker:
         return cls(n_labels, d_keys, hp, vocabs,
                    {name: ad.tensor(a, requires_grad=True) for name, a in p.items()})
 
-    def embed_modalities(self, encs) -> ad.Tensor:
-        """(B, d): per encounter, the sum over modalities of its embedding
-        rows; med/proc lists contribute their average, an empty list nothing.
-        A table no encounter of the batch uses stays out of the graph."""
+    def embed_modalities(self, metadata) -> ad.Tensor:
+        """(B, d): per note, the sum over modalities of its embedding rows;
+        med/proc lists contribute their average, an empty list nothing.
+        `metadata` holds per modality the notes' values' table rows, note after
+        note, and their counts (B,). An unused table stays out of the graph."""
         total = None
-        for m in MODALITIES:
-            weights = np.zeros((len(encs), len(getattr(self.vocabs, m)) + 1))
-            for b, enc in enumerate(encs):
-                values = {"med": enc.meds, "proc": enc.procs,
-                          "doctor": (enc.doctor,), "dept": (enc.dept,)}[m]
-                for v in values:
-                    weights[b, self.vocabs.row(m, v)] += 1.0 / len(values)
-            if weights.any():
-                part = ad.matmul(ad.tensor(weights), self.params[f"{m}_emb"])
-                total = part if total is None else ad.add(total, part)
+        for m, (rows, counts) in zip(MODALITIES, metadata):
+            if not rows.size:
+                continue
+            width = len(getattr(self.vocabs, m)) + 1
+            cells = np.repeat(np.arange(len(counts)) * width, counts) + rows
+            # bincount adds in record order: the bits of weights[b, row] += 1/len
+            weights = np.bincount(cells, 1.0 / np.repeat(counts, counts), len(counts) * width)
+            part = ad.matmul(ad.tensor(weights.reshape(len(counts), width)),
+                             self.params[f"{m}_emb"])
+            total = part if total is None else ad.add(total, part)
         return total
 
     def forward(self, base_probs: ad.Tensor, h_note: ad.Tensor, note_lengths: np.ndarray,
                 h_aux: ad.Tensor | None, aux_lengths: np.ndarray | None,
-                encs) -> ad.Tensor:
+                metadata) -> ad.Tensor:
         """The scores P + Δ, (B, N).
 
         base_probs (B, N), the packed h_note (ΣL, d_keys) and h_aux
@@ -255,6 +257,7 @@ class MetadataReranker:
         when no note of the batch has auxiliary tokens, which leaves the
         attn_m parameters out of the graph; otherwise a note without any is
         one zero row, which gets an auxiliary term of exactly zero.
+        `metadata` is the batch's, as `embed_modalities` reads it.
 
         Per side, label n of note b queries head h with the h-th column
         block of (label_emb[n] + m_b) wq: the label term is the query matrix
@@ -265,7 +268,7 @@ class MetadataReranker:
         p, nh = self.params, self.hp.n_heads
         dh = self.hp.d // nh
         head_sums = ad.tensor(np.kron(np.eye(nh), np.ones((dh, 1))))  # (d, H)
-        modalities = self.embed_modalities(encs)
+        modalities = self.embed_modalities(metadata)
         sides = [("attn_n", h_note, note_lengths)]
         if h_aux is not None:
             sides.append(("attn_m", h_aux, aux_lengths))
@@ -288,12 +291,8 @@ class MetadataReranker:
 # --------------------------------------------------------------------------
 
 
-def _params_to_arrays(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
-    return {k: t.data for k, t in params.items()}
-
-
 def save_base_model(path, model: BaseModel, vocab_sha: str, labels_sha: str) -> None:
-    save_params(path, _params_to_arrays(model.params), {
+    save_params(path, {k: t.data for k, t in model.params.items()}, {
         "kind": "base",
         "arch": model.arch,
         "n_labels": model.n_labels,
@@ -342,7 +341,7 @@ def save_reranker(path, model: MetadataReranker, vocab_sha: str, labels_sha: str
                   base_path) -> None:
     """The reranker, tied to the base checkpoint at `base_path` it was
     trained over by that file's sha256."""
-    save_params(path, _params_to_arrays(model.params), {
+    save_params(path, {k: t.data for k, t in model.params.items()}, {
         "kind": "reranker",
         "n_labels": model.n_labels,
         "d_keys": model.d_keys,

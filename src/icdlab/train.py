@@ -139,36 +139,40 @@ def frequency_bucket(lowest: np.ndarray) -> np.ndarray:
     return np.select([lowest == 0, lowest < 10, lowest < 100], ["0", "1-9", "10-99"], "100+")
 
 
-def _first_visit_flags(encounters: list) -> list[bool]:
-    # a patient's chronologically earliest evaluated encounter is "first";
-    # date ties resolve to the earliest in input order
-    first: dict[str, int] = {}
-    for i, e in enumerate(encounters):
-        if e.patient_id not in first or e.date < encounters[first[e.patient_id]].date:
-            first[e.patient_id] = i
-    chosen = set(first.values())
-    return [i in chosen for i in range(len(encounters))]
+def _first_visit_flags(patient_id: np.ndarray, date: np.ndarray) -> np.ndarray:
+    # a patient's earliest visit is "first", a date tie going to input order
+    order = np.lexsort((date, patient_id))  # stable
+    first = np.ones(len(order), dtype=bool)
+    first[order[1:]] = patient_id[order[1:]] != patient_id[order[:-1]]
+    return first
 
 
-def _packed(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ids as one (ΣL,) int64 vector plus their (n+1,) offsets."""
-    return np.fromiter(itertools.chain(*rows), np.int64), np.cumsum([0, *map(len, rows)])
+def _packed(rows, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as one (ΣL,) vector plus their (n+1,) offsets (str via a list)."""
+    flat = itertools.chain(*rows)
+    values = np.array(list(flat), str) if dtype is str else np.fromiter(flat, dtype)
+    return values, np.cumsum([0, *map(len, rows)])
 
 
-def _segments(offsets, idx) -> tuple[np.ndarray, np.ndarray]:
-    """The packed rows of the segments at `idx`, concatenated in that order,
-    and their lengths."""
+def _gather(offsets, values, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The rows at `idx` of a packed column, concatenated in that order, and
+    their lengths."""
     starts, lengths = offsets[idx], offsets[np.asarray(idx) + 1] - offsets[idx]
     shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return np.arange(lengths.sum()) + shift, lengths
+    return values[np.arange(lengths.sum()) + shift], lengths
+
+
+# the packed columns of Notes: (offsets, values)
+_CSR = (("offsets", "tokens"), ("code_offsets", "codes"), ("med_offsets", "meds"),
+        ("proc_offsets", "procs"), ("aux_offsets", "aux"))
 
 
 @dataclass(frozen=True)
 class Notes:
-    """One split, tokenized once: the notes' ids packed as `tokens` (ΣL,)
-    int64, note i being tokens[offsets[i]:offsets[i + 1]], the split's ground
-    truth and record columns, named and typed as in Predictions, and the
-    source `encounters`. A scoring pass's predictions are `scored(probs)`."""
+    """One split as columns, built once: per note the ground truth, `doctor`
+    and the record columns of Predictions; packed (_CSR, note i of `x` being
+    x[x_offsets[i]:x_offsets[i + 1]]) its token ids (`tokens`, `offsets`),
+    sorted codes, meds, procs and auxiliary ids. See `scored(probs)`."""
 
     tokens: np.ndarray
     offsets: np.ndarray
@@ -181,56 +185,62 @@ class Notes:
     date: np.ndarray
     code_offsets: np.ndarray
     codes: np.ndarray
-    encounters: np.ndarray
+    doctor: np.ndarray
+    med_offsets: np.ndarray
+    meds: np.ndarray
+    proc_offsets: np.ndarray
+    procs: np.ndarray
+    aux_offsets: np.ndarray
+    aux: np.ndarray
 
     @classmethod
     def of(cls, encounters, vocab: Vocabulary, labels: LabelSpace,
            max_len: int = 512) -> "Notes":
         """A blank note (some encounters carry codes with no prose) becomes a
         single unknown token instead of no token, so attention always has one
-        position to land on and no document drops out of the denominators.
-        The codes, sorted per encounter, are one CSR, and the ground truth,
-        unseen counts and frequency buckets come from it."""
+        position to land on and no document drops out of the denominators."""
         encs = list(encounters)
-        rows = [tokenize(e.text, vocab, max_len).token_ids or (UNK_ID,) for e in encs]
-        tokens, offsets = _packed(rows)
-        code_rows = [sorted(e.codes) for e in encs]
-        codes = list(itertools.chain(*code_rows))
-        lengths = np.fromiter(map(len, code_rows), np.int64, len(encs))
+        tokens, offsets = _packed([tokenize(e.text, vocab, max_len).token_ids or (UNK_ID,)
+                                   for e in encs])
+        aux, aux_offsets = _packed([tokenize(encounter_aux_text(e), vocab).token_ids
+                                    for e in encs])
+        codes, code_offsets = _packed([sorted(e.codes) for e in encs], str)
+        lengths = np.diff(code_offsets)
         if not lengths.all():
             raise ValidationError("every encounter needs at least one code")
-        code_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        ids, record = labels.indices(codes), np.repeat(np.arange(len(encs)), lengths)
+        flat = codes.tolist()
+        ids, record = labels.indices(flat), np.repeat(np.arange(len(encs)), lengths)
         seen = ids >= 0
         gt = np.zeros((len(encs), len(labels)), dtype=bool)
         gt[record[seen], ids[seen]] = True
-        counts = np.fromiter(map(labels.train_count, codes), np.int64, len(codes))
+        counts = np.fromiter(map(labels.train_count, flat), np.int64, len(flat))
         lowest = np.minimum.reduceat(counts, code_offsets[:-1])
-        objects = np.empty(len(encs), dtype=object)
-        objects[:] = encs
+        patient_id = np.array([e.patient_id for e in encs], dtype=str)
+        date = date_column([e.date for e in encs])
+        meds, med_offsets = _packed([e.meds for e in encs], str)
+        procs, proc_offsets = _packed([e.procs for e in encs], str)
         return cls(tokens, offsets, gt, np.bincount(record[~seen], minlength=len(encs)),
                    np.array([e.dept for e in encs], dtype=str),
-                   np.array(_first_visit_flags(encs), dtype=bool), frequency_bucket(lowest),
-                   np.array([e.patient_id for e in encs], dtype=str),
-                   date_column([e.date for e in encs]),
-                   code_offsets, np.array(codes, dtype=str), objects)
+                   _first_visit_flags(patient_id, date), frequency_bucket(lowest),
+                   patient_id, date, code_offsets, codes,
+                   np.array([e.doctor for e in encs], dtype=str),
+                   med_offsets, meds, proc_offsets, procs, aux_offsets, aux)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
     def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """The notes at `idx` packed: their ids concatenated, and their lengths."""
-        rows, lengths = _segments(self.offsets, idx)
-        return self.tokens[rows], lengths
+        return _gather(self.offsets, self.tokens, idx)
 
     def rows(self, idx) -> "Notes":
         """The notes at `idx` as a split of their own."""
-        tokens, lengths = self.batch(idx)
-        codes, code_lengths = _segments(self.code_offsets, idx)
-        return Notes(tokens=tokens, offsets=np.cumsum([0, *lengths]),
-                     code_offsets=np.cumsum([0, *code_lengths]), codes=self.codes[codes],
-                     **{f.name: getattr(self, f.name)[idx] for f in fields(Notes)
-                        if f.name not in ("tokens", "offsets", "code_offsets", "codes")})
+        columns = {}
+        for offsets, values in _CSR:
+            columns[values], lengths = _gather(getattr(self, offsets), getattr(self, values), idx)
+            columns[offsets] = np.cumsum([0, *lengths])
+        return Notes(**columns, **{f.name: getattr(self, f.name)[idx] for f in fields(Notes)
+                                   if f.name not in columns})
 
     def scored(self, probs: np.ndarray) -> Predictions:
         """These notes' Predictions for the (n, N) score matrix `probs`."""
@@ -256,52 +266,52 @@ def predict_records(model: BaseModel, notes: Notes) -> Predictions:
 
 
 class _FrozenBase:
-    """A frozen base model's outputs on a split, computed once in scoring
-    chunks: P (n, N), the packed note encodings H (rows as `notes.offsets`)
-    and the packed encodings of the notes' auxiliary text, where a note
-    without auxiliary tokens has one zero row. A batch gathers its rows."""
+    """What a reranker reads of a split, computed once: the frozen base's P
+    (n, N), packed encodings of the notes (H) and of their auxiliary ids (one
+    zero row if none), and the metadata as table rows. A batch gathers."""
 
-    def __init__(self, base: BaseModel, notes: Notes, vocab: Vocabulary):
-        self.encs, self.offsets = notes.encounters, notes.offsets
-        aux, aux_offsets = _packed([tokenize(encounter_aux_text(e), vocab).token_ids
-                                    for e in self.encs])
+    def __init__(self, base: BaseModel, reranker: MetadataReranker, notes: Notes):
+        self.reranker, self.offsets = reranker, notes.offsets
+        self.metadata = reranker.vocabs.rows(notes)
         h, h_aux = [np.empty((0, base.hp.d_c))], [np.empty((0, base.hp.d_c))]
 
         def run(idx):
             probs, hc = base.forward(*notes.batch(idx))
-            rows, lengths = _segments(aux_offsets, idx)
             h.append(hc.data)
-            h_aux.append(base.encode(aux[rows], lengths).data)
+            h_aux.append(base.encode(*_gather(notes.aux_offsets, notes.aux, idx)).data)
             return probs.data
 
         self.probs = _scored(run, len(notes), base.n_labels)
         self.h = np.concatenate(h)
-        self.has_aux = np.diff(aux_offsets) > 0
-        self.aux_offsets = np.cumsum([0, *np.maximum(np.diff(aux_offsets), 1)])
-        self.h_aux = np.insert(np.concatenate(h_aux), aux_offsets[:-1][~self.has_aux], 0.0, 0)
+        aux_lengths = np.diff(notes.aux_offsets)
+        self.has_aux = aux_lengths > 0
+        self.aux_offsets = np.cumsum([0, *np.maximum(aux_lengths, 1)])
+        self.h_aux = np.insert(np.concatenate(h_aux), notes.aux_offsets[:-1][~self.has_aux],
+                               0.0, 0)
 
-    def forward(self, reranker: MetadataReranker, idx):
+    def forward(self, idx):
         """The reranker's (B, N) scores on the notes at `idx`."""
-        rows, lengths = _segments(self.offsets, idx)
-        aux_rows, aux_lengths = _segments(self.aux_offsets, idx)
-        aux = ad.tensor(self.h_aux[aux_rows]) if self.has_aux[idx].any() else None
-        return reranker.forward(ad.tensor(self.probs[idx]), ad.tensor(self.h[rows]), lengths,
-                                aux, aux_lengths, self.encs[idx])
+        h, lengths = _gather(self.offsets, self.h, idx)
+        h_aux, aux_lengths = _gather(self.aux_offsets, self.h_aux, idx)
+        aux = ad.tensor(h_aux) if self.has_aux[idx].any() else None
+        metadata = [_gather(offsets, rows, idx) for offsets, rows in self.metadata]
+        return self.reranker.forward(ad.tensor(self.probs[idx]), ad.tensor(h), lengths,
+                                     aux, aux_lengths, metadata)
 
-    def reranked(self, reranker: MetadataReranker) -> np.ndarray:
+    def reranked(self) -> np.ndarray:
         """The reranker's scores on every note, (n, N). With its
         projection all zero, as at the zero start, the residual is exactly
         zero and the scores are P itself."""
-        if not (reranker.params["proj_w"].data.any() or reranker.params["proj_b"].data.any()):
+        if not any(self.reranker.params[k].data.any() for k in ("proj_w", "proj_b")):
             return self.probs.copy()
-        return _scored(lambda idx: self.forward(reranker, idx).data, len(self.encs),
-                       reranker.n_labels)
+        return _scored(lambda idx: self.forward(idx).data, len(self.probs),
+                       self.reranker.n_labels)
 
 
-def predict_records_reranked(base: BaseModel, reranker: MetadataReranker, notes: Notes,
-                             vocab: Vocabulary) -> Predictions:
+def predict_records_reranked(base: BaseModel, reranker: MetadataReranker,
+                             notes: Notes) -> Predictions:
     """Predictions carrying the reranker's scores."""
-    return notes.scored(_FrozenBase(base, notes, vocab).reranked(reranker))
+    return notes.scored(_FrozenBase(base, reranker, notes).reranked())
 
 
 # --------------------------------------------------------------------------
@@ -375,13 +385,12 @@ def train(model: BaseModel, notes: Notes, dev_notes: Notes, config: TrainConfig)
 
 
 def train_reranker(base: BaseModel, reranker: MetadataReranker, notes: Notes,
-                   dev_notes: Notes, vocab: Vocabulary, config: TrainConfig):
+                   dev_notes: Notes, config: TrainConfig):
     """Optimizes only the reranker over frozen base outputs, computed once
     and reused every epoch (the frozen contract makes them constants)."""
-    frozen, dev_frozen = _FrozenBase(base, notes, vocab), _FrozenBase(base, dev_notes, vocab)
-    return _train(reranker.params, notes, dev_notes, config,
-                  lambda idx: frozen.forward(reranker, idx),
-                  lambda: dev_frozen.reranked(reranker))
+    frozen, dev_frozen = (_FrozenBase(base, reranker, n) for n in (notes, dev_notes))
+    return _train(reranker.params, notes, dev_notes, config, frozen.forward,
+                  dev_frozen.reranked)
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from icdlab.calibrate import (
     search_thresholds,
 )
 from icdlab.cli import main as cli_main
-from icdlab.corpus import CorpusConfig, Encounter, generate_corpus, split_by_patient
+from icdlab.corpus import CorpusConfig, Encounter, LabelSpace, generate_corpus, split_by_patient
 from icdlab.metrics import (
     Predictions,
     auc_macro,
@@ -127,11 +127,13 @@ def _reranker_grad_error(seed: int) -> float:
     h_aux = ad.tensor(rng.normal(size=(2, 6)))
     enc = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t",
                     frozenset(["A00.0"]), ("M1",), ("R1",))
+    metadata = [(rows, np.diff(offsets)) for offsets, rows in
+                rr.vocabs.rows(_notes([enc], build_vocab([]), LabelSpace(("A00.0",))))]
     target = ad.tensor(rng.integers(0, 2, size=(1, 3)).astype(np.float64))
     tensors = [rr.params[k] for k in sorted(rr.params)]
 
     def loss(*_):
-        return ad.bce_loss(rr.forward(base_p, h_note, [4], h_aux, [2], [enc]), target)
+        return ad.bce_loss(rr.forward(base_p, h_note, [4], h_aux, [2], metadata), target)
 
     return ad.grad_check(loss, tensors, eps=1e-4)
 
@@ -496,14 +498,13 @@ def _reranker_arm(omitted: float):
           TrainConfig(learning_rate=5e-3, batch_size=16, max_epochs=30,
                       patience=10, seed=0))
     base_r5 = mean_recall_at_k(predict_records(base, ts), 5)
-    reranker = MetadataReranker.init(len(labels), hp.d_c,
-                                     ModalityVocabs.from_encounters(filtered),
+    reranker = MetadataReranker.init(len(labels), hp.d_c, ModalityVocabs.of(tr),
                                      RerankerHParams(d=32, n_heads=2), seed=11)
-    train_reranker(base, reranker, tr, dv, vocab,
+    train_reranker(base, reranker, tr, dv,
                    TrainConfig(learning_rate=5e-3, batch_size=16, max_epochs=25,
                                patience=3, seed=1))
     reranked_r5 = mean_recall_at_k(
-        predict_records_reranked(base, reranker, ts, vocab), 5)
+        predict_records_reranked(base, reranker, ts), 5)
     return base_r5, reranked_r5
 
 

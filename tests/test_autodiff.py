@@ -217,14 +217,6 @@ def test_sigmoid_has_the_bytes_of_the_masked_formula():
     assert ad.sigmoid(t(x)).data.tobytes() == want.tobytes()
 
 
-def test_clamp01_values_and_gradient_gate():
-    x = t([-0.5, 0.25, 1.5], grad=True)
-    out = ad.clamp01(x)
-    np.testing.assert_array_equal(out.data, [0.0, 0.25, 1.0])
-    grads = ad.backward(ad.tensor_sum(out))
-    np.testing.assert_array_equal(grads[x], [0.0, 1.0, 0.0])
-
-
 EPS = ad.PROB_EPS
 # one score in each stretch of the line: below 0, (0, ε), [ε, 1 − ε] with
 # both ends, (1 − ε, 1] and above 1
@@ -236,15 +228,17 @@ CLIP_CASES = [-0.3, EPS / 2, EPS, 0.4, 1.0 - EPS, 1.0 - EPS / 4, 1.0, 1.7]
 def test_bce_loss_clips_as_clamp01_then_bce_loss(x, target):
     # the reranker hands its unclamped scores P + Δ to bce_loss: the loss's own
     # clip to [ε, 1 − ε], whose gradient is zero outside it, gives what a clamp
-    # to [0, 1] first would give, in value and gradient, to the bit
-    def loss_and_grad(clamp):
+    # to [0, 1] first would give, in value and gradient, to the bit; the
+    # clamp's gradient is the clamped score's, gated by [0 ≤ x ≤ 1]
+    def loss_and_grad(x):
         score = t([[x]], grad=True)
-        loss = ad.bce_loss(ad.clamp01(score) if clamp else score, t([[target]]))
+        loss = ad.bce_loss(score, t([[target]]))
         return loss.data, ad.backward(loss)[score]
 
-    (loss, grad), (clamped_loss, clamped_grad) = loss_and_grad(False), loss_and_grad(True)
+    loss, grad = loss_and_grad(x)
+    clamped_loss, clamped_grad = loss_and_grad(np.clip(x, 0, 1))
     assert loss.tobytes() == clamped_loss.tobytes()
-    assert grad.tobytes() == clamped_grad.tobytes()
+    assert grad.tobytes() == (clamped_grad * np.array(0.0 <= x <= 1.0)).tobytes()
     # what a reranker correcting in logit space, σ(logit P + Δ), changes: its
     # scores never leave (0, 1), and the gradient of the loss with respect to
     # the logit, σ − y, is never zero, where here a score past the clip gets none
@@ -591,18 +585,6 @@ def test_grad_check_attention_with_row_bias_and_two_heads(seed):
     assert ad.grad_check(f, inputs, eps=1e-4) < GC_TOL
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_grad_check_clamp_interior(seed):
-    # keep coordinates strictly inside (0,1): clamp is differentiable there
-    rng = np.random.default_rng(400 + seed)
-    x = t(rng.uniform(0.05, 0.95, size=5), grad=True)
-
-    def f(x_):
-        return ad.tensor_sum(ad.mul(ad.clamp01(x_), x_))
-
-    assert ad.grad_check(f, [x]) < GC_TOL
-
-
 def _normal(*shapes):
     return lambda rng: [t(rng.normal(size=s), grad=True) for s in shapes]
 
@@ -629,7 +611,6 @@ ONE_PRIMITIVE = {
     "embedding": (lambda table: ad.embedding(table, [[1, 3, 1], [0, 1, 1]]), _normal((4, 3))),
     "conv1d": (lambda x, k, b: ad.conv1d(x, k, b, [3, 1, 5]),
                _normal((9, 3), (2, 3, 3), (2,))),
-    "clamp01": (ad.clamp01, lambda rng: [_inside_unit(rng)]),
     "bce_loss": (ad.bce_loss, lambda rng: [_inside_unit(rng),
                                             t(rng.integers(0, 2, size=(3, 4)).astype(float))]),
 }

@@ -230,21 +230,34 @@ def toy_reranker(n_labels=2, d=4, d_keys=5, seed=31, meds=("M1", "M2")):
 NO_AUX = (None, None)  # a batch without auxiliary tokens
 
 
+def metadata(rr, *encs):
+    """The modality rows of `encs` as one batch, as the reranker reads them."""
+    split = Notes.of(encs, TOY_VOCAB, LabelSpace(("A00.0",)))
+    return [(rows, np.diff(offsets)) for offsets, rows in rr.vocabs.rows(split)]
+
+
 def test_zero_projection_is_exact_residual():
     rr = toy_reranker()
     base_p = ad.tensor(np.array([[0.3, 0.8]]))
     h = ad.tensor(np.random.default_rng(0).normal(size=(4, 5)))
-    pf = rr.forward(base_p, h, [4], *NO_AUX, [make_enc()])
+    pf = rr.forward(base_p, h, [4], *NO_AUX, metadata(rr, make_enc()))
     assert pf.data.tobytes() == base_p.data.tobytes()
 
 
+def table_row(vocabs, modality, value):
+    """The embedding-table row of a modality value: 1 + its place in the
+    listed values, 0 for a value not listed."""
+    listed = getattr(vocabs, modality)
+    return listed.index(value) + 1 if value in listed else 0
+
+
 def modality_vector(rr, enc):
-    return rr.embed_modalities([enc]).data[0]
+    return rr.embed_modalities(metadata(rr, enc)).data[0]
 
 
 def test_modality_average_of_duplicate_med():
     rr = toy_reranker()
-    e1 = rr.params["med_emb"].data[rr.vocabs.row("med", "M1")]
+    e1 = rr.params["med_emb"].data[table_row(rr.vocabs, "med", "M1")]
     enc = make_enc(meds=("M1", "M1"))
     vec = modality_vector(rr, enc)
     enc_single = make_enc(meds=("M1",))
@@ -255,8 +268,8 @@ def test_modality_average_of_duplicate_med():
 
 def test_modality_mean_of_two_meds():
     rr = toy_reranker()
-    e1 = rr.params["med_emb"].data[rr.vocabs.row("med", "M1")]
-    e2 = rr.params["med_emb"].data[rr.vocabs.row("med", "M2")]
+    e1 = rr.params["med_emb"].data[table_row(rr.vocabs, "med", "M1")]
+    e2 = rr.params["med_emb"].data[table_row(rr.vocabs, "med", "M2")]
     both = modality_vector(rr, make_enc(meds=("M1", "M2")))
     none = modality_vector(rr, make_enc())
     np.testing.assert_allclose(both - none, (e1 + e2) / 2.0, atol=1e-12)
@@ -271,10 +284,65 @@ def test_unknown_metadata_maps_to_zero_rows():
 def test_modality_rows_of_a_batch_are_per_encounter():
     rr = toy_reranker()
     encs = [make_enc(meds=("M1", "M2")), make_enc(), make_enc(procs=("R1",), dept="DX")]
-    rows = rr.embed_modalities(encs).data
+    rows = rr.embed_modalities(metadata(rr, *encs)).data
     assert rows.shape == (3, 4)
     for row, enc in zip(rows, encs):
         np.testing.assert_allclose(row, modality_vector(rr, enc), rtol=0, atol=1e-15)
+
+
+def loop_weights(rr, encs):
+    """Each modality's (B, rows) weights, as the reranker built them one
+    encounter at a time: the oracle of the packed path."""
+    out = {}
+    for m in ("med", "proc", "doctor", "dept"):
+        weights = np.zeros((len(encs), len(getattr(rr.vocabs, m)) + 1))
+        for b, enc in enumerate(encs):
+            values = {"med": enc.meds, "proc": enc.procs,
+                      "doctor": (enc.doctor,), "dept": (enc.dept,)}[m]
+            for v in values:
+                weights[b, table_row(rr.vocabs, m, v)] += 1.0 / len(values)
+        out[m] = weights
+    return out
+
+
+def test_modality_weights_are_the_bits_of_the_per_encounter_loop(monkeypatch):
+    # three M1 of five meds add 0.2 three times, 0.6000000000000001, not 3/5
+    encs = [make_enc(meds=("M1", "M2", "M1", "MX", "M1"), procs=("R1",)),
+            make_enc(doctor="DRX"), make_enc(meds=("MX", "M2"), procs=("R1", "RX"), dept="DX")]
+    base = toy_model("caml", seed=69)
+    rr = toy_reranker(n_labels=3, seed=70)
+    frozen = _FrozenBase(base, rr, frozen_notes([("a b", e) for e in encs]))
+    tables = {id(rr.params[f"{m}_emb"]): m for m in ("med", "proc", "doctor", "dept")}
+    seen, matmul = {}, ad.matmul
+
+    def spy(a, b, **kw):
+        if id(b) in tables:
+            seen[tables[id(b)]] = a.data.copy()
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(ad, "matmul", spy)
+    for idx in ([0, 1, 2], [2, 0], [1]):
+        seen.clear()
+        frozen.forward(np.array(idx))
+        want = loop_weights(rr, [encs[i] for i in idx])
+        assert sorted(seen) == sorted(m for m, w in want.items() if w.any())
+        for m, weights in seen.items():
+            assert weights.tobytes() == want[m].tobytes(), (idx, m)
+
+
+def test_modality_vocabs_are_each_column_s_sorted_distinct_values():
+    encs = [make_enc(meds=("b", "É", "a", "b"), procs=(), doctor="DR2", dept="Z"),
+            make_enc(meds=("B", "é"), procs=("R2", "R1", "R10"), doctor="DR10", dept="A"),
+            make_enc(meds=(), procs=("R1",), doctor="DR2", dept="a")]
+    vocabs = ModalityVocabs.of(frozen_notes([("a", e) for e in encs]))
+    assert vocabs == ModalityVocabs(
+        med=tuple(sorted({v for e in encs for v in e.meds})),
+        proc=tuple(sorted({v for e in encs for v in e.procs})),
+        doctor=tuple(sorted({e.doctor for e in encs})),
+        dept=tuple(sorted({e.dept for e in encs})))
+    assert vocabs.med == ("B", "a", "b", "É", "é") and vocabs.proc == ("R1", "R10", "R2")
+    assert all(type(v) is str for m in ("med", "proc", "doctor", "dept")
+               for v in getattr(vocabs, m))
 
 
 def test_reranker_forward_matches_numpy_oracle():
@@ -287,7 +355,8 @@ def test_reranker_forward_matches_numpy_oracle():
     Ha = rng.normal(size=(2, 5))
     enc = make_enc(meds=("M1",), procs=("R1",))
 
-    pf = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn), [3], ad.tensor(Ha), [2], [enc])
+    pf = rr.forward(ad.tensor(base_p[None]), ad.tensor(Hn), [3], ad.tensor(Ha), [2],
+                    metadata(rr, enc))
 
     # independent recomputation with plain numpy
     P = rr.params
@@ -321,10 +390,10 @@ def test_missing_aux_encoding_drops_attn_m_term():
     base_p = ad.tensor(np.array([[0.5, 0.5]]))
     h = ad.tensor(np.random.default_rng(3).normal(size=(3, 5)))
     enc = make_enc()
-    pf_masked = rr.forward(base_p, h, [3], ad.tensor(np.zeros((1, 5))), [1], [enc])
+    pf_masked = rr.forward(base_p, h, [3], ad.tensor(np.zeros((1, 5))), [1], metadata(rr, enc))
     # one zero aux row behaves exactly as a reranker with no attn_m output
     rr.params["attn_m.wo"].data[:] = 0.0
-    pf_none = rr.forward(base_p, h, [3], *NO_AUX, [enc])
+    pf_none = rr.forward(base_p, h, [3], *NO_AUX, metadata(rr, enc))
     np.testing.assert_array_equal(pf_none.data, pf_masked.data)
 
 
@@ -335,7 +404,7 @@ def test_parameters_a_batch_does_not_use_get_no_gradient():
     rr.params["proj_w"].data[:] = 0.3
     h = ad.tensor(np.random.default_rng(6).normal(size=(6, 5)))
     pf = rr.forward(ad.tensor(np.full((2, 2), 0.5)), h, [3, 3], *NO_AUX,
-                    [make_enc(), make_enc(procs=("R1",))])
+                    metadata(rr, make_enc(), make_enc(procs=("R1",))))
     grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 2)))))
     unused = [rr.params[k] for k in rr.params if k.startswith("attn_m") or k == "med_emb"]
     assert unused and not any(t in grads for t in unused)
@@ -355,7 +424,7 @@ def test_reranker_grad_check():
     tensors = [rr.params[n] for n in names]
 
     def f(*ts):
-        return ad.bce_loss(rr.forward(base_p, h, [3], ha, [2], [enc]), y)
+        return ad.bce_loss(rr.forward(base_p, h, [3], ha, [2], metadata(rr, enc)), y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -373,8 +442,8 @@ def test_frozen_base_gets_no_gradient():
     base = toy_model("caml", seed=51)
     rr = toy_reranker(n_labels=3, d=4, d_keys=5, seed=53)
     rr.params["proj_w"].data[:] = 0.2
-    frozen = _FrozenBase(base, frozen_notes([("a b c", make_enc(meds=("M1",)))]), TOY_VOCAB)
-    pf = frozen.forward(rr, np.arange(1))
+    frozen = _FrozenBase(base, rr, frozen_notes([("a b c", make_enc(meds=("M1",)))]))
+    pf = frozen.forward(np.arange(1))
     grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.array([[1.0, 0.0, 1.0]]))))
     for t in base.params.values():
         assert t not in grads
@@ -384,7 +453,7 @@ def test_frozen_base_gets_no_gradient():
 
 def test_frozen_outputs_all_pad_aux_is_none():
     base = toy_model("caml", seed=55)
-    frozen = _FrozenBase(base, frozen_notes([("a b", make_enc())]), TOY_VOCAB)
+    frozen = _FrozenBase(base, toy_reranker(n_labels=3), frozen_notes([("a b", make_enc())]))
     assert frozen.h.shape == (2, 5) and frozen.has_aux.tolist() == [False]
     np.testing.assert_array_equal(frozen.h_aux, np.zeros((1, 5)))  # one zero row
 
@@ -399,7 +468,7 @@ def reranker_on_mixed_batch(seed):
     rng = np.random.default_rng(seed)
     rr.params["proj_w"].data[:] = rng.normal(size=(3, 4)) * 0.3
     rr.params["proj_b"].data[:] = rng.normal(size=3) * 0.05
-    return rr, _FrozenBase(base, frozen_notes(MIXED_ENCOUNTERS), TOY_VOCAB)
+    return rr, _FrozenBase(base, rr, frozen_notes(MIXED_ENCOUNTERS))
 
 
 def test_reranker_padded_batch_rows_equal_notes_alone():
@@ -407,9 +476,9 @@ def test_reranker_padded_batch_rows_equal_notes_alone():
     assert np.diff(frozen.offsets).tolist() == [5, 1, 2, 4]
     assert frozen.has_aux.tolist() == [True, False, True, False]  # "m1 m2" and "r1"
     assert np.diff(frozen.aux_offsets).tolist() == [2, 1, 1, 1]  # are unknown tokens
-    pf = frozen.forward(rr, np.arange(4))
+    pf = frozen.forward(np.arange(4))
     for i in range(4):
-        pf1 = frozen.forward(rr, np.array([i]))
+        pf1 = frozen.forward(np.array([i]))
         np.testing.assert_allclose(pf.data[i], pf1.data[0], rtol=0, atol=1e-12)
 
 
@@ -419,7 +488,7 @@ def test_reranker_padded_batch_grad_check():
     tensors = [rr.params[n] for n in sorted(rr.params)]
 
     def f(*ts):
-        return ad.bce_loss(frozen.forward(rr, np.arange(4)), y)
+        return ad.bce_loss(frozen.forward(np.arange(4)), y)
 
     assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
 
@@ -430,7 +499,7 @@ def test_batch_without_aux_tokens_leaves_attn_m_out_of_the_graph():
     rr, frozen = reranker_on_mixed_batch(61)
     attn_m = [rr.params[k] for k in rr.params if k.startswith("attn_m")]
     for idx, used in (([1, 3], False), ([3, 0], True)):
-        pf = frozen.forward(rr, np.array(idx))
+        pf = frozen.forward(np.array(idx))
         grads = ad.backward(ad.bce_loss(pf, ad.tensor(np.ones((2, 3)))))
         assert all((t in grads) == used for t in attn_m)
 
@@ -448,7 +517,7 @@ def test_forward_graphs_hold_one_label_attention_per_attention():
     rng = np.random.default_rng(9)
     pf = rr.forward(ad.tensor(np.full((1, 2), 0.5)), ad.tensor(rng.normal(size=(3, 5))),
                     [3], ad.tensor(rng.normal(size=(2, 5))), [2],
-                    [make_enc(meds=("M1",), procs=("R1",))])
+                    metadata(rr, make_enc(meds=("M1",), procs=("R1",))))
     counts = primitive_counts(pf)
     assert counts["label_attention"] == 2 and counts["matmul"] <= 16
     counts = primitive_counts(toy_model("caml").forward(*note([2, 3, 4]))[0])
@@ -459,16 +528,18 @@ def test_fresh_reranker_scores_are_the_base_probs_without_a_forward(monkeypatch)
     # the zero-initialized projection makes the residual exactly zero, so
     # scoring the epoch-0 candidate needs no reranker pass
     rr, frozen = reranker_on_mixed_batch(65)
-    fresh = toy_reranker(n_labels=3, d=4, d_keys=5, seed=66)
+    fresh = _FrozenBase(toy_model("laat", seed=65),
+                        toy_reranker(n_labels=3, d=4, d_keys=5, seed=66),
+                        frozen_notes(MIXED_ENCOUNTERS))
 
     def no_forward(*args):
         raise AssertionError("MetadataReranker.forward was called")
 
     monkeypatch.setattr(MetadataReranker, "forward", no_forward)
-    scores = frozen.reranked(fresh)
-    assert scores is not frozen.probs and scores.tobytes() == frozen.probs.tobytes()
+    scores = fresh.reranked()
+    assert scores is not fresh.probs and scores.tobytes() == fresh.probs.tobytes()
     with pytest.raises(AssertionError):
-        frozen.reranked(rr)
+        frozen.reranked()
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +596,23 @@ def test_reranker_round_trip(tmp_path):
     assert back.hp == rr.hp
     for k in rr.params:
         assert back.params[k].data.tobytes() == rr.params[k].data.tobytes()
+
+
+def test_a_reranker_with_unsorted_modality_lists_maps_each_value_to_its_listed_row(tmp_path):
+    vocabs = ModalityVocabs(med=("M2", "M1"), proc=("R2", "R1"), doctor=("DR9", "DR0"),
+                            dept=("D00",))
+    rr = MetadataReranker.init(2, 5, vocabs, RerankerHParams(d=4, n_heads=2), seed=71)
+    path, base = tmp_path / "rr.ckpt", tmp_path / "base.ckpt"
+    save_base_model(base, toy_model("caml"), "v", "l")
+    save_reranker(path, rr, "v", "l", base)
+    back = load_reranker(path, "v", "l", base)
+    assert (back.vocabs.med, back.vocabs.proc) == (("M2", "M1"), ("R2", "R1"))
+    split = frozen_notes([("a", make_enc(meds=("M1", "M2"), procs=("R1",), doctor="DR0")),
+                          ("a", make_enc(meds=("M2",), procs=("R2", "R3"), doctor="DR9"))])
+    rows = [(offsets.tolist(), table_rows.tolist())
+            for offsets, table_rows in back.vocabs.rows(split)]
+    assert rows == [([0, 2, 3], [2, 1, 1]), ([0, 1, 3], [2, 1, 0]), ([0, 1, 2], [2, 1]),
+                    ([0, 1, 2], [1, 1])]
 
 
 @pytest.mark.parametrize("key, value", [("vocab_size", 6.0), ("vocab_size", -6),

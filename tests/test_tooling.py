@@ -41,7 +41,6 @@ def test_a_failing_property_test_fails_alone(tmp_path):
 UNREFERENCED_IN_SRC = {
     "grad_check": "acceptance criterion 1 checks every gradient with it",
     "tensor_sum": "the tests' scalar reduction of a tensor",
-    "clamp01": "perfbench/spans.py still lists it among the traced primitives",
     "uniform_baseline_records": "criterion 4's margin over uniform scores",
     "marginal_baseline_records": "criterion 4's margin over the marginal ranking",
 }
@@ -61,3 +60,23 @@ def test_src_defines_nothing_it_does_not_use_but_the_listed_names():
             elif isinstance(node, ast.alias):
                 referred.add(node.name)
     assert defined - referred == set(UNREFERENCED_IN_SRC)
+
+
+def _object_dtype_calls(tree) -> list[int]:
+    """The lines of calls that pass `object` (or "O", "object") as an argument
+    or as dtype=, the ways numpy is asked for an object array."""
+    def is_object(node):
+        return ((isinstance(node, ast.Name) and node.id == "object")
+                or (isinstance(node, ast.Constant) and node.value in ("O", "object")))
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (any(map(is_object, node.args))
+                 or any(k.arg == "dtype" and is_object(k.value) for k in node.keywords))]
+
+
+def test_src_builds_no_object_array():
+    # a split and a set of predictions are numpy columns, none of Python objects
+    found = {path.name: lines for path in sorted((ROOT / "src" / "icdlab").glob("*.py"))
+             if (lines := _object_dtype_calls(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+    assert _object_dtype_calls(ast.parse("a = np.empty(3, dtype=object)\nb = f(x, 'O')")) == [1, 2]

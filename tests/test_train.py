@@ -18,6 +18,7 @@ from icdlab.train import (
     Adam,
     Notes,
     TrainConfig,
+    _first_visit_flags,
     _fit,
     data_fraction_experiment,
     fraction_csv,
@@ -77,9 +78,11 @@ def test_targets_split_in_and_out_of_space():
 
 
 def test_notes_keep_encounter_reference():
-    e = enc(text="aches zzz")
+    e = enc(text="aches zzz", doctor="DR007", meds=("Cough syrup", "M1"), procs=("R1",))
     split = notes(e)
-    assert split.encounters[0] is e
+    assert split.doctor.tolist() == ["DR007"] and split.dept.tolist() == ["D0"]
+    assert split.meds.tolist() == ["Cough syrup", "M1"] and split.procs.tolist() == ["R1"]
+    assert split.aux.tolist() == [4, UNK_ID, UNK_ID, UNK_ID]  # "cough syrup m1 r1"
     assert split.tokens.tolist() == [2, UNK_ID] and np.diff(split.offsets).tolist() == [2]
 
 
@@ -96,7 +99,8 @@ def test_notes_pack_and_batch_in_index_order():
     sub = split.rows([0, 3])
     assert sub.tokens.tolist() == [2, 4, 3, 6, 4] and np.diff(sub.offsets).tolist() == [3, 2]
     assert sub.gt.shape == (2, len(LABELS)) and len(sub) == 2
-    assert list(sub.encounters) == [split.encounters[0], split.encounters[3]]
+    for column in ("gt", "n_unseen", "dept", "doctor", "patient_id", "date", "first_visit"):
+        assert getattr(sub, column).tolist() == getattr(split, column)[[0, 3]].tolist()
 
 
 def test_notes_hold_each_record_s_patient_date_and_sorted_codes():
@@ -115,6 +119,40 @@ def test_notes_hold_each_record_s_patient_date_and_sorted_codes():
     assert records.codes.tolist() == sub.codes.tolist()
     with pytest.raises(ValidationError):
         notes(enc(codes=()))
+
+
+def test_notes_rows_slice_every_packed_column_alike():
+    split = notes(enc(pid="P1", text="aches", codes=("A00.0", "B11.1"), meds=("Edema", "M1")),
+                  enc(pid="P2", text="", procs=("R1", "cough", "R2")),
+                  enc(pid="P3", text="dizzy edema bruise", codes=("Z99.9",), meds=("dizzy",),
+                      procs=("R9",)))
+    packed = [("offsets", "tokens"), ("code_offsets", "codes"), ("med_offsets", "meds"),
+              ("proc_offsets", "procs"), ("aux_offsets", "aux")]
+    idx = [2, 0, 2, 1]
+    sub = split.rows(idx)
+    for offsets, values in packed:
+        o, v, so, sv = (getattr(split, offsets), getattr(split, values),
+                        getattr(sub, offsets), getattr(sub, values))
+        assert so.tolist() == np.cumsum([0, *(o[i + 1] - o[i] for i in idx)]).tolist()
+        for k, i in enumerate(idx):
+            assert sv[so[k]:so[k + 1]].tolist() == v[o[i]:o[i + 1]].tolist(), (values, k)
+    assert split.aux.tolist() == [6, UNK_ID, UNK_ID, 4, UNK_ID, 5, UNK_ID]
+    assert sub.aux_offsets.tolist() == [0, 2, 4, 6, 9] and sub.doctor.shape == (4,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["P1", "P2", "P10", "P1\u00e9"]),
+                          st.integers(1, 4)), max_size=12))
+def test_first_visit_is_the_earliest_date_ties_to_input_order(visits):
+    first: dict[str, int] = {}  # the loop the flags replace
+    for i, (pid, day) in enumerate(visits):
+        if pid not in first or day < visits[first[pid]][1]:
+            first[pid] = i
+    flags = _first_visit_flags(np.array([pid for pid, _ in visits], dtype=str),
+                               np.array([f"2021-01-0{day}" for _, day in visits],
+                                        dtype="datetime64[D]"))
+    assert flags.dtype == bool
+    assert flags.tolist() == [i in first.values() for i in range(len(visits))]
 
 
 def test_notes_truncate_to_max_len():
@@ -358,16 +396,16 @@ def test_marginal_baseline_ranks_by_train_count():
 def reranker_fixture():
     base = toy_model(seed=2)
     encs = [enc(meds=("M1",), procs=("R1",))]
-    vocabs = ModalityVocabs.from_encounters(encs)
-    rr = MetadataReranker.init(len(LABELS), HP.d_c, vocabs,
+    split = notes(*encs)
+    rr = MetadataReranker.init(len(LABELS), HP.d_c, ModalityVocabs.of(split),
                                RerankerHParams(d=8, n_heads=2), seed=7)
-    return base, rr, notes(*encs)
+    return base, rr, split
 
 
 def test_fresh_reranker_matches_base_metrics():
     base, rr, split = reranker_fixture()
     base_r5 = mean_recall_at_k(predict_records(base, split), 5)
-    rr_r5 = mean_recall_at_k(predict_records_reranked(base, rr, split, VOCAB), 5)
+    rr_r5 = mean_recall_at_k(predict_records_reranked(base, rr, split), 5)
     assert rr_r5 == base_r5
 
 
@@ -375,8 +413,8 @@ def test_reranked_predictions_accept_a_generator():
     base, rr, _ = reranker_fixture()
     encs = [enc(pid="P1", day=5, meds=("M1",)), enc(pid="P1", day=2),
             enc(pid="P2", day=9, codes=("B11.1",))]
-    want = predict_records_reranked(base, rr, Notes.of(encs, VOCAB, LABELS), VOCAB)
-    got = predict_records_reranked(base, rr, Notes.of((e for e in encs), VOCAB, LABELS), VOCAB)
+    want = predict_records_reranked(base, rr, Notes.of(encs, VOCAB, LABELS))
+    got = predict_records_reranked(base, rr, Notes.of((e for e in encs), VOCAB, LABELS))
     assert len(got) == 3
     np.testing.assert_array_equal(got.probs, want.probs)
     np.testing.assert_array_equal(got.gt, want.gt)
@@ -386,16 +424,14 @@ def test_reranked_predictions_accept_a_generator():
 def test_reranker_training_freezes_base():
     base, rr, split = reranker_fixture()
     before = {k: t.data.copy() for k, t in base.params.items()}
-    train_reranker(base, rr, split, split, VOCAB,
-                   TrainConfig(max_epochs=2, patience=5, batch_size=1))
+    train_reranker(base, rr, split, split, TrainConfig(max_epochs=2, patience=5, batch_size=1))
     for k, arr in before.items():
         np.testing.assert_array_equal(base.params[k].data, arr)
 
 
 def test_reranker_zero_epochs_keeps_zero_projection():
     base, rr, split = reranker_fixture()
-    snap, history = train_reranker(base, rr, split, split, VOCAB,
-                                   TrainConfig(max_epochs=0))
+    snap, history = train_reranker(base, rr, split, split, TrainConfig(max_epochs=0))
     assert history.epochs == () and history.best_epoch == 0
     assert not snap["proj_w"].any() and not snap["proj_b"].any()
 
