@@ -13,8 +13,7 @@ and `mul` broadcast their second operand, `matmul` applies a rank-2 weight
 to every row.
 Each primitive records its parents and a `grad_fn` closure that maps the
 upstream gradient to one gradient per parent; `backward` walks that graph
-in reverse for exact gradients. `grad_check` verifies any scalar-valued
-composite against central differences.
+in reverse for exact gradients.
 
 Everything is float64. Forward passes are deterministic: identical inputs
 and parameters produce bitwise-identical outputs.
@@ -24,11 +23,11 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, EmptySourceError, ShapeError
+from .errors import NumericError, ValidationError
 
 PROB_EPS = 1e-12  # clamp applied to probabilities before logs
 
@@ -68,7 +67,7 @@ class Tensor:
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
-    """A leaf, C-contiguous so that `grad_check` can perturb it in place."""
+    """A leaf, C-contiguous so that a gradient check can perturb it in place."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
@@ -88,7 +87,7 @@ def _node(out, parents: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
 def _check_broadcast(name, a, b):
     """`b` must broadcast to the shape of `a` (a bias row, a batch axis)."""
     if b.ndim > a.ndim or any(m not in (1, n) for m, n in zip(b.shape[::-1], a.shape[::-1])):
-        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
+        raise ValidationError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def _unbroadcast(g, shape):
@@ -127,23 +126,9 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     x, y = a.data, b.data
     yk = y.T if transpose_b else y
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != yk.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}"
-                         + (" (transposed)" if transpose_b else ""))
+        raise ValidationError(f"matmul: incompatible shapes {x.shape} and {y.shape}"
+                              + (" (transposed)" if transpose_b else ""))
     return _node(x @ yk, (a, b), lambda g: (g @ yk.T, g.T @ x if transpose_b else x.T @ g))
-
-
-# ---- reductions -------------------------------------------------------------
-
-def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is not None and not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"sum: axis {axis} out of range for shape {a.shape}")
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.full_like(a.data, g),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
-
-    return _node(np.sum(a.data, axis=axis), (a,), grad_fn)
 
 
 # ---- elementwise nonlinearities ---------------------------------------------
@@ -187,7 +172,7 @@ def label_attention(keys: Tensor, queries: Tensor, values: Tensor, readout: Tens
     h-th of `heads` equal column blocks of each operand. keys (ΣL, H·k) and
     values (ΣL, H·v) are packed, segment b being the next lengths[b] rows;
     queries are (N, H·k), readout (N, H·v), row_bias (ΣL, H) and out (B, N).
-    A segment of no position raises EmptySourceError.
+    A segment of no position raises NumericError.
 
     Each head's score GEMM output becomes its exponentials in place, shifted
     by each column's max over the whole batch. Only when a segment's sum then
@@ -202,13 +187,13 @@ def label_attention(keys: Tensor, queries: Tensor, values: Tensor, readout: Tens
             or k.shape[1] % heads or v.shape[1] % heads
             or (bias is not None and bias.shape != (len(k), heads))
             or lengths.ndim != 1 or lengths.sum() != len(k)):
-        raise ShapeError(f"label_attention: expected keys (ΣL,H·k), queries (N,H·k), values "
-                         f"(ΣL,H·v), readout (N,H·v), row_bias (ΣL,H) and lengths (B,) "
-                         f"summing to ΣL for H={heads}; got {k.shape}, {q.shape}, {v.shape}, "
-                         f"{r.shape}, {None if bias is None else bias.shape}, "
-                         f"{lengths.tolist()}")
+        raise ValidationError(
+            f"label_attention: expected keys (ΣL,H·k), queries (N,H·k), values "
+            f"(ΣL,H·v), readout (N,H·v), row_bias (ΣL,H) and lengths (B,) "
+            f"summing to ΣL for H={heads}; got {k.shape}, {q.shape}, {v.shape}, "
+            f"{r.shape}, {None if bias is None else bias.shape}, {lengths.tolist()}")
     if not (lengths > 0).all():
-        raise EmptySourceError("label_attention: a segment has no position")
+        raise NumericError("label_attention: a segment has no position")
     starts = np.cumsum(lengths) - lengths
     dk, dv = k.shape[1] // heads, v.shape[1] // heads
     blocks = [(slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
@@ -270,11 +255,11 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     rows = table.data
     if rows.ndim != 2:
-        raise ShapeError(f"embedding: table must be rank-2, got {rows.shape}")
+        raise ValidationError(f"embedding: table must be rank-2, got {rows.shape}")
     bad = (ids < 0) | (ids >= rows.shape[0])
     if bad.any():
-        raise ContractError(f"embedding: ids {np.unique(ids[bad]).tolist()} out of "
-                            f"range [0, {rows.shape[0]})")
+        raise ValidationError(f"embedding: ids {np.unique(ids[bad]).tolist()} out of "
+                              f"range [0, {rows.shape[0]})")
 
     def grad_fn(g):  # into each cell in row order, as np.add.at adds
         d = rows.shape[1]
@@ -309,12 +294,12 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.int64)
     if (xs.ndim != 2 or k.ndim != 3 or b.shape != k.shape[:1] or xs.shape[1] != k.shape[2]
             or lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(xs)):
-        raise ShapeError(f"conv1d: expected x (ΣL,d_e), kernels (d_c,w,d_e), bias (d_c,), "
-                         f"lengths (B,) summing to ΣL; got {xs.shape}, {k.shape}, {b.shape}, "
-                         f"{lengths.tolist()}")
+        raise ValidationError(f"conv1d: expected x (ΣL,d_e), kernels (d_c,w,d_e), bias (d_c,), "
+                              f"lengths (B,) summing to ΣL; got {xs.shape}, {k.shape}, {b.shape}, "
+                              f"{lengths.tolist()}")
     d_c, w, d_e = k.shape
     if w % 2 == 0:
-        raise ShapeError(f"conv1d: kernel width {w} is even, same-padding ill-defined")
+        raise ValidationError(f"conv1d: kernel width {w} is even, same-padding ill-defined")
     idx = _windows(lengths, w)
 
     def im2col():
@@ -343,7 +328,7 @@ def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:
     copy."""
     p, y = probs.data, targets.data
     if p.shape != y.shape:
-        raise ShapeError(f"bce: shapes differ, {p.shape} vs {y.shape}")
+        raise ValidationError(f"bce: shapes differ, {p.shape} vs {y.shape}")
     q = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     out = -np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))
 
@@ -393,7 +378,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     computation, each gradient matching the tensor's shape.
     """
     if loss.data.shape != ():
-        raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
+        raise ValidationError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _toposort(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in reversed(order):
@@ -411,36 +396,3 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             grads[id(parent)] = pg if acc is None else acc + pg
     return {node: grads[id(node)] if id(node) in grads else np.zeros_like(node.data)
             for node in order if node.requires_grad}
-
-
-def grad_check(
-    f: Callable[..., Tensor],
-    inputs: Iterable[Tensor],
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Per coordinate: |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    Only requires_grad inputs are perturbed.
-    """
-    inputs = list(inputs)
-    loss = f(*inputs)
-    analytic = backward(loss)
-    worst = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        # inputs the loss never touched have identically-zero gradient
-        grad = analytic.get(t, np.zeros_like(t.data)).reshape(-1)
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(f(*inputs).data)
-            flat[i] = orig - eps
-            lo = float(f(*inputs).data)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            rel = abs(grad[i] - numeric) / max(1e-8, abs(grad[i]) + abs(numeric))
-            worst = max(worst, rel)
-    return worst

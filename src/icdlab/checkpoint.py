@@ -4,7 +4,7 @@ An ASCII header (the magic line, the metadata as one line of sort-keyed JSON,
 one "name dim0 dim1 ..." line per array, then an END line) is followed by the
 raw little-endian row-major values in header order. Round-trip is byte-exact,
 so saved models replay identically. Every error names the file. A checkpoint
-of another format version is a ParseError and must be regenerated; a value
+of another format version is a ValidationError and must be regenerated; a value
 that is NaN or infinite is a NumericError.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ParseError, ValidationError
+from .errors import NumericError, ValidationError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/\[\]]+$")
 _MAGIC = "icdlab-params v2"
@@ -59,24 +59,24 @@ def load_params(path) -> tuple[dict, dict[str, np.ndarray]]:
     while True:
         nl = raw.find(b"\n", cut)
         if nl < 0:
-            raise ParseError(f"checkpoint {path}: header not terminated by END line")
+            raise ValidationError(f"checkpoint {path}: header not terminated by END line")
         line = raw[cut:nl].decode("latin-1")
         if not line.isascii():
-            raise ParseError(f"checkpoint {path}: non-ASCII header line {len(header_lines) + 1}")
+            raise ValidationError(f"checkpoint {path}: non-ASCII header line {len(header_lines) + 1}")
         cut = nl + 1
         if line == "END":
             break
         header_lines.append(line)
     if header_lines[:1] != [_MAGIC]:
-        raise ParseError(f"checkpoint {path}: first line is not {_MAGIC!r}; "
-                         f"a checkpoint of another version must be regenerated")
+        raise ValidationError(f"checkpoint {path}: first line is not {_MAGIC!r}; "
+                              f"a checkpoint of another version must be regenerated")
     try:
         meta = json.loads(header_lines[1] if len(header_lines) > 1 else "")
     except ValueError as exc:
-        raise ParseError(f"checkpoint {path}: line 2 is not JSON metadata ({exc})") from None
+        raise ValidationError(f"checkpoint {path}: line 2 is not JSON metadata ({exc})") from None
     if not isinstance(meta, dict):
-        raise ParseError(f"checkpoint {path}: line 2 holds a JSON {type(meta).__name__}, "
-                         f"not a metadata object")
+        raise ValidationError(f"checkpoint {path}: line 2 holds a JSON {type(meta).__name__}, "
+                              f"not a metadata object")
 
     params: dict[str, np.ndarray] = {}
     offset = cut
@@ -84,19 +84,19 @@ def load_params(path) -> tuple[dict, dict[str, np.ndarray]]:
         fields = line.split(" ")
         name, dims = fields[0], fields[1:]
         if name in params:
-            raise ParseError(f"checkpoint {path}: duplicate parameter {name!r} (line {lineno})")
+            raise ValidationError(f"checkpoint {path}: duplicate parameter {name!r} (line {lineno})")
         shape = tuple(int(d) for d in dims if d.isdigit())  # no sign, so no negative size
         if len(shape) != len(dims):
-            raise ParseError(f"checkpoint {path}: bad shape on line {lineno}: {line!r}")
+            raise ValidationError(f"checkpoint {path}: bad shape on line {lineno}: {line!r}")
         count = math.prod(shape)  # a Python int, which cannot overflow
         nbytes = count * 8
         if offset + nbytes > len(raw):
-            raise ParseError(f"checkpoint {path}: truncated data for parameter {name!r}")
+            raise ValidationError(f"checkpoint {path}: truncated data for parameter {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise NumericError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         params[name] = arr.copy()  # writable, native order
         offset += nbytes
     if offset != len(raw):
-        raise ParseError(f"checkpoint {path}: {len(raw) - offset} trailing bytes after data")
+        raise ValidationError(f"checkpoint {path}: {len(raw) - offset} trailing bytes after data")
     return meta, params

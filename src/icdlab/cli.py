@@ -280,9 +280,11 @@ def cmd_evaluate(args, rc: RunConfig, stage: Path):
     _write(stage / "report.csv", report.as_csv())
     _write(stage / "report.txt", report.as_text())
     if args.breakdown:
-        _write(stage / f"breakdown_{args.breakdown}.csv", breakdown_csv(breakdown(
-            records, args.breakdown, recall_at_k(records, args.k),
-            instance_f1(records, rc.decision_threshold))))
+        table = breakdown_csv(breakdown(records, args.breakdown, recall_at_k(records, args.k),
+                                        instance_f1(records, rc.decision_threshold)))
+        # its recall column holds R@k: the header names that k
+        _write(stage / f"breakdown_{args.breakdown}.csv",
+               table.replace("recall_at_5", f"recall_at_{args.k}", 1))
     scored = f"{args.split}, reranked" if args.reranker else args.split
     return inputs, (), (f"evaluate[{scored}]: R@{args.k} {report.recall_at_k:.4f}, "
                         f"iF1 {report.f1_instance:.4f} over {report.n_records} records")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .corpus import CorpusConfig
-from .errors import ConfigError
+from .errors import ValidationError
 from .model import ARCHITECTURES, BaseHParams, RerankerHParams
 from .preprocess import DEDUP_SCOPES
 from .train import TrainConfig, check_fractions
@@ -68,11 +68,11 @@ class RunConfig:
                           ("min_code_count", 0), ("n_dev_patients", 0),
                           ("n_test_patients", 0)):
             if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be ≥ {low}, got {getattr(self, name)}")
+                raise ValidationError(f"{name} must be ≥ {low}, got {getattr(self, name)}")
         if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
+            raise ValidationError(f"unknown architecture {self.architecture!r}")
         if self.dedup_scope not in DEDUP_SCOPES:
-            raise ConfigError(f"unknown dedup scope {self.dedup_scope!r}")
+            raise ValidationError(f"unknown dedup scope {self.dedup_scope!r}")
         check_fractions(parse_fractions(self.fractions))
         # building each stage config runs that stage's own checks
         self.corpus(), self.base_hparams(), self.reranker_hparams()
@@ -110,9 +110,9 @@ def _parse_value(key: str, raw: str, lineno: int):
     try:
         value = _TYPES[key](raw)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        raise ValidationError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: {key!r} must be finite, got {raw!r}")
+        raise ValidationError(f"line {lineno}: {key!r} must be finite, got {raw!r}")
     return value
 
 
@@ -123,12 +123,12 @@ def parse_config(text: str) -> RunConfig:
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+            raise ValidationError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in _TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ValidationError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw, lineno)
     return RunConfig(**values)
 
@@ -159,8 +159,8 @@ def stage_seed(master: int, stage: str) -> int:
 def parse_fractions(spec: str) -> list[float]:
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
-        raise ConfigError("fractions list is empty")
+        raise ValidationError("fractions list is empty")
     try:
         return [float(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"bad fractions list {spec!r}: {exc}") from None
+        raise ValidationError(f"bad fractions list {spec!r}: {exc}") from None

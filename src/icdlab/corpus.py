@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, reading
+from .errors import ValidationError, reading
 
 CODE_RE = re.compile(r"^[A-Z]\d{2}(\.[A-Za-z0-9]{1,4})?$")
 
@@ -106,7 +106,7 @@ class LabelSpace:
         """The label space `to_json` wrote: `codes` a non-empty list of
         distinct CODE_RE strings, `counts` an object mapping codes of that
         list to non-negative integers. Anything else raises an exception that
-        `errors.reading` reports as a ParseError naming the file."""
+        `errors.reading` reports as a ValidationError naming the file."""
         payload = json.loads(text)
         codes, counts = payload["codes"], payload["counts"]
         if (type(codes) is not list or not codes
@@ -147,18 +147,18 @@ class CorpusConfig:
     def __post_init__(self):
         for name in ("n_patients", "n_codes", "n_depts", "n_doctors", "tokens_per_code", "vocab_size"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("ditto_probability", "omitted_evidence_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0,1], got {getattr(self, name)}")
+                raise ValidationError(f"{name} must lie in [0,1], got {getattr(self, name)}")
         if self.zipf_exponent <= 0:
-            raise ConfigError(f"zipf_exponent must be positive, got {self.zipf_exponent}")
+            raise ValidationError(f"zipf_exponent must be positive, got {self.zipf_exponent}")
         if self.mean_encounters_per_patient <= 0 or self.mean_codes_per_encounter < 1:
-            raise ConfigError("encounter/code means out of range")
+            raise ValidationError("encounter/code means out of range")
         if self.n_codes > 26 * 100:
-            raise ConfigError(f"n_codes={self.n_codes} exhausts the letter+2-digit chapter namespace (max 2600)")
+            raise ValidationError(f"n_codes={self.n_codes} exhausts the letter+2-digit chapter namespace (max 2600)")
         if self.n_doctors < self.n_depts:
-            raise ConfigError("need at least one doctor per department")
+            raise ValidationError("need at least one doctor per department")
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
     list[str] or list[int]), each of exactly its type: JSON true is not an
     int. Lines end at "\n" only, as json.dumps leaves U+2028 and U+0085 as
     they are. No field that becomes a numpy str column holds U+0000. Every
-    fault is one ParseError naming `path:line` and the field."""
+    fault is one ValidationError naming `path:line` and the field."""
     with open(path, encoding="utf-8") as fh, reading(path):
         text = fh.read()
     checks = [(name, *_KINDS[kind]) for name, kind in types.items()]
@@ -412,11 +412,11 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
         try:
             row = _decode(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+            raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
         except RecursionError:
-            raise ParseError(f"{path}:{lineno}: JSON nested too deeply") from None
+            raise ValidationError(f"{path}:{lineno}: JSON nested too deeply") from None
         if type(row) is not dict:
-            raise ParseError(f"{path}:{lineno}: expected an object")
+            raise ValidationError(f"{path}:{lineno}: expected an object")
         if len(row) != n_fields:  # as many fields, each found below: the same set
             raise _row_error(path, lineno, row, types)
         for name, exact, item, kind in checks:
@@ -434,18 +434,18 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
             # the fields that become numpy str columns, which drop a trailing U+0000
             for name in ("patient_id", "dept", "doctor", "freq_bucket", "meds", "procs"):
                 if "\0" in "".join(row.get(name, "")):  # a str, or a list of them
-                    raise ParseError(f"{path}:{lineno}: {name} must not contain U+0000")
+                    raise ValidationError(f"{path}:{lineno}: {name} must not contain U+0000")
         yield lineno, row
 
 
-def _row_error(path, lineno: int, row: dict, types: dict, fault: str = "") -> ParseError:
-    """The ParseError of a row that failed a check of `read_rows`: a wrong
+def _row_error(path, lineno: int, row: dict, types: dict, fault: str = "") -> ValidationError:
+    """The ValidationError of a row that failed a check of `read_rows`: a wrong
     field set is reported before any field's type."""
     if row.keys() != types.keys():
         missing = [f for f in types if f not in row]
         unknown = [f for f in row if f not in types]
         fault = f"missing fields {missing}, unknown fields {unknown}"
-    return ParseError(f"{path}:{lineno}: {fault}")
+    return ValidationError(f"{path}:{lineno}: {fault}")
 
 
 def check_row(path, lineno: int, row: dict) -> tuple[dt.date, list[str]]:
@@ -456,10 +456,13 @@ def check_row(path, lineno: int, row: dict) -> tuple[dt.date, list[str]]:
     codes = row["codes"]
     if len(set(codes)) != len(codes):
         raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
-    try:
-        date = dt.date.fromisoformat(row["date"])
+    text = row["date"]
+    try:  # only the YYYY-MM-DD that isoformat writes; from 3.11 fromisoformat reads more
+        if len(text) != 10 or text[4] != "-" or text[7] != "-":
+            raise ValueError(text)
+        date = dt.date.fromisoformat(text)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad date {row['date']!r}") from None
+        raise ValidationError(f"{path}:{lineno}: bad date {text!r}") from None
     if not codes:
         raise ValidationError(f"{path}:{lineno}: encounter {row['patient_id']}/{date}: "
                               "empty code set")

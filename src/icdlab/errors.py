@@ -1,60 +1,40 @@
-"""Exception hierarchy shared by all modules.
+"""The exceptions the program handles, one class per way it handles them.
 
-The CLI maps these onto exit codes: UsageError is exit 2, ValidationError
-and subclasses exit 3, NumericError and subclasses exit 4.
+The CLI maps three onto exit codes: UsageError is exit 2, ValidationError
+exit 3 and NumericError exit 4. UndefinedMetricError is the ValidationError
+that `compute_report` and the `report` stage catch to mark a statistic the
+data leaves undefined.
 """
 
 from contextlib import contextmanager
+from tokenize import TokenError
 
 
-class IcdLabError(Exception):
-    pass
-
-
-class UsageError(IcdLabError):
+class UsageError(Exception):
     """Command-line arguments contradict each other or leave their range."""
 
 
-class ValidationError(IcdLabError):
-    """Input data or arguments violate a documented contract."""
-
-
-class ConfigError(ValidationError):
-    """A configuration value is out of range or unknown."""
-
-
-class ParseError(ValidationError):
-    """A file could not be parsed; message names the offending line."""
-
-
-class ContractError(ValidationError):
-    """A function precondition was violated by the caller."""
-
-
-class ShapeError(ContractError):
-    """Array shapes are incompatible for the requested operation."""
+class ValidationError(Exception):
+    """Input data, a config value or an argument violates a documented contract."""
 
 
 class UndefinedMetricError(ValidationError):
     """The requested statistic is undefined for the given input."""
 
 
-class NumericError(IcdLabError):
-    """A numeric computation failed (non-finite values, empty reduction)."""
-
-
-class EmptySourceError(NumericError):
-    """Attention was asked to attend over a note of no position."""
+class NumericError(Exception):
+    """A numeric computation failed (non-finite values, an empty reduction)."""
 
 
 @contextmanager
 def reading(where):
     """Turn what a malformed artifact raises while it is read (truncation, bad
-    or too deeply nested JSON, a missing key, a wrong type) into one
-    ParseError naming `where`."""
+    or too deeply nested JSON, a missing key, a wrong type, an .npy header
+    numpy cannot tokenize) into one ValidationError naming `where`."""
     try:
         yield
     except UnicodeDecodeError as exc:  # its repr would quote every byte decoded
-        raise ParseError(f"{where}: not UTF-8 text ({exc})") from None
-    except (AttributeError, EOFError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc!r}") from None
+        raise ValidationError(f"{where}: not UTF-8 text ({exc})") from None
+    except (AttributeError, EOFError, KeyError, RecursionError, TokenError, TypeError,
+            ValueError) as exc:
+        raise ValidationError(f"{where}: {exc!r}") from None

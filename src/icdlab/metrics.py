@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import CODE_RE, chapter
-from .errors import ShapeError, UndefinedMetricError, ValidationError
+from .errors import UndefinedMetricError, ValidationError
 
 # --------------------------------------------------------------------------
 # prediction substrate
@@ -78,16 +78,16 @@ class Predictions:
             object.__setattr__(self, f.name, np.ascontiguousarray(getattr(self, f.name),
                                                                   dtype=_DTYPES[f.name]))
         if self.probs.ndim != 2 or self.gt.shape != self.probs.shape:
-            raise ShapeError(f"probs {self.probs.shape} and gt {self.gt.shape} must be "
-                             f"equal (m, N) matrices")
+            raise ValidationError(f"probs {self.probs.shape} and gt {self.gt.shape} must be "
+                                  f"equal (m, N) matrices")
         for f in fields(self)[2:-2]:  # the per-document columns
             if getattr(self, f.name).shape != (len(self),):
-                raise ShapeError(f"{f.name} column must have one entry per row ({len(self)})")
+                raise ValidationError(f"{f.name} column must have one entry per row ({len(self)})")
         offsets = self.code_offsets
         if (offsets.shape != (len(self) + 1,) or self.codes.ndim != 1 or offsets[0]
                 or offsets[-1] != self.codes.size or (offsets[1:] < offsets[:-1]).any()):
-            raise ShapeError(f"code_offsets must rise from 0 to the {self.codes.size} codes "
-                             f"in one step per row ({len(self)})")
+            raise ValidationError(f"code_offsets must rise from 0 to the {self.codes.size} codes "
+                                  f"in one step per row ({len(self)})")
 
     def __len__(self) -> int:
         return self.probs.shape[0]
@@ -345,17 +345,14 @@ def spearman(xs, ys) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
-def score_histogram(values: np.ndarray, bins: int = 10):
-    """Counts of a per-document score vector per equal-width bin over [0,1],
-    plus the exactly-1 fraction.
+def score_histogram(values: np.ndarray):
+    """Counts of a per-document score vector in ten equal-width bins over
+    [0,1], plus the exactly-1 fraction.
 
-    Bins are half-open [i/b, (i+1)/b) except the last, which is closed.
+    Bins are half-open [i/10, (i+1)/10) except the last, which is closed.
     """
-    if bins < 1:
-        raise ValidationError("bins must be ≥ 1")
     values = np.asarray(values, dtype=np.float64)
-    counts = np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1),
-                         minlength=bins)
+    counts = np.bincount(np.minimum((values * 10).astype(np.int64), 9), minlength=10)
     frac = int(np.count_nonzero(values == 1.0)) / values.size if values.size else 0.0
     return counts, frac
 

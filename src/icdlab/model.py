@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import file_sha256, load_params, save_params
-from .errors import ConfigError, ValidationError, reading
+from .errors import ValidationError, reading
 from .preprocess import PAD_ID
 
 # --------------------------------------------------------------------------
@@ -50,9 +50,9 @@ class BaseHParams:
 
     def __post_init__(self):
         if min(self.d_e, self.d_c, self.d_a) <= 0:
-            raise ConfigError("model dimensions must be positive")
+            raise ValidationError("model dimensions must be positive")
         if self.kernel_width <= 0 or self.kernel_width % 2 == 0:
-            raise ConfigError(f"kernel_width must be odd, got {self.kernel_width}")
+            raise ValidationError(f"kernel_width must be odd, got {self.kernel_width}")
 
 
 class BaseModel:
@@ -72,7 +72,7 @@ class BaseModel:
         """Every parameter's shape, in the order `init` draws them: what a
         checkpoint with these hyperparameters must hold."""
         if arch not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {arch!r}")
+            raise ValidationError(f"unknown architecture {arch!r}")
         shapes = {"emb": (vocab_size, hp.d_e), "conv_w": (hp.d_c, hp.kernel_width, hp.d_e),
                   "conv_b": (hp.d_c,)}
         if arch == "caml":
@@ -170,10 +170,10 @@ class RerankerHParams:
 
     def __post_init__(self):
         if self.d <= 0 or self.n_heads <= 0:
-            raise ConfigError("reranker dimensions must be positive")
+            raise ValidationError("reranker dimensions must be positive")
         if self.d % self.n_heads:
-            raise ConfigError(f"head count {self.n_heads} must divide d={self.d} "
-                              f"(config keys reranker_heads and reranker_d)")
+            raise ValidationError(f"head count {self.n_heads} must divide d={self.d} "
+                                  f"(config keys reranker_heads and reranker_d)")
 
 
 class MetadataReranker:

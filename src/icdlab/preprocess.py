@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Encounter
-from .errors import ConfigError, ContractError
+from .errors import ValidationError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -45,12 +45,12 @@ def dedup_ditto(encounters: list[Encounter], scope: str = "consecutive") -> list
     every encounter (the undeduplicated pipeline variant).
     """
     if scope not in DEDUP_SCOPES:
-        raise ConfigError(f"unknown dedup scope {scope!r}")
+        raise ValidationError(f"unknown dedup scope {scope!r}")
     if not encounters:
         return []
     pids = {e.patient_id for e in encounters}
     if len(pids) > 1:
-        raise ContractError(f"dedup_ditto expects one patient, got {sorted(pids)}")
+        raise ValidationError(f"dedup_ditto expects one patient, got {sorted(pids)}")
     ordered = sorted(encounters, key=lambda e: e.date)
     if scope == "none":
         return ordered
@@ -95,7 +95,7 @@ def filter_min_frequency(train: list[Encounter], min_count: int) -> tuple[list[E
     set and the retained label set.
     """
     if min_count < 0:
-        raise ConfigError(f"min_count must be non-negative, got {min_count}")
+        raise ValidationError(f"min_count must be non-negative, got {min_count}")
     counts: dict[str, int] = {}
     for enc in train:
         for c in enc.codes:
@@ -140,7 +140,7 @@ class Vocabulary:
     def from_json(cls, text: str) -> "Vocabulary":
         """The vocabulary `to_json` wrote: `tokens` a list of distinct
         non-empty strings. Anything else raises an exception that
-        `errors.reading` reports as a ParseError naming the file."""
+        `errors.reading` reports as a ValidationError naming the file."""
         tokens = json.loads(text)["tokens"]
         if (type(tokens) is not list or not all(type(t) is str and t for t in tokens)
                 or len(set(tokens)) != len(tokens)):
@@ -154,7 +154,7 @@ class Vocabulary:
 def build_vocab(texts, min_token_count: int = 1) -> Vocabulary:
     """Ids in descending-frequency order, ties alphabetical."""
     if min_token_count < 1:
-        raise ConfigError(f"min_token_count must be ≥ 1, got {min_token_count}")
+        raise ValidationError(f"min_token_count must be ≥ 1, got {min_token_count}")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(text_tokens(text))

@@ -1,5 +1,5 @@
-"""Optimization loops with dev-set early stopping, evaluation plumbing,
-reference baselines, and the training-data-fraction experiment.
+"""Optimization loops with dev-set early stopping, evaluation plumbing and
+the training-data-fraction experiment.
 
 Training minimizes mean binary cross-entropy over each mini-batch of
 notes, packed as one token vector plus the notes' lengths: one graph and
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import LabelSpace
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .metrics import Predictions, date_column, mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker
 from .preprocess import UNK_ID, Vocabulary, encounter_aux_text, tokenize
@@ -45,15 +45,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+            raise ValidationError("learning_rate must be positive")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be ≥ 1")
+            raise ValidationError("batch_size must be ≥ 1")
         if self.patience < 1:
-            raise ConfigError("patience must be ≥ 1")
+            raise ValidationError("patience must be ≥ 1")
         if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be ≥ 0")
+            raise ValidationError("max_epochs must be ≥ 0")
         if not 0.0 < self.decision_threshold < 1.0:
-            raise ConfigError("decision_threshold must lie strictly inside (0, 1)")
+            raise ValidationError("decision_threshold must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,15 @@ class TrainHistory:
 # --------------------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+
+
 class Adam:
     """Adaptive-moment gradient descent over named parameter tensors."""
 
-    def __init__(self, params: dict[str, ad.Tensor], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, ad.Tensor], learning_rate: float = 1e-3):
         self.params = dict(params)
-        self.lr, self.b1, self.b2, self.eps = learning_rate, beta1, beta2, eps
+        self.lr = learning_rate
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.t = 0
@@ -101,20 +103,20 @@ class Adam:
     def step(self, grads) -> None:
         """In place, bitwise p -= lr · (m / bias1) / (√(v / bias2) + eps)."""
         self.t += 1
-        bias1 = 1.0 - self.b1**self.t
-        bias2 = 1.0 - self.b2**self.t
+        bias1 = 1.0 - ADAM_BETA1**self.t
+        bias2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = grads.get(p)
             if g is None:
                 continue  # parameter untouched by this batch's losses
             m, v = self.m[name], self.v[name]
             step, den = (w[:m.size].reshape(m.shape) for w in self._work)
-            m *= self.b1
-            m += np.multiply(1.0 - self.b1, g, out=step)
-            v *= self.b2
-            v += np.multiply(np.multiply(1.0 - self.b2, g, out=den), g, out=den)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=den), g, out=den)
             np.sqrt(np.divide(v, bias2, out=den), out=den)
-            den += self.eps
+            den += ADAM_EPS
             np.divide(m, bias1, out=step)
             step *= self.lr
             p.data -= np.divide(step, den, out=step)
@@ -394,23 +396,6 @@ def train_reranker(base: BaseModel, reranker: MetadataReranker, notes: Notes,
 
 
 # --------------------------------------------------------------------------
-# baselines
-# --------------------------------------------------------------------------
-
-
-def uniform_baseline_records(notes: Notes, seed: int = 0) -> Predictions:
-    """Scores every label uniformly at random, fresh per document."""
-    return notes.scored(np.random.default_rng(seed).uniform(size=notes.gt.shape))
-
-
-def marginal_baseline_records(notes: Notes, labels: LabelSpace) -> Predictions:
-    """Scores every document with the train-frequency ranking of the codes."""
-    counts = np.asarray([labels.train_count(c) for c in labels.codes], dtype=np.float64)
-    probs = counts / max(counts.max(), 1.0)
-    return notes.scored(np.tile(probs, (len(notes), 1)))
-
-
-# --------------------------------------------------------------------------
 # subsampling and the data-fraction experiment
 # --------------------------------------------------------------------------
 
@@ -444,7 +429,7 @@ def check_fractions(fractions) -> list[float]:
     one of them."""
     grid = sorted({float(f) for f in fractions})
     if not all(0.0 < f <= 1.0 for f in grid) or 1.0 not in grid:
-        raise ConfigError(f"fractions must lie in (0, 1] and include 1.0, got {grid}")
+        raise ValidationError(f"fractions must lie in (0, 1] and include 1.0, got {grid}")
     return grid
 
 

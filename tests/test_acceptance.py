@@ -63,13 +63,12 @@ from icdlab.train import (
     Notes,
     TrainConfig,
     data_fraction_experiment,
-    marginal_baseline_records,
     predict_records,
     predict_records_reranked,
     train,
     train_reranker,
-    uniform_baseline_records,
 )
+from oracles import grad_check, marginal_baseline_records, uniform_baseline_records
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -109,7 +108,7 @@ def _base_grad_error(arch: str, seed: int) -> float:
         probs, _ = model.forward(nt, [length])
         return ad.bce_loss(probs, target)
 
-    return ad.grad_check(loss, tensors, eps=1e-4)
+    return grad_check(loss, tensors, eps=1e-4)
 
 
 def _reranker_grad_error(seed: int) -> float:
@@ -135,7 +134,7 @@ def _reranker_grad_error(seed: int) -> float:
     def loss(*_):
         return ad.bce_loss(rr.forward(base_p, h_note, [4], h_aux, [2], metadata), target)
 
-    return ad.grad_check(loss, tensors, eps=1e-4)
+    return grad_check(loss, tensors, eps=1e-4)
 
 
 def test_criterion_01_gradient_correctness():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdlab.checkpoint import load_params, save_params
-from icdlab.errors import ParseError, ValidationError
+from icdlab.errors import ValidationError
 
 
 def test_round_trip_is_byte_exact(tmp_path):
@@ -51,7 +51,7 @@ def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_params(path, {"v": np.arange(4.0)}, {})
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ParseError, match="m.ckpt: truncated data for parameter 'v'"):
+    with pytest.raises(ValidationError, match="m.ckpt: truncated data for parameter 'v'"):
         load_params(path)
 
 
@@ -59,7 +59,7 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_params(path, {"v": np.arange(4.0)}, {})
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(ParseError, match="m.ckpt: 2 trailing bytes"):
+    with pytest.raises(ValidationError, match="m.ckpt: 2 trailing bytes"):
         load_params(path)
 
 
@@ -71,14 +71,14 @@ def test_bad_parameter_name_rejected(tmp_path):
 def test_missing_magic_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(b"w 2\nEND\n" + b"\x00" * 16)
-    with pytest.raises(ParseError, match="m.ckpt: first line is not 'icdlab-params v2'"):
+    with pytest.raises(ValidationError, match="m.ckpt: first line is not 'icdlab-params v2'"):
         load_params(path)
 
 
 def test_version_1_checkpoint_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(b"icdlab-params v1\nw 2\nEND\n" + b"\x00" * 16)
-    with pytest.raises(ParseError, match="m.ckpt: .* must be regenerated"):
+    with pytest.raises(ValidationError, match="m.ckpt: .* must be regenerated"):
         load_params(path)
 
 
@@ -96,7 +96,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
 def test_malformed_header_rejected_naming_the_file(tmp_path, header, message):
     path = tmp_path / "m.ckpt"
     path.write_bytes(header)
-    with pytest.raises(ParseError, match=f"checkpoint {re.escape(str(path))}: {message}"):
+    with pytest.raises(ValidationError, match=f"checkpoint {re.escape(str(path))}: {message}"):
         load_params(path)
 
 

@@ -11,9 +11,11 @@ import importlib.util
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -924,6 +926,14 @@ def _nest_first_record(eval_dir: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _unclose_npy_header(eval_dir: Path) -> None:
+    # numpy's header parser then raises tokenize's TokenError, not a ValueError
+    path = eval_dir / "probs.npy"
+    raw = path.read_bytes()
+    end = raw.index(b"\n")  # the header's last byte, after its padding of spaces
+    path.write_bytes(raw[:end - 1] + b"(" + raw[end:])
+
+
 def _nan_cell(probs):
     probs[0, 0] = np.nan
     return probs
@@ -959,12 +969,13 @@ _LINE_1 = "records.jsonl:1: "
     ("calibrate", lambda d: _edit_first_record(d, without="dept"), 3, "validation",
      _LINE_1 + "missing fields ['dept'], unknown fields []"),
     ("report", _nest_first_record, 3, "validation", _LINE_1 + "JSON nested too deeply"),
+    ("calibrate", _unclose_npy_header, 3, "validation", "probs.npy"),
 ], ids=["gt-outside-labels-calibrate", "gt-outside-labels-report", "negative-unseen",
         "n_unseen-true", "row-count-mismatch", "nan-calibrate", "nan-report",
         "one-dimensional-probs", "first_visit-a-string", "first_visit-an-int", "dept-an-int",
         "dept-a-list", "freq_bucket-null", "patient_id-an-int", "codes-a-string",
         "codes-empty", "code-malformed", "codes-duplicated", "field-unknown",
-        "field-missing", "nested-too-deeply"])
+        "field-missing", "nested-too-deeply", "npy-header-unclosed"])
 def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
                                                         command, corrupt, code, category,
                                                         where):
@@ -1000,6 +1011,26 @@ def test_wrongly_typed_encounter_field_names_its_line(pipeline, tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert "dev.txt:1" in err[0] and field in err[0]
+
+
+@pytest.mark.parametrize("date", ["2018-W01-1", "20180105"], ids=["week", "basic"])
+@pytest.mark.parametrize("stage, file", [("corpus", "test.txt"), ("eval_dev", "records.jsonl")],
+                         ids=["split", "records"])
+def test_a_date_in_another_iso_spelling_exits_3_naming_its_line(pipeline, tmp_path, capsys,
+                                                                stage, file, date):
+    # only the YYYY-MM-DD that the writers spell, whichever forms
+    # date.fromisoformat reads on this Python
+    copy = tmp_path / stage
+    shutil.copytree(pipeline[stage], copy)
+    _edit_first_line(copy / file, date=date)
+    capsys.readouterr()
+    command = "preprocess" if stage == "corpus" else "report"
+    assert main([command, "--config", str(pipeline["cfg"]), "--in", str(copy),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert f"{file}:1: bad date '{date}'" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("file, field, value", [
@@ -1205,6 +1236,21 @@ def test_evaluate_k_below_one_is_usage_error(pipeline, tmp_path, capsys, k):
     assert not any(tmp_path.iterdir())  # neither --out nor a staging directory
 
 
+def test_evaluate_breakdown_names_the_k_of_its_recall_column(pipeline, tmp_path):
+    tables = {}
+    for k in ("1", "5"):
+        assert main([*_evaluate(pipeline), "--config", str(pipeline["cfg"]), "--breakdown", "dept",
+                     "--out", str(tmp_path / k), "--k", k]) == 0
+        tables[k] = (tmp_path / k / "breakdown_dept.csv").read_text(encoding="utf-8")
+    # at the default k the table is the pipeline's, byte for byte
+    assert tables["5"] == (pipeline["eval_test"] / "breakdown_dept.csv").read_text(encoding="utf-8")
+    one, five = ([row.split(",") for row in tables[k].splitlines()] for k in ("1", "5"))
+    assert one[0] == ["group", "size", "recall_at_1", "instance_f1", "distinct_labels_per_period"]
+    # the recall column, the third, holds R@1; every other cell is as at k = 5
+    assert [row[:2] + row[3:] for row in one] == [row[:2] + row[3:] for row in five]
+    assert [row[2] for row in one[1:]] != [row[2] for row in five[1:]]
+
+
 @pytest.mark.parametrize("line", ["learning_rate = 0.02", "d_c = 4"],
                          ids=["same-width", "other-width"])
 def test_reranker_over_another_base_model_exits_3_naming_both(pipeline, tmp_path, capsys,
@@ -1376,6 +1422,109 @@ def test_corrupt_artifact_succeeds_or_ends_in_one_error_line(pipeline, tmp_path,
         assert code == 3 and err[0].startswith("icdlab-error: validation:") and name in err[0]
 
 
+# every file each stage reads but run.cfg, whose numbers can ask for any corpus size
+MUTATED_INPUTS = {
+    "preprocess": ["corpus/train.txt", "corpus/dev.txt", "corpus/test.txt"],
+    "train": ["prep/vocab.json", "prep/labels.json", "prep/train.txt", "prep/dev.txt"],
+    "train-reranker": ["prep/vocab.json", "prep/labels.json", "prep/train.txt",
+                       "prep/dev.txt", "model/model.ckpt"],
+    "evaluate-reranked": ["prep/vocab.json", "prep/labels.json", "prep/test.txt",
+                          "model/model.ckpt", "reranker/reranker.ckpt"],
+    "calibrate": ["eval_dev/manifest.json", "eval_dev/probs.npy", "eval_dev/records.jsonl"],
+    "automate-calibrated": [*(f"{d}/{name}" for d in ("eval_dev", "eval_test")
+                              for name in ("manifest.json", "probs.npy", "records.jsonl")),
+                            "calib/isotonic.ckpt"],
+    "report": ["eval_test/probs.npy", "eval_test/records.jsonl"],
+}
+MUTATIONS_PER_FILE = 10
+_JSON_VALUES = [None, True, False, 0, -1, 1, 0.5, "", "A00", [], {}]
+
+
+def _json_slots(doc) -> list:
+    """(container, key) for every value inside a parsed JSON document."""
+    slots, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    return slots
+
+
+def _mutate(raw: bytes, rng: random.Random) -> tuple[str, bytes]:
+    """One seeded mutation of a file's bytes and its kind: a truncation, a
+    flipped bit, inserted bytes, a dropped or duplicated line, or a JSON value
+    replaced or deleted, in the whole file or in one of its lines."""
+    lines = raw.split(b"\n")
+    docs = []  # (line index or None for the whole file, parsed JSON container)
+    for at, text in [(None, raw), *enumerate(lines)]:
+        try:
+            doc = json.loads(text)
+        except (UnicodeDecodeError, ValueError):
+            continue
+        if isinstance(doc, (dict, list)) and doc:
+            docs.append((at, doc))
+            if at is None:
+                break
+    kinds = ["truncate", "flip-bit", "insert-bytes", "drop-line", "duplicate-line"]
+    kind = rng.choice(kinds + ["replace-value", "delete-value"] * bool(docs))
+    at = rng.randrange(len(raw))
+    if kind == "truncate":
+        return kind, raw[:at]
+    if kind == "flip-bit":
+        return kind, raw[:at] + bytes([raw[at] ^ 1 << rng.randrange(8)]) + raw[at + 1:]
+    if kind == "insert-bytes":
+        return kind, raw[:at] + rng.randbytes(rng.randint(1, 8)) + raw[at:]
+    if kind in ("drop-line", "duplicate-line"):
+        i = rng.randrange(len(lines))
+        return kind, b"\n".join(lines[:i] + lines[i:i + 1] * (kind == "duplicate-line")
+                                 + lines[i + 1:])
+    at, doc = rng.choice(docs)
+    node, key = rng.choice(_json_slots(doc))
+    if kind == "replace-value":
+        node[key] = rng.choice(_JSON_VALUES)
+    else:
+        del node[key]
+    text = json.dumps(doc, ensure_ascii=False).encode()
+    return kind, text if at is None else b"\n".join(lines[:at] + [text] + lines[at + 1:])
+
+
+@pytest.mark.parametrize("stage, file", [(stage, file) for stage, files in MUTATED_INPUTS.items()
+                                         for file in files])
+def test_seeded_mutations_of_a_stage_input_end_in_exit_0_3_or_4(pipeline, tmp_path, capsys,
+                                                                 stage, file):
+    # the error contract under random damage: success without a word on stderr,
+    # or exit 3 or 4 with one `icdlab-error:` line and no --out
+    dirs = dict(pipeline)
+    name = file.split("/")[0]
+    dirs[name] = tmp_path / name
+    shutil.copytree(pipeline[name], dirs[name])
+    path = tmp_path / file
+    original = path.read_bytes()
+    for i in range(MUTATIONS_PER_FILE):
+        kind, raw = _mutate(original, random.Random(f"{file}:{stage}:{i}"))
+        path.write_bytes(raw)
+        out = tmp_path / f"o{i}"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*STAGE_ARGVS[stage](dirs), "--config", str(pipeline["cfg"]),
+                         "--out", str(out)])
+        printed = capsys.readouterr()
+        where = f"mutation {i} ({kind}) of {file} for {stage}"
+        assert caught == [], f"{where}: {[str(w.message) for w in caught]}"
+        if code == 0:
+            assert printed.err == "", where
+        else:
+            err = printed.err.splitlines()
+            assert code in (3, 4), f"{where}: exit {code}"
+            assert len(err) == 1 and err[0].startswith("icdlab-error: "), f"{where}: {err}"
+            assert printed.out == "" and not out.exists(), where
+            assert not list(tmp_path.glob(f".{out.name}.*")), where  # no staging directory
+
+
 # the stage calls of `pipeline` as the former scripts/run_pipeline.py wrote them
 SCRIPT_STAGES = [
     ["gen-corpus", "--config", "run.cfg", "--out", "w/corpus"],
@@ -1506,9 +1655,9 @@ def _perfbench_spans():
 # deleting a function the tracer still names
 TRACER_MISSING = {
     "icdlab.autodiff.clamp01", "icdlab.autodiff.concat", "icdlab.autodiff.multi_head_attention",
-    "icdlab.autodiff.softmax", "icdlab.autodiff.transpose", "icdlab.cli.note_for_encounter",
-    "icdlab.model.BaseModel.predict_probs", "icdlab.train.frozen_base_outputs",
-    "icdlab.train.label_targets",
+    "icdlab.autodiff.softmax", "icdlab.autodiff.tensor_sum", "icdlab.autodiff.transpose",
+    "icdlab.cli.note_for_encounter", "icdlab.model.BaseModel.predict_probs",
+    "icdlab.train.frozen_base_outputs", "icdlab.train.label_targets",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from icdlab.config import (RunConfig, config_sha256, config_text, parse_config,
                            parse_fractions, stage_seed)
 from icdlab.corpus import CorpusConfig
-from icdlab.errors import ConfigError
+from icdlab.errors import ValidationError
 from icdlab.model import BaseHParams, BaseModel, RerankerHParams
 from icdlab.train import TrainConfig
 
@@ -59,32 +59,32 @@ def test_sha_tracks_content():
 
 
 def test_unknown_key_rejected_with_line():
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ValidationError, match="line 2"):
         parse_config("seed = 1\nbogus_key = 3\n")
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ValidationError, match="duplicate"):
         parse_config("seed = 1\nseed = 2\n")
 
 
 def test_missing_equals_rejected():
-    with pytest.raises(ConfigError, match="line 1"):
+    with pytest.raises(ValidationError, match="line 1"):
         parse_config("seed 1\n")
 
 
 def test_bad_int_rejected():
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ValidationError, match="seed"):
         parse_config("seed = banana\n")
 
 
 def test_bad_float_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="line 1: bad value for 'learning_rate'"):
         parse_config("learning_rate = fast\n")
 
 
 def test_unknown_key_message_names_the_key():
-    with pytest.raises(ConfigError, match="first"):
+    with pytest.raises(ValidationError, match="first"):
         parse_config("first = True\n")
 
 
@@ -121,14 +121,14 @@ def test_float_field_accepts_int_literal():
     ("fractions = 0,1.0", "fractions"),
 ])
 def test_bad_value_rejected_when_read(line, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ValidationError, match=match):
         parse_config(f"seed = 42\n{line}\n")
 
 
 def test_unknown_architecture_rejected_by_config_and_model():
-    with pytest.raises(ConfigError, match="rnn"):
+    with pytest.raises(ValidationError, match="rnn"):
         parse_config("architecture = rnn\n")
-    with pytest.raises(ConfigError, match="rnn"):
+    with pytest.raises(ValidationError, match="rnn"):
         BaseModel.init("rnn", 10, 2)
 
 
@@ -216,10 +216,10 @@ def test_parse_fractions():
 
 
 def test_parse_fractions_rejects_garbage():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="bad fractions list '0.1,half'"):
         parse_fractions("0.1,half")
 
 
 def test_parse_fractions_rejects_empty():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="fractions list is empty"):
         parse_fractions("")

@@ -26,7 +26,7 @@ from icdlab.corpus import (
     split_by_patient,
     write_encounters,
 )
-from icdlab.errors import ConfigError, ParseError, ValidationError
+from icdlab.errors import ValidationError
 
 
 def small_config(**kw):
@@ -291,14 +291,14 @@ def test_dates_strictly_increase_per_patient():
 
 
 def test_namespace_exhaustion_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="n_codes=2601 exhausts"):
         CorpusConfig(n_codes=2601)
 
 
 def test_invalid_probability_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match=r"ditto_probability must lie in \[0,1\], got 1.5"):
         small_config(ditto_probability=1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="zipf_exponent must be positive, got 0.0"):
         small_config(zipf_exponent=0.0)
 
 
@@ -380,7 +380,7 @@ def test_unknown_field_rejected(tmp_path):
         '"codes":["E78.5"],"meds":[],"procs":[],"extra":1}\n',
         encoding="utf-8",
     )
-    with pytest.raises(ParseError, match="extra"):
+    with pytest.raises(ValidationError, match="extra"):
         read_encounters(path)
 
 
@@ -395,7 +395,7 @@ def test_a_wrong_field_set_is_reported_before_a_wrong_type(tmp_path, edit, missi
     row = {k: v for k, v in {**row, **edit}.items() if v is not None}
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError) as err:
         read_encounters(path)
     assert str(err.value) == f"{path}:1: missing fields {missing}, unknown fields {unknown}"
 
@@ -404,7 +404,7 @@ def test_the_first_faulty_field_is_reported_whether_its_type_or_an_item_is_wrong
     row = {**split_row([1]), "meds": "M1"}  # an item fault in codes, a type fault in meds
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValidationError) as err:
         read_encounters(path)
     assert str(err.value) == f"{path}:1: codes must be a list of strings"
 
@@ -412,7 +412,7 @@ def test_the_first_faulty_field_is_reported_whether_its_type_or_an_item_is_wrong
 def test_malformed_json_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json}\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=":1"):
+    with pytest.raises(ValidationError, match=":1"):
         read_encounters(path)
 
 

@@ -11,7 +11,7 @@ import pytest
 from icdlab import autodiff as ad
 from icdlab.checkpoint import load_params, save_params
 from icdlab.corpus import Encounter, LabelSpace
-from icdlab.errors import ConfigError, EmptySourceError, ValidationError
+from icdlab.errors import NumericError, ValidationError
 from icdlab.model import (
     BaseHParams,
     BaseModel,
@@ -25,6 +25,7 @@ from icdlab.model import (
 )
 from icdlab.preprocess import Vocabulary
 from icdlab.train import Notes, _FrozenBase
+from oracles import grad_check
 
 
 def note(ids):
@@ -87,15 +88,15 @@ def test_out_of_range_token_rejected():
 
 def test_all_padding_note_raises_empty_source():
     m = toy_model("caml")
-    with pytest.raises(EmptySourceError):
+    with pytest.raises(NumericError, match="label_attention: a segment has no position"):
         m.forward(*note([]))
     # one note of no token fails its whole batch
-    with pytest.raises(EmptySourceError):
+    with pytest.raises(NumericError, match="label_attention: a segment has no position"):
         m.forward(*packed([[2, 3], []]))
 
 
 def test_even_kernel_width_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="kernel_width must be odd, got 4"):
         BaseHParams(kernel_width=4)
 
 
@@ -179,7 +180,7 @@ def test_base_model_grad_check(arch):
     def f(*ts):
         return ad.bce_loss(m.forward(*note(ids))[0], ad.tensor(y.data[None]))
 
-    assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
+    assert grad_check(f, tensors, eps=1e-4) < 1e-4
 
 
 MIXED = [(2, 3, 4, 5, 2), (4,), (5, 3), (3, 2, 2, 4)]  # lengths 5, 1, 2, 4
@@ -208,7 +209,7 @@ def test_padded_batch_grad_check(arch):
     def f(*ts):
         return ad.bce_loss(m.forward(*batch)[0], y)
 
-    assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
+    assert grad_check(f, tensors, eps=1e-4) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ def test_reranker_grad_check():
     def f(*ts):
         return ad.bce_loss(rr.forward(base_p, h, [3], ha, [2], metadata(rr, enc)), y)
 
-    assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
+    assert grad_check(f, tensors, eps=1e-4) < 1e-4
 
 
 # the toy base models read ids 0..5: padding, unknown and these four tokens
@@ -490,7 +491,7 @@ def test_reranker_padded_batch_grad_check():
     def f(*ts):
         return ad.bce_loss(frozen.forward(np.arange(4)), y)
 
-    assert ad.grad_check(f, tensors, eps=1e-4) < 1e-4
+    assert grad_check(f, tensors, eps=1e-4) < 1e-4
 
 
 def test_batch_without_aux_tokens_leaves_attn_m_out_of_the_graph():

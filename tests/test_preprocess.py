@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdlab.corpus import CorpusConfig, Encounter, generate_corpus
-from icdlab.errors import ConfigError, ContractError
+from icdlab.errors import ValidationError
 from icdlab.preprocess import (
     UNK_ID,
     Vocabulary,
@@ -72,12 +72,12 @@ def test_dedup_global_scope_drops_any_earlier_match():
 
 
 def test_dedup_unknown_scope_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="unknown dedup scope 'fancy'"):
         dedup_ditto([enc("P", 1, ["A00.0"])], scope="fancy")
 
 
 def test_dedup_mixed_patients_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(ValidationError, match="dedup_ditto expects one patient"):
         dedup_ditto([enc("P1", 1, ["A00.0"]), enc("P2", 2, ["A00.0"])])
 
 
@@ -136,7 +136,7 @@ def test_filter_drops_emptied_doc():
 
 
 def test_filter_negative_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="min_count must be non-negative, got -1"):
         filter_min_frequency([], -1)
 
 
@@ -203,7 +203,7 @@ def test_vocab_rebuild_is_deterministic():
 
 
 def test_vocab_min_count_must_be_positive():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="min_token_count must be ≥ 1, got 0"):
         build_vocab([], min_token_count=0)
 
 

@@ -36,20 +36,19 @@ def test_a_failing_property_test_fails_alone(tmp_path):
 
 
 # Module-level functions and classes that nothing in src/ refers to, each kept
-# for a reason outside the package. Code that only tests call is deleted, so a
-# new name here is either deleted or given its reason.
-UNREFERENCED_IN_SRC = {
-    "grad_check": "acceptance criterion 1 checks every gradient with it",
-    "tensor_sum": "the tests' scalar reduction of a tensor",
-    "uniform_baseline_records": "criterion 4's margin over uniform scores",
-    "marginal_baseline_records": "criterion 4's margin over the marginal ranking",
-}
+# for a reason outside the package. Code that only tests call lives in tests/,
+# so a new name here is either moved, deleted or given its reason.
+UNREFERENCED_IN_SRC = {}
+
+
+def _src_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "icdlab").glob("*.py"))]
 
 
 def test_src_defines_nothing_it_does_not_use_but_the_listed_names():
     defined, referred = set(), set()
-    for path in sorted((ROOT / "src" / "icdlab").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for tree in _src_trees():
         defined.update(node.name for node in tree.body if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         for node in ast.walk(tree):
@@ -60,6 +59,20 @@ def test_src_defines_nothing_it_does_not_use_but_the_listed_names():
             elif isinstance(node, ast.alias):
                 referred.add(node.name)
     assert defined - referred == set(UNREFERENCED_IN_SRC)
+
+
+def test_every_error_class_is_handled_by_name():
+    # an exception class earns its place by some `except` that acts on it
+    # (an exit code, a fallback); one that nothing catches folds into its base
+    errors = ast.parse((ROOT / "src" / "icdlab" / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for tree in _src_trees():
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught.update(node.id for node in ast.walk(handler.type)
+                              if isinstance(node, ast.Name))
+    assert classes and classes <= caught, sorted(classes - caught)
 
 
 def _object_dtype_calls(tree) -> list[int]:

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from icdlab import autodiff as ad
 from icdlab.corpus import Encounter, LabelSpace
-from icdlab.errors import ConfigError, NumericError, ValidationError
+from icdlab.errors import NumericError, ValidationError
 from icdlab.metrics import mean_recall_at_k
 from icdlab.model import BaseHParams, BaseModel, MetadataReranker, ModalityVocabs, RerankerHParams
 from icdlab.preprocess import PAD_ID, UNK_ID, Vocabulary
 from icdlab.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     Notes,
     TrainConfig,
@@ -23,14 +26,13 @@ from icdlab.train import (
     data_fraction_experiment,
     fraction_csv,
     frequency_bucket,
-    marginal_baseline_records,
     predict_records,
     predict_records_reranked,
     subsample_train,
     train,
     train_reranker,
-    uniform_baseline_records,
 )
+from oracles import marginal_baseline_records, tensor_sum, uniform_baseline_records
 
 VOCAB = Vocabulary(("aches", "bruise", "cough", "dizzy", "edema"))
 LABELS = LabelSpace(("A00.0", "B11.1"), {"A00.0": 40, "B11.1": 4})
@@ -63,9 +65,12 @@ def toy_model(seed=0, arch="caml"):
 
 
 def test_config_validation():
-    for kw in ({"learning_rate": 0.0}, {"batch_size": 0}, {"patience": 0},
-               {"max_epochs": -1}, {"decision_threshold": 1.0}):
-        with pytest.raises(ConfigError):
+    for kw, match in (({"learning_rate": 0.0}, "learning_rate must be positive"),
+                      ({"batch_size": 0}, "batch_size must be ≥ 1"),
+                      ({"patience": 0}, "patience must be ≥ 1"),
+                      ({"max_epochs": -1}, "max_epochs must be ≥ 0"),
+                      ({"decision_threshold": 1.0}, "decision_threshold must lie strictly")):
+        with pytest.raises(ValidationError, match=match):
             TrainConfig(**kw)
 
 
@@ -190,8 +195,8 @@ def test_adam_steps_equal_the_textbook_formula_bitwise():
     rng = np.random.default_rng(12)
     w = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = ad.tensor(rng.normal(size=4), requires_grad=True)
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = Adam({"w": w, "b": b}, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 0.01, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    opt = Adam({"w": w, "b": b}, learning_rate=lr)
     want = {"w": w.data.copy(), "b": b.data.copy()}
     m = {k: np.zeros_like(v) for k, v in want.items()}
     v = {k: np.zeros_like(x) for k, x in want.items()}
@@ -266,7 +271,7 @@ def scripted_fit(dev_r5_values, patience, max_epochs=50):
         return next(script), 0.0
 
     def loss_of(_):
-        return ad.tensor_sum(ad.mul(w, w))
+        return tensor_sum(ad.mul(w, w))
 
     config = TrainConfig(learning_rate=0.05, batch_size=1, max_epochs=max_epochs,
                          patience=patience)
