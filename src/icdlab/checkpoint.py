@@ -1,4 +1,6 @@
 """Bit-exact checkpoints: named float64 arrays and their metadata in one file.
+The model and calibration checkpoints use it, and so do the packed splits
+that `preprocess` writes (`train.Notes.save`).
 
 An ASCII header (the magic line, the metadata as one line of sort-keyed JSON,
 one "name dim0 dim1 ..." line per array, then an END line) is followed by the

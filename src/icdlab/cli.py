@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 import argparse
 import functools
 import json
+import math
 import operator
 import os
 import shutil
@@ -30,7 +31,7 @@ import numpy as np
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
 from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
-from .corpus import (LabelSpace, check_encounters, check_row, corpus_stats, generate_corpus,
+from .corpus import (LabelSpace, check_row, corpus_stats, generate_corpus,
                      read_encounters, read_rows, split_by_patient, write_encounters)
 from .errors import NumericError, UndefinedMetricError, UsageError, ValidationError, reading
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
@@ -99,17 +100,18 @@ def _stage(command):
 
 def _load_prep(prep, rc: RunConfig, *splits):
     """A preprocess directory's vocabulary and label space, one Notes per
-    named split, and the paths read."""
+    named split, and the paths read. Each split comes from its packed
+    `<split>.notes`, cut to max_note_tokens: no stage after preprocess parses
+    or tokenizes the JSON-lines splits beside it."""
 
     def load(path, cls):
         with reading(path):
             return cls.from_json(path.read_text(encoding="utf-8"))
 
     prep = Path(prep)
-    paths = [prep / "vocab.json", prep / "labels.json", *(prep / f"{s}.txt" for s in splits)]
+    paths = [prep / "vocab.json", prep / "labels.json", *(prep / f"{s}.notes" for s in splits)]
     vocab, labels = load(paths[0], Vocabulary), load(paths[1], LabelSpace)
-    notes = [Notes.of(read_encounters(path), vocab, labels, rc.max_note_tokens)
-             for path in paths[2:]]
+    notes = [Notes.load(path, vocab, labels, rc.max_note_tokens) for path in paths[2:]]
     return vocab, labels, notes, paths
 
 
@@ -147,13 +149,32 @@ _RECORD_CONTEXT = operator.itemgetter("n_unseen", "dept", "first_visit", "freq_b
                                       "patient_id")
 
 
+def _check_npy_size(path: Path) -> None:
+    """That the .npy file at `path` holds as many data bytes as its header
+    declares, checked before numpy allocates the array the header asks for."""
+    with reading(path), open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+        if read_header is None:
+            raise ValidationError(f"{path}: .npy format version {version} is not supported")
+        shape, _, dtype = read_header(fh)
+        declared, held = math.prod(shape) * dtype.itemsize, path.stat().st_size - fh.tell()
+    if declared != held:
+        raise ValidationError(f"{path}: its header declares {shape} {dtype} values, "
+                              f"{declared} bytes, but the file holds {held}")
+
+
 def read_prediction_records(eval_dir) -> Predictions:
-    """probs.npy + records.jsonl as one Predictions value. A malformed matrix
-    is a numeric error. records.jsonl is read as a split file is (`read_rows`,
-    then `check_row`); before `check_row`, a gt index outside the label space
-    or a negative unseen count is a validation error, and so is a row count
-    other than the matrix's. Each row goes straight into the columns."""
+    """probs.npy + records.jsonl as one Predictions value. A header that
+    declares more or fewer bytes than the file holds is a validation error,
+    found before numpy allocates; a malformed matrix is a numeric error.
+    records.jsonl is read as a split file is (`read_rows`, then
+    `check_row`); before `check_row`, a gt index outside the label space or a
+    negative unseen count is a validation error, and so is a row count other
+    than the matrix's. Each row goes straight into the columns."""
     eval_dir = Path(eval_dir)
+    _check_npy_size(eval_dir / "probs.npy")
     with reading(eval_dir / "probs.npy"):
         probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
     if probs.ndim != 2 or probs.dtype.kind not in "fiu":
@@ -206,6 +227,11 @@ def cmd_gen_corpus(args, rc: RunConfig, stage: Path):
 
 @_stage
 def cmd_preprocess(args, rc: RunConfig, stage: Path):
+    """De-duplicate and label-filter the train split, then build the
+    vocabulary and label space from it. Writes the filtered train.txt, copies
+    dev.txt and test.txt byte for byte once every line parses, and packs each
+    split once as `<split>.notes` (`Notes.save`, every token kept), which the
+    later stages load in place of the text splits."""
     inputs = [Path(args.inp) / f"{n}.txt" for n in ("train", "dev", "test")]
     train_encs = read_encounters(inputs[0])
     filtered, retained, report = preprocess_train(train_encs, rc.min_code_count,
@@ -215,8 +241,14 @@ def cmd_preprocess(args, rc: RunConfig, stage: Path):
         rc.min_token_count)
     labels = LabelSpace(tuple(sorted(retained))).with_train_counts(filtered)
     write_encounters(stage / "train.txt", filtered)
+
+    def pack(name, encounters):  # one split's encounters at a time
+        Notes.of(encounters, vocab, labels, max_len=None).save(stage / f"{name}.notes",
+                                                               vocab, labels)
+
+    pack("train", filtered)
     for path in inputs[1:]:  # dev and test pass through byte-for-byte once they parse
-        check_encounters(path)
+        pack(path.stem, read_encounters(path))
         shutil.copyfile(path, stage / path.name)
     _write(stage / "vocab.json", vocab.to_json() + "\n")
     _write(stage / "labels.json", labels.to_json() + "\n")
@@ -344,7 +376,10 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     if digest != labels_sha256:
         raise ValidationError(f"{path}: maps were fitted on another label space than the "
                               f"one the manifest of {dev_dir} records")
-    maps = [(arrays.get(f"x{j}"), arrays.get(f"v{j}")) for j in range(n)]
+    # each label takes two arrays, so one of the first len(arrays) // 2 + 1 lacks
+    # one if n exceeds that: no more are looked up than the file holds
+    maps = [(arrays.get(f"x{j}"), arrays.get(f"v{j}"))
+            for j in range(min(n, len(arrays) // 2 + 1))]
     bad = next((j for j, (xs, vs) in enumerate(maps) if xs is None or vs is None
                 or xs.ndim != 1 or not xs.size or vs.shape != xs.shape), n)
     if bad:  # the well-shaped maps before it, checked end to end in one pass

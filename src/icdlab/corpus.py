@@ -25,6 +25,7 @@ import json
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -251,12 +252,10 @@ def _sample_code_set(rng, chronic: np.ndarray, zipf_cdf: np.ndarray, siblings: d
 
 
 def _note_tokens(rng, code_idxs: set[int], silent: set[int], config: CorpusConfig, noise_cdf: np.ndarray) -> list[str]:
-    toks: list[str] = []
-    for j in sorted(code_idxs):
-        if j in silent:
-            continue
-        variants = rng.integers(0, 3, size=config.tokens_per_code).tolist()
-        toks.extend(f"c{j}v{k}" for k in variants)
+    spoken = [j for j in sorted(code_idxs) if j not in silent]
+    # one draw for all codes: the same stream as one draw of tokens_per_code per code
+    variants = rng.integers(0, 3, size=(len(spoken), config.tokens_per_code)).tolist()
+    toks = [f"c{j}v{k}" for j, row in zip(spoken, variants) for k in row]
     n_noise = 2 + int(rng.poisson(3.0))
     toks.extend(f"n{i}" for i in _draw(rng, noise_cdf, n_noise).tolist())
     return [toks[i] for i in rng.permutation(len(toks)).tolist()]
@@ -375,23 +374,20 @@ _KINDS = {str: (str, None, "a string"), bool: (bool, None, "true or false"),
 _ENCOUNTER_TYPES = {"patient_id": str, "date": str, "dept": str, "doctor": str, "text": str,
                     "codes": list[str], "meds": list[str], "procs": list[str]}
 _decode = json.JSONDecoder().decode  # json.loads without its per-call checks
-_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without an encoder per call
 
 
 def write_encounters(path, encounters: list[Encounter]) -> None:
+    """One JSON object per encounter and line, fields in a fixed order: the
+    bytes JSONEncoder(ensure_ascii=False) gives, written from its own
+    encode_basestring."""
+    quote = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
-        for enc in encounters:
-            obj = {
-                "patient_id": enc.patient_id,
-                "date": enc.date.isoformat(),
-                "dept": enc.dept,
-                "doctor": enc.doctor,
-                "text": enc.text,
-                "codes": sorted(enc.codes),
-                "meds": list(enc.meds),
-                "procs": list(enc.procs),
-            }
-            fh.write(_encode(obj) + "\n")
+        fh.write("".join(
+            f'{{"patient_id": {quote(e.patient_id)}, "date": "{e.date.isoformat()}", '
+            f'"dept": {quote(e.dept)}, "doctor": {quote(e.doctor)}, "text": {quote(e.text)}, '
+            f'"codes": [{", ".join(map(quote, sorted(e.codes)))}], '
+            f'"meds": [{", ".join(map(quote, e.meds))}], '
+            f'"procs": [{", ".join(map(quote, e.procs))}]}}\n' for e in encounters))
 
 
 def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
@@ -484,12 +480,6 @@ def encounter_of(path, lineno: int, row: dict) -> Encounter:
 def read_encounters(path) -> list[Encounter]:
     rows = read_rows(path, _ENCOUNTER_TYPES)
     return [encounter_of(path, lineno, row) for lineno, row in rows]
-
-
-def check_encounters(path) -> None:
-    """Check a split file as `read_encounters` does, building no Encounter."""
-    for lineno, row in read_rows(path, _ENCOUNTER_TYPES):
-        check_row(path, lineno, row)
 
 
 # --------------------------------------------------------------------------

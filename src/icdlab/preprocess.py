@@ -155,9 +155,10 @@ def build_vocab(texts, min_token_count: int = 1) -> Vocabulary:
     """Ids in descending-frequency order, ties alphabetical."""
     if min_token_count < 1:
         raise ValidationError(f"min_token_count must be ≥ 1, got {min_token_count}")
-    counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(text_tokens(text))
+    # one pass over the texts joined by spaces: no token spans a space, and
+    # lower() maps each character on its own (a final sigma lowers to a letter
+    # outside every token either way), so the counts are the per-text sums
+    counts = Counter(text_tokens(" ".join(texts)))
     kept = [t for t, n in counts.items() if n >= min_token_count]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(tuple(kept))
@@ -168,9 +169,9 @@ class TokenizedNote:
     token_ids: tuple[int, ...]
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenizedNote:
-    """Head-truncated id sequence: the ids of the tokens found, none for an
-    empty text, never PAD_ID."""
+def tokenize(text: str, vocab: Vocabulary, max_len: int | None = 512) -> TokenizedNote:
+    """Head-truncated id sequence (max_len None: untruncated): the ids of the
+    tokens found, none for an empty text, never PAD_ID."""
     id_of = vocab._ids.get
     return TokenizedNote(tuple([id_of(t, UNK_ID) for t in text_tokens(text)[:max_len]]))
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import LabelSpace
+from .checkpoint import load_params, save_params
+from .corpus import CODE_RE, LabelSpace
 from .errors import NumericError, ValidationError
 from .metrics import Predictions, date_column, mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker
@@ -156,10 +157,12 @@ def _packed(rows, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
     return values, np.cumsum([0, *map(len, rows)])
 
 
-def _gather(offsets, values, idx) -> tuple[np.ndarray, np.ndarray]:
-    """The rows at `idx` of a packed column, concatenated in that order, and
-    their lengths."""
+def _gather(offsets, values, idx, max_len=None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows at `idx` of a packed column, each cut to its first `max_len`
+    values if given, concatenated in that order, and their lengths."""
     starts, lengths = offsets[idx], offsets[np.asarray(idx) + 1] - offsets[idx]
+    if max_len is not None:
+        lengths = np.minimum(lengths, max_len)
     shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     return values[np.arange(lengths.sum()) + shift], lengths
 
@@ -167,6 +170,12 @@ def _gather(offsets, values, idx) -> tuple[np.ndarray, np.ndarray]:
 # the packed columns of Notes: (offsets, values)
 _CSR = (("offsets", "tokens"), ("code_offsets", "codes"), ("med_offsets", "meds"),
         ("proc_offsets", "procs"), ("aux_offsets", "aux"))
+# what a split file holds of Notes: the integer columns and the dates (days
+# since 1970) as arrays, the string columns in its header
+_STORED_ARRAYS = ("tokens", "offsets", "aux", "aux_offsets", "code_offsets", "med_offsets",
+                  "proc_offsets", "date")
+_STORED_STRINGS = ("codes", "patient_id", "dept", "doctor", "meds", "procs")
+_DATES = np.array(["0001-01-01", "9999-12-31"], "datetime64[D]").astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,9 @@ class Notes:
     """One split as columns, built once: per note the ground truth, `doctor`
     and the record columns of Predictions; packed (_CSR, note i of `x` being
     x[x_offsets[i]:x_offsets[i + 1]]) its token ids (`tokens`, `offsets`),
-    sorted codes, meds, procs and auxiliary ids. See `scored(probs)`."""
+    sorted codes, meds, procs and auxiliary ids. `preprocess` builds each
+    split once with `of` and writes it with `save`; later stages `load` it.
+    See `scored(probs)`."""
 
     tokens: np.ndarray
     offsets: np.ndarray
@@ -197,36 +208,79 @@ class Notes:
 
     @classmethod
     def of(cls, encounters, vocab: Vocabulary, labels: LabelSpace,
-           max_len: int = 512) -> "Notes":
+           max_len: int | None = 512) -> "Notes":
         """A blank note (some encounters carry codes with no prose) becomes a
         single unknown token instead of no token, so attention always has one
-        position to land on and no document drops out of the denominators."""
+        position to land on and no document drops out of the denominators.
+        With max_len None every token is kept."""
         encs = list(encounters)
         tokens, offsets = _packed([tokenize(e.text, vocab, max_len).token_ids or (UNK_ID,)
                                    for e in encs])
-        aux, aux_offsets = _packed([tokenize(encounter_aux_text(e), vocab).token_ids
-                                    for e in encs])
+        aux_texts = [encounter_aux_text(e) for e in encs]  # mostly empty or repeated
+        aux_ids = {t: tokenize(t, vocab).token_ids for t in dict.fromkeys(aux_texts)}
+        aux, aux_offsets = _packed([aux_ids[t] for t in aux_texts])
         codes, code_offsets = _packed([sorted(e.codes) for e in encs], str)
-        lengths = np.diff(code_offsets)
-        if not lengths.all():
+        if not np.diff(code_offsets).all():
             raise ValidationError("every encounter needs at least one code")
-        flat = codes.tolist()
-        ids, record = labels.indices(flat), np.repeat(np.arange(len(encs)), lengths)
-        seen = ids >= 0
-        gt = np.zeros((len(encs), len(labels)), dtype=bool)
-        gt[record[seen], ids[seen]] = True
-        counts = np.fromiter(map(labels.train_count, flat), np.int64, len(flat))
-        lowest = np.minimum.reduceat(counts, code_offsets[:-1])
-        patient_id = np.array([e.patient_id for e in encs], dtype=str)
-        date = date_column([e.date for e in encs])
         meds, med_offsets = _packed([e.meds for e in encs], str)
         procs, proc_offsets = _packed([e.procs for e in encs], str)
-        return cls(tokens, offsets, gt, np.bincount(record[~seen], minlength=len(encs)),
-                   np.array([e.dept for e in encs], dtype=str),
-                   _first_visit_flags(patient_id, date), frequency_bucket(lowest),
-                   patient_id, date, code_offsets, codes,
-                   np.array([e.doctor for e in encs], dtype=str),
-                   med_offsets, meds, proc_offsets, procs, aux_offsets, aux)
+        return cls._labelled(
+            labels, codes.tolist(), tokens=tokens, offsets=offsets, aux=aux,
+            aux_offsets=aux_offsets, codes=codes, code_offsets=code_offsets, meds=meds,
+            med_offsets=med_offsets, procs=procs, proc_offsets=proc_offsets,
+            patient_id=np.array([e.patient_id for e in encs], dtype=str),
+            dept=np.array([e.dept for e in encs], dtype=str),
+            doctor=np.array([e.doctor for e in encs], dtype=str),
+            date=date_column([e.date for e in encs]))
+
+    @classmethod
+    def _labelled(cls, labels: LabelSpace, code_list: list[str], **stored) -> "Notes":
+        """The Notes of the stored columns (`code_list`: `codes` as a list)
+        with those `labels` gives them: ground truth, unseen-code counts,
+        frequency buckets and first-visit flags."""
+        code_offsets = stored["code_offsets"]
+        n = len(code_offsets) - 1
+        ids, record = labels.indices(code_list), np.repeat(np.arange(n), np.diff(code_offsets))
+        seen = ids >= 0
+        gt = np.zeros((n, len(labels)), dtype=bool)
+        gt[record[seen], ids[seen]] = True
+        counts = np.fromiter(map(labels.train_count, code_list), np.int64, len(code_list))
+        lowest = np.minimum.reduceat(counts, code_offsets[:-1])
+        return cls(gt=gt, n_unseen=np.bincount(record[~seen], minlength=n),
+                   first_visit=_first_visit_flags(stored["patient_id"], stored["date"]),
+                   freq_bucket=frequency_bucket(lowest), **stored)
+
+    def save(self, path, vocab: Vocabulary, labels: LabelSpace) -> None:
+        """Write the split for `load`: every column but those `labels` gives,
+        in a checkpoint file (see checkpoint.py) whose header names the
+        vocabulary and label space by their digests and holds the string
+        columns. Build the split with max_len None, so that `load` can cut
+        its notes to any length."""
+        meta = {"kind": "notes", "vocab_sha256": vocab.sha256(),
+                "labels_sha256": labels.sha256(),
+                **{name: getattr(self, name).tolist() for name in _STORED_STRINGS}}
+        arrays = {name: getattr(self, name) for name in _STORED_ARRAYS}
+        save_params(path, {**arrays, "date": self.date.astype(np.int64)}, meta)
+
+    @classmethod
+    def load(cls, path, vocab: Vocabulary, labels: LabelSpace, max_len: int = 512) -> "Notes":
+        """The split `save` wrote to `path` for this vocabulary and label
+        space, each note cut to its first max_len tokens: what `of` gives for
+        the same encounters and max_len. The file is checked as a split file
+        is read (`_check_stored`): every fault is one ValidationError naming
+        it."""
+        try:
+            meta, arrays = load_params(path)
+        except NumericError as exc:  # a non-finite value, which no column holds
+            raise ValidationError(str(exc)) from None
+        _check_stored(path, meta, arrays, vocab, labels)
+        stored = {name: arrays[name].astype(np.int64) for name in _STORED_ARRAYS}
+        stored |= {name: np.array(meta[name], dtype=str) for name in _STORED_STRINGS}
+        stored["date"] = stored["date"].astype("datetime64[D]")
+        stored["tokens"], lengths = _gather(stored["offsets"], stored["tokens"],
+                                            np.arange(len(stored["patient_id"])), max_len)
+        stored["offsets"] = np.concatenate([[0], np.cumsum(lengths)])
+        return cls._labelled(labels, meta["codes"], **stored)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -248,6 +302,67 @@ class Notes:
         """These notes' Predictions for the (n, N) score matrix `probs`."""
         return Predictions(probs, **{f.name: getattr(self, f.name)
                                      for f in fields(Predictions)[1:]})
+
+
+def _check_stored(path, meta: dict, arrays: dict, vocab: Vocabulary,
+                  labels: LabelSpace) -> None:
+    """That a packed split holds what `Notes.save` writes for this vocabulary
+    and label space, with the checks the split-file reader makes: integral
+    values, offsets rising from 0 to their column's length one step per
+    note, token ids in [1, len(vocab)), lists of strings without U+0000, at
+    least one token and one code per note, each note's codes distinct,
+    sorted and well-formed, and valid dates. Raises a ValidationError naming
+    `path`."""
+
+    def fault(what: str) -> ValidationError:
+        return ValidationError(f"{path}: {what}")
+
+    if meta.get("kind") != "notes":
+        raise fault("not a split file written by preprocess")
+    for key, sha, what in (("vocab_sha256", vocab.sha256(), "vocabulary"),
+                           ("labels_sha256", labels.sha256(), "label space")):
+        if meta.get(key) != sha:
+            raise fault(f"written for another {what} than the one beside it")
+    if meta.keys() != {"kind", "vocab_sha256", "labels_sha256", *_STORED_STRINGS}:
+        raise fault(f"the header must hold exactly the string columns {_STORED_STRINGS}")
+    if arrays.keys() != set(_STORED_ARRAYS):
+        raise fault(f"the arrays must be exactly {_STORED_ARRAYS}")
+    for name, a in arrays.items():
+        if a.ndim != 1 or (a != np.floor(a)).any():
+            raise fault(f"{name} must be a vector of integers")
+    for name in _STORED_STRINGS:
+        if type(meta[name]) is not list or not all(type(s) is str for s in meta[name]):
+            raise fault(f"{name} must be a list of strings")
+        if "\0" in "".join(meta[name]):
+            raise fault(f"{name} must not contain U+0000")
+    n = len(meta["patient_id"])
+    for name in ("dept", "doctor"):
+        if len(meta[name]) != n:
+            raise fault(f"{name} must have one entry per note ({n})")
+    date = arrays["date"]
+    if date.shape != (n,) or not ((_DATES[0] <= date) & (date <= _DATES[1])).all():
+        raise fault(f"date must hold one valid date per note ({n})")
+    for offsets, values in _CSR:
+        off = arrays[offsets]
+        size = len(arrays[values] if values in arrays else meta[values])
+        if off.shape != (n + 1,) or off[0] or off[-1] != size or (off[1:] < off[:-1]).any():
+            raise fault(f"{offsets} must rise from 0 to the {size} {values} in one step "
+                        f"per note ({n})")
+    for offsets, values in (("offsets", "tokens"), ("code_offsets", "codes")):
+        if (arrays[offsets][1:] == arrays[offsets][:-1]).any():
+            raise fault(f"every note needs at least one of its {values}")
+    for name in ("tokens", "aux"):
+        ids = arrays[name]
+        if ids.size and not (1 <= ids.min() and ids.max() < len(vocab)):
+            raise fault(f"{name} must hold token ids in [1, {len(vocab)})")
+    codes = np.array(meta["codes"], dtype=str)
+    inside = np.ones(max(codes.size - 1, 0), dtype=bool)
+    inside[arrays["code_offsets"][1:-1].astype(np.int64) - 1] = False  # pairs across notes
+    if (codes[1:] <= codes[:-1])[inside].any():
+        raise fault("each note's codes must be distinct and sorted")
+    bad = next((c for c in set(meta["codes"]) if not CODE_RE.match(c)), None)
+    if bad is not None:
+        raise fault(f"malformed code {bad!r}")
 
 
 def _scored(score, n: int, width: int) -> np.ndarray:

@@ -12,9 +12,11 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -350,7 +352,8 @@ def test_gen_corpus_writes_the_pinned_bytes(tmp_path):
     assert {name: _sha(tmp_path / "corpus" / name) for name in PINNED_SHA256} == PINNED_SHA256
 
 
-# preprocess over the PINNED_CFG corpus: dev and test pass through unchanged.
+# preprocess over the PINNED_CFG corpus: dev and test pass through unchanged,
+# and each split is packed once for the later stages.
 PREP_PINNED_SHA256 = {
     "train.txt": "47fcc2ba2c5e440256ce10be7be60ff6870c0b6488ab7886a87d41d0c8b9f1fe",
     "dev.txt": PINNED_SHA256["dev.txt"],
@@ -358,6 +361,9 @@ PREP_PINNED_SHA256 = {
     "vocab.json": "7f9f877319f2243290916f463bba58b3f8f71a40b1072100bfcb103865ab27e8",
     "labels.json": "67a22d0f3c988e1a8f2ca4eb3608899087976df713f8d06e584ca1d4b133ae26",
     "report.csv": "cf09c8a20972ebc59282c253f70528e85ad1281d36b6a1b7e84de2b7fdd36bc9",
+    "train.notes": "6ef20893d675849c65ef750a9b4912c8a6b58fafca04a49304ed6148c5482300",
+    "dev.notes": "e9e9244deadc497d9ea13377715296b942dd8fc1b92b952844495b898c0b101e",
+    "test.notes": "98271598089804977ce32fd9d5ad6e34f41f0e19db7f17d43090b1919f6cf9a0",
 }
 
 
@@ -368,6 +374,14 @@ def test_preprocess_writes_the_pinned_bytes(tmp_path):
     assert main(["gen-corpus", "--config", c, "--out", corpus]) == 0
     assert main(["preprocess", "--config", c, "--in", corpus, "--out", str(prep)]) == 0
     assert {name: _sha(prep / name) for name in PREP_PINNED_SHA256} == PREP_PINNED_SHA256
+
+
+def test_two_preprocess_runs_write_the_same_packed_splits(pipeline, tmp_path):
+    assert main(["preprocess", "--config", str(pipeline["cfg"]), "--in", str(pipeline["corpus"]),
+                 "--out", str(tmp_path / "prep")]) == 0
+    for split in ("train", "dev", "test"):
+        name = f"{split}.notes"
+        assert (tmp_path / "prep" / name).read_bytes() == (pipeline["prep"] / name).read_bytes()
 
 
 def _non_canonical(path: Path) -> bytes:
@@ -783,6 +797,116 @@ def test_a_malformed_label_space_or_vocabulary_exits_3_naming_the_file(
     assert not (tmp_path / "o").exists()
 
 
+def _notes_edit(edit):
+    """An edit of a packed split's (metadata, arrays, vocabulary size), saved
+    back as a well-formed file."""
+
+    def apply(path: Path, n_vocab: int) -> None:
+        meta, arrays = edit(*load_params(path), n_vocab)
+        save_params(path, arrays, meta)
+
+    return apply
+
+
+def _raw_edit(edit):
+    def apply(path: Path, n_vocab: int) -> None:
+        path.write_bytes(edit(path.read_bytes()))
+
+    return apply
+
+
+def _set(name, i, value):
+    """Entry i of array `name` set to `value`, or to value(vocabulary size)."""
+
+    def edit(meta, arrays, n_vocab):
+        column = arrays[name].copy()
+        column[i] = value(n_vocab) if callable(value) else value
+        return meta, {**arrays, name: column}
+
+    return edit
+
+
+def _meta(**changes):
+    return _notes_edit(lambda meta, arrays, _: ({**meta, **changes}, arrays))
+
+
+def _swap_offsets(meta, arrays, _):
+    offsets = arrays["offsets"].copy()
+    offsets[[1, 2]] = offsets[[2, 1]]
+    return meta, {**arrays, "offsets": offsets}
+
+
+def _codes_of_a_note(edit):
+    """`edit` applied to the codes of the first note with more than one."""
+
+    def apply(meta, arrays, _):
+        offsets, codes = arrays["code_offsets"].astype(int).tolist(), meta["codes"]
+        lo, hi = next((a, b) for a, b in zip(offsets, offsets[1:]) if b - a > 1)
+        return {**meta, "codes": codes[:lo] + edit(codes[lo:hi]) + codes[hi:]}, arrays
+
+    return apply
+
+
+def _header_shape(raw: bytes) -> bytes:
+    # the tokens line of the header declares more values than the file holds
+    return re.sub(rb"\ntokens \d+\n", b"\ntokens 99999999999\n", raw, count=1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_raw_edit(lambda raw: raw[:-8]), "truncated data"),
+    (_raw_edit(_header_shape), "truncated data for parameter 'tokens'"),
+    (_raw_edit(lambda raw: b""), "not terminated by END"),
+    (_notes_edit(_set("tokens", 0, 2.5)), "tokens must be a vector of integers"),
+    (_notes_edit(_set("tokens", 0, np.nan)), "non-finite"),
+    (_notes_edit(_set("tokens", 0, lambda n_vocab: n_vocab)),
+     "tokens must hold token ids in [1, "),
+    (_notes_edit(_set("tokens", 0, 0)), "tokens must hold token ids in [1, "),
+    (_notes_edit(_set("aux", 0, 0)), "aux must hold token ids in [1, "),
+    (_notes_edit(_swap_offsets), "offsets must rise from 0"),
+    (_notes_edit(_set("offsets", 1, 0)), "every note needs at least one of its tokens"),
+    (_notes_edit(_set("code_offsets", -1, 10**6)), "code_offsets must rise from 0"),
+    (_meta(vocab_sha256="0" * 64), "another vocabulary"),
+    (_meta(labels_sha256="0" * 64), "another label space"),
+    (_meta(kind="base"), "not a split file"),
+    (_notes_edit(lambda m, a, _: ({**m, "dept": m["dept"][1:]}, a)),
+     "dept must have one entry per note"),
+    (_notes_edit(lambda m, a, _: ({**m, "doctor": [7, *m["doctor"][1:]]}, a)),
+     "doctor must be a list of strings"),
+    (_notes_edit(lambda m, a, _: ({**m, "patient_id": ["P1\u0000", *m["patient_id"][1:]]},
+                                  a)),
+     "patient_id must not contain U+0000"),
+    (_notes_edit(lambda m, a, _: ({**m, "codes": ["e78", *m["codes"][1:]]}, a)),
+     "malformed code 'e78'"),
+    (_notes_edit(_codes_of_a_note(lambda codes: codes[::-1])),
+     "each note's codes must be distinct and sorted"),
+    (_notes_edit(_codes_of_a_note(lambda codes: [codes[0], *codes[:-1]])),
+     "each note's codes must be distinct and sorted"),
+    (_notes_edit(lambda m, a, _: ({k: v for k, v in m.items() if k != "meds"}, a)),
+     "exactly the string columns"),
+    (_notes_edit(lambda m, a, _: (m, {k: v for k, v in a.items() if k != "date"})),
+     "arrays must be exactly"),
+    (_notes_edit(_set("date", 0, 10**7)), "date must hold one valid date per note"),
+], ids=["truncated", "header-shape-beyond-the-file", "empty", "non-integral-id", "nan-id",
+        "id-of-the-vocabulary-size", "padding-id", "aux-padding-id", "decreasing-offsets",
+        "a-note-without-tokens", "code-offsets-past-the-codes", "another-vocabulary",
+        "another-label-space", "another-kind", "dept-one-short", "doctor-an-int",
+        "nul-in-patient_id", "malformed-code", "codes-unsorted", "a-code-repeated",
+        "meds-absent", "date-absent", "date-out-of-range"])
+def test_a_damaged_packed_split_exits_3_naming_the_file(pipeline, tmp_path, capsys, edit,
+                                                        message):
+    prep = tmp_path / "prep"
+    shutil.copytree(pipeline["prep"], prep)
+    edit(prep / "train.notes",
+         len(Vocabulary.from_json((prep / "vocab.json").read_text(encoding="utf-8"))))
+    capsys.readouterr()
+    assert main(["train", "--config", str(pipeline["cfg"]), "--in", str(prep),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(prep / "train.notes") in err[0] and message in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_ascii_checkpoint_header_exits_with_one_error_line(pipeline, tmp_path, capsys):
     model2 = tmp_path / "model2"
     shutil.copytree(pipeline["model"], model2)
@@ -828,17 +952,20 @@ def test_unreadable_checkpoint_exits_3_naming_the_file(pipeline, tmp_path, capsy
 
 
 def test_reranker_with_a_non_ascii_medication_saves_and_loads(pipeline, tmp_path):
-    prep2 = tmp_path / "prep2"
-    shutil.copytree(pipeline["prep"], prep2)
-    _edit_first_line(prep2 / "train.txt", meds=["paracétamol 500 mg"])
-    c = ["--config", str(pipeline["cfg"]), "--in", str(prep2)]
-    assert main(["train-reranker", *c, "--base", str(pipeline["model"]),
-                 "--out", str(tmp_path / "rr")]) == 0
+    corpus, prep2, model = tmp_path / "corpus", tmp_path / "prep2", tmp_path / "model"
+    shutil.copytree(pipeline["corpus"], corpus)
+    _edit_first_line(corpus / "train.txt", meds=["paracétamol 500 mg"])
+    cfg = ["--config", str(pipeline["cfg"])]
+    assert main(["preprocess", *cfg, "--in", str(corpus), "--out", str(prep2)]) == 0
+    c = [*cfg, "--in", str(prep2)]
+    # the medication's tokens join the vocabulary, so the base model is trained anew
+    assert main(["train", *c, "--out", str(model)]) == 0
+    assert main(["train-reranker", *c, "--base", str(model), "--out", str(tmp_path / "rr")]) == 0
     raw = (tmp_path / "rr" / "reranker.ckpt").read_bytes()
     assert raw[:raw.index(b"\nEND\n")].isascii()
     meta, _ = load_params(tmp_path / "rr" / "reranker.ckpt")
     assert "paracétamol 500 mg" in meta["modalities"]["med"]
-    assert main(["evaluate", *c, "--model", str(pipeline["model"]),
+    assert main(["evaluate", *c, "--model", str(model),
                  "--reranker", str(tmp_path / "rr"), "--out", str(tmp_path / "o")]) == 0
 
 
@@ -934,6 +1061,24 @@ def _unclose_npy_header(eval_dir: Path) -> None:
     path.write_bytes(raw[:end - 1] + b"(" + raw[end:])
 
 
+def _inflate_npy_shape(eval_dir: Path) -> None:
+    # (m, n) declared as (m * 10**8, n), padded to the header's length: numpy
+    # would allocate that many values before it found the file too short
+    path = eval_dir / "probs.npy"
+    raw = path.read_bytes()
+    end = raw.index(b"\n")
+    header = raw[:end].decode("latin-1")
+    m = re.search(r"'shape': \((\d+),", header)
+    wider = header.replace(m.group(0), f"'shape': ({m.group(1)}00000000,", 1)
+    assert not wider[end:].strip()  # only padding is cut
+    path.write_bytes(wider[:end].encode("latin-1") + raw[end:])
+
+
+def _append_to_npy(eval_dir: Path, extra: bytes) -> None:
+    path = eval_dir / "probs.npy"
+    path.write_bytes(path.read_bytes() + extra)
+
+
 def _nan_cell(probs):
     probs[0, 0] = np.nan
     return probs
@@ -970,12 +1115,16 @@ _LINE_1 = "records.jsonl:1: "
      _LINE_1 + "missing fields ['dept'], unknown fields []"),
     ("report", _nest_first_record, 3, "validation", _LINE_1 + "JSON nested too deeply"),
     ("calibrate", _unclose_npy_header, 3, "validation", "probs.npy"),
+    ("calibrate", _inflate_npy_shape, 3, "validation", "probs.npy: its header declares"),
+    ("report", lambda d: _append_to_npy(d, b"\0" * 8), 3, "validation",
+     "probs.npy: its header declares"),
 ], ids=["gt-outside-labels-calibrate", "gt-outside-labels-report", "negative-unseen",
         "n_unseen-true", "row-count-mismatch", "nan-calibrate", "nan-report",
         "one-dimensional-probs", "first_visit-a-string", "first_visit-an-int", "dept-an-int",
         "dept-a-list", "freq_bucket-null", "patient_id-an-int", "codes-a-string",
         "codes-empty", "code-malformed", "codes-duplicated", "field-unknown",
-        "field-missing", "nested-too-deeply", "npy-header-unclosed"])
+        "field-missing", "nested-too-deeply", "npy-header-unclosed", "npy-header-shape-beyond-the-file",
+        "npy-trailing-bytes"])
 def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
                                                         command, corrupt, code, category,
                                                         where):
@@ -1001,16 +1150,16 @@ def _edit_first_line(path: Path, **changes) -> None:
 ], ids=["int-code", "int-date", "int-text", "null-meds"])
 def test_wrongly_typed_encounter_field_names_its_line(pipeline, tmp_path, capsys,
                                                       field, value):
-    prep2 = tmp_path / "prep2"
-    shutil.copytree(pipeline["prep"], prep2)
-    _edit_first_line(prep2 / "dev.txt", **{field: value})
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    _edit_first_line(corpus / "dev.txt", **{field: value})
     capsys.readouterr()
-    assert main(["evaluate", "--config", str(pipeline["cfg"]), "--in", str(prep2),
-                 "--model", str(pipeline["model"]), "--out", str(tmp_path / "o"),
-                 "--split", "dev"]) == 3
+    assert main(["preprocess", "--config", str(pipeline["cfg"]), "--in", str(corpus),
+                 "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert "dev.txt:1" in err[0] and field in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("date", ["2018-W01-1", "20180105"], ids=["week", "basic"])
@@ -1044,11 +1193,10 @@ def test_a_nul_in_a_field_that_becomes_a_column_exits_3_naming_line_and_field(
         pipeline, tmp_path, capsys, file, field, value):
     # numpy's str columns drop a trailing U+0000: "M1\u0000" would become "M1"
     if file == "dev.txt":
-        prep2 = tmp_path / "prep2"
-        shutil.copytree(pipeline["prep"], prep2)
-        _edit_first_line(prep2 / file, **{field: value})
-        argv = ["evaluate", "--in", str(prep2), "--model", str(pipeline["model"]),
-                "--split", "dev"]
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline["corpus"], corpus)
+        _edit_first_line(corpus / file, **{field: value})
+        argv = ["preprocess", "--in", str(corpus)]
     else:
         eval2 = tmp_path / "eval"
         shutil.copytree(pipeline["eval_dev"], eval2)
@@ -1065,12 +1213,15 @@ def test_a_nul_in_a_field_that_becomes_a_column_exits_3_naming_line_and_field(
 @pytest.mark.parametrize("char", ["\u2028", "\u0085"], ids=["U+2028", "U+0085"])
 def test_a_unicode_line_break_in_a_field_passes_every_stage(pipeline, tmp_path, char):
     # json.dumps writes these unescaped, so every reader splits lines at "\n" only
-    prep2, eval2, cfg = tmp_path / "prep2", tmp_path / "eval", str(pipeline["cfg"])
-    shutil.copytree(pipeline["prep"], prep2)
-    path = prep2 / "dev.txt"
+    corpus, prep2, eval2 = tmp_path / "corpus", tmp_path / "prep2", tmp_path / "eval"
+    cfg = str(pipeline["cfg"])
+    shutil.copytree(pipeline["corpus"], corpus)
+    path = corpus / "dev.txt"
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[0] = json.dumps({**json.loads(lines[0]), "dept": f"D{char}X"}, ensure_ascii=False)
     path.write_text("\n".join(lines), encoding="utf-8")
+    # dev text changes neither the vocabulary nor the label space: the model still fits
+    assert main(["preprocess", "--config", cfg, "--in", str(corpus), "--out", str(prep2)]) == 0
     assert main(["evaluate", "--config", cfg, "--in", str(prep2), "--model",
                  str(pipeline["model"]), "--out", str(eval2), "--split", "dev"]) == 0
     assert char in (eval2 / "records.jsonl").read_text(encoding="utf-8")
@@ -1161,6 +1312,22 @@ def test_load_isotonic_names_the_first_faulty_label(tmp_path, edit, bad):
     with pytest.raises(ValidationError, match=f"label {bad} needs non-empty 1-D x{bad} "
                                               f"and v{bad} of equal length"):
         load_isotonic(tmp_path, "0" * 64, tmp_path)
+
+
+def test_load_isotonic_looks_up_no_more_maps_than_the_file_holds(pipeline, tmp_path):
+    # n_labels is a number in the header: a large one must not cost its size
+    calib = tmp_path / "calib"
+    shutil.copytree(pipeline["calib"], calib)
+    meta, arrays = load_params(calib / "isotonic.ckpt")
+    save_params(calib / "isotonic.ckpt", arrays, {**meta, "n_labels": 2_000_000})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"label {len(arrays) // 2} needs"):
+            load_isotonic(calib, meta["labels_sha256"], pipeline["eval_dev"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_calibrate_records_the_label_space_and_automate_checks_it(pipeline, tmp_path, capsys):
@@ -1386,8 +1553,8 @@ CORRUPTIBLE = [
     *[("corpus", f"{split}.txt", lambda d: ["preprocess", "--in", str(d["corpus"])])
       for split in ("train", "dev", "test")],
     *[("prep", name, lambda d: ["train", "--in", str(d["prep"])])
-      for name in ("train.txt", "dev.txt", "vocab.json", "labels.json")],
-    ("prep", "test.txt", lambda d: [*_evaluate(d), "--split", "test"]),
+      for name in ("train.notes", "dev.notes", "vocab.json", "labels.json")],
+    ("prep", "test.notes", lambda d: [*_evaluate(d), "--split", "test"]),
     ("model", "model.ckpt", lambda d: ["train-reranker", "--in", str(d["prep"]),
                                        "--base", str(d["model"])]),
     ("reranker", "reranker.ckpt", _evaluate_reranked),
@@ -1425,10 +1592,10 @@ def test_corrupt_artifact_succeeds_or_ends_in_one_error_line(pipeline, tmp_path,
 # every file each stage reads but run.cfg, whose numbers can ask for any corpus size
 MUTATED_INPUTS = {
     "preprocess": ["corpus/train.txt", "corpus/dev.txt", "corpus/test.txt"],
-    "train": ["prep/vocab.json", "prep/labels.json", "prep/train.txt", "prep/dev.txt"],
-    "train-reranker": ["prep/vocab.json", "prep/labels.json", "prep/train.txt",
-                       "prep/dev.txt", "model/model.ckpt"],
-    "evaluate-reranked": ["prep/vocab.json", "prep/labels.json", "prep/test.txt",
+    "train": ["prep/vocab.json", "prep/labels.json", "prep/train.notes", "prep/dev.notes"],
+    "train-reranker": ["prep/vocab.json", "prep/labels.json", "prep/train.notes",
+                       "prep/dev.notes", "model/model.ckpt"],
+    "evaluate-reranked": ["prep/vocab.json", "prep/labels.json", "prep/test.notes",
                           "model/model.ckpt", "reranker/reranker.ckpt"],
     "calibrate": ["eval_dev/manifest.json", "eval_dev/probs.npy", "eval_dev/records.jsonl"],
     "automate-calibrated": [*(f"{d}/{name}" for d in ("eval_dev", "eval_test")
@@ -1479,8 +1646,8 @@ def _mutate(raw: bytes, rng: random.Random) -> tuple[str, bytes]:
         return kind, raw[:at] + rng.randbytes(rng.randint(1, 8)) + raw[at:]
     if kind in ("drop-line", "duplicate-line"):
         i = rng.randrange(len(lines))
-        return kind, b"\n".join(lines[:i] + lines[i:i + 1] * (kind == "duplicate-line")
-                                 + lines[i + 1:])
+        copies = 2 if kind == "duplicate-line" else 0
+        return kind, b"\n".join(lines[:i] + lines[i:i + 1] * copies + lines[i + 1:])
     at, doc = rng.choice(docs)
     node, key = rng.choice(_json_slots(doc))
     if kind == "replace-value":

@@ -16,6 +16,7 @@ from icdlab.corpus import (
     _cdf,
     _choose_distinct,
     _draw,
+    _note_tokens,
     _zipf_probs,
     chapter,
     corpus_stats,
@@ -414,6 +415,54 @@ def test_malformed_json_line_number(tmp_path):
     path.write_text("{not json}\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=":1"):
         read_encounters(path)
+
+
+# strings the JSON encoder escapes or keeps: quotes, backslashes, control
+# characters, non-ASCII letters, an emoji, U+2028, U+0085 and a DEL
+_HOSTILE = ['say "hi"', "back\\slash", "tab\there\nline", "soh\x01bell\x07esc\x1b",
+            "Zoë Ødegård", "\U0001f600", "para\u2028sep\x85nel", "del\x7f", ""]
+
+
+def test_the_split_writer_is_the_json_encoder(tmp_path):
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    encs = [Encounter(h + "P", dt.date(1 + 999 * i, 1 + i % 12, 1 + i), _HOSTILE[-1 - i],
+                      "DR" + h, h, frozenset(["Z00.1", "A00.0", "B12"][:1 + i % 3]),
+                      tuple(_HOSTILE[:i % 3]), tuple(_HOSTILE[i:i + 1]))
+            for i, h in enumerate(_HOSTILE)]
+    write_encounters(tmp_path / "s.txt", encs)
+    want = "".join(encode({"patient_id": e.patient_id, "date": e.date.isoformat(),
+                           "dept": e.dept, "doctor": e.doctor, "text": e.text,
+                           "codes": sorted(e.codes), "meds": list(e.meds),
+                           "procs": list(e.procs)}) + "\n" for e in encs)
+    assert (tmp_path / "s.txt").read_bytes() == want.encode("utf-8")
+    assert read_encounters(tmp_path / "s.txt") == encs
+
+
+def _note_tokens_per_code(rng, code_idxs, silent, config, noise_cdf):
+    """The note tokens as drawn before, one variant draw per spoken code."""
+    toks = []
+    for j in sorted(code_idxs):
+        if j not in silent:
+            variants = rng.integers(0, 3, size=config.tokens_per_code).tolist()
+            toks.extend(f"c{j}v{k}" for k in variants)
+    toks.extend(f"n{i}" for i in _draw(rng, noise_cdf, 2 + int(rng.poisson(3.0))).tolist())
+    return [toks[i] for i in rng.permutation(len(toks)).tolist()]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_variant_draw_per_note_is_one_draw_per_code(seed):
+    # numpy's bounded integers keep their unused 32-bit half in the bit
+    # generator, so one draw of every code's variants consumes the stream as
+    # one draw per code does, and the notes are the same
+    config = small_config(tokens_per_code=1 + seed % 5)
+    noise_cdf = _cdf(_zipf_probs(config.vocab_size, 1.2))
+    silent = {1, 4}
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in range(50):
+        codes = set(np.random.default_rng([seed, n]).choice(6, 1 + n % 4).tolist())
+        assert (_note_tokens(rngs[0], codes, silent, config, noise_cdf)
+                == _note_tokens_per_code(rngs[1], codes, silent, config, noise_cdf))
+    assert rngs[0].random() == rngs[1].random()
 
 
 def test_codes_serialized_sorted(tmp_path):

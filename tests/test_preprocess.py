@@ -1,10 +1,11 @@
 """Dedup, label filtering, vocabulary, tokenization."""
 
 import datetime as dt
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icdlab.corpus import CorpusConfig, Encounter, generate_corpus
@@ -18,6 +19,7 @@ from icdlab.preprocess import (
     encounter_aux_text,
     filter_min_frequency,
     preprocess_train,
+    text_tokens,
     tokenize,
 )
 
@@ -188,6 +190,16 @@ def test_vocab_min_count_prunes_everything():
 def test_vocab_lowercases_and_splits_punctuation():
     v = build_vocab(["Hello, WORLD-42!"])
     assert sorted(v.tokens) == ["42", "hello", "world"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=12), max_size=6), st.integers(1, 3))
+@example(["ab", "cd", "aBc\nd", "İstanbul KELVIN", "ΟΔΟΣ ΟΔΟΣx", "x9", "9y", "", " ",
+          "tab\tend\u2028a\x85b", "ǅx ß ﬁ", "a-b_c"], 2)  # ends, case maps, separators
+def test_vocab_counts_are_the_per_text_sums(texts, min_count):
+    counts = Counter(t for text in texts for t in text_tokens(text))
+    kept = sorted((t for t in counts if counts[t] >= min_count), key=lambda t: (-counts[t], t))
+    assert list(build_vocab(texts, min_count).tokens) == kept
 
 
 def test_vocab_round_trip():

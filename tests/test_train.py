@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -163,6 +164,42 @@ def test_first_visit_is_the_earliest_date_ties_to_input_order(visits):
 def test_notes_truncate_to_max_len():
     split = Notes.of([enc(text="aches cough bruise dizzy")], VOCAB, LABELS, max_len=2)
     assert split.tokens.tolist() == [2, 4]
+
+
+def _equal_columns(a: Notes, b: Notes) -> None:
+    for f in fields(Notes):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and x.shape == y.shape, f.name
+        assert np.array_equal(x, y), f.name
+
+
+SAVED = [enc("P2", 3, ("B11.1", "A00.0"), "aches cough bruise dizzy edema aches cough",
+             meds=("Été 5 mg",), procs=("R1",)),
+         enc("P1", 2, ("A00.0",), "", dept="D\u2028X"),  # a blank note
+         enc("P2", 1, ("Z99.9",), "cough unknownword", doctor="DR\u0085"),
+         enc("P1", 4, ("B11.1", "C00"), "dizzy", meds=("M1", "M2"))]
+
+
+@pytest.mark.parametrize("max_len", [1, 3, 512])
+def test_a_saved_split_loads_as_the_split_of_its_max_len(tmp_path, max_len):
+    # tokens are saved untruncated and cut on load, a blank note staying one
+    # unknown token; the columns labels.json gives are derived again
+    Notes.of(SAVED, VOCAB, LABELS, max_len=None).save(tmp_path / "s.notes", VOCAB, LABELS)
+    loaded = Notes.load(tmp_path / "s.notes", VOCAB, LABELS, max_len)
+    _equal_columns(loaded, Notes.of(SAVED, VOCAB, LABELS, max_len))
+    assert np.diff(loaded.offsets).tolist() == [min(7, max_len), 1, min(2, max_len), 1]
+
+
+def test_a_saved_split_is_the_same_bytes_each_time(tmp_path):
+    for name in ("a", "b"):
+        Notes.of(SAVED, VOCAB, LABELS, max_len=None).save(tmp_path / name, VOCAB, LABELS)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    _equal_columns(Notes.load(tmp_path / "a", VOCAB, LABELS), notes(*SAVED))
+
+
+def test_an_empty_split_saves_and_loads(tmp_path):
+    Notes.of([], VOCAB, LABELS, max_len=None).save(tmp_path / "s.notes", VOCAB, LABELS)
+    _equal_columns(Notes.load(tmp_path / "s.notes", VOCAB, LABELS), Notes.of([], VOCAB, LABELS))
 
 
 def test_frequency_bucket_edges():
