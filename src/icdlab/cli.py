@@ -16,9 +16,9 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 
 import argparse
 import functools
+import itertools
 import json
 import math
-import operator
 import os
 import shutil
 import sys
@@ -31,8 +31,8 @@ import numpy as np
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
 from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
-from .corpus import (LabelSpace, check_row, corpus_stats, generate_corpus,
-                     read_encounters, read_rows, split_by_patient, write_encounters)
+from .corpus import (LabelSpace, check_columns, corpus_stats, generate_corpus, read_columns,
+                     read_encounters, split_by_patient, write_encounters)
 from .errors import NumericError, UndefinedMetricError, UsageError, ValidationError, reading
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
                       compute_report, consistency_check, date_column, instance_f1,
@@ -145,8 +145,6 @@ def _records_jsonl(p: Predictions) -> str:
 
 _RECORD_TYPES = {"gt": list[int], "n_unseen": int, "dept": str, "first_visit": bool,
                  "freq_bucket": str, "patient_id": str, "date": str, "codes": list[str]}
-_RECORD_CONTEXT = operator.itemgetter("n_unseen", "dept", "first_visit", "freq_bucket",
-                                      "patient_id")
 
 
 def _check_npy_size(path: Path) -> None:
@@ -157,7 +155,7 @@ def _check_npy_size(path: Path) -> None:
         read_header = {(1, 0): np.lib.format.read_array_header_1_0,
                        (2, 0): np.lib.format.read_array_header_2_0}.get(version)
         if read_header is None:
-            raise ValidationError(f"{path}: .npy format version {version} is not supported")
+            raise ValidationError(f".npy format version {version} is not supported")
         shape, _, dtype = read_header(fh)
         declared, held = math.prod(shape) * dtype.itemsize, path.stat().st_size - fh.tell()
     if declared != held:
@@ -169,10 +167,11 @@ def read_prediction_records(eval_dir) -> Predictions:
     """probs.npy + records.jsonl as one Predictions value. A header that
     declares more or fewer bytes than the file holds is a validation error,
     found before numpy allocates; a malformed matrix is a numeric error.
-    records.jsonl is read as a split file is (`read_rows`, then
-    `check_row`); before `check_row`, a gt index outside the label space or a
-    negative unseen count is a validation error, and so is a row count other
-    than the matrix's. Each row goes straight into the columns."""
+    records.jsonl is read as a split file is (`corpus.read_columns`, then
+    `check_columns`): just before the duplicate-codes check, a gt index
+    outside the label space or a negative unseen count is a validation
+    error, and last a record with neither a gt index nor an unseen code. So
+    is a row count other than the matrix's."""
     eval_dir = Path(eval_dir)
     _check_npy_size(eval_dir / "probs.npy")
     with reading(eval_dir / "probs.npy"):
@@ -184,27 +183,24 @@ def read_prediction_records(eval_dir) -> Predictions:
         raise NumericError(f"{eval_dir}/probs.npy: non-finite probabilities")
     m, n = probs.shape
     path = eval_dir / "records.jsonl"
-    context, dates, gt, n_gt, codes, code_offsets = [], [], [], [], [], [0]
-    for lineno, row in read_rows(path, _RECORD_TYPES):
-        if row["gt"] and not (min(row["gt"]) >= 0 and max(row["gt"]) < n):
-            raise ValidationError(f"{path}:{lineno}: gt must list label indices in [0, {n})")
-        if row["n_unseen"] < 0:
-            raise ValidationError(f"{path}:{lineno}: n_unseen must be non-negative")
-        date, row_codes = check_row(path, lineno, row)
-        context.append(_RECORD_CONTEXT(row))
-        dates.append(date)
-        gt += row["gt"]
-        n_gt.append(len(row["gt"]))
-        codes += row_codes
-        code_offsets.append(len(codes))
-    if len(context) != m:
+    columns, linenos, fault = read_columns(path, _RECORD_TYPES)
+    gt, n_unseen = columns["gt"], columns["n_unseen"]
+    codes, code_offsets, dates = check_columns(
+        path, columns, linenos, fault,
+        (next((i for i, g in enumerate(gt) if g and not (min(g) >= 0 and max(g) < n)), None),
+         lambda: f"gt must list label indices in [0, {n})"),
+        (next((i for i, u in enumerate(n_unseen) if u < 0), None),
+         lambda: "n_unseen must be non-negative"),
+        last=[(next((i for i, (g, u) in enumerate(zip(gt, n_unseen)) if not g and not u), None),
+               lambda: "record has no ground truth: no gt index and no unseen code")])
+    if len(linenos) != m:
         raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
-                              f"records.jsonl lines ({len(context)}) disagree")
+                              f"records.jsonl lines ({len(linenos)}) disagree")
     gt_matrix = np.zeros((m, n), dtype=bool)
-    gt_matrix[np.repeat(np.arange(m), n_gt), gt] = True
-    n_unseen, dept, first_visit, freq_bucket, patient_id = zip(*context) if m else [()] * 5
-    return Predictions(probs, gt_matrix, n_unseen, dept, first_visit, freq_bucket, patient_id,
-                       date_column(dates), code_offsets, codes)
+    gt_matrix[np.repeat(np.arange(m), list(map(len, gt))), list(itertools.chain(*gt))] = True
+    return Predictions(probs, gt_matrix, n_unseen, columns["dept"], columns["first_visit"],
+                       columns["freq_bucket"], columns["patient_id"], date_column(dates),
+                       code_offsets, codes)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +344,8 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
     for j, (xs, vs) in enumerate(maps.maps):
         arrays |= {f"x{j}": xs, f"v{j}": vs}
     save_params(stage / "isotonic.ckpt", arrays, {
-        "kind": "isotonic", "n_labels": len(maps.maps), "labels_sha256": _labels_digest(src)})
+        "kind": "isotonic", "n_labels": len(maps.maps),
+        "labels_sha256": _eval_digests(src)[0]})
     before = ece(records.probs, records.gt, rc.ece_bins)
     after = ece(maps.apply(records).probs, records.gt, rc.ece_bins)
     improved = int(np.count_nonzero(after <= before + 1e-9))
@@ -369,7 +366,7 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     meta, arrays = load_params(path)
     with reading(path):
         if meta.get("kind") != "isotonic":
-            raise ValidationError(f"{path}: not a calibration checkpoint")
+            raise ValidationError("not a calibration checkpoint")
         n, digest = meta["n_labels"], meta["labels_sha256"]
     if type(n) is not int or n < 0:  # not a bool, a float or a string
         raise ValidationError(f"{path}: n_labels must be a non-negative integer, got {n!r}")
@@ -399,12 +396,20 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     return IsotonicMap(tuple(maps))
 
 
-def _labels_digest(eval_dir: Path) -> str:
-    """The labels.json digest among the inputs of an eval dir's manifest."""
+# what the digests of an eval's inputs tell apart, each input by its file name
+_EVAL_INPUTS = {"labels.json": "label spaces", "model.ckpt": "base models",
+                "reranker.ckpt": "rerankers, or a reranker and none"}
+
+
+def _eval_digests(eval_dir: Path) -> tuple[str, str, str | None]:
+    """The labels.json, model.ckpt and reranker.ckpt digests among the
+    inputs of an eval dir's manifest; None for a base model's eval, which
+    reads no reranker."""
     path = eval_dir / "manifest.json"
     with reading(path):
         inputs = json.loads(path.read_text(encoding="utf-8"))["inputs"]
-        return {Path(p).name: digest for p, digest in inputs.items()}["labels.json"]
+        digests = {Path(p).name: digest for p, digest in inputs.items()}
+        return digests["labels.json"], digests["model.ckpt"], digests.get("reranker.ckpt")
 
 
 def _budgets(spec: str) -> list[float]:
@@ -427,10 +432,11 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
                          else "--maps requires --calibrated")
     fps = _budgets(args.max_fp)
     dev_dir, test_dir = Path(args.dev), Path(args.test)
-    labels_sha256 = _labels_digest(dev_dir)
-    if labels_sha256 != _labels_digest(test_dir):
-        raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "
-                              f"different labels.json digests, so different label spaces")
+    digests = _eval_digests(dev_dir)
+    for name, ours, theirs in zip(_EVAL_INPUTS, digests, _eval_digests(test_dir)):
+        if ours != theirs:
+            raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "
+                                  f"different {name} digests, so different {_EVAL_INPUTS[name]}")
     inputs = [d / n for d in (dev_dir, test_dir)
               for n in ("manifest.json", "probs.npy", "records.jsonl")]
     dev_records = read_prediction_records(dev_dir)
@@ -441,7 +447,7 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
                               f"scores {n_test}; both must come from one label space")
     maps = None
     if args.calibrated:
-        maps = load_isotonic(args.maps, labels_sha256, dev_dir)
+        maps = load_isotonic(args.maps, digests[0], dev_dir)
         inputs.append(Path(args.maps) / "isotonic.ckpt")
     rows = automation_sweep(dev_records, test_records, fps, maps,
                             rc.decision_threshold)

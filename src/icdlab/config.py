@@ -85,8 +85,11 @@ class RunConfig:
         return _derive(BaseHParams, self)
 
     def reranker_hparams(self) -> RerankerHParams:
-        return _derive(RerankerHParams, self, d=self.reranker_d,
-                       n_heads=self.reranker_heads)
+        try:
+            return _derive(RerankerHParams, self, d=self.reranker_d,
+                           n_heads=self.reranker_heads)
+        except ValidationError as exc:  # RerankerHParams names its fields d and n_heads
+            raise ValidationError(f"{exc} (config keys reranker_heads and reranker_d)") from None
 
     def train_config(self, stage: str) -> TrainConfig:
         """The optimizer settings of `stage` ("train", "reranker" or

@@ -22,8 +22,8 @@ import datetime as dt
 import hashlib
 import itertools
 import json
+import operator
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
@@ -50,8 +50,8 @@ class Encounter:
 
     Its codes are a non-empty frozenset of CODE_RE codes, its meds and procs
     tuples. Nothing checks that here: `generate_corpus` builds them so, and
-    `encounter_of`, the one way file data becomes an Encounter, checks them
-    with `check_row`.
+    `read_encounters`, the one way file data becomes an Encounter, checks
+    them.
     """
 
     patient_id: str
@@ -374,6 +374,8 @@ _KINDS = {str: (str, None, "a string"), bool: (bool, None, "true or false"),
 _ENCOUNTER_TYPES = {"patient_id": str, "date": str, "dept": str, "doctor": str, "text": str,
                     "codes": list[str], "meds": list[str], "procs": list[str]}
 _decode = json.JSONDecoder().decode  # json.loads without its per-call checks
+# the fields that become numpy str columns, whose fixed-width strings drop a trailing U+0000
+_STR_FIELDS = ("patient_id", "dept", "doctor", "freq_bucket", "meds", "procs")
 
 
 def write_encounters(path, encounters: list[Encounter]) -> None:
@@ -390,96 +392,137 @@ def write_encounters(path, encounters: list[Encounter]) -> None:
             f'"procs": [{", ".join(map(quote, e.procs))}]}}\n' for e in encounters))
 
 
-def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
-    """(line number, row) for each non-blank line of a JSON-lines file, one
-    at a time, so a row can be dropped once it is built into a value. A row is
-    an object holding exactly the fields of `types` (name -> str, bool, int,
-    list[str] or list[int]), each of exactly its type: JSON true is not an
-    int. Lines end at "\n" only, as json.dumps leaves U+2028 and U+0085 as
-    they are. No field that becomes a numpy str column holds U+0000. Every
-    fault is one ValidationError naming `path:line` and the field."""
+def read_columns(path, types: dict) -> tuple[dict[str, list], list[int], str]:
+    """A JSON-lines file's non-blank lines as columns, one list per field of
+    `types` (name -> str, bool, int, list[str] or list[int]), and their line
+    numbers. Lines end at "\n" only, as json.dumps leaves U+2028 and U+0085
+    as they are. Each line is decoded and checked before its fields are
+    appended, and no decoded row is kept: an object of exactly the fields of
+    `types`, each of exactly its type in `types` order (JSON true is not an
+    int). The columns end before the first line that fails, whose fault is
+    returned as `path:line: ...` ("" if none)."""
     with open(path, encoding="utf-8") as fh, reading(path):
         text = fh.read()
+    columns = {name: [] for name in types}
+    appends, values = [c.append for c in columns.values()], operator.itemgetter(*types)
     checks = [(name, *_KINDS[kind]) for name, kind in types.items()]
-    n_fields = len(checks)
+    linenos = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            row = _decode(line)
+            fault = _json_fault(row := _decode(line), types, checks)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+            fault = f"not valid JSON ({exc.msg})"
         except RecursionError:
-            raise ValidationError(f"{path}:{lineno}: JSON nested too deeply") from None
-        if type(row) is not dict:
-            raise ValidationError(f"{path}:{lineno}: expected an object")
-        if len(row) != n_fields:  # as many fields, each found below: the same set
-            raise _row_error(path, lineno, row, types)
-        for name, exact, item, kind in checks:
-            try:
-                value = row[name]
-            except KeyError:
-                raise _row_error(path, lineno, row, types) from None
-            if type(value) is not exact:
-                raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
-            if item:
-                for x in value:  # a loop, not all(): no generator per field
-                    if type(x) is not item:
-                        raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
-        if "\\u0000" in line:  # JSON's only spelling of U+0000 (or an escaped "\\" + "u0000")
-            # the fields that become numpy str columns, which drop a trailing U+0000
-            for name in ("patient_id", "dept", "doctor", "freq_bucket", "meds", "procs"):
-                if "\0" in "".join(row.get(name, "")):  # a str, or a list of them
-                    raise ValidationError(f"{path}:{lineno}: {name} must not contain U+0000")
-        yield lineno, row
+            fault = "JSON nested too deeply"
+        if fault:
+            return columns, linenos, f"{path}:{lineno}: {fault}"
+        linenos.append(lineno)
+        for append, value in zip(appends, values(row)):
+            append(value)
+    return columns, linenos, ""
 
 
-def _row_error(path, lineno: int, row: dict, types: dict, fault: str = "") -> ValidationError:
-    """The ValidationError of a row that failed a check of `read_rows`: a wrong
-    field set is reported before any field's type."""
+def _json_fault(row, types: dict, checks: list) -> str:
+    """Why a decoded line is not a row of `types`, "" if it is: a wrong field
+    set before any field's type."""
+    if type(row) is not dict:
+        return "expected an object"
     if row.keys() != types.keys():
-        missing = [f for f in types if f not in row]
-        unknown = [f for f in row if f not in types]
-        fault = f"missing fields {missing}, unknown fields {unknown}"
-    return ValidationError(f"{path}:{lineno}: {fault}")
+        return (f"missing fields {[f for f in types if f not in row]}, "
+                f"unknown fields {[f for f in row if f not in types]}")
+    for name, exact, item, kind in checks:
+        value = row[name]
+        if type(value) is not exact:
+            return f"{name} must be {kind}"
+        if item:
+            for x in value:  # a loop, not all(): no generator per field
+                if type(x) is not item:
+                    return f"{name} must be {kind}"
+    return ""
 
 
-def check_row(path, lineno: int, row: dict) -> tuple[dt.date, list[str]]:
-    """The date and the sorted codes of a row of `read_rows` (a split file's
-    or records.jsonl's). Duplicate codes, a bad date, an empty code set or a
-    malformed code, checked in that order, is a ValidationError naming
-    `path:line`."""
-    codes = row["codes"]
-    if len(set(codes)) != len(codes):
-        raise ValidationError(f"{path}:{lineno}: duplicate codes in record")
-    text = row["date"]
-    try:  # only the YYYY-MM-DD that isoformat writes; from 3.11 fromisoformat reads more
-        if len(text) != 10 or text[4] != "-" or text[7] != "-":
-            raise ValueError(text)
-        date = dt.date.fromisoformat(text)
-    except ValueError:
-        raise ValidationError(f"{path}:{lineno}: bad date {text!r}") from None
-    if not codes:
-        raise ValidationError(f"{path}:{lineno}: encounter {row['patient_id']}/{date}: "
-                              "empty code set")
-    codes = sorted(codes)
-    for c in codes:
-        if not CODE_RE.match(c):
-            raise ValidationError(f"{path}:{lineno}: malformed code {c!r}")
-    return date, codes
+def check_columns(path, columns: dict[str, list], linenos: list[int], fault: str,
+                  *more, last=()) -> tuple[list[str], np.ndarray, list[dt.date]]:
+    """Each row's codes sorted and concatenated, their (n+1,) offsets and the
+    dates of what `read_columns` returned. The first faulty row raises a
+    ValidationError naming `path:line`, its checks made in this order:
+    U+0000 in a column of _STR_FIELDS, the checks `more`, duplicate codes, a
+    date other than YYYY-MM-DD as isoformat writes it, an empty code set, a
+    malformed code, the checks `last`; a check is its first faulty row (or
+    None) and a function giving its message. Else `fault`, if any, is raised."""
+    texts, code_lists = columns["date"], columns["codes"]
+    codes = [c for row in code_lists for c in sorted(row)]
+    offsets = np.cumsum([0, *map(len, code_lists)])
+    dates = []
+    for text in texts:  # up to the first bad one; from 3.11 fromisoformat reads more forms
+        try:
+            if len(text) != 10 or text[4] != "-" or text[7] != "-":
+                break
+            dates.append(dt.date.fromisoformat(text))
+        except ValueError:
+            break
+    at, empty, bad = len(dates), first_empty(offsets), first_malformed(codes)
+    faults = [(first_nul(columns[name]), lambda name=name: f"{name} must not contain U+0000")
+              for name in _STR_FIELDS if name in columns]
+    faults += [*more, (first_repeat(codes, offsets), lambda: "duplicate codes in record"),
+               (at if at < len(texts) else None, lambda: f"bad date {texts[at]!r}"),
+               (empty, lambda: f"encounter {columns['patient_id'][empty]}/{texts[empty]}: "
+                               "empty code set"),
+               (None if bad is None else int(np.searchsorted(offsets, bad, "right")) - 1,
+                lambda: f"malformed code {codes[bad]!r}"), *last]
+    found = [check for check in faults if check[0] is not None]
+    if found:  # the earliest row, and in it the first check it fails
+        row, message = min(found, key=operator.itemgetter(0))
+        raise ValidationError(f"{path}:{linenos[row]}: {message()}")
+    if fault:
+        raise ValidationError(fault)
+    return codes, offsets, dates
 
 
-def encounter_of(path, lineno: int, row: dict) -> Encounter:
-    """The Encounter of a split-file row of `read_rows`, once `check_row`
-    passes it."""
-    date, codes = check_row(path, lineno, row)
-    return Encounter(row["patient_id"], date, row["dept"], row["doctor"], row["text"],
-                     frozenset(codes), tuple(row["meds"]), tuple(row["procs"]))
+# the checks of a split that every reader makes (split files, records.jsonl
+# and packed splits), each giving the first faulty index or None
+
+
+def first_nul(values: list) -> int | None:
+    """A value (a string or a list of them) holding U+0000, which a numpy str
+    column drops when it ends a string."""
+    if values and type(values[0]) is list:  # a row's strings checked as one
+        values = list(map("".join, values))
+    if "\0" not in "".join(values):  # one pass in C for the common case
+        return None
+    return next(i for i, v in enumerate(values) if "\0" in v)
+
+
+def first_empty(offsets: np.ndarray) -> int | None:
+    """A row of a packed column (row i: values[offsets[i]:offsets[i + 1]])
+    that holds no value."""
+    return next(iter(np.flatnonzero(np.diff(offsets) == 0).tolist()), None)
+
+
+def first_repeat(codes: list[str], offsets: np.ndarray) -> int | None:
+    """A row of packed codes in which a code is not greater than the one
+    before it: for codes sorted per row, a repeated code."""
+    row = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    bad = np.fromiter(map(operator.ge, codes, codes[1:]), bool, max(len(codes) - 1, 0))
+    return next(iter(row[1:][bad & (row[1:] == row[:-1])].tolist()), None)
+
+
+def first_malformed(codes: list[str]) -> int | None:
+    """A code that CODE_RE does not match; each distinct code is matched once."""
+    bad = next((c for c in dict.fromkeys(codes) if not CODE_RE.match(c)), None)
+    return None if bad is None else codes.index(bad)
 
 
 def read_encounters(path) -> list[Encounter]:
-    rows = read_rows(path, _ENCOUNTER_TYPES)
-    return [encounter_of(path, lineno, row) for lineno, row in rows]
+    """The encounters of a split file (`read_columns`, then `check_columns`):
+    a fault names the first faulty line as `path:line`."""
+    columns, linenos, fault = read_columns(path, _ENCOUNTER_TYPES)
+    _, _, dates = check_columns(path, columns, linenos, fault)
+    return list(map(Encounter, columns["patient_id"], dates, columns["dept"], columns["doctor"],
+                    columns["text"], map(frozenset, columns["codes"]),
+                    map(tuple, columns["meds"]), map(tuple, columns["procs"])))
 
 
 # --------------------------------------------------------------------------

@@ -30,9 +30,12 @@ class NumericError(Exception):
 def reading(where):
     """Turn what a malformed artifact raises while it is read (truncation, bad
     or too deeply nested JSON, a missing key, a wrong type, an .npy header
-    numpy cannot tokenize) into one ValidationError naming `where`."""
+    numpy cannot tokenize, a ValidationError of a value built from it) into
+    one ValidationError naming `where`: one raised inside names no file."""
     try:
         yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     except UnicodeDecodeError as exc:  # its repr would quote every byte decoded
         raise ValidationError(f"{where}: not UTF-8 text ({exc})") from None
     except (AttributeError, EOFError, KeyError, RecursionError, TokenError, TypeError,

@@ -172,8 +172,7 @@ class RerankerHParams:
         if self.d <= 0 or self.n_heads <= 0:
             raise ValidationError("reranker dimensions must be positive")
         if self.d % self.n_heads:
-            raise ValidationError(f"head count {self.n_heads} must divide d={self.d} "
-                                  f"(config keys reranker_heads and reranker_d)")
+            raise ValidationError(f"head count {self.n_heads} must divide d={self.d}")
 
 
 class MetadataReranker:
@@ -303,15 +302,16 @@ def save_base_model(path, model: BaseModel, vocab_sha: str, labels_sha: str) -> 
     })
 
 
-def _check_meta(path, meta: dict, kind: str, vocab_sha: str, labels_sha: str) -> None:
+def _check_meta(meta: dict, kind: str, vocab_sha: str, labels_sha: str) -> None:
     """That a checkpoint's metadata is that of a `kind` checkpoint trained
-    with this vocabulary and label space."""
+    with this vocabulary and label space; read under `errors.reading`, which
+    names the file."""
     if meta.get("kind") != kind:
-        raise ValidationError(f"{path}: not a {kind} checkpoint")
+        raise ValidationError(f"not a {kind} checkpoint")
     for key, sha, what in (("vocab_sha256", vocab_sha, "vocabulary"),
                            ("labels_sha256", labels_sha, "label space")):
         if meta[key] != sha:
-            raise ValidationError(f"{path}: checkpoint was trained with a different {what}")
+            raise ValidationError(f"checkpoint was trained with a different {what}")
 
 
 def _tensors(path, arrays: dict, expected: dict[str, tuple[int, ...]]) -> dict[str, ad.Tensor]:
@@ -330,7 +330,7 @@ def _tensors(path, arrays: dict, expected: dict[str, tuple[int, ...]]) -> dict[s
 def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
     meta, arrays = load_params(path)
     with reading(path):
-        _check_meta(path, meta, "base", vocab_sha, labels_sha)
+        _check_meta(meta, "base", vocab_sha, labels_sha)
         args = (meta["arch"], meta["vocab_size"], meta["n_labels"])
         hp = BaseHParams(**meta["hparams"])
         expected = BaseModel.shapes(*args, hp)
@@ -359,7 +359,7 @@ def load_reranker(path, vocab_sha: str, labels_sha: str, base_path) -> MetadataR
     checked first: a checkpoint of an older layout fails on those."""
     meta, arrays = load_params(path)
     with reading(path):
-        _check_meta(path, meta, "reranker", vocab_sha, labels_sha)
+        _check_meta(meta, "reranker", vocab_sha, labels_sha)
         args = (meta["n_labels"], meta["d_keys"])
         vocabs = ModalityVocabs(**{m: tuple(v) for m, v in meta["modalities"].items()})
         hp = RerankerHParams(**meta["hparams"])

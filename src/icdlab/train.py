@@ -22,8 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_params, save_params
-from .corpus import CODE_RE, LabelSpace
-from .errors import NumericError, ValidationError
+from .corpus import LabelSpace, first_empty, first_malformed, first_nul, first_repeat
+from .errors import NumericError, ValidationError, reading
 from .metrics import Predictions, date_column, mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker
 from .preprocess import UNK_ID, Vocabulary, encounter_aux_text, tokenize
@@ -220,7 +220,7 @@ class Notes:
         aux_ids = {t: tokenize(t, vocab).token_ids for t in dict.fromkeys(aux_texts)}
         aux, aux_offsets = _packed([aux_ids[t] for t in aux_texts])
         codes, code_offsets = _packed([sorted(e.codes) for e in encs], str)
-        if not np.diff(code_offsets).all():
+        if first_empty(code_offsets) is not None:
             raise ValidationError("every encounter needs at least one code")
         meds, med_offsets = _packed([e.meds for e in encs], str)
         procs, proc_offsets = _packed([e.procs for e in encs], str)
@@ -267,13 +267,14 @@ class Notes:
         """The split `save` wrote to `path` for this vocabulary and label
         space, each note cut to its first max_len tokens: what `of` gives for
         the same encounters and max_len. The file is checked as a split file
-        is read (`_check_stored`): every fault is one ValidationError naming
-        it."""
+        is read, and more (`_check_stored`): every fault is one
+        ValidationError naming it."""
         try:
             meta, arrays = load_params(path)
         except NumericError as exc:  # a non-finite value, which no column holds
             raise ValidationError(str(exc)) from None
-        _check_stored(path, meta, arrays, vocab, labels)
+        with reading(path):
+            _check_stored(meta, arrays, vocab, labels)
         stored = {name: arrays[name].astype(np.int64) for name in _STORED_ARRAYS}
         stored |= {name: np.array(meta[name], dtype=str) for name in _STORED_STRINGS}
         stored["date"] = stored["date"].astype("datetime64[D]")
@@ -304,65 +305,58 @@ class Notes:
                                      for f in fields(Predictions)[1:]})
 
 
-def _check_stored(path, meta: dict, arrays: dict, vocab: Vocabulary,
-                  labels: LabelSpace) -> None:
+def _check_stored(meta: dict, arrays: dict, vocab: Vocabulary, labels: LabelSpace) -> None:
     """That a packed split holds what `Notes.save` writes for this vocabulary
-    and label space, with the checks the split-file reader makes: integral
-    values, offsets rising from 0 to their column's length one step per
-    note, token ids in [1, len(vocab)), lists of strings without U+0000, at
-    least one token and one code per note, each note's codes distinct,
-    sorted and well-formed, and valid dates. Raises a ValidationError naming
-    `path`."""
-
-    def fault(what: str) -> ValidationError:
-        return ValidationError(f"{path}: {what}")
-
+    and label space: integral values, offsets rising from 0 to their
+    column's length one step per note, token ids in [1, len(vocab)), valid
+    dates, and, through the split-file reader's own checks (corpus.first_*),
+    lists of strings without U+0000, at least one token and one code per
+    note, each note's codes distinct, sorted and well-formed. Each rule is
+    checked over the whole file in turn; the first it fails raises a
+    ValidationError, which `Notes.load` prefixes with the file's path."""
     if meta.get("kind") != "notes":
-        raise fault("not a split file written by preprocess")
+        raise ValidationError("not a split file written by preprocess")
     for key, sha, what in (("vocab_sha256", vocab.sha256(), "vocabulary"),
                            ("labels_sha256", labels.sha256(), "label space")):
         if meta.get(key) != sha:
-            raise fault(f"written for another {what} than the one beside it")
+            raise ValidationError(f"written for another {what} than the one beside it")
     if meta.keys() != {"kind", "vocab_sha256", "labels_sha256", *_STORED_STRINGS}:
-        raise fault(f"the header must hold exactly the string columns {_STORED_STRINGS}")
+        raise ValidationError(f"the header must hold exactly the string columns {_STORED_STRINGS}")
     if arrays.keys() != set(_STORED_ARRAYS):
-        raise fault(f"the arrays must be exactly {_STORED_ARRAYS}")
+        raise ValidationError(f"the arrays must be exactly {_STORED_ARRAYS}")
     for name, a in arrays.items():
         if a.ndim != 1 or (a != np.floor(a)).any():
-            raise fault(f"{name} must be a vector of integers")
+            raise ValidationError(f"{name} must be a vector of integers")
     for name in _STORED_STRINGS:
         if type(meta[name]) is not list or not all(type(s) is str for s in meta[name]):
-            raise fault(f"{name} must be a list of strings")
-        if "\0" in "".join(meta[name]):
-            raise fault(f"{name} must not contain U+0000")
+            raise ValidationError(f"{name} must be a list of strings")
+        if first_nul(meta[name]) is not None:
+            raise ValidationError(f"{name} must not contain U+0000")
     n = len(meta["patient_id"])
     for name in ("dept", "doctor"):
         if len(meta[name]) != n:
-            raise fault(f"{name} must have one entry per note ({n})")
+            raise ValidationError(f"{name} must have one entry per note ({n})")
     date = arrays["date"]
     if date.shape != (n,) or not ((_DATES[0] <= date) & (date <= _DATES[1])).all():
-        raise fault(f"date must hold one valid date per note ({n})")
+        raise ValidationError(f"date must hold one valid date per note ({n})")
     for offsets, values in _CSR:
         off = arrays[offsets]
         size = len(arrays[values] if values in arrays else meta[values])
         if off.shape != (n + 1,) or off[0] or off[-1] != size or (off[1:] < off[:-1]).any():
-            raise fault(f"{offsets} must rise from 0 to the {size} {values} in one step "
+            raise ValidationError(f"{offsets} must rise from 0 to the {size} {values} in one step "
                         f"per note ({n})")
     for offsets, values in (("offsets", "tokens"), ("code_offsets", "codes")):
-        if (arrays[offsets][1:] == arrays[offsets][:-1]).any():
-            raise fault(f"every note needs at least one of its {values}")
+        if first_empty(arrays[offsets]) is not None:
+            raise ValidationError(f"every note needs at least one of its {values}")
     for name in ("tokens", "aux"):
         ids = arrays[name]
         if ids.size and not (1 <= ids.min() and ids.max() < len(vocab)):
-            raise fault(f"{name} must hold token ids in [1, {len(vocab)})")
-    codes = np.array(meta["codes"], dtype=str)
-    inside = np.ones(max(codes.size - 1, 0), dtype=bool)
-    inside[arrays["code_offsets"][1:-1].astype(np.int64) - 1] = False  # pairs across notes
-    if (codes[1:] <= codes[:-1])[inside].any():
-        raise fault("each note's codes must be distinct and sorted")
-    bad = next((c for c in set(meta["codes"]) if not CODE_RE.match(c)), None)
+            raise ValidationError(f"{name} must hold token ids in [1, {len(vocab)})")
+    if first_repeat(meta["codes"], arrays["code_offsets"].astype(np.int64)) is not None:
+        raise ValidationError("each note's codes must be distinct and sorted")
+    bad = first_malformed(meta["codes"])
     if bad is not None:
-        raise fault(f"malformed code {bad!r}")
+        raise ValidationError(f"malformed code {meta['codes'][bad]!r}")
 
 
 def _scored(score, n: int, width: int) -> np.ndarray:

@@ -21,17 +21,18 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 import icdlab
 from icdlab import cli
 from icdlab.calibrate import _pav
 from icdlab.checkpoint import load_params, save_params
-from icdlab.cli import _labels_digest, load_isotonic, main, read_prediction_records
+from icdlab.cli import _eval_digests, load_isotonic, main, read_prediction_records
 from icdlab.config import config_sha256, parse_config
 from icdlab.corpus import LabelSpace, read_encounters
 from icdlab.errors import ValidationError
-from icdlab.metrics import mean_recall_at_k
+from icdlab.metrics import Predictions, mean_recall_at_k
 from icdlab.preprocess import Vocabulary
 
 TINY_CFG = """\
@@ -268,7 +269,7 @@ def test_the_records_writer_is_the_sorted_json_encoder(tmp_path):
 
 def test_calibrate_artifacts(pipeline):
     out = pipeline["calib"]
-    maps = load_isotonic(out, _labels_digest(pipeline["eval_dev"]), pipeline["eval_dev"])
+    maps = load_isotonic(out, _eval_digests(pipeline["eval_dev"])[0], pipeline["eval_dev"])
     labels = LabelSpace.from_json(
         (pipeline["prep"] / "labels.json").read_text(encoding="utf-8"))
     assert len(maps.maps) == len(labels)
@@ -721,9 +722,17 @@ def _meta_line(edit):
     return apply
 
 
+def _with_meta(edit):
+    """An edit of a checkpoint's metadata as a dict."""
+    return _meta_line(lambda line: json.dumps(edit(json.loads(line))).encode())
+
+
 def _without_key(key):
-    return _meta_line(lambda line: json.dumps(
-        {k: v for k, v in json.loads(line).items() if k != key}).encode())
+    return _with_meta(lambda meta: {k: v for k, v in meta.items() if k != key})
+
+
+def _with_hparam(key, value):
+    return _with_meta(lambda meta: {**meta, "hparams": {**meta["hparams"], key: value}})
 
 
 @pytest.mark.parametrize("stage, name, edit, argv", [
@@ -733,10 +742,15 @@ def _without_key(key):
     ("calib", "isotonic.ckpt", _meta_line(lambda _: b'["isotonic", 3]'), _automate_calibrated),
     ("calib", "isotonic.ckpt", _without_key("labels_sha256"), _automate_calibrated),
     ("model", "model.ckpt", _without_key("vocab_sha256"), _evaluate),
+    ("model", "model.ckpt", _with_meta(lambda meta: {**meta, "arch": False}), _evaluate),
+    ("model", "model.ckpt", _with_hparam("kernel_width", 4), _evaluate),
+    ("reranker", "reranker.ckpt", _with_hparam("n_heads", 3), _evaluate_reranked),
     ("prep", "vocab.json", lambda _: b"{bad", _evaluate),
     ("prep", "vocab.json", lambda _: b"[" * 100_000 + b"]" * 100_000, _evaluate),
 ], ids=["isotonic-not-json", "isotonic-no-n_labels", "isotonic-meta-a-list",
-        "isotonic-meta-no-labels_sha256", "model-meta-no-vocab_sha256", "vocab-not-json", "vocab-nested-too-deeply"])
+        "isotonic-meta-no-labels_sha256", "model-meta-no-vocab_sha256", "model-arch-false",
+        "model-kernel-width-even", "reranker-heads-not-dividing-d", "vocab-not-json",
+        "vocab-nested-too-deeply"])
 def test_malformed_json_artifact_exits_with_one_error_line(pipeline, tmp_path, capsys,
                                                           stage, name, edit, argv):
     dirs = dict(pipeline)
@@ -905,6 +919,30 @@ def test_a_damaged_packed_split_exits_3_naming_the_file(pipeline, tmp_path, caps
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert str(prep / "train.notes") in err[0] and message in err[0]
     assert not (tmp_path / "o").exists()
+
+
+def test_a_packed_split_names_its_first_malformed_code_whatever_the_hash_seed(pipeline,
+                                                                             tmp_path):
+    # three malformed codes, each the last of its note so that the codes stay
+    # sorted: the first in file order is named, not the first of a str set
+    prep = tmp_path / "prep"
+    shutil.copytree(pipeline["prep"], prep)
+    meta, arrays = load_params(prep / "train.notes")
+    last = arrays["code_offsets"][1:].astype(int) - 1
+    codes = list(meta["codes"])
+    for at, bad in zip(last[[0, 7, 20]], ("e78", "x12", "q9")):
+        codes[at] = bad
+    save_params(prep / "train.notes", arrays, {**meta, "codes": codes})
+    src = str(Path(icdlab.__file__).resolve().parents[1])
+    for seed in ("0", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "icdlab.cli", "train", "--config",
+                              str(pipeline["cfg"]), "--in", str(prep), "--out",
+                              str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert run.returncode == 3, run.stderr
+        assert run.stderr == (f"icdlab-error: validation: {prep / 'train.notes'}: "
+                              "malformed code 'e78'\n"), f"PYTHONHASHSEED={seed}"
 
 
 def test_non_ascii_checkpoint_header_exits_with_one_error_line(pipeline, tmp_path, capsys):
@@ -1109,6 +1147,10 @@ _LINE_1 = "records.jsonl:1: "
     ("report", lambda d: _edit_first_record(d, codes=["nope"]), 3, "validation", _LINE_1),
     ("report", lambda d: _edit_first_record(d, codes=["A00.0", "A00.0"]), 3, "validation",
      _LINE_1 + "duplicate codes"),
+    ("calibrate", lambda d: _edit_first_record(d, gt=[], n_unseen=0), 3, "validation",
+     _LINE_1 + "record has no ground truth"),
+    ("report", lambda d: _edit_first_record(d, gt=[], n_unseen=0), 3, "validation",
+     _LINE_1 + "record has no ground truth"),
     ("report", lambda d: _edit_first_record(d, doctor="DR001"), 3, "validation",
      _LINE_1 + "missing fields [], unknown fields ['doctor']"),
     ("calibrate", lambda d: _edit_first_record(d, without="dept"), 3, "validation",
@@ -1122,7 +1164,8 @@ _LINE_1 = "records.jsonl:1: "
         "n_unseen-true", "row-count-mismatch", "nan-calibrate", "nan-report",
         "one-dimensional-probs", "first_visit-a-string", "first_visit-an-int", "dept-an-int",
         "dept-a-list", "freq_bucket-null", "patient_id-an-int", "codes-a-string",
-        "codes-empty", "code-malformed", "codes-duplicated", "field-unknown",
+        "codes-empty", "code-malformed", "codes-duplicated", "no-ground-truth-calibrate",
+        "no-ground-truth-report", "field-unknown",
         "field-missing", "nested-too-deeply", "npy-header-unclosed", "npy-header-shape-beyond-the-file",
         "npy-trailing-bytes"])
 def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
@@ -1332,7 +1375,7 @@ def test_load_isotonic_looks_up_no_more_maps_than_the_file_holds(pipeline, tmp_p
 
 def test_calibrate_records_the_label_space_and_automate_checks_it(pipeline, tmp_path, capsys):
     meta, arrays = load_params(pipeline["calib"] / "isotonic.ckpt")
-    assert meta["labels_sha256"] == _labels_digest(pipeline["eval_dev"])
+    assert meta["labels_sha256"] == _eval_digests(pipeline["eval_dev"])[0]
     # maps of as many labels, fitted on another label space
     calib = tmp_path / "calib"
     shutil.copytree(pipeline["calib"], calib)
@@ -1521,6 +1564,49 @@ def test_automate_compares_the_label_spaces_the_eval_manifests_record(pipeline, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("mix", ["own-pair", "reranked-test", "dev-of-another-model"])
+def test_automate_rejects_evals_of_different_models(pipeline, tmp_path, capsys, mix):
+    # the pipeline's dev and test evals score one base model; a reranked
+    # test eval, or a dev eval of another base model, must not pair with them
+    dev, test = pipeline["eval_dev"], pipeline["eval_test"]
+    if mix == "reranked-test":
+        test = pipeline["eval_rr"]
+    elif mix == "dev-of-another-model":
+        cfg, other, dev = tmp_path / "run.cfg", tmp_path / "other_model", tmp_path / "other_dev"
+        cfg.write_text(_config_with("d_c = 4"), encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--in", str(pipeline["prep"]),
+                     "--out", str(other)]) == 0
+        assert main(["evaluate", "--config", str(pipeline["cfg"]), "--in", str(pipeline["prep"]),
+                     "--model", str(other), "--out", str(dev), "--split", "dev"]) == 0
+    capsys.readouterr()
+    code = main(["automate", "--config", str(pipeline["cfg"]), "--dev", str(dev),
+                 "--test", str(test), "--out", str(tmp_path / "o"), "--max-fp", "0.1"])
+    err = capsys.readouterr().err.splitlines()
+    if mix == "own-pair":
+        assert code == 0 and err == []
+        return
+    assert code == 3 and len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(dev) in err[0] and str(test) in err[0]
+    assert ("reranker.ckpt" if mix == "reranked-test" else "model.ckpt") in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_eval_manifest_without_a_model_input_exits_3_naming_it(pipeline, tmp_path, capsys):
+    other = tmp_path / "eval_other"
+    shutil.copytree(pipeline["eval_test"], other)
+    path = other / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["inputs"] = {p: d for p, d in manifest["inputs"].items()
+                          if not p.endswith("model.ckpt")}
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["automate", "--config", str(pipeline["cfg"]), "--dev", str(pipeline["eval_dev"]),
+                 "--test", str(other), "--out", str(tmp_path / "o"), "--max-fp", "0.1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"icdlab-error: validation: {path}: ")
+    assert "model.ckpt" in err[0]
+
+
 def test_failed_stage_leaves_out_as_it_was(pipeline, tmp_path, capsys, monkeypatch):
     # evaluating the test split would rewrite every file of this dev eval dir
     out = tmp_path / "eval"
@@ -1663,7 +1749,8 @@ def _mutate(raw: bytes, rng: random.Random) -> tuple[str, bytes]:
 def test_seeded_mutations_of_a_stage_input_end_in_exit_0_3_or_4(pipeline, tmp_path, capsys,
                                                                  stage, file):
     # the error contract under random damage: success without a word on stderr,
-    # or exit 3 or 4 with one `icdlab-error:` line and no --out
+    # or exit 3 or 4 with one `icdlab-error:` line naming the damaged file or
+    # the directory it lies in, and no --out
     dirs = dict(pipeline)
     name = file.split("/")[0]
     dirs[name] = tmp_path / name
@@ -1688,8 +1775,110 @@ def test_seeded_mutations_of_a_stage_input_end_in_exit_0_3_or_4(pipeline, tmp_pa
             err = printed.err.splitlines()
             assert code in (3, 4), f"{where}: exit {code}"
             assert len(err) == 1 and err[0].startswith("icdlab-error: "), f"{where}: {err}"
+            assert str(dirs[name]) in err[0], f"{where}: {err}"
             assert printed.out == "" and not out.exists(), where
             assert not list(tmp_path.glob(f".{out.name}.*")), where  # no staging directory
+
+
+# --------------------------------------------------------------------------
+# the column readers of split files and records.jsonl against the per-row
+# reader they replaced (oracles.py): the same message, or the same value
+# --------------------------------------------------------------------------
+
+DIFFERENTIAL_MUTATIONS = 200
+
+
+def _verdict(read, path):
+    """What `read(path)` returns, or (the exception's type, its message)."""
+    try:
+        value = read(path)
+    except Exception as exc:  # any exception: both readers must raise the same
+        return type(exc).__name__, str(exc)
+    if isinstance(value, Predictions):
+        return {f: (a.dtype, a.tolist()) for f, a in vars(value).items()}
+    return value
+
+
+_READERS = {"corpus": (cli.read_encounters, oracles.read_encounters),
+            "eval_dev": (read_prediction_records, oracles.read_prediction_records)}
+
+
+@pytest.mark.parametrize("file", ["corpus/dev.txt", "eval_dev/records.jsonl"])
+def test_seeded_mutations_get_the_per_row_readers_verdict(pipeline, tmp_path, file):
+    name = file.split("/")[0]
+    shutil.copytree(pipeline[name], tmp_path / name)
+    path = tmp_path / file
+    where = path if name == "corpus" else path.parent
+    original = path.read_bytes()
+    for i in range(DIFFERENTIAL_MUTATIONS):
+        kind, raw = _mutate(original, random.Random(f"differential:{file}:{i}"))
+        path.write_bytes(raw)
+        got, want = (_verdict(read, where) for read in _READERS[name])
+        assert got == want, f"mutation {i} ({kind}) of {file}"
+
+
+_SPLIT_ROW = {"patient_id": "P1", "date": "2020-01-01", "dept": "D1", "doctor": "DR1",
+              "text": "x", "codes": ["E78.5"], "meds": [], "procs": []}
+_RECORD_ROW = {"gt": [0], "n_unseen": 0, "dept": "D1", "first_visit": True,
+               "freq_bucket": "0", "patient_id": "P1", "date": "2020-01-01",
+               "codes": ["E78.5"]}
+
+
+def _line(row, **changes):
+    return json.dumps({k: v for k, v in {**row, **changes}.items() if v is not None})
+
+
+@pytest.mark.parametrize("lines, named", [
+    ([_line(_SPLIT_ROW), _line(_SPLIT_ROW, date="2020-13-01"), "{not json"],
+     ":2: bad date '2020-13-01'"),
+    ([_line(_SPLIT_ROW), "{not json", _line(_SPLIT_ROW, date="2020-13-01")],
+     ":2: not valid JSON"),
+    ([_line(_SPLIT_ROW, codes=["e78"]), _line(_SPLIT_ROW, text=5)], ":1: malformed code 'e78'"),
+    ([_line(_SPLIT_ROW), _line(_SPLIT_ROW, text=5), _line(_SPLIT_ROW, dept="D\0")],
+     ":2: text must be a string"),
+    ([_line(_SPLIT_ROW, codes=[]), _line(_SPLIT_ROW, dept="D\0")], ":1: encounter P1/"),
+    ([_line(_SPLIT_ROW, meds=["M\0"]), _line(_SPLIT_ROW, codes=[])],
+     ":1: meds must not contain U+0000"),
+    ([_line(_SPLIT_ROW, codes=["E78.5", "E78.5"], date="2020-1-1")], ":1: duplicate codes"),
+    ([_line(_SPLIT_ROW, codes=[], date="2020-1-1")], ":1: bad date '2020-1-1'"),
+    ([_line(_SPLIT_ROW, codes=[], doctor="DR\0")], ":1: doctor must not contain U+0000"),
+    ([_line(_SPLIT_ROW, codes=["e78"], procs=["\0"], dept="\0")],
+     ":1: dept must not contain U+0000"),
+    ([_line(_SPLIT_ROW, codes=["E78.5\0", "E78.5"])], ":1: malformed code 'E78.5\\x00'"),
+    ([_line(_SPLIT_ROW, text=5, meds="M1", extra=1)], ":1: missing fields [], unknown"),
+    ([_line(_SPLIT_ROW), "", _line(_SPLIT_ROW, codes=["Z99", "e78", "A00"])],
+     ":3: malformed code 'e78'"),
+], ids=["date-then-json", "json-then-date", "code-then-type", "type-then-nul",
+        "empty-then-nul", "nul-then-empty", "duplicate-and-date", "date-and-empty",
+        "empty-and-nul", "two-nuls-and-a-code", "a-nul-ending-a-code", "fields-and-types",
+        "after-a-blank-line"])
+def test_a_split_file_with_several_faults_names_its_first(tmp_path, lines, named):
+    path = tmp_path / "split.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, want = (_verdict(read, path) for read in _READERS["corpus"])
+    assert got == want
+    assert got[0] == "ValidationError" and got[1].startswith(f"{path}{named}")
+
+
+@pytest.mark.parametrize("lines, named", [
+    ([_line(_RECORD_ROW, gt=[3], n_unseen=-1)], ":1: gt must list label indices in [0, 3)"),
+    ([_line(_RECORD_ROW, n_unseen=-1, codes=["A00", "A00"])], ":1: n_unseen must be non"),
+    ([_line(_RECORD_ROW, gt=[], codes=["e78"])], ":1: malformed code 'e78'"),
+    ([_line(_RECORD_ROW, gt=[]), _line(_RECORD_ROW, gt=[7])], ":1: record has no ground"),
+    ([_line(_RECORD_ROW, dept="\0", gt=[7])], ":1: dept must not contain U+0000"),
+    ([_line(_RECORD_ROW, freq_bucket="\0"), _line(_RECORD_ROW, dept=1)],
+     ":1: freq_bucket must not contain U+0000"),
+    ([_line(_RECORD_ROW), _line(_RECORD_ROW, first_visit=1)],
+     ":2: first_visit must be true or false"),
+], ids=["gt-and-unseen", "unseen-and-duplicate", "no-gt-and-a-code", "no-gt-then-gt",
+        "nul-and-gt", "nul-then-type", "a-type-on-the-last-line"])
+def test_a_records_file_with_several_faults_names_its_first(tmp_path, lines, named):
+    (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.save(tmp_path / "probs.npy", np.zeros((len(lines), 3)))
+    got, want = (_verdict(read, tmp_path) for read in _READERS["eval_dev"])
+    assert got == want
+    assert got[0] == "ValidationError"
+    assert got[1].startswith(f"{tmp_path / 'records.jsonl'}{named}")
 
 
 # the stage calls of `pipeline` as the former scripts/run_pipeline.py wrote them

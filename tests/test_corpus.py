@@ -20,7 +20,6 @@ from icdlab.corpus import (
     _zipf_probs,
     chapter,
     corpus_stats,
-    encounter_of,
     generate_corpus,
     read_encounters,
     silent_code_indices,
@@ -61,22 +60,31 @@ def _avg_ranks(x):
 
 
 def split_row(codes):
-    """A split-file row of `read_rows` holding `codes`."""
+    """A split-file row holding `codes`."""
     return {"patient_id": "P1", "date": "2020-01-01", "dept": "D1", "doctor": "DR1",
             "text": "x", "codes": codes, "meds": [], "procs": []}
 
 
-def test_encounter_rejects_empty_codes():
+def _one_row_split(tmp_path, codes):
+    """A split file whose one line is `split_row(codes)`."""
+    path = tmp_path / "f.jsonl"
+    path.write_text(json.dumps(split_row(codes)) + "\n", encoding="utf-8")
+    return path
+
+
+def test_encounter_rejects_empty_codes(tmp_path):
+    path = _one_row_split(tmp_path, [])
     with pytest.raises(ValidationError) as err:
-        encounter_of("f.jsonl", 3, split_row([]))
-    assert str(err.value) == "f.jsonl:3: encounter P1/2020-01-01: empty code set"
+        read_encounters(path)
+    assert str(err.value) == f"{path}:1: encounter P1/2020-01-01: empty code set"
 
 
 @pytest.mark.parametrize("bad", ["e78.5", "E785", "E7.5", "E78.", "E78.12345", "XX78"])
-def test_encounter_rejects_malformed_codes(bad):
+def test_encounter_rejects_malformed_codes(tmp_path, bad):
+    path = _one_row_split(tmp_path, [bad])
     with pytest.raises(ValidationError) as err:
-        encounter_of("f.jsonl", 3, split_row([bad]))
-    assert str(err.value) == f"f.jsonl:3: malformed code {bad!r}"
+        read_encounters(path)
+    assert str(err.value) == f"{path}:1: malformed code {bad!r}"
 
 
 @pytest.mark.parametrize("good", ["E78", "E78.5", "I70.203", "A00.0", "Z99.aB3x"])
