@@ -8,6 +8,13 @@ raw little-endian row-major values in header order. Round-trip is byte-exact,
 so saved models replay identically. Every error names the file. A checkpoint
 of another format version is a ValidationError and must be regenerated; a value
 that is NaN or infinite is a NumericError.
+
+Readers name the metadata they expect, `load_params(path, **expected)`: a
+kind, the digests of a vocabulary and a label space. A mismatch is one
+ValidationError naming the file, the key and both values, before any array
+is read. `labels_sha256` is one of two digests of the same labels.json:
+`LabelSpace.sha256()` (no final newline) in model, reranker and .notes
+files, the file digest its eval manifest records in `isotonic.ckpt`.
 """
 
 from __future__ import annotations
@@ -52,9 +59,10 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
             fh.write(blob)
 
 
-def load_params(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint back into (metadata, {name: array}), verifying sizes
-    and that every value is finite."""
+def load_params(path, **expected) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint back into (metadata, {name: array}), verifying that
+    its metadata holds each `expected` key's value, then sizes and that
+    every value is finite."""
     raw = Path(path).read_bytes()
     cut = 0
     header_lines = []
@@ -79,6 +87,10 @@ def load_params(path) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(meta, dict):
         raise ValidationError(f"checkpoint {path}: line 2 holds a JSON {type(meta).__name__}, "
                               f"not a metadata object")
+    for key, want in expected.items():
+        if (got := meta.get(key)) != want:
+            raise ValidationError(f"checkpoint {path}: metadata {key} is {got!r}, "
+                                  f"expected {want!r}")
 
     params: dict[str, np.ndarray] = {}
     offset = cut

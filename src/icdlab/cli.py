@@ -363,10 +363,8 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     n_labels labels j exactly the arrays x{j} and v{j}, non-empty, 1-D, of
     equal length and non-decreasing."""
     path = Path(calib_dir) / "isotonic.ckpt"
-    meta, arrays = load_params(path)
+    meta, arrays = load_params(path, kind="isotonic")
     with reading(path):
-        if meta.get("kind") != "isotonic":
-            raise ValidationError("not a calibration checkpoint")
         n, digest = meta["n_labels"], meta["labels_sha256"]
     if type(n) is not int or n < 0:  # not a bool, a float or a string
         raise ValidationError(f"{path}: n_labels must be a non-negative integer, got {n!r}")

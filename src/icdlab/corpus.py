@@ -110,9 +110,8 @@ class LabelSpace:
         `errors.reading` reports as a ValidationError naming the file."""
         payload = json.loads(text)
         codes, counts = payload["codes"], payload["counts"]
-        if (type(codes) is not list or not codes
-                or not all(type(c) is str and CODE_RE.match(c) for c in codes)
-                or len(set(codes)) != len(codes)):
+        if (type(codes) is not list or not codes or not all(type(c) is str for c in codes)
+                or first_malformed(codes) is not None or len(set(codes)) != len(codes)):
             raise ValueError("codes must be a non-empty list of distinct codes")
         if (type(counts) is not dict or not counts.keys() <= set(codes)
                 or not all(type(n) is int and n >= 0 for n in counts.values())):

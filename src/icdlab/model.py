@@ -302,18 +302,6 @@ def save_base_model(path, model: BaseModel, vocab_sha: str, labels_sha: str) -> 
     })
 
 
-def _check_meta(meta: dict, kind: str, vocab_sha: str, labels_sha: str) -> None:
-    """That a checkpoint's metadata is that of a `kind` checkpoint trained
-    with this vocabulary and label space; read under `errors.reading`, which
-    names the file."""
-    if meta.get("kind") != kind:
-        raise ValidationError(f"not a {kind} checkpoint")
-    for key, sha, what in (("vocab_sha256", vocab_sha, "vocabulary"),
-                           ("labels_sha256", labels_sha, "label space")):
-        if meta[key] != sha:
-            raise ValidationError(f"checkpoint was trained with a different {what}")
-
-
 def _tensors(path, arrays: dict, expected: dict[str, tuple[int, ...]]) -> dict[str, ad.Tensor]:
     """The checkpoint's arrays as trainable tensors, once their names and
     shapes are those of `expected`, the shape table for the hyperparameters
@@ -328,9 +316,9 @@ def _tensors(path, arrays: dict, expected: dict[str, tuple[int, ...]]) -> dict[s
 
 
 def load_base_model(path, vocab_sha: str, labels_sha: str) -> BaseModel:
-    meta, arrays = load_params(path)
+    meta, arrays = load_params(path, kind="base", vocab_sha256=vocab_sha,
+                               labels_sha256=labels_sha)
     with reading(path):
-        _check_meta(meta, "base", vocab_sha, labels_sha)
         args = (meta["arch"], meta["vocab_size"], meta["n_labels"])
         hp = BaseHParams(**meta["hparams"])
         expected = BaseModel.shapes(*args, hp)
@@ -357,9 +345,9 @@ def load_reranker(path, vocab_sha: str, labels_sha: str, base_path) -> MetadataR
     """The reranker at `path`, once it is known to have been trained over
     the base checkpoint at `base_path`. Its parameter names and shapes are
     checked first: a checkpoint of an older layout fails on those."""
-    meta, arrays = load_params(path)
+    meta, arrays = load_params(path, kind="reranker", vocab_sha256=vocab_sha,
+                               labels_sha256=labels_sha)
     with reading(path):
-        _check_meta(meta, "reranker", vocab_sha, labels_sha)
         args = (meta["n_labels"], meta["d_keys"])
         vocabs = ModalityVocabs(**{m: tuple(v) for m, v in meta["modalities"].items()})
         hp = RerankerHParams(**meta["hparams"])

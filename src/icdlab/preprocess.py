@@ -1,5 +1,6 @@
-"""Training-data preparation: ditto de-duplication, minimum-frequency label
-filtering, vocabulary construction, and tokenization.
+"""Training-data preparation: ditto de-duplication of a whole split, patient
+by patient (`dedup_ditto`), minimum-frequency label filtering, vocabulary
+construction, and tokenization.
 
 Order matters and is fixed: de-duplicate first, then filter rare labels
 (counts taken on the deduplicated set). Evaluation sets are never label-
@@ -36,50 +37,30 @@ DEDUP_SCOPES = ("none", "consecutive", "global")
 
 
 def dedup_ditto(encounters: list[Encounter], scope: str = "consecutive") -> list[Encounter]:
-    """Drop copied-forward encounters of ONE patient.
+    """Drop the copied-forward encounters of a whole split.
 
-    Sorts by date (stable on ties), then removes an encounter iff its code
-    set equals the previous retained encounter's code set. scope="global"
-    is the stricter documented alternative: drop any encounter whose code
-    set matches ANY earlier retained one. scope="none" only sorts, keeping
-    every encounter (the undeduplicated pipeline variant).
+    Patients keep their first-seen order, each one's encounters sorted by
+    date (stable on ties). One pass then removes an encounter iff its code
+    set equals its patient's previous retained code set. scope="global" is
+    the stricter documented alternative: drop any encounter whose code set
+    matches ANY earlier retained one of its patient. scope="none" only sorts,
+    keeping every encounter (the undeduplicated pipeline variant).
     """
     if scope not in DEDUP_SCOPES:
         raise ValidationError(f"unknown dedup scope {scope!r}")
-    if not encounters:
-        return []
-    pids = {e.patient_id for e in encounters}
-    if len(pids) > 1:
-        raise ValidationError(f"dedup_ditto expects one patient, got {sorted(pids)}")
-    ordered = sorted(encounters, key=lambda e: e.date)
+    rank = {pid: i for i, pid in enumerate(dict.fromkeys(e.patient_id for e in encounters))}
+    ordered = sorted(encounters, key=lambda e: (rank[e.patient_id], e.date))
     if scope == "none":
         return ordered
-    kept = [ordered[0]]
-    seen = {ordered[0].codes}
-    for enc in ordered[1:]:
-        if scope == "consecutive":
-            if enc.codes != kept[-1].codes:
-                kept.append(enc)
-        else:
-            if enc.codes not in seen:
-                kept.append(enc)
-                seen.add(enc.codes)
+    kept, seen = [], {pid: set() for pid in rank}  # per patient: the code sets to drop
+    for enc in ordered:
+        codes = seen[enc.patient_id]
+        if enc.codes not in codes:
+            kept.append(enc)
+            if scope == "consecutive":
+                codes.clear()
+            codes.add(enc.codes)
     return kept
-
-
-def dedup_corpus(encounters: list[Encounter], scope: str = "consecutive") -> list[Encounter]:
-    """Per-patient dedup over a mixed corpus; patients keep first-seen order."""
-    by_patient: dict[str, list[Encounter]] = {}
-    order: list[str] = []
-    for enc in encounters:
-        if enc.patient_id not in by_patient:
-            by_patient[enc.patient_id] = []
-            order.append(enc.patient_id)
-        by_patient[enc.patient_id].append(enc)
-    out: list[Encounter] = []
-    for pid in order:
-        out.extend(dedup_ditto(by_patient[pid], scope=scope))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +212,7 @@ def preprocess_train(train: list[Encounter], min_count: int,
     labels_before = set()
     for enc in train:
         labels_before.update(enc.codes)
-    deduped = dedup_corpus(train, scope=dedup_scope)
+    deduped = dedup_ditto(train, scope=dedup_scope)
     filtered, retained = filter_min_frequency(deduped, min_count)
     mean_before = sum(len(e.codes) for e in train) / len(train) if train else 0.0
     mean_after = sum(len(e.codes) for e in filtered) / len(filtered) if filtered else 0.0

@@ -270,11 +270,12 @@ class Notes:
         is read, and more (`_check_stored`): every fault is one
         ValidationError naming it."""
         try:
-            meta, arrays = load_params(path)
+            meta, arrays = load_params(path, kind="notes", vocab_sha256=vocab.sha256(),
+                                       labels_sha256=labels.sha256())
         except NumericError as exc:  # a non-finite value, which no column holds
             raise ValidationError(str(exc)) from None
         with reading(path):
-            _check_stored(meta, arrays, vocab, labels)
+            _check_stored(meta, arrays, len(vocab))
         stored = {name: arrays[name].astype(np.int64) for name in _STORED_ARRAYS}
         stored |= {name: np.array(meta[name], dtype=str) for name in _STORED_STRINGS}
         stored["date"] = stored["date"].astype("datetime64[D]")
@@ -305,21 +306,16 @@ class Notes:
                                      for f in fields(Predictions)[1:]})
 
 
-def _check_stored(meta: dict, arrays: dict, vocab: Vocabulary, labels: LabelSpace) -> None:
-    """That a packed split holds what `Notes.save` writes for this vocabulary
-    and label space: integral values, offsets rising from 0 to their
-    column's length one step per note, token ids in [1, len(vocab)), valid
-    dates, and, through the split-file reader's own checks (corpus.first_*),
-    lists of strings without U+0000, at least one token and one code per
-    note, each note's codes distinct, sorted and well-formed. Each rule is
-    checked over the whole file in turn; the first it fails raises a
-    ValidationError, which `Notes.load` prefixes with the file's path."""
-    if meta.get("kind") != "notes":
-        raise ValidationError("not a split file written by preprocess")
-    for key, sha, what in (("vocab_sha256", vocab.sha256(), "vocabulary"),
-                           ("labels_sha256", labels.sha256(), "label space")):
-        if meta.get(key) != sha:
-            raise ValidationError(f"written for another {what} than the one beside it")
+def _check_stored(meta: dict, arrays: dict, n_vocab: int) -> None:
+    """That a packed split, whose kind and digests `load_params` checked,
+    holds what `Notes.save` writes: integral values, offsets rising from 0
+    to their column's length one step per note, token ids in [1, n_vocab),
+    valid dates, and, through the split-file reader's own checks
+    (corpus.first_*), lists of strings without U+0000, at least one token
+    and one code per note, each note's codes distinct, sorted and
+    well-formed. Each rule is checked over the whole file in turn; the first
+    it fails raises a ValidationError, which `Notes.load` prefixes with the
+    file's path."""
     if meta.keys() != {"kind", "vocab_sha256", "labels_sha256", *_STORED_STRINGS}:
         raise ValidationError(f"the header must hold exactly the string columns {_STORED_STRINGS}")
     if arrays.keys() != set(_STORED_ARRAYS):
@@ -350,8 +346,8 @@ def _check_stored(meta: dict, arrays: dict, vocab: Vocabulary, labels: LabelSpac
             raise ValidationError(f"every note needs at least one of its {values}")
     for name in ("tokens", "aux"):
         ids = arrays[name]
-        if ids.size and not (1 <= ids.min() and ids.max() < len(vocab)):
-            raise ValidationError(f"{name} must hold token ids in [1, {len(vocab)})")
+        if ids.size and not (1 <= ids.min() and ids.max() < n_vocab):
+            raise ValidationError(f"{name} must hold token ids in [1, {n_vocab})")
     if first_repeat(meta["codes"], arrays["code_offsets"].astype(np.int64)) is not None:
         raise ValidationError("each note's codes must be distinct and sorted")
     bad = first_malformed(meta["codes"])

@@ -771,32 +771,38 @@ def _first_count(payload, value):
     return {**payload, "counts": {**payload["counts"], code: value}}
 
 
-@pytest.mark.parametrize("name, edit", [
-    ("labels.json", lambda p: _first_count(p, "7")),
-    ("labels.json", lambda p: _first_count(p, -1)),
-    ("labels.json", lambda p: _first_count(p, True)),
-    ("labels.json", lambda p: _first_count(p, 2.0)),
-    ("labels.json", lambda p: {**p, "counts": {**p["counts"], "Z99.9": 1}}),
-    ("labels.json", lambda p: {**p, "counts": list(p["counts"])}),
-    ("labels.json", lambda p: {**p, "codes": ""}),
-    ("labels.json", lambda p: {**p, "codes": [], "counts": {}}),
-    ("labels.json", lambda p: {**p, "codes": p["codes"] + p["codes"][:1]}),
-    ("labels.json", lambda p: {**p, "codes": p["codes"] + ["e78"]}),
-    ("labels.json", lambda p: {**p, "codes": p["codes"] + [78]}),
-    ("labels.json", lambda p: {"codes": p["codes"]}),
-    ("labels.json", lambda p: p["codes"]),
-    ("vocab.json", lambda p: {**p, "tokens": "abcdef"}),
-    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + p["tokens"][:1]}),
-    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + [7]}),
-    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + [""]}),
-    ("vocab.json", lambda p: {}),
+# the rule a malformed vocab.json or labels.json breaks, as its error line states it
+_BAD_CODES = "codes must be a non-empty list of distinct codes"
+_BAD_COUNTS = "counts must map codes of the label space to non-negative integers"
+_BAD_TOKENS = "tokens must be a list of distinct non-empty strings"
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("labels.json", lambda p: _first_count(p, "7"), _BAD_COUNTS),
+    ("labels.json", lambda p: _first_count(p, -1), _BAD_COUNTS),
+    ("labels.json", lambda p: _first_count(p, True), _BAD_COUNTS),
+    ("labels.json", lambda p: _first_count(p, 2.0), _BAD_COUNTS),
+    ("labels.json", lambda p: {**p, "counts": {**p["counts"], "Z99.9": 1}}, _BAD_COUNTS),
+    ("labels.json", lambda p: {**p, "counts": list(p["counts"])}, _BAD_COUNTS),
+    ("labels.json", lambda p: {**p, "codes": ""}, _BAD_CODES),
+    ("labels.json", lambda p: {**p, "codes": [], "counts": {}}, _BAD_CODES),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + p["codes"][:1]}, _BAD_CODES),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + ["e78"]}, _BAD_CODES),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + [78]}, _BAD_CODES),
+    ("labels.json", lambda p: {"codes": p["codes"]}, "KeyError('counts')"),
+    ("labels.json", lambda p: p["codes"], "TypeError("),
+    ("vocab.json", lambda p: {**p, "tokens": "abcdef"}, _BAD_TOKENS),
+    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + p["tokens"][:1]}, _BAD_TOKENS),
+    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + [7]}, _BAD_TOKENS),
+    ("vocab.json", lambda p: {**p, "tokens": p["tokens"] + [""]}, _BAD_TOKENS),
+    ("vocab.json", lambda p: {}, "KeyError('tokens')"),
 ], ids=["count-a-string", "count-negative", "count-true", "count-a-float",
         "count-of-a-code-outside", "counts-a-list", "codes-a-string", "codes-empty",
         "codes-duplicate", "code-malformed", "code-an-integer", "counts-absent",
         "labels-a-list", "tokens-a-string", "tokens-duplicate", "token-an-integer",
         "token-empty", "tokens-absent"])
 def test_a_malformed_label_space_or_vocabulary_exits_3_naming_the_file(
-        pipeline, tmp_path, capsys, name, edit):
+        pipeline, tmp_path, capsys, name, edit, message):
     prep = tmp_path / "prep"
     shutil.copytree(pipeline["prep"], prep)
     path = prep / name
@@ -807,7 +813,43 @@ def test_a_malformed_label_space_or_vocabulary_exits_3_naming_the_file(
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(path) in err[0] and message in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def _train(d):
+    return ["train", "--in", str(d["prep"])]
+
+
+_PACKED = {"model": ("model", "model.ckpt", _evaluate),
+           "reranker": ("reranker", "reranker.ckpt", _evaluate_reranked),
+           "notes": ("prep", "train.notes", _train),
+           "isotonic": ("calib", "isotonic.ckpt", _automate_calibrated)}
+
+
+@pytest.mark.parametrize("artifact, key, value", [
+    *[pytest.param(artifact, "kind", "reranker" if artifact == "model" else "base",
+                   id=f"{artifact}-kind") for artifact in _PACKED],
+    *[pytest.param(artifact, key, "0" * 64, id=f"{artifact}-{key}")
+      for artifact in ("model", "reranker", "notes")
+      for key in ("vocab_sha256", "labels_sha256")]])
+def test_an_artifact_of_another_kind_or_digest_exits_3_naming_the_key(
+        pipeline, tmp_path, capsys, artifact, key, value):
+    # checked by load_params from the metadata line, before any array is read
+    stage, name, argv = _PACKED[artifact]
+    dirs = dict(pipeline)
+    dirs[stage] = tmp_path / stage
+    shutil.copytree(pipeline[stage], dirs[stage])
+    path = dirs[stage] / name
+    meta, arrays = load_params(path)
+    save_params(path, arrays, {**meta, key: value})
+    capsys.readouterr()
+    assert main([*argv(dirs), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert str(path) in err[0]
+    assert f"metadata {key} is {value!r}, expected {meta[key]!r}" in err[0]
     assert not (tmp_path / "o").exists()
 
 
@@ -879,9 +921,9 @@ def _header_shape(raw: bytes) -> bytes:
     (_notes_edit(_swap_offsets), "offsets must rise from 0"),
     (_notes_edit(_set("offsets", 1, 0)), "every note needs at least one of its tokens"),
     (_notes_edit(_set("code_offsets", -1, 10**6)), "code_offsets must rise from 0"),
-    (_meta(vocab_sha256="0" * 64), "another vocabulary"),
-    (_meta(labels_sha256="0" * 64), "another label space"),
-    (_meta(kind="base"), "not a split file"),
+    (_meta(vocab_sha256="0" * 64), f"metadata vocab_sha256 is '{'0' * 64}', expected '"),
+    (_meta(labels_sha256="0" * 64), f"metadata labels_sha256 is '{'0' * 64}', expected '"),
+    (_meta(kind="base"), "metadata kind is 'base', expected 'notes'"),
     (_notes_edit(lambda m, a, _: ({**m, "dept": m["dept"][1:]}, a)),
      "dept must have one entry per note"),
     (_notes_edit(lambda m, a, _: ({**m, "doctor": [7, *m["doctor"][1:]]}, a)),

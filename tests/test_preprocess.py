@@ -14,7 +14,6 @@ from icdlab.preprocess import (
     UNK_ID,
     Vocabulary,
     build_vocab,
-    dedup_corpus,
     dedup_ditto,
     encounter_aux_text,
     filter_min_frequency,
@@ -78,11 +77,6 @@ def test_dedup_unknown_scope_rejected():
         dedup_ditto([enc("P", 1, ["A00.0"])], scope="fancy")
 
 
-def test_dedup_mixed_patients_rejected():
-    with pytest.raises(ValidationError, match="dedup_ditto expects one patient"):
-        dedup_ditto([enc("P1", 1, ["A00.0"]), enc("P2", 2, ["A00.0"])])
-
-
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_dedup_idempotent_and_keeps_first(seed):
@@ -99,14 +93,23 @@ def test_dedup_idempotent_and_keeps_first(seed):
 
 
 def test_dedup_corpus_handles_interleaved_patients():
+    # a whole split: patients keep first-seen order, and a code set matches
+    # only its own patient's earlier ones
     seq = [
         enc("P1", 1, ["A00.0"]),
-        enc("P2", 1, ["B00.0"]),
+        enc("P2", 3, ["B00.0"]),
         enc("P1", 2, ["A00.0"]),
-        enc("P2", 2, ["C00.0"]),
+        enc("P2", 1, ["C00.0"]),
+        enc("P3", 1, ["A00.0"]),
+        enc("P2", 2, ["B00.0"]),
+        enc("P1", 3, ["B00.0"]),
     ]
-    kept = dedup_corpus(seq)
-    assert [(e.patient_id, e.date.day) for e in kept] == [("P1", 1), ("P2", 1), ("P2", 2)]
+    for scope in ("consecutive", "global"):
+        kept = dedup_ditto(seq, scope)
+        assert [(e.patient_id, e.date.day) for e in kept] == [
+            ("P1", 1), ("P1", 3), ("P2", 1), ("P2", 2), ("P3", 1)]
+    assert [(e.patient_id, e.date.day) for e in dedup_ditto(seq, "none")] == [
+        ("P1", 1), ("P1", 2), ("P1", 3), ("P2", 1), ("P2", 2), ("P2", 3), ("P3", 1)]
 
 
 # ---------------------------------------------------------------------------
