@@ -32,10 +32,10 @@ from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_c
 from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
 from .corpus import (LabelSpace, check_columns, corpus_stats, generate_corpus, read_columns,
-                     read_encounters, split_by_patient, write_encounters)
-from .errors import NumericError, UndefinedMetricError, UsageError, ValidationError, reading
+                     read_encounters, split_by_patient, text_table, write_encounters)
+from .errors import NumericError, UsageError, ValidationError, reading
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
-                      compute_report, consistency_check, date_column, instance_f1,
+                      compute_report, consistency_check, date_column, defined, instance_f1,
                       recall_at_k, score_histogram, spearman)
 from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
                     load_reranker, save_base_model, save_reranker)
@@ -361,7 +361,9 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     """The maps of a calibration checkpoint fitted on the label space whose
     labels.json digest is `labels_sha256`, that of `dev_dir`: for each of its
     n_labels labels j exactly the arrays x{j} and v{j}, non-empty, 1-D, of
-    equal length and non-decreasing."""
+    equal length and non-decreasing. Labels are checked in order, stopping at
+    the first faulty or missing one, so no more are looked up than the file
+    holds."""
     path = Path(calib_dir) / "isotonic.ckpt"
     meta, arrays = load_params(path, kind="isotonic")
     with reading(path):
@@ -371,22 +373,14 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
     if digest != labels_sha256:
         raise ValidationError(f"{path}: maps were fitted on another label space than the "
                               f"one the manifest of {dev_dir} records")
-    # each label takes two arrays, so one of the first len(arrays) // 2 + 1 lacks
-    # one if n exceeds that: no more are looked up than the file holds
-    maps = [(arrays.get(f"x{j}"), arrays.get(f"v{j}"))
-            for j in range(min(n, len(arrays) // 2 + 1))]
-    bad = next((j for j, (xs, vs) in enumerate(maps) if xs is None or vs is None
-                or xs.ndim != 1 or not xs.size or vs.shape != xs.shape), n)
-    if bad:  # the well-shaped maps before it, checked end to end in one pass
-        ends = np.cumsum([xs.size for xs, _ in maps[:bad]])
-        rises = ((np.diff(np.concatenate([xs for xs, _ in maps[:bad]])) >= 0)
-                 & (np.diff(np.concatenate([vs for _, vs in maps[:bad]])) >= 0))
-        rises[ends[:-1] - 1] = True  # from one map's last value to the next map's first
-        if not rises.all():
-            bad = int(np.searchsorted(ends, np.argmin(rises), side="right"))
-    if bad < n:
-        raise ValidationError(f"{path}: label {bad} needs non-empty 1-D x{bad} and v{bad} "
-                              f"of equal length, both non-decreasing")
+    maps = []
+    for j in range(n):
+        xs, vs = arrays.get(f"x{j}"), arrays.get(f"v{j}")
+        if (xs is None or vs is None or xs.ndim != 1 or not xs.size or vs.shape != xs.shape
+                or not (np.diff(xs) >= 0).all() or not (np.diff(vs) >= 0).all()):
+            raise ValidationError(f"{path}: label {j} needs non-empty 1-D x{j} and v{j} "
+                                  f"of equal length, both non-decreasing")
+        maps.append((xs, vs))
     extra = sorted(set(arrays) - {f"{c}{j}" for j in range(n) for c in "xv"})
     if extra:
         raise ValidationError(f"{path}: array {extra[0]!r} is not an x{{j}} or v{{j}} "
@@ -414,8 +408,8 @@ def _budgets(spec: str) -> list[float]:
     """The --max-fp false-positive budgets: a comma-separated list of
     fractions in (0, 1]."""
     try:
-        fps = [float(p) for p in spec.split(",") if p.strip()]
-    except ValueError:
+        fps = parse_fractions(spec)
+    except ValidationError:
         fps = []
     if not fps or not all(0.0 < f <= 1.0 for f in fps):
         raise UsageError(f"--max-fp must list budgets in (0, 1], separated by commas, "
@@ -476,17 +470,14 @@ def cmd_report(args, rc: RunConfig, stage: Path):
         for versus, values in (("size", [g.size for g in rows]),
                                ("distinct_labels_per_period",
                                 [g.distinct_labels_per_period for g in rows])):
-            try:
-                r = f"{spearman([g.recall_at_5 for g in rows], values):.4f}"
-            except UndefinedMetricError:
-                r = "n/a"
-            lines.append(f"{key},{versus},{r}")
+            r = defined(spearman, [g.recall_at_5 for g in rows], values)
+            lines.append(f"{key},{versus},{'n/a' if r is None else format(r, '.4f')}")
     _write(stage / "correlations.csv", "\n".join(lines) + "\n")
     consistency = consistency_check(records)
-    _write(stage / "consistency.txt",
-           f"matched pairs        {consistency.matched_pairs}\n"
-           f"inconsistent pairs   {consistency.inconsistent_pairs}\n"
-           f"inconsistency rate   {consistency.rate:.4f}\n")
+    _write(stage / "consistency.txt", text_table([
+        ("matched pairs", consistency.matched_pairs),
+        ("inconsistent pairs", consistency.inconsistent_pairs),
+        ("inconsistency rate", f"{consistency.rate:.4f}")], 21))
     return [src / "probs.npy", src / "records.jsonl"], (), (
         f"report: {len(list(stage.iterdir()))} artifacts for {len(records)} records")
 

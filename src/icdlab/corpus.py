@@ -24,6 +24,7 @@ import itertools
 import json
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
@@ -31,7 +32,8 @@ import numpy as np
 
 from .errors import ValidationError, reading
 
-CODE_RE = re.compile(r"^[A-Z]\d{2}(\.[A-Za-z0-9]{1,4})?$")
+# \Z, not $: $ also matches before a final newline
+CODE_RE = re.compile(r"^[A-Z]\d{2}(\.[A-Za-z0-9]{1,4})?\Z")
 
 # Probability that a chronic code is recorded as a same-chapter sibling
 # instead of itself: models coder variability, which is what the level-3
@@ -91,12 +93,8 @@ class LabelSpace:
 
     def with_train_counts(self, encounters) -> "LabelSpace":
         """Counts each document once per code (code sets are sets)."""
-        counts: dict[str, int] = {}
-        for enc in encounters:
-            for c in enc.codes:
-                if c in self._index:
-                    counts[c] = counts.get(c, 0) + 1
-        return LabelSpace(self.codes, counts)
+        counts = code_counts(encounters)
+        return LabelSpace(self.codes, {c: n for c, n in counts.items() if c in self._index})
 
     def to_json(self) -> str:
         payload = {"codes": list(self.codes), "counts": {c: self.counts[c] for c in sorted(self.counts)}}
@@ -339,12 +337,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Encounter], LabelSpace]:
 
 def split_by_patient(corpus: list[Encounter], n_dev_patients: int, n_test_patients: int, seed: int) -> Split:
     """Assign whole patients to train/dev/test uniformly at random."""
-    pids: list[str] = []
-    seen = set()
-    for enc in corpus:
-        if enc.patient_id not in seen:
-            seen.add(enc.patient_id)
-            pids.append(enc.patient_id)
+    pids = list(dict.fromkeys(e.patient_id for e in corpus))  # in first-seen order
     if n_dev_patients < 0 or n_test_patients < 0:
         raise ValidationError("split sizes must be non-negative")
     if n_dev_patients + n_test_patients >= len(pids):
@@ -538,19 +531,24 @@ class CorpusStats:
     mean_codes_per_doc: float
 
     def as_text(self) -> str:
-        lines = [
-            f"Documents                      {self.n_documents}",
-            f"Patients                       {self.n_patients}",
-            f"Distinct codes                 {self.n_distinct_codes}",
-            f"Mean document length (chars)   {self.mean_text_chars:.2f}",
-            f"Mean codes per document        {self.mean_codes_per_doc:.2f}",
-        ]
-        return "\n".join(lines) + "\n"
+        return text_table([("Documents", self.n_documents), ("Patients", self.n_patients),
+                           ("Distinct codes", self.n_distinct_codes),
+                           ("Mean document length (chars)", f"{self.mean_text_chars:.2f}"),
+                           ("Mean codes per document", f"{self.mean_codes_per_doc:.2f}")], 31)
+
+
+def text_table(rows, width: int) -> str:
+    """One `label value` line per (label, value) row, the label padded to `width`."""
+    return "".join(f"{label:<{width}}{value}\n" for label, value in rows)
+
+
+def code_counts(encounters) -> Counter:
+    """The number of documents that carry each code (code sets are sets)."""
+    return Counter(c for e in encounters for c in e.codes)
 
 
 def corpus_stats(encounters: list[Encounter]) -> CorpusStats:
-    n = len(encounters)
-    return CorpusStats(n, len({e.patient_id for e in encounters}),
-                       len(set().union(*(e.codes for e in encounters))),
+    n, counts = len(encounters), code_counts(encounters)
+    return CorpusStats(n, len({e.patient_id for e in encounters}), len(counts),
                        sum(len(e.text) for e in encounters) / n if n else 0.0,
-                       sum(len(e.codes) for e in encounters) / n if n else 0.0)
+                       sum(counts.values()) / n if n else 0.0)

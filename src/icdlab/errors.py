@@ -2,8 +2,8 @@
 
 The CLI maps three onto exit codes: UsageError is exit 2, ValidationError
 exit 3 and NumericError exit 4. UndefinedMetricError is the ValidationError
-that `compute_report` and the `report` stage catch to mark a statistic the
-data leaves undefined.
+that `metrics.defined` catches to mark a statistic the data leaves
+undefined.
 """
 
 from contextlib import contextmanager

@@ -448,19 +448,19 @@ class MetricsReport:
         )
 
 
+def defined(metric, *args):
+    """`metric(*args)`, or None where the data leave it undefined."""
+    try:
+        return metric(*args)
+    except UndefinedMetricError:
+        return None
+
+
 def compute_report(records: Predictions, decision_threshold: float = 0.5,
                    k: int = 5) -> MetricsReport:
-    try:
-        a_macro = auc_macro(records)
-    except UndefinedMetricError:
-        a_macro = None
-    try:
-        a_micro = auc_micro(records)
-    except UndefinedMetricError:
-        a_micro = None
     return MetricsReport(
-        auc_macro=a_macro,
-        auc_micro=a_micro,
+        auc_macro=defined(auc_macro, records),
+        auc_micro=defined(auc_micro, records),
         f1_macro=macro_f1(records, decision_threshold),
         f1_micro=micro_f1(records, decision_threshold),
         f1_instance=mean_instance_f1(records, decision_threshold),

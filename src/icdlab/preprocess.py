@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Encounter
+from .corpus import Encounter, code_counts, corpus_stats, text_table
 from .errors import ValidationError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -77,11 +77,7 @@ def filter_min_frequency(train: list[Encounter], min_count: int) -> tuple[list[E
     """
     if min_count < 0:
         raise ValidationError(f"min_count must be non-negative, got {min_count}")
-    counts: dict[str, int] = {}
-    for enc in train:
-        for c in enc.codes:
-            counts[c] = counts.get(c, 0) + 1
-    retained = {c for c, n in counts.items() if n >= min_count}
+    retained = {c for c, n in code_counts(train).items() if n >= min_count}
     if min_count <= 1:
         return list(train), retained
     out: list[Encounter] = []
@@ -181,19 +177,15 @@ class PreprocessReport:
     dedup_scope: str
 
     def as_text(self) -> str:
-        lines = [
-            f"Pipeline order                 {' -> '.join(self.order)}",
-            f"Dedup scope                    {self.dedup_scope}",
-            f"Min label count                {self.min_count}",
-            f"Documents (before)             {self.docs_before}",
-            f"Documents (after dedup)        {self.docs_after_dedup}",
-            f"Documents (after filter)       {self.docs_after_filter}",
-            f"Distinct labels (before)       {self.labels_before}",
-            f"Distinct labels (retained)     {self.labels_retained}",
-            f"Mean codes per doc (before)    {self.mean_codes_before:.2f}",
-            f"Mean codes per doc (after)     {self.mean_codes_after:.2f}",
-        ]
-        return "\n".join(lines) + "\n"
+        return text_table([
+            ("Pipeline order", " -> ".join(self.order)), ("Dedup scope", self.dedup_scope),
+            ("Min label count", self.min_count), ("Documents (before)", self.docs_before),
+            ("Documents (after dedup)", self.docs_after_dedup),
+            ("Documents (after filter)", self.docs_after_filter),
+            ("Distinct labels (before)", self.labels_before),
+            ("Distinct labels (retained)", self.labels_retained),
+            ("Mean codes per doc (before)", f"{self.mean_codes_before:.2f}"),
+            ("Mean codes per doc (after)", f"{self.mean_codes_after:.2f}")], 31)
 
     def as_csv(self) -> str:
         rows = [
@@ -208,23 +200,18 @@ class PreprocessReport:
 def preprocess_train(train: list[Encounter], min_count: int,
                      dedup_scope: str = "consecutive") -> tuple[list[Encounter], set[str], PreprocessReport]:
     """Dedup then filter; the order is asserted in the report."""
-    order = ("dedup_ditto", "filter_min_frequency")
-    labels_before = set()
-    for enc in train:
-        labels_before.update(enc.codes)
     deduped = dedup_ditto(train, scope=dedup_scope)
     filtered, retained = filter_min_frequency(deduped, min_count)
-    mean_before = sum(len(e.codes) for e in train) / len(train) if train else 0.0
-    mean_after = sum(len(e.codes) for e in filtered) / len(filtered) if filtered else 0.0
+    before, after = corpus_stats(train), corpus_stats(filtered)
     report = PreprocessReport(
-        order=order,
-        docs_before=len(train),
+        order=("dedup_ditto", "filter_min_frequency"),
+        docs_before=before.n_documents,
         docs_after_dedup=len(deduped),
-        docs_after_filter=len(filtered),
-        labels_before=len(labels_before),
+        docs_after_filter=after.n_documents,
+        labels_before=before.n_distinct_codes,
         labels_retained=len(retained),
-        mean_codes_before=mean_before,
-        mean_codes_after=mean_after,
+        mean_codes_before=before.mean_codes_per_doc,
+        mean_codes_after=after.mean_codes_per_doc,
         min_count=min_count,
         dedup_scope=dedup_scope,
     )

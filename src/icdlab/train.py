@@ -212,12 +212,12 @@ class Notes:
         """A blank note (some encounters carry codes with no prose) becomes a
         single unknown token instead of no token, so attention always has one
         position to land on and no document drops out of the denominators.
-        With max_len None every token is kept."""
+        With max_len None every token is kept. Auxiliary ids are never cut."""
         encs = list(encounters)
         tokens, offsets = _packed([tokenize(e.text, vocab, max_len).token_ids or (UNK_ID,)
                                    for e in encs])
         aux_texts = [encounter_aux_text(e) for e in encs]  # mostly empty or repeated
-        aux_ids = {t: tokenize(t, vocab).token_ids for t in dict.fromkeys(aux_texts)}
+        aux_ids = {t: tokenize(t, vocab, None).token_ids for t in dict.fromkeys(aux_texts)}
         aux, aux_offsets = _packed([aux_ids[t] for t in aux_texts])
         codes, code_offsets = _packed([sorted(e.codes) for e in encs], str)
         if first_empty(code_offsets) is not None:

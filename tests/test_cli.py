@@ -255,8 +255,8 @@ def test_the_records_writer_is_the_sorted_json_encoder(tmp_path):
                      "freq_bucket": ["0", "1-9", "10-99", "100+"][i % 4],
                      "patient_id": _HOSTILE[-1 - i] + str(i),
                      "date": f"{1 + 999 * i:04d}-0{1 + i % 9}-2{i}",
-                     "codes": sorted({"A00.0", "B12", "C99.x1Z", "E78.5\n"}
-                                     - {["A00.0", "B12", "C99.x1Z", "E78.5\n"][i % 4]})})
+                     "codes": sorted({"A00.0", "B12", "C99.x1Z", "E78.5"}
+                                     - {["A00.0", "B12", "C99.x1Z", "E78.5"][i % 4]})})
     # the file lists each record's codes in reverse; the writer sorts them
     (tmp_path / "records.jsonl").write_text(
         "".join(json.dumps({**row, "codes": row["codes"][::-1]}, ensure_ascii=True) + "\n"
@@ -337,20 +337,30 @@ def test_gen_corpus_deterministic_given_config(pipeline, tmp_path, monkeypatch):
 
 # Every other corpus key at its default, so the draws run over the full code
 # and noise tables. A change to which values the generator draws, or in what
-# order, changes these bytes.
+# order, changes these bytes. Every file the stage writes but its manifest
+# (which holds paths) is pinned.
 PINNED_CFG = "seed = 3\nn_patients = 40\nn_dev_patients = 5\nn_test_patients = 5\n"
 PINNED_SHA256 = {
     "train.txt": "47d03be56c4ee8f3345780a0ed1244b14145e1fb34b4fed83aee1b6375f1af28",
     "dev.txt": "7de8274343eee832697c73757120ebfc7b19a9a8147cb08beb803c47ef6bba73",
     "test.txt": "e5b0d71c752f54cc39418812a8d1f8220da0bb0e5b031c1ec1d1c8107f3f0c68",
+    "stats.txt": "2f2b5b68f8daa5a01a386da3389c16dd5c605a5506512543c848b65e58afdb52",
+    "corpus_labels.json": "032559e0ff9acfb90f73e639403769c133d38af03e8561e7f0d17b352b847234",
 }
+
+
+def _pinned(out: Path, pins: dict) -> dict:
+    """The digests of the files `pins` names, which must be every file in `out`
+    but manifest.json."""
+    assert sorted(p.name for p in out.iterdir()) == sorted([*pins, "manifest.json"])
+    return {name: _sha(out / name) for name in pins}
 
 
 def test_gen_corpus_writes_the_pinned_bytes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(PINNED_CFG, encoding="utf-8")
     assert main(["gen-corpus", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
-    assert {name: _sha(tmp_path / "corpus" / name) for name in PINNED_SHA256} == PINNED_SHA256
+    assert _pinned(tmp_path / "corpus", PINNED_SHA256) == PINNED_SHA256
 
 
 # preprocess over the PINNED_CFG corpus: dev and test pass through unchanged,
@@ -362,6 +372,7 @@ PREP_PINNED_SHA256 = {
     "vocab.json": "7f9f877319f2243290916f463bba58b3f8f71a40b1072100bfcb103865ab27e8",
     "labels.json": "67a22d0f3c988e1a8f2ca4eb3608899087976df713f8d06e584ca1d4b133ae26",
     "report.csv": "cf09c8a20972ebc59282c253f70528e85ad1281d36b6a1b7e84de2b7fdd36bc9",
+    "report.txt": "f040f7b5e17fd6350ab7e8f34f69836d9deb030b24e5f141cee6bc9f2d24b3cd",
     "train.notes": "6ef20893d675849c65ef750a9b4912c8a6b58fafca04a49304ed6148c5482300",
     "dev.notes": "e9e9244deadc497d9ea13377715296b942dd8fc1b92b952844495b898c0b101e",
     "test.notes": "98271598089804977ce32fd9d5ad6e34f41f0e19db7f17d43090b1919f6cf9a0",
@@ -374,7 +385,7 @@ def test_preprocess_writes_the_pinned_bytes(tmp_path):
     c, corpus, prep = str(cfg), str(tmp_path / "corpus"), tmp_path / "prep"
     assert main(["gen-corpus", "--config", c, "--out", corpus]) == 0
     assert main(["preprocess", "--config", c, "--in", corpus, "--out", str(prep)]) == 0
-    assert {name: _sha(prep / name) for name in PREP_PINNED_SHA256} == PREP_PINNED_SHA256
+    assert _pinned(prep, PREP_PINNED_SHA256) == PREP_PINNED_SHA256
 
 
 def test_two_preprocess_runs_write_the_same_packed_splits(pipeline, tmp_path):
@@ -428,7 +439,8 @@ def test_preprocess_names_the_malformed_line_of_a_held_out_split(pipeline, tmp_p
     ("test.txt", lambda row: {**row, "date": "2018-02-30"}, "bad date '2018-02-30'"),
     ("dev.txt", lambda row: {**row, "codes": []}, "empty code set"),
     ("test.txt", lambda row: {**row, "codes": ["e78.5", *row["codes"]]}, "malformed code 'e78.5'"),
-], ids=["duplicate-codes", "bad-date", "no-codes", "malformed-code"])
+    ("dev.txt", lambda row: {**row, "codes": ["A00.0\n"]}, "malformed code 'A00.0\\n'"),
+], ids=["duplicate-codes", "bad-date", "no-codes", "malformed-code", "code-ending-in-a-newline"])
 def test_preprocess_checks_the_codes_and_date_of_a_held_out_split(pipeline, tmp_path, capsys,
                                                                   split, edit, message):
     corpus = tmp_path / "corpus"
@@ -789,6 +801,7 @@ _BAD_TOKENS = "tokens must be a list of distinct non-empty strings"
     ("labels.json", lambda p: {**p, "codes": p["codes"] + p["codes"][:1]}, _BAD_CODES),
     ("labels.json", lambda p: {**p, "codes": p["codes"] + ["e78"]}, _BAD_CODES),
     ("labels.json", lambda p: {**p, "codes": p["codes"] + [78]}, _BAD_CODES),
+    ("labels.json", lambda p: {**p, "codes": p["codes"] + ["A00.0\n"]}, _BAD_CODES),
     ("labels.json", lambda p: {"codes": p["codes"]}, "KeyError('counts')"),
     ("labels.json", lambda p: p["codes"], "TypeError("),
     ("vocab.json", lambda p: {**p, "tokens": "abcdef"}, _BAD_TOKENS),
@@ -798,7 +811,8 @@ _BAD_TOKENS = "tokens must be a list of distinct non-empty strings"
     ("vocab.json", lambda p: {}, "KeyError('tokens')"),
 ], ids=["count-a-string", "count-negative", "count-true", "count-a-float",
         "count-of-a-code-outside", "counts-a-list", "codes-a-string", "codes-empty",
-        "codes-duplicate", "code-malformed", "code-an-integer", "counts-absent",
+        "codes-duplicate", "code-malformed", "code-an-integer", "code-ending-in-a-newline",
+        "counts-absent",
         "labels-a-list", "tokens-a-string", "tokens-duplicate", "token-an-integer",
         "token-empty", "tokens-absent"])
 def test_a_malformed_label_space_or_vocabulary_exits_3_naming_the_file(
@@ -933,6 +947,9 @@ def _header_shape(raw: bytes) -> bytes:
      "patient_id must not contain U+0000"),
     (_notes_edit(lambda m, a, _: ({**m, "codes": ["e78", *m["codes"][1:]]}, a)),
      "malformed code 'e78'"),
+    # the last code of a note, so that the codes stay sorted
+    (_notes_edit(_codes_of_a_note(lambda codes: [*codes[:-1], "Z99.9\n"])),
+     "malformed code 'Z99.9\\n'"),
     (_notes_edit(_codes_of_a_note(lambda codes: codes[::-1])),
      "each note's codes must be distinct and sorted"),
     (_notes_edit(_codes_of_a_note(lambda codes: [codes[0], *codes[:-1]])),
@@ -946,7 +963,7 @@ def _header_shape(raw: bytes) -> bytes:
         "id-of-the-vocabulary-size", "padding-id", "aux-padding-id", "decreasing-offsets",
         "a-note-without-tokens", "code-offsets-past-the-codes", "another-vocabulary",
         "another-label-space", "another-kind", "dept-one-short", "doctor-an-int",
-        "nul-in-patient_id", "malformed-code", "codes-unsorted", "a-code-repeated",
+        "nul-in-patient_id", "malformed-code", "code-ending-in-a-newline", "codes-unsorted", "a-code-repeated",
         "meds-absent", "date-absent", "date-out-of-range"])
 def test_a_damaged_packed_split_exits_3_naming_the_file(pipeline, tmp_path, capsys, edit,
                                                         message):

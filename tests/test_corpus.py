@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from icdlab.corpus import (
     _note_tokens,
     _zipf_probs,
     chapter,
+    code_counts,
     corpus_stats,
+    first_malformed,
     generate_corpus,
     read_encounters,
     silent_code_indices,
     split_by_patient,
+    text_table,
     write_encounters,
 )
 from icdlab.errors import ValidationError
@@ -79,7 +83,8 @@ def test_encounter_rejects_empty_codes(tmp_path):
     assert str(err.value) == f"{path}:1: encounter P1/2020-01-01: empty code set"
 
 
-@pytest.mark.parametrize("bad", ["e78.5", "E785", "E7.5", "E78.", "E78.12345", "XX78"])
+@pytest.mark.parametrize("bad", ["e78.5", "E785", "E7.5", "E78.", "E78.12345", "XX78",
+                                 "A00.0\n", "E78\n"])
 def test_encounter_rejects_malformed_codes(tmp_path, bad):
     path = _one_row_split(tmp_path, [bad])
     with pytest.raises(ValidationError) as err:
@@ -90,6 +95,12 @@ def test_encounter_rejects_malformed_codes(tmp_path, bad):
 @pytest.mark.parametrize("good", ["E78", "E78.5", "I70.203", "A00.0", "Z99.aB3x"])
 def test_code_pattern_accepts_valid_forms(good):
     assert CODE_RE.match(good)
+
+
+def test_a_code_ending_in_a_newline_is_malformed():
+    # $ would match before the newline; the pattern ends at \Z
+    assert first_malformed(["A00.0", "B12", "A00.0\n"]) == 2
+    assert not CODE_RE.match("A00.0\n")
 
 
 def test_chapter_is_first_three_chars():
@@ -493,6 +504,19 @@ def test_mean_codes_per_document():
     assert stats.mean_codes_per_doc == 3.0
     assert stats.mean_text_chars == 3.0
     assert stats.n_patients == 2
+
+
+def test_code_counts_are_documents_per_code():
+    encs = [Encounter("P1", dt.date(2020, 1, 1), "D", "R", "t", frozenset(["A00.0", "B00.0"])),
+            Encounter("P2", dt.date(2020, 1, 2), "D", "R", "t", frozenset(["A00.0"]))]
+    assert code_counts(encs) == Counter({"A00.0": 2, "B00.0": 1})
+    assert code_counts([]) == Counter()
+
+
+def test_text_table_pads_each_label_to_the_width():
+    assert text_table([("a", 1), ("bcd", "x y"), ("longer", 2.5)], 5) == (
+        "a    1\nbcd  x y\nlonger2.5\n")
+    assert text_table([], 5) == ""
 
 
 def test_stats_match_independent_recount():

@@ -547,6 +547,11 @@ def test_malformed_code_rejected():
         codes_inconsistent("bad", "E78.5")
 
 
+def test_a_code_ending_in_a_newline_is_malformed():
+    with pytest.raises(ValidationError, match=r"malformed code 'E78.5\\n'"):
+        codes_inconsistent("E78.5\n", "E78.5")
+
+
 def test_consistency_check_window():
     encs = [
         _enc("P1", 1, ["E78.2"]),

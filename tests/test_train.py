@@ -202,6 +202,16 @@ def test_an_empty_split_saves_and_loads(tmp_path):
     _equal_columns(Notes.load(tmp_path / "s.notes", VOCAB, LABELS), Notes.of([], VOCAB, LABELS))
 
 
+def test_auxiliary_ids_are_never_cut(tmp_path):
+    # 600 medications, more than the 512 tokens a note is cut to by default
+    many = enc(meds=("aches",) * 600, text="cough " * 600)
+    for max_len in (None, 512, 2):
+        split = Notes.of([many], VOCAB, LABELS, max_len)
+        assert split.aux.tolist() == [2] * 600 and len(split.tokens) == min(600, max_len or 600)
+    Notes.of([many], VOCAB, LABELS, max_len=None).save(tmp_path / "s.notes", VOCAB, LABELS)
+    assert Notes.load(tmp_path / "s.notes", VOCAB, LABELS).aux.tolist() == [2] * 600
+
+
 def test_frequency_bucket_edges():
     lowest = np.array([500, 100, 99, 50, 10, 9, 5, 1, 0])
     assert frequency_bucket(lowest).tolist() == ["100+", "100+", "10-99", "10-99", "10-99",
