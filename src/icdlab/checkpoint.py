@@ -12,9 +12,8 @@ that is NaN or infinite is a NumericError.
 Readers name the metadata they expect, `load_params(path, **expected)`: a
 kind, the digests of a vocabulary and a label space. A mismatch is one
 ValidationError naming the file, the key and both values, before any array
-is read. `labels_sha256` is one of two digests of the same labels.json:
-`LabelSpace.sha256()` (no final newline) in model, reranker and .notes
-files, the file digest its eval manifest records in `isotonic.ckpt`.
+is read. `vocab_sha256` and `labels_sha256` are the digests of the files'
+bytes, as the manifests record them.
 """
 
 from __future__ import annotations

@@ -170,8 +170,8 @@ def read_prediction_records(eval_dir) -> Predictions:
     records.jsonl is read as a split file is (`corpus.read_columns`, then
     `check_columns`): just before the duplicate-codes check, a gt index
     outside the label space or a negative unseen count is a validation
-    error, and last a record with neither a gt index nor an unseen code. So
-    is a row count other than the matrix's."""
+    error, and last a record whose gt indices repeat or, with its unseen
+    count, do not number its codes. So is a row count other than the matrix's."""
     eval_dir = Path(eval_dir)
     _check_npy_size(eval_dir / "probs.npy")
     with reading(eval_dir / "probs.npy"):
@@ -191,8 +191,9 @@ def read_prediction_records(eval_dir) -> Predictions:
          lambda: f"gt must list label indices in [0, {n})"),
         (next((i for i, u in enumerate(n_unseen) if u < 0), None),
          lambda: "n_unseen must be non-negative"),
-        last=[(next((i for i, (g, u) in enumerate(zip(gt, n_unseen)) if not g and not u), None),
-               lambda: "record has no ground truth: no gt index and no unseen code")])
+        last=[(next((i for i, (g, u, c) in enumerate(zip(gt, n_unseen, columns["codes"]))
+                     if len(set(g)) != len(g) or len(g) + u != len(c)), None),
+               lambda: "gt and n_unseen must account for each of the record's codes once")])
     if len(linenos) != m:
         raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
                               f"records.jsonl lines ({len(linenos)}) disagree")
@@ -215,7 +216,7 @@ def cmd_gen_corpus(args, rc: RunConfig, stage: Path):
                              seed=stage_seed(rc.seed, "split"))
     for name, part in (("train", split.train), ("dev", split.dev), ("test", split.test)):
         write_encounters(stage / f"{name}.txt", part)
-    _write(stage / "corpus_labels.json", labels.to_json() + "\n")
+    _write(stage / "corpus_labels.json", labels.to_json())
     _write(stage / "stats.txt", corpus_stats(encounters).as_text())
     return [], (), (f"gen-corpus: {len(encounters)} encounters, {len(labels)} codes, "
                     f"split {len(split.train)}/{len(split.dev)}/{len(split.test)}")
@@ -246,8 +247,8 @@ def cmd_preprocess(args, rc: RunConfig, stage: Path):
     for path in inputs[1:]:  # dev and test pass through byte-for-byte once they parse
         pack(path.stem, read_encounters(path))
         shutil.copyfile(path, stage / path.name)
-    _write(stage / "vocab.json", vocab.to_json() + "\n")
-    _write(stage / "labels.json", labels.to_json() + "\n")
+    _write(stage / "vocab.json", vocab.to_json())
+    _write(stage / "labels.json", labels.to_json())
     _write(stage / "report.csv", report.as_csv())
     _write(stage / "report.txt", report.as_text())
     return inputs, (), (f"preprocess: {report.docs_before} → {report.docs_after_filter} "
@@ -308,11 +309,9 @@ def cmd_evaluate(args, rc: RunConfig, stage: Path):
     _write(stage / "report.csv", report.as_csv())
     _write(stage / "report.txt", report.as_text())
     if args.breakdown:
-        table = breakdown_csv(breakdown(records, args.breakdown, recall_at_k(records, args.k),
-                                        instance_f1(records, rc.decision_threshold)))
-        # its recall column holds R@k: the header names that k
-        _write(stage / f"breakdown_{args.breakdown}.csv",
-               table.replace("recall_at_5", f"recall_at_{args.k}", 1))
+        rows = breakdown(records, args.breakdown, recall_at_k(records, args.k),
+                         instance_f1(records, rc.decision_threshold))
+        _write(stage / f"breakdown_{args.breakdown}.csv", breakdown_csv(rows, args.k))
     scored = f"{args.split}, reranked" if args.reranker else args.split
     return inputs, (), (f"evaluate[{scored}]: R@{args.k} {report.recall_at_k:.4f}, "
                         f"iF1 {report.f1_instance:.4f} over {report.n_records} records")

@@ -98,7 +98,7 @@ class LabelSpace:
 
     def to_json(self) -> str:
         payload = {"codes": list(self.codes), "counts": {c: self.counts[c] for c in sorted(self.counts)}}
-        return json.dumps(payload, ensure_ascii=False)
+        return json.dumps(payload, ensure_ascii=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "LabelSpace":

@@ -200,18 +200,11 @@ def _rankdata(x: np.ndarray) -> np.ndarray:
 def searchsorted_rows(xs: np.ndarray, rows: np.ndarray, values: np.ndarray,
                       side: str) -> np.ndarray:
     """np.searchsorted(xs[r], v, side) for every pair (r, v) of `rows` and
-    `values`, each row of the (K, m) matrix `xs` sorted: one binary search of
-    all pairs at once, in ⌈log2(m + 1)⌉ halvings."""
-    m = xs.shape[1]
-    flat, base = xs.ravel(), rows * m
-    below = np.less if side == "left" else np.less_equal
-    lo, hi = np.zeros(len(values), dtype=np.int64), np.full(len(values), m)
-    for _ in range(m.bit_length()):
-        mid = (lo + hi) >> 1
-        right = below(flat[base + np.minimum(mid, m - 1)], values) & (lo < hi)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
+    `values`, each row of the (K, m) matrix `xs` sorted and `rows` ascending,
+    so that each row's values are one slice: one search of that slice per row."""
+    bounds = np.searchsorted(rows, np.arange(len(xs) + 1)).tolist()
+    return np.concatenate([np.searchsorted(row, values[lo:hi], side)
+                           for row, lo, hi in zip(xs, bounds, bounds[1:])])
 
 
 def _aucs(xs: np.ndarray, rows: np.ndarray, values: np.ndarray,
@@ -219,9 +212,9 @@ def _aucs(xs: np.ndarray, rows: np.ndarray, values: np.ndarray,
     """Mann-Whitney AUC of every row of the row-sorted (K, m) scores `xs`,
     whose positives are the scores `values` in rows `rows`, ties counting half.
 
-    A positive's rank is `_rankdata`'s average rank, found by two binary
-    searches of its row. The rank sums add half-integers, exact in any order,
-    and nothing is gathered through an index sort.
+    A positive's rank is `_rankdata`'s average rank, found by two searches
+    of its row (`rows` ascending). The rank sums add half-integers, exact in
+    any order, and nothing is gathered through an index sort.
     """
     n_neg = xs.shape[1] - n_pos
     if not (n_pos.all() and n_neg.all()):
@@ -271,13 +264,10 @@ class GroupReport:
 
 
 def _group_values(p: Predictions, key: str) -> np.ndarray:
-    if key == "dept":
-        return p.dept
-    if key == "label_frequency_bucket":
-        return p.freq_bucket
-    if key == "first_visit":
-        return np.where(p.first_visit, "first", "recurring")
-    raise ValidationError(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
+    if key not in GROUP_KEYS:
+        raise ValidationError(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
+    return {"dept": p.dept, "label_frequency_bucket": p.freq_bucket,
+            "first_visit": np.where(p.first_visit, "first", "recurring")}[key]
 
 
 def _distinct_labels_per_period(p: Predictions, group: np.ndarray,
@@ -286,18 +276,17 @@ def _distinct_labels_per_period(p: Predictions, group: np.ndarray,
     each group of documents, 0 for a group without codes.
 
     Codes outside the label space count too, so this reads the documents'
-    codes rather than the gt matrix. Each code's (group, year, code) is one
-    integer, so value sorts find the distinct ones and count them per year."""
-    year = p.date.astype("datetime64[Y]").astype(np.int64)
-    year -= year.min(initial=0)  # from 0 up, so no two (group, year) pairs share a key
-    n_years, names = int(year.max(initial=0)) + 1, np.unique(p.codes)
-    period = np.repeat(group * n_years + year, np.diff(p.code_offsets))
-    distinct = np.unique(period * names.size + np.searchsorted(names, p.codes))
-    periods, per_period = np.unique(distinct // max(names.size, 1), return_counts=True)
-    of_group = periods // n_years
-    n_periods = np.bincount(of_group, minlength=n_groups)
-    return np.divide(np.bincount(of_group, weights=per_period, minlength=n_groups),
-                     n_periods, out=np.zeros(n_groups), where=n_periods > 0)
+    codes rather than the gt matrix: one set of codes per (group, year), whose
+    sizes, integers, are averaged per group exactly."""
+    codes, offsets = p.codes.tolist(), p.code_offsets.tolist()
+    per_period: dict[tuple[int, int], set[str]] = {}
+    for g, day, lo, hi in zip(group.tolist(), p.date.tolist(), offsets, offsets[1:]):
+        per_period.setdefault((g, day.year), set()).update(codes[lo:hi])
+    n_periods, n_distinct = np.zeros(n_groups), np.zeros(n_groups)
+    for (g, _), distinct in per_period.items():
+        n_periods[g] += 1
+        n_distinct[g] += len(distinct)
+    return np.divide(n_distinct, n_periods, out=np.zeros(n_groups), where=n_periods > 0)
 
 
 def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
@@ -320,8 +309,8 @@ def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
     return out
 
 
-def breakdown_csv(reports: list[GroupReport]) -> str:
-    lines = ["group,size,recall_at_5,instance_f1,distinct_labels_per_period"]
+def breakdown_csv(reports: list[GroupReport], k: int = 5) -> str:
+    lines = [f"group,size,recall_at_{k},instance_f1,distinct_labels_per_period"]
     for g in reports:
         lines.append(f"{g.group},{g.size},{100 * g.recall_at_5:.2f},"
                      f"{100 * g.instance_f1:.2f},{g.distinct_labels_per_period:.2f}")

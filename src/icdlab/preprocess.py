@@ -78,8 +78,6 @@ def filter_min_frequency(train: list[Encounter], min_count: int) -> tuple[list[E
     if min_count < 0:
         raise ValidationError(f"min_count must be non-negative, got {min_count}")
     retained = {c for c, n in code_counts(train).items() if n >= min_count}
-    if min_count <= 1:
-        return list(train), retained
     out: list[Encounter] = []
     for enc in train:
         keep = enc.codes & retained
@@ -111,7 +109,7 @@ class Vocabulary:
         return len(self.tokens) + 2
 
     def to_json(self) -> str:
-        return json.dumps({"tokens": list(self.tokens)}, ensure_ascii=False)
+        return json.dumps({"tokens": list(self.tokens)}, ensure_ascii=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":

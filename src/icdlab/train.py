@@ -123,15 +123,6 @@ class Adam:
             p.data -= np.divide(step, den, out=step)
 
 
-def _snapshot(params: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
-    return {k: t.data.copy() for k, t in params.items()}
-
-
-def _restore(params: dict[str, ad.Tensor], snap: dict[str, np.ndarray]) -> None:
-    for k, t in params.items():
-        t.data = snap[k].copy()
-
-
 # --------------------------------------------------------------------------
 # a split of notes and its scoring
 # --------------------------------------------------------------------------
@@ -436,7 +427,7 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
     rng = np.random.default_rng(config.seed)
     best_r5, _ = dev_scores()
     best_epoch = 0
-    best_snap = _snapshot(params)
+    best_snap = {k: t.data.copy() for k, t in params.items()}
     history = []
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -454,10 +445,11 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
                                   time.perf_counter() - started))
         if r5 > best_r5:
             best_r5, best_epoch = r5, epoch
-            best_snap = _snapshot(params)
+            best_snap = {k: t.data.copy() for k, t in params.items()}
         elif epoch - best_epoch >= config.patience:
             break
-    _restore(params, best_snap)
+    for k, t in params.items():
+        t.data = best_snap[k].copy()
     return best_snap, TrainHistory(tuple(history), best_epoch, best_r5)
 
 

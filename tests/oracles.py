@@ -170,8 +170,9 @@ def read_encounters(path) -> list[Encounter]:
 def read_prediction_records(eval_dir) -> Predictions:
     """probs.npy, taken as valid, and records.jsonl, read a row at a time: a
     gt index outside the label space or a negative unseen count, then the
-    checks of `check_row`, then a record with neither a gt index nor an
-    unseen code, then a row count other than the matrix's."""
+    checks of `check_row`, then a record whose gt indices repeat or, with its
+    unseen count, do not number its codes, then a row count other than the
+    matrix's."""
     eval_dir = Path(eval_dir)
     probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
     m, n = probs.shape
@@ -183,9 +184,10 @@ def read_prediction_records(eval_dir) -> Predictions:
         if row["n_unseen"] < 0:
             raise ValidationError(f"{path}:{lineno}: n_unseen must be non-negative")
         date, row_codes = check_row(path, lineno, row)
-        if not row["gt"] and not row["n_unseen"]:
-            raise ValidationError(f"{path}:{lineno}: record has no ground truth: "
-                                  "no gt index and no unseen code")
+        distinct = len(set(row["gt"]))
+        if distinct != len(row["gt"]) or distinct + row["n_unseen"] != len(row_codes):
+            raise ValidationError(f"{path}:{lineno}: gt and n_unseen must account for each "
+                                  "of the record's codes once")
         context.append((row["n_unseen"], row["dept"], row["first_visit"], row["freq_bucket"],
                         row["patient_id"]))
         dates.append(date)

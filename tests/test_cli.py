@@ -250,7 +250,7 @@ _HOSTILE = ['say "hi"', "back\\slash", "tab\there", "soh\x01bell\x07esc\x1b",
 def test_the_records_writer_is_the_sorted_json_encoder(tmp_path):
     rows = []
     for i, text in enumerate(_HOSTILE):
-        rows.append({"gt": [0, 2] if i % 2 else [1], "n_unseen": i % 3,
+        rows.append({"gt": [0, 2] if i % 2 else [1], "n_unseen": 1 if i % 2 else 2,
                      "dept": text, "first_visit": bool(i % 2),
                      "freq_bucket": ["0", "1-9", "10-99", "100+"][i % 4],
                      "patient_id": _HOSTILE[-1 - i] + str(i),
@@ -373,9 +373,9 @@ PREP_PINNED_SHA256 = {
     "labels.json": "67a22d0f3c988e1a8f2ca4eb3608899087976df713f8d06e584ca1d4b133ae26",
     "report.csv": "cf09c8a20972ebc59282c253f70528e85ad1281d36b6a1b7e84de2b7fdd36bc9",
     "report.txt": "f040f7b5e17fd6350ab7e8f34f69836d9deb030b24e5f141cee6bc9f2d24b3cd",
-    "train.notes": "6ef20893d675849c65ef750a9b4912c8a6b58fafca04a49304ed6148c5482300",
-    "dev.notes": "e9e9244deadc497d9ea13377715296b942dd8fc1b92b952844495b898c0b101e",
-    "test.notes": "98271598089804977ce32fd9d5ad6e34f41f0e19db7f17d43090b1919f6cf9a0",
+    "train.notes": "0bd4d56d5bbc1bfb4d848bbbc6f461d6924d242d2fe5774f6d5800c14713eed2",
+    "dev.notes": "648e53d18822e142d1edacbe00e556a5f219412c459c81b06b856027b625bb94",
+    "test.notes": "182459cc465a4f2fa1665746061847571d931a4614f223f1cdfd244adf282962",
 }
 
 
@@ -468,7 +468,7 @@ RERANKER_PIN_CFG = "".join(
     [f"{row}\n" for row in TINY_CFG.splitlines() if row.split("=")[0].strip() not in RERANKER_PIN]
     + [f"{key} = {value}\n" for key, value in RERANKER_PIN.items()])
 RERANKER_PIN_SHA256 = {
-    "reranker.ckpt": "7efcb3c0a3d8816e3a42865f223dbebe3dae51ffa5f63c218f966ecfc938e0f1",
+    "reranker.ckpt": "b82ed5faeb9cc20b565d32c96946a2869354b44d839151dca62b0d6eaa2060c6",
     "probs.npy": "8c711798f5056afc7aa2b75cd27ec6cc9e8f141163159075a69245699c806c51",
     "history.csv": "f57a641afa3128c86532ae76240bc9783f7c264ee7ca728cb0ff894d6b620c7b",
 }
@@ -687,6 +687,44 @@ def _config_with(line: str) -> str:
     key = line.split("=")[0].strip()
     kept = [row for row in TINY_CFG.splitlines() if row.split("=")[0].strip() != key]
     return "\n".join(kept + [line]) + "\n"
+
+
+def _outputs(root: Path) -> dict[str, bytes]:
+    """Every file under `root` but the manifests, which hold paths, and the
+    history.csv logs, which hold seconds."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name not in ("manifest.json", "history.csv")}
+
+
+@pytest.mark.parametrize("architecture, dedup_scope", [("laat", "none"), ("caml", "global")])
+def test_pipeline_runs_the_chosen_architecture_and_dedup_scope(tmp_path, architecture,
+                                                               dedup_scope):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG + f"architecture = {architecture}\ndedup_scope = {dedup_scope}\n",
+                   encoding="utf-8")
+    for run in ("w0", "w1"):
+        assert main(["pipeline", "--config", str(cfg), "--workdir", str(tmp_path / run)]) == 0
+    w = tmp_path / "w0"
+    assert load_params(w / "model" / "model.ckpt")[0]["arch"] == architecture
+    report = (w / "prep" / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert [row.split() for row in report if row.startswith("Dedup scope")] == [
+        ["Dedup", "scope", dedup_scope]]
+    assert _outputs(w) == _outputs(tmp_path / "w1")
+
+
+def test_every_artifact_holds_the_file_digests_of_vocab_and_labels(pipeline):
+    prep = pipeline["prep"]
+    want = {"vocab_sha256": _sha(prep / "vocab.json"),
+            "labels_sha256": _sha(prep / "labels.json")}
+    outputs = json.loads((prep / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+    assert {"vocab_sha256": outputs["vocab.json"], "labels_sha256": outputs["labels.json"]} == want
+    for path in [prep / f"{split}.notes" for split in ("train", "dev", "test")] + [
+            pipeline["model"] / "model.ckpt", pipeline["reranker"] / "reranker.ckpt"]:
+        meta = load_params(path)[0]
+        assert {key: meta[key] for key in want} == want, path
+    isotonic = load_params(pipeline["calib"] / "isotonic.ckpt")[0]
+    assert isotonic["labels_sha256"] == _eval_digests(pipeline["eval_dev"])[0] == want[
+        "labels_sha256"]
 
 
 @pytest.mark.parametrize("command", ["gen-corpus", "evaluate", "calibrate"])
@@ -1182,6 +1220,20 @@ def _nan_cell(probs):
 
 
 _LINE_1 = "records.jsonl:1: "
+_UNACCOUNTED = "gt and n_unseen must account for each of the record's codes once"
+
+
+def _miscount_first_record_unseen(eval_dir: Path) -> None:
+    row = json.loads((eval_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    _edit_first_record(eval_dir, n_unseen=row["n_unseen"] + 1)
+
+
+def _repeat_first_record_gt(eval_dir: Path) -> None:
+    # one code more, listed as a second copy of a gt index: the count adds up
+    row = json.loads((eval_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    extra = next(c for c in ("Z99.9", "Z99.8") if c not in row["codes"])
+    _edit_first_record(eval_dir, gt=row["gt"] + row["gt"][:1],
+                       codes=sorted(row["codes"] + [extra]))
 
 
 @pytest.mark.parametrize("command, corrupt, code, category, where", [
@@ -1207,9 +1259,11 @@ _LINE_1 = "records.jsonl:1: "
     ("report", lambda d: _edit_first_record(d, codes=["A00.0", "A00.0"]), 3, "validation",
      _LINE_1 + "duplicate codes"),
     ("calibrate", lambda d: _edit_first_record(d, gt=[], n_unseen=0), 3, "validation",
-     _LINE_1 + "record has no ground truth"),
+     _LINE_1 + _UNACCOUNTED),
     ("report", lambda d: _edit_first_record(d, gt=[], n_unseen=0), 3, "validation",
-     _LINE_1 + "record has no ground truth"),
+     _LINE_1 + _UNACCOUNTED),
+    ("report", _miscount_first_record_unseen, 3, "validation", _LINE_1 + _UNACCOUNTED),
+    ("calibrate", _repeat_first_record_gt, 3, "validation", _LINE_1 + _UNACCOUNTED),
     ("report", lambda d: _edit_first_record(d, doctor="DR001"), 3, "validation",
      _LINE_1 + "missing fields [], unknown fields ['doctor']"),
     ("calibrate", lambda d: _edit_first_record(d, without="dept"), 3, "validation",
@@ -1224,7 +1278,7 @@ _LINE_1 = "records.jsonl:1: "
         "one-dimensional-probs", "first_visit-a-string", "first_visit-an-int", "dept-an-int",
         "dept-a-list", "freq_bucket-null", "patient_id-an-int", "codes-a-string",
         "codes-empty", "code-malformed", "codes-duplicated", "no-ground-truth-calibrate",
-        "no-ground-truth-report", "field-unknown",
+        "no-ground-truth-report", "n_unseen-off-by-one", "gt-index-repeated", "field-unknown",
         "field-missing", "nested-too-deeply", "npy-header-unclosed", "npy-header-shape-beyond-the-file",
         "npy-trailing-bytes"])
 def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
@@ -1923,7 +1977,7 @@ def test_a_split_file_with_several_faults_names_its_first(tmp_path, lines, named
     ([_line(_RECORD_ROW, gt=[3], n_unseen=-1)], ":1: gt must list label indices in [0, 3)"),
     ([_line(_RECORD_ROW, n_unseen=-1, codes=["A00", "A00"])], ":1: n_unseen must be non"),
     ([_line(_RECORD_ROW, gt=[], codes=["e78"])], ":1: malformed code 'e78'"),
-    ([_line(_RECORD_ROW, gt=[]), _line(_RECORD_ROW, gt=[7])], ":1: record has no ground"),
+    ([_line(_RECORD_ROW, gt=[]), _line(_RECORD_ROW, gt=[7])], ":1: gt and n_unseen must"),
     ([_line(_RECORD_ROW, dept="\0", gt=[7])], ":1: dept must not contain U+0000"),
     ([_line(_RECORD_ROW, freq_bucket="\0"), _line(_RECORD_ROW, dept=1)],
      ":1: freq_bucket must not contain U+0000"),
