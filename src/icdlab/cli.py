@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 usage, 3 validation/config/parse errors,
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -31,11 +30,11 @@ import numpy as np
 from .calibrate import IsotonicMap, automation_sweep, ece, fit_isotonic, sweep_csv
 from .checkpoint import file_sha256, load_params, save_params
 from .config import RunConfig, config_sha256, parse_config, parse_fractions, stage_seed
-from .corpus import (LabelSpace, check_columns, corpus_stats, generate_corpus, read_columns,
-                     read_encounters, split_by_patient, text_table, write_encounters)
+from .corpus import (LabelSpace, corpus_stats, generate_corpus, read_encounters,
+                     split_by_patient, text_table, write_encounters)
 from .errors import NumericError, UsageError, ValidationError, reading
 from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
-                      compute_report, consistency_check, date_column, defined, instance_f1,
+                      compute_report, consistency_check, defined, instance_f1,
                       recall_at_k, score_histogram, spearman)
 from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
                     load_reranker, save_base_model, save_reranker)
@@ -65,7 +64,7 @@ def _stage(command):
     `stage`, a fresh directory beside --out, and returns the paths it read,
     the names of its logs and the line to print; every other staged file is
     an output. Only if it succeeds are the files hashed into manifest.json
-    and moved into --out, the manifest last."""
+    (inputs by their paths from --out) and moved into --out, manifest last."""
 
     def run(args, rc: RunConfig) -> int:
         out = Path(args.out)
@@ -80,7 +79,8 @@ def _stage(command):
                 "argv": list(args.argv),
                 "seed": rc.seed,
                 "config_sha256": config_sha256(rc),
-                "inputs": {str(p): file_sha256(p) for p in [args.config, *inputs]},
+                "inputs": {os.path.relpath(p, out): file_sha256(p)
+                           for p in [args.config, *inputs]},
                 "outputs": {n: file_sha256(stage / n) for n in names if n not in logs},
                 "logs": sorted(logs),
             }
@@ -98,25 +98,26 @@ def _stage(command):
     return run
 
 
+def _load_json(path: Path, cls):
+    with reading(path):
+        return cls.from_json(path.read_text(encoding="utf-8"))
+
+
 def _load_prep(prep, rc: RunConfig, *splits):
     """A preprocess directory's vocabulary and label space, one Notes per
     named split, and the paths read. Each split comes from its packed
     `<split>.notes`, cut to max_note_tokens: no stage after preprocess parses
     or tokenizes the JSON-lines splits beside it."""
-
-    def load(path, cls):
-        with reading(path):
-            return cls.from_json(path.read_text(encoding="utf-8"))
-
     prep = Path(prep)
     paths = [prep / "vocab.json", prep / "labels.json", *(prep / f"{s}.notes" for s in splits)]
-    vocab, labels = load(paths[0], Vocabulary), load(paths[1], LabelSpace)
+    vocab, labels = _load_json(paths[0], Vocabulary), _load_json(paths[1], LabelSpace)
     notes = [Notes.load(path, vocab, labels, rc.max_note_tokens) for path in paths[2:]]
     return vocab, labels, notes, paths
 
 
 # --------------------------------------------------------------------------
-# prediction-record persistence (probs matrix + JSONL context)
+# prediction records: written as probs.npy + records.jsonl, read back as
+# probs.npy + the packed split the eval's manifest names
 # --------------------------------------------------------------------------
 
 
@@ -143,10 +144,6 @@ def _records_jsonl(p: Predictions) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RECORD_TYPES = {"gt": list[int], "n_unseen": int, "dept": str, "first_visit": bool,
-                 "freq_bucket": str, "patient_id": str, "date": str, "codes": list[str]}
-
-
 def _check_npy_size(path: Path) -> None:
     """That the .npy file at `path` holds as many data bytes as its header
     declares, checked before numpy allocates the array the header asks for."""
@@ -163,45 +160,81 @@ def _check_npy_size(path: Path) -> None:
                               f"{declared} bytes, but the file holds {held}")
 
 
-def read_prediction_records(eval_dir) -> Predictions:
-    """probs.npy + records.jsonl as one Predictions value. A header that
-    declares more or fewer bytes than the file holds is a validation error,
-    found before numpy allocates; a malformed matrix is a numeric error.
-    records.jsonl is read as a split file is (`corpus.read_columns`, then
-    `check_columns`): just before the duplicate-codes check, a gt index
-    outside the label space or a negative unseen count is a validation
-    error, and last a record whose gt indices repeat or, with its unseen
-    count, do not number its codes. So is a row count other than the matrix's."""
+# what the digests of an eval's inputs tell apart, each input by its file name
+_EVAL_INPUTS = {"labels.json": "label spaces", "model.ckpt": "base models",
+                "reranker.ckpt": "rerankers, or a reranker and none"}
+# the isotonic.ckpt metadata keys that hold those digests of the dev eval
+_DIGEST_KEYS = tuple(f"{name.split('.')[0]}_sha256" for name in _EVAL_INPUTS)
+
+
+def _eval_inputs(eval_dir: Path) -> dict[str, tuple[Path, str]]:
+    """The inputs an eval dir's manifest records, each by its file name (the
+    packed split by ".notes"): its path, joined to the manifest's directory,
+    and its digest. A manifest that records no vocab.json, labels.json,
+    .notes or model.ckpt input is a ValidationError naming it."""
+    path = eval_dir / "manifest.json"
+    with reading(path):
+        inputs = json.loads(path.read_text(encoding="utf-8"))["inputs"]
+        found = {".notes" if Path(p).name.endswith(".notes") else Path(p).name:
+                 (Path(os.path.normpath(eval_dir / p)), digest)
+                 for p, digest in inputs.items()}
+    if missing := sorted({"vocab.json", "labels.json", ".notes", "model.ckpt"} - found.keys()):
+        raise ValidationError(f"{path}: records no {missing[0]} input")
+    return found
+
+
+def _eval_digests(eval_dir: Path) -> tuple[str, str, str | None]:
+    """The labels.json, model.ckpt and reranker.ckpt digests an eval dir's
+    manifest records; None for a base model's eval, which reads no reranker."""
+    inputs = _eval_inputs(eval_dir)
+    return tuple(inputs[name][1] if name in inputs else None for name in _EVAL_INPUTS)
+
+
+def _check_same(ours, theirs, where: str) -> None:
+    """That two digest triples of `_eval_digests` agree: else a
+    ValidationError saying that `where` record evals of different models."""
+    for name, a, b in zip(_EVAL_INPUTS, ours, theirs):
+        if a != b:
+            raise ValidationError(f"{where} record different {name} digests, so different "
+                                  f"{_EVAL_INPUTS[name]}")
+
+
+def read_prediction_records(eval_dir, read: list) -> Predictions:
+    """An eval dir's probs.npy as one Predictions value with the split it
+    scored: the packed split, vocab.json and labels.json its manifest
+    records, each checked against its recorded digest. Appends the paths
+    read to `read`. A .npy header that declares more or fewer bytes than the
+    file holds is a validation error, found before numpy allocates; a
+    malformed matrix is a numeric error, and one of other than a row per note
+    and a column per label a validation error naming both files."""
     eval_dir = Path(eval_dir)
-    _check_npy_size(eval_dir / "probs.npy")
-    with reading(eval_dir / "probs.npy"):
-        probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
+    probs_path = eval_dir / "probs.npy"
+    _check_npy_size(probs_path)
+    with reading(probs_path):
+        probs = np.load(probs_path, allow_pickle=False)
     if probs.ndim != 2 or probs.dtype.kind not in "fiu":
-        raise NumericError(f"{eval_dir}/probs.npy: expected a 2-D numeric matrix, "
+        raise NumericError(f"{probs_path}: expected a 2-D numeric matrix, "
                            f"got {probs.dtype} of shape {probs.shape}")
     if not np.isfinite(probs).all():
-        raise NumericError(f"{eval_dir}/probs.npy: non-finite probabilities")
-    m, n = probs.shape
-    path = eval_dir / "records.jsonl"
-    columns, linenos, fault = read_columns(path, _RECORD_TYPES)
-    gt, n_unseen = columns["gt"], columns["n_unseen"]
-    codes, code_offsets, dates = check_columns(
-        path, columns, linenos, fault,
-        (next((i for i, g in enumerate(gt) if g and not (min(g) >= 0 and max(g) < n)), None),
-         lambda: f"gt must list label indices in [0, {n})"),
-        (next((i for i, u in enumerate(n_unseen) if u < 0), None),
-         lambda: "n_unseen must be non-negative"),
-        last=[(next((i for i, (g, u, c) in enumerate(zip(gt, n_unseen, columns["codes"]))
-                     if len(set(g)) != len(g) or len(g) + u != len(c)), None),
-               lambda: "gt and n_unseen must account for each of the record's codes once")])
-    if len(linenos) != m:
-        raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
-                              f"records.jsonl lines ({len(linenos)}) disagree")
-    gt_matrix = np.zeros((m, n), dtype=bool)
-    gt_matrix[np.repeat(np.arange(m), list(map(len, gt))), list(itertools.chain(*gt))] = True
-    return Predictions(probs, gt_matrix, n_unseen, columns["dept"], columns["first_visit"],
-                       columns["freq_bucket"], columns["patient_id"], date_column(dates),
-                       code_offsets, codes)
+        raise NumericError(f"{probs_path}: non-finite probabilities")
+    inputs = _eval_inputs(eval_dir)
+    paths = []
+    for name in ("vocab.json", "labels.json", ".notes"):
+        path, digest = inputs[name]
+        if not path.is_file():
+            raise ValidationError(f"{path}: no such file, though the manifest of {eval_dir} "
+                                  f"records it")
+        if file_sha256(path) != digest:
+            raise ValidationError(f"{path}: its digest is not the one the manifest of "
+                                  f"{eval_dir} records")
+        paths.append(path)
+    labels = _load_json(paths[1], LabelSpace)
+    notes = Notes.load(paths[2], _load_json(paths[0], Vocabulary), labels)
+    if probs.shape != (len(notes), len(labels)):
+        raise ValidationError(f"{probs_path}: {probs.shape[0]} × {probs.shape[1]} scores, but "
+                              f"{paths[2]} holds {len(notes)} notes of {len(labels)} labels")
+    read += [eval_dir / "manifest.json", probs_path, *paths]
+    return notes.scored(probs)
 
 
 # --------------------------------------------------------------------------
@@ -336,15 +369,13 @@ def cmd_fractions(args, rc: RunConfig, stage: Path):
 
 @_stage
 def cmd_calibrate(args, rc: RunConfig, stage: Path):
-    src = Path(args.inp)
-    records = read_prediction_records(src)
+    src, inputs = Path(args.inp), []
+    records = read_prediction_records(src, inputs)
     maps = fit_isotonic(records)
-    arrays = {}
-    for j, (xs, vs) in enumerate(maps.maps):
-        arrays |= {f"x{j}": xs, f"v{j}": vs}
+    arrays = {f"{c}{j}": a for j, xv in enumerate(maps.maps) for c, a in zip("xv", xv)}
     save_params(stage / "isotonic.ckpt", arrays, {
         "kind": "isotonic", "n_labels": len(maps.maps),
-        "labels_sha256": _eval_digests(src)[0]})
+        **dict(zip(_DIGEST_KEYS, _eval_digests(src)))})
     before = ece(records.probs, records.gt, rc.ece_bins)
     after = ece(maps.apply(records).probs, records.gt, rc.ece_bins)
     improved = int(np.count_nonzero(after <= before + 1e-9))
@@ -352,26 +383,28 @@ def cmd_calibrate(args, rc: RunConfig, stage: Path):
     lines += [f"{j},{b:.6f},{a:.6f}" for j, (b, a) in enumerate(zip(before.tolist(),
                                                                     after.tolist()))]
     _write(stage / "ece.csv", "\n".join(lines) + "\n")
-    return [src / "manifest.json", src / "probs.npy", src / "records.jsonl"], (), (
+    return inputs, (), (
         f"calibrate: fit-data ECE non-increasing for {improved}/{len(maps.maps)} labels")
 
 
-def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
-    """The maps of a calibration checkpoint fitted on the label space whose
-    labels.json digest is `labels_sha256`, that of `dev_dir`: for each of its
-    n_labels labels j exactly the arrays x{j} and v{j}, non-empty, 1-D, of
-    equal length and non-decreasing. Labels are checked in order, stopping at
-    the first faulty or missing one, so no more are looked up than the file
-    holds."""
+def load_isotonic(calib_dir, digests, dev_dir) -> IsotonicMap:
+    """The maps of a calibration checkpoint that records `digests`, the
+    `_eval_digests` of `dev_dir`, as those of the eval it was fitted on,
+    holding for each of its n_labels labels j exactly the arrays x{j} and
+    v{j}, non-empty, 1-D, of equal length and non-decreasing. Labels are
+    checked in order, stopping at the first faulty or missing one, so no
+    more are looked up than the file holds."""
     path = Path(calib_dir) / "isotonic.ckpt"
     meta, arrays = load_params(path, kind="isotonic")
+    if missing := [key for key in _DIGEST_KEYS if key not in meta]:
+        raise ValidationError(f"{path}: the metadata holds no {missing[0]}; a checkpoint "
+                              f"without it must be regenerated")
     with reading(path):
-        n, digest = meta["n_labels"], meta["labels_sha256"]
+        n = meta["n_labels"]
     if type(n) is not int or n < 0:  # not a bool, a float or a string
         raise ValidationError(f"{path}: n_labels must be a non-negative integer, got {n!r}")
-    if digest != labels_sha256:
-        raise ValidationError(f"{path}: maps were fitted on another label space than the "
-                              f"one the manifest of {dev_dir} records")
+    _check_same([meta[key] for key in _DIGEST_KEYS], digests,
+                f"{path} and the manifest of {dev_dir}")
     maps = []
     for j in range(n):
         xs, vs = arrays.get(f"x{j}"), arrays.get(f"v{j}")
@@ -385,22 +418,6 @@ def load_isotonic(calib_dir, labels_sha256: str, dev_dir) -> IsotonicMap:
         raise ValidationError(f"{path}: array {extra[0]!r} is not an x{{j}} or v{{j}} "
                               f"of its {n} labels")
     return IsotonicMap(tuple(maps))
-
-
-# what the digests of an eval's inputs tell apart, each input by its file name
-_EVAL_INPUTS = {"labels.json": "label spaces", "model.ckpt": "base models",
-                "reranker.ckpt": "rerankers, or a reranker and none"}
-
-
-def _eval_digests(eval_dir: Path) -> tuple[str, str, str | None]:
-    """The labels.json, model.ckpt and reranker.ckpt digests among the
-    inputs of an eval dir's manifest; None for a base model's eval, which
-    reads no reranker."""
-    path = eval_dir / "manifest.json"
-    with reading(path):
-        inputs = json.loads(path.read_text(encoding="utf-8"))["inputs"]
-        digests = {Path(p).name: digest for p, digest in inputs.items()}
-        return digests["labels.json"], digests["model.ckpt"], digests.get("reranker.ckpt")
 
 
 def _budgets(spec: str) -> list[float]:
@@ -423,22 +440,14 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
                          else "--maps requires --calibrated")
     fps = _budgets(args.max_fp)
     dev_dir, test_dir = Path(args.dev), Path(args.test)
-    digests = _eval_digests(dev_dir)
-    for name, ours, theirs in zip(_EVAL_INPUTS, digests, _eval_digests(test_dir)):
-        if ours != theirs:
-            raise ValidationError(f"automate: the manifests of {dev_dir} and {test_dir} record "
-                                  f"different {name} digests, so different {_EVAL_INPUTS[name]}")
-    inputs = [d / n for d in (dev_dir, test_dir)
-              for n in ("manifest.json", "probs.npy", "records.jsonl")]
-    dev_records = read_prediction_records(dev_dir)
-    test_records = read_prediction_records(test_dir)
-    n_dev, n_test = dev_records.probs.shape[1], test_records.probs.shape[1]
-    if n_dev != n_test:
-        raise ValidationError(f"automate: {dev_dir} scores {n_dev} labels but {test_dir} "
-                              f"scores {n_test}; both must come from one label space")
+    digests, inputs = _eval_digests(dev_dir), []
+    _check_same(digests, _eval_digests(test_dir),
+                f"automate: the manifests of {dev_dir} and {test_dir}")
+    dev_records = read_prediction_records(dev_dir, inputs)
+    test_records = read_prediction_records(test_dir, inputs)
     maps = None
     if args.calibrated:
-        maps = load_isotonic(args.maps, digests[0], dev_dir)
+        maps = load_isotonic(args.maps, digests, dev_dir)
         inputs.append(Path(args.maps) / "isotonic.ckpt")
     rows = automation_sweep(dev_records, test_records, fps, maps,
                             rc.decision_threshold)
@@ -451,8 +460,8 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
 
 @_stage
 def cmd_report(args, rc: RunConfig, stage: Path):
-    src = Path(args.inp)
-    records = read_prediction_records(src)
+    src, inputs = Path(args.inp), []
+    records = read_prediction_records(src, inputs)
     recall, if1 = recall_at_k(records), instance_f1(records, rc.decision_threshold)
     group_rows = {key: breakdown(records, key, recall, if1) for key in GROUP_KEYS}
     for key, rows in group_rows.items():
@@ -477,7 +486,7 @@ def cmd_report(args, rc: RunConfig, stage: Path):
         ("matched pairs", consistency.matched_pairs),
         ("inconsistent pairs", consistency.inconsistent_pairs),
         ("inconsistency rate", f"{consistency.rate:.4f}")], 21))
-    return [src / "probs.npy", src / "records.jsonl"], (), (
+    return inputs, (), (
         f"report: {len(list(stage.iterdir()))} artifacts for {len(records)} records")
 
 

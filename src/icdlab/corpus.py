@@ -356,18 +356,16 @@ def split_by_patient(corpus: list[Encounter], n_dev_patients: int, n_test_patien
 
 
 # --------------------------------------------------------------------------
-# JSON-lines I/O (split files and records.jsonl): one object per line, fixed fields
+# JSON-lines split files: one object per line, fixed fields
 # --------------------------------------------------------------------------
 
 # field type -> exact JSON type of the value and of its items, and what an error calls it
-_KINDS = {str: (str, None, "a string"), bool: (bool, None, "true or false"),
-          int: (int, None, "an integer"), list[str]: (list, str, "a list of strings"),
-          list[int]: (list, int, "a list of integers")}
+_KINDS = {str: (str, None, "a string"), list[str]: (list, str, "a list of strings")}
 _ENCOUNTER_TYPES = {"patient_id": str, "date": str, "dept": str, "doctor": str, "text": str,
                     "codes": list[str], "meds": list[str], "procs": list[str]}
 _decode = json.JSONDecoder().decode  # json.loads without its per-call checks
 # the fields that become numpy str columns, whose fixed-width strings drop a trailing U+0000
-_STR_FIELDS = ("patient_id", "dept", "doctor", "freq_bucket", "meds", "procs")
+_STR_FIELDS = ("patient_id", "dept", "doctor", "meds", "procs")
 
 
 def write_encounters(path, encounters: list[Encounter]) -> None:
@@ -386,13 +384,12 @@ def write_encounters(path, encounters: list[Encounter]) -> None:
 
 def read_columns(path, types: dict) -> tuple[dict[str, list], list[int], str]:
     """A JSON-lines file's non-blank lines as columns, one list per field of
-    `types` (name -> str, bool, int, list[str] or list[int]), and their line
-    numbers. Lines end at "\n" only, as json.dumps leaves U+2028 and U+0085
-    as they are. Each line is decoded and checked before its fields are
-    appended, and no decoded row is kept: an object of exactly the fields of
-    `types`, each of exactly its type in `types` order (JSON true is not an
-    int). The columns end before the first line that fails, whose fault is
-    returned as `path:line: ...` ("" if none)."""
+    `types` (name -> str or list[str]), and their line numbers. Lines end at
+    "\n" only, as json.dumps leaves U+2028 and U+0085 as they are. Each line
+    is decoded and checked before its fields are appended, and no decoded
+    row is kept: an object of exactly the fields of `types`, each of exactly
+    its type in `types` order. The columns end before the first line that
+    fails, whose fault is returned as `path:line: ...` ("" if none)."""
     with open(path, encoding="utf-8") as fh, reading(path):
         text = fh.read()
     columns = {name: [] for name in types}
@@ -435,46 +432,8 @@ def _json_fault(row, types: dict, checks: list) -> str:
     return ""
 
 
-def check_columns(path, columns: dict[str, list], linenos: list[int], fault: str,
-                  *more, last=()) -> tuple[list[str], np.ndarray, list[dt.date]]:
-    """Each row's codes sorted and concatenated, their (n+1,) offsets and the
-    dates of what `read_columns` returned. The first faulty row raises a
-    ValidationError naming `path:line`, its checks made in this order:
-    U+0000 in a column of _STR_FIELDS, the checks `more`, duplicate codes, a
-    date other than YYYY-MM-DD as isoformat writes it, an empty code set, a
-    malformed code, the checks `last`; a check is its first faulty row (or
-    None) and a function giving its message. Else `fault`, if any, is raised."""
-    texts, code_lists = columns["date"], columns["codes"]
-    codes = [c for row in code_lists for c in sorted(row)]
-    offsets = np.cumsum([0, *map(len, code_lists)])
-    dates = []
-    for text in texts:  # up to the first bad one; from 3.11 fromisoformat reads more forms
-        try:
-            if len(text) != 10 or text[4] != "-" or text[7] != "-":
-                break
-            dates.append(dt.date.fromisoformat(text))
-        except ValueError:
-            break
-    at, empty, bad = len(dates), first_empty(offsets), first_malformed(codes)
-    faults = [(first_nul(columns[name]), lambda name=name: f"{name} must not contain U+0000")
-              for name in _STR_FIELDS if name in columns]
-    faults += [*more, (first_repeat(codes, offsets), lambda: "duplicate codes in record"),
-               (at if at < len(texts) else None, lambda: f"bad date {texts[at]!r}"),
-               (empty, lambda: f"encounter {columns['patient_id'][empty]}/{texts[empty]}: "
-                               "empty code set"),
-               (None if bad is None else int(np.searchsorted(offsets, bad, "right")) - 1,
-                lambda: f"malformed code {codes[bad]!r}"), *last]
-    found = [check for check in faults if check[0] is not None]
-    if found:  # the earliest row, and in it the first check it fails
-        row, message = min(found, key=operator.itemgetter(0))
-        raise ValidationError(f"{path}:{linenos[row]}: {message()}")
-    if fault:
-        raise ValidationError(fault)
-    return codes, offsets, dates
-
-
-# the checks of a split that every reader makes (split files, records.jsonl
-# and packed splits), each giving the first faulty index or None
+# the checks of a split that both its readers make (split files and packed
+# splits), each giving the first faulty index or None
 
 
 def first_nul(values: list) -> int | None:
@@ -508,10 +467,39 @@ def first_malformed(codes: list[str]) -> int | None:
 
 
 def read_encounters(path) -> list[Encounter]:
-    """The encounters of a split file (`read_columns`, then `check_columns`):
-    a fault names the first faulty line as `path:line`."""
+    """The encounters of a split file (`read_columns`). The first faulty row
+    raises a ValidationError naming `path:line`, checked in this order: U+0000
+    in a column of _STR_FIELDS, duplicate codes, a date other than YYYY-MM-DD
+    as isoformat writes it, an empty code set, a malformed code (a check: its
+    first faulty row or None, and its message). Else the fault `read_columns`
+    found, if any, is raised."""
     columns, linenos, fault = read_columns(path, _ENCOUNTER_TYPES)
-    _, _, dates = check_columns(path, columns, linenos, fault)
+    texts, code_lists = columns["date"], columns["codes"]
+    codes = [c for row in code_lists for c in sorted(row)]
+    offsets = np.cumsum([0, *map(len, code_lists)])
+    dates = []
+    for text in texts:  # up to the first bad one; from 3.11 fromisoformat reads more forms
+        try:
+            if len(text) != 10 or text[4] != "-" or text[7] != "-":
+                break
+            dates.append(dt.date.fromisoformat(text))
+        except ValueError:
+            break
+    at, empty, bad = len(dates), first_empty(offsets), first_malformed(codes)
+    faults = [(first_nul(columns[name]), lambda name=name: f"{name} must not contain U+0000")
+              for name in _STR_FIELDS]
+    faults += [(first_repeat(codes, offsets), lambda: "duplicate codes in record"),
+               (at if at < len(texts) else None, lambda: f"bad date {texts[at]!r}"),
+               (empty, lambda: f"encounter {columns['patient_id'][empty]}/{texts[empty]}: "
+                               "empty code set"),
+               (None if bad is None else int(np.searchsorted(offsets, bad, "right")) - 1,
+                lambda: f"malformed code {codes[bad]!r}")]
+    found = [check for check in faults if check[0] is not None]
+    if found:  # the earliest row, and in it the first check it fails
+        row, message = min(found, key=operator.itemgetter(0))
+        raise ValidationError(f"{path}:{linenos[row]}: {message()}")
+    if fault:
+        raise ValidationError(fault)
     return list(map(Encounter, columns["patient_id"], dates, columns["dept"], columns["doctor"],
                     columns["text"], map(frozenset, columns["codes"]),
                     map(tuple, columns["meds"]), map(tuple, columns["procs"])))

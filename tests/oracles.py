@@ -1,22 +1,20 @@
 """Reference code that only the tests run: a scalar reduction of a tensor,
 a central-difference gradient check, the two baselines that criterion 4
-measures the trained models against, and the row-at-a-time JSON-lines
-reader that the column readers of split files and records.jsonl replaced."""
+measures the trained models against, and the row-at-a-time reader of
+JSON-lines split files that the column reader replaced."""
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from icdlab.autodiff import Tensor, _node, backward
-from icdlab.cli import _RECORD_TYPES
 from icdlab.corpus import _ENCOUNTER_TYPES, _KINDS, CODE_RE, Encounter, LabelSpace
 from icdlab.errors import ValidationError, reading
-from icdlab.metrics import Predictions, date_column
+from icdlab.metrics import Predictions
 from icdlab.train import Notes
 
 
@@ -118,7 +116,7 @@ def read_rows(path, types: dict) -> Iterator[tuple[int, dict]]:
                     if type(x) is not item:
                         raise _row_error(path, lineno, row, types, f"{name} must be {kind}")
         if "\\u0000" in line:
-            for name in ("patient_id", "dept", "doctor", "freq_bucket", "meds", "procs"):
+            for name in ("patient_id", "dept", "doctor", "meds", "procs"):
                 if "\0" in "".join(row.get(name, "")):
                     raise ValidationError(f"{path}:{lineno}: {name} must not contain U+0000")
         yield lineno, row
@@ -166,40 +164,3 @@ def encounter_of(path, lineno: int, row: dict) -> Encounter:
 def read_encounters(path) -> list[Encounter]:
     return [encounter_of(path, lineno, row) for lineno, row in read_rows(path, _ENCOUNTER_TYPES)]
 
-
-def read_prediction_records(eval_dir) -> Predictions:
-    """probs.npy, taken as valid, and records.jsonl, read a row at a time: a
-    gt index outside the label space or a negative unseen count, then the
-    checks of `check_row`, then a record whose gt indices repeat or, with its
-    unseen count, do not number its codes, then a row count other than the
-    matrix's."""
-    eval_dir = Path(eval_dir)
-    probs = np.load(eval_dir / "probs.npy", allow_pickle=False)
-    m, n = probs.shape
-    path = eval_dir / "records.jsonl"
-    context, dates, gt, n_gt, codes, code_offsets = [], [], [], [], [], [0]
-    for lineno, row in read_rows(path, _RECORD_TYPES):
-        if row["gt"] and not (min(row["gt"]) >= 0 and max(row["gt"]) < n):
-            raise ValidationError(f"{path}:{lineno}: gt must list label indices in [0, {n})")
-        if row["n_unseen"] < 0:
-            raise ValidationError(f"{path}:{lineno}: n_unseen must be non-negative")
-        date, row_codes = check_row(path, lineno, row)
-        distinct = len(set(row["gt"]))
-        if distinct != len(row["gt"]) or distinct + row["n_unseen"] != len(row_codes):
-            raise ValidationError(f"{path}:{lineno}: gt and n_unseen must account for each "
-                                  "of the record's codes once")
-        context.append((row["n_unseen"], row["dept"], row["first_visit"], row["freq_bucket"],
-                        row["patient_id"]))
-        dates.append(date)
-        gt += row["gt"]
-        n_gt.append(len(row["gt"]))
-        codes += row_codes
-        code_offsets.append(len(codes))
-    if len(context) != m:
-        raise ValidationError(f"{eval_dir}: probs.npy rows ({m}) and "
-                              f"records.jsonl lines ({len(context)}) disagree")
-    gt_matrix = np.zeros((m, n), dtype=bool)
-    gt_matrix[np.repeat(np.arange(m), n_gt), gt] = True
-    n_unseen, dept, first_visit, freq_bucket, patient_id = zip(*context) if m else [()] * 5
-    return Predictions(probs, gt_matrix, n_unseen, dept, first_visit, freq_bucket, patient_id,
-                       date_column(dates), code_offsets, codes)

@@ -123,7 +123,7 @@ def test_manifest_records_hashes_and_config(pipeline):
     assert m["seed"] == 11
     cfg_text = pipeline["cfg"].read_text(encoding="utf-8")
     assert m["config_sha256"] == config_sha256(parse_config(cfg_text))
-    assert str(pipeline["cfg"]) in m["inputs"]
+    assert "../run.cfg" in m["inputs"]  # each input by its path from the manifest's directory
     for name, digest in m["outputs"].items():
         assert _sha(out / name) == digest, name
     assert "manifest.json" not in m["outputs"]
@@ -191,7 +191,7 @@ def test_a_stage_manifest_names_every_file_the_stage_reads(pipeline, tmp_path, s
     finally:
         _opened = None
     inputs = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
-    assert read == {Path(p).resolve() for p in inputs["inputs"]}
+    assert read == {(tmp_path / "out" / p).resolve() for p in inputs["inputs"]}
 
 
 def test_preprocess_artifacts_parse(pipeline):
@@ -222,8 +222,11 @@ def test_evaluate_outputs_align(pipeline):
 
 
 def test_prediction_records_round_trip(pipeline):
-    out = pipeline["eval_test"]
-    records = read_prediction_records(out)
+    out, read = pipeline["eval_test"], []
+    records = read_prediction_records(out, read)
+    assert read == [out / "manifest.json", out / "probs.npy",
+                    *(pipeline["prep"] / name for name in ("vocab.json", "labels.json",
+                                                           "test.notes"))]
     probs = np.load(out / "probs.npy")
     assert np.array_equal(records.probs, probs)
     assert records.patient_id[0]
@@ -235,8 +238,10 @@ def test_prediction_records_round_trip(pipeline):
 
 @pytest.mark.parametrize("eval_dir", ["eval_dev", "eval_test", "eval_rr"])
 def test_records_read_then_written_are_the_same_bytes(pipeline, eval_dir):
+    # what the post-model stages read from probs.npy and the packed split is
+    # what evaluate wrote to records.jsonl
     path = pipeline[eval_dir] / "records.jsonl"
-    records = read_prediction_records(pipeline[eval_dir])
+    records = read_prediction_records(pipeline[eval_dir], [])
     assert cli._records_jsonl(records).encode("utf-8") == path.read_bytes()
 
 
@@ -247,7 +252,7 @@ _HOSTILE = ['say "hi"', "back\\slash", "tab\there", "soh\x01bell\x07esc\x1b",
             "Zoë Ødegård", "\U0001f600", "para\u2028sep\x85nel", "del\x7f", ""]
 
 
-def test_the_records_writer_is_the_sorted_json_encoder(tmp_path):
+def test_the_records_writer_is_the_sorted_json_encoder():
     rows = []
     for i, text in enumerate(_HOSTILE):
         rows.append({"gt": [0, 2] if i % 2 else [1], "n_unseen": 1 if i % 2 else 2,
@@ -257,19 +262,22 @@ def test_the_records_writer_is_the_sorted_json_encoder(tmp_path):
                      "date": f"{1 + 999 * i:04d}-0{1 + i % 9}-2{i}",
                      "codes": sorted({"A00.0", "B12", "C99.x1Z", "E78.5"}
                                      - {["A00.0", "B12", "C99.x1Z", "E78.5"][i % 4]})})
-    # the file lists each record's codes in reverse; the writer sorts them
-    (tmp_path / "records.jsonl").write_text(
-        "".join(json.dumps({**row, "codes": row["codes"][::-1]}, ensure_ascii=True) + "\n"
-                for row in rows), encoding="utf-8")
-    np.save(tmp_path / "probs.npy", np.zeros((len(rows), 3)))
+    gt = np.zeros((len(rows), 3), dtype=bool)
+    for i, row in enumerate(rows):
+        gt[i, row["gt"]] = True
+    columns = {name: [row[name] for row in rows]
+               for name in ("n_unseen", "dept", "first_visit", "freq_bucket", "patient_id")}
+    records = Predictions(np.zeros((len(rows), 3)), gt, **columns,
+                          date=[np.datetime64(row["date"]) for row in rows],
+                          code_offsets=np.cumsum([0, *(len(row["codes"]) for row in rows)]),
+                          codes=[code for row in rows for code in row["codes"]])
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-    assert (cli._records_jsonl(read_prediction_records(tmp_path))
-            == "".join(encode(row) + "\n" for row in rows))
+    assert cli._records_jsonl(records) == "".join(encode(row) + "\n" for row in rows)
 
 
 def test_calibrate_artifacts(pipeline):
     out = pipeline["calib"]
-    maps = load_isotonic(out, _eval_digests(pipeline["eval_dev"])[0], pipeline["eval_dev"])
+    maps = load_isotonic(out, _eval_digests(pipeline["eval_dev"]), pipeline["eval_dev"])
     labels = LabelSpace.from_json(
         (pipeline["prep"] / "labels.json").read_text(encoding="utf-8"))
     assert len(maps.maps) == len(labels)
@@ -1162,30 +1170,20 @@ def test_non_finite_checkpoint_value_exits_4(pipeline, tmp_path, capsys,
     assert ckpt in err[0] and repr(param) in err[0]
 
 
-def _edit_first_record(eval_dir: Path, without=None, **changes) -> None:
-    path = eval_dir / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    row = {**json.loads(lines[0]), **changes}
-    row.pop(without, None)
-    lines[0] = json.dumps(row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _edit_probs(eval_dir: Path, edit) -> None:
     np.save(eval_dir / "probs.npy", edit(np.load(eval_dir / "probs.npy")))
 
 
-def _drop_last_record(eval_dir: Path) -> None:
-    path = eval_dir / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+def _edit_manifest(eval_dir: Path, edit) -> None:
+    path = eval_dir / "manifest.json"
+    manifest = edit(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest),
+                    encoding="utf-8")
 
 
-def _nest_first_record(eval_dir: Path) -> None:
-    path = eval_dir / "records.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[0] = "[" * 100_000 + "]" * 100_000
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _without_input(suffix):
+    return lambda d: _edit_manifest(d, lambda m: {**m, "inputs": {
+        p: digest for p, digest in m["inputs"].items() if not p.endswith(suffix)}})
 
 
 def _unclose_npy_header(eval_dir: Path) -> None:
@@ -1214,78 +1212,61 @@ def _append_to_npy(eval_dir: Path, extra: bytes) -> None:
     path.write_bytes(path.read_bytes() + extra)
 
 
+def _flip_last_byte(path: Path) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+
+
 def _nan_cell(probs):
     probs[0, 0] = np.nan
     return probs
 
 
-_LINE_1 = "records.jsonl:1: "
-_UNACCOUNTED = "gt and n_unseen must account for each of the record's codes once"
-
-
-def _miscount_first_record_unseen(eval_dir: Path) -> None:
-    row = json.loads((eval_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()[0])
-    _edit_first_record(eval_dir, n_unseen=row["n_unseen"] + 1)
-
-
-def _repeat_first_record_gt(eval_dir: Path) -> None:
-    # one code more, listed as a second copy of a gt index: the count adds up
-    row = json.loads((eval_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()[0])
-    extra = next(c for c in ("Z99.9", "Z99.8") if c not in row["codes"])
-    _edit_first_record(eval_dir, gt=row["gt"] + row["gt"][:1],
-                       codes=sorted(row["codes"] + [extra]))
-
-
+# the eval dir is a copy beside a copy of prep, whose files its manifest names
 @pytest.mark.parametrize("command, corrupt, code, category, where", [
-    ("calibrate", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, gt=[10_000]), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, n_unseen=-1), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, n_unseen=True), 3, "validation",
-     _LINE_1 + "n_unseen must be an integer"),
-    ("calibrate", _drop_last_record, 3, "validation", "records.jsonl lines"),
+    ("calibrate", lambda d: _edit_probs(d, lambda p: p[:-1]), 3, "validation",
+     "prep/dev.notes holds"),
+    ("report", lambda d: _edit_probs(d, lambda p: p[:, :-1]), 3, "validation",
+     "prep/dev.notes holds"),
     ("calibrate", lambda d: _edit_probs(d, _nan_cell), 4, "numeric", "probs.npy"),
     ("report", lambda d: _edit_probs(d, _nan_cell), 4, "numeric", "probs.npy"),
     ("report", lambda d: _edit_probs(d, lambda p: p[0]), 4, "numeric", "probs.npy"),
-    ("report", lambda d: _edit_first_record(d, first_visit="no"), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, first_visit=2), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, dept=5), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, dept=["a"]), 3, "validation", _LINE_1),
-    ("calibrate", lambda d: _edit_first_record(d, freq_bucket=None), 3, "validation",
-     _LINE_1),
-    ("report", lambda d: _edit_first_record(d, patient_id=7), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, codes="A00.0"), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, codes=[]), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, codes=["nope"]), 3, "validation", _LINE_1),
-    ("report", lambda d: _edit_first_record(d, codes=["A00.0", "A00.0"]), 3, "validation",
-     _LINE_1 + "duplicate codes"),
-    ("calibrate", lambda d: _edit_first_record(d, gt=[], n_unseen=0), 3, "validation",
-     _LINE_1 + _UNACCOUNTED),
-    ("report", lambda d: _edit_first_record(d, gt=[], n_unseen=0), 3, "validation",
-     _LINE_1 + _UNACCOUNTED),
-    ("report", _miscount_first_record_unseen, 3, "validation", _LINE_1 + _UNACCOUNTED),
-    ("calibrate", _repeat_first_record_gt, 3, "validation", _LINE_1 + _UNACCOUNTED),
-    ("report", lambda d: _edit_first_record(d, doctor="DR001"), 3, "validation",
-     _LINE_1 + "missing fields [], unknown fields ['doctor']"),
-    ("calibrate", lambda d: _edit_first_record(d, without="dept"), 3, "validation",
-     _LINE_1 + "missing fields ['dept'], unknown fields []"),
-    ("report", _nest_first_record, 3, "validation", _LINE_1 + "JSON nested too deeply"),
+    ("report", lambda d: _edit_manifest(d, lambda m: "[" * 100_000 + "]" * 100_000), 3,
+     "validation", "manifest.json: RecursionError"),
+    ("calibrate", lambda d: _edit_manifest(d, lambda m: {**m, "inputs": None}), 3,
+     "validation", "manifest.json: AttributeError"),
+    ("report", lambda d: _edit_manifest(d, lambda m: {k: v for k, v in m.items()
+                                                      if k != "inputs"}), 3,
+     "validation", "manifest.json: KeyError('inputs')"),
+    ("calibrate", _without_input(".notes"), 3, "validation",
+     "manifest.json: records no .notes input"),
+    ("report", _without_input("vocab.json"), 3, "validation",
+     "manifest.json: records no vocab.json input"),
+    ("calibrate", _without_input("labels.json"), 3, "validation",
+     "manifest.json: records no labels.json input"),
+    ("report", lambda d: _flip_last_byte(d.parent / "prep" / "dev.notes"), 3,
+     "validation", "prep/dev.notes: its digest is not the one the manifest of"),
+    ("calibrate", lambda d: (d.parent / "prep" / "labels.json").write_text("{}"), 3,
+     "validation", "prep/labels.json: its digest is not the one the manifest of"),
+    ("report", lambda d: (d.parent / "prep" / "vocab.json").unlink(), 3, "validation",
+     "prep/vocab.json: no such file, though the manifest of"),
+    ("calibrate", lambda d: shutil.rmtree(d.parent / "prep"), 3, "validation",
+     "prep/vocab.json: no such file, though the manifest of"),
     ("calibrate", _unclose_npy_header, 3, "validation", "probs.npy"),
     ("calibrate", _inflate_npy_shape, 3, "validation", "probs.npy: its header declares"),
     ("report", lambda d: _append_to_npy(d, b"\0" * 8), 3, "validation",
      "probs.npy: its header declares"),
-], ids=["gt-outside-labels-calibrate", "gt-outside-labels-report", "negative-unseen",
-        "n_unseen-true", "row-count-mismatch", "nan-calibrate", "nan-report",
-        "one-dimensional-probs", "first_visit-a-string", "first_visit-an-int", "dept-an-int",
-        "dept-a-list", "freq_bucket-null", "patient_id-an-int", "codes-a-string",
-        "codes-empty", "code-malformed", "codes-duplicated", "no-ground-truth-calibrate",
-        "no-ground-truth-report", "n_unseen-off-by-one", "gt-index-repeated", "field-unknown",
-        "field-missing", "nested-too-deeply", "npy-header-unclosed", "npy-header-shape-beyond-the-file",
-        "npy-trailing-bytes"])
+], ids=["row-count-mismatch", "column-count-mismatch", "nan-calibrate", "nan-report",
+        "one-dimensional-probs", "nested-too-deeply", "manifest-inputs-null",
+        "field-missing", "no-notes-input", "no-vocab-input", "no-labels-input",
+        "notes-digest-differs", "labels-digest-differs", "vocab-removed", "prep-removed",
+        "npy-header-unclosed", "npy-header-shape-beyond-the-file", "npy-trailing-bytes"])
 def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, capsys,
                                                         command, corrupt, code, category,
                                                         where):
     bad = tmp_path / "eval"
     shutil.copytree(pipeline["eval_dev"], bad)
+    shutil.copytree(pipeline["prep"], tmp_path / "prep")
     corrupt(bad)
     capsys.readouterr()
     assert main([command, "--config", str(pipeline["cfg"]), "--in", str(bad),
@@ -1293,6 +1274,8 @@ def test_malformed_predictions_exit_with_one_error_line(pipeline, tmp_path, caps
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"icdlab-error: {category}:")
     assert where in err[0]
+    if "manifest of" in where:  # the file and the eval dir whose manifest names it
+        assert str(tmp_path / where.split(":")[0]) in err[0] and str(bad) in err[0]
 
 
 def _edit_first_line(path: Path, **changes) -> None:
@@ -1319,8 +1302,7 @@ def test_wrongly_typed_encounter_field_names_its_line(pipeline, tmp_path, capsys
 
 
 @pytest.mark.parametrize("date", ["2018-W01-1", "20180105"], ids=["week", "basic"])
-@pytest.mark.parametrize("stage, file", [("corpus", "test.txt"), ("eval_dev", "records.jsonl")],
-                         ids=["split", "records"])
+@pytest.mark.parametrize("stage, file", [("corpus", "test.txt")], ids=["split"])
 def test_a_date_in_another_iso_spelling_exits_3_naming_its_line(pipeline, tmp_path, capsys,
                                                                 stage, file, date):
     # only the YYYY-MM-DD that the writers spell, whichever forms
@@ -1329,8 +1311,7 @@ def test_a_date_in_another_iso_spelling_exits_3_naming_its_line(pipeline, tmp_pa
     shutil.copytree(pipeline[stage], copy)
     _edit_first_line(copy / file, date=date)
     capsys.readouterr()
-    command = "preprocess" if stage == "corpus" else "report"
-    assert main([command, "--config", str(pipeline["cfg"]), "--in", str(copy),
+    assert main(["preprocess", "--config", str(pipeline["cfg"]), "--in", str(copy),
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
@@ -1341,25 +1322,17 @@ def test_a_date_in_another_iso_spelling_exits_3_naming_its_line(pipeline, tmp_pa
 @pytest.mark.parametrize("file, field, value", [
     ("dev.txt", "patient_id", "P1\u0000"), ("dev.txt", "dept", "D0\u0000"),
     ("dev.txt", "doctor", "DR\u0000001"), ("dev.txt", "meds", ["M1", "M1\u0000"]),
-    ("dev.txt", "procs", ["\u0000"]), ("records.jsonl", "patient_id", "P1\u0000"),
-    ("records.jsonl", "dept", "D0\u0000"), ("records.jsonl", "freq_bucket", "0\u0000"),
-], ids=["split-patient_id", "split-dept", "split-doctor", "split-meds", "split-procs",
-        "records-patient_id", "records-dept", "records-freq_bucket"])
+    ("dev.txt", "procs", ["\u0000"]),
+], ids=["split-patient_id", "split-dept", "split-doctor", "split-meds", "split-procs"])
 def test_a_nul_in_a_field_that_becomes_a_column_exits_3_naming_line_and_field(
         pipeline, tmp_path, capsys, file, field, value):
     # numpy's str columns drop a trailing U+0000: "M1\u0000" would become "M1"
-    if file == "dev.txt":
-        corpus = tmp_path / "corpus"
-        shutil.copytree(pipeline["corpus"], corpus)
-        _edit_first_line(corpus / file, **{field: value})
-        argv = ["preprocess", "--in", str(corpus)]
-    else:
-        eval2 = tmp_path / "eval"
-        shutil.copytree(pipeline["eval_dev"], eval2)
-        _edit_first_record(eval2, **{field: value})
-        argv = ["report", "--in", str(eval2)]
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    _edit_first_line(corpus / file, **{field: value})
     capsys.readouterr()
-    assert main([*argv, "--config", str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 3
+    assert main(["preprocess", "--in", str(corpus), "--config", str(pipeline["cfg"]),
+                 "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert f"{file}:1: {field} must not contain U+0000" in err[0]
@@ -1384,7 +1357,7 @@ def test_a_unicode_line_break_in_a_field_passes_every_stage(pipeline, tmp_path, 
     for command in ("calibrate", "report"):
         assert main([command, "--config", cfg, "--in", str(eval2),
                      "--out", str(tmp_path / command)]) == 0, command
-    assert read_prediction_records(eval2).dept[0] == f"D{char}X"
+    assert read_prediction_records(eval2, []).dept[0] == f"D{char}X"
 
 
 def _drop_param(name):
@@ -1460,14 +1433,16 @@ def test_load_isotonic_names_the_first_faulty_label(tmp_path, edit, bad):
     arrays = {"x0": np.array([0.1, 0.5]), "v0": np.array([0.0, 1.0]),
               "x1": np.array([0.0, 0.2, 0.9]), "v1": np.array([0.1, 0.4, 0.8]),
               "x2": np.array([0.3, 0.6]), "v2": np.array([0.2, 0.7])}
-    meta = {"kind": "isotonic", "n_labels": 3, "labels_sha256": "0" * 64}
+    digests = ("0" * 64, "1" * 64, None)
+    meta = {"kind": "isotonic", "n_labels": 3, "labels_sha256": digests[0],
+            "model_sha256": digests[1], "reranker_sha256": None}
     save_params(tmp_path / "isotonic.ckpt", arrays, meta)
-    assert [xs.tolist() for xs, _ in load_isotonic(tmp_path, "0" * 64, tmp_path).maps] == [
+    assert [xs.tolist() for xs, _ in load_isotonic(tmp_path, digests, tmp_path).maps] == [
         arrays[f"x{j}"].tolist() for j in range(3)]
     save_params(tmp_path / "isotonic.ckpt", edit(arrays), meta)
     with pytest.raises(ValidationError, match=f"label {bad} needs non-empty 1-D x{bad} "
                                               f"and v{bad} of equal length"):
-        load_isotonic(tmp_path, "0" * 64, tmp_path)
+        load_isotonic(tmp_path, digests, tmp_path)
 
 
 def test_load_isotonic_looks_up_no_more_maps_than_the_file_holds(pipeline, tmp_path):
@@ -1479,7 +1454,7 @@ def test_load_isotonic_looks_up_no_more_maps_than_the_file_holds(pipeline, tmp_p
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match=f"label {len(arrays) // 2} needs"):
-            load_isotonic(calib, meta["labels_sha256"], pipeline["eval_dev"])
+            load_isotonic(calib, _eval_digests(pipeline["eval_dev"]), pipeline["eval_dev"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1500,6 +1475,54 @@ def test_calibrate_records_the_label_space_and_automate_checks_it(pipeline, tmp_
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
     assert str(calib / "isotonic.ckpt") in err[0] and str(pipeline["eval_dev"]) in err[0]
     assert not (tmp_path / "o").exists()
+
+
+_DIGEST_KEYS = ("labels_sha256", "model_sha256", "reranker_sha256")
+
+
+@pytest.mark.parametrize("source", ["reranked-eval", "another-base-model"])
+def test_maps_of_another_model_make_automate_exit_3_naming_them_and_dev(pipeline, tmp_path,
+                                                                       capsys, source):
+    # calibrate records the label, model and reranker digests of the eval it
+    # fits; maps fitted on the reranked test eval, or on the dev eval of
+    # another base model, must not calibrate the pipeline's evals
+    evals = pipeline["eval_rr"]
+    if source == "another-base-model":
+        cfg, other, evals = tmp_path / "run.cfg", tmp_path / "other_model", tmp_path / "other_dev"
+        cfg.write_text(_config_with("d_c = 4"), encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--in", str(pipeline["prep"]),
+                     "--out", str(other)]) == 0
+        assert main(["evaluate", "--config", str(pipeline["cfg"]), "--in", str(pipeline["prep"]),
+                     "--model", str(other), "--out", str(evals), "--split", "dev"]) == 0
+    calib = tmp_path / "calib"
+    assert main(["calibrate", "--config", str(pipeline["cfg"]), "--in", str(evals),
+                 "--out", str(calib)]) == 0
+    meta = load_params(calib / "isotonic.ckpt")[0]
+    assert tuple(meta[key] for key in _DIGEST_KEYS) == _eval_digests(evals)
+    capsys.readouterr()
+    assert main([*_automate_calibrated({**pipeline, "calib": calib}), "--config",
+                 str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(calib / "isotonic.ckpt") in err[0] and str(pipeline["eval_dev"]) in err[0]
+    assert ("reranker.ckpt" if source == "reranked-eval" else "model.ckpt") in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", _DIGEST_KEYS)
+def test_maps_without_a_digest_of_their_eval_must_be_regenerated(pipeline, tmp_path, capsys,
+                                                                  key):
+    calib = tmp_path / "calib"
+    shutil.copytree(pipeline["calib"], calib)
+    meta, arrays = load_params(calib / "isotonic.ckpt")
+    save_params(calib / "isotonic.ckpt", arrays, {k: v for k, v in meta.items() if k != key})
+    capsys.readouterr()
+    assert main([*_automate_calibrated({**pipeline, "calib": calib}), "--config",
+                 str(pipeline["cfg"]), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
+    assert str(calib / "isotonic.ckpt") in err[0] and key in err[0]
+    assert "must be regenerated" in err[0]
 
 
 @pytest.mark.parametrize("edit", [
@@ -1531,7 +1554,7 @@ def test_full_level_isotonic_checkpoint_automates_the_same(pipeline, tmp_path):
     calib = tmp_path / "calib"
     shutil.copytree(pipeline["calib"], calib)
     meta, stepped = load_params(calib / "isotonic.ckpt")
-    dev = read_prediction_records(pipeline["eval_dev"])
+    dev = read_prediction_records(pipeline["eval_dev"], [])
     full = {}
     for j in range(meta["n_labels"]):
         levels, inverse, counts = np.unique(dev.probs[:, j], return_inverse=True,
@@ -1635,8 +1658,10 @@ def test_train_reranker_takes_key_width_from_the_base(pipeline, tmp_path):
 
 
 def test_automate_rejects_eval_dirs_of_different_label_spaces(pipeline, tmp_path, capsys):
+    # a matrix of one label more than the label space its manifest records
     wider = tmp_path / "eval_wider"
     shutil.copytree(pipeline["eval_test"], wider)
+    shutil.copytree(pipeline["prep"], tmp_path / "prep")
     _edit_probs(wider, lambda p: np.hstack([p, np.zeros((len(p), 1))]))
     n = np.load(pipeline["eval_dev"] / "probs.npy").shape[1]
     capsys.readouterr()
@@ -1644,7 +1669,7 @@ def test_automate_rejects_eval_dirs_of_different_label_spaces(pipeline, tmp_path
                  "--test", str(wider), "--out", str(tmp_path / "o"), "--max-fp", "0.1"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("icdlab-error: validation:")
-    assert all(s in err[0] for s in (str(pipeline["eval_dev"]), str(wider),
+    assert all(s in err[0] for s in (str(wider / "probs.npy"), str(tmp_path / "prep" / "test.notes"),
                                      f"{n} labels", f"{n + 1}"))
     assert not (tmp_path / "o" / "automation.csv").exists()
 
@@ -1758,7 +1783,7 @@ CORRUPTIBLE = [
                                        "--base", str(d["model"])]),
     ("reranker", "reranker.ckpt", _evaluate_reranked),
     *[("eval_dev", name, lambda d: ["calibrate", "--in", str(d["eval_dev"])])
-      for name in ("probs.npy", "records.jsonl")],
+      for name in ("probs.npy", "manifest.json")],
     ("calib", "isotonic.ckpt", _automate_calibrated),
 ]
 
@@ -1776,6 +1801,8 @@ def test_corrupt_artifact_succeeds_or_ends_in_one_error_line(pipeline, tmp_path,
         dirs[stage] = tmp_path / stage
         shutil.copytree(pipeline[stage], dirs[stage])
         path = dirs[stage] / name
+    if stage == "eval_dev":  # the split its manifest names, from the eval dir's parent
+        shutil.copytree(pipeline["prep"], tmp_path / "prep")
     _corrupt(path, how)
     capsys.readouterr()
     code = main([*argv(dirs), "--config", str(dirs["cfg"]), "--out", str(tmp_path / "o")])
@@ -1796,11 +1823,14 @@ MUTATED_INPUTS = {
                        "prep/dev.notes", "model/model.ckpt"],
     "evaluate-reranked": ["prep/vocab.json", "prep/labels.json", "prep/test.notes",
                           "model/model.ckpt", "reranker/reranker.ckpt"],
-    "calibrate": ["eval_dev/manifest.json", "eval_dev/probs.npy", "eval_dev/records.jsonl"],
+    "calibrate": ["eval_dev/manifest.json", "eval_dev/probs.npy", "prep/vocab.json",
+                  "prep/labels.json", "prep/dev.notes"],
     "automate-calibrated": [*(f"{d}/{name}" for d in ("eval_dev", "eval_test")
-                              for name in ("manifest.json", "probs.npy", "records.jsonl")),
-                            "calib/isotonic.ckpt"],
-    "report": ["eval_test/probs.npy", "eval_test/records.jsonl"],
+                              for name in ("manifest.json", "probs.npy")),
+                            "prep/vocab.json", "prep/labels.json", "prep/dev.notes",
+                            "prep/test.notes", "calib/isotonic.ckpt"],
+    "report": ["eval_test/manifest.json", "eval_test/probs.npy", "prep/vocab.json",
+               "prep/labels.json", "prep/test.notes"],
 }
 MUTATIONS_PER_FILE = 10
 _JSON_VALUES = [None, True, False, 0, -1, 1, 0.5, "", "A00", [], {}]
@@ -1863,11 +1893,13 @@ def test_seeded_mutations_of_a_stage_input_end_in_exit_0_3_or_4(pipeline, tmp_pa
                                                                  stage, file):
     # the error contract under random damage: success without a word on stderr,
     # or exit 3 or 4 with one `icdlab-error:` line naming the damaged file or
-    # the directory it lies in, and no --out
+    # the directory it lies in, and no --out. Every directory the stage reads
+    # is copied, so that an eval manifest names the copied split.
     dirs = dict(pipeline)
     name = file.split("/")[0]
-    dirs[name] = tmp_path / name
-    shutil.copytree(pipeline[name], dirs[name])
+    for read in {f.split("/")[0] for f in MUTATED_INPUTS[stage]}:
+        dirs[read] = tmp_path / read
+        shutil.copytree(pipeline[read], dirs[read])
     path = tmp_path / file
     original = path.read_bytes()
     for i in range(MUTATIONS_PER_FILE):
@@ -1894,8 +1926,8 @@ def test_seeded_mutations_of_a_stage_input_end_in_exit_0_3_or_4(pipeline, tmp_pa
 
 
 # --------------------------------------------------------------------------
-# the column readers of split files and records.jsonl against the per-row
-# reader they replaced (oracles.py): the same message, or the same value
+# the column reader of split files against the per-row reader it replaced
+# (oracles.py): the same message, or the same value
 # --------------------------------------------------------------------------
 
 DIFFERENTIAL_MUTATIONS = 200
@@ -1907,34 +1939,27 @@ def _verdict(read, path):
         value = read(path)
     except Exception as exc:  # any exception: both readers must raise the same
         return type(exc).__name__, str(exc)
-    if isinstance(value, Predictions):
-        return {f: (a.dtype, a.tolist()) for f, a in vars(value).items()}
     return value
 
 
-_READERS = {"corpus": (cli.read_encounters, oracles.read_encounters),
-            "eval_dev": (read_prediction_records, oracles.read_prediction_records)}
+_READERS = (cli.read_encounters, oracles.read_encounters)
 
 
-@pytest.mark.parametrize("file", ["corpus/dev.txt", "eval_dev/records.jsonl"])
+@pytest.mark.parametrize("file", ["corpus/dev.txt"])
 def test_seeded_mutations_get_the_per_row_readers_verdict(pipeline, tmp_path, file):
     name = file.split("/")[0]
     shutil.copytree(pipeline[name], tmp_path / name)
     path = tmp_path / file
-    where = path if name == "corpus" else path.parent
     original = path.read_bytes()
     for i in range(DIFFERENTIAL_MUTATIONS):
         kind, raw = _mutate(original, random.Random(f"differential:{file}:{i}"))
         path.write_bytes(raw)
-        got, want = (_verdict(read, where) for read in _READERS[name])
+        got, want = (_verdict(read, path) for read in _READERS)
         assert got == want, f"mutation {i} ({kind}) of {file}"
 
 
 _SPLIT_ROW = {"patient_id": "P1", "date": "2020-01-01", "dept": "D1", "doctor": "DR1",
               "text": "x", "codes": ["E78.5"], "meds": [], "procs": []}
-_RECORD_ROW = {"gt": [0], "n_unseen": 0, "dept": "D1", "first_visit": True,
-               "freq_bucket": "0", "patient_id": "P1", "date": "2020-01-01",
-               "codes": ["E78.5"]}
 
 
 def _line(row, **changes):
@@ -1968,30 +1993,9 @@ def _line(row, **changes):
 def test_a_split_file_with_several_faults_names_its_first(tmp_path, lines, named):
     path = tmp_path / "split.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    got, want = (_verdict(read, path) for read in _READERS["corpus"])
+    got, want = (_verdict(read, path) for read in _READERS)
     assert got == want
     assert got[0] == "ValidationError" and got[1].startswith(f"{path}{named}")
-
-
-@pytest.mark.parametrize("lines, named", [
-    ([_line(_RECORD_ROW, gt=[3], n_unseen=-1)], ":1: gt must list label indices in [0, 3)"),
-    ([_line(_RECORD_ROW, n_unseen=-1, codes=["A00", "A00"])], ":1: n_unseen must be non"),
-    ([_line(_RECORD_ROW, gt=[], codes=["e78"])], ":1: malformed code 'e78'"),
-    ([_line(_RECORD_ROW, gt=[]), _line(_RECORD_ROW, gt=[7])], ":1: gt and n_unseen must"),
-    ([_line(_RECORD_ROW, dept="\0", gt=[7])], ":1: dept must not contain U+0000"),
-    ([_line(_RECORD_ROW, freq_bucket="\0"), _line(_RECORD_ROW, dept=1)],
-     ":1: freq_bucket must not contain U+0000"),
-    ([_line(_RECORD_ROW), _line(_RECORD_ROW, first_visit=1)],
-     ":2: first_visit must be true or false"),
-], ids=["gt-and-unseen", "unseen-and-duplicate", "no-gt-and-a-code", "no-gt-then-gt",
-        "nul-and-gt", "nul-then-type", "a-type-on-the-last-line"])
-def test_a_records_file_with_several_faults_names_its_first(tmp_path, lines, named):
-    (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    np.save(tmp_path / "probs.npy", np.zeros((len(lines), 3)))
-    got, want = (_verdict(read, tmp_path) for read in _READERS["eval_dev"])
-    assert got == want
-    assert got[0] == "ValidationError"
-    assert got[1].startswith(f"{tmp_path / 'records.jsonl'}{named}")
 
 
 # the stage calls of `pipeline` as the former scripts/run_pipeline.py wrote them
@@ -2044,6 +2048,29 @@ def test_pipeline_runs_every_stage(tmp_path, monkeypatch, capsys):
         assert held == sorted([*m["outputs"], *m["logs"], "manifest.json"]), stage
     # a checkpoint's metadata lives in its header, not in a JSON file beside it
     assert not [*Path("w").rglob("*.ckpt.json"), *Path("w").rglob("isotonic.json")]
+
+
+def test_post_model_stages_find_the_split_from_another_working_directory(tmp_path,
+                                                                       monkeypatch):
+    # evaluate with relative argv from one directory, then calibrate, automate
+    # and report from another: each eval manifest names its inputs from its own
+    # directory, so the split is found, and the stages write the same bytes
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "run.cfg").write_text(TINY_CFG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "run")
+    for argv in [*SCRIPT_STAGES[:3], *SCRIPT_STAGES[4:6], *SCRIPT_STAGES[7:]]:
+        assert main(argv) == 0, argv[0]
+    monkeypatch.chdir(tmp_path)
+    for argv in SCRIPT_STAGES[7:]:
+        there = argv[argv.index("--out") + 1]
+        moved = [f"run/{a}" if a == "run.cfg" or a.startswith("w/") else a for a in argv]
+        moved[argv.index("--out") + 1] = f"elsewhere/{there}"
+        assert main(moved) == 0, argv[0]
+        out = Path("elsewhere", there)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert all((out / p).is_file() for p in manifest["inputs"]), argv[0]
+        for name in manifest["outputs"]:
+            assert (out / name).read_bytes() == Path("run", there, name).read_bytes(), name
 
 
 def test_pipeline_stops_at_the_first_failing_stage(tmp_path, capsys):

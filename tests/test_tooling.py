@@ -35,10 +35,11 @@ def test_a_failing_property_test_fails_alone(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
 
 
-# Module-level functions and classes that nothing in src/ refers to, each kept
-# for a reason outside the package. Code that only tests call lives in tests/,
-# so a new name here is either moved, deleted or given its reason.
-UNREFERENCED_IN_SRC = {}
+# Module-level functions, classes and constants that nothing in src/ refers
+# to, each kept for a reason outside the package. Code that only tests call
+# lives in tests/, so a new name here is either moved, deleted or given its
+# reason.
+UNREFERENCED_IN_SRC = {"__version__": "the package version, read by its users"}
 
 
 def _src_trees():
@@ -46,19 +47,44 @@ def _src_trees():
             for path in sorted((ROOT / "src" / "icdlab").glob("*.py"))]
 
 
+def _loaded_names(tree) -> set[str]:
+    """The names a module reads: as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def test_src_defines_nothing_it_does_not_use_but_the_listed_names():
     defined, referred = set(), set()
     for tree in _src_trees():
-        defined.update(node.name for node in tree.body if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referred.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referred.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referred.add(node.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        referred |= _loaded_names(tree)
     assert defined - referred == set(UNREFERENCED_IN_SRC)
+
+
+def test_each_src_module_uses_every_name_it_imports():
+    unused = {}
+    for path in sorted((ROOT / "src" / "icdlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
 
 
 def test_every_error_class_is_handled_by_name():
