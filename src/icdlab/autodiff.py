@@ -122,13 +122,17 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """a (m, k) @ b (k, n) as one GEMM: every row of a packed batch shares
     the weight. With `transpose_b`, `b` is (n, k) and is read as a transposed
-    view: a weight stored one row per output needs no copy."""
+    view: a weight stored one row per output needs no copy. No gradient is
+    formed for a constant operand, a leaf without requires_grad (the frozen H)."""
     x, y = a.data, b.data
     yk = y.T if transpose_b else y
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != yk.shape[0]:
         raise ValidationError(f"matmul: incompatible shapes {x.shape} and {y.shape}"
                               + (" (transposed)" if transpose_b else ""))
-    return _node(x @ yk, (a, b), lambda g: (g @ yk.T, g.T @ x if transpose_b else x.T @ g))
+    need_a, need_b = (t.requires_grad or t.grad_fn is not None for t in (a, b))
+    return _node(x @ yk, (a, b), lambda g: (
+        g @ yk.T if need_a else None,
+        (g.T @ x if transpose_b else x.T @ g) if need_b else None))
 
 
 # ---- elementwise nonlinearities ---------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
-from .metrics import Predictions, searchsorted_rows
+from .metrics import searchsorted_rows
+from .train import Notes
 
 # --------------------------------------------------------------------------
 # isotonic regression
@@ -92,7 +93,7 @@ class IsotonicMap:
 
     maps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def apply(self, predictions: Predictions) -> Predictions:
+    def apply(self, predictions: Notes) -> Notes:
         """The same documents with every label column mapped."""
         if predictions.probs.shape[1] != len(self.maps):
             raise ValidationError(f"calibration maps cover {len(self.maps)} labels, "
@@ -103,7 +104,7 @@ class IsotonicMap:
         return replace(predictions, probs=probs)
 
 
-def fit_isotonic(predictions: Predictions) -> IsotonicMap:
+def fit_isotonic(predictions: Notes) -> IsotonicMap:
     """Fit one isotonic map per label on (raw probability, in-gt) pairs: per
     block of labels, one row-wise value sort of their columns, then one PAV
     over every level of the block.
@@ -194,7 +195,7 @@ def _extremes(probs: np.ndarray, decision_threshold: float):
     return min_pred, max_rest
 
 
-def _exact(predictions: Predictions, decision_threshold: float) -> np.ndarray:
+def _exact(predictions: Notes, decision_threshold: float) -> np.ndarray:
     """(m,) iF1 = 1: the thresholded prediction reproduces the gt set exactly."""
     p = predictions
     return ((p.n_unseen == 0) & p.gt.any(axis=1)
@@ -204,7 +205,7 @@ def _exact(predictions: Predictions, decision_threshold: float) -> np.ndarray:
 _GRID = tuple(i / 20 for i in range(21))
 
 
-def search_thresholds(predictions: Predictions, max_fps,
+def search_thresholds(predictions: Notes, max_fps,
                       decision_threshold: float = 0.5) -> list[tuple[float, float] | None]:
     """One rule per false-positive budget: the (t_u, t_l) point of the
     0.05-step grid with the most dev true positives among those whose fp
@@ -243,7 +244,7 @@ def search_thresholds(predictions: Predictions, max_fps,
     return rules
 
 
-def evaluate_automation(predictions: Predictions, rules,
+def evaluate_automation(predictions: Notes, rules,
                         decision_threshold: float = 0.5) -> list[tuple[float, float]]:
     """(identified, fp_rate) of each rule: the fraction of exact-match
     records it selects (0 when no record is an exact match) and the fraction
@@ -267,7 +268,7 @@ def evaluate_automation(predictions: Predictions, rules,
     return results
 
 
-def automation_sweep(dev: Predictions, test: Predictions, max_fps,
+def automation_sweep(dev: Notes, test: Notes, max_fps,
                      maps: IsotonicMap | None = None,
                      decision_threshold: float = 0.5):
     """Fit a rule per false-positive budget on dev, evaluate each on test,

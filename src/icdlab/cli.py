@@ -33,9 +33,9 @@ from .config import RunConfig, config_sha256, parse_config, parse_fractions, sta
 from .corpus import (LabelSpace, corpus_stats, generate_corpus, read_encounters,
                      split_by_patient, text_table, write_encounters)
 from .errors import NumericError, UsageError, ValidationError, reading
-from .metrics import (GROUP_KEYS, Predictions, breakdown, breakdown_csv,
-                      compute_report, consistency_check, defined, instance_f1,
-                      recall_at_k, score_histogram, spearman)
+from .metrics import (GROUP_KEYS, breakdown, breakdown_csv, compute_report,
+                      consistency_check, defined, instance_f1, recall_at_k,
+                      score_histogram, spearman)
 from .model import (BaseModel, MetadataReranker, ModalityVocabs, load_base_model,
                     load_reranker, save_base_model, save_reranker)
 from .preprocess import Vocabulary, build_vocab, encounter_aux_text, preprocess_train
@@ -121,7 +121,7 @@ def _load_prep(prep, rc: RunConfig, *splits):
 # --------------------------------------------------------------------------
 
 
-def _records_jsonl(p: Predictions) -> str:
+def _records_jsonl(p: Notes) -> str:
     """One line per record, written from the columns with the bytes that
     JSONEncoder(sort_keys=True, ensure_ascii=False) gives the record's
     object: keys in sorted order, strings through that encoder's own
@@ -199,14 +199,15 @@ def _check_same(ours, theirs, where: str) -> None:
                                   f"{_EVAL_INPUTS[name]}")
 
 
-def read_prediction_records(eval_dir, read: list) -> Predictions:
-    """An eval dir's probs.npy as one Predictions value with the split it
-    scored: the packed split, vocab.json and labels.json its manifest
-    records, each checked against its recorded digest. Appends the paths
-    read to `read`. A .npy header that declares more or fewer bytes than the
-    file holds is a validation error, found before numpy allocates; a
-    malformed matrix is a numeric error, and one of other than a row per note
-    and a column per label a validation error naming both files."""
+def read_prediction_records(eval_dir, max_len: int, read: list) -> Notes:
+    """The split an eval dir scored, scored by its probs.npy: the packed
+    split, vocab.json and labels.json its manifest records, each checked
+    against its recorded digest, each note cut to its first max_len tokens
+    as the eval cut it. Appends the paths read to `read`. A .npy header that
+    declares more or fewer bytes than the file holds is a validation error,
+    found before numpy allocates; a malformed matrix is a numeric error, and
+    one of other than a row per note and a column per label a validation
+    error naming both files."""
     eval_dir = Path(eval_dir)
     probs_path = eval_dir / "probs.npy"
     _check_npy_size(probs_path)
@@ -229,7 +230,7 @@ def read_prediction_records(eval_dir, read: list) -> Predictions:
                                   f"{eval_dir} records")
         paths.append(path)
     labels = _load_json(paths[1], LabelSpace)
-    notes = Notes.load(paths[2], _load_json(paths[0], Vocabulary), labels)
+    notes = Notes.load(paths[2], _load_json(paths[0], Vocabulary), labels, max_len)
     if probs.shape != (len(notes), len(labels)):
         raise ValidationError(f"{probs_path}: {probs.shape[0]} × {probs.shape[1]} scores, but "
                               f"{paths[2]} holds {len(notes)} notes of {len(labels)} labels")
@@ -293,7 +294,7 @@ def cmd_train(args, rc: RunConfig, stage: Path):
     vocab, labels, (train_notes, dev_notes), inputs = _load_prep(args.inp, rc, "train", "dev")
     model = BaseModel.init(rc.architecture, len(vocab), len(labels), rc.base_hparams(),
                            seed=stage_seed(rc.seed, "train-init"))
-    _, history = train(model, train_notes, dev_notes, rc.train_config("train"))
+    history = train(model, train_notes, dev_notes, rc.train_config("train"))
     save_base_model(stage / "model.ckpt", model, vocab.sha256(), labels.sha256())
     _write(stage / "history.csv", history.to_csv())
     return inputs, ("history.csv",), (
@@ -310,8 +311,8 @@ def cmd_train_reranker(args, rc: RunConfig, stage: Path):
     reranker = MetadataReranker.init(len(labels), base.hp.d_c, ModalityVocabs.of(train_notes),
                                      rc.reranker_hparams(),
                                      seed=stage_seed(rc.seed, "reranker-init"))
-    _, history = train_reranker(base, reranker, train_notes, dev_notes,
-                                rc.train_config("reranker"))
+    history = train_reranker(base, reranker, train_notes, dev_notes,
+                             rc.train_config("reranker"))
     save_reranker(stage / "reranker.ckpt", reranker, vocab.sha256(), labels.sha256(),
                   base_dir / "model.ckpt")
     _write(stage / "history.csv", history.to_csv())
@@ -370,7 +371,7 @@ def cmd_fractions(args, rc: RunConfig, stage: Path):
 @_stage
 def cmd_calibrate(args, rc: RunConfig, stage: Path):
     src, inputs = Path(args.inp), []
-    records = read_prediction_records(src, inputs)
+    records = read_prediction_records(src, rc.max_note_tokens, inputs)
     maps = fit_isotonic(records)
     arrays = {f"{c}{j}": a for j, xv in enumerate(maps.maps) for c, a in zip("xv", xv)}
     save_params(stage / "isotonic.ckpt", arrays, {
@@ -443,8 +444,8 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
     digests, inputs = _eval_digests(dev_dir), []
     _check_same(digests, _eval_digests(test_dir),
                 f"automate: the manifests of {dev_dir} and {test_dir}")
-    dev_records = read_prediction_records(dev_dir, inputs)
-    test_records = read_prediction_records(test_dir, inputs)
+    dev_records = read_prediction_records(dev_dir, rc.max_note_tokens, inputs)
+    test_records = read_prediction_records(test_dir, rc.max_note_tokens, inputs)
     maps = None
     if args.calibrated:
         maps = load_isotonic(args.maps, digests, dev_dir)
@@ -461,7 +462,7 @@ def cmd_automate(args, rc: RunConfig, stage: Path):
 @_stage
 def cmd_report(args, rc: RunConfig, stage: Path):
     src, inputs = Path(args.inp), []
-    records = read_prediction_records(src, inputs)
+    records = read_prediction_records(src, rc.max_note_tokens, inputs)
     recall, if1 = recall_at_k(records), instance_f1(records, rc.decision_threshold)
     group_rows = {key: breakdown(records, key, recall, if1) for key in GROUP_KEYS}
     for key, rows in group_rows.items():

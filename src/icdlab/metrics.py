@@ -1,19 +1,8 @@
 """Evaluation measures for multi-label code prediction.
 
-A set of m evaluated documents over a label space of N codes is one
-`Predictions` value:
-
-* `probs` (m, N) float64: one score row per document, C-ordered;
-* `gt` (m, N) bool: the document's ground-truth codes that have a label
-  index;
-* `n_unseen` (m,) int: ground-truth codes with no index in the label space;
-* context columns, one entry per document: `dept`, `first_visit`,
-  `freq_bucket`, `patient_id` (str) and `date` (datetime64[D]);
-* the documents' codes, label space or not, as CSR: `codes` (str) holds each
-  document's codes sorted, document i's being
-  codes[code_offsets[i]:code_offsets[i + 1]], and `code_offsets` is (m+1,).
-
-No column holds Python objects.
+A set of m evaluated documents over a label space of N codes is one scored
+split, a `train.Notes` whose `probs` holds the (m, N) scores; the measures
+read its score, ground-truth and record columns.
 
 Conventions that matter:
 
@@ -31,69 +20,19 @@ Conventions that matter:
 
 from __future__ import annotations
 
-import datetime as dt
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import CODE_RE, chapter
 from .errors import UndefinedMetricError, ValidationError
 
-# --------------------------------------------------------------------------
-# prediction substrate
-# --------------------------------------------------------------------------
-
-_EPOCH = dt.date(1970, 1, 1).toordinal()
+if TYPE_CHECKING:  # train imports this module
+    from .train import Notes
 
 
-def date_column(dates) -> np.ndarray:
-    """A list of dates as a datetime64[D] column, through their ordinals:
-    numpy converts date objects one at a time, some 40 times slower."""
-    return (np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
-            - _EPOCH).astype("datetime64[D]")
-
-
-_DTYPES = {"probs": np.float64, "gt": bool, "n_unseen": np.int64, "dept": str,
-           "first_visit": bool, "freq_bucket": str, "patient_id": str,
-           "date": "datetime64[D]", "code_offsets": np.int64, "codes": str}
-
-
-@dataclass(frozen=True)
-class Predictions:
-    """Scores and ground truth of m documents; see the module docstring."""
-
-    probs: np.ndarray
-    gt: np.ndarray
-    n_unseen: np.ndarray
-    dept: np.ndarray
-    first_visit: np.ndarray
-    freq_bucket: np.ndarray
-    patient_id: np.ndarray
-    date: np.ndarray
-    code_offsets: np.ndarray
-    codes: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, np.ascontiguousarray(getattr(self, f.name),
-                                                                  dtype=_DTYPES[f.name]))
-        if self.probs.ndim != 2 or self.gt.shape != self.probs.shape:
-            raise ValidationError(f"probs {self.probs.shape} and gt {self.gt.shape} must be "
-                                  f"equal (m, N) matrices")
-        for f in fields(self)[2:-2]:  # the per-document columns
-            if getattr(self, f.name).shape != (len(self),):
-                raise ValidationError(f"{f.name} column must have one entry per row ({len(self)})")
-        offsets = self.code_offsets
-        if (offsets.shape != (len(self) + 1,) or self.codes.ndim != 1 or offsets[0]
-                or offsets[-1] != self.codes.size or (offsets[1:] < offsets[:-1]).any()):
-            raise ValidationError(f"code_offsets must rise from 0 to the {self.codes.size} codes "
-                                  f"in one step per row ({len(self)})")
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-
-def _require_gt(p: Predictions) -> np.ndarray:
+def _require_gt(p: Notes) -> np.ndarray:
     """(m,) ground-truth count of each document, unseen codes included."""
     total = p.gt.sum(axis=1) + p.n_unseen
     if not total.all():
@@ -106,7 +45,7 @@ def _require_gt(p: Predictions) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def recall_at_k(p: Predictions, k: int = 5) -> np.ndarray:
+def recall_at_k(p: Notes, k: int = 5) -> np.ndarray:
     """(m,) share of each document's ground truth found in its top k.
 
     A ground-truth label is in the top k iff fewer than k labels of its
@@ -135,7 +74,7 @@ def recall_at_k(p: Predictions, k: int = 5) -> np.ndarray:
     return found / total
 
 
-def instance_f1(p: Predictions, decision_threshold: float = 0.5) -> np.ndarray:
+def instance_f1(p: Notes, decision_threshold: float = 0.5) -> np.ndarray:
     """(m,) F1 of each document's thresholded prediction against its ground
     truth; an empty prediction scores 0."""
     total = _require_gt(p)
@@ -147,13 +86,13 @@ def instance_f1(p: Predictions, decision_threshold: float = 0.5) -> np.ndarray:
                      out=np.zeros(len(p)), where=tp > 0)
 
 
-def mean_recall_at_k(p: Predictions, k: int = 5) -> float:
+def mean_recall_at_k(p: Notes, k: int = 5) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
     return float(np.mean(recall_at_k(p, k)))
 
 
-def mean_instance_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
+def mean_instance_f1(p: Notes, decision_threshold: float = 0.5) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
     return float(np.mean(instance_f1(p, decision_threshold)))
@@ -164,7 +103,7 @@ def mean_instance_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
 # --------------------------------------------------------------------------
 
 
-def micro_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
+def micro_f1(p: Notes, decision_threshold: float = 0.5) -> float:
     if not (p.gt.any() or p.n_unseen.any()):
         raise UndefinedMetricError("micro-F1 undefined without any positive labels")
     pred = p.probs > decision_threshold
@@ -174,7 +113,7 @@ def micro_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
     return 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
 
 
-def macro_f1(p: Predictions, decision_threshold: float = 0.5) -> float:
+def macro_f1(p: Notes, decision_threshold: float = 0.5) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
     pred = p.probs > decision_threshold
@@ -225,7 +164,7 @@ def _aucs(xs: np.ndarray, rows: np.ndarray, values: np.ndarray,
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc_micro(p: Predictions) -> float:
+def auc_micro(p: Notes) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
     values = p.probs[p.gt]
@@ -233,7 +172,7 @@ def auc_micro(p: Predictions) -> float:
                        values, np.array([values.size]))[0])
 
 
-def auc_macro(p: Predictions) -> float:
+def auc_macro(p: Notes) -> float:
     if not len(p):
         raise UndefinedMetricError("no records")
     n_pos = p.gt.sum(axis=0)
@@ -263,14 +202,14 @@ class GroupReport:
     distinct_labels_per_period: float
 
 
-def _group_values(p: Predictions, key: str) -> np.ndarray:
+def _group_values(p: Notes, key: str) -> np.ndarray:
     if key not in GROUP_KEYS:
         raise ValidationError(f"unknown group key {key!r}; expected one of {GROUP_KEYS}")
     return {"dept": p.dept, "label_frequency_bucket": p.freq_bucket,
             "first_visit": np.where(p.first_visit, "first", "recurring")}[key]
 
 
-def _distinct_labels_per_period(p: Predictions, group: np.ndarray,
+def _distinct_labels_per_period(p: Notes, group: np.ndarray,
                                 n_groups: int) -> np.ndarray:
     """(n_groups,) mean number of distinct gt codes per calendar year within
     each group of documents, 0 for a group without codes.
@@ -289,7 +228,7 @@ def _distinct_labels_per_period(p: Predictions, group: np.ndarray,
     return np.divide(n_distinct, n_periods, out=np.zeros(n_groups), where=n_periods > 0)
 
 
-def breakdown(p: Predictions, group_key: str, recall: np.ndarray,
+def breakdown(p: Notes, group_key: str, recall: np.ndarray,
               if1: np.ndarray) -> list[GroupReport]:
     """Per-group means of the documents' (m,) Recall@k and instance-F1
     vectors, so that several breakdowns share one computation of each."""
@@ -373,7 +312,7 @@ class ConsistencyReport:
         return self.inconsistent_pairs / self.matched_pairs if self.matched_pairs else 0.0
 
 
-def consistency_check(p: Predictions, window_days: int = 7) -> ConsistencyReport:
+def consistency_check(p: Notes, window_days: int = 7) -> ConsistencyReport:
     """Chapter-matched code pairs across same-patient visits ≤ window apart:
     each patient's documents in date order (ties in document order), each
     paired with the later ones until the gap passes the window."""
@@ -445,7 +384,7 @@ def defined(metric, *args):
         return None
 
 
-def compute_report(records: Predictions, decision_threshold: float = 0.5,
+def compute_report(records: Notes, decision_threshold: float = 0.5,
                    k: int = 5) -> MetricsReport:
     return MetricsReport(
         auc_macro=defined(auc_macro, records),

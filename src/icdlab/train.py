@@ -13,10 +13,11 @@ training worse than the model it corrects).
 
 from __future__ import annotations
 
+import datetime as dt
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from .checkpoint import load_params, save_params
 from .corpus import LabelSpace, first_empty, first_malformed, first_nul, first_repeat
 from .errors import NumericError, ValidationError, reading
-from .metrics import Predictions, date_column, mean_instance_f1, mean_recall_at_k
+from .metrics import mean_instance_f1, mean_recall_at_k
 from .model import BaseModel, MetadataReranker
 from .preprocess import UNK_ID, Vocabulary, encounter_aux_text, tokenize
 
@@ -141,6 +142,16 @@ def _first_visit_flags(patient_id: np.ndarray, date: np.ndarray) -> np.ndarray:
     return first
 
 
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
+def date_column(dates) -> np.ndarray:
+    """A list of dates as a datetime64[D] column, through their ordinals:
+    numpy converts date objects one at a time, some 40 times slower."""
+    return (np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+            - _EPOCH).astype("datetime64[D]")
+
+
 def _packed(rows, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
     """Rows as one (ΣL,) vector plus their (n+1,) offsets (str via a list)."""
     flat = itertools.chain(*rows)
@@ -171,12 +182,21 @@ _DATES = np.array(["0001-01-01", "9999-12-31"], "datetime64[D]").astype(np.int64
 
 @dataclass(frozen=True)
 class Notes:
-    """One split as columns, built once: per note the ground truth, `doctor`
-    and the record columns of Predictions; packed (_CSR, note i of `x` being
-    x[x_offsets[i]:x_offsets[i + 1]]) its token ids (`tokens`, `offsets`),
-    sorted codes, meds, procs and auxiliary ids. `preprocess` builds each
-    split once with `of` and writes it with `save`; later stages `load` it.
-    See `scored(probs)`."""
+    """One split of n notes over a label space of N codes as columns, none
+    holding Python objects, built once:
+
+    * `gt` (n, N) bool: each note's ground-truth codes that have a label
+      index, and `n_unseen` (n,) int: those that have none;
+    * one entry per note: `dept`, `freq_bucket`, `patient_id`, `doctor`
+      (str), `first_visit` (bool) and `date` (datetime64[D]);
+    * packed (_CSR, note i of `x` being x[x_offsets[i]:x_offsets[i + 1]]):
+      token ids (`tokens`, `offsets`), codes sorted, label space or not
+      (`codes`, `code_offsets`), meds, procs and auxiliary ids;
+    * `probs` (n, N) float64, C-ordered: a scored split's scores
+      (`scored`), None in an unscored one.
+
+    `preprocess` builds each split once with `of` and writes it with
+    `save`; later stages `load` it."""
 
     tokens: np.ndarray
     offsets: np.ndarray
@@ -196,6 +216,7 @@ class Notes:
     procs: np.ndarray
     aux_offsets: np.ndarray
     aux: np.ndarray
+    probs: np.ndarray | None = None
 
     @classmethod
     def of(cls, encounters, vocab: Vocabulary, labels: LabelSpace,
@@ -283,18 +304,17 @@ class Notes:
         return _gather(self.offsets, self.tokens, idx)
 
     def rows(self, idx) -> "Notes":
-        """The notes at `idx` as a split of their own."""
+        """The notes at `idx` as an unscored split of their own."""
         columns = {}
         for offsets, values in _CSR:
             columns[values], lengths = _gather(getattr(self, offsets), getattr(self, values), idx)
             columns[offsets] = np.cumsum([0, *lengths])
         return Notes(**columns, **{f.name: getattr(self, f.name)[idx] for f in fields(Notes)
-                                   if f.name not in columns})
+                                   if f.name not in columns and f.name != "probs"})
 
-    def scored(self, probs: np.ndarray) -> Predictions:
-        """These notes' Predictions for the (n, N) score matrix `probs`."""
-        return Predictions(probs, **{f.name: getattr(self, f.name)
-                                     for f in fields(Predictions)[1:]})
+    def scored(self, probs: np.ndarray) -> "Notes":
+        """These notes scored by the (n, N) matrix `probs`."""
+        return replace(self, probs=np.ascontiguousarray(probs, dtype=np.float64))
 
 
 def _check_stored(meta: dict, arrays: dict, n_vocab: int) -> None:
@@ -359,7 +379,7 @@ def _base_probs(model: BaseModel, notes: Notes) -> np.ndarray:
                    len(notes), model.n_labels)
 
 
-def predict_records(model: BaseModel, notes: Notes) -> Predictions:
+def predict_records(model: BaseModel, notes: Notes) -> Notes:
     return notes.scored(_base_probs(model, notes))
 
 
@@ -407,8 +427,8 @@ class _FrozenBase:
 
 
 def predict_records_reranked(base: BaseModel, reranker: MetadataReranker,
-                             notes: Notes) -> Predictions:
-    """Predictions carrying the reranker's scores."""
+                             notes: Notes) -> Notes:
+    """The notes scored by the reranker over the frozen base."""
     return notes.scored(_FrozenBase(base, reranker, notes).reranked())
 
 
@@ -418,7 +438,7 @@ def predict_records_reranked(base: BaseModel, reranker: MetadataReranker,
 
 
 def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
-         config: TrainConfig):
+         config: TrainConfig) -> TrainHistory:
     """The epoch loop shared by base and reranker training: `loss_of(idx)`
     is the mean loss of the mini-batch of items at indices `idx`."""
     if n_items == 0:
@@ -449,8 +469,8 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
         elif epoch - best_epoch >= config.patience:
             break
     for k, t in params.items():
-        t.data = best_snap[k].copy()
-    return best_snap, TrainHistory(tuple(history), best_epoch, best_r5)
+        t.data = best_snap[k]
+    return TrainHistory(tuple(history), best_epoch, best_r5)
 
 
 # --------------------------------------------------------------------------
@@ -459,7 +479,7 @@ def _fit(params: dict[str, ad.Tensor], n_items: int, loss_of, dev_scores,
 
 
 def _train(params: dict[str, ad.Tensor], notes: Notes, dev_notes: Notes,
-           config: TrainConfig, probs_of, dev_probs):
+           config: TrainConfig, probs_of, dev_probs) -> TrainHistory:
     """`probs_of(idx)` is the (B, N) probability tensor of the training notes
     at `idx`, `dev_probs()` the score matrix of the dev notes."""
     if not len(dev_notes):
@@ -475,16 +495,16 @@ def _train(params: dict[str, ad.Tensor], notes: Notes, dev_notes: Notes,
                 dev_scores, config)
 
 
-def train(model: BaseModel, notes: Notes, dev_notes: Notes, config: TrainConfig):
-    """Returns (best parameter snapshot, history); the model is left holding
-    the snapshot."""
+def train(model: BaseModel, notes: Notes, dev_notes: Notes,
+          config: TrainConfig) -> TrainHistory:
+    """The model is left holding the parameters of the kept epoch."""
     return _train(model.params, notes, dev_notes, config,
                   lambda idx: model.forward(*notes.batch(idx))[0],
                   lambda: _base_probs(model, dev_notes))
 
 
 def train_reranker(base: BaseModel, reranker: MetadataReranker, notes: Notes,
-                   dev_notes: Notes, config: TrainConfig):
+                   dev_notes: Notes, config: TrainConfig) -> TrainHistory:
     """Optimizes only the reranker over frozen base outputs, computed once
     and reused every epoch (the frozen contract makes them constants)."""
     frozen, dev_frozen = (_FrozenBase(base, reranker, n) for n in (notes, dev_notes))

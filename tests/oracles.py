@@ -1,7 +1,8 @@
 """Reference code that only the tests run: a scalar reduction of a tensor,
-a central-difference gradient check, the two baselines that criterion 4
-measures the trained models against, and the row-at-a-time reader of
-JSON-lines split files that the column reader replaced."""
+a central-difference gradient check, scored splits built from plain
+columns, the two baselines that criterion 4 measures the trained models
+against, and the row-at-a-time reader of JSON-lines split files that the
+column reader replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 from icdlab.autodiff import Tensor, _node, backward
 from icdlab.corpus import _ENCOUNTER_TYPES, _KINDS, CODE_RE, Encounter, LabelSpace
 from icdlab.errors import ValidationError, reading
-from icdlab.metrics import Predictions
 from icdlab.train import Notes
 
 
@@ -63,12 +63,52 @@ def grad_check(
     return worst
 
 
-def uniform_baseline_records(notes: Notes, seed: int = 0) -> Predictions:
+def scored_notes(probs, gt=None, n_unseen=None, dept=None, first_visit=None,
+                 freq_bucket=None, patient_id=None, date=None, codes=None) -> Notes:
+    """A scored split of m notes from plain columns: the (m, N) scores, one
+    set of ground-truth label indices per note, one entry per note for each
+    record column, and one list of codes per note. A column left out is the
+    same for every note: no ground truth and no unseen code, a first visit
+    of patient P0 to department D0 on 2020-01-01, frequency bucket "", coded
+    A00.0. Each note holds one token, no doctor and no meds, procs or
+    auxiliary ids."""
+    probs = np.asarray(probs, dtype=np.float64)
+    m = len(probs)
+
+    def per_note(values, default, dtype):
+        return np.array([default] * m if values is None else values, dtype)
+
+    gt_matrix = np.zeros(probs.shape, dtype=bool)
+    for i, labels in enumerate(gt or ()):
+        gt_matrix[i, sorted(labels)] = True
+    codes = [["A00.0"]] * m if codes is None else codes
+    no_rows = np.zeros(m + 1, np.int64)
+    return Notes(
+        tokens=np.ones(m, np.int64), offsets=np.arange(m + 1), gt=gt_matrix,
+        n_unseen=per_note(n_unseen, 0, np.int64), dept=per_note(dept, "D0", str),
+        first_visit=per_note(first_visit, True, bool),
+        freq_bucket=per_note(freq_bucket, "", str), patient_id=per_note(patient_id, "P0", str),
+        date=per_note(date, dt.date(2020, 1, 1), "datetime64[D]"),
+        code_offsets=np.cumsum([0, *map(len, codes)]),
+        codes=np.array([c for row in codes for c in row], str), doctor=per_note(None, "", str),
+        med_offsets=no_rows, meds=np.array([], str), proc_offsets=no_rows,
+        procs=np.array([], str), aux_offsets=no_rows, aux=np.array([], np.int64),
+    ).scored(probs)
+
+
+def visit_columns(encounters) -> dict:
+    """The patient, date and code columns of `scored_notes` over `encounters`."""
+    return {"patient_id": [e.patient_id for e in encounters],
+            "date": [e.date for e in encounters],
+            "codes": [sorted(e.codes) for e in encounters]}
+
+
+def uniform_baseline_records(notes: Notes, seed: int = 0) -> Notes:
     """Scores every label uniformly at random, fresh per document."""
     return notes.scored(np.random.default_rng(seed).uniform(size=notes.gt.shape))
 
 
-def marginal_baseline_records(notes: Notes, labels: LabelSpace) -> Predictions:
+def marginal_baseline_records(notes: Notes, labels: LabelSpace) -> Notes:
     """Scores every document with the train-frequency ranking of the codes."""
     counts = np.asarray([labels.train_count(c) for c in labels.codes], dtype=np.float64)
     probs = counts / max(counts.max(), 1.0)

@@ -33,7 +33,6 @@ from icdlab.calibrate import (
 from icdlab.cli import main as cli_main
 from icdlab.corpus import CorpusConfig, Encounter, LabelSpace, generate_corpus, split_by_patient
 from icdlab.metrics import (
-    Predictions,
     auc_macro,
     auc_micro,
     codes_inconsistent,
@@ -68,7 +67,13 @@ from icdlab.train import (
     train,
     train_reranker,
 )
-from oracles import grad_check, marginal_baseline_records, uniform_baseline_records
+from oracles import (
+    grad_check,
+    marginal_baseline_records,
+    scored_notes,
+    uniform_baseline_records,
+    visit_columns,
+)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -158,35 +163,12 @@ def test_criterion_01_gradient_correctness():
 
 # one document as the brute-force oracles read it
 _Row = namedtuple("_Row", "probs gt_indices n_unseen")
-_ENC = Encounter("P0", dt.date(2020, 1, 1), "D0", "DR0", "t", frozenset(["A00.0"]))
 
 
-def _predictions(rows) -> Predictions:
-    """The Predictions value holding the given oracle rows, in order."""
-    probs = np.array([r.probs for r in rows], dtype=np.float64)
-    gt = np.zeros(probs.shape, dtype=bool)
-    for i, r in enumerate(rows):
-        gt[i, sorted(r.gt_indices)] = True
-    m = len(rows)
-    return Predictions(probs, gt, [r.n_unseen for r in rows], ["D0"] * m, [True] * m,
-                       [""] * m, **_visit_columns([_ENC] * m))
-
-
-def _visit_columns(encounters) -> dict:
-    """The patient, date and code columns of Predictions over `encounters`."""
-    codes = [sorted(e.codes) for e in encounters]
-    return {"patient_id": [e.patient_id for e in encounters],
-            "date": [e.date for e in encounters],
-            "code_offsets": np.cumsum([0, *map(len, codes)]),
-            "codes": [c for row in codes for c in row]}
-
-
-def _visits(encounters) -> Predictions:
-    """Predictions over `encounters` that score no label: their columns only."""
-    m = len(encounters)
-    return Predictions(np.zeros((m, 0)), np.zeros((m, 0), dtype=bool), [0] * m,
-                       [e.dept for e in encounters], [True] * m, [""] * m,
-                       **_visit_columns(encounters))
+def _predictions(rows):
+    """The scored split holding the given oracle rows, in order."""
+    return scored_notes([r.probs for r in rows], [r.gt_indices for r in rows],
+                        n_unseen=[r.n_unseen for r in rows])
 
 
 def _quantized_record(rng, n_labels, max_unseen=2):
@@ -540,7 +522,7 @@ def test_criterion_06_dedup_budget():
     best = {}
     for name, encounters in (("full", full_train), ("dedup", dedup_train)):
         model = BaseModel.init("caml", len(vocab), len(labels), hp, seed=7)
-        _, history = train(model, _notes(encounters, vocab, labels), dev, config)
+        history = train(model, _notes(encounters, vocab, labels), dev, config)
         best[name] = max(e.dev_recall_at_5 for e in history.epochs)
     ratio = len(dedup_train) / len(full_train)
     ok = best["dedup"] >= best["full"] and ratio <= 0.75
@@ -694,7 +676,8 @@ def test_criterion_10_consistency_examples():
         Encounter("P1", dt.date(2024, 3, 4), "D0", "DR0", "b", frozenset(["E78.5"])),
         Encounter("P1", dt.date(2024, 3, 30), "D0", "DR0", "c", frozenset(["E78.5"])),
     ]
-    report = consistency_check(_visits(visits), window_days=7)
+    report = consistency_check(scored_notes(np.zeros((len(visits), 0)), **visit_columns(visits)),
+                               window_days=7)
     ok = (flagged and identity and not cross_chapter
           and (report.matched_pairs, report.inconsistent_pairs, report.rate)
           == (1, 1, 1.0))

@@ -304,6 +304,24 @@ def test_batched_matmul_gradients(a_shape, b_shape):
                          [a, b]) < GC_TOL
 
 
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_matmul_forms_no_gradient_for_a_constant_operand(transpose_b):
+    # a leaf without requires_grad, or a tensor computed under no_grad, is a
+    # constant: its gradient slot is None; a primitive's output is not
+    rng = np.random.default_rng(23)
+    x, w = t(rng.normal(size=(3, 4))), t(rng.normal(size=(4, 4)), grad=True)
+    with ad.no_grad():
+        frozen = ad.tanh(w)
+    g = rng.normal(size=(3, 4))
+    for a, b, formed in ((x, w, [False, True]), (ad.matmul(x, w), frozen, [True, False]),
+                         (x, frozen, [False, False])):
+        out = ad.matmul(a, b, transpose_b=transpose_b)
+        slots = out.grad_fn(g)
+        assert [slot is not None for slot in slots] == formed
+    gw = ad.matmul(x, w, transpose_b=transpose_b).grad_fn(g)[1]
+    np.testing.assert_array_equal(gw, g.T @ x.data if transpose_b else x.data.T @ g)
+
+
 # ---------------------------------------------------------------------------
 # backward machinery
 # ---------------------------------------------------------------------------

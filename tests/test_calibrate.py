@@ -1,7 +1,5 @@
 """Calibration and automation against brute-force oracles."""
 
-import datetime as dt
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,25 +23,15 @@ from icdlab.calibrate import (
 )
 from icdlab.cli import _budgets
 from icdlab.errors import UndefinedMetricError, UsageError, ValidationError
-from icdlab.metrics import Predictions, instance_f1
-
-def P(probs, gts=None):
-    """Predictions from score rows and ground-truth index sets, every record
-    one visit of patient P0 coded A00.0."""
-    probs = np.asarray(probs, dtype=float)
-    gt = np.zeros(probs.shape, dtype=bool)
-    for i, g in enumerate(gts or ()):
-        gt[i, sorted(g)] = True
-    m = len(probs)
-    return Predictions(probs, gt, [0] * m, ["D0"] * m, [True] * m, [""] * m, ["P0"] * m,
-                       [dt.date(2020, 1, 1)] * m, np.arange(m + 1), ["A00.0"] * m)
+from icdlab.metrics import instance_f1
+from oracles import scored_notes
 
 
 def column(ps, hits=None):
-    """One-label Predictions: one score per document, and the documents
+    """A one-label scored split: one score per document, and the documents
     (by position) whose ground truth holds the label."""
-    return P([[p] for p in ps], [{0} if i in (hits or ()) else set()
-                                 for i in range(len(ps))])
+    return scored_notes([[p] for p in ps], [{0} if i in (hits or ()) else set()
+                                            for i in range(len(ps))])
 
 
 def mapped(maps, ps):
@@ -178,13 +166,13 @@ def test_fit_matches_the_projection_oracle_on_every_label(seed):
     m, n = int(rng.integers(1, 30)), int(rng.integers(1, 6))
     probs = rng.integers(0, int(rng.integers(1, 12)), size=(m, n)) / 11
     gt = rng.uniform(size=(m, n)) < probs
-    fitted = fit_isotonic(P(probs, [set(np.flatnonzero(row)) for row in gt]))
+    fitted = fit_isotonic(scored_notes(probs, [set(np.flatnonzero(row)) for row in gt]))
     assert len(fitted.maps) == n
     for j, (xs, vs) in enumerate(fitted.maps):
         levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
                                             return_counts=True)
         positives = np.bincount(inverse, weights=gt[:, j]).astype(int)
-        at = fitted.apply(P(np.tile(levels[:, None], (1, n)))).probs[:, j]  # per level
+        at = fitted.apply(scored_notes(np.tile(levels[:, None], (1, n)))).probs[:, j]  # per level
         np.testing.assert_allclose(at, _projection_oracle(positives / counts, counts),
                                    rtol=0, atol=1e-12)
         # one breakpoint per step: at the first level and wherever the value changes
@@ -207,7 +195,7 @@ def test_stepped_map_applies_as_the_full_level_map(seed):
     m, n = int(rng.integers(1, 40)), int(rng.integers(1, 6))
     probs = rng.integers(0, int(rng.integers(1, 20)), size=(m, n)) / 19
     gt = rng.uniform(size=(m, n)) < probs
-    records = P(probs, [set(np.flatnonzero(row)) for row in gt])
+    records = scored_notes(probs, [set(np.flatnonzero(row)) for row in gt])
     full = []
     for j in range(n):
         levels, inverse, counts = np.unique(probs[:, j], return_inverse=True,
@@ -215,12 +203,12 @@ def test_stepped_map_applies_as_the_full_level_map(seed):
         full.append((levels, _pav(np.bincount(inverse, weights=gt[:, j]).astype(np.int64),
                                   counts)))
     stepped, full = fit_isotonic(records), IsotonicMap(tuple(full))
-    probes = P(rng.uniform(-0.2, 1.2, size=(50, n)))
+    probes = scored_notes(rng.uniform(-0.2, 1.2, size=(50, n)))
     for data in (records, probes):
         assert stepped.apply(data).probs.tobytes() == full.apply(data).probs.tobytes()
 
 
-def _argsort_fit(predictions: Predictions) -> IsotonicMap:
+def _argsort_fit(predictions) -> IsotonicMap:
     """fit_isotonic with its levels found through a row-wise argsort of each
     block's columns and the hits gathered in that order."""
     m, n = predictions.probs.shape
@@ -270,7 +258,7 @@ def test_fit_has_the_bits_of_the_argsort_fit(monkeypatch, block_cells):
         monkeypatch.setattr(calibrate, "_BLOCK_CELLS", block_cells)
     for seed in range(300):
         probs, gt = _tied_scores(np.random.default_rng(seed))
-        records = P(probs, [set(np.flatnonzero(row)) for row in gt])
+        records = scored_notes(probs, [set(np.flatnonzero(row)) for row in gt])
         got, want = fit_isotonic(records).maps, _argsort_fit(records).maps
         assert len(got) == len(want) == probs.shape[1]
         for j, ((got_x, got_v), (want_x, want_v)) in enumerate(zip(got, want)):
@@ -286,17 +274,17 @@ def test_fit_has_the_bits_of_the_argsort_fit(monkeypatch, block_cells):
 @pytest.mark.parametrize("shape", [(5, 1), (1, 4), (6, 3)])
 def test_fit_leaves_the_scores_it_sorts_as_they_were(shape):
     probs = np.random.default_rng(2).uniform(size=shape)
-    records = P(probs.copy(), [{0}] * shape[0])
+    records = scored_notes(probs.copy(), [{0}] * shape[0])
     fit_isotonic(records)
     assert records.probs.tobytes() == probs.tobytes()
 
 
 def test_fit_single_level_and_constant_columns():
     # one record is one level; a constant column is one level of all records
-    one = fit_isotonic(P([[0.4, 0.7]], [{1}])).maps
+    one = fit_isotonic(scored_notes([[0.4, 0.7]], [{1}])).maps
     assert [(xs.tolist(), vs.tolist()) for xs, vs in one] == [([0.4], [0.0]),
                                                                ([0.7], [1.0])]
-    const = fit_isotonic(P([[0.3, 0.2]] * 3, [{0}, {0}, {1}])).maps
+    const = fit_isotonic(scored_notes([[0.3, 0.2]] * 3, [{0}, {0}, {1}])).maps
     assert [(xs.tolist(), vs.tolist()) for xs, vs in const] == [([0.3], [2 / 3]),
                                                                  ([0.2], [1 / 3])]
 
@@ -308,7 +296,7 @@ def test_label_blocks_give_the_whole_matrix_results(monkeypatch, block_cells):
     rng = np.random.default_rng(8)
     probs = rng.integers(0, 6, size=(9, 11)) / 5
     gt = rng.uniform(size=(9, 11)) < probs
-    records = P(probs, [set(np.flatnonzero(row)) for row in gt])
+    records = scored_notes(probs, [set(np.flatnonzero(row)) for row in gt])
     whole, whole_ece = fit_isotonic(records).maps, ece(probs, gt)
     monkeypatch.setattr(calibrate, "_BLOCK_CELLS", block_cells)
     blocked = fit_isotonic(records).maps
@@ -320,7 +308,7 @@ def test_label_blocks_give_the_whole_matrix_results(monkeypatch, block_cells):
 
 
 def test_apply_rebuilds_records():
-    records = P([[0.2, 0.9], [0.4, 0.1]], [{1}, {0}])
+    records = scored_notes([[0.2, 0.9], [0.4, 0.1]], [{1}, {0}])
     out = fit_isotonic(records).apply(records)
     assert len(out) == 2
     np.testing.assert_array_equal(out.gt, records.gt)
@@ -330,14 +318,12 @@ def test_apply_rebuilds_records():
 def test_apply_rejects_other_label_space():
     m = fit_isotonic(column([0.2, 0.7], hits={0}))
     with pytest.raises(ValidationError):
-        m.apply(P([[0.2, 0.3]]))
+        m.apply(scored_notes([[0.2, 0.3]]))
 
 
-def test_fit_rejects_empty_and_ragged():
+def test_fit_rejects_zero_records():
     with pytest.raises(ValidationError):
-        fit_isotonic(P(np.zeros((0, 1))))
-    with pytest.raises(ValidationError):
-        replace(P([[0.2]]), gt=np.zeros((1, 2), dtype=bool))
+        fit_isotonic(scored_notes(np.zeros((0, 1))))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -419,7 +405,7 @@ def test_fit_data_ece_never_increases(seed):
     for _ in range(int(rng.integers(4, 40))):
         probs.append(rng.uniform(size=n_labels))
         gts.append({j for j in range(n_labels) if rng.uniform() < probs[-1][j]})
-    records = P(probs, gts)
+    records = scored_notes(probs, gts)
     cal = fit_isotonic(records).apply(records)
     for j in range(n_labels):
         hits = records.gt[:, j]
@@ -436,7 +422,7 @@ RULE = (0.95, 0.10)  # (t_u, t_l)
 def decide(probs, rule=RULE):
     """Whether the rule selects the one document: a selected document is
     identified if it is an exact match and a false positive if not."""
-    [(identified, fp_rate)] = evaluate_automation(P([probs], [{0}]), [rule])
+    [(identified, fp_rate)] = evaluate_automation(scored_notes([probs], [{0}]), [rule])
     return identified + fp_rate > 0
 
 
@@ -482,23 +468,23 @@ def test_tightening_thresholds_only_shrinks(seed):
 
 def test_search_perfect_record_picks_extreme_corner():
     # every grid point ties at 1 TP / 0 FP → higher t_u, then lower t_l
-    records = P([[1.0, 0.0]], [{0}])
+    records = scored_notes([[1.0, 0.0]], [{0}])
     rules = search_thresholds(records, [1.0])
     assert rules == [(1.0, 0.0)]
     assert evaluate_automation(records, rules) == [(1.0, 0.0)]  # 1 TP, 0 FP
 
 
 def test_search_excludes_near_miss():
-    records = P([[0.9, 0.1],    # exact match
-                 [0.8, 0.3]],   # predicts {0}, wrong
-                [{0}, {1}])
+    records = scored_notes([[0.9, 0.1],    # exact match
+                            [0.8, 0.3]],   # predicts {0}, wrong
+                           [{0}, {1}])
     rules = search_thresholds(records, [0.05])
     assert rules == [(0.9, 0.1)]
     assert evaluate_automation(records, rules) == [(1.0, 0.0)]  # record 0 alone
 
 
 def test_search_all_half_probs_selects_nothing():
-    assert search_thresholds(P([[0.5, 0.5]] * 3, [{0}] * 3), [0.2]) == [None]
+    assert search_thresholds(scored_notes([[0.5, 0.5]] * 3, [{0}] * 3), [0.2]) == [None]
 
 
 def _grid_loop_search(predictions, max_fp, decision_threshold=0.5):
@@ -540,7 +526,7 @@ def test_search_equals_the_grid_loop(seed):
     probs[everything] = 0.55 + 0.45 * probs[everything]
     gts = [set(np.flatnonzero(row > 0.5)) if rng.uniform() < 0.6
            else {int(rng.integers(n))} for row in probs]
-    records = P(probs, gts)
+    records = scored_notes(probs, gts)
     calibrated = fit_isotonic(records).apply(records)
     budgets = (0.05, 0.1, 0.2, 0.4, 1.0)
     for r in (records, calibrated):
@@ -567,7 +553,7 @@ def test_search_respects_budget_and_counts_add_up(seed):
         probs.append(rng.uniform(size=4))
         gts.append({int(j) for j in np.nonzero(probs[-1] > 0.5)[0]}
                    if rng.uniform() < 0.5 else {int(rng.integers(4))})
-    records = P(probs, gts)
+    records = scored_notes(probs, gts)
     max_fp = float(rng.choice([0.05, 0.1, 0.2, 0.5]))
     [rule] = search_thresholds(records, [max_fp])
     [(identified, fp_rate)] = evaluate_automation(records, [rule])
@@ -584,7 +570,7 @@ def test_search_respects_budget_and_counts_add_up(seed):
 
 
 def test_evaluate_no_rule_scores_zero():
-    assert evaluate_automation(P([[1.0]], [{0}]), [None]) == [(0.0, 0.0)]
+    assert evaluate_automation(scored_notes([[1.0]], [{0}]), [None]) == [(0.0, 0.0)]
 
 
 def test_evaluate_separable_fixture_identifies_everything():
@@ -594,13 +580,13 @@ def test_evaluate_separable_fixture_identifies_everything():
         gts.append({int(rng.integers(5))})
         probs.append(np.where(np.isin(np.arange(5), list(gts[-1])), 0.99, 0.01))
     # all 40 documents are exact matches, so identifying all selects all
-    [(pct, fp_rate)] = evaluate_automation(P(probs, gts), [(0.95, 0.05)])
+    [(pct, fp_rate)] = evaluate_automation(scored_notes(probs, gts), [(0.95, 0.05)])
     assert pct == 1.0
     assert fp_rate == 0.0
 
 
 def test_evaluate_no_possible_exact_matches_is_zero():
-    records = P([[0.9, 0.9]], [{0}])  # prediction {0,1} never equals gt
+    records = scored_notes([[0.9, 0.9]], [{0}])  # prediction {0,1} never equals gt
     # the rule selects it, and every document it selects is a false positive
     assert evaluate_automation(records, [(0.0, 1.0)]) == [(0.0, 1.0)]
 
@@ -611,7 +597,7 @@ def test_exactness_agrees_with_instance_f1():
     for _ in range(200):
         probs = rng.uniform(size=5)
         gt = {int(j) for j in rng.choice(5, 2, replace=False)}
-        r = P([probs], [gt])
+        r = scored_notes([probs], [gt])
         [(identified, fp_rate)] = evaluate_automation(r, [rule])
         if identified:  # a true positive
             assert instance_f1(r)[0] == 1.0
@@ -628,8 +614,8 @@ def test_sweep_rows_are_dev_rules_evaluated_on_test(seed):
     def records(m):
         probs = np.where(rng.uniform(size=(m, 3)) < 0.5, rng.integers(0, 21, size=(m, 3)) / 20,
                          rng.uniform(size=(m, 3)))
-        return P(probs, [set(np.flatnonzero(row > 0.5)) if rng.uniform() < 0.7
-                         else {int(rng.integers(3))} for row in probs])
+        return scored_notes(probs, [set(np.flatnonzero(row > 0.5)) if rng.uniform() < 0.7
+                                    else {int(rng.integers(3))} for row in probs])
 
     dev, test, other = records(40), records(30), records(25)
     budgets = [0.05, 0.1, 0.2, 0.4, 1.0]
@@ -643,8 +629,8 @@ def test_sweep_rows_are_dev_rules_evaluated_on_test(seed):
 
 
 def test_sweep_rows_and_csv():
-    dev = P([[0.9, 0.1], [0.2, 0.8]], [{0}, {1}])
-    test = P([[0.95, 0.05]], [{0}])
+    dev = scored_notes([[0.9, 0.1], [0.2, 0.8]], [{0}, {1}])
+    test = scored_notes([[0.95, 0.05]], [{0}])
     rows = automation_sweep(dev, test, [0.05, 0.2])
     assert [r[0] for r in rows] == [0.05, 0.2]
     assert all(r[1] is False for r in rows)
@@ -660,7 +646,7 @@ def test_sweep_with_calibration_uses_calibrated_rule():
         gts.append({int(rng.integers(3))})
         p = np.where(np.isin(np.arange(3), list(gts[-1])), 0.9, 0.2)
         probs.append(p + rng.uniform(-0.05, 0.05, size=3))
-    dev = P(probs, gts)
+    dev = scored_notes(probs, gts)
     maps = fit_isotonic(dev)
     rows = automation_sweep(dev, dev, [0.1], maps=maps)
     (max_fp, calibrated, pct, fpr) = rows[0]

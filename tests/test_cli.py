@@ -32,8 +32,9 @@ from icdlab.cli import _eval_digests, load_isotonic, main, read_prediction_recor
 from icdlab.config import config_sha256, parse_config
 from icdlab.corpus import LabelSpace, read_encounters
 from icdlab.errors import ValidationError
-from icdlab.metrics import Predictions, mean_recall_at_k
+from icdlab.metrics import mean_recall_at_k
 from icdlab.preprocess import Vocabulary
+from icdlab.train import Notes
 
 TINY_CFG = """\
 # miniature end-to-end run
@@ -61,6 +62,7 @@ patience = 1
 reranker_max_epochs = 1
 fractions = 0.5,1.0
 """
+MAX_LEN = parse_config(TINY_CFG).max_note_tokens
 
 
 def _sha(path: Path) -> str:
@@ -223,7 +225,7 @@ def test_evaluate_outputs_align(pipeline):
 
 def test_prediction_records_round_trip(pipeline):
     out, read = pipeline["eval_test"], []
-    records = read_prediction_records(out, read)
+    records = read_prediction_records(out, MAX_LEN, read)
     assert read == [out / "manifest.json", out / "probs.npy",
                     *(pipeline["prep"] / name for name in ("vocab.json", "labels.json",
                                                            "test.notes"))]
@@ -236,12 +238,31 @@ def test_prediction_records_round_trip(pipeline):
     assert abs(100 * mean_recall_at_k(records, 5) - recall_pct) < 0.005 + 1e-9
 
 
+@pytest.mark.parametrize("max_len", [MAX_LEN, 2])
+def test_the_reader_returns_the_split_the_eval_scored(pipeline, max_len):
+    # the scored split keeps the note columns of the split the eval scored,
+    # cut to the reading stage's max_note_tokens
+    out, prep = pipeline["eval_test"], pipeline["prep"]
+    records = read_prediction_records(out, max_len, [])
+    vocab = Vocabulary.from_json((prep / "vocab.json").read_text(encoding="utf-8"))
+    labels = LabelSpace.from_json((prep / "labels.json").read_text(encoding="utf-8"))
+    notes = Notes.load(prep / "test.notes", vocab, labels, max_len)
+    for name in ("tokens", "offsets", "aux"):
+        assert np.array_equal(getattr(records, name), getattr(notes, name)), name
+    n_records = len((out / "records.jsonl").read_text(encoding="utf-8").splitlines())
+    assert len(records) == len(notes) == n_records == len(records.probs)
+    assert (np.diff(records.offsets) <= max_len).all()
+    if max_len < MAX_LEN:  # the cut bites
+        assert records.tokens.size < read_prediction_records(out, MAX_LEN, []).tokens.size
+    assert records.probs.dtype == np.float64 and records.probs.flags["C_CONTIGUOUS"]
+
+
 @pytest.mark.parametrize("eval_dir", ["eval_dev", "eval_test", "eval_rr"])
 def test_records_read_then_written_are_the_same_bytes(pipeline, eval_dir):
     # what the post-model stages read from probs.npy and the packed split is
     # what evaluate wrote to records.jsonl
     path = pipeline[eval_dir] / "records.jsonl"
-    records = read_prediction_records(pipeline[eval_dir], [])
+    records = read_prediction_records(pipeline[eval_dir], MAX_LEN, [])
     assert cli._records_jsonl(records).encode("utf-8") == path.read_bytes()
 
 
@@ -262,15 +283,10 @@ def test_the_records_writer_is_the_sorted_json_encoder():
                      "date": f"{1 + 999 * i:04d}-0{1 + i % 9}-2{i}",
                      "codes": sorted({"A00.0", "B12", "C99.x1Z", "E78.5"}
                                      - {["A00.0", "B12", "C99.x1Z", "E78.5"][i % 4]})})
-    gt = np.zeros((len(rows), 3), dtype=bool)
-    for i, row in enumerate(rows):
-        gt[i, row["gt"]] = True
-    columns = {name: [row[name] for row in rows]
-               for name in ("n_unseen", "dept", "first_visit", "freq_bucket", "patient_id")}
-    records = Predictions(np.zeros((len(rows), 3)), gt, **columns,
-                          date=[np.datetime64(row["date"]) for row in rows],
-                          code_offsets=np.cumsum([0, *(len(row["codes"]) for row in rows)]),
-                          codes=[code for row in rows for code in row["codes"]])
+    records = oracles.scored_notes(np.zeros((len(rows), 3)), **{
+        name: [row[name] for row in rows] for name in ("gt", "n_unseen", "dept", "first_visit",
+                                                       "freq_bucket", "patient_id", "date",
+                                                       "codes")})
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     assert cli._records_jsonl(records) == "".join(encode(row) + "\n" for row in rows)
 
@@ -1357,7 +1373,7 @@ def test_a_unicode_line_break_in_a_field_passes_every_stage(pipeline, tmp_path, 
     for command in ("calibrate", "report"):
         assert main([command, "--config", cfg, "--in", str(eval2),
                      "--out", str(tmp_path / command)]) == 0, command
-    assert read_prediction_records(eval2, []).dept[0] == f"D{char}X"
+    assert read_prediction_records(eval2, MAX_LEN, []).dept[0] == f"D{char}X"
 
 
 def _drop_param(name):
@@ -1554,7 +1570,7 @@ def test_full_level_isotonic_checkpoint_automates_the_same(pipeline, tmp_path):
     calib = tmp_path / "calib"
     shutil.copytree(pipeline["calib"], calib)
     meta, stepped = load_params(calib / "isotonic.ckpt")
-    dev = read_prediction_records(pipeline["eval_dev"], [])
+    dev = read_prediction_records(pipeline["eval_dev"], MAX_LEN, [])
     full = {}
     for j in range(meta["n_labels"]):
         levels, inverse, counts = np.unique(dev.probs[:, j], return_inverse=True,

@@ -12,7 +12,6 @@ from icdlab.corpus import Encounter
 from icdlab.errors import UndefinedMetricError, ValidationError
 from icdlab.metrics import (
     ConsistencyReport,
-    Predictions,
     _rankdata,
     auc_macro,
     auc_micro,
@@ -30,6 +29,7 @@ from icdlab.metrics import (
     score_histogram,
     spearman,
 )
+from oracles import scored_notes, visit_columns
 
 
 def _enc(pid, day, codes, dept="D0"):
@@ -37,37 +37,17 @@ def _enc(pid, day, codes, dept="D0"):
 
 
 def rec(probs, gt, n_unseen=0, dept="D0", first_visit=True, encounter=None):
-    """One document's row; `P` stacks rows into a Predictions value."""
+    """One document's row; `P` stacks rows into a scored split."""
     return {"probs": probs, "gt": gt, "n_unseen": n_unseen, "dept": dept,
             "first_visit": first_visit, "freq_bucket": "",
             "encounter": encounter or _enc("P0", 1, ["A00.0"], dept)}
 
 
-def visit_columns(encounters) -> dict:
-    """The patient, date and code columns of Predictions over `encounters`."""
-    codes = [sorted(e.codes) for e in encounters]
-    return {"patient_id": [e.patient_id for e in encounters],
-            "date": [e.date for e in encounters],
-            "code_offsets": np.cumsum([0, *map(len, codes)]),
-            "codes": [c for row in codes for c in row]}
-
-
 def P(*rows):
-    probs = np.array([r["probs"] for r in rows], dtype=float)
-    gt = np.zeros(probs.shape, dtype=bool)
-    for i, r in enumerate(rows):
-        gt[i, sorted(r["gt"])] = True
-    return Predictions(probs, gt, **{k: [r[k] for r in rows] for k in
-                                     ("n_unseen", "dept", "first_visit", "freq_bucket")},
-                       **visit_columns([r["encounter"] for r in rows]))
-
-
-def visits(*encounters):
-    """Predictions over `encounters` that score no label: their columns only."""
-    m = len(encounters)
-    return Predictions(np.zeros((m, 0)), np.zeros((m, 0), dtype=bool), [0] * m,
-                       [e.dept for e in encounters], [True] * m, [""] * m,
-                       **visit_columns(encounters))
+    return scored_notes([r["probs"] for r in rows], [r["gt"] for r in rows],
+                        **{k: [r[k] for r in rows] for k in
+                           ("n_unseen", "dept", "first_visit", "freq_bucket")},
+                        **visit_columns([r["encounter"] for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +435,6 @@ def test_breakdown_micro_counts_are_additive():
     np.testing.assert_array_equal(counts(a) + counts(~a), counts(np.ones(10, bool)))
 
 
-def test_predictions_reject_mismatched_shapes():
-    good = P(rec([0.9, 0.1], {0}))
-    with pytest.raises(ValidationError):
-        replace(good, gt=np.zeros((1, 3), bool))
-    with pytest.raises(ValidationError):
-        replace(good, dept=["A", "B"])
-    with pytest.raises(ValidationError):
-        replace(good, probs=np.array([0.9, 0.1]), gt=np.array([True, False]))
-    for offsets in ([0], [0, 2], [1, 1], [0, 1, 1]):  # one step per row, 0 to the codes' count
-        with pytest.raises(ValidationError):
-            replace(good, code_offsets=offsets)
-    with pytest.raises(ValidationError):
-        replace(good, codes=[["A00.0"]])
-
-
 # ---------------------------------------------------------------------------
 # spearman
 # ---------------------------------------------------------------------------
@@ -560,13 +525,14 @@ def test_consistency_check_window():
         _enc("P2", 1, ["I70.203"]),
         _enc("P2", 2, ["I70.203"]),  # identical → consistent
     ]
-    report = consistency_check(visits(*encs), window_days=7)
+    report = consistency_check(scored_notes(np.zeros((len(encs), 0)), **visit_columns(encs)),
+                               window_days=7)
     assert report == ConsistencyReport(matched_pairs=2, inconsistent_pairs=1)
     assert report.rate == 0.5
 
 
 def test_consistency_empty_is_zero():
-    assert consistency_check(visits()).rate == 0.0
+    assert consistency_check(scored_notes(np.zeros((0, 0)))).rate == 0.0
 
 
 # ---------------------------------------------------------------------------

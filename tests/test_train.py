@@ -78,7 +78,7 @@ def test_config_validation():
 def test_targets_split_in_and_out_of_space():
     split = note(text="aches", codes=("A00.0", "Z99.9"))
     assert split.gt.tolist() == [[True, False]] and split.n_unseen.tolist() == [1]
-    assert not hasattr(split, "probs")  # no score matrix until the split is scored
+    assert split.probs is None  # no score matrix until the split is scored
     records = predict_records(toy_model(), split)
     assert records.gt.tolist() == [[True, False]] and records.n_unseen.tolist() == [1]
 
@@ -127,6 +127,17 @@ def test_notes_hold_each_record_s_patient_date_and_sorted_codes():
         notes(enc(codes=()))
 
 
+def test_a_scored_split_is_the_split_with_its_scores():
+    split = notes(enc(), enc(text="dizzy", codes=("B11.1",)))
+    scored = split.scored(np.asfortranarray([[1, 0], [0, 1]]))  # integers, Fortran order
+    assert scored.probs.dtype == np.float64 and scored.probs.flags["C_CONTIGUOUS"]
+    assert scored.probs.tolist() == [[1.0, 0.0], [0.0, 1.0]] and len(scored) == 2
+    for f in fields(Notes):
+        if f.name != "probs":
+            assert getattr(scored, f.name) is getattr(split, f.name), f.name
+    assert split.probs is None and scored.rows([1]).probs is None
+
+
 def test_notes_rows_slice_every_packed_column_alike():
     split = notes(enc(pid="P1", text="aches", codes=("A00.0", "B11.1"), meds=("Edema", "M1")),
                   enc(pid="P2", text="", procs=("R1", "cough", "R2")),
@@ -169,6 +180,9 @@ def test_notes_truncate_to_max_len():
 def _equal_columns(a: Notes, b: Notes) -> None:
     for f in fields(Notes):
         x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or y is None:  # the probs of an unscored split
+            assert x is y, f.name
+            continue
         assert x.dtype == y.dtype and x.shape == y.shape, f.name
         assert np.array_equal(x, y), f.name
 
@@ -322,34 +336,31 @@ def scripted_fit(dev_r5_values, patience, max_epochs=50):
 
     config = TrainConfig(learning_rate=0.05, batch_size=1, max_epochs=max_epochs,
                          patience=patience)
-    snap, history = _fit(params, 1, loss_of, dev_scores, config)
-    return snap, history, captures, w
+    return _fit(params, 1, loss_of, dev_scores, config), captures, w
 
 
 def test_early_stop_patience_counts_from_best_epoch():
     vals = [0.5, 0.6, 0.8] + [0.7] * 47
-    snap, history, captures, w = scripted_fit(vals, patience=2)
+    history, captures, w = scripted_fit(vals, patience=2)
     assert len(history.epochs) == 4  # best at 2, two stale epochs, stop
     np.testing.assert_array_equal(w.data, captures[2])
-    np.testing.assert_array_equal(snap["w"], captures[2])
 
 
 def test_ties_keep_the_earliest_epoch():
-    snap, history, captures, _ = scripted_fit([0.5, 0.8, 0.8, 0.8, 0.8], patience=3)
+    history, captures, w = scripted_fit([0.5, 0.8, 0.8, 0.8, 0.8], patience=3)
     assert len(history.epochs) == 4
-    np.testing.assert_array_equal(snap["w"], captures[1])
+    np.testing.assert_array_equal(w.data, captures[1])
 
 
 def test_initial_params_win_when_training_never_helps():
-    snap, history, captures, w = scripted_fit([0.9, 0.5, 0.5], patience=2)
+    history, captures, w = scripted_fit([0.9, 0.5, 0.5], patience=2)
     assert len(history.epochs) == 2
-    np.testing.assert_array_equal(snap["w"], captures[0])
     np.testing.assert_array_equal(w.data, captures[0])
 
 
 def test_history_runs_to_max_epochs_when_improving():
     vals = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    _, history, _, _ = scripted_fit(vals, patience=2, max_epochs=5)
+    history, _, _ = scripted_fit(vals, patience=2, max_epochs=5)
     assert [e.epoch for e in history.epochs] == [1, 2, 3, 4, 5]
 
 
@@ -361,10 +372,10 @@ def test_history_runs_to_max_epochs_when_improving():
 def test_zero_epochs_returns_initial_params():
     model = toy_model()
     before = {k: t.data.copy() for k, t in model.params.items()}
-    snap, history = train(model, note(), note(), TrainConfig(max_epochs=0))
+    history = train(model, note(), note(), TrainConfig(max_epochs=0))
     assert history.epochs == () and history.best_epoch == 0
     for k in before:
-        np.testing.assert_array_equal(snap[k], before[k])
+        np.testing.assert_array_equal(model.params[k].data, before[k])
 
 
 def test_single_example_memorization():
@@ -372,7 +383,7 @@ def test_single_example_memorization():
     n = note()
     config = TrainConfig(learning_rate=0.05, batch_size=1, max_epochs=200,
                          patience=200)
-    _, history = train(model, n, n, config)
+    history = train(model, n, n, config)
     assert history.epochs[-1].loss < 0.01
 
 
@@ -382,8 +393,7 @@ def test_same_seed_reproduces_history_exactly():
     runs = []
     for _ in range(2):
         model = toy_model(seed=5)
-        _, history = train(model, split, split,
-                           TrainConfig(max_epochs=3, patience=3, seed=11))
+        history = train(model, split, split, TrainConfig(max_epochs=3, patience=3, seed=11))
         # everything but wall-clock must reproduce bit-for-bit
         runs.append([(e.epoch, e.loss, e.dev_recall_at_5, e.dev_instance_f1)
                      for e in history.epochs])
@@ -407,7 +417,7 @@ def test_empty_sets_rejected():
 
 def test_history_csv_shape():
     model = toy_model()
-    _, history = train(model, note(), note(), TrainConfig(max_epochs=2, patience=5))
+    history = train(model, note(), note(), TrainConfig(max_epochs=2, patience=5))
     lines = history.to_csv().strip().splitlines()
     assert lines[0] == "epoch,loss,dev_r5,dev_if1,seconds"
     assert len(lines) == 1 + len(history.epochs)
@@ -483,9 +493,9 @@ def test_reranker_training_freezes_base():
 
 def test_reranker_zero_epochs_keeps_zero_projection():
     base, rr, split = reranker_fixture()
-    snap, history = train_reranker(base, rr, split, split, TrainConfig(max_epochs=0))
+    history = train_reranker(base, rr, split, split, TrainConfig(max_epochs=0))
     assert history.epochs == () and history.best_epoch == 0
-    assert not snap["proj_w"].any() and not snap["proj_b"].any()
+    assert not rr.params["proj_w"].data.any() and not rr.params["proj_b"].data.any()
 
 
 # ---------------------------------------------------------------------------
